@@ -36,7 +36,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use wavesched_core::instance::{Instance, InstanceConfig};
-use wavesched_core::stage1::{build_stage1_problem, solve_stage1_with, solve_stage1_with_start};
+use wavesched_core::stage1::{build_stage1_problem, solve_stage1_with_start};
 use wavesched_lp::{PivotProbe, Problem, SimplexConfig};
 use wavesched_net::{waxman_network, PathSet, WaxmanConfig};
 use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
@@ -164,7 +164,7 @@ fn report_kernels(label: &str, p: &Problem) {
 fn bench_stage1_cold_vs_warm(c: &mut Criterion) {
     let inst = fig4_instance();
     let lp = SimplexConfig::default();
-    let first = solve_stage1_with(&inst, &lp).expect("stage 1 solve");
+    let first = solve_stage1_with_start(&inst, &lp, None).expect("stage 1 solve");
     let basis = first.basis.clone().expect("stage 1 returns a basis");
     eprintln!(
         "# fig4 stage1 cold: {} iters, {} refactors, {} ftran fallbacks / {} ops",
@@ -177,7 +177,7 @@ fn bench_stage1_cold_vs_warm(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels_stage1");
     group.sample_size(10);
     group.bench_function("cold", |b| {
-        b.iter(|| black_box(solve_stage1_with(&inst, &lp).unwrap()))
+        b.iter(|| black_box(solve_stage1_with_start(&inst, &lp, None).unwrap()))
     });
     group.bench_function("warm", |b| {
         b.iter(|| black_box(solve_stage1_with_start(&inst, &lp, Some(&basis)).unwrap()))
@@ -208,7 +208,7 @@ fn bench_per_pivot_kernels(c: &mut Criterion) {
         dense_pivot / sparse_pivot
     );
     // Whole-pivot and whole-solve with candidate-list pricing
-    // (`WS_PRICING=partial`). These time-expanded LPs are degenerate enough
+    // (`partial_pricing: true`). These time-expanded LPs are degenerate enough
     // that the candidate sublist's narrower pivot choices inflate the
     // iteration count, so partial pricing is expected to be at best neutral
     // here — the lines below keep that trade-off measured rather than

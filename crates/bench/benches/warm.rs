@@ -14,9 +14,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use wavesched_core::instance::InstanceConfig;
-use wavesched_core::ret::{
-    probe_sequence_stats, solve_ret, ProbeResolveMode, RetConfig, RetResult,
-};
+use wavesched_core::ret::{solve_ret, RetConfig, RetResult};
 use wavesched_core::stage1::solve_stage1;
 use wavesched_core::stage2::{
     solve_stage2_weighted_with_start, stage2_basis_from_stage1, WeightPolicy,
@@ -97,57 +95,6 @@ fn bench_ret_cold_vs_warm(c: &mut Criterion) {
     group.bench_function("warm", |b| {
         b.iter(|| black_box(run_ret(&g, &jobs, &cfg, &warm_cfg)))
     });
-    group.finish();
-}
-
-/// The RET probe sequence in isolation (no δ-growth, no LPDAR): the serial
-/// bisection replayed under three re-solve strategies. `Cold` pays a full
-/// solve per probe, `PrimalWarm` is the pre-dual session layer (re-fed
-/// basis forces the primal warm ladder), `SessionWarm` lets the session
-/// take the dual path on the bound-only edits. All three ask the same LP
-/// question per trial `b`, so b̂ is asserted bit-identical and the counter
-/// deltas are attributable purely to the re-solve strategy.
-fn bench_ret_probe_paths(c: &mut Criterion) {
-    let (g, jobs, cfg, ret_cfg) = fig4_workload();
-    let run = |mode: ProbeResolveMode| {
-        probe_sequence_stats(&g, &jobs, &cfg, &ret_cfg, mode)
-            .expect("probe sequence solve")
-            .expect("workload must be extensible within b_max")
-    };
-
-    let (b_cold, cold) = run(ProbeResolveMode::Cold);
-    let (b_primal, primal) = run(ProbeResolveMode::PrimalWarm);
-    let (b_dual, dual) = run(ProbeResolveMode::SessionWarm);
-    assert_eq!(b_cold.to_bits(), b_primal.to_bits());
-    assert_eq!(b_cold.to_bits(), b_dual.to_bits());
-    for (name, s) in [("cold", &cold), ("primal-warm", &primal), ("dual", &dual)] {
-        eprintln!(
-            "# ret probes {name}: {} solves, {} iters ({} phase-1, {} dual, {} flips), \
-             {} warm accepted, {} fallbacks",
-            s.solves,
-            s.iterations + s.dual_iterations,
-            s.phase1_iterations,
-            s.dual_iterations,
-            s.dual_bound_flips,
-            s.warm_starts_accepted,
-            s.warm_start_fallbacks,
-        );
-    }
-    eprintln!(
-        "# ret probes dual vs primal-warm: {:.2}x fewer simplex iterations",
-        (primal.iterations + primal.dual_iterations) as f64
-            / (dual.iterations + dual.dual_iterations) as f64
-    );
-
-    let mut group = c.benchmark_group("ret_probe_paths");
-    group.sample_size(10);
-    for (name, mode) in [
-        ("cold", ProbeResolveMode::Cold),
-        ("primal_warm", ProbeResolveMode::PrimalWarm),
-        ("session_dual", ProbeResolveMode::SessionWarm),
-    ] {
-        group.bench_function(name, |b| b.iter(|| black_box(run(mode))));
-    }
     group.finish();
 }
 
@@ -422,7 +369,6 @@ fn bench_cg_master_reaim(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ret_cold_vs_warm,
-    bench_ret_probe_paths,
     bench_stage2_cold_vs_warm,
     bench_cg_master_reaim
 );

@@ -8,7 +8,7 @@
 //! in the prefix length and binary search is exact.
 
 use crate::instance::{Instance, InstanceConfig};
-use crate::stage1::solve_stage1_with;
+use crate::stage1::solve_stage1_with_start;
 use wavesched_lp::{SimplexConfig, SolveError};
 use wavesched_net::{Graph, PathSet};
 use wavesched_workload::Job;
@@ -53,7 +53,7 @@ pub fn admit_by_priority(
                 .map(|j| cfg.demand_units(j.size_gb)),
         );
         let inst = Instance::build_with_demands(graph, &jobs, demands, cfg, &mut pathset);
-        Ok(solve_stage1_with(&inst, lp_cfg)?.z_star)
+        Ok(solve_stage1_with_start(&inst, lp_cfg, None)?.z_star)
     };
 
     // Fast paths.

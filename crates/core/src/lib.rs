@@ -63,5 +63,5 @@ pub use pipeline::{
 pub use ret::{solve_ret, solve_ret_colgen, solve_ret_with_demands, RetConfig, RetMode, RetResult};
 pub use schedule::Schedule;
 pub use stage1::{solve_stage1, solve_stage1_colgen};
-pub use stage2::{solve_stage2, solve_stage2_colgen, solve_stage2_weighted, WeightPolicy};
+pub use stage2::{solve_stage2, solve_stage2_colgen, WeightPolicy};
 pub use timegrid::TimeGrid;

@@ -83,20 +83,19 @@ impl PipelineResult {
 /// Runs the two-stage pipeline with default solver settings and the paper's
 /// visit order.
 pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineResult, SolveError> {
-    max_throughput_pipeline_with(inst, alpha, AdjustOrder::Paper, &SimplexConfig::default())
+    max_throughput_pipeline_in(
+        inst,
+        alpha,
+        AdjustOrder::Paper,
+        &SimplexConfig::default(),
+        None,
+        &mut BuildArena::new(),
+    )
 }
 
-/// Runs the two-stage pipeline with explicit order and solver settings.
-pub fn max_throughput_pipeline_with(
-    inst: &Instance,
-    alpha: f64,
-    order: AdjustOrder,
-    cfg: &SimplexConfig,
-) -> Result<PipelineResult, SolveError> {
-    max_throughput_pipeline_warmed(inst, alpha, order, cfg, None)
-}
-
-/// Runs the two-stage pipeline, warm-starting Stage 1 from `stage1_start`.
+/// Runs the two-stage pipeline with explicit order and solver settings,
+/// warm-starting Stage 1 from `stage1_start` and routing all
+/// LP-construction scratch through a caller-held [`BuildArena`].
 ///
 /// Stage 2 is always warm-started from the Stage-1 optimum (the two stages
 /// share their polytope; see
@@ -104,29 +103,9 @@ pub fn max_throughput_pipeline_with(
 /// and `stage1_start` — typically [`PipelineResult::stage1_basis`] of the
 /// previous controller period — additionally seeds Stage 1 itself. Either
 /// warm start degrades to a cold solve on shape mismatch; the schedules are
-/// identical either way.
-pub fn max_throughput_pipeline_warmed(
-    inst: &Instance,
-    alpha: f64,
-    order: AdjustOrder,
-    cfg: &SimplexConfig,
-    stage1_start: Option<&Basis>,
-) -> Result<PipelineResult, SolveError> {
-    max_throughput_pipeline_in(
-        inst,
-        alpha,
-        order,
-        cfg,
-        stage1_start,
-        &mut BuildArena::new(),
-    )
-}
-
-/// [`max_throughput_pipeline_warmed`] routing all LP-construction scratch
-/// through a caller-held [`BuildArena`]. A long-running caller (the
-/// controller, a replay loop) holds one arena for its lifetime so
-/// steady-state builds stop allocating; results are identical to the
-/// throwaway-arena entry points.
+/// identical either way. A long-running caller (the controller, a replay
+/// loop) holds one arena for its lifetime so steady-state builds stop
+/// allocating.
 pub fn max_throughput_pipeline_in(
     inst: &Instance,
     alpha: f64,
@@ -160,11 +139,31 @@ pub fn max_throughput_pipeline_in(
             arena,
         )?
     };
+
+    let mut stats = s1.stats;
+    stats.merge(&s2.stats);
+    let mut r = discretize(inst, order, t0, s1.z_star, stage1_time, s2.schedule, stats);
+    r.stage1_basis = s1.basis;
+    Ok(r)
+}
+
+/// The tail both pipelines share: discretizes the fractional `lp` (LPD,
+/// then LPDAR) and assembles the result with the cumulative timings off
+/// `t0`. `stage1_basis` is left `None` for the caller to fill.
+fn discretize(
+    inst: &Instance,
+    order: AdjustOrder,
+    t0: Instant,
+    z_star: f64,
+    stage1_time: Duration,
+    lp: Schedule,
+    stats: SolveStats,
+) -> PipelineResult {
     let lp_time = t0.elapsed();
 
     let lpd = {
         let _s = obs::span("lpd");
-        truncate(inst, &s2.schedule)
+        truncate(inst, &lp)
     };
     let lpd_time = t0.elapsed();
 
@@ -174,24 +173,21 @@ pub fn max_throughput_pipeline_in(
     };
     let lpdar_time = t0.elapsed();
 
-    let mut stats = s1.stats;
-    stats.merge(&s2.stats);
-
-    Ok(PipelineResult {
-        z_star: s1.z_star,
-        lp_throughput: s2.schedule.weighted_throughput(inst),
+    PipelineResult {
+        z_star,
+        lp_throughput: lp.weighted_throughput(inst),
         lpd_throughput: lpd.weighted_throughput(inst),
         lpdar_throughput: adj.weighted_throughput(inst),
-        lp: s2.schedule,
+        lp,
         lpd,
         lpdar: adj,
         stage1_time,
         lp_time,
         lpd_time,
         lpdar_time,
-        stage1_basis: s1.basis,
+        stage1_basis: None,
         stats,
-    })
+    }
 }
 
 /// Runs the two-stage pipeline under delayed column generation.
@@ -258,38 +254,18 @@ pub fn max_throughput_pipeline_colgen(
             &WeightPolicy::DemandProportional,
         )?
     };
-    let lp_time = t0.elapsed();
 
     let inst = master.materialize();
     let lp = Schedule::from_values(&inst, master.values_on(&inst, &sol.x));
-
-    let lpd = {
-        let _s = obs::span("lpd");
-        truncate(&inst, &lp)
-    };
-    let lpd_time = t0.elapsed();
-
-    let adj = {
-        let _s = obs::span("lpdar");
-        adjust_rates(&inst, &lpd, order)
-    };
-    let lpdar_time = t0.elapsed();
-
-    let r = PipelineResult {
+    let r = discretize(
+        &inst,
+        order,
+        t0,
         z_star,
-        lp_throughput: lp.weighted_throughput(&inst),
-        lpd_throughput: lpd.weighted_throughput(&inst),
-        lpdar_throughput: adj.weighted_throughput(&inst),
-        lp,
-        lpd,
-        lpdar: adj,
         stage1_time,
-        lp_time,
-        lpd_time,
-        lpdar_time,
-        stage1_basis: None,
-        stats: master.session_stats(),
-    };
+        lp,
+        master.session_stats(),
+    );
     Ok((r, inst, master.stats()))
 }
 
@@ -368,15 +344,13 @@ mod tests {
         // with both warm starts accepted.
         let inst = abilene_instance(12, 2, 21);
         let cfg = SimplexConfig::default();
-        let cold = max_throughput_pipeline_with(&inst, 0.1, AdjustOrder::Paper, &cfg).unwrap();
-        let warm = max_throughput_pipeline_warmed(
-            &inst,
-            0.1,
-            AdjustOrder::Paper,
-            &cfg,
-            cold.stage1_basis.as_ref(),
-        )
-        .unwrap();
+        let mut arena = BuildArena::new();
+        let mut run = |start: Option<&Basis>| {
+            max_throughput_pipeline_in(&inst, 0.1, AdjustOrder::Paper, &cfg, start, &mut arena)
+                .unwrap()
+        };
+        let cold = run(None);
+        let warm = run(cold.stage1_basis.as_ref());
         assert!((warm.z_star - cold.z_star).abs() < 1e-9);
         assert!((warm.lp_throughput - cold.lp_throughput).abs() < 1e-9);
         // Stage 1 re-solve and Stage 2 both start from optimal bases.

@@ -17,10 +17,11 @@ use crate::colgen::{price_resolve, price_resolve_until, CgMaster, CgStats, ColGe
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{lpdar_capped, AdjustOrder};
 use crate::schedule::Schedule;
+use crate::timegrid::TimeGrid;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use wavesched_lp::{
-    solve_with, Basis, Col, Objective, Problem, SimplexConfig, SolveError, SolveStats,
+    solve_with, Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats,
     SolverSession, Status,
 };
 use wavesched_net::{Graph, PathSet};
@@ -72,8 +73,8 @@ pub struct RetConfig {
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
     /// Answer the bisection's feasibility probes on clones of a template
-    /// [`SolverSession`] built (and solved once) at `b_max`, warm-starting
-    /// every probe from that optimal basis (see [`solve_ret`]). Disable to
+    /// [`SolverSession`] built once on the `b_max` envelope, warm-starting
+    /// every probe from an anchored optimal basis. Disable to
     /// force a fresh cold solve per probe; the search trajectory and the
     /// returned schedules are identical either way — only the work counters
     /// differ.
@@ -207,32 +208,6 @@ fn build_probe(inst: &Instance) -> Problem {
     p
 }
 
-/// Answers the bisection's feasibility questions `feasible(b)?`.
-///
-/// Both modes answer through the same [`build_probe`] LP, so the probe
-/// answers — and therefore the bisection trajectory and `b̂` — never depend
-/// on `warm_start`. With warm starts enabled, that LP is built **once** at
-/// `b_max` — whose variable space contains every probe's, since windows
-/// only grow with `b` — and each probe runs on a **clone** of that template
-/// session with column bounds retightened: variables of slices outside a
-/// job's window at the trial `b` are fixed to `[0, 0]`, the rest restored
-/// to `[0, bottleneck]`. That restricted LP asks the same question as the
-/// instance built directly at `b` (the extra capacity rows are satisfied
-/// trivially by the zeros, and the completion rows reduce to the in-window
-/// sums).
-///
-/// The template is solved lazily and re-anchored at fixed points of the
-/// realized sequence: the opening `feasible(0.0)` probe clones it
-/// *unsolved* (a cold solve, exactly like the cold mode's first probe); the
-/// `b_max` probe and the first bisection midpoint re-solve the template
-/// **in place** (see [`WarmProbe::probe_in_place`]); every other probe runs
-/// on a clone, warm-starting from the anchored optimal basis. Between
-/// anchor points the template is constant, so a probe's answer *and its
-/// work counters* are pure functions of `b` — the property that lets
-/// [`Prober::bisect`] evaluate speculative midpoints in parallel and still
-/// merge bit-identical realized stats at every pool width. Structural
-/// trouble degrades to a cold solve inside the clone, never to a wrong
-/// answer.
 /// The probes' LP settings: the configured simplex options plus
 /// candidate-list partial pricing. A probe's answer is a threshold test on
 /// the optimal *objective* — unique for an LP — never on the particular
@@ -247,62 +222,179 @@ fn probe_lp(cfg: &RetConfig) -> SimplexConfig {
     }
 }
 
-struct Prober<'a> {
-    graph: &'a Graph,
-    jobs: &'a [Job],
-    demands: &'a [f64],
-    inst_cfg: &'a InstanceConfig,
-    cfg: &'a RetConfig,
-    pathset: &'a mut PathSet,
-    warm: Option<WarmProbe>,
-    /// Resolved probe-pool width (`cfg.threads`, `0` → `WS_THREADS`).
-    width: usize,
-    stats: SolveStats,
+/// Does a probe-form optimum certify feasibility at its trial `b`?
+fn probe_feasible(sol: &Solution) -> bool {
+    sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL
 }
 
-/// A warm probe's outcome: `(feasible, work, solved session if any)`.
-type ProbeResult = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
+/// The jobs' slice windows at trial extension `b` on an envelope `grid`
+/// (one built at `b_max`); `None` when some job's window is empty — the
+/// question is then answered without an LP solve, like an instance built
+/// directly at `b` with an unschedulable job. The grid is uniform, so a
+/// window that fits under the envelope horizon is the same range the
+/// shorter grid of the `b`-instance would produce.
+fn windows_at(grid: &TimeGrid, jobs: &[Job], mode: RetMode, b: f64) -> Option<Vec<Range<usize>>> {
+    let mut windows = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let ext = mode.apply(job, b);
+        let w = grid.window_slices(ext.start, ext.end);
+        if w.is_empty() {
+            return None;
+        }
+        windows.push(w);
+    }
+    Some(windows)
+}
 
-/// The reusable probe template (see [`Prober`]).
-struct WarmProbe {
-    /// The instance at `b_max`; every probe's windows nest inside its own.
+/// Up to `max_steps` bisection steps between an infeasible `lo` and a
+/// feasible `hi`, stopping early once the interval is within `tol`.
+/// Returns the narrowed `(lo, hi)`.
+fn bisect_steps(
+    (mut lo, mut hi): (f64, f64),
+    tol: f64,
+    max_steps: usize,
+    mut probe: impl FnMut(f64) -> Result<bool, SolveError>,
+) -> Result<(f64, f64), SolveError> {
+    for _ in 0..max_steps {
+        if hi - lo <= tol {
+            break;
+        }
+        let mid = 0.5 * (lo + hi);
+        if probe(mid)? {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Ok((lo, hi))
+}
+
+/// What Algorithm 2 needs from an LP backend. Two implementations:
+/// [`EnvelopeBackend`] (the monolithic `b_max`-envelope LPs) and
+/// [`CgBackend`] (one column-generation master).
+trait RetBackend {
+    /// One realized, serial probe — the two opening ones (`b = 0`,
+    /// `b = b_max`) and the default bisection's midpoints: is the
+    /// fractional SUB-RET feasible at extension `b`?
+    fn probe(&mut self, b: f64) -> Result<bool, SolveError>;
+
+    /// Narrows an infeasible `lo` / feasible `hi` pair to `tol` and returns
+    /// the final `hi`. Serial probing unless the backend can do better.
+    fn bisect(&mut self, lo: f64, hi: f64, tol: f64) -> Result<f64, SolveError> {
+        bisect_steps((lo, hi), tol, usize::MAX, |b| self.probe(b)).map(|(_, hi)| hi)
+    }
+
+    /// Solves the Quick-Finish SUB-RET at extension `b`. Returns the
+    /// instance at `b` with the fractional values over its variables, or
+    /// `None` when the LP is not optimal there.
+    fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError>;
+
+    /// δ-growth stops once `b` exceeds this.
+    fn growth_limit(&self) -> f64;
+
+    /// Solver work over every LP solve so far.
+    fn stats(&self) -> SolveStats;
+}
+
+/// Algorithm 2, once: binary search for the smallest `b` at which the
+/// fractional SUB-RET is feasible, then Quick-Finish + LPDAR at `b`,
+/// growing `b` by δ until the integral schedule completes every job.
+/// `make` builds the backend after the input check; it is handed back with
+/// the result so callers can read backend-specific counters.
+fn algorithm2<B: RetBackend>(
+    jobs: &[Job],
+    cfg: &RetConfig,
+    make: impl FnOnce() -> Result<B, SolveError>,
+) -> Result<Option<(RetResult, B)>, SolveError> {
+    if jobs.is_empty() {
+        return Err(SolveError::InvalidModel(
+            "RET needs at least one job".into(),
+        ));
+    }
+    let _span = obs::span("ret");
+    let mut backend = make()?;
+
+    let b_lp = if backend.probe(0.0)? {
+        0.0
+    } else if !backend.probe(cfg.b_max)? {
+        return Ok(None);
+    } else {
+        backend.bisect(0.0, cfg.b_max, cfg.bsearch_tol)?
+    };
+
+    let mut b = b_lp;
+    for _ in 0..cfg.max_delta_steps {
+        let _step_span = obs::span("ret_growth_step");
+        obs::counter_add("ret.growth_rounds", 1);
+        if let Some((inst, x)) = backend.quick_finish(b)? {
+            let lp_sched = Schedule::from_values(&inst, x);
+            let lpd = crate::lpdar::truncate(&inst, &lp_sched);
+            let adj = lpdar_capped(&inst, &lp_sched, cfg.order);
+            if (0..inst.num_jobs()).all(|i| adj.completes(&inst, i, COMPLETION_TOL)) {
+                let result = RetResult {
+                    b_lp,
+                    b_final: b,
+                    lp: lp_sched,
+                    lpd,
+                    lpdar: adj,
+                    instance: inst,
+                    stats: backend.stats(),
+                };
+                return Ok(Some((result, backend)));
+            }
+        }
+        b += cfg.delta;
+        if b > backend.growth_limit() {
+            break;
+        }
+    }
+    Ok(None)
+}
+
+/// One LP built **once** on the `b_max` envelope instance — whose variable
+/// space contains every trial `b`'s, since windows only grow with `b` — and
+/// re-aimed per trial by column bounds alone. The restricted LP asks the
+/// same question as one built directly at `b`: the extra capacity rows are
+/// satisfied trivially by the zeros, and the job rows reduce to the
+/// in-window sums.
+struct EnvelopeLp {
+    /// The instance at `b_max`; every trial's windows nest inside its own.
     inst: Instance,
-    /// The template session; unsolved until [`Prober`] needs the `b_max`
-    /// answer, then solved in place so clones inherit the optimal basis.
-    template: SolverSession,
-    /// Per-variable upper bound (the path's bottleneck wavelength count).
+    session: SolverSession,
+    /// Per-variable upper bound: the path's bottleneck wavelength count.
     upper: Vec<f64>,
 }
 
-impl WarmProbe {
-    /// Windows at trial `b`, on the `b_max` grid; `None` when some job's
-    /// window is empty (mirrors the cold path's `has_unschedulable_job`
-    /// check: the probe then answers `false` without an LP solve). The grid
-    /// is uniform, so a window that fits under the `b_max` horizon is the
-    /// same range the shorter grid of the `b`-instance would produce.
-    fn windows_at(&self, jobs: &[Job], mode: RetMode, b: f64) -> Option<Vec<Range<usize>>> {
-        let mut windows: Vec<Range<usize>> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let ext = mode.apply(job, b);
-            let w = self.inst.grid.window_slices(ext.start, ext.end);
-            if w.is_empty() {
-                return None;
-            }
-            windows.push(w);
-        }
-        Some(windows)
+/// A clone probe's outcome: `(feasible, work, solved session if any)`.
+type CloneProbe = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
+
+impl EnvelopeLp {
+    fn new(inst: Instance, p: &Problem, lp: &SimplexConfig) -> Result<Self, SolveError> {
+        let session = SolverSession::with_config(p, lp)?;
+        let upper = inst
+            .vars
+            .iter()
+            .map(|(_, job, path, _)| {
+                inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64
+            })
+            .collect();
+        Ok(EnvelopeLp {
+            inst,
+            session,
+            upper,
+        })
     }
 
-    /// Retightens `session`'s column bounds to the given windows: variables
-    /// of out-of-window slices fixed to `[0, 0]`, the rest restored to
-    /// `[0, bottleneck]`. (An associated function over split fields so it
-    /// can also target the template itself.)
-    fn apply_windows(
+    /// Retightens `session` — an envelope LP's own or a clone of it — to
+    /// `windows` and solves: variables of out-of-window slices are fixed to
+    /// `[0, 0]`, the rest restored to `[0, bottleneck]`. (An associated
+    /// function over split fields so it can target either.)
+    fn solve_on(
         inst: &Instance,
         upper: &[f64],
         session: &mut SolverSession,
         windows: &[Range<usize>],
-    ) {
+    ) -> Result<Solution, SolveError> {
         for (var, job, _, slice) in inst.vars.iter() {
             let ub = if windows[job].contains(&slice) {
                 upper[var]
@@ -311,11 +403,32 @@ impl WarmProbe {
             };
             session.set_col_bounds(Col::from_index(var), 0.0, ub);
         }
+        session.solve()
     }
 
-    /// One feasibility probe at extension `b`, on a fresh clone of the
-    /// template: a **pure function** of `b` (and the fixed template state) —
-    /// no shared mutation, so probes may run concurrently and a probe's
+    /// Solves at extension `b` **in place**, so the next solve — or every
+    /// later clone — warm-starts from this optimum. `None` when some window
+    /// is empty at `b` (no solve).
+    fn solve_at(
+        &mut self,
+        jobs: &[Job],
+        mode: RetMode,
+        b: f64,
+    ) -> Result<Option<Solution>, SolveError> {
+        let Some(windows) = windows_at(&self.inst.grid, jobs, mode, b) else {
+            return Ok(None);
+        };
+        let EnvelopeLp {
+            inst,
+            session,
+            upper,
+        } = self;
+        Self::solve_on(inst, upper, session, &windows).map(Some)
+    }
+
+    /// One feasibility probe at extension `b` on a fresh clone of the
+    /// session: a **pure function** of `b` and the template state — no
+    /// shared mutation, so probes may run concurrently and a probe's
     /// `(answer, stats)` never depends on which other probes ran. The
     /// solved clone is returned so the caller may adopt a *realized*
     /// probe's basis as the next template (`None` when the probe answered
@@ -325,53 +438,59 @@ impl WarmProbe {
     /// the clone inherits it: the window retightening is a bound-only
     /// edit, so the probe's solve enters through the factorization-reuse
     /// path (`SolveStats::lu_reuse_hits`) and skips `Lu::factor` entirely
-    /// — the dominant cost of a few-pivot probe. Purity is unaffected:
-    /// every clone starts from the identical carried factors.
-    fn probe(&self, jobs: &[Job], mode: RetMode, b: f64) -> ProbeResult {
+    /// — the dominant cost of a few-pivot probe.
+    fn probe_on_clone(&self, jobs: &[Job], mode: RetMode, b: f64) -> CloneProbe {
         let _span = obs::span("ret_probe");
-        let Some(windows) = self.windows_at(jobs, mode, b) else {
+        let Some(windows) = windows_at(&self.inst.grid, jobs, mode, b) else {
             return Ok((false, SolveStats::default(), None));
         };
-        let mut session = self.template.clone();
-        Self::apply_windows(&self.inst, &self.upper, &mut session, &windows);
-        let sol = session.solve()?;
-        Ok((
-            sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL,
-            sol.stats,
-            Some(session),
-        ))
-    }
-
-    /// Like [`WarmProbe::probe`], but re-solves the template **in place**,
-    /// re-anchoring the basis every later clone warm-starts from. Used at
-    /// two fixed points of the realized sequence — the `b_max` probe and
-    /// the first bisection midpoint — so the policy is independent of the
-    /// pool width and probe purity still holds for everything after.
-    fn probe_in_place(
-        &mut self,
-        jobs: &[Job],
-        mode: RetMode,
-        b: f64,
-    ) -> Result<(bool, SolveStats), SolveError> {
-        let _span = obs::span("ret_probe");
-        let Some(windows) = self.windows_at(jobs, mode, b) else {
-            return Ok((false, SolveStats::default()));
-        };
-        let WarmProbe {
-            inst,
-            template,
-            upper,
-        } = self;
-        Self::apply_windows(inst, upper, template, &windows);
-        let sol = template.solve()?;
-        Ok((
-            sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL,
-            sol.stats,
-        ))
+        let mut session = self.session.clone();
+        let sol = Self::solve_on(&self.inst, &self.upper, &mut session, &windows)?;
+        Ok((probe_feasible(&sol), sol.stats, Some(session)))
     }
 }
 
-impl<'a> Prober<'a> {
+/// Algorithm 2's backend over the monolithic builders: a probe LP and a
+/// Quick-Finish LP, each built once on the `b_max` envelope.
+///
+/// **Probing.** Warm and cold modes answer through the same
+/// [`build_probe`] LP, so the probe answers — and therefore the bisection
+/// trajectory and `b̂` — never depend on `warm_start`; cold mode rebuilds
+/// instance and LP at every `b`. In warm mode the template is re-anchored
+/// only at fixed points of the realized sequence: the two opening probes
+/// solve it **in place** (`b = 0` cold on the fresh session, `b_max` warm
+/// from that basis), and each bisection round installs its last realized
+/// probe's solved clone. Between anchors the template is constant, so a
+/// probe's answer *and its work counters* are pure functions of `b` — the
+/// property that lets [`EnvelopeBackend::bisect`] evaluate speculative
+/// midpoints in parallel and still merge bit-identical realized stats at
+/// every pool width. Structural trouble degrades to a cold solve inside
+/// the clone, never to a wrong answer.
+///
+/// **Growth.** Consecutive δ-steps chain through one Quick-Finish session
+/// in *both* modes — the same deterministic call sequence either way — so
+/// the fractional points, and therefore the LPDAR schedules and `b_final`,
+/// cannot depend on `warm_start`. Only an extension past `b_max`, possible
+/// on the final step, exceeds the envelope and drops to a one-off cold
+/// build.
+struct EnvelopeBackend<'a> {
+    graph: &'a Graph,
+    jobs: &'a [Job],
+    demands: &'a [f64],
+    inst_cfg: &'a InstanceConfig,
+    cfg: &'a RetConfig,
+    pathset: PathSet,
+    /// The warm probe template; `None` in cold mode, when some job is
+    /// unschedulable even at `b_max`, and once the bisection consumed it.
+    probe_lp: Option<EnvelopeLp>,
+    /// The Quick-Finish LP, built at the first growth step.
+    growth_lp: Option<EnvelopeLp>,
+    /// Resolved probe-pool width (`cfg.threads`, `0` → `WS_THREADS`).
+    width: usize,
+    stats: SolveStats,
+}
+
+impl<'a> EnvelopeBackend<'a> {
     /// Levels of the midpoint tree covered per bisection round. Fixed (not
     /// width-derived) because the round boundaries decide where the
     /// template re-anchors: a width-dependent depth would give different
@@ -386,99 +505,67 @@ impl<'a> Prober<'a> {
         demands: &'a [f64],
         inst_cfg: &'a InstanceConfig,
         cfg: &'a RetConfig,
-        pathset: &'a mut PathSet,
     ) -> Result<Self, SolveError> {
-        let mut warm = None;
-        if cfg.warm_start {
-            let inst =
-                extended_instance(graph, jobs, demands, cfg.b_max, cfg.mode, inst_cfg, pathset);
-            // An unschedulable job at b_max stays unschedulable at every
-            // smaller b (windows shrink, paths don't change); the cold
-            // probes then answer without solving, so a session is useless.
-            if !inst.has_unschedulable_job() {
-                let p = build_probe(&inst);
-                let template = SolverSession::with_config(&p, &probe_lp(cfg))?;
-                let upper = bottleneck_uppers(&inst);
-                warm = Some(WarmProbe {
-                    inst,
-                    template,
-                    upper,
-                });
-            }
-        }
-        Ok(Prober {
+        let mut backend = EnvelopeBackend {
             graph,
             jobs,
             demands,
             inst_cfg,
             cfg,
-            pathset,
-            warm,
+            pathset: PathSet::new(inst_cfg.paths_per_job),
+            probe_lp: None,
+            growth_lp: None,
             width: wavesched_par::resolve_threads(cfg.threads),
             stats: SolveStats::default(),
-        })
-    }
-
-    /// Algorithm 2's binary search: the smallest `b` (to `bsearch_tol`) at
-    /// which the fractional SUB-RET is feasible, or `None` when even
-    /// `b_max` fails. Runs the opening probes, then [`Prober::bisect`].
-    fn search(&mut self) -> Result<Option<f64>, SolveError> {
-        // The opening probes are fixed points of the realized sequence at
-        // every width, so they may all anchor the template in place,
-        // chaining their warm starts: b = 0 solves cold (the template is
-        // fresh), b_max warms from the b = 0 basis.
-        if self.feasible_anchoring(0.0)? {
-            return Ok(Some(0.0));
-        }
-        if !self.feasible_top()? {
-            return Ok(None);
-        }
-        self.bisect(0.0, self.cfg.b_max).map(Some)
-    }
-
-    /// Is the fractional SUB-RET feasible at extension `b`? (A *realized*
-    /// probe: counted and merged into the returned stats.)
-    fn feasible(&mut self, b: f64) -> Result<bool, SolveError> {
-        obs::counter_add("ret.probes", 1);
-        match &self.warm {
-            Some(wp) => {
-                let (ans, stats, _) = wp.probe(self.jobs, self.cfg.mode, b)?;
-                self.stats.merge(&stats);
-                Ok(ans)
+        };
+        if cfg.warm_start {
+            let env = backend.instance_at(cfg.b_max);
+            // An unschedulable job at b_max stays unschedulable at every
+            // smaller b (windows shrink, paths don't change); the cold
+            // probes then answer without solving, so a session is useless.
+            if !env.has_unschedulable_job() {
+                let p = build_probe(&env);
+                backend.probe_lp = Some(EnvelopeLp::new(env, &p, &probe_lp(cfg))?);
             }
-            None => self.feasible_cold(b),
         }
+        Ok(backend)
     }
 
-    /// The probe at `b_max`. In warm mode this solves the template **in
-    /// place**, so later probes warm-start from an optimal basis.
-    fn feasible_top(&mut self) -> Result<bool, SolveError> {
-        let b = self.cfg.b_max;
-        self.feasible_anchoring(b)
+    /// Builds the instance with every window relaxed by `(1+b)`.
+    fn instance_at(&mut self, b: f64) -> Instance {
+        let ext: Vec<Job> = self
+            .jobs
+            .iter()
+            .map(|j| self.cfg.mode.apply(j, b))
+            .collect();
+        let demands = self.demands.to_vec();
+        Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, &mut self.pathset)
     }
+}
 
-    /// A realized probe that, in warm mode, re-solves the template in place
-    /// at `b`, re-anchoring the basis every later clone starts from. Called
-    /// at fixed points of the realized sequence only (the `b_max` probe and
-    /// the first bisection midpoint), so the template state seen by all
-    /// other probes stays independent of the pool width.
-    fn feasible_anchoring(&mut self, b: f64) -> Result<bool, SolveError> {
+impl RetBackend for EnvelopeBackend<'_> {
+    fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
         obs::counter_add("ret.probes", 1);
-        let (jobs, mode) = (self.jobs, self.cfg.mode);
-        match &mut self.warm {
-            Some(wp) => {
-                let (ans, stats) = wp.probe_in_place(jobs, mode, b)?;
-                self.stats.merge(&stats);
-                Ok(ans)
+        let _span = obs::span("ret_probe");
+        let sol = match &mut self.probe_lp {
+            Some(lp) => lp.solve_at(self.jobs, self.cfg.mode, b)?,
+            None => {
+                let inst = self.instance_at(b);
+                if inst.has_unschedulable_job() {
+                    None
+                } else {
+                    Some(solve_with(&build_probe(&inst), &probe_lp(self.cfg))?)
+                }
             }
-            None => self.feasible_cold(b),
-        }
+        };
+        let Some(sol) = sol else {
+            return Ok(false);
+        };
+        self.stats.merge(&sol.stats);
+        Ok(probe_feasible(&sol))
     }
 
-    /// The bisection proper, between an infeasible `lo` and a feasible
-    /// `hi`.
-    ///
-    /// Warm mode proceeds in rounds of a **fixed** depth
+    /// Warm mode bisects in rounds of a **fixed** depth
     /// [`Self::ROUND_DEPTH`]: each round covers the next `D` levels of the
     /// midpoint tree (the `2^D − 1` candidate midpoints), every probe a
     /// pure clone-solve of the round-entry template. With a pool width
@@ -492,106 +579,94 @@ impl<'a> Prober<'a> {
     /// all independent of the pool width, so `b̂` and the merged stats are
     /// bit-identical to the serial walk; mis-speculated probes cost only
     /// wasted wall clock on otherwise-idle workers (reported under
-    /// `ret.speculative_probes`).
-    fn bisect(&mut self, lo: f64, hi: f64) -> Result<f64, SolveError> {
-        let tol = self.cfg.bsearch_tol;
+    /// `ret.speculative_probes`). Cold probes rebuild instances through
+    /// the shared path cache and stay serial.
+    fn bisect(&mut self, lo: f64, hi: f64, tol: f64) -> Result<f64, SolveError> {
+        let Some(mut template) = self.probe_lp.take() else {
+            return bisect_steps((lo, hi), tol, usize::MAX, |b| self.probe(b)).map(|(_, hi)| hi);
+        };
+        let (jobs, mode) = (self.jobs, self.cfg.mode);
         let (mut lo, mut hi) = (lo, hi);
-        if self.warm.is_none() {
-            while hi - lo > tol {
-                let mid = 0.5 * (lo + hi);
-                if self.feasible(mid)? {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            return Ok(hi);
-        }
-
         while hi - lo > tol {
-            let mut cands: Vec<f64> = Vec::with_capacity((1 << Self::ROUND_DEPTH) - 1);
-            collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
-            // lint: allow(lib-unwrap, reason = "invariant: the warm-probe branch is only entered after `self.warm` was populated")
-            let wp = self.warm.as_ref().expect("invariant: warm pack present");
-            let (jobs, mode) = (self.jobs, self.cfg.mode);
             // Speculate the full round when workers are available; probe
             // lazily (realized midpoints only) on a width-1 pool.
-            let mut by_bits: BTreeMap<u64, ProbeResult> = if self.width > 1 {
+            let mut by_bits: BTreeMap<u64, CloneProbe> = BTreeMap::new();
+            if self.width > 1 {
+                let mut cands = Vec::with_capacity((1 << Self::ROUND_DEPTH) - 1);
+                collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
                 let answers = wavesched_par::par_map_with(self.cfg.threads, &cands, |&b| {
-                    wp.probe(jobs, mode, b)
+                    template.probe_on_clone(jobs, mode, b)
                 });
                 obs::counter_add("ret.speculative_probes", cands.len() as u64);
-                cands
-                    .iter()
-                    .zip(answers)
-                    .map(|(b, r)| (b.to_bits(), r))
-                    .collect()
-            } else {
-                BTreeMap::new()
-            };
+                by_bits.extend(cands.iter().map(|b| b.to_bits()).zip(answers));
+            }
             // Walk the realized path. Midpoints are pure functions of
             // (lo, hi), so a speculated round was built over exactly these
             // bit patterns; errors on mis-speculated probes are discarded
             // with them — only a realized probe's error surfaces, as in
             // the serial walk.
             let mut last_realized: Option<SolverSession> = None;
-            for _ in 0..Self::ROUND_DEPTH {
-                if hi - lo <= tol {
-                    break;
-                }
-                let mid = 0.5 * (lo + hi);
+            (lo, hi) = bisect_steps((lo, hi), tol, Self::ROUND_DEPTH, |mid| {
                 let (ans, stats, session) = match by_bits.remove(&mid.to_bits()) {
                     Some(r) => r?,
-                    None => wp.probe(jobs, mode, mid)?,
+                    None => template.probe_on_clone(jobs, mode, mid)?,
                 };
                 obs::counter_add("ret.probes", 1);
                 self.stats.merge(&stats);
                 if let Some(s) = session {
                     last_realized = Some(s);
                 }
-                if ans {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
+                Ok(ans)
+            })?;
             // Re-anchor for the next round on the last realized basis (a
             // pure function of the realized trajectory — width-independent).
             if let Some(s) = last_realized {
-                self.warm
-                    .as_mut()
-                    // lint: allow(lib-unwrap, reason = "invariant: same warm-probe branch; `self.warm` was populated before the round started")
-                    .expect("invariant: warm pack present")
-                    .template = s;
+                template.session = s;
             }
         }
         Ok(hi)
     }
 
-    /// The per-probe cold path: build the instance and the probe LP at `b`
-    /// and solve from scratch.
-    fn feasible_cold(&mut self, b: f64) -> Result<bool, SolveError> {
-        let _span = obs::span("ret_probe");
-        let inst = extended_instance(
-            self.graph,
-            self.jobs,
-            self.demands,
-            b,
-            self.cfg.mode,
-            self.inst_cfg,
-            self.pathset,
-        );
-        if inst.has_unschedulable_job() {
-            return Ok(false);
+    fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
+        if self.growth_lp.is_none() {
+            // The search is over: release the probe template first.
+            self.probe_lp = None;
+            let env = self.instance_at(self.cfg.b_max);
+            let p = build_subret(&env);
+            self.growth_lp = Some(EnvelopeLp::new(env, &p, &self.cfg.lp)?);
         }
-        let p = build_probe(&inst);
-        let sol = solve_with(&p, &probe_lp(self.cfg))?;
+        let inst = self.instance_at(b);
+        if b > self.cfg.b_max {
+            let sol = solve_with(&build_subret(&inst), &self.cfg.lp)?;
+            self.stats.merge(&sol.stats);
+            let x = (sol.status == Status::Optimal).then(|| sol.x[..inst.vars.len()].to_vec());
+            return Ok(x.map(|x| (inst, x)));
+        }
+        // lint: allow(lib-unwrap, reason = "invariant: populated just above")
+        let growth = self.growth_lp.as_mut().expect("invariant: growth LP built");
+        let Some(sol) = growth.solve_at(self.jobs, self.cfg.mode, b)? else {
+            return Ok(None);
+        };
         self.stats.merge(&sol.stats);
-        Ok(sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL)
+        if sol.status != Status::Optimal {
+            return Ok(None);
+        }
+        // The envelope's windows contain `inst`'s, so every variable of
+        // `inst` has a counterpart in the envelope solution.
+        let env = &growth.inst;
+        let x = inst
+            .vars
+            .iter()
+            .map(|(_, job, path, slice)| sol.x[env.vars.var(job, path, slice)])
+            .collect();
+        Ok(Some((inst, x)))
     }
 
-    /// Ends probing, releasing the path cache and yielding the work done.
-    fn finish(self) -> SolveStats {
+    fn growth_limit(&self) -> f64 {
+        self.cfg.b_max + self.cfg.delta
+    }
+
+    fn stats(&self) -> SolveStats {
         self.stats
     }
 }
@@ -609,214 +684,77 @@ fn collect_midpoints(lo: f64, hi: f64, depth: usize, tol: f64, out: &mut Vec<f64
     collect_midpoints(mid, hi, depth - 1, tol, out);
 }
 
-/// How [`probe_sequence_stats`] re-solves consecutive probes. Bench
-/// support (see `crates/bench/benches/warm.rs`): isolates what each layer
-/// of the warm-start story buys on the probe sequence alone.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeResolveMode {
-    /// Fresh session per probe: every probe pays a full cold solve.
-    Cold,
-    /// One chained session, but each probe re-feeds the previous optimal
-    /// basis via `warm_start_from` — the provenance downgrade forces the
-    /// primal warm ladder (phase-1 bound-shift repair), i.e. the pre-dual
-    /// behavior of the session layer.
-    PrimalWarm,
-    /// One chained session left to its own selection: bound-only edits
-    /// between optimal solves take the dual simplex path.
-    SessionWarm,
+/// Algorithm 2's backend over one column-generation master, built at the
+/// `b_max` envelope and seeded with shortest paths: per trial `b` the
+/// active windows tighten or reopen, the form switches (probe /
+/// Quick-Finish), and the price–resolve loop re-prices — columns
+/// accumulate monotonically across the whole search and the simplex basis
+/// chains warm throughout. The master is a single evolving session, so
+/// probing stays serial (and trivially byte-reproducible at any
+/// `WS_THREADS`), and growth is capped at the envelope: the pool's windows
+/// cannot extend past `b_max`.
+struct CgBackend<'a> {
+    master: CgMaster,
+    pricer: Box<dyn Pricer>,
+    jobs: &'a [Job],
+    cfg: &'a RetConfig,
 }
 
-/// Bench support: replays the RET bisection probe sequence serially on the
-/// `b_max` envelope probe LP under an explicit re-solve strategy, returning
-/// `(b̂, probe-sequence work counters)` — `None` when some job is
-/// unschedulable even at `b_max`. All three modes ask the identical LP
-/// question per trial `b` (the envelope LP with out-of-window columns fixed
-/// to zero), so `b̂` is mode-independent and the counters isolate exactly
-/// the re-solve strategy.
-#[doc(hidden)]
-pub fn probe_sequence_stats(
-    graph: &Graph,
-    jobs: &[Job],
-    inst_cfg: &InstanceConfig,
-    cfg: &RetConfig,
-    mode: ProbeResolveMode,
-) -> Result<Option<(f64, SolveStats)>, SolveError> {
-    let demands: Vec<f64> = jobs
-        .iter()
-        .map(|j| inst_cfg.demand_units(j.size_gb))
-        .collect();
-    let mut pathset = PathSet::new(inst_cfg.paths_per_job);
-    let inst = extended_instance(
-        graph,
-        jobs,
-        &demands,
-        cfg.b_max,
-        cfg.mode,
-        inst_cfg,
-        &mut pathset,
-    );
-    if inst.has_unschedulable_job() {
-        return Ok(None);
-    }
-    let p = build_probe(&inst);
-    let upper = bottleneck_uppers(&inst);
-    let lp = probe_lp(cfg);
-    let mut session = SolverSession::with_config(&p, &lp)?;
-    let mut carried: Option<Basis> = None;
-    let mut stats = SolveStats::default();
-
-    let probe = |b: f64,
-                 session: &mut SolverSession,
-                 carried: &mut Option<Basis>,
-                 stats: &mut SolveStats|
-     -> Result<bool, SolveError> {
-        let mut windows: Vec<Range<usize>> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let ext = cfg.mode.apply(job, b);
-            let w = inst.grid.window_slices(ext.start, ext.end);
-            if w.is_empty() {
-                return Ok(false);
-            }
-            windows.push(w);
-        }
-        if mode == ProbeResolveMode::Cold {
-            *session = SolverSession::with_config(&p, &lp)?;
-        }
-        for (var, job, _, slice) in inst.vars.iter() {
-            let ub = if windows[job].contains(&slice) {
-                upper[var]
-            } else {
-                0.0
-            };
-            session.set_col_bounds(Col::from_index(var), 0.0, ub);
-        }
-        if mode == ProbeResolveMode::PrimalWarm {
-            if let Some(basis) = carried.take() {
-                session.warm_start_from(basis);
-            }
-        }
-        let sol = session.solve()?;
-        if mode == ProbeResolveMode::PrimalWarm && sol.status == Status::Optimal {
-            *carried = sol.basis.clone();
-        }
-        stats.merge(&sol.stats);
-        Ok(sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL)
-    };
-
-    let b_hat = if probe(0.0, &mut session, &mut carried, &mut stats)? {
-        0.0
-    } else if !probe(cfg.b_max, &mut session, &mut carried, &mut stats)? {
-        return Ok(None);
-    } else {
-        let (mut lo, mut hi) = (0.0, cfg.b_max);
-        while hi - lo > cfg.bsearch_tol {
-            let mid = 0.5 * (lo + hi);
-            if probe(mid, &mut session, &mut carried, &mut stats)? {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    };
-    Ok(Some((b_hat, stats)))
-}
-
-/// Per-variable upper bounds for an instance's assignment columns: the
-/// bottleneck wavelength count of the variable's path.
-fn bottleneck_uppers(inst: &Instance) -> Vec<f64> {
-    inst.vars
-        .iter()
-        .map(|(_, job, path, _)| inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64)
-        .collect()
-}
-
-/// The δ-growth loop's Quick-Finish solver: one SUB-RET LP on the `b_max`
-/// envelope, re-solved per step with column bounds retightened to the
-/// step's windows and warm-started from the previous step's optimal basis.
-///
-/// Used in **both** warm and cold [`RetConfig`] modes: consecutive δ-steps
-/// run the exact same deterministic call sequence either way, so the
-/// fractional points — and therefore the LPDAR schedules and `b_final` —
-/// cannot depend on `warm_start`. (Probing is where the modes differ; see
-/// [`Prober`].)
-struct GrowthSession {
-    inst: Instance,
-    session: SolverSession,
-    upper: Vec<f64>,
-}
-
-impl GrowthSession {
-    fn new(inst: Instance, lp: &SimplexConfig) -> Result<Self, SolveError> {
-        let p = build_subret(&inst);
-        let session = SolverSession::with_config(&p, lp)?;
-        let upper = bottleneck_uppers(&inst);
-        Ok(GrowthSession {
-            inst,
-            session,
-            upper,
-        })
+impl RetBackend for CgBackend<'_> {
+    /// Tightens the master's active windows, switches to the probe form,
+    /// and runs the price–resolve loop. **Re-pricing after the bound change
+    /// matters** — a path that was worthless under wide windows can become
+    /// the completing path under tight ones, and a restricted master that
+    /// skipped pricing here could wrongly answer "infeasible".
+    fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
+        obs::counter_add("ret.probes", 1);
+        let _span = obs::span("ret_probe");
+        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.cfg.mode, b) else {
+            return Ok(false);
+        };
+        self.master.set_active_windows(&windows);
+        self.master.set_probe();
+        // Early-stop at the feasibility threshold: the restricted optimum
+        // only underestimates the universe optimum, so reaching `Z >= 1`
+        // already answers the probe — pricing to optimality is needed only
+        // to certify infeasibility.
+        let sol = price_resolve_until(&mut self.master, self.pricer.as_mut(), probe_feasible)?;
+        Ok(probe_feasible(&sol))
     }
 
-    /// Solves the Quick-Finish SUB-RET at extension `b` and maps the
-    /// solution onto `inst_b` (the instance built directly at `b`, whose
-    /// windows nest inside the envelope's). Returns the status and, when
-    /// optimal, the values over `inst_b`'s variables.
-    fn solve_step(
-        &mut self,
-        inst_b: &Instance,
-        jobs: &[Job],
-        mode: RetMode,
-        b: f64,
-        stats: &mut SolveStats,
-    ) -> Result<(Status, Option<Vec<f64>>), SolveError> {
-        let windows: Vec<Range<usize>> = jobs
+    fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
+        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.cfg.mode, b) else {
+            return Ok(None);
+        };
+        self.master.set_active_windows(&windows);
+        self.master.set_quick_finish();
+        let sol = price_resolve(&mut self.master, self.pricer.as_mut())?;
+        if sol.status != Status::Optimal {
+            return Ok(None);
+        }
+        let ext: Vec<Job> = self
+            .jobs
             .iter()
-            .map(|job| {
-                let ext = mode.apply(job, b);
-                self.inst.grid.window_slices(ext.start, ext.end)
-            })
+            .map(|j| self.cfg.mode.apply(j, b))
             .collect();
-        for (var, job, _, slice) in self.inst.vars.iter() {
-            let ub = if windows[job].contains(&slice) {
-                self.upper[var]
-            } else {
-                0.0
-            };
-            self.session.set_col_bounds(Col::from_index(var), 0.0, ub);
-        }
-        let sol = self.session.solve()?;
-        stats.merge(&sol.stats);
-        let x = (sol.status == Status::Optimal).then(|| {
-            inst_b
-                .vars
-                .iter()
-                .map(|(_, job, path, slice)| sol.x[self.inst.vars.var(job, path, slice)])
-                .collect()
-        });
-        Ok((sol.status, x))
+        let inst = self.master.materialize_for(&ext);
+        let x = self.master.values_on(&inst, &sol.x);
+        Ok(Some((inst, x)))
     }
-}
 
-/// Builds the instance with every window relaxed by `(1+b)` per `mode`.
-fn extended_instance(
-    graph: &Graph,
-    jobs: &[Job],
-    demands: &[f64],
-    b: f64,
-    mode: RetMode,
-    cfg: &InstanceConfig,
-    pathset: &mut PathSet,
-) -> Instance {
-    let ext: Vec<Job> = jobs.iter().map(|j| mode.apply(j, b)).collect();
-    Instance::build_with_demands(graph, &ext, demands.to_vec(), cfg, pathset)
+    fn growth_limit(&self) -> f64 {
+        self.cfg.b_max
+    }
+
+    fn stats(&self) -> SolveStats {
+        self.master.session_stats()
+    }
 }
 
 /// Solves the RET problem with Algorithm 2.
 ///
 /// Returns `Ok(None)` when even `b_max` cannot complete all jobs (e.g. a
-/// job with no usable path), `Err` on solver breakdown.
+/// job with no usable path), `Err` on an empty job set or solver breakdown.
 pub fn solve_ret(
     graph: &Graph,
     jobs: &[Job],
@@ -839,137 +777,25 @@ pub fn solve_ret_with_demands(
     inst_cfg: &InstanceConfig,
     cfg: &RetConfig,
 ) -> Result<Option<RetResult>, SolveError> {
-    assert!(!jobs.is_empty(), "RET needs at least one job");
-    assert_eq!(jobs.len(), demands.len());
-    let _span = obs::span("ret");
-    let mut pathset = PathSet::new(inst_cfg.paths_per_job);
-
-    // Step 1: binary search for the smallest feasible b (fractional),
-    // with speculative parallel probing in warm mode (see [`Prober`]).
-    let mut prober = Prober::new(graph, jobs, demands, inst_cfg, cfg, &mut pathset)?;
-    let Some(b_lp) = prober.search()? else {
-        return Ok(None);
-    };
-    let mut stats = prober.finish();
-
-    // Steps 2–5: solve with Quick-Finish, discretize with LPDAR, grow b by
-    // delta until the integral schedule completes everything. The solves
-    // chain through one envelope session in *both* modes (see
-    // [`GrowthSession`]); only an extension past b_max — possible on the
-    // final step — exceeds the envelope and drops to a one-off cold build,
-    // again identically in both modes.
-    let env = extended_instance(
-        graph,
-        jobs,
-        demands,
-        cfg.b_max,
-        cfg.mode,
-        inst_cfg,
-        &mut pathset,
-    );
-    let mut growth = GrowthSession::new(env, &cfg.lp)?;
-    let mut b = b_lp;
-    for _ in 0..cfg.max_delta_steps {
-        let _step_span = obs::span("ret_growth_step");
-        obs::counter_add("ret.growth_rounds", 1);
-        let inst = extended_instance(graph, jobs, demands, b, cfg.mode, inst_cfg, &mut pathset);
-        let (status, x) = if b <= cfg.b_max {
-            growth.solve_step(&inst, jobs, cfg.mode, b, &mut stats)?
-        } else {
-            let p = build_subret(&inst);
-            let sol = solve_with(&p, &cfg.lp)?;
-            stats.merge(&sol.stats);
-            let x = (sol.status == Status::Optimal).then(|| sol.x[..inst.vars.len()].to_vec());
-            (sol.status, x)
-        };
-        if status == Status::Optimal {
-            // lint: allow(lib-unwrap, reason = "invariant: an Optimal status always carries primal values")
-            let x = x.expect("invariant: optimal carries values");
-            let lp_sched = Schedule::from_values(&inst, x);
-            let lpd = crate::lpdar::truncate(&inst, &lp_sched);
-            let adj = lpdar_capped(&inst, &lp_sched, cfg.order);
-            let all_done = (0..inst.num_jobs()).all(|i| adj.completes(&inst, i, COMPLETION_TOL));
-            if all_done {
-                return Ok(Some(RetResult {
-                    b_lp,
-                    b_final: b,
-                    lp: lp_sched,
-                    lpd,
-                    lpdar: adj,
-                    instance: inst,
-                    stats,
-                }));
-            }
-        }
-        b += cfg.delta;
-        if b > cfg.b_max + cfg.delta {
-            break;
-        }
+    if jobs.len() != demands.len() {
+        return Err(SolveError::InvalidModel(format!(
+            "RET got {} jobs but {} demands",
+            jobs.len(),
+            demands.len()
+        )));
     }
-    Ok(None)
+    let out = algorithm2(jobs, cfg, || {
+        EnvelopeBackend::new(graph, jobs, demands, inst_cfg, cfg)
+    })?;
+    Ok(out.map(|(result, _)| result))
 }
 
-/// Active windows at trial extension `b` on the column-generation master's
-/// (envelope) grid; `None` when some job's window is empty — the probe then
-/// answers `false` without a solve, mirroring the monolithic path's
-/// `has_unschedulable_job` check. The grid is uniform, so these are the
-/// same slice indices an instance built directly at `b` would produce.
-fn cg_windows_at(
-    master: &CgMaster,
-    jobs: &[Job],
-    mode: RetMode,
-    b: f64,
-) -> Option<Vec<Range<usize>>> {
-    let mut windows = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let ext = mode.apply(job, b);
-        let w = master.grid().window_slices(ext.start, ext.end);
-        if w.is_empty() {
-            return None;
-        }
-        windows.push(w);
-    }
-    Some(windows)
-}
-
-/// One column-generation feasibility probe at extension `b`: tighten the
-/// master's active windows, switch to the probe form, and run the
-/// price–resolve loop. **Re-pricing after the bound change matters** — a
-/// path that was worthless under wide windows can become the completing
-/// path under tight ones, and a restricted master that skipped pricing
-/// here could wrongly answer "infeasible".
-fn cg_probe(
-    master: &mut CgMaster,
-    pricer: &mut dyn Pricer,
-    jobs: &[Job],
-    mode: RetMode,
-    b: f64,
-) -> Result<bool, SolveError> {
-    obs::counter_add("ret.probes", 1);
-    let _span = obs::span("ret_probe");
-    let Some(windows) = cg_windows_at(master, jobs, mode, b) else {
-        return Ok(false);
-    };
-    master.set_active_windows(&windows);
-    master.set_probe();
-    // Early-stop at the feasibility threshold: the restricted optimum
-    // only underestimates the universe optimum, so reaching `Z >= 1`
-    // already answers the probe — pricing to optimality is needed only
-    // to certify infeasibility.
-    let sol = price_resolve_until(master, pricer, |s| s.objective >= 1.0 - RET_PROBE_TOL)?;
-    Ok(sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL)
-}
-
-/// Solves the RET problem (Algorithm 2) by delayed column generation.
+/// Solves the RET problem (Algorithm 2) by delayed column generation: one
+/// restricted master, built at the `b_max` envelope and seeded with
+/// shortest paths, answers every bisection probe and δ-growth step.
 ///
-/// One restricted master, built at the `b_max` envelope and seeded with
-/// shortest paths, answers **every** bisection probe and δ-growth step:
-/// per trial `b` the active windows tighten or reopen, the form switches
-/// (probe / Quick-Finish), and the price–resolve loop re-prices — columns
-/// accumulate monotonically across the whole search and the simplex basis
-/// chains warm throughout. Matches [`solve_ret`]'s trajectory semantics
-/// with one documented difference: growth is capped at the `b_max`
-/// envelope (the pool's windows cannot extend past it), where the
+/// Matches [`solve_ret`]'s trajectory semantics with one documented
+/// difference: growth is capped at the `b_max` envelope, where the
 /// monolithic path may take one final cold step beyond `b_max`. Returns
 /// the result together with the column-generation work counters, or
 /// `Ok(None)` when no extension within `b_max` completes all jobs.
@@ -980,79 +806,20 @@ pub fn solve_ret_colgen(
     cfg: &RetConfig,
     cg: &ColGenConfig,
 ) -> Result<Option<(RetResult, CgStats)>, SolveError> {
-    assert!(!jobs.is_empty(), "RET needs at least one job");
-    let _span = obs::span("ret");
-    let demands: Vec<f64> = jobs
-        .iter()
-        .map(|j| inst_cfg.demand_units(j.size_gb))
-        .collect();
-
-    let env_jobs: Vec<Job> = jobs.iter().map(|j| cfg.mode.apply(j, cfg.b_max)).collect();
-    let mut master = CgMaster::build(graph, &env_jobs, demands, inst_cfg, cg)?;
-    let mut pricer = cg.pricer.build(inst_cfg.paths_per_job);
-
-    // Step 1: serial binary search for the smallest feasible b. (The
-    // monolithic path speculates probes in parallel on session clones; the
-    // incremental master is a single evolving session, so probing stays
-    // serial — and therefore trivially byte-reproducible at any
-    // WS_THREADS.)
-    let b_lp = if cg_probe(&mut master, pricer.as_mut(), jobs, cfg.mode, 0.0)? {
-        0.0
-    } else if !cg_probe(&mut master, pricer.as_mut(), jobs, cfg.mode, cfg.b_max)? {
-        return Ok(None);
-    } else {
-        let (mut lo, mut hi) = (0.0, cfg.b_max);
-        while hi - lo > cfg.bsearch_tol {
-            let mid = 0.5 * (lo + hi);
-            if cg_probe(&mut master, pricer.as_mut(), jobs, cfg.mode, mid)? {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    };
-
-    // Steps 2–5: Quick-Finish + LPDAR, growing b by delta until the
-    // integral schedule completes every job.
-    let mut b = b_lp;
-    for _ in 0..cfg.max_delta_steps {
-        let _step_span = obs::span("ret_growth_step");
-        obs::counter_add("ret.growth_rounds", 1);
-        if let Some(windows) = cg_windows_at(&master, jobs, cfg.mode, b) {
-            master.set_active_windows(&windows);
-            master.set_quick_finish();
-            let sol = price_resolve(&mut master, pricer.as_mut())?;
-            if sol.status == Status::Optimal {
-                let ext: Vec<Job> = jobs.iter().map(|j| cfg.mode.apply(j, b)).collect();
-                let inst = master.materialize_for(&ext);
-                let lp_sched = Schedule::from_values(&inst, master.values_on(&inst, &sol.x));
-                let lpd = crate::lpdar::truncate(&inst, &lp_sched);
-                let adj = lpdar_capped(&inst, &lp_sched, cfg.order);
-                let all_done =
-                    (0..inst.num_jobs()).all(|i| adj.completes(&inst, i, COMPLETION_TOL));
-                if all_done {
-                    return Ok(Some((
-                        RetResult {
-                            b_lp,
-                            b_final: b,
-                            lp: lp_sched,
-                            lpd,
-                            lpdar: adj,
-                            instance: inst,
-                            stats: master.session_stats(),
-                        },
-                        master.stats(),
-                    )));
-                }
-            }
-        }
-        b += cfg.delta;
-        if b > cfg.b_max {
-            break;
-        }
-    }
-    Ok(None)
+    let out = algorithm2(jobs, cfg, || {
+        let demands = jobs
+            .iter()
+            .map(|j| inst_cfg.demand_units(j.size_gb))
+            .collect();
+        let env_jobs: Vec<Job> = jobs.iter().map(|j| cfg.mode.apply(j, cfg.b_max)).collect();
+        Ok(CgBackend {
+            master: CgMaster::build(graph, &env_jobs, demands, inst_cfg, cg)?,
+            pricer: cg.pricer.build(inst_cfg.paths_per_job),
+            jobs,
+            cfg,
+        })
+    })?;
+    Ok(out.map(|(result, backend)| (result, backend.master.stats())))
 }
 
 #[cfg(test)]
@@ -1321,41 +1088,75 @@ mod tests {
     }
 
     #[test]
-    fn speculation_counts_only_realized_probes() {
-        // The ret.probes counter must report the serial trajectory's probe
-        // count at every width; mis-speculated work lands in
-        // ret.speculative_probes only.
-        let (g, jobs) = bisecting_jobs(10, 3000);
+    fn refactor_always_matches_default_policy_bitwise() {
+        // The fig. 4 smoke point that bisects (30-node Waxman, 20 jobs):
+        // carrying the LU across re-solves may only change work counters,
+        // never b̂, the final b, or an integral schedule.
+        let g = wavesched_net::waxman_network(&wavesched_net::WaxmanConfig {
+            nodes: 30,
+            link_pairs: 60,
+            wavelengths: 2,
+            ..wavesched_net::WaxmanConfig::paper_default(42)
+        });
+        let jobs = WorkloadGenerator::new(WorkloadConfig {
+            num_jobs: 20,
+            seed: 3000,
+            size_gb: (100.0, 400.0),
+            window: (2.0, 4.0),
+            ..Default::default()
+        })
+        .generate(&g);
         let cfg = InstanceConfig::paper(2);
-        let probes_at = |threads: usize| {
-            obs::set_enabled(true);
-            obs::reset();
-            let ret_cfg = RetConfig {
-                threads,
-                ..bisecting_cfg()
-            };
-            solve_ret(&g, &jobs, &cfg, &ret_cfg).unwrap().unwrap();
-            let snap = obs::snapshot();
-            obs::set_enabled(false);
-            obs::reset();
-            let get = |name: &str| {
-                snap.iter().find_map(|m| match m {
-                    obs::Metric::Counter { name: n, value } if n == name => Some(*value),
-                    _ => None,
-                })
-            };
-            (get("ret.probes"), get("ret.speculative_probes"))
-        };
-        let (serial_probes, serial_spec) = probes_at(1);
-        assert!(serial_probes.is_some());
-        assert_eq!(serial_spec, None, "serial path never speculates");
-        let (par_probes, par_spec) = probes_at(4);
-        assert_eq!(par_probes, serial_probes, "realized probe count");
-        let spec = par_spec.expect("width 4 speculates");
+        let mut always_cfg = bisecting_cfg();
+        always_cfg.lp.refactor_policy = wavesched_lp::RefactorPolicy::Always;
+        let solve = |ret_cfg: &RetConfig| solve_ret(&g, &jobs, &cfg, ret_cfg).unwrap().unwrap();
+        let (reuse, always) = (solve(&bisecting_cfg()), solve(&always_cfg));
         assert!(
-            spec >= par_probes.unwrap() - 2,
-            "speculation covers at least the realized midpoints: {spec}"
+            reuse.stats.lu_reuse_hits > 0,
+            "the default must carry the LU"
         );
+        assert_eq!(always.stats.lu_reuse_hits, 0);
+        assert_eq!(reuse.b_lp.to_bits(), always.b_lp.to_bits());
+        assert_eq!(reuse.b_final.to_bits(), always.b_final.to_bits());
+        // Same vertex through different factors: the fractional point
+        // agrees to rounding, the integral schedules exactly.
+        assert_eq!(reuse.lp.x.len(), always.lp.x.len());
+        for (a, b) in reuse.lp.x.iter().zip(&always.lp.x) {
+            assert!((a - b).abs() < 1e-9, "lp {a} vs {b}");
+        }
+        assert_eq!(reuse.lpd, always.lpd);
+        assert_eq!(reuse.lpdar, always.lpdar);
+    }
+
+    #[test]
+    fn malformed_job_sets_are_typed_errors() {
+        let (g, jobs) = overloaded_jobs(2, 2);
+        let (cfg, ret, cg) = (
+            InstanceConfig::paper(2),
+            RetConfig::default(),
+            ColGenConfig::default(),
+        );
+        let cases = [
+            ("no jobs", solve_ret(&g, &[], &cfg, &ret).map(drop)),
+            (
+                "no jobs, explicit demands",
+                solve_ret_with_demands(&g, &[], &[], &cfg, &ret).map(drop),
+            ),
+            (
+                "2 jobs but 1 demand",
+                solve_ret_with_demands(&g, &jobs, &[1.0], &cfg, &ret).map(drop),
+            ),
+            (
+                "no jobs, colgen",
+                solve_ret_colgen(&g, &[], &cfg, &ret, &cg).map(drop),
+            ),
+        ];
+        for (name, out) in cases {
+            assert!(
+                matches!(out, Err(SolveError::InvalidModel(_))),
+                "{name}: {out:?}"
+            );
+        }
     }
 
     #[test]

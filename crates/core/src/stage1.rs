@@ -7,7 +7,7 @@
 
 use crate::arena::BuildArena;
 use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs};
-use crate::colgen::{CgMaster, Pricer};
+use crate::colgen::{price_resolve, CgMaster, Pricer};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use wavesched_lp::{
@@ -33,12 +33,7 @@ pub struct Stage1Result {
 
 /// Solves the Stage-1 MCF with default simplex settings.
 pub fn solve_stage1(inst: &Instance) -> Result<Stage1Result, SolveError> {
-    solve_stage1_with(inst, &SimplexConfig::default())
-}
-
-/// Solves the Stage-1 MCF with explicit simplex settings.
-pub fn solve_stage1_with(inst: &Instance, cfg: &SimplexConfig) -> Result<Stage1Result, SolveError> {
-    solve_stage1_with_start(inst, cfg, None)
+    solve_stage1_with_start(inst, &SimplexConfig::default(), None)
 }
 
 /// Builds the Stage-1 LP without solving it. Exposed for the kernel
@@ -131,21 +126,15 @@ pub fn solve_stage1_colgen(
     }
     let _span = obs::span("stage1");
     master.set_stage1();
-    let mut rounds = 0usize;
-    loop {
-        let sol = master.solve()?;
-        if sol.status != Status::Optimal {
-            // Z = 0, x = 0 is always feasible, as in the monolithic build.
-            return Err(SolveError::Numerical(format!(
-                "stage 1 (colgen) terminated with status {}",
-                sol.status
-            )));
-        }
-        if master.price_and_augment(&sol, pricer, rounds) == 0 {
-            return Ok(sol.objective);
-        }
-        rounds += 1;
+    let sol = price_resolve(master, pricer)?;
+    if sol.status != Status::Optimal {
+        // Z = 0, x = 0 is always feasible, as in the monolithic build.
+        return Err(SolveError::Numerical(format!(
+            "stage 1 (colgen) terminated with status {}",
+            sol.status
+        )));
     }
+    Ok(sol.objective)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use crate::arena::BuildArena;
 use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs};
-use crate::colgen::{CgMaster, Pricer};
+use crate::colgen::{price_resolve, CgMaster, Pricer};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use wavesched_lp::{
@@ -96,35 +96,22 @@ pub fn stage2_basis_from_stage1(stage1: &Basis, num_vars: usize) -> Option<Basis
 /// `z_star` is the Stage-1 maximum concurrent throughput; `alpha` the
 /// fairness slack (0.1 in the paper's evaluation).
 pub fn solve_stage2(inst: &Instance, z_star: f64, alpha: f64) -> Result<Stage2Result, SolveError> {
-    solve_stage2_with(inst, z_star, alpha, &SimplexConfig::default())
+    solve_stage2_weighted_with_start(
+        inst,
+        z_star,
+        alpha,
+        &WeightPolicy::DemandProportional,
+        &SimplexConfig::default(),
+        None,
+    )
 }
 
-/// Solves the Stage-2 relaxation with explicit simplex settings.
-pub fn solve_stage2_with(
-    inst: &Instance,
-    z_star: f64,
-    alpha: f64,
-    cfg: &SimplexConfig,
-) -> Result<Stage2Result, SolveError> {
-    solve_stage2_weighted(inst, z_star, alpha, &WeightPolicy::DemandProportional, cfg)
-}
-
-/// Solves the Stage-2 relaxation under an explicit [`WeightPolicy`].
+/// Solves the Stage-2 relaxation under an explicit [`WeightPolicy`],
+/// warm-starting from `start` when given.
 ///
 /// With weights `w_i`, the objective is `sum_i w_i Z_i / sum_i w_i`, which
 /// after substituting eq. 8 becomes a per-variable cost of
 /// `(w_i / D_i) * LEN(j) / sum w`.
-pub fn solve_stage2_weighted(
-    inst: &Instance,
-    z_star: f64,
-    alpha: f64,
-    weights: &WeightPolicy,
-    cfg: &SimplexConfig,
-) -> Result<Stage2Result, SolveError> {
-    solve_stage2_weighted_with_start(inst, z_star, alpha, weights, cfg, None)
-}
-
-/// Solves the Stage-2 relaxation, warm-starting from `start` when given.
 ///
 /// The natural start is the Stage-1 optimum over the same instance, mapped
 /// via [`stage2_basis_from_stage1`]: Stage 2 explores the same polytope from
@@ -239,22 +226,16 @@ pub fn solve_stage2_colgen(
         .map(|i| weights.weight_of(&demands, i) / demands[i] / total_weight)
         .collect();
     master.set_stage2((1.0 - alpha) * z_star, scale);
-    let mut rounds = 0usize;
-    loop {
-        let sol = master.solve()?;
-        if sol.status != Status::Optimal {
-            // With z_star from Stage 1 the floors are feasible by
-            // construction; anything else is a solver breakdown.
-            return Err(SolveError::Numerical(format!(
-                "stage 2 (colgen) terminated with status {}",
-                sol.status
-            )));
-        }
-        if master.price_and_augment(&sol, pricer, rounds) == 0 {
-            return Ok(sol);
-        }
-        rounds += 1;
+    let sol = price_resolve(master, pricer)?;
+    if sol.status != Status::Optimal {
+        // With z_star from Stage 1 the floors are feasible by
+        // construction; anything else is a solver breakdown.
+        return Err(SolveError::Numerical(format!(
+            "stage 2 (colgen) terminated with status {}",
+            sol.status
+        )));
     }
+    Ok(sol)
 }
 
 #[cfg(test)]
@@ -367,11 +348,11 @@ mod tests {
         let inst = build(&g, &[small, large], 1);
         let cfg = SimplexConfig::default();
 
-        let fav_large =
-            solve_stage2_weighted(&inst, 0.0, 1.0, &WeightPolicy::DemandProportional, &cfg)
-                .unwrap();
-        let fav_small =
-            solve_stage2_weighted(&inst, 0.0, 1.0, &WeightPolicy::InverseDemand, &cfg).unwrap();
+        let solve = |w: &WeightPolicy| {
+            solve_stage2_weighted_with_start(&inst, 0.0, 1.0, w, &cfg, None).unwrap()
+        };
+        let fav_large = solve(&WeightPolicy::DemandProportional);
+        let fav_small = solve(&WeightPolicy::InverseDemand);
         // Under inverse weighting the small job's throughput cannot drop.
         assert!(
             fav_small.schedule.throughput(&inst, 0)
@@ -393,7 +374,9 @@ mod tests {
         let inst = build(&g, &jobs, 4);
         let s1 = solve_stage1(&inst).unwrap();
         let w = WeightPolicy::Importance(vec![1.0, 5.0, 1.0, 1.0]);
-        let r = solve_stage2_weighted(&inst, s1.z_star, 0.1, &w, &Default::default()).unwrap();
+        let r =
+            solve_stage2_weighted_with_start(&inst, s1.z_star, 0.1, &w, &Default::default(), None)
+                .unwrap();
         assert!(r.schedule.max_capacity_violation(&inst) < 1e-6);
     }
 
@@ -412,7 +395,7 @@ mod tests {
         let start = stage2_basis_from_stage1(s1.basis.as_ref().unwrap(), inst.vars.len())
             .expect("stage1/stage2 shapes match by construction");
 
-        let cold = solve_stage2_with(&inst, s1.z_star, 0.1, &cfg).unwrap();
+        let cold = solve_stage2(&inst, s1.z_star, 0.1).unwrap();
         let warm = solve_stage2_weighted_with_start(
             &inst,
             s1.z_star,
@@ -461,6 +444,6 @@ mod tests {
         .generate(&g);
         let inst = build(&g, &jobs, 4);
         let w = WeightPolicy::Importance(vec![1.0]);
-        let _ = solve_stage2_weighted(&inst, 1.0, 0.1, &w, &Default::default());
+        let _ = solve_stage2_weighted_with_start(&inst, 1.0, 0.1, &w, &Default::default(), None);
     }
 }

@@ -51,8 +51,7 @@ use lu::{Lu, LuScratch};
 pub enum RefactorPolicy {
     /// Refactorize on every solve entry and on the fixed
     /// [`SimplexConfig::refactor_interval`] cadence — the pre-persistence
-    /// behavior, kept as the reuse-off A/B baseline
-    /// (`WS_REFACTOR=always`).
+    /// behavior, kept as the reuse-off A/B baseline.
     Always,
     /// Carry the factorization across session solves; in-loop
     /// refactorization on the fixed interval only.
@@ -119,10 +118,8 @@ pub struct SimplexConfig {
     pub kernel_density_threshold: f64,
     /// Candidate-list partial pricing for the primal path: pricing scans a
     /// minor-iteration sublist of attractive columns instead of every
-    /// nonbasic column, with periodic full refreshes. The `WS_PRICING`
-    /// environment variable overrides this (`full` / `partial`); `full` is
-    /// the exhaustive-scan differential oracle. Bland's anti-cycling rule
-    /// always bypasses the sublist, so the termination guarantee is
+    /// nonbasic column, with periodic full refreshes. Bland's anti-cycling
+    /// rule always bypasses the sublist, so the termination guarantee is
     /// unchanged.
     ///
     /// Off by default: partial pricing reaches the same *objective* but may
@@ -133,11 +130,10 @@ pub struct SimplexConfig {
     pub partial_pricing: bool,
     /// When to rebuild the LU factors vs. growing the eta file, and
     /// whether a [`SolverSession`] carries the factorization across
-    /// solves. The `WS_REFACTOR` environment variable overrides this
-    /// (`always` / `interval:N` / `cost-model`); a disabled cadence
-    /// (`refactor_interval: usize::MAX`, the kernel probes) pins the
-    /// policy to [`RefactorPolicy::Interval`] regardless, so probed
-    /// windows keep measuring steady-state eta chains.
+    /// solves. A disabled cadence (`refactor_interval: usize::MAX`, the
+    /// kernel probes) pins the policy to [`RefactorPolicy::Interval`]
+    /// regardless, so probed windows keep measuring steady-state eta
+    /// chains.
     pub refactor_policy: RefactorPolicy,
 }
 
@@ -155,50 +151,6 @@ impl Default for SimplexConfig {
             refactor_policy: RefactorPolicy::CostModel,
         }
     }
-}
-
-/// Process-wide refactorization-policy override from the `WS_REFACTOR`
-/// environment variable, read once per process: `always` forces a fresh
-/// factor on every solve entry (the reuse-off A/B baseline), `interval:N`
-/// pins the fixed cadence at `N` etas with cross-solve reuse on,
-/// `cost-model` forces the cost-model policy, anything else (or unset)
-/// defers to [`SimplexConfig::refactor_policy`].
-fn refactor_env() -> Option<(RefactorPolicy, Option<usize>)> {
-    static MODE: std::sync::OnceLock<Option<(RefactorPolicy, Option<usize>)>> =
-        std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        // lint: allow(env-knob, reason = "WS_REFACTOR mirrors the sanctioned WS_PRICING pattern: read once at first use, config default preserved when unset, documented in the README")
-        match std::env::var("WS_REFACTOR") {
-            Ok(v) if v.eq_ignore_ascii_case("always") => Some((RefactorPolicy::Always, None)),
-            Ok(v) if v.eq_ignore_ascii_case("cost-model") => {
-                Some((RefactorPolicy::CostModel, None))
-            }
-            Ok(v) => v
-                .to_ascii_lowercase()
-                .strip_prefix("interval:")
-                .and_then(|n| n.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .map(|n| (RefactorPolicy::Interval, Some(n))),
-            Err(_) => None,
-        }
-    })
-}
-
-/// Process-wide pricing-mode override from the `WS_PRICING` environment
-/// variable, read once per process: `full` forces the exhaustive Devex scan
-/// (the bit-identical differential oracle), `partial` forces candidate-list
-/// pricing, anything else (or unset) defers to
-/// [`SimplexConfig::partial_pricing`].
-fn pricing_env() -> Option<bool> {
-    static MODE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        // lint: allow(env-knob, reason = "WS_PRICING mirrors the sanctioned WS_THREADS pattern: read once at first use, config default preserved when unset, documented in the README")
-        match std::env::var("WS_PRICING") {
-            Ok(v) if v.eq_ignore_ascii_case("full") => Some(false),
-            Ok(v) if v.eq_ignore_ascii_case("partial") => Some(true),
-            _ => None,
-        }
-    })
 }
 
 /// Clamps a quantity to nonnegative with a deterministic `+0.0`.
@@ -412,9 +364,6 @@ struct Engine {
     /// signed artificials of a cold start and any basic variables a warm
     /// start left outside their bounds.
     relaxed: Vec<Relaxed>,
-    /// Partial pricing on for this engine (config plus the `WS_PRICING`
-    /// override, resolved at construction).
-    pricing_partial: bool,
     /// Partial-pricing candidate list: column indices, rebuilt by each full
     /// refresh, scanned on minor iterations. Cleared at phase start.
     cand: Vec<u32>,
@@ -437,9 +386,6 @@ struct Engine {
     sanitize_every: u64,
     /// Pivots remaining until the next sanitizer sweep (0 when disabled).
     sanitize_left: u64,
-    /// Resolved refactorization policy (config plus the `WS_REFACTOR`
-    /// override, with a disabled cadence pinning it to `Interval`).
-    refactor_policy: RefactorPolicy,
     /// Entry count of the current LU factors, set at every
     /// refactorization and bumped by the `add_rows` border extension —
     /// the cost model's per-pass work unit.
@@ -610,21 +556,12 @@ impl Engine {
         if cfg.max_iterations == 0 {
             cfg.max_iterations = 50 * (m as u64 + ncols as u64) + 10_000;
         }
-        // Resolve the refactorization policy. A disabled cadence
-        // (usize::MAX, the kernel probes) pins the policy to the plain
-        // interval mode and ignores the env override: probed windows must
-        // measure steady-state eta chains deterministically.
-        let refactor_policy = if cfg.refactor_interval == usize::MAX {
-            RefactorPolicy::Interval
-        } else {
-            if let Some((policy, interval)) = refactor_env() {
-                cfg.refactor_policy = policy;
-                if let Some(n) = interval {
-                    cfg.refactor_interval = n;
-                }
-            }
-            cfg.refactor_policy
-        };
+        // A disabled cadence (usize::MAX, the kernel probes) pins the
+        // policy to the plain interval mode: probed windows must measure
+        // steady-state eta chains deterministically.
+        if cfg.refactor_interval == usize::MAX {
+            cfg.refactor_policy = RefactorPolicy::Interval;
+        }
         let nnz = std.a.nnz();
         let (csr_ptr, csr_cols) = build_row_mirror(&std.a);
         // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
@@ -657,7 +594,6 @@ impl Engine {
             eta_active: Vec::new(),
             kernel_cap,
             relaxed: Vec::new(),
-            pricing_partial: pricing_env().unwrap_or(cfg.partial_pricing),
             cand: Vec::new(),
             cand_member: vec![false; ncols],
             cand_budget: 0,
@@ -666,7 +602,6 @@ impl Engine {
             dual_order: Vec::with_capacity(nnz),
             sanitize_every: sanitize::sanitize_env(),
             sanitize_left: sanitize::sanitize_env(),
-            refactor_policy,
             lu_nnz: 0,
             reuse_ready: false,
             pending_lu_updates: 0,
@@ -1776,7 +1711,7 @@ impl Engine {
     /// a *complete* scan found no eligible column, so the claimed-optimal
     /// verification in [`Self::iterate`] has identical semantics in both.
     fn price(&mut self) -> Option<(usize, f64)> {
-        if self.bland || !self.pricing_partial {
+        if self.bland || !self.cfg.partial_pricing {
             return self.price_full();
         }
         if !self.cand.is_empty() && self.cand_budget > 0 {
@@ -1955,7 +1890,7 @@ impl Engine {
         // relevance from scratch), so weight maintenance is confined to the
         // sublist; reduced costs are always updated for every touched
         // column — optimality claims depend on them.
-        let partial = self.pricing_partial && !self.bland;
+        let partial = self.cfg.partial_pricing && !self.bland;
         let mut max_weight: f64 = 1.0;
         for &jc in &touched {
             let j = jc as usize;
@@ -2295,7 +2230,7 @@ impl Engine {
         if self.etas.len() >= self.cfg.refactor_interval {
             return Some(RefactorReason::Interval);
         }
-        if self.refactor_policy == RefactorPolicy::CostModel
+        if self.cfg.refactor_policy == RefactorPolicy::CostModel
             && self.etas.len() >= COST_MODEL_MIN_ETAS
             && self.etas.entries.len() > COST_MODEL_ETA_FACTOR * self.lu_nnz
         {
@@ -2880,7 +2815,7 @@ impl SolverSession {
         // Factorization reuse rides on the engine's own validity tracking
         // (`reuse_ready`, maintained across every in-place edit); the
         // session only pins it off under the `Always` A/B policy.
-        let try_reuse = self.engine.refactor_policy != RefactorPolicy::Always;
+        let try_reuse = self.engine.cfg.refactor_policy != RefactorPolicy::Always;
         let sol = self.engine.solve(self.warm.as_ref(), try_dual, try_reuse)?;
         if sol.status == Status::Optimal {
             self.warm.clone_from(&sol.basis);

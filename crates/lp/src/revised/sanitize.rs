@@ -40,7 +40,7 @@ const ON_INTERVAL: u64 = 64;
 pub(super) fn sanitize_env() -> u64 {
     static INTERVAL: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *INTERVAL.get_or_init(|| {
-        // lint: allow(env-knob, reason = "WS_SANITIZE mirrors the sanctioned WS_PRICING pattern: read once at first use, build-dependent default when unset, documented in the README")
+        // lint: allow(env-knob, reason = "WS_SANITIZE mirrors the sanctioned WS_THREADS pattern: read once at first use, build-dependent default when unset, documented in the README")
         match std::env::var("WS_SANITIZE") {
             Ok(v) => match v.trim().parse::<u64>() {
                 Ok(0) | Err(_) => 0,

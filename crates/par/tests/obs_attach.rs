@@ -1,8 +1,8 @@
 //! Pool ↔ observability integration: spans opened inside pool tasks must
 //! aggregate under the spawning span's path, for every pool width, so
 //! `--report` span trees look the same whether the work ran serial or
-//! parallel. Lives in its own integration binary because it toggles the
-//! process-wide obs registry.
+//! parallel. Lives in its own integration binary, as one test function,
+//! because it toggles the process-wide obs registry.
 
 use wavesched_obs as obs;
 
@@ -39,13 +39,8 @@ fn pool_tasks_nest_under_spawning_span() {
             "width {width}: no orphan root-level task spans"
         );
     }
-    obs::set_enabled(false);
-    obs::reset();
-}
 
-#[test]
-fn run_workers_adopts_spawning_path_too() {
-    obs::set_enabled(true);
+    // `run_workers` adopts the spawning path too.
     obs::reset();
     {
         let _solve = obs::span("solve");

@@ -1,19 +1,12 @@
-//! The slice-by-slice simulation engine.
-//!
-//! Time advances one slice at a time. At every multiple of τ the controller
-//! is invoked with the requests that arrived in the preceding period and
-//! returns an integral schedule; the engine executes that schedule slice by
-//! slice, reporting delivered volume back to the controller, until the next
-//! invocation replaces it.
+//! Simulation parameters and the preloaded-trace entry point with per-job
+//! outcomes. The event loop itself lives in [`crate::stream`].
 
 use crate::metrics::{JobOutcome, SimReport};
+use crate::stream::{run_event_loop, Event};
 use std::collections::BTreeMap;
-use wavesched_core::controller::{Controller, ControllerConfig, InvocationResult};
-use wavesched_core::instance::Instance;
-use wavesched_core::schedule::Schedule;
+use wavesched_core::controller::ControllerConfig;
 use wavesched_lp::SolveError;
 use wavesched_net::Graph;
-use wavesched_obs as obs;
 use wavesched_workload::{Job, JobId};
 
 /// Simulation parameters.
@@ -36,150 +29,44 @@ impl SimConfig {
 }
 
 /// Runs the periodic-controller simulation of `jobs` (sorted or not — they
-/// are dispatched by arrival time) over `graph`.
+/// are dispatched by arrival time) over `graph`, keeping every job's
+/// outcome: the same event loop as
+/// [`run_simulation_streamed`](crate::run_simulation_streamed), over the
+/// preloaded trace.
 pub fn run_simulation(
     graph: &Graph,
     jobs: &[Job],
     cfg: &SimConfig,
 ) -> Result<SimReport, SolveError> {
-    let _span = obs::span("sim");
-    let tau = cfg.controller.tau;
-    let mut controller = Controller::new(graph.clone(), cfg.controller.clone());
-
-    // Arrival queue sorted by arrival time.
     let mut pending: Vec<Job> = jobs.to_vec();
     pending.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-    let mut next_arrival = 0usize;
-
     let mut outcomes: BTreeMap<JobId, JobOutcome> = jobs
         .iter()
         .map(|j| (j.id, JobOutcome::Unfinished))
         .collect();
-    // Original requested ends, for on-time accounting (the controller may
-    // extend deadlines).
-    let original_end: BTreeMap<JobId, f64> = jobs.iter().map(|j| (j.id, j.end)).collect();
-    let demands: BTreeMap<JobId, f64> = jobs
-        .iter()
-        .map(|j| (j.id, cfg.controller.instance.demand_units(j.size_gb)))
-        .collect();
-    let mut remaining: BTreeMap<JobId, f64> = demands.clone();
-
-    let mut current: Option<(Instance, Schedule)> = None;
-    let mut volume_moved = 0.0;
-    let mut util_acc = 0.0;
-    let mut util_samples = 0usize;
-    let mut invocations = 0usize;
-
-    let mut slice = 0usize;
-    while slice < cfg.max_slices {
-        let _slice_span = obs::span("slice");
-        obs::counter_add("sim.slices", 1);
-        let now = slice as f64;
-
-        // Controller invocation at multiples of τ.
-        if slice.is_multiple_of(tau) {
-            let mut batch = Vec::new();
-            while next_arrival < pending.len() && pending[next_arrival].arrival <= now {
-                batch.push(pending[next_arrival].clone());
-                next_arrival += 1;
+    // A job's last event is its outcome; one no event mentions stays
+    // `Unfinished`. An unknown `on_time` counts as late, as in
+    // `StreamReport::on_time`.
+    let mut collect = |event: Event| {
+        let (id, outcome) = match event {
+            Event::Invoke { .. } => return,
+            Event::Done(id, at, on_time) => {
+                let on_time = on_time.unwrap_or(false);
+                (id, JobOutcome::Completed { at, on_time })
             }
-            let res: InvocationResult = controller.invoke(now, &batch)?;
-            invocations += 1;
-            for id in &res.rejected {
-                outcomes.insert(*id, JobOutcome::Rejected);
-            }
-            current = Some((res.instance, res.schedule));
-        }
-
-        // Execute this slice of the current schedule.
-        if let Some((inst, sched)) = &current {
-            if slice < inst.grid.num_slices() {
-                let len = inst.grid.len_of(slice);
-                let mut edge_used: BTreeMap<u32, f64> = BTreeMap::new();
-                for (idx, job) in inst.jobs.iter().enumerate() {
-                    let w = inst.vars.window(idx);
-                    if !w.contains(&slice) {
-                        continue;
-                    }
-                    let mut moved = 0.0;
-                    for p in 0..inst.vars.paths_of(idx) {
-                        let x = sched.x[inst.vars.var(idx, p, slice)];
-                        if x > 0.0 {
-                            moved += x * len;
-                            for &e in inst.paths[idx][p].edges() {
-                                *edge_used.entry(e.0).or_default() += x;
-                            }
-                        }
-                    }
-                    if moved > 0.0 {
-                        // Deliver at most the remaining demand.
-                        // lint: allow(lib-unwrap, reason = "invariant: `remaining` is seeded with every job id before the loop")
-                        let rem = remaining.get_mut(&job.id).expect("invariant: known job");
-                        let deliver = moved.min(*rem);
-                        *rem -= deliver;
-                        volume_moved += deliver;
-                        controller.record_transfer(job.id, deliver);
-                        if *rem <= 1e-9 {
-                            let at = inst.grid.end_of(slice);
-                            let on_time = at <= original_end[&job.id] + 1e-9;
-                            outcomes.insert(job.id, JobOutcome::Completed { at, on_time });
-                        }
-                    }
-                }
-                // Utilization sample over links that carried anything.
-                if inst.graph.num_edges() > 0 {
-                    let total_cap: f64 = inst
-                        .graph
-                        .edge_ids()
-                        .map(|e| inst.graph.wavelengths(e) as f64)
-                        .sum();
-                    let used: f64 = edge_used.values().sum();
-                    util_acc += used / total_cap;
-                    util_samples += 1;
-                }
-            }
-        }
-
-        slice += 1;
-
-        // Early exit: all arrivals dispatched and nothing left in flight.
-        let all_dispatched = next_arrival >= pending.len();
-        let all_settled = outcomes
-            .values()
-            .all(|o| !matches!(o, JobOutcome::Unfinished));
-        if all_dispatched && all_settled {
-            break;
-        }
-        // Mark expirations (window passed, demand unmet, job no longer
-        // active in the controller).
-        if slice.is_multiple_of(tau) {
-            for j in jobs {
-                if let Some(JobOutcome::Unfinished) = outcomes.get(&j.id) {
-                    let dispatched = pending.iter().take(next_arrival).any(|p| p.id == j.id);
-                    let still_active = controller.active().iter().any(|a| a.job.id == j.id);
-                    if dispatched && !still_active && remaining[&j.id] > 1e-9 {
-                        // Give the controller one invocation of grace: it
-                        // may not have seen the job yet this period.
-                        if j.end < slice as f64 {
-                            outcomes.insert(j.id, JobOutcome::Expired);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+            Event::Expired(id, _) => (id, JobOutcome::Expired),
+            Event::Rejected(id) => (id, JobOutcome::Rejected),
+        };
+        outcomes.insert(id, outcome);
+    };
+    let (report, mean_utilization) = run_event_loop(graph, pending, cfg, &mut collect)?;
     Ok(SimReport {
         outcomes,
-        volume_moved,
-        volume_requested: demands.values().sum(),
-        mean_utilization: if util_samples > 0 {
-            util_acc / util_samples as f64
-        } else {
-            0.0
-        },
-        invocations,
-        slices: slice,
+        volume_moved: report.volume_moved,
+        volume_requested: report.volume_requested,
+        mean_utilization,
+        invocations: report.invocations,
+        slices: report.slices,
     })
 }
 
@@ -293,6 +180,62 @@ mod tests {
             format!("{:?}", b.outcomes),
             "two identical runs must render outcomes identically"
         );
+    }
+
+    #[test]
+    fn outcomes_agree_with_decision_log_under_each_policy() {
+        // The outcome map and the decision log are two sinks of one loop:
+        // replaying the log's retirement lines must rebuild the map.
+        let mut g = Graph::new();
+        let ns = g.add_nodes(2);
+        g.add_link_pair(ns[0], ns[1], 1);
+        let jobs: Vec<Job> = (0..6)
+            .map(|i| {
+                let arrival = (i / 2) as f64;
+                Job::new(
+                    JobId(i),
+                    arrival,
+                    ns[0],
+                    ns[1],
+                    300.0,
+                    arrival,
+                    arrival + 4.0,
+                )
+            })
+            .collect();
+        for policy in [
+            OverloadPolicy::Reject,
+            OverloadPolicy::ShrinkDemands,
+            OverloadPolicy::ExtendDeadlines,
+        ] {
+            let mut cfg = SimConfig::paper(1);
+            cfg.controller.policy = policy;
+            let report = run_simulation(&g, &jobs, &cfg).unwrap();
+            let mut log = Vec::new();
+            crate::run_simulation_streamed(&g, jobs.clone(), &cfg, Some(&mut log)).unwrap();
+
+            let mut from_log: BTreeMap<JobId, JobOutcome> = jobs
+                .iter()
+                .map(|j| (j.id, JobOutcome::Unfinished))
+                .collect();
+            for line in String::from_utf8(log).unwrap().lines() {
+                let f: Vec<&str> = line.split(' ').collect();
+                let outcome = match f[0] {
+                    "done" => JobOutcome::Completed {
+                        at: f[2].strip_prefix("at=").unwrap().parse().unwrap(),
+                        on_time: f[3] == "on_time=true",
+                    },
+                    "expired" => JobOutcome::Expired,
+                    "rejected" => JobOutcome::Rejected,
+                    "invoke" => continue,
+                    other => panic!("unknown decision-log event {other:?}"),
+                };
+                from_log.insert(JobId(f[1].parse().unwrap()), outcome);
+            }
+            assert_eq!(report.outcomes, from_log, "{policy:?}");
+            let unfinished = |o: &JobOutcome| matches!(o, JobOutcome::Unfinished);
+            assert!(!report.outcomes.values().any(unfinished), "{policy:?}");
+        }
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! units while transfers execute on the slices in between. This crate
 //! closes that loop:
 //!
-//! * [`engine`] — the slice-by-slice simulation: feed arrivals to the
+//! * [`stream`] — the one slice-by-slice event loop: feed arrivals to the
 //!   [`Controller`](wavesched_core::Controller) at each invocation instant,
 //!   execute the returned integral schedule one slice at a time, report
-//!   actual progress back.
+//!   actual progress back. It pulls jobs lazily and tracks only in-flight
+//!   jobs, so replaying a million-job trace costs memory proportional to
+//!   the active window, not the trace.
+//! * [`engine`] — [`SimConfig`], and [`run_simulation`]: the same loop over
+//!   a preloaded trace, collecting every job's outcome.
 //! * [`metrics`] — what came out: completion/on-time rates, rejections,
 //!   expiries, average end times, link utilization, volume moved.
-//! * [`stream`] — the same slice loop over a lazily produced job stream,
-//!   tracking only in-flight jobs: replaying a million-job trace costs
-//!   memory proportional to the active window, not the trace.
 
 #![warn(missing_docs)]
 

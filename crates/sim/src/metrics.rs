@@ -29,9 +29,11 @@ pub struct SimReport {
     pub outcomes: BTreeMap<JobId, JobOutcome>,
     /// Total normalized demand volume actually moved.
     pub volume_moved: f64,
-    /// Total normalized demand volume requested (all jobs).
+    /// Total normalized demand volume requested (all jobs dispatched
+    /// before the simulation stopped).
     pub volume_requested: f64,
-    /// Mean over simulated slices of mean link utilization.
+    /// Mean over executed slices of the share of installed wavelength-links
+    /// the schedule reserved.
     pub mean_utilization: f64,
     /// Number of controller invocations performed.
     pub invocations: usize,

@@ -1,16 +1,15 @@
-//! Streaming trace replay: the slice-by-slice simulation over a lazily
-//! produced job sequence.
+//! The slice-by-slice event loop, over a lazily produced job sequence.
 //!
-//! [`run_simulation`](crate::run_simulation) keeps per-job state (outcome,
-//! original deadline, remaining demand) for the *whole* trace, so replaying
-//! a million-job log costs O(trace) memory before the first slice runs.
-//! [`run_simulation_streamed`] instead pulls jobs from an iterator as the
-//! simulated clock reaches their arrival times and tracks only the jobs
-//! currently in flight: memory follows the controller's active window, not
-//! the trace length. The price is per-job resolution — the result is the
-//! aggregate [`StreamReport`] (counts and volumes), not an outcome map.
+//! The loop pulls jobs from an iterator as the simulated clock reaches
+//! their arrival times and tracks only the jobs currently in flight, so
+//! its own memory follows the controller's active window, not the trace
+//! length. Every retirement goes to an event sink: [`run_simulation_streamed`]
+//! plugs in the decision-log writer and returns the aggregate
+//! [`StreamReport`] (counts and volumes) — O(1) in trace length —
+//! while [`run_simulation`](crate::run_simulation) plugs in a per-job
+//! outcome collector over a preloaded trace.
 //!
-//! The engine also feeds the `mem.*` counter family: around every
+//! The loop also feeds the `mem.*` counter family: around every
 //! controller invocation it snapshots [`obs::mem::stats`] and emits the
 //! allocation deltas, so a replay under a tracking allocator records
 //! whether steady-state allocation is flat (see
@@ -22,6 +21,8 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io::Write;
 use wavesched_core::controller::{Controller, InvocationResult};
+use wavesched_core::instance::Instance;
+use wavesched_core::schedule::Schedule;
 use wavesched_lp::SolveError;
 use wavesched_net::Graph;
 use wavesched_obs as obs;
@@ -112,6 +113,26 @@ struct InFlight {
     original_end: f64,
 }
 
+/// What the event loop reports to its sink, in decision order.
+pub(crate) enum Event {
+    /// One controller invocation at `now`: jobs handed over, of which
+    /// rejected, and jobs in flight afterwards.
+    Invoke {
+        now: f64,
+        batch: usize,
+        rejected: usize,
+        active: usize,
+    },
+    /// The job received its full demand at the given time. `on_time` is
+    /// `None` when the controller retired the job without the loop seeing
+    /// the final delivery.
+    Done(JobId, f64, Option<bool>),
+    /// The controller dropped the job at the given time: its window elapsed.
+    Expired(JobId, f64),
+    /// The controller refused the job at admission.
+    Rejected(JobId),
+}
+
 /// Runs the periodic-controller simulation over a lazily produced job
 /// stream, holding only in-flight state.
 ///
@@ -133,6 +154,51 @@ pub fn run_simulation_streamed(
     cfg: &SimConfig,
     mut decision_log: Option<&mut dyn Write>,
 ) -> Result<StreamReport, SolveError> {
+    let mut log_failed = false;
+    let mut write_line = |event: Event| {
+        let Some(w) = decision_log.as_mut() else {
+            return;
+        };
+        let written = match event {
+            Event::Invoke {
+                now,
+                batch,
+                rejected,
+                active,
+            } => writeln!(
+                w,
+                "invoke now={now} batch={batch} rejected={rejected} active={active}"
+            ),
+            Event::Done(id, at, Some(t)) => writeln!(w, "done {} at={at} on_time={t}", id.0),
+            Event::Done(id, at, None) => writeln!(w, "done {} at={at} on_time=?", id.0),
+            Event::Expired(id, now) => writeln!(w, "expired {} at={now}", id.0),
+            Event::Rejected(id) => writeln!(w, "rejected {}", id.0),
+        };
+        log_failed |= written.is_err();
+    };
+    let (report, _) = run_event_loop(graph, jobs, cfg, &mut write_line)?;
+    if log_failed {
+        // Surfaced once rather than per line; a truncated log would fail
+        // any downstream byte-comparison anyway.
+        eprintln!("warning: decision log writer failed; log is incomplete");
+    }
+    Ok(report)
+}
+
+/// The one event loop. Time advances one slice at a time; at every
+/// multiple of τ the controller is invoked with the requests that arrived
+/// in the preceding period and returns an integral schedule, which the
+/// loop executes slice by slice — reporting delivered volume back to the
+/// controller — until the next invocation replaces it. Every retirement is
+/// reported to `sink`. Returns the aggregate report and the mean link
+/// utilization over the executed slices (wavelength-links reserved by the
+/// schedule over wavelength-links installed).
+pub(crate) fn run_event_loop(
+    graph: &Graph,
+    jobs: impl IntoIterator<Item = Job>,
+    cfg: &SimConfig,
+    sink: &mut dyn FnMut(Event),
+) -> Result<(StreamReport, f64), SolveError> {
     let _span = obs::span("sim_stream");
     let tau = cfg.controller.tau;
     let mut controller = Controller::new(graph.clone(), cfg.controller.clone());
@@ -140,26 +206,16 @@ pub fn run_simulation_streamed(
 
     let mut report = StreamReport::default();
     let mut inflight: BTreeMap<JobId, InFlight> = BTreeMap::new();
-    let mut current: Option<(
-        wavesched_core::instance::Instance,
-        wavesched_core::schedule::Schedule,
-    )> = None;
+    let mut current: Option<(Instance, Schedule)> = None;
     let mut batch: Vec<Job> = Vec::new();
+    let total_wavelengths: f64 = graph.edge_ids().map(|e| graph.wavelengths(e) as f64).sum();
+    let (mut reserved, mut executed_slices) = (0.0, 0usize);
 
     // Per-invocation allocated-byte deltas: first two windows (warmup +
     // early) and a rolling last window.
     let window = MemProfile::WINDOW;
     let mut early: Vec<u64> = Vec::with_capacity(2 * window);
     let mut late: VecDeque<u64> = VecDeque::with_capacity(window + 1);
-    let mut log_err = false;
-    let mut log = |line: std::fmt::Arguments<'_>| -> bool {
-        if let Some(w) = decision_log.as_mut() {
-            if w.write_fmt(line).and_then(|_| w.write_all(b"\n")).is_err() {
-                return false;
-            }
-        }
-        true
-    };
 
     let mut slice = 0usize;
     while slice < cfg.max_slices {
@@ -204,7 +260,7 @@ pub fn run_simulation_streamed(
             for id in controller.take_expired() {
                 if inflight.remove(&id).is_some() {
                     report.expired += 1;
-                    log_err |= !log(format_args!("expired {} at={now}", id.0));
+                    sink(Event::Expired(id, now));
                 }
             }
             for id in controller.take_finished() {
@@ -213,13 +269,13 @@ pub fn run_simulation_streamed(
                 // the engine seeing the final delivery.
                 if inflight.remove(&id).is_some() {
                     report.completed += 1;
-                    log_err |= !log(format_args!("done {} at={now} on_time=?", id.0));
+                    sink(Event::Done(id, now, None));
                 }
             }
             for id in &res.rejected {
                 report.rejected += 1;
                 inflight.remove(id);
-                log_err |= !log(format_args!("rejected {}", id.0));
+                sink(Event::Rejected(*id));
             }
             for j in &batch {
                 if res.rejected.contains(&j.id) {
@@ -234,19 +290,19 @@ pub fn run_simulation_streamed(
                 );
             }
             report.peak_active = report.peak_active.max(inflight.len());
-            log_err |= !log(format_args!(
-                "invoke now={now} batch={} rejected={} active={}",
-                batch.len(),
-                res.rejected.len(),
-                inflight.len(),
-            ));
+            sink(Event::Invoke {
+                now,
+                batch: batch.len(),
+                rejected: res.rejected.len(),
+                active: inflight.len(),
+            });
             current = Some((res.instance, res.schedule));
         }
 
-        // Execute this slice of the current schedule (same arithmetic as
-        // `run_simulation`, against the in-flight map).
+        // Execute this slice of the current schedule.
         if let Some((inst, sched)) = &current {
             if slice < inst.grid.num_slices() {
+                executed_slices += 1;
                 let len = inst.grid.len_of(slice);
                 for (idx, job) in inst.jobs.iter().enumerate() {
                     let w = inst.vars.window(idx);
@@ -258,6 +314,7 @@ pub fn run_simulation_streamed(
                         let x = sched.x[inst.vars.var(idx, p, slice)];
                         if x > 0.0 {
                             moved += x * len;
+                            reserved += x * inst.paths[idx][p].edges().len() as f64;
                         }
                     }
                     if moved > 0.0 {
@@ -274,8 +331,7 @@ pub fn run_simulation_streamed(
                             report.completed += 1;
                             report.on_time += usize::from(on_time);
                             inflight.remove(&job.id);
-                            log_err |=
-                                !log(format_args!("done {} at={at} on_time={on_time}", job.id.0));
+                            sink(Event::Done(job.id, at, Some(on_time)));
                         }
                     }
                 }
@@ -288,12 +344,6 @@ pub fn run_simulation_streamed(
         if it.peek().is_none() && inflight.is_empty() && report.invocations > 0 {
             break;
         }
-    }
-
-    if log_err {
-        // Surfaced once rather than per line; a truncated log would fail
-        // any downstream byte-comparison anyway.
-        eprintln!("warning: decision log writer failed; log is incomplete");
     }
 
     report.unfinished = inflight.len();
@@ -316,7 +366,13 @@ pub fn run_simulation_streamed(
         report.mem.early_mean_alloc_bytes = mean(early[window..].iter().copied());
     }
     report.mem.late_mean_alloc_bytes = mean(late.iter().copied());
-    Ok(report)
+    let capacity = total_wavelengths * executed_slices as f64;
+    let mean_utilization = if capacity > 0.0 {
+        reserved / capacity
+    } else {
+        0.0
+    };
+    Ok((report, mean_utilization))
 }
 
 #[cfg(test)]
@@ -349,24 +405,34 @@ mod tests {
         let streamed =
             run_simulation_streamed(&g, WorkloadGenerator::new(wl).stream(&g), &cfg, None).unwrap();
         assert_eq!(streamed.jobs_seen, 30);
-        // The two engines settle terminal expiries at slightly different
-        // points of the τ-cycle, so the streamed run may stop one
-        // invocation earlier.
-        assert!(streamed.invocations.abs_diff(full.invocations) <= 1);
-        assert!((streamed.volume_moved - full.volume_moved).abs() < 1e-6);
-        assert!((streamed.volume_requested - full.volume_requested).abs() < 1e-6);
-        let full_completed = full
-            .outcomes
-            .values()
-            .filter(|o| matches!(o, JobOutcome::Completed { .. }))
-            .count();
-        assert_eq!(streamed.completed, full_completed);
-        let full_on_time = full
-            .outcomes
-            .values()
-            .filter(|o| matches!(o, JobOutcome::Completed { on_time: true, .. }))
-            .count();
-        assert_eq!(streamed.on_time, full_on_time);
+        // Both sides run the one event loop, so the aggregates agree to
+        // the bit.
+        assert_eq!(streamed.invocations, full.invocations);
+        assert_eq!(streamed.slices, full.slices);
+        assert_eq!(streamed.volume_moved, full.volume_moved);
+        assert_eq!(streamed.volume_requested, full.volume_requested);
+        let count =
+            |pred: fn(&JobOutcome) -> bool| full.outcomes.values().filter(|o| pred(o)).count();
+        assert_eq!(
+            streamed.completed,
+            count(|o| matches!(o, JobOutcome::Completed { .. }))
+        );
+        assert_eq!(
+            streamed.on_time,
+            count(|o| matches!(o, JobOutcome::Completed { on_time: true, .. }))
+        );
+        assert_eq!(
+            streamed.expired,
+            count(|o| matches!(o, JobOutcome::Expired))
+        );
+        assert_eq!(
+            streamed.rejected,
+            count(|o| matches!(o, JobOutcome::Rejected))
+        );
+        assert_eq!(
+            streamed.unfinished,
+            count(|o| matches!(o, JobOutcome::Unfinished))
+        );
         assert!(streamed.peak_active >= 1);
         assert!(streamed.peak_active <= 30);
     }

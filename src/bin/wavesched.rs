@@ -360,6 +360,9 @@ fn run() -> Result<(), String> {
     let graph = build_network(&net_spec, w)?;
     let paths_per_job: usize = args.num("paths", 4)?;
     let alpha: f64 = args.num("alpha", 0.1)?;
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(format!("--alpha must be in [0, 1], got {alpha}"));
+    }
     let inst_cfg = InstanceConfig {
         paths_per_job,
         ..InstanceConfig::paper(w)
