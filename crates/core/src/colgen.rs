@@ -41,7 +41,7 @@
 
 use crate::instance::{Instance, InstanceConfig};
 use crate::timegrid::TimeGrid;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use wavesched_lp::{
     Col, NewColumn, NewRow, Objective, Problem, Row, SimplexConfig, Solution, SolveError,
@@ -327,7 +327,7 @@ impl Pricer for ReducedCostPricer {
             let w = ctx.windows[i].clone();
             // Candidate paths for this job (deduplicated by edge list);
             // the one with the best exact margin is proposed.
-            let mut seen: std::collections::BTreeSet<Vec<u32>> = Default::default();
+            let mut seen: BTreeSet<Vec<u32>> = BTreeSet::new();
             let mut best: Option<(f64, Path)> = None;
             for j in w.clone() {
                 let budget = ctx.budgets[i][j - w.start];
@@ -477,15 +477,16 @@ impl CgMaster {
                 }
             }
         }
+        // `pool.cols` is grouped by job in job order, so one cursor walks it.
         let mut job_rows = Vec::with_capacity(jobs.len());
-        for (i, _) in jobs.iter().enumerate() {
+        let mut k = 0;
+        for (i, demand) in demands.iter().enumerate() {
             let mut coeffs: Vec<(Col, f64)> = Vec::new();
-            for (k, pc) in pool.cols.iter().enumerate() {
-                if pc.job as usize == i {
-                    coeffs.push((lp_cols[k], grid.len_of(pc.slice as usize)));
-                }
+            while k < pool.cols.len() && pool.cols[k].job as usize == i {
+                coeffs.push((lp_cols[k], grid.len_of(pool.cols[k].slice as usize)));
+                k += 1;
             }
-            coeffs.push((z, -demands[i]));
+            coeffs.push((z, -demand));
             job_rows.push(p.add_row(0.0, 0.0, &coeffs));
         }
         let mut crossings: BTreeMap<(u32, u32), Vec<(Col, f64)>> = BTreeMap::new();
@@ -733,51 +734,67 @@ impl CgMaster {
         obs::counter_add("cg.pricing_ns", spent);
         drop(_pricing);
 
-        let mut added = 0usize;
-        for (job, path) in proposals {
-            if self.pool.contains(job, &path) {
-                continue;
-            }
-            // Exact reduced-cost verification with unclamped duals: the
-            // path must improve in at least one active slice.
-            let w = self.active[job].clone();
-            let improving = w.clone().any(|j| {
-                let load: f64 = path
-                    .edges()
-                    .iter()
-                    .map(|e| cap_duals.get(&(e.0, j as u32)).copied().unwrap_or(0.0))
-                    .sum();
-                load < budgets[job][j - w.start]
-            });
-            if !improving {
-                continue;
-            }
-            added += self.add_path(job, path);
-        }
+        let _augment = obs::span("cg_augment");
+        // Exact reduced-cost verification with unclamped duals: a proposal
+        // must improve in at least one active slice.
+        let batch: Vec<(usize, Path)> = proposals
+            .into_iter()
+            .filter(|(job, path)| {
+                let w = self.active[*job].clone();
+                w.clone().any(|j| {
+                    let load: f64 = path
+                        .edges()
+                        .iter()
+                        .map(|e| cap_duals.get(&(e.0, j as u32)).copied().unwrap_or(0.0))
+                        .sum();
+                    load < budgets[*job][j - w.start]
+                })
+            })
+            .collect();
+        let added = self.add_paths(batch);
         self.stats.columns_added += added as u64;
         obs::counter_add("cg.columns_added", added as u64);
         self.budget_scratch = budgets;
         added
     }
 
-    /// Materializes `path` for `job` over its full envelope window:
-    /// missing capacity rows first (empty — by the coverage invariant no
-    /// existing column crosses an unmaterialized `(edge, slice)`), then
-    /// the columns, bounded by the active window. Returns the number of
-    /// columns added.
-    fn add_path(&mut self, job: usize, path: Path) -> usize {
-        let env = self.windows[job].clone();
-        // Rows before columns, in sorted key order.
+    /// Materializes each `(job, path)` of `batch` not yet in the pool over
+    /// the job's full envelope window, with one row splice and one column
+    /// splice for the whole batch: missing capacity rows first (empty — by
+    /// the coverage invariant no existing column crosses an unmaterialized
+    /// `(edge, slice)`), path by path in sorted key order, then the
+    /// columns in path order, bounded by the active window. Handles come
+    /// out exactly as if every path had been spliced on its own. Returns
+    /// the number of columns added.
+    fn add_paths(&mut self, batch: Vec<(usize, Path)>) -> usize {
+        // (job, index in the job's pool) of every path admitted.
+        let mut admitted: Vec<(usize, usize)> = Vec::new();
+        // Rows to create, in handle order, and the same keys for lookup.
         let mut missing: Vec<(u32, u32)> = Vec::new();
-        for &e in path.edges() {
-            for j in env.clone() {
-                let key = (e.0, j as u32);
-                if !self.cap_rows.contains_key(&key) && !missing.contains(&key) {
+        let mut pending: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut keys: Vec<(u32, u32)> = Vec::new();
+        for (job, path) in batch {
+            if self.pool.contains(job, &path) {
+                continue;
+            }
+            keys.clear();
+            for &e in path.edges() {
+                for j in self.windows[job].clone() {
+                    keys.push((e.0, j as u32));
+                }
+            }
+            keys.sort_unstable();
+            for &key in &keys {
+                if !self.cap_rows.contains_key(&key) && pending.insert(key) {
                     missing.push(key);
                 }
             }
+            admitted.push((job, self.pool.paths[job].len()));
+            self.pool.paths[job].push(path);
         }
-        missing.sort_unstable();
+        if admitted.is_empty() {
+            return 0;
+        }
         if !missing.is_empty() {
             let new_rows: Vec<NewRow> = missing
                 .iter()
@@ -788,41 +805,38 @@ impl CgMaster {
                 })
                 .collect();
             let rows = self.session.add_rows(&new_rows);
-            for (key, row) in missing.iter().zip(rows) {
-                self.cap_rows.insert(*key, row);
-            }
+            self.cap_rows.extend(missing.into_iter().zip(rows));
         }
 
-        let path_idx = self.pool.paths[job].len();
-        let mut new_cols = Vec::with_capacity(env.len());
-        for j in env.clone() {
-            let mut entries: Vec<(Row, f64)> = vec![(self.job_rows[job], self.grid.len_of(j))];
-            for &e in path.edges() {
-                entries.push((self.cap_rows[&(e.0, j as u32)], 1.0));
+        let mut new_cols = Vec::new();
+        for &(job, path_idx) in &admitted {
+            let path = &self.pool.paths[job][path_idx];
+            for j in self.windows[job].clone() {
+                let mut entries: Vec<(Row, f64)> = vec![(self.job_rows[job], self.grid.len_of(j))];
+                for &e in path.edges() {
+                    entries.push((self.cap_rows[&(e.0, j as u32)], 1.0));
+                }
+                let upper = if self.active[job].contains(&j) {
+                    f64::INFINITY
+                } else {
+                    0.0
+                };
+                new_cols.push(NewColumn {
+                    lower: 0.0,
+                    upper,
+                    cost: self.cost_of(job, j),
+                    entries,
+                });
+                self.pool.cols.push(PoolCol {
+                    job: job as u32,
+                    path: path_idx as u32,
+                    slice: j as u32,
+                });
             }
-            let upper = if self.active[job].contains(&j) {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            new_cols.push(NewColumn {
-                lower: 0.0,
-                upper,
-                cost: self.cost_of(job, j),
-                entries,
-            });
         }
         let cols = self.session.add_columns(&new_cols);
-        for (j, col) in env.clone().zip(cols) {
-            self.lp_cols.push(col);
-            self.pool.cols.push(PoolCol {
-                job: job as u32,
-                path: path_idx as u32,
-                slice: j as u32,
-            });
-        }
-        self.pool.paths[job].push(path);
-        env.len()
+        self.lp_cols.extend(cols);
+        new_cols.len()
     }
 
     /// Materializes the converged pool as a standard [`Instance`] (the
@@ -1006,6 +1020,79 @@ mod tests {
         let sol = master.solve().unwrap();
         assert_eq!(master.price_and_augment(&sol, pricer.as_mut(), 0), 0);
         assert_eq!(master.stats().rounds, 0);
+    }
+
+    /// `add_paths(batch)` must leave the master exactly where one splice
+    /// per path would: same handles, same pool, and — after a warm
+    /// re-solve — the same bits, pivot for pivot.
+    #[test]
+    fn batched_augmentation_matches_singleton_batches() {
+        let (g, jobs, demands, cfg) = setup(10, 42);
+        let cg = ColGenConfig::default();
+        let mut batched = CgMaster::build(&g, &jobs, demands.clone(), &cfg, &cg).unwrap();
+        let mut twin = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
+        let mut yen = PathSet::new(cfg.paths_per_job);
+
+        // Round 1: every job's second Yen path, the first of them proposed
+        // twice. Round 2: all the remaining Yen paths.
+        let mut rounds: Vec<Vec<(usize, Path)>> = vec![Vec::new(), Vec::new()];
+        for (i, job) in jobs.iter().enumerate() {
+            let paths = yen.paths(&g, job.src, job.dst);
+            for (rank, p) in paths.iter().enumerate().skip(1) {
+                rounds[(rank > 1) as usize].push((i, p.clone()));
+            }
+        }
+        let repeated = rounds[0][0].clone();
+        rounds[0].push(repeated);
+
+        for batch in rounds {
+            // The carried basis is part of what the splice must preserve.
+            assert_eq!(batched.solve().unwrap().status, Status::Optimal);
+            assert_eq!(twin.solve().unwrap().status, Status::Optimal);
+
+            // The batch must hold what the batching has to get right: two
+            // paths crossing the same not-yet-materialized capacity row.
+            let mut distinct: Vec<&(usize, Path)> = Vec::new();
+            for proposal in &batch {
+                if !distinct.contains(&proposal) {
+                    distinct.push(proposal);
+                }
+            }
+            let mut crossings: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+            for (job, path) in distinct {
+                for &e in path.edges() {
+                    for j in batched.windows[*job].clone() {
+                        *crossings.entry((e.0, j as u32)).or_default() += 1;
+                    }
+                }
+            }
+            assert!(
+                crossings
+                    .iter()
+                    .any(|(key, n)| *n > 1 && !batched.cap_rows.contains_key(key)),
+                "no two paths of the batch share a missing capacity row"
+            );
+
+            let mut one_by_one = 0;
+            for proposal in &batch {
+                one_by_one += twin.add_paths(vec![proposal.clone()]);
+            }
+            assert_eq!(batched.add_paths(batch), one_by_one);
+            assert!(one_by_one > 0);
+
+            assert_eq!(batched.cap_rows, twin.cap_rows);
+            assert_eq!(batched.lp_cols, twin.lp_cols);
+            assert_eq!(batched.pool.cols, twin.pool.cols);
+            assert_eq!(batched.pool.paths, twin.pool.paths);
+
+            let (a, b) = (batched.solve().unwrap(), twin.solve().unwrap());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(a.status, Status::Optimal);
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+            assert_eq!(bits(&a.x), bits(&b.x));
+            assert_eq!(bits(&a.duals), bits(&b.duals));
+            assert_eq!(a.stats.iterations, b.stats.iterations);
+        }
     }
 
     #[test]

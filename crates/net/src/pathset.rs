@@ -6,7 +6,7 @@
 //! throughout the paper's evaluation (4–8 paths per job).
 
 use crate::graph::{Graph, NodeId, Path};
-use crate::yen::k_shortest_paths;
+use crate::yen::{k_shortest_paths_in, Workspace};
 use std::collections::BTreeMap;
 
 /// A lazily-built cache of k-shortest paths per (source, destination).
@@ -14,10 +14,14 @@ use std::collections::BTreeMap;
 /// Backed by a `BTreeMap` so that iterating the cache (debug dumps, future
 /// serialization) visits pairs in a stable order — part of the workspace's
 /// bit-identical-output guarantee (see `wavesched-lint`'s `hash-iter-order`).
+///
+/// Also owns the Yen search workspace, so filling the cache for many pairs
+/// reuses one set of per-node and per-edge arrays.
 #[derive(Debug, Clone)]
 pub struct PathSet {
     k: usize,
     cache: BTreeMap<(NodeId, NodeId), Vec<Path>>,
+    workspace: Workspace,
 }
 
 impl PathSet {
@@ -27,6 +31,7 @@ impl PathSet {
         PathSet {
             k,
             cache: BTreeMap::new(),
+            workspace: Workspace::default(),
         }
     }
 
@@ -40,7 +45,7 @@ impl PathSet {
     pub fn paths(&mut self, g: &Graph, src: NodeId, dst: NodeId) -> &[Path] {
         self.cache
             .entry((src, dst))
-            .or_insert_with(|| k_shortest_paths(g, src, dst, self.k))
+            .or_insert_with(|| k_shortest_paths_in(&mut self.workspace, g, src, dst, self.k))
     }
 
     /// Precomputes the paths for every pair in `pairs`.

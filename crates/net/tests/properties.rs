@@ -2,9 +2,10 @@
 //! Dijkstra optimality, and Yen's k-shortest-path invariants on random
 //! graphs.
 
+mod common;
+
+use common::random_graph;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use wavesched_net::{k_shortest_paths, shortest_path, waxman_network, Graph, NodeId, WaxmanConfig};
 
@@ -27,22 +28,6 @@ fn bfs_hops(g: &Graph, src: NodeId, dst: NodeId) -> Option<usize> {
         }
     }
     None
-}
-
-/// A random (not necessarily connected) digraph.
-fn random_graph(seed: u64, n: usize, m: usize) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new();
-    let nodes = g.add_nodes(n);
-    for _ in 0..m {
-        let a = rng.random_range(0..n);
-        let mut b = rng.random_range(0..n);
-        if a == b {
-            b = (b + 1) % n;
-        }
-        g.add_link(nodes[a], nodes[b], 1 + rng.random_range(0..4));
-    }
-    g
 }
 
 proptest! {
