@@ -20,8 +20,7 @@ use wavesched_core::stage2::{
     solve_stage2_weighted_with_start, stage2_basis_from_stage1, WeightPolicy,
 };
 use wavesched_lp::{
-    NewColumn, NewRow, Objective, Problem, RefactorPolicy, Row, SimplexConfig, SolveStats,
-    SolverSession, Status,
+    NewColumn, NewRow, Objective, Problem, Row, SimplexConfig, SolveStats, SolverSession, Status,
 };
 use wavesched_net::{abilene14, Graph, PathSet};
 use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
@@ -207,11 +206,11 @@ fn cg_master_problem(rng: &mut StdRng, rows: usize, pool: usize) -> Problem {
 
 /// One leg of the master re-aim replay: `Cold` rebuilds and solves the
 /// LP from scratch every step (what `CgMaster` did before sessions),
-/// the session legs re-solve in place under the named refactor policy.
+/// `Session` re-solves in place.
 #[derive(Clone, Copy)]
 enum ReaimMode {
     Cold,
-    Session(RefactorPolicy),
+    Session,
 }
 
 /// Replays the master re-aim sequence: per step a block of row demands
@@ -224,13 +223,7 @@ fn run_cg_reaim(base: &Problem, mode: ReaimMode, steps: usize) -> (f64, SolveSta
     let mut p = base.clone();
     let mut sess = match mode {
         ReaimMode::Cold => None,
-        ReaimMode::Session(policy) => {
-            let cfg = SimplexConfig {
-                refactor_policy: policy,
-                ..SimplexConfig::default()
-            };
-            Some(SolverSession::with_config(base, &cfg).expect("session"))
-        }
+        ReaimMode::Session => Some(SolverSession::new(base).expect("session")),
     };
     let mut cold_stats = SolveStats::default();
     let mut resolve = |p: &Problem, sess: &mut Option<SolverSession>| match sess {
@@ -287,8 +280,8 @@ fn run_cg_reaim(base: &Problem, mode: ReaimMode, steps: usize) -> (f64, SolveSta
             }
         }
         if step % 16 == 11 {
-            // A coupling row over a few existing columns: keeps the
-            // product-form row extension on the benched path too.
+            // A coupling row over a few existing columns: the one edit
+            // that drops the carried factors.
             let entries: Vec<(wavesched_lp::Col, f64)> = (0..6)
                 .map(|j| (wavesched_lp::Col::from_index(rows + j * 7), 1.0))
                 .collect();
@@ -320,32 +313,23 @@ fn bench_cg_master_reaim(c: &mut Criterion) {
     // Instrumented replay of each leg: identical answers by the warm
     // invariant, different factorization work.
     let (acc_cold, st_cold) = run_cg_reaim(&base, ReaimMode::Cold, STEPS);
-    let (acc_always, st_always) =
-        run_cg_reaim(&base, ReaimMode::Session(RefactorPolicy::Always), STEPS);
-    let (acc_reuse, st_reuse) =
-        run_cg_reaim(&base, ReaimMode::Session(RefactorPolicy::CostModel), STEPS);
-    let tol = 1e-9 * (1.0 + acc_cold.abs());
+    let (acc_sess, st_sess) = run_cg_reaim(&base, ReaimMode::Session, STEPS);
     assert!(
-        (acc_cold - acc_reuse).abs() <= tol && (acc_always - acc_reuse).abs() <= tol,
-        "legs disagree on answers: cold {acc_cold}, always {acc_always}, reuse {acc_reuse}"
+        (acc_cold - acc_sess).abs() <= 1e-9 * (1.0 + acc_cold.abs()),
+        "legs disagree on answers: cold {acc_cold}, session {acc_sess}"
     );
     eprintln!(
         "# cg_master_reaim cold: {} solves, {} refactorizations, {} iters ({} phase-1)",
         st_cold.solves, st_cold.refactorizations, st_cold.iterations, st_cold.phase1_iterations,
     );
     eprintln!(
-        "# cg_master_reaim always: {} solves, {} refactorizations, {} iters, {} reuse hits",
-        st_always.solves, st_always.refactorizations, st_always.iterations, st_always.lu_reuse_hits,
-    );
-    eprintln!(
-        "# cg_master_reaim reuse: {} solves, {} refactorizations ({} cost-model), {} iters, {} reuse hits, {} lu updates, {} rejected",
-        st_reuse.solves,
-        st_reuse.refactorizations,
-        st_reuse.refactor_cost_model,
-        st_reuse.iterations,
-        st_reuse.lu_reuse_hits,
-        st_reuse.lu_updates,
-        st_reuse.refactor_reuse_rejected,
+        "# cg_master_reaim session: {} solves, {} refactorizations ({} cost-model), {} iters, {} reuse hits, {} rejected",
+        st_sess.solves,
+        st_sess.refactorizations,
+        st_sess.refactor_cost_model,
+        st_sess.iterations,
+        st_sess.lu_reuse_hits,
+        st_sess.refactor_reuse_rejected,
     );
 
     let mut group = c.benchmark_group("cg_master_reaim");
@@ -353,15 +337,8 @@ fn bench_cg_master_reaim(c: &mut Criterion) {
     group.bench_function("cold", |b| {
         b.iter(|| black_box(run_cg_reaim(&base, ReaimMode::Cold, STEPS).0))
     });
-    group.bench_function("refactor_always", |b| {
-        b.iter(|| {
-            black_box(run_cg_reaim(&base, ReaimMode::Session(RefactorPolicy::Always), STEPS).0)
-        })
-    });
-    group.bench_function("reuse_cost_model", |b| {
-        b.iter(|| {
-            black_box(run_cg_reaim(&base, ReaimMode::Session(RefactorPolicy::CostModel), STEPS).0)
-        })
+    group.bench_function("session", |b| {
+        b.iter(|| black_box(run_cg_reaim(&base, ReaimMode::Session, STEPS).0))
     });
     group.finish();
 }

@@ -1088,47 +1088,6 @@ mod tests {
     }
 
     #[test]
-    fn refactor_always_matches_default_policy_bitwise() {
-        // The fig. 4 smoke point that bisects (30-node Waxman, 20 jobs):
-        // carrying the LU across re-solves may only change work counters,
-        // never b̂, the final b, or an integral schedule.
-        let g = wavesched_net::waxman_network(&wavesched_net::WaxmanConfig {
-            nodes: 30,
-            link_pairs: 60,
-            wavelengths: 2,
-            ..wavesched_net::WaxmanConfig::paper_default(42)
-        });
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: 20,
-            seed: 3000,
-            size_gb: (100.0, 400.0),
-            window: (2.0, 4.0),
-            ..Default::default()
-        })
-        .generate(&g);
-        let cfg = InstanceConfig::paper(2);
-        let mut always_cfg = bisecting_cfg();
-        always_cfg.lp.refactor_policy = wavesched_lp::RefactorPolicy::Always;
-        let solve = |ret_cfg: &RetConfig| solve_ret(&g, &jobs, &cfg, ret_cfg).unwrap().unwrap();
-        let (reuse, always) = (solve(&bisecting_cfg()), solve(&always_cfg));
-        assert!(
-            reuse.stats.lu_reuse_hits > 0,
-            "the default must carry the LU"
-        );
-        assert_eq!(always.stats.lu_reuse_hits, 0);
-        assert_eq!(reuse.b_lp.to_bits(), always.b_lp.to_bits());
-        assert_eq!(reuse.b_final.to_bits(), always.b_final.to_bits());
-        // Same vertex through different factors: the fractional point
-        // agrees to rounding, the integral schedules exactly.
-        assert_eq!(reuse.lp.x.len(), always.lp.x.len());
-        for (a, b) in reuse.lp.x.iter().zip(&always.lp.x) {
-            assert!((a - b).abs() < 1e-9, "lp {a} vs {b}");
-        }
-        assert_eq!(reuse.lpd, always.lpd);
-        assert_eq!(reuse.lpdar, always.lpdar);
-    }
-
-    #[test]
     fn malformed_job_sets_are_typed_errors() {
         let (g, jobs) = overloaded_jobs(2, 2);
         let (cfg, ret, cg) = (

@@ -81,12 +81,13 @@ pub const RULE_DESCRIPTIONS: [&str; 10] = [
 /// The simplex hot-function list for `alloc-in-hot-path`: the pivot loop
 /// and every kernel it calls per iteration. A `price_`/`ftran_`/`btran_`
 /// prefix covers variants (sparse/dense twins, future pricing modes).
-const HOT_FNS: [&str; 12] = [
+const HOT_FNS: [&str; 13] = [
     "pivot",
     "apply_pivot",
     "apply_bound_flip",
     "ratio_test",
     "dual_loop",
+    "pivotal_row",
     "update_reduced_and_weights",
     "push_row_cols",
     "scan_candidates",
@@ -1037,13 +1038,12 @@ mod tests {
             ),
             ["alloc-in-hot-path"]
         );
-        assert_eq!(
-            rules_hit(
-                "crates/lp/src/a.rs",
-                "fn dual_loop(&mut self) { let b = Box::new(0); }"
-            ),
-            ["alloc-in-hot-path"]
-        );
+        for hot in [
+            "fn dual_loop(&mut self) { let b = Box::new(0); }",
+            "fn pivotal_row(&mut self) { let a = touched.to_vec(); }",
+        ] {
+            assert_eq!(rules_hit("crates/lp/src/a.rs", hot), ["alloc-in-hot-path"]);
+        }
     }
 
     #[test]

@@ -22,3 +22,7 @@ pub fn dual_loop(n: usize) -> Vec<u32> {
     let ids = Vec::with_capacity(n);
     ids
 }
+
+pub fn pivotal_row(touched: &[u32]) -> Vec<(u32, f64)> {
+    touched.iter().map(|&j| (j, 0.0)).collect()
+}

@@ -55,8 +55,8 @@ pub use presolve::{presolve, PresolveOutcome, Reduction};
 #[doc(hidden)]
 pub use revised::PivotProbe;
 pub use revised::{
-    pos_or_zero, solve, solve_with, solve_with_start, NewColumn, NewRow, RefactorPolicy,
-    SimplexConfig, SolverSession,
+    pos_or_zero, solve, solve_with, solve_with_start, NewColumn, NewRow, SimplexConfig,
+    SolverSession,
 };
 pub use solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 

@@ -10,124 +10,35 @@
 //! dual feasibility is *maintained*, which typically needs a handful of
 //! pivots where the primal repair needs dozens.
 //!
-//! The path reuses the engine's existing machinery end to end: the sparse
-//! pivotal-row BTRAN and CSR row mirror for the dual ratio test, the
-//! bound-flip ratio test (boxed nonbasic variables that cannot block are
-//! flipped in bulk through one accumulated FTRAN), the entering column's
-//! sparse FTRAN, and the shared `apply_pivot` / `update_reduced_and_weights`
-//! pair — the dual reduced-cost update is algebraically the same pivotal-row
-//! formula the primal uses.
+//! The loop reuses the engine's machinery end to end: one
+//! `Engine::pivotal_row` pass per pivot serves both the dual ratio test
+//! and the reduced-cost update (the dual update is algebraically the same
+//! pivotal-row formula the primal uses), the bound-flip ratio test flips
+//! boxed nonbasic variables that cannot block in bulk through one
+//! accumulated FTRAN, and the pivot itself is the primal's `apply_pivot`.
 //!
-//! **The PR 1 warm-path guarantee is preserved**: this path can only change
-//! the work counters, never the answer. Every exit that is not a verified
-//! optimum — dual infeasibility at installation, a dual ray (no eligible
-//! entering column), numerical disagreement, a stalled loop — returns
-//! `Err(())`, and the caller falls back to the primal warm ladder and
-//! ultimately the cold solve, whose phase 1 remains the only infeasibility
-//! proof. A converged dual loop still finishes through the ordinary primal
-//! `iterate`, so the claimed optimum is re-verified against exactly
-//! recomputed reduced costs before it is extracted.
+//! **The warm-path guarantee is preserved**: this path can only change
+//! the work counters, never the answer. Every exit that is not primal
+//! feasibility — a dual ray (no eligible entering column), numerical
+//! disagreement, a stalled loop — returns `Err(())`, and the entry ladder
+//! (`entry.rs`, which also screens dual feasibility before calling in)
+//! falls back to the primal rungs and ultimately the cold solve, whose
+//! phase 1 remains the only infeasibility proof. A converged dual loop
+//! still finishes through the ordinary primal `iterate`, so the claimed
+//! optimum is re-verified against exactly recomputed reduced costs before
+//! it is extracted.
 
-use super::{for_each_entry, ColKind, Engine, PhaseOutcome, VarState};
-use crate::solution::{Basis, BasisStatus, Solution, Status};
+use super::engine::{Engine, VarState};
+use super::kernels::for_each_entry;
+use super::pos_or_zero;
 
 impl Engine {
-    /// Attempts a dual simplex re-solve from `warm`, which the caller
-    /// certifies is this engine's own last optimal basis with only
-    /// bounds/RHS edited since. `Err(())` means the attempt was abandoned
-    /// (never that the problem is infeasible) and the ordinary warm/cold
-    /// ladder should run.
-    pub(super) fn attempt_dual(&mut self, warm: &Basis) -> Result<Solution, ()> {
-        if warm.cols.len() != self.std.nstruct || warm.rows.len() != self.std.nrows {
-            return Err(());
-        }
-        let m = self.std.nrows;
-
-        // Install the basis exactly as the primal warm path would: park
-        // nonbasics at whatever the *current* bounds allow, collect basics.
-        let mut basic: Vec<usize> = Vec::with_capacity(m);
-        for j in 0..self.std.nstruct + m {
-            let status = if j < self.std.nstruct {
-                warm.cols[j]
-            } else {
-                warm.rows[j - self.std.nstruct]
-            };
-            if status == BasisStatus::Basic {
-                basic.push(j);
-                continue;
-            }
-            self.park_nonbasic(j, status);
-        }
-        // An own-optimal basis has exactly m basic columns; anything else
-        // contradicts the caller's provenance claim.
-        if basic.len() != m {
-            return Err(());
-        }
-        self.basis = basic;
-        for pos in 0..m {
-            let j = self.basis[pos];
-            self.state[j] = VarState::Basic(pos as u32);
-        }
-        if self.refactorize(super::RefactorReason::Forced).is_err() {
-            return Err(());
-        }
-        // Factorization repair swaps dependent columns for reopened
-        // artificials; an artificial in the basis breaks the dual argument.
-        for &j in &self.basis {
-            if self.std.kind[j] == ColKind::Artificial {
-                return Err(());
-            }
-        }
-
-        // Phase-2 costs, then verify the basis still prices dual feasible
-        // (re-parking a nonbasic on the other side of its edited bounds
-        // breaks the required reduced-cost sign).
-        for j in 0..self.std.ncols() {
-            if self.std.kind[j] != ColKind::Artificial {
-                self.cost[j] = self.std.cost[j];
-            }
-        }
-        self.recompute_reduced();
-        let dtol = self.cfg.opt_tol;
-        for j in 0..self.std.ncols() {
-            let ok = match self.state[j] {
-                VarState::Basic(_) | VarState::Fixed => true,
-                VarState::AtLower => self.d[j] >= -dtol,
-                VarState::AtUpper => self.d[j] <= dtol,
-                VarState::Free => self.d[j].abs() <= dtol,
-            };
-            if !ok {
-                return Err(());
-            }
-        }
-
-        self.bland = false;
-        self.degen_run = 0;
-        self.dual_loop()?;
-
-        // Exact finish: the dual loop restored primal feasibility under
-        // *maintained* reduced costs; run the primal loop once so the
-        // optimum is verified against exactly recomputed ones (it prices,
-        // refactorizes, re-prices — and cleans up any residual eligible
-        // columns the drift hid). Anything but a verified optimum falls
-        // back to the primal ladder for the canonical answer.
-        match self.iterate(false).map_err(|_| ())? {
-            PhaseOutcome::Optimal => {
-                self.stats.warm_starts_accepted = 1;
-                Ok(self.extract(Status::Optimal))
-            }
-            PhaseOutcome::Unbounded | PhaseOutcome::IterationLimit => Err(()),
-        }
-    }
-
     /// The dual pivot loop: repeatedly picks the most-violated basic value,
     /// runs the dual (bound-flip) ratio test over the pivotal row, and
     /// exchanges it against the blocking nonbasic column. Returns `Ok(())`
     /// when no basic value violates its bounds (primal feasibility), and
     /// `Err(())` on a dual ray, numerical disagreement, or a stalled loop —
     /// all of which the caller converts into a primal fallback.
-    /// (`pub(super)` so the factorization-reuse entry in `revised.rs` can
-    /// drive the same loop.)
     pub(super) fn dual_loop(&mut self) -> Result<(), ()> {
         let m = self.std.nrows;
         let ftol = self.cfg.feas_tol;
@@ -175,70 +86,35 @@ impl Engine {
                 self.std.lower[leaving]
             };
 
-            // Pivotal row: rho = B^-T e_r, then alpha_j = rho . a_j for the
-            // nonbasic columns intersecting rho's rows (CSR mirror).
-            let mut rho = std::mem::take(&mut self.rho);
-            rho.clear();
-            rho.set(r as u32, 1.0);
-            self.btran_pos_sparse(&mut rho);
-            self.stats.btran_ops += 1;
-            self.stats.btran_nnz += rho.nnz() as u64;
-            if rho.is_dense() {
-                self.stats.btran_dense_fallbacks += 1;
-            }
-            let mut touched = std::mem::take(&mut self.touched);
-            touched.clear();
-            if rho.is_dense() {
-                for (row, &rv) in rho.values.iter().enumerate() {
-                    if rv.abs() <= 1e-12 {
-                        continue;
-                    }
-                    // usize::MAX: no entering column to exclude yet.
-                    self.push_row_cols(row, usize::MAX, &mut touched);
-                }
-            } else {
-                rho.sort_pattern();
-                for &row in &rho.pattern {
-                    let row = row as usize;
-                    if rho.values[row].abs() <= 1e-12 {
-                        continue;
-                    }
-                    self.push_row_cols(row, usize::MAX, &mut touched);
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            self.stats.pivot_row_nnz += touched.len() as u64;
-
-            // Dual ratio candidates: nonbasic columns whose reduced cost
-            // shrinks toward zero as the r-th dual price moves in the
-            // healing direction.
-            let mut cands = std::mem::take(&mut self.dual_cols);
-            cands.clear();
-            for &jc in &touched {
-                let j = jc as usize;
-                let alpha = self.std.a.col_dot(j, &rho.values);
+            // Dual ratio candidates, from the one pivotal-row pass this
+            // pivot gets: nonbasic columns whose reduced cost shrinks
+            // toward zero as the r-th dual price moves in the healing
+            // direction.
+            self.pivotal_row(r, usize::MAX);
+            let alphas = std::mem::take(&mut self.row_alpha);
+            let mut order = std::mem::take(&mut self.dual_order);
+            order.clear();
+            for (k, &(jc, alpha)) in alphas.iter().enumerate() {
                 if alpha.abs() <= ptol {
                     continue;
                 }
                 let sa = s * alpha;
-                let ok = match self.state[j] {
+                let ok = match self.state[jc as usize] {
                     VarState::AtLower => sa > ptol,
                     VarState::AtUpper => sa < -ptol,
                     VarState::Free => true,
                     VarState::Basic(_) | VarState::Fixed => false,
                 };
                 if ok {
-                    cands.push((jc, alpha));
+                    order.push(k as u32);
                 }
             }
-            if cands.is_empty() {
+            if order.is_empty() {
                 // Dual ray. For a genuinely infeasible edit this is the
                 // expected exit — but it is NOT a proof (only the cold
                 // phase 1 is), so hand the instance to the fallback ladder.
-                self.rho = rho;
-                self.touched = touched;
-                self.dual_cols = cands;
+                self.row_alpha = alphas;
+                self.dual_order = order;
                 return Err(());
             }
 
@@ -247,20 +123,21 @@ impl Engine {
             // total orders so the choice is deterministic); boxed
             // candidates that cannot absorb the violation are flipped to
             // their other bound and the walk continues, the first blocking
-            // candidate enters.
+            // candidate enters — so the flipped ones are a prefix.
             let d = &self.d;
-            cands.sort_unstable_by(|a, b| {
-                let ra = super::pos_or_zero(d[a.0 as usize] / (s * a.1));
-                let rb = super::pos_or_zero(d[b.0 as usize] / (s * b.1));
+            order.sort_unstable_by(|&a, &b| {
+                let (a, b) = (alphas[a as usize], alphas[b as usize]);
+                let ra = pos_or_zero(d[a.0 as usize] / (s * a.1));
+                let rb = pos_or_zero(d[b.0 as usize] / (s * b.1));
                 ra.total_cmp(&rb)
                     .then(b.1.abs().total_cmp(&a.1.abs()))
                     .then(a.0.cmp(&b.0))
             });
             let mut remaining = viol;
-            let mut entering: Option<(usize, f64)> = None;
-            let mut flips = std::mem::take(&mut self.dual_order);
-            flips.clear();
-            for &(jc, alpha) in &cands {
+            let mut entering: Option<usize> = None;
+            let mut nflips = 0usize;
+            for &k in &order {
+                let (jc, alpha) = alphas[k as usize];
                 let j = jc as usize;
                 let lo = self.std.lower[j];
                 let up = self.std.upper[j];
@@ -273,29 +150,27 @@ impl Engine {
                 // violation stays strictly positive, otherwise enter.
                 if boxed && remaining - alpha.abs() * (up - lo) > ftol {
                     remaining -= alpha.abs() * (up - lo);
-                    flips.push(jc);
+                    nflips += 1;
                     continue;
                 }
-                entering = Some((j, alpha));
+                entering = Some(j);
                 break;
             }
-            self.rho = rho;
-            self.touched = touched;
-            self.dual_cols = cands;
-            let Some((q, _alpha_q)) = entering else {
+            let Some(q) = entering else {
                 // Every candidate flipped without any of them blocking:
                 // the ratio test degenerated, abandon the attempt.
-                self.dual_order = flips;
+                self.row_alpha = alphas;
+                self.dual_order = order;
                 return Err(());
             };
 
             // Apply the flips through one accumulated FTRAN:
             // xb -= B^-1 (sum_j a_j * delta_j).
-            if !flips.is_empty() {
+            if nflips > 0 {
                 let mut rhs = std::mem::take(&mut self.ftran_rhs);
                 rhs.clear();
-                for &jc in &flips {
-                    let j = jc as usize;
+                for &k in &order[..nflips] {
+                    let j = alphas[k as usize].0 as usize;
                     let (lo, up) = (self.std.lower[j], self.std.upper[j]);
                     let (newv, st) = match self.state[j] {
                         VarState::AtLower => (up, VarState::AtUpper),
@@ -322,9 +197,10 @@ impl Engine {
                     }
                 });
                 self.ftran_w = w;
-                self.stats.dual_bound_flips += flips.len() as u64;
+                self.stats.dual_bound_flips += nflips as u64;
             }
-            self.dual_order = flips;
+            self.row_alpha = alphas;
+            self.dual_order = order;
 
             // Entering column through the ordinary sparse FTRAN; from here
             // the pivot is exactly a primal pivot with a known leaving row.
@@ -356,7 +232,7 @@ impl Engine {
             // xb[r] moves by -wr * dir * step; land it on the violated
             // bound. Rounding can push the quotient fractionally negative
             // on a degenerate pivot — clamp, the pivot still re-bases.
-            let step = super::pos_or_zero((self.xb[r] - target) / (wr * dir));
+            let step = pos_or_zero((self.xb[r] - target) / (wr * dir));
             self.update_reduced_and_weights(q, r, wr);
             self.apply_pivot(q, dir, r, step, &w);
             self.ftran_w = w;

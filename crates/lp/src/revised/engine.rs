@@ -1,0 +1,728 @@
+//! The simplex engine: its state, the primal pivot loop with the ratio
+//! test, the two-phase bookkeeping, refactorization, and extraction.
+
+use super::entry::Relaxed;
+use super::eta::EtaFile;
+use super::kernels::{build_row_mirror, for_each_entry};
+use super::lu::{Lu, LuScratch};
+use super::{pos_or_zero, sanitize, SimplexConfig};
+use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
+use crate::sparse::WorkVec;
+use crate::stdform::{ColKind, StdForm};
+use wavesched_obs as obs;
+
+/// Cost-model trigger ratio: refactorize once the eta file holds more
+/// than this many times the LU's entry count. One FTRAN/BTRAN pass
+/// touches every factor entry and every eta entry once, but the factor
+/// itself costs many passes' worth of work, so the cut only pays for
+/// itself once the file dwarfs the factors — not at parity. At 8× the
+/// pass spends ~90% of its time in the eta file before we cut; below
+/// that the model fires more often than the interval cadence it
+/// replaces and loses wall-clock to its own refactorizations.
+const COST_MODEL_ETA_FACTOR: usize = 8;
+
+/// Cost-model floor: never cut a file shorter than this many etas. Tiny
+/// bases otherwise refactorize every few pivots, and the fixed overhead
+/// of `Lu::factor` never amortizes over so short a window.
+const COST_MODEL_MIN_ETAS: usize = 16;
+
+/// Why a refactorization is being performed — routed into the matching
+/// per-reason [`SolveStats`] counter so smoke fixtures can tell cadence
+/// refactorizations from forced ones. (`refactor_forced_singular` is
+/// counted separately per `repair_basis` call, and `refactor_reuse_rejected`
+/// at the carried-factors rung; neither is a `refactorize` entry reason.)
+#[derive(Debug, Clone, Copy)]
+pub(super) enum RefactorReason {
+    /// The eta file reached the fixed `refactor_interval` cadence.
+    Interval,
+    /// The cost model decided the eta file stopped paying for itself.
+    CostModel,
+    /// Structurally required: the entry factor of a cold start or of a
+    /// basis installed from a snapshot, claimed-optimal verification, or a
+    /// zero-pivot retry.
+    Forced,
+}
+
+/// Where a nonbasic variable rests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum VarState {
+    Basic(u32),
+    AtLower,
+    AtUpper,
+    /// Free nonbasic, resting at zero.
+    Free,
+    /// Fixed (`l == u`) or retired artificial; never priced.
+    Fixed,
+}
+
+impl VarState {
+    /// The basis-snapshot status of a column in this state (fixed columns
+    /// snapshot as resting at their lower bound).
+    pub(super) fn status(self) -> BasisStatus {
+        match self {
+            VarState::Basic(_) => BasisStatus::Basic,
+            VarState::AtLower | VarState::Fixed => BasisStatus::AtLower,
+            VarState::AtUpper => BasisStatus::AtUpper,
+            VarState::Free => BasisStatus::Free,
+        }
+    }
+}
+
+#[derive(Clone)]
+pub(super) struct Engine {
+    pub(super) std: StdForm,
+    pub(super) cfg: SimplexConfig,
+    /// Column occupying each basis position.
+    pub(super) basis: Vec<usize>,
+    /// State per standardized column.
+    pub(super) state: Vec<VarState>,
+    /// Current value per standardized column (basic entries mirrored from
+    /// `xb` on demand).
+    pub(super) xval: Vec<f64>,
+    /// Basic values by basis position.
+    pub(super) xb: Vec<f64>,
+    /// Phase-dependent cost vector.
+    pub(super) cost: Vec<f64>,
+    pub(super) lu: Option<Lu>,
+    pub(super) etas: EtaFile,
+    pub(super) stats: SolveStats,
+    /// Consecutive degenerate pivots; triggers Bland's rule.
+    pub(super) degen_run: u64,
+    pub(super) bland: bool,
+    /// Scratch: dense vector indexed by basis position.
+    pub(super) work_pos: Vec<f64>,
+    /// Scratch: dense vector indexed by row.
+    pub(super) work_row: Vec<f64>,
+    /// Reduced costs, updated incrementally per pivot and recomputed at
+    /// every refactorization.
+    pub(super) d: Vec<f64>,
+    /// Devex reference weights.
+    pub(super) weights: Vec<f64>,
+    /// Row-wise mirror of the constraint matrix in CSR form (column
+    /// indices only; values are re-gathered column-wise). Built at
+    /// construction and rebuilt wholesale whenever the structure grows
+    /// (`append_columns` / `append_rows`); between growth events the
+    /// matrix structure is immutable, only bounds and costs change. It
+    /// lets the pivotal-row pass touch only columns intersecting the
+    /// (sparse) BTRAN result.
+    pub(super) csr_ptr: Vec<usize>,
+    pub(super) csr_cols: Vec<u32>,
+    /// Sparse FTRAN scratch: the entering column (row-indexed RHS).
+    pub(super) ftran_rhs: WorkVec,
+    /// Sparse FTRAN result `w = B^{-1} a_q` (basis-position indexed),
+    /// borrowed out of the engine for the ratio-test/pivot span via
+    /// `mem::take` and always put back.
+    pub(super) ftran_w: WorkVec,
+    /// Sparse pivotal-row BTRAN result `rho = B^{-T} e_r` (row-indexed).
+    pub(super) rho: WorkVec,
+    /// Dense BTRAN scratch for full dual recomputation (row-indexed).
+    pub(super) dual: Vec<f64>,
+    /// Pivotal-row scratch: nonbasic columns with an entry in one of ρ's
+    /// rows, before dedup — up to `nnz(A)` pushes. This and the three
+    /// scratch lists below are sized by [`Self::size_scratch`], so
+    /// steady-state pivots never grow them.
+    pub(super) touched: Vec<u32>,
+    /// DFS scratch for the sparse LU triangular solves.
+    pub(super) lu_scratch: LuScratch,
+    /// Per-eta activation flags for the pruned BTRAN eta pass (scratch,
+    /// rebuilt from the rhs pattern on every sparse BTRAN).
+    pub(super) eta_active: Vec<bool>,
+    /// Reach size above which the sparse kernels fall back to dense
+    /// (`kernel_density_threshold` × rows, precomputed).
+    pub(super) kernel_cap: usize,
+    /// Columns whose bounds are temporarily shifted during phase 1 so the
+    /// starting point is feasible, with their original bounds. Covers the
+    /// signed artificials of a cold start and any basic variables a warm
+    /// start left outside their bounds.
+    pub(super) relaxed: Vec<Relaxed>,
+    /// Partial-pricing candidate list: column indices, rebuilt by each full
+    /// refresh, scanned on minor iterations. Cleared at phase start.
+    pub(super) cand: Vec<u32>,
+    /// Candidate membership flags (sized to the column count at phase
+    /// start); Devex weight maintenance is restricted to members while the
+    /// sublist is active.
+    pub(super) cand_member: Vec<bool>,
+    /// Minor iterations remaining before the next forced full refresh.
+    pub(super) cand_budget: u32,
+    /// Refresh scratch: `(score, column)` pairs of eligible columns.
+    pub(super) cand_scores: Vec<(f64, u32)>,
+    /// The pivotal row `(column, α_j)` over its nonbasic support, ascending
+    /// by column: written by `pivotal_row`, read by the primal update and
+    /// the dual ratio test.
+    pub(super) row_alpha: Vec<(u32, f64)>,
+    /// Dual ratio-test scratch: indices into `row_alpha` of the eligible
+    /// candidates, sorted by dual ratio; the bound-flipped ones are a
+    /// prefix.
+    pub(super) dual_order: Vec<u32>,
+    /// Sanitizer sweep interval (`WS_SANITIZE`, resolved at construction);
+    /// 0 disables the sanitizer entirely.
+    pub(super) sanitize_every: u64,
+    /// Pivots remaining until the next sanitizer sweep (0 when disabled).
+    pub(super) sanitize_left: u64,
+    /// Entry count of the current LU factors, set at every
+    /// refactorization and bumped by the `add_rows` extension — the cost
+    /// model's per-pass work unit.
+    pub(super) lu_nnz: usize,
+    /// True when the live engine state is a clean optimal endpoint the
+    /// next solve may continue from without reinstalling anything:
+    /// basis/state/xval consistent, LU factored for the live basis, eta
+    /// file empty. Cleared on every solve entry, re-established after an
+    /// optimal extract, and kept by the splices that keep the factors
+    /// (`append_columns`, `append_rows` of uncoupled rows).
+    pub(super) reuse_ready: bool,
+}
+
+pub(super) enum PhaseOutcome {
+    Optimal,
+    Unbounded,
+    IterationLimit,
+}
+
+enum RatioOutcome {
+    Unbounded,
+    BoundFlip(f64),
+    Pivot { pos: usize, step: f64 },
+}
+
+impl Engine {
+    pub(super) fn new(std: StdForm, mut cfg: SimplexConfig) -> Self {
+        let m = std.nrows;
+        let ncols = std.ncols();
+        if cfg.max_iterations == 0 {
+            cfg.max_iterations = 50 * (m as u64 + ncols as u64) + 10_000;
+        }
+        let (csr_ptr, csr_cols) = build_row_mirror(&std.a);
+        // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
+        let kernel_cap = (pos_or_zero(cfg.kernel_density_threshold) * m as f64) as usize;
+        let mut etas = EtaFile::default();
+        etas.ensure_rows(m);
+        let mut engine = Engine {
+            cost: vec![0.0; ncols],
+            state: vec![VarState::Fixed; ncols],
+            xval: vec![0.0; ncols],
+            basis: Vec::with_capacity(m),
+            xb: vec![0.0; m],
+            lu: None,
+            etas,
+            stats: SolveStats::default(),
+            degen_run: 0,
+            bland: false,
+            work_pos: vec![0.0; m],
+            work_row: vec![0.0; m],
+            d: vec![0.0; ncols],
+            weights: vec![1.0; ncols],
+            csr_ptr,
+            csr_cols,
+            ftran_rhs: WorkVec::new(m),
+            ftran_w: WorkVec::new(m),
+            rho: WorkVec::new(m),
+            dual: vec![0.0; m],
+            touched: Vec::new(),
+            lu_scratch: LuScratch::new(m),
+            eta_active: Vec::new(),
+            kernel_cap,
+            relaxed: Vec::new(),
+            cand: Vec::new(),
+            cand_member: vec![false; ncols],
+            cand_budget: 0,
+            cand_scores: Vec::new(),
+            row_alpha: Vec::new(),
+            dual_order: Vec::new(),
+            sanitize_every: sanitize::sanitize_env(),
+            sanitize_left: sanitize::sanitize_env(),
+            lu_nnz: 0,
+            reuse_ready: false,
+            std,
+            cfg,
+        };
+        engine.size_scratch();
+        engine
+    }
+
+    /// Sizes the four per-pivot scratch lists to their worst case for the
+    /// current structure — the pivotal-row lists take at most one push per
+    /// matrix entry, the candidate scores one per column — so the pivot
+    /// loops never allocate, before or after growth.
+    pub(super) fn size_scratch(&mut self) {
+        let (nnz, ncols) = (self.std.a.nnz(), self.std.ncols());
+        self.touched.clear();
+        self.touched.reserve_exact(nnz);
+        self.row_alpha.clear();
+        self.row_alpha.reserve_exact(nnz);
+        self.dual_order.clear();
+        self.dual_order.reserve_exact(nnz);
+        self.cand_scores.clear();
+        self.cand_scores.reserve_exact(ncols);
+    }
+
+    /// Rests nonbasic column `j` where [`StdForm::resting`] puts it under
+    /// its current bounds; artificials and fixed columns are never priced.
+    pub(super) fn rest(&mut self, j: usize) {
+        let (status, x) = self.std.resting(j);
+        let fixed =
+            self.std.kind[j] == ColKind::Artificial || self.std.lower[j] == self.std.upper[j];
+        self.state[j] = match status {
+            _ if fixed => VarState::Fixed,
+            BasisStatus::AtLower => VarState::AtLower,
+            BasisStatus::AtUpper => VarState::AtUpper,
+            BasisStatus::Free | BasisStatus::Basic => VarState::Free,
+        };
+        self.xval[j] = x;
+    }
+
+    /// Installs the true objective on every non-artificial column.
+    pub(super) fn install_phase2_costs(&mut self) {
+        for j in 0..self.std.ncols() {
+            if self.std.kind[j] != ColKind::Artificial {
+                self.cost[j] = self.std.cost[j];
+            }
+        }
+    }
+
+    /// Core primal simplex loop shared by both phases.
+    ///
+    /// Reduced costs are maintained incrementally (updated with the pivotal
+    /// row after every basis change) and recomputed exactly at every
+    /// refactorization; entering variables are chosen by Devex pricing with
+    /// a Bland fallback after a long degenerate run.
+    pub(super) fn iterate(&mut self, phase1: bool) -> Result<PhaseOutcome, SolveError> {
+        self.recompute_reduced();
+        self.weights.fill(1.0);
+        self.reset_candidates();
+        loop {
+            if self.stats.iterations >= self.cfg.max_iterations {
+                return Ok(PhaseOutcome::IterationLimit);
+            }
+            if let Some(reason) = self.cadence_refactor_due() {
+                self.refactorize(reason)?;
+                self.recompute_reduced();
+            }
+
+            // Pricing from the maintained reduced costs.
+            let entering = match self.price() {
+                Some(e) => e,
+                None => {
+                    // Claimed optimal: verify against exactly recomputed
+                    // reduced costs before accepting (guards drift).
+                    self.refactorize(RefactorReason::Forced)?;
+                    self.recompute_reduced();
+                    match self.price() {
+                        Some(e) => e,
+                        None => return Ok(PhaseOutcome::Optimal),
+                    }
+                }
+            };
+            let (q, dir) = entering;
+
+            // FTRAN: w = B^{-1} a_q, basis-position indexed, sparse. The
+            // result lives in an engine-owned arena, borrowed out for the
+            // ratio-test/pivot span and put back on every path.
+            self.ftran_entering(q);
+            let w = std::mem::take(&mut self.ftran_w);
+
+            // Ratio test.
+            match self.ratio_test(q, dir, &w) {
+                RatioOutcome::Unbounded => {
+                    self.ftran_w = w;
+                    if phase1 {
+                        return Err(SolveError::Numerical("unbounded ray in phase 1".into()));
+                    }
+                    return Ok(PhaseOutcome::Unbounded);
+                }
+                RatioOutcome::BoundFlip(t) => {
+                    // No basis change: reduced costs stay valid.
+                    self.apply_bound_flip(q, dir, t, &w);
+                    self.ftran_w = w;
+                    self.stats.bound_flips += 1;
+                }
+                RatioOutcome::Pivot { pos, step } => {
+                    let alpha_q = w.values[pos];
+                    if alpha_q.abs() <= self.cfg.pivot_tol {
+                        // Should not happen (ratio test filters); refactor
+                        // and retry rather than divide by ~0.
+                        self.ftran_w = w;
+                        self.refactorize(RefactorReason::Forced)?;
+                        self.recompute_reduced();
+                        continue;
+                    }
+                    self.pivotal_row(pos, q);
+                    self.update_reduced_and_weights(q, pos, alpha_q);
+                    self.apply_pivot(q, dir, pos, step, &w);
+                    self.ftran_w = w;
+                    #[cfg(debug_assertions)]
+                    self.debug_invariants();
+                    self.maybe_sanitize();
+                    if step <= self.cfg.feas_tol * 1e-2 {
+                        self.stats.degenerate_pivots += 1;
+                        self.degen_run += 1;
+                        if self.degen_run >= self.cfg.degeneracy_threshold {
+                            self.bland = true;
+                        }
+                    } else {
+                        self.degen_run = 0;
+                        self.bland = false;
+                    }
+                }
+            }
+            self.stats.iterations += 1;
+        }
+    }
+
+    fn ratio_test(&self, q: usize, dir: f64, w: &WorkVec) -> RatioOutcome {
+        let ptol = self.cfg.pivot_tol;
+        let ftol = self.cfg.feas_tol;
+        // Step limit from the entering variable's own bound range.
+        let own_range = match (self.std.lower[q].is_finite(), self.std.upper[q].is_finite()) {
+            (true, true) => self.std.upper[q] - self.std.lower[q],
+            _ => f64::INFINITY,
+        };
+
+        // The step at which the basic variable at `pos` reaches the bound
+        // it moves toward, that bound widened by `slack`; `None` for an
+        // entry below the pivot tolerance or an open side.
+        let reach = |pos: usize, wp: f64, slack: f64| -> Option<f64> {
+            if wp.abs() <= ptol {
+                return None;
+            }
+            let rate = -wp * dir; // d(xb[pos]) / dt
+            let j = self.basis[pos];
+            let limit = if rate > 0.0 {
+                let ub = self.std.upper[j];
+                if !ub.is_finite() {
+                    return None;
+                }
+                (ub - self.xb[pos] + slack) / rate
+            } else {
+                let lb = self.std.lower[j];
+                if !lb.is_finite() {
+                    return None;
+                }
+                (self.xb[pos] - lb + slack) / -rate
+            };
+            Some(pos_or_zero(limit))
+        };
+
+        // Pass 1: minimum blocking step with tolerance-relaxed bounds.
+        let mut t_relaxed = own_range;
+        for_each_entry(w, |pos, wp| {
+            if let Some(limit) = reach(pos, wp, ftol) {
+                t_relaxed = t_relaxed.min(limit);
+            }
+        });
+        if t_relaxed.is_infinite() {
+            return RatioOutcome::Unbounded;
+        }
+
+        // Pass 2: among rows blocking at or before `t_relaxed`, take the one
+        // with the largest pivot magnitude (Harris-style selection). Ties
+        // are decided inside a *relative band* around the maximum rather
+        // than by exact float equality: any pivot within `RATIO_TIE_BAND`
+        // of the best magnitude is numerically interchangeable, and inside
+        // the band the choice is lexicographic — retire artificials first,
+        // then the lowest basis position — so the selection is deterministic
+        // and independent of the visit order's rounding noise.
+        const RATIO_TIE_BAND: f64 = 1e-9;
+        let mut max_mag = 0.0f64;
+        let blocking = |pos, wp| reach(pos, wp, 0.0).filter(|&limit| limit <= t_relaxed);
+        let mut any_blocking = false;
+        for_each_entry(w, |pos, wp| {
+            if blocking(pos, wp).is_some() {
+                any_blocking = true;
+                max_mag = max_mag.max(wp.abs());
+            }
+        });
+        if !any_blocking {
+            // Nothing blocks before the entering variable's own range:
+            // a bound flip (own_range is finite here).
+            return RatioOutcome::BoundFlip(own_range);
+        }
+        let band_floor = max_mag * (1.0 - RATIO_TIE_BAND);
+        let mut best: Option<(usize, f64, bool)> = None; // pos, step, is_artificial
+        for_each_entry(w, |pos, wp| {
+            let Some(limit) = blocking(pos, wp) else {
+                return;
+            };
+            if wp.abs() < band_floor {
+                return;
+            }
+            let art = self.std.kind[self.basis[pos]] == ColKind::Artificial;
+            // Entries arrive in ascending basis position, so the first
+            // in-band row of a given artificiality class wins the
+            // lexicographic order automatically.
+            let better = match best {
+                None => true,
+                Some((_, _, bart)) => art && !bart,
+            };
+            if better {
+                best = Some((pos, limit, art));
+            }
+        });
+        match best {
+            // max_mag > 0 guarantees an in-band blocking row exists.
+            None => RatioOutcome::BoundFlip(own_range),
+            Some((pos, step, _)) => RatioOutcome::Pivot { pos, step },
+        }
+    }
+
+    fn apply_bound_flip(&mut self, q: usize, dir: f64, t: f64, w: &WorkVec) {
+        let xb = &mut self.xb;
+        for_each_entry(w, |pos, wp| {
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if wp != 0.0 {
+                xb[pos] -= wp * dir * t;
+            }
+        });
+        self.xval[q] += dir * t;
+        self.state[q] = match self.state[q] {
+            VarState::AtLower => VarState::AtUpper,
+            VarState::AtUpper => VarState::AtLower,
+            s => s,
+        };
+    }
+
+    pub(super) fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
+        let leaving = self.basis[pos];
+        let xb = &mut self.xb;
+        for_each_entry(w, |p, wp| {
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if wp != 0.0 {
+                xb[p] -= wp * dir * step;
+            }
+        });
+        let entering_value = self.xval[q] + dir * step;
+
+        // Park the leaving variable at the bound it hit.
+        let lv = self.xb[pos];
+        let (ll, lu_) = (self.std.lower[leaving], self.std.upper[leaving]);
+        let to_upper = if ll.is_finite() && lu_.is_finite() {
+            (lv - lu_).abs() < (lv - ll).abs()
+        } else {
+            lu_.is_finite()
+        };
+        self.xval[leaving] = if to_upper { lu_ } else { ll };
+        self.state[leaving] = if self.std.kind[leaving] == ColKind::Artificial {
+            // Retire artificials for good the moment they leave.
+            self.std.lower[leaving] = 0.0;
+            self.std.upper[leaving] = 0.0;
+            self.cost[leaving] = 0.0;
+            self.xval[leaving] = 0.0;
+            VarState::Fixed
+        } else if ll == lu_ {
+            VarState::Fixed
+        } else if to_upper {
+            VarState::AtUpper
+        } else {
+            VarState::AtLower
+        };
+
+        self.basis[pos] = q;
+        self.state[q] = VarState::Basic(pos as u32);
+        self.xb[pos] = entering_value;
+
+        // Record the eta for B_new = B_old E, entries ascending by basis
+        // position (sorted pattern / dense scan order — the BTRAN gather
+        // relies on it). Entries below the drop tolerance are omitted; the
+        // drift is flushed at refactorization.
+        self.etas.begin(pos as u32, w.values[pos]);
+        let etas = &mut self.etas;
+        for_each_entry(w, |p, wp| {
+            if wp.abs() > 1e-12 || p == pos {
+                etas.push_entry(p as u32, wp);
+            }
+        });
+    }
+
+    /// Debug-build invariant sweep, run after every basis change. Release
+    /// builds compile this to nothing; the `wavesched-lint` rules keep the
+    /// invariants *stated*, this keeps them *checked* where they mutate.
+    #[cfg(debug_assertions)]
+    pub(super) fn debug_invariants(&self) {
+        // Basis column-count consistency: exactly one column per row, each
+        // marked Basic at its own position.
+        debug_assert_eq!(
+            self.basis.len(),
+            self.std.nrows,
+            "basis must hold exactly nrows columns"
+        );
+        for (pos, &j) in self.basis.iter().enumerate() {
+            debug_assert!(
+                matches!(self.state[j], VarState::Basic(p) if p as usize == pos),
+                "basis position {pos} holds column {j} whose state is {:?}",
+                self.state[j]
+            );
+        }
+        // The eta file never outruns the refactorization threshold:
+        // iterate() refactorizes at the top of the loop once the interval
+        // is reached, so at most `refactor_interval` etas ever accumulate.
+        debug_assert!(
+            self.etas.len() <= self.cfg.refactor_interval,
+            "eta file length {} exceeds refactor_interval {}",
+            self.etas.len(),
+            self.cfg.refactor_interval
+        );
+        // The (phase-dependent) objective stays finite after a pivot; a NaN
+        // or infinity here means a pivot divided by a ~0 element the ratio
+        // test should have rejected.
+        let mut obj = 0.0;
+        for j in 0..self.std.ncols() {
+            if !matches!(self.state[j], VarState::Basic(_)) {
+                obj += self.cost[j] * self.xval[j];
+            }
+        }
+        for (pos, &j) in self.basis.iter().enumerate() {
+            obj += self.cost[j] * self.xb[pos];
+        }
+        debug_assert!(obj.is_finite(), "objective became non-finite after pivot");
+    }
+
+    /// In-loop refactorization cadence shared by the primal and dual
+    /// iteration loops: the fixed interval is the hard cap, and below it
+    /// the cost model cuts the eta file once its entry count stops paying
+    /// for itself against the live factor's. Both triggers count entries —
+    /// never wall-clock — so the trajectory is deterministic. A disabled
+    /// interval (`usize::MAX`, the kernel probes) disables the cost model
+    /// with it: probed windows measure steady-state eta chains.
+    #[inline]
+    pub(super) fn cadence_refactor_due(&self) -> Option<RefactorReason> {
+        if self.etas.len() >= self.cfg.refactor_interval {
+            return Some(RefactorReason::Interval);
+        }
+        if self.cfg.refactor_interval != usize::MAX
+            && self.etas.len() >= COST_MODEL_MIN_ETAS
+            && self.etas.entries.len() > COST_MODEL_ETA_FACTOR * self.lu_nnz
+        {
+            return Some(RefactorReason::CostModel);
+        }
+        None
+    }
+
+    /// Rebuilds the LU factorization of the current basis and recomputes the
+    /// basic values from scratch to flush accumulated drift. `reason` feeds
+    /// the per-reason refactorization counters; the arithmetic is identical
+    /// for every reason.
+    pub(super) fn refactorize(&mut self, reason: RefactorReason) -> Result<(), SolveError> {
+        let m = self.std.nrows;
+        let mut attempt = 0usize;
+        let lu = loop {
+            match Lu::factor(&self.std.a, &self.basis, self.cfg.pivot_tol) {
+                Ok(f) => break f,
+                Err(unpivoted_row) => {
+                    // Singular basis: swap the structurally dependent column
+                    // out for the row's artificial and retry.
+                    attempt += 1;
+                    if attempt > m {
+                        return Err(SolveError::Numerical(
+                            "basis repair failed: persistent singularity".into(),
+                        ));
+                    }
+                    self.stats.refactor_forced_singular += 1;
+                    self.repair_basis(unpivoted_row)?;
+                }
+            }
+        };
+        obs::record("lp.eta_len_at_refactor", self.etas.len() as u64);
+        self.etas.clear();
+        self.stats.refactorizations += 1;
+        match reason {
+            RefactorReason::Interval => self.stats.refactor_interval += 1,
+            RefactorReason::CostModel => self.stats.refactor_cost_model += 1,
+            RefactorReason::Forced => self.stats.refactor_forced_fallback += 1,
+        }
+        self.lu_nnz = lu.nnz();
+        self.lu = Some(lu);
+        self.compute_xb();
+        Ok(())
+    }
+
+    /// Recomputes the basic values `xb = B^{-1} (-N x_N)` from the installed
+    /// factorization, reusing the engine-owned buffers (ftran fully
+    /// overwrites its output). Every caller holds an empty eta file: right
+    /// after a refactorization, or on carried factors (`reuse_ready`).
+    pub(super) fn compute_xb(&mut self) {
+        let m = self.std.nrows;
+        self.work_row[..m].fill(0.0);
+        for j in 0..self.std.ncols() {
+            if matches!(self.state[j], VarState::Basic(_)) {
+                continue;
+            }
+            let xj = self.xval[j];
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if xj != 0.0 {
+                let (rows, vals) = self.std.a.col(j);
+                for (&r, &v) in rows.iter().zip(vals) {
+                    self.work_row[r as usize] -= v * xj;
+                }
+            }
+        }
+        let lu = self
+            .lu
+            .take()
+            // lint: allow(lib-unwrap, reason = "invariant: every caller installs an LU immediately before recomputing xb")
+            .expect("invariant: LU installed before compute_xb");
+        debug_assert!(self.etas.is_empty(), "compute_xb on a non-empty eta file");
+        lu.ftran(&mut self.work_row, &mut self.xb);
+        self.lu = Some(lu);
+    }
+
+    /// Replaces whichever basis column failed to pivot with the artificial
+    /// of `row`, re-activating that artificial.
+    fn repair_basis(&mut self, row: usize) -> Result<(), SolveError> {
+        let art = self.std.artificial_col(row);
+        if self.basis.contains(&art) {
+            return Err(SolveError::Numerical(format!(
+                "basis repair loop on row {row}"
+            )));
+        }
+        // Find a basis column covering `row` to evict: prefer one whose
+        // column actually has an entry in `row`.
+        let mut evict_pos = None;
+        for (pos, &j) in self.basis.iter().enumerate() {
+            let (rows, _) = self.std.a.col(j);
+            if rows.binary_search(&(row as u32)).is_ok() {
+                evict_pos = Some(pos);
+            }
+        }
+        let pos = evict_pos.unwrap_or(0);
+        self.rest(self.basis[pos]);
+        // Re-open the artificial so it can absorb any residual.
+        self.std.lower[art] = f64::NEG_INFINITY;
+        self.std.upper[art] = f64::INFINITY;
+        self.basis[pos] = art;
+        self.state[art] = VarState::Basic(pos as u32);
+        Ok(())
+    }
+
+    /// Assembles the user-facing solution from the current iterate.
+    pub(super) fn extract(&mut self, status: Status) -> Solution {
+        // Mirror basic values into xval.
+        for (pos, &j) in self.basis.iter().enumerate() {
+            self.xval[j] = self.xb[pos];
+        }
+        let x: Vec<f64> = self.xval[..self.std.nstruct].to_vec();
+        let mut obj = self.std.obj_offset;
+        for (j, &xj) in x.iter().enumerate() {
+            obj += self.std.obj_sign * self.std.cost[j] * xj;
+        }
+        // Duals from a final BTRAN with phase-2 costs.
+        self.install_phase2_costs();
+        self.compute_duals();
+        let duals: Vec<f64> = self.dual.iter().map(|&v| self.std.obj_sign * v).collect();
+        let basis = Basis {
+            cols: self.state[..self.std.nstruct]
+                .iter()
+                .map(|s| s.status())
+                .collect(),
+            rows: (0..self.std.nrows)
+                .map(|i| self.state[self.std.activity_col(i)].status())
+                .collect(),
+        };
+        Solution {
+            status,
+            objective: obj,
+            x,
+            duals,
+            basis: Some(basis),
+            stats: self.stats,
+        }
+    }
+}

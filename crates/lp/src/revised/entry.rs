@@ -1,0 +1,534 @@
+//! Solve entry: the one ladder every solve climbs, and the two-phase
+//! bookkeeping between entry and the pivot loops.
+//!
+//! A solve that was offered a basis tries up to three *warm rungs*, each a
+//! call of [`Engine::warm_entry`] — **install** the nonbasic point (and,
+//! from a snapshot, the basis), **factor** it (a fresh `Lu::factor`, or the
+//! residual spot-check on the factors the previous solve left), then
+//! **continue** (dual simplex, or the primal bound-shift phase 1 + phase
+//! 2) — in a fixed order:
+//!
+//! 1. **carried** — the engine's own live state and factors, when the last
+//!    solve ended optimal and only in-place edits happened since;
+//! 2. **own-basis dual** — the session's own last optimal basis,
+//!    reinstalled and refactored, dual simplex only;
+//! 3. **basis primal** — any offered basis, primal continuation;
+//!
+//! and then, like a solve that was offered nothing, runs **cold** (crash
+//! basis, artificial phase 1 — the only infeasibility proof). A rung that
+//! gives up returns `Err(())`, never an answer, so a warm start can change
+//! the work counters but not the result.
+
+use super::engine::{Engine, PhaseOutcome, RefactorReason, VarState};
+use super::pos_or_zero;
+use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
+use crate::stdform::ColKind;
+use wavesched_obs as obs;
+
+/// A phase-1 bound relaxation: column `col` temporarily has one bound opened
+/// and a ±1 phase-1 cost; `(lo, up)` are the bounds to restore afterwards.
+#[derive(Clone)]
+pub(super) struct Relaxed {
+    col: usize,
+    lo: f64,
+    up: f64,
+}
+
+/// How a warm rung may continue once its basis is installed and factored.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Continue {
+    /// Dual simplex or nothing: the rung gives up when the basis does not
+    /// price dual feasible.
+    Dual,
+    /// Dual simplex when the basis prices dual feasible, else primal.
+    DualElsePrimal,
+    /// Bound-shift phase 1, then phase 2.
+    Primal,
+}
+
+/// Folds a finished solve's counters into the process-wide observability
+/// registry (one branch when the layer is disabled, see `wavesched-obs`).
+fn publish_stats(s: &SolveStats, nrows: usize) {
+    if !obs::enabled() {
+        return;
+    }
+    for (name, value) in s.published() {
+        obs::counter_add(name, value);
+    }
+    obs::record("lp.solve_iterations", s.iterations);
+    // Kernel density profile: histograms of the per-solve mean nonzero
+    // counts and densities (percent of the basis dimension), the signal
+    // that says whether hypersparsity is paying off on this workload.
+    if let Some(avg) = s.ftran_nnz.checked_div(s.ftran_ops) {
+        obs::record("lp.ftran_avg_nnz", avg);
+        if let Some(pct) = (s.ftran_nnz * 100).checked_div(s.ftran_ops * nrows as u64) {
+            obs::record("lp.ftran_density_pct", pct);
+        }
+    }
+    if let Some(row_nnz) = s.pivot_row_nnz.checked_div(s.btran_ops) {
+        obs::record("lp.pivot_row_nnz", row_nnz);
+        if let Some(pct) = (s.btran_nnz * 100).checked_div(s.btran_ops * nrows as u64) {
+            obs::record("lp.btran_density_pct", pct);
+        }
+    }
+}
+
+impl Engine {
+    /// Solves the held standardized form, warm-starting from `start` when
+    /// supplied and usable, with a silent cold fallback otherwise: the rung
+    /// order carried → own-basis dual → basis primal → cold. `own_basis`
+    /// certifies that `start` is this engine's own last optimal basis and
+    /// nothing but bounds/RHS changed since — the precondition for a dual
+    /// simplex re-solve, which degrades to the primal rungs on any doubt.
+    pub(super) fn solve(
+        &mut self,
+        start: Option<&Basis>,
+        own_basis: bool,
+    ) -> Result<Solution, SolveError> {
+        let _span = obs::span("lp_solve");
+        // Taken up front: any exit that does not re-arm it below leaves the
+        // carried rung off for the next solve.
+        let carried = std::mem::take(&mut self.reuse_ready);
+        let mut rejected = 0;
+        let warm = 'rungs: {
+            let Some(basis) = start else {
+                break 'rungs None;
+            };
+            if carried {
+                self.fresh_stats();
+                let how = if own_basis {
+                    Continue::DualElsePrimal
+                } else {
+                    Continue::Primal
+                };
+                if let Ok(sol) = self.warm_entry(None, how) {
+                    break 'rungs Some(sol);
+                }
+                rejected = 1;
+                self.undo_relaxed();
+            }
+            // A rejected carried rung's work is discarded; an abandoned
+            // dual rung's stays on the counters of the rung that answers.
+            self.fresh_stats();
+            if own_basis {
+                if let Ok(sol) = self.warm_entry(Some(basis), Continue::Dual) {
+                    break 'rungs Some(sol);
+                }
+            }
+            if let Ok(sol) = self.warm_entry(Some(basis), Continue::Primal) {
+                break 'rungs Some(sol);
+            }
+            self.undo_relaxed();
+            None
+        };
+        let mut sol = match warm {
+            Some(sol) => sol,
+            None => self.run_cold(start.is_some())?,
+        };
+        sol.stats.refactor_reuse_rejected += rejected;
+        self.stats.refactor_reuse_rejected += rejected;
+        publish_stats(&sol.stats, self.std.nrows);
+        // Every Optimal exit ends with a verification refactorization and an
+        // empty eta file (iterate() refuses to claim optimality otherwise),
+        // which is exactly the state a later solve may continue from.
+        self.reuse_ready =
+            sol.status == Status::Optimal && self.lu.is_some() && self.etas.is_empty();
+        Ok(sol)
+    }
+
+    /// Cold start: crash basis, phase 1 if needed, phase 2. All work burned
+    /// on warm rungs is discarded; `offered` records that there were any.
+    fn run_cold(&mut self, offered: bool) -> Result<Solution, SolveError> {
+        self.fresh_stats();
+        self.stats.warm_start_fallbacks = u64::from(offered);
+        self.scrub(false);
+        self.crash();
+        self.refactorize(RefactorReason::Forced)?;
+
+        // Phase 1: minimize total artificial magnitude (costs set in crash).
+        if !self.relaxed.is_empty() {
+            if let Some(sol) = self.run_phase1()? {
+                return Ok(sol);
+            }
+        }
+        self.finish_phase2()
+    }
+
+    /// One warm rung: install → factor → continue. `from` is the basis
+    /// snapshot to install, or `None` to continue from the engine's own
+    /// live basis, states and factors (the caller checked `reuse_ready`).
+    /// `Err(())` means the rung gave up — shape mismatch, numerical
+    /// trouble, a dual ray, a bound-shift phase 1 that could not clear the
+    /// violations — and never that the problem itself is bad: the bound
+    /// shift clamps each relaxed variable at the bound it violated, while
+    /// true feasibility may need it strictly inside its range, so only the
+    /// cold artificial phase 1 decides infeasibility.
+    fn warm_entry(&mut self, from: Option<&Basis>, how: Continue) -> Result<Solution, ()> {
+        // Install. Nonbasics go where the snapshot — or, carried, their
+        // live state — says, as far as the *current* bounds allow (edits
+        // may have moved or removed the side a column was resting on).
+        let (n, m) = (self.std.nstruct, self.std.nrows);
+        if from.is_some_and(|b| b.cols.len() != n || b.rows.len() != m) {
+            return Err(());
+        }
+        self.scrub(from.is_none());
+        let mut basic: Vec<usize> = Vec::with_capacity(if from.is_some() { m } else { 0 });
+        for j in 0..n + m {
+            let status = match from {
+                Some(b) if j < n => b.cols[j],
+                Some(b) => b.rows[j - n],
+                None => self.state[j].status(),
+            };
+            if status != BasisStatus::Basic {
+                self.park_nonbasic(j, status);
+            } else if from.is_some() {
+                basic.push(j);
+            }
+        }
+        if from.is_some() {
+            // An own optimal basis has exactly m basic columns. Any other
+            // snapshot is repaired: demote extras, pad a deficit with
+            // artificials (their columns are independent; a redundant
+            // choice is caught and repaired during factorization).
+            if how == Continue::Dual && basic.len() != m {
+                return Err(());
+            }
+            while basic.len() > m {
+                let Some(j) = basic.pop() else { break };
+                self.park_nonbasic(j, BasisStatus::AtLower);
+            }
+            for row in 0..m - basic.len() {
+                basic.push(self.std.artificial_col(row));
+            }
+            self.basis = basic;
+            for (pos, &j) in self.basis.iter().enumerate() {
+                self.state[j] = VarState::Basic(pos as u32);
+            }
+        }
+
+        // Factor: from scratch (with singularity repair) for a snapshot;
+        // for the carried factors only the basic values they imply, gated
+        // by the sanitizer's residual spot-check — stale or drifted factors
+        // show up as a nonzero `A x` residual before any pivot acts on them.
+        if from.is_some() {
+            self.refactorize(RefactorReason::Forced).map_err(|_| ())?;
+        } else {
+            self.compute_xb();
+            if !self.residual_ok() {
+                return Err(());
+            }
+            self.stats.lu_reuse_hits = 1;
+        }
+        self.stats.warm_starts_accepted = 1;
+
+        // Continue, dual: bound/RHS-only edits keep the reduced-cost signs,
+        // so the dual loop drives out the primal violations in a handful
+        // of pivots — unless a re-park flipped a sign, or an artificial
+        // (kept by a degenerate optimum, or swapped in by factorization
+        // repair) sits in the basis and breaks the dual argument.
+        let artificial_basic = self
+            .basis
+            .iter()
+            .any(|&j| self.std.kind[j] == ColKind::Artificial);
+        if how != Continue::Primal && !artificial_basic {
+            self.install_phase2_costs();
+            self.recompute_reduced();
+            if self.dual_feasible() {
+                self.dual_loop()?;
+                // Exact finish: the dual loop restored primal feasibility
+                // under *maintained* reduced costs; the primal loop
+                // verifies the optimum against exactly recomputed ones
+                // (it prices, refactorizes, re-prices — and cleans up any
+                // eligible column the drift hid).
+                return match self.iterate(false).map_err(|_| ())? {
+                    PhaseOutcome::Optimal => Ok(self.extract(Status::Optimal)),
+                    PhaseOutcome::Unbounded | PhaseOutcome::IterationLimit => Err(()),
+                };
+            }
+            // Back to phase-1 costs for a primal continuation.
+            self.cost.fill(0.0);
+        }
+        if how == Continue::Dual {
+            return Err(());
+        }
+
+        // Continue, primal: bound-shift every basic value outside its
+        // bounds, clear the violations in phase 1, finish in phase 2.
+        let tol = self.cfg.feas_tol;
+        for pos in 0..m {
+            let j = self.basis[pos];
+            let v = self.xb[pos];
+            let artificial = self.std.kind[j] == ColKind::Artificial;
+            // Basis repair may have reopened an artificial; it must still
+            // end phase 1 at zero.
+            let (lo, up) = if artificial {
+                (0.0, 0.0)
+            } else {
+                (self.std.lower[j], self.std.upper[j])
+            };
+            if v > up + tol || v < lo - tol {
+                self.relax_column(j, v);
+            } else if artificial {
+                // Feasible (≈0): pin it (back) down.
+                self.std.lower[j] = 0.0;
+                self.std.upper[j] = 0.0;
+            }
+        }
+        if !self.relaxed.is_empty() {
+            // Any terminal phase-1 outcome — or numerical trouble while
+            // repairing the warm point — gives up rather than surfacing
+            // something a cold solve would not produce.
+            match self.run_phase1() {
+                Ok(None) => {}
+                Ok(Some(_)) | Err(_) => return Err(()),
+            }
+        }
+        self.finish_phase2().map_err(|_| ())
+    }
+
+    /// True when every nonbasic reduced cost has the sign its resting side
+    /// requires — the basis is dual feasible and the dual loop may run.
+    fn dual_feasible(&self) -> bool {
+        let dtol = self.cfg.opt_tol;
+        (0..self.std.ncols()).all(|j| match self.state[j] {
+            VarState::Basic(_) | VarState::Fixed => true,
+            VarState::AtLower => self.d[j] >= -dtol,
+            VarState::AtUpper => self.d[j] <= dtol,
+            VarState::Free => self.d[j].abs() <= dtol,
+        })
+    }
+
+    /// Parks column `j` nonbasic in the state `status` suggests, degrading
+    /// to wherever its current bounds rest a fresh nonbasic variable.
+    fn park_nonbasic(&mut self, j: usize, status: BasisStatus) {
+        let (l, u) = (self.std.lower[j], self.std.upper[j]);
+        let (state, x) = match status {
+            _ if l == u => return self.rest(j),
+            BasisStatus::AtLower if l.is_finite() => (VarState::AtLower, l),
+            BasisStatus::AtUpper if u.is_finite() => (VarState::AtUpper, u),
+            BasisStatus::Free if l.is_infinite() && u.is_infinite() => (VarState::Free, 0.0),
+            _ => return self.rest(j),
+        };
+        self.state[j] = state;
+        self.xval[j] = x;
+    }
+
+    /// Zeroes the work counters for a solve whose burned work (if any) is
+    /// to be discarded.
+    fn fresh_stats(&mut self) {
+        self.stats = SolveStats {
+            solves: 1,
+            ..SolveStats::default()
+        };
+    }
+
+    /// Clears the per-attempt state so the engine can run again on its
+    /// held (possibly mutated) standardized form. Artificial columns are
+    /// returned to their pristine fixed-at-zero state; a previous solve
+    /// may have signed and opened them. With `keep_factors` the basis, the
+    /// per-column states and the factorization stay for an entry on the
+    /// carried factors: a basic artificial (a degenerate optimum can keep
+    /// one at value zero) then stays basic — forcing it out would change
+    /// `B`.
+    fn scrub(&mut self, keep_factors: bool) {
+        self.cost.fill(0.0);
+        if !keep_factors {
+            self.etas.clear();
+            self.lu = None;
+        }
+        self.bland = false;
+        self.degen_run = 0;
+        self.relaxed.clear();
+        self.reset_candidates();
+        for i in 0..self.std.nrows {
+            let a = self.std.artificial_col(i);
+            self.std.lower[a] = 0.0;
+            self.std.upper[a] = 0.0;
+            if !(keep_factors && matches!(self.state[a], VarState::Basic(_))) {
+                self.state[a] = VarState::Fixed;
+                self.xval[a] = 0.0;
+            }
+        }
+    }
+
+    /// Builds the crash basis: activity variable where its natural value is
+    /// feasible, signed artificial otherwise. Sets phase-1 costs.
+    fn crash(&mut self) {
+        let m = self.std.nrows;
+        // Rest all structural and activity columns; fix unused artificials.
+        for j in 0..self.std.ncols() {
+            self.rest(j);
+        }
+        // Row activities of the structural block at the resting point.
+        let act = {
+            let mut act = vec![0.0; m];
+            for j in 0..self.std.nstruct {
+                let xj = self.xval[j];
+                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+                if xj != 0.0 {
+                    self.std.a.col_axpy(j, xj, &mut act);
+                }
+            }
+            act
+        };
+        self.basis.clear();
+        #[allow(clippy::needless_range_loop)] // parallel arrays, index is clearest
+        for i in 0..m {
+            let s = self.std.activity_col(i);
+            let (sl, su) = (self.std.lower[s], self.std.upper[s]);
+            let v = act[i];
+            let tol = self.cfg.feas_tol;
+            if v >= sl - tol && v <= su + tol {
+                // Activity variable basic and feasible: no artificial needed.
+                self.basis.push(s);
+                self.state[s] = VarState::Basic(i as u32);
+                self.xb[i] = v;
+            } else {
+                // Rest the activity at its nearest bound, make the signed
+                // artificial basic with the residual.
+                let srest = if v < sl { sl } else { su };
+                self.xval[s] = srest;
+                self.state[s] = if srest == sl {
+                    VarState::AtLower
+                } else {
+                    VarState::AtUpper
+                };
+                let a = self.std.artificial_col(i);
+                // Row equation: act - s + a = 0  =>  a = s - act.
+                let aval = srest - v;
+                self.relax_column(a, aval);
+                self.basis.push(a);
+                self.state[a] = VarState::Basic(i as u32);
+                self.xb[i] = aval;
+            }
+        }
+    }
+
+    /// Runs phase 1 with the relaxation costs already installed. Returns a
+    /// terminal solution (iteration limit or infeasible), or `None` when the
+    /// iterate reached feasibility and phase 2 should proceed.
+    fn run_phase1(&mut self) -> Result<Option<Solution>, SolveError> {
+        let before = self.stats.iterations;
+        let out = self.iterate(true)?;
+        self.stats.phase1_iterations += self.stats.iterations - before;
+        match out {
+            PhaseOutcome::IterationLimit => {
+                return Ok(Some(self.extract(Status::IterationLimit)));
+            }
+            PhaseOutcome::Unbounded => {
+                // Phase-1 objective is bounded below; an "unbounded" signal
+                // is a numerical breakdown.
+                return Err(SolveError::Numerical("phase 1 reported unbounded".into()));
+            }
+            PhaseOutcome::Optimal => {}
+        }
+        let infeas = self.phase1_objective();
+        if infeas > self.cfg.feas_tol.max(1e-9 * self.std.nrows as f64) {
+            return Ok(Some(self.extract(Status::Infeasible)));
+        }
+        Ok(None)
+    }
+
+    /// Restores relaxed bounds, pins artificials, installs the true costs,
+    /// and runs phase 2 to termination.
+    fn finish_phase2(&mut self) -> Result<Solution, SolveError> {
+        self.restore_relaxed();
+        // Pin artificials to zero and install the true costs.
+        for i in 0..self.std.nrows {
+            let a = self.std.artificial_col(i);
+            self.std.lower[a] = 0.0;
+            self.std.upper[a] = 0.0;
+            self.cost[a] = 0.0;
+            if !matches!(self.state[a], VarState::Basic(_)) {
+                self.state[a] = VarState::Fixed;
+                self.xval[a] = 0.0;
+            }
+        }
+        self.install_phase2_costs();
+        self.bland = false;
+        self.degen_run = 0;
+        match self.iterate(false)? {
+            PhaseOutcome::Optimal => Ok(self.extract(Status::Optimal)),
+            PhaseOutcome::Unbounded => Ok(self.extract(Status::Unbounded)),
+            PhaseOutcome::IterationLimit => Ok(self.extract(Status::IterationLimit)),
+        }
+    }
+
+    /// Opens the bound of `col` on the side `value` violates, gives it the
+    /// matching ±1 phase-1 cost, and records the original bounds for
+    /// [`Self::restore_relaxed`]. For artificials the "original" bounds are
+    /// always `[0, 0]` regardless of what a previous basis repair left.
+    fn relax_column(&mut self, col: usize, value: f64) {
+        let (lo, up) = if self.std.kind[col] == ColKind::Artificial {
+            (0.0, 0.0)
+        } else {
+            (self.std.lower[col], self.std.upper[col])
+        };
+        if value >= up {
+            // Too high: open upward, cost pushes back down toward `up`.
+            self.std.lower[col] = up;
+            self.std.upper[col] = f64::INFINITY;
+            self.cost[col] = 1.0;
+        } else {
+            // Too low: open downward, cost pushes back up toward `lo`.
+            self.std.lower[col] = f64::NEG_INFINITY;
+            self.std.upper[col] = lo;
+            self.cost[col] = -1.0;
+        }
+        self.relaxed.push(Relaxed { col, lo, up });
+    }
+
+    /// Total violation of the original bounds of every relaxed column at the
+    /// current iterate — the phase-1 objective (for a cold start this is the
+    /// classic total artificial magnitude).
+    fn phase1_objective(&self) -> f64 {
+        let mut v = 0.0;
+        for r in &self.relaxed {
+            let x = match self.state[r.col] {
+                VarState::Basic(pos) => self.xb[pos as usize],
+                _ => self.xval[r.col],
+            };
+            v += pos_or_zero(x - r.up) + pos_or_zero(r.lo - x);
+        }
+        v
+    }
+
+    /// Puts every relaxed column's original bounds back after a successful
+    /// phase 1 and re-parks the ones that went nonbasic: a column that
+    /// parked at its temporary finite bound is sitting exactly on the
+    /// original bound it used to violate.
+    fn restore_relaxed(&mut self) {
+        for k in 0..self.relaxed.len() {
+            let Relaxed { col, lo, up } = self.relaxed[k];
+            self.std.lower[col] = lo;
+            self.std.upper[col] = up;
+            self.cost[col] = 0.0;
+            if matches!(self.state[col], VarState::Basic(_)) {
+                continue;
+            }
+            if lo == up {
+                self.state[col] = VarState::Fixed;
+            } else if self.xval[col] == up {
+                self.state[col] = VarState::AtUpper;
+            } else if self.xval[col] == lo {
+                self.state[col] = VarState::AtLower;
+            } else if lo.is_infinite() && up.is_infinite() {
+                self.state[col] = VarState::Free;
+            } else {
+                // Drifted off both bounds (repaired basis): back to where
+                // the original bounds rest it.
+                self.rest(col);
+            }
+        }
+        self.relaxed.clear();
+    }
+
+    /// Puts every relaxed column's original bounds back after an abandoned
+    /// attempt; the next rung rewrites all other per-column state.
+    fn undo_relaxed(&mut self) {
+        for Relaxed { col, lo, up } in self.relaxed.drain(..) {
+            self.std.lower[col] = lo;
+            self.std.upper[col] = up;
+        }
+    }
+}

@@ -322,8 +322,8 @@ impl Lu {
     /// creates. Each new step pivots row `m + i` at position `m + i` with
     /// pivot `-1.0` and empty off-diagonals, so the result factors the
     /// bordered matrix `diag(B, -I)`. Couplings of *old* basic columns
-    /// into the new rows are not represented here; the caller carries
-    /// them as bordering etas in the product-form file.
+    /// into the new rows are not represented, so the caller only extends
+    /// when the new rows have no entries on existing columns.
     pub fn extend_rows(&mut self, k: usize) {
         let m0 = self.m;
         self.row_perm.reserve(k);

@@ -16,7 +16,7 @@
 //! sanitizer on. With it off, the cost is a single predictable branch
 //! per pivot.
 
-use super::*;
+use super::engine::{Engine, VarState};
 
 /// Residual tolerance for the `B x_B + N x_N = 0` check, scaled by the
 /// largest participating variable magnitude. Deliberately loose: the

@@ -1,0 +1,429 @@
+use super::*;
+use crate::model::{Col, Objective, Problem, Row};
+use crate::solution::Status;
+
+fn assert_near(a: f64, b: f64) {
+    assert!(
+        (a - b).abs() < 1e-6,
+        "expected {b}, got {a} (diff {})",
+        (a - b).abs()
+    );
+}
+
+#[test]
+fn ratio_clamp_zero_sign_is_deterministic() {
+    // `f64::max(-0.0, 0.0)` may return either zero depending on how the
+    // build lowers it; the ratio-test clamp must always produce `+0.0`
+    // or `total_cmp`-ordered candidate sorts diverge across build
+    // profiles (debug vs release picking different pivots).
+    assert_eq!(pos_or_zero(-0.0).to_bits(), 0.0f64.to_bits());
+    assert_eq!(pos_or_zero(0.0).to_bits(), 0.0f64.to_bits());
+    assert_eq!(pos_or_zero(f64::NAN).to_bits(), 0.0f64.to_bits());
+    assert_eq!(pos_or_zero(-1.5).to_bits(), 0.0f64.to_bits());
+    assert_eq!(pos_or_zero(2.5), 2.5);
+}
+
+#[test]
+fn simple_max() {
+    // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, f64::INFINITY, 3.0);
+    let y = p.add_col(0.0, f64::INFINITY, 2.0);
+    p.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0), (y, 1.0)]);
+    p.add_row(f64::NEG_INFINITY, 6.0, &[(x, 1.0), (y, 3.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 12.0);
+    assert_near(s.x[0], 4.0);
+    assert_near(s.x[1], 0.0);
+}
+
+#[test]
+fn equality_rows_need_phase1() {
+    // min x + y s.t. x + y = 3, x - y = 1 => x=2, y=1, obj 3
+    let mut p = Problem::new(Objective::Minimize);
+    let x = p.add_col(0.0, f64::INFINITY, 1.0);
+    let y = p.add_col(0.0, f64::INFINITY, 1.0);
+    p.add_row(3.0, 3.0, &[(x, 1.0), (y, 1.0)]);
+    p.add_row(1.0, 1.0, &[(x, 1.0), (y, -1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 3.0);
+    assert_near(s.x[0], 2.0);
+    assert_near(s.x[1], 1.0);
+}
+
+#[test]
+fn infeasible_detected() {
+    let mut p = Problem::new(Objective::Minimize);
+    let x = p.add_col(0.0, 1.0, 1.0);
+    p.add_row(5.0, f64::INFINITY, &[(x, 1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Infeasible);
+}
+
+#[test]
+fn unbounded_detected() {
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, f64::INFINITY, 1.0);
+    let y = p.add_col(0.0, f64::INFINITY, 0.0);
+    p.add_row(0.0, f64::INFINITY, &[(x, 1.0), (y, -1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Unbounded);
+}
+
+#[test]
+fn bounded_variables_and_ranges() {
+    // max x + y, 1 <= x <= 2, 0 <= y <= 2, 2 <= x + y <= 3
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(1.0, 2.0, 1.0);
+    let y = p.add_col(0.0, 2.0, 1.0);
+    p.add_row(2.0, 3.0, &[(x, 1.0), (y, 1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 3.0);
+}
+
+#[test]
+fn free_variable() {
+    // min x, x free, x >= -7 via row
+    let mut p = Problem::new(Objective::Minimize);
+    let x = p.add_col(f64::NEG_INFINITY, f64::INFINITY, 1.0);
+    p.add_row(-7.0, f64::INFINITY, &[(x, 1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, -7.0);
+    assert_near(s.x[0], -7.0);
+}
+
+#[test]
+fn negative_bounds() {
+    // min 2a + b with a in [-3,-1], b in [-5, 0], a + b >= -4
+    let mut p = Problem::new(Objective::Minimize);
+    let a = p.add_col(-3.0, -1.0, 2.0);
+    let b = p.add_col(-5.0, 0.0, 1.0);
+    p.add_row(-4.0, f64::INFINITY, &[(a, 1.0), (b, 1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    // a = -3 gives cost -6, then b >= -1 => b = -1, total -7.
+    assert_near(s.objective, -7.0);
+    assert_near(s.x[0], -3.0);
+    assert_near(s.x[1], -1.0);
+}
+
+#[test]
+fn degenerate_problem_terminates() {
+    // Highly degenerate: many redundant rows through the same vertex.
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, f64::INFINITY, 1.0);
+    let y = p.add_col(0.0, f64::INFINITY, 1.0);
+    for k in 1..=8 {
+        p.add_row(f64::NEG_INFINITY, k as f64, &[(x, k as f64), (y, k as f64)]);
+    }
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 1.0);
+}
+
+#[test]
+fn objective_offset_respected() {
+    let mut p = Problem::new(Objective::Minimize);
+    let x = p.add_col(1.0, 5.0, 2.0);
+    let _ = x;
+    p.add_objective_offset(100.0);
+    let s = solve(&p).unwrap();
+    assert_near(s.objective, 102.0);
+}
+
+#[test]
+fn fixed_variables() {
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(3.0, 3.0, 1.0);
+    let y = p.add_col(0.0, 10.0, 1.0);
+    p.add_row(f64::NEG_INFINITY, 5.0, &[(x, 1.0), (y, 1.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.x[0], 3.0);
+    assert_near(s.x[1], 2.0);
+}
+
+#[test]
+fn empty_problem() {
+    let p = Problem::new(Objective::Minimize);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 0.0);
+}
+
+#[test]
+fn transportation_problem() {
+    // 2 supplies (10, 20), 3 demands (5, 10, 15), unit costs.
+    let costs = [[2.0, 4.0, 5.0], [3.0, 1.0, 7.0]];
+    let supply = [10.0, 20.0];
+    let demand = [5.0, 10.0, 15.0];
+    let mut p = Problem::new(Objective::Minimize);
+    let mut xs = [[None; 3]; 2];
+    for i in 0..2 {
+        for j in 0..3 {
+            xs[i][j] = Some(p.add_col(0.0, f64::INFINITY, costs[i][j]));
+        }
+    }
+    for i in 0..2 {
+        let coeffs: Vec<_> = (0..3).map(|j| (xs[i][j].unwrap(), 1.0)).collect();
+        p.add_row(f64::NEG_INFINITY, supply[i], &coeffs);
+    }
+    for j in 0..3 {
+        let coeffs: Vec<_> = (0..2).map(|i| (xs[i][j].unwrap(), 1.0)).collect();
+        p.add_row(demand[j], demand[j], &coeffs);
+    }
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    // Optimal: x02=10 (50), x10=5 (15), x11=10 (10), x12=5 (35) => 110.
+    assert_near(s.objective, 110.0);
+}
+
+#[test]
+fn cloned_sessions_answer_identically_and_independently() {
+    // A template session solved once; clones re-solve tightened
+    // variants. Every clone starts from the same basis, so the same
+    // tightening must produce bit-identical objectives and stats no
+    // matter how many clones ran before it — the property the RET
+    // speculative probe pool is built on.
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, 4.0, 1.0);
+    let y = p.add_col(0.0, 10.0, 2.0);
+    p.add_row(f64::NEG_INFINITY, 12.0, &[(x, 1.0), (y, 2.0)]);
+    let mut template = SolverSession::new(&p).unwrap();
+    let base = template.solve().unwrap();
+    assert_eq!(base.status, Status::Optimal);
+
+    let probe = |ub: f64| {
+        let mut s = template.clone();
+        s.set_col_bounds(y, 0.0, ub);
+        let sol = s.solve().unwrap();
+        (sol.objective.to_bits(), sol.stats)
+    };
+    let (obj_a, stats_a) = probe(3.0);
+    let (obj_b, _) = probe(1.0);
+    let (obj_a2, stats_a2) = probe(3.0); // same probe after another ran
+    assert_eq!(obj_a, obj_a2, "clone answers must not depend on order");
+    assert_eq!(stats_a, stats_a2);
+    assert_ne!(obj_a, obj_b);
+    // The template itself was never advanced by its clones.
+    let again = template.solve().unwrap();
+    assert_eq!(again.objective.to_bits(), base.objective.to_bits());
+}
+
+#[test]
+fn add_columns_matches_monolithic() {
+    // Restricted master: max 3x s.t. x <= 4, x + 3y <= 6. Solve, then
+    // append y (cost 2) and re-solve; must match the monolithic build.
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, f64::INFINITY, 3.0);
+    let r0 = p.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0)]);
+    let r1 = p.add_row(f64::NEG_INFINITY, 6.0, &[(x, 1.0)]);
+    let mut sess = SolverSession::new(&p).unwrap();
+    let s1 = sess.solve().unwrap();
+    assert_eq!(s1.status, Status::Optimal);
+    assert_near(s1.objective, 12.0);
+
+    let cols = sess.add_columns(&[NewColumn {
+        lower: 0.0,
+        upper: f64::INFINITY,
+        cost: 2.0,
+        entries: vec![(r1, 3.0), (r0, 0.0)],
+    }]);
+    assert_eq!(cols.len(), 1);
+    assert_eq!(sess.num_cols(), 2);
+    let s2 = sess.solve().unwrap();
+    assert_eq!(s2.status, Status::Optimal);
+    // Monolithic optimum of max 3x + 2y, x <= 4, x + 3y <= 6:
+    // x = 4, y = 2/3 => 12 + 4/3.
+    assert_near(s2.objective, 12.0 + 4.0 / 3.0);
+    assert_near(s2.x[1], 2.0 / 3.0);
+    // The second solve went through the warm path (the appended column
+    // entered nonbasic at its lower bound).
+    assert_eq!(s2.stats.warm_starts_accepted, 1);
+    assert_eq!(s2.stats.warm_start_fallbacks, 0);
+}
+
+#[test]
+fn add_rows_matches_monolithic() {
+    // max x + y, x,y in [0,10], x + y <= 12; then append x - y <= 2.
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, 10.0, 2.0);
+    let y = p.add_col(0.0, 10.0, 1.0);
+    p.add_row(f64::NEG_INFINITY, 12.0, &[(x, 1.0), (y, 1.0)]);
+    let mut sess = SolverSession::new(&p).unwrap();
+    let s1 = sess.solve().unwrap();
+    assert_near(s1.objective, 2.0 * 10.0 + 2.0);
+
+    let rows = sess.add_rows(&[NewRow {
+        lower: f64::NEG_INFINITY,
+        upper: 2.0,
+        entries: vec![(x, 1.0), (y, -1.0)],
+    }]);
+    assert_eq!(rows.len(), 1);
+    assert_eq!(sess.num_rows(), 2);
+    let s2 = sess.solve().unwrap();
+    assert_eq!(s2.status, Status::Optimal);
+    // Monolithic: x - y <= 2 and x + y <= 12 => x = 7, y = 5 => 19.
+    assert_near(s2.objective, 19.0);
+    let mut q = Problem::new(Objective::Maximize);
+    let qx = q.add_col(0.0, 10.0, 2.0);
+    let qy = q.add_col(0.0, 10.0, 1.0);
+    q.add_row(f64::NEG_INFINITY, 12.0, &[(qx, 1.0), (qy, 1.0)]);
+    q.add_row(f64::NEG_INFINITY, 2.0, &[(qx, 1.0), (qy, -1.0)]);
+    let mono = solve(&q).unwrap();
+    assert_eq!(mono.objective.to_bits(), s2.objective.to_bits());
+}
+
+#[test]
+fn colgen_loop_reaches_full_optimum() {
+    // A tiny delayed-column-generation loop: three "paths" of costs
+    // 5, 4, 3 share one capacity row of 6; start with only the worst
+    // one and add the rest one batch at a time, re-solving warm.
+    let mut p = Problem::new(Objective::Maximize);
+    let _x0 = p.add_col(0.0, f64::INFINITY, 3.0);
+    let cap = p.add_row(f64::NEG_INFINITY, 6.0, &[(Col::from_index(0), 1.0)]);
+    let mut sess = SolverSession::new(&p).unwrap();
+    let mut sol = sess.solve().unwrap();
+    assert_near(sol.objective, 18.0);
+    for cost in [4.0, 5.0] {
+        sess.add_columns(&[NewColumn {
+            lower: 0.0,
+            upper: f64::INFINITY,
+            cost,
+            entries: vec![(cap, 1.0)],
+        }]);
+        sol = sess.solve().unwrap();
+        assert_eq!(sol.status, Status::Optimal);
+    }
+    assert_near(sol.objective, 30.0); // all 6 units on the cost-5 column
+    assert_eq!(sess.stats().warm_starts_accepted, 2);
+    assert_eq!(sess.stats().warm_start_fallbacks, 0);
+}
+
+#[test]
+fn add_columns_then_stale_external_basis_falls_back_cold() {
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, 4.0, 1.0);
+    let r = p.add_row(f64::NEG_INFINITY, 3.0, &[(x, 1.0)]);
+    let mut sess = SolverSession::new(&p).unwrap();
+    let s1 = sess.solve().unwrap();
+    let stale = s1.basis.clone().unwrap();
+    sess.add_columns(&[NewColumn {
+        lower: 0.0,
+        upper: 4.0,
+        cost: 2.0,
+        entries: vec![(r, 1.0)],
+    }]);
+    // Supplying the pre-append basis (wrong shape) must fall back to a
+    // cold solve with the answer unchanged — the PR-1 invariant.
+    sess.warm_start_from(stale);
+    let s2 = sess.solve().unwrap();
+    assert_eq!(s2.status, Status::Optimal);
+    assert_near(s2.objective, 6.0);
+    assert_eq!(s2.stats.warm_start_fallbacks, 1);
+    assert_eq!(s2.stats.warm_starts_accepted, 0);
+}
+
+#[test]
+fn add_rows_then_columns_interleaved() {
+    // Grow both dimensions between solves and check against the
+    // monolithic build, including duals for the appended row.
+    let mut p = Problem::new(Objective::Minimize);
+    let x = p.add_col(0.0, f64::INFINITY, 2.0);
+    p.add_row(3.0, f64::INFINITY, &[(x, 1.0)]);
+    let mut sess = SolverSession::new(&p).unwrap();
+    let s1 = sess.solve().unwrap();
+    assert_near(s1.objective, 6.0);
+    // New row only over x, then a cheaper column covering both rows.
+    let r2 = sess.add_rows(&[NewRow {
+        lower: 5.0,
+        upper: f64::INFINITY,
+        entries: vec![(x, 1.0)],
+    }]);
+    let s2 = sess.solve().unwrap();
+    assert_near(s2.objective, 10.0);
+    sess.add_columns(&[NewColumn {
+        lower: 0.0,
+        upper: f64::INFINITY,
+        cost: 1.0,
+        entries: vec![(Row::from_index(0), 1.0), (r2[0], 1.0)],
+    }]);
+    let s3 = sess.solve().unwrap();
+    assert_eq!(s3.status, Status::Optimal);
+    assert_near(s3.objective, 5.0); // all demand met by the new column
+    let mut q = Problem::new(Objective::Minimize);
+    let qx = q.add_col(0.0, f64::INFINITY, 2.0);
+    let qy = q.add_col(0.0, f64::INFINITY, 1.0);
+    q.add_row(3.0, f64::INFINITY, &[(qx, 1.0), (qy, 1.0)]);
+    q.add_row(5.0, f64::INFINITY, &[(qx, 1.0), (qy, 1.0)]);
+    let mono = solve(&q).unwrap();
+    assert_near(s3.objective, mono.objective);
+}
+
+#[test]
+fn add_columns_on_unsolved_session() {
+    // Appending before any solve must behave like building monolithic.
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, 2.0, 1.0);
+    let r = p.add_row(f64::NEG_INFINITY, 5.0, &[(x, 1.0)]);
+    let mut sess = SolverSession::new(&p).unwrap();
+    sess.add_columns(&[NewColumn {
+        lower: 0.0,
+        upper: 2.0,
+        cost: 3.0,
+        entries: vec![(r, 1.0)],
+    }]);
+    let s = sess.solve().unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 2.0 * 3.0 + 2.0 * 1.0); // both at their bounds
+}
+
+#[test]
+fn duals_satisfy_weak_pricing() {
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, f64::INFINITY, 3.0);
+    let y = p.add_col(0.0, f64::INFINITY, 5.0);
+    p.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0)]);
+    p.add_row(f64::NEG_INFINITY, 12.0, &[(y, 2.0)]);
+    p.add_row(f64::NEG_INFINITY, 18.0, &[(x, 3.0), (y, 2.0)]);
+    let s = solve(&p).unwrap();
+    assert_eq!(s.status, Status::Optimal);
+    assert_near(s.objective, 36.0);
+    // Strong duality: b'y == objective for this classic example.
+    let dual_obj = 4.0 * s.duals[0] + 12.0 * s.duals[1] + 18.0 * s.duals[2];
+    assert_near(dual_obj, 36.0);
+}
+
+#[test]
+fn pivot_scratch_fits_after_growth() {
+    // The four per-pivot scratch lists are sized to the structure; a
+    // master that grows (here: nnz more than doubles) must re-fit all of
+    // them, or the next pivot allocates inside the hot loops.
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, 1.0, 1.0);
+    let rows: Vec<Row> = (0..4)
+        .map(|_| p.add_row(f64::NEG_INFINITY, 9.0, &[(x, 1.0)]))
+        .collect();
+    let mut e = engine::Engine::new(standardize(&p).unwrap(), SimplexConfig::default());
+    let nnz0 = e.std.a.nnz();
+    let cols = vec![
+        NewColumn {
+            lower: 0.0,
+            upper: 1.0,
+            cost: 1.0,
+            entries: rows.iter().map(|&r| (r, 1.0)).collect(),
+        };
+        4
+    ];
+    e.append_columns(&cols);
+    let (nnz, ncols) = (e.std.a.nnz(), e.std.ncols());
+    assert!(nnz >= 2 * nnz0);
+    assert!(e.touched.capacity() >= nnz);
+    assert!(e.row_alpha.capacity() >= nnz);
+    assert!(e.dual_order.capacity() >= nnz);
+    assert!(e.cand_scores.capacity() >= ncols);
+}

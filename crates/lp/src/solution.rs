@@ -57,139 +57,139 @@ pub struct Basis {
     pub rows: Vec<BasisStatus>,
 }
 
-/// Counters describing the work a solve performed.
-///
-/// Also used in aggregated form (e.g. by
-/// [`SolverSession::stats`](crate::SolverSession::stats) or the scheduling
-/// layers above), where the counters sum over `solves` individual solves.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SolveStats {
+/// The one table of solve counters: `field => obs counter name (or None)`,
+/// each with its doc. Generates [`SolveStats`], [`SolveStats::merge`] and
+/// the `(name, value)` list the solver publishes to `wavesched-obs`, so a
+/// counter is added, renamed or dropped in exactly one place. Fields
+/// without an obs name feed per-solve histograms instead (see
+/// `revised::publish_stats`).
+macro_rules! solve_counters {
+    ($($(#[$doc:meta])* $field:ident => $obs:expr,)*) => {
+        /// Counters describing the work a solve performed.
+        ///
+        /// Also used in aggregated form (e.g. by
+        /// [`SolverSession::stats`](crate::SolverSession::stats) or the scheduling
+        /// layers above), where the counters sum over `solves` individual solves.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct SolveStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl SolveStats {
+            /// Accumulates `other` into `self`, field by field.
+            pub fn merge(&mut self, other: &SolveStats) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// `(obs counter name, value)` for every published field.
+            pub(crate) fn published(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                let table: [(Option<&'static str>, u64); COUNTERS] = [$(($obs, self.$field),)*];
+                table.into_iter().filter_map(|(name, v)| Some((name?, v)))
+            }
+
+            /// Every field by name, in table order.
+            #[cfg(test)]
+            fn fields_mut(&mut self) -> [(&'static str, &mut u64); COUNTERS] {
+                [$((stringify!($field), &mut self.$field),)*]
+            }
+        }
+
+        const COUNTERS: usize = [$(stringify!($field),)*].len();
+    };
+}
+
+solve_counters! {
     /// Total simplex iterations (phase 1 + phase 2).
-    pub iterations: u64,
+    iterations => Some("lp.iterations"),
     /// Iterations spent in phase 1 (attaining feasibility).
-    pub phase1_iterations: u64,
+    phase1_iterations => Some("lp.phase1_iterations"),
     /// Number of basis refactorizations performed (sum of the per-reason
     /// counters below).
-    pub refactorizations: u64,
+    refactorizations => Some("lp.refactorizations"),
     /// Refactorizations forced by the eta file reaching the fixed
     /// `refactor_interval` cap.
-    pub refactor_interval: u64,
+    refactor_interval => Some("lp.refactor_interval"),
     /// Refactorizations triggered by the cost model (eta-apply work
     /// outgrew the amortized factor cost) before the interval cap hit.
-    pub refactor_cost_model: u64,
-    /// Refactorizations that are part of the algorithm itself: solve-entry
-    /// factors on the cold/warm/dual install paths, claimed-optimal
-    /// verification, and zero-pivot retries. A reused factorization avoids
-    /// the entry share of these.
-    pub refactor_forced_fallback: u64,
+    refactor_cost_model => Some("lp.refactor_cost_model"),
+    /// Refactorizations that are part of the algorithm itself: the entry
+    /// factor of a cold start or of a basis installed from a snapshot,
+    /// claimed-optimal verification, and zero-pivot retries. An entry on
+    /// carried factors avoids the entry share of these.
+    refactor_forced_fallback => Some("lp.refactor_forced_fallback"),
     /// Basis repairs performed because a factorization attempt hit a
     /// numerically singular basis (counts repairs, not whole
     /// refactorizations; the repaired factor lands in one of the reason
     /// counters above).
-    pub refactor_forced_singular: u64,
+    refactor_forced_singular => Some("lp.refactor_forced_singular"),
     /// Solve entries that reused the previous solve's factorization (and
     /// live basis state) instead of refactorizing.
-    pub lu_reuse_hits: u64,
+    lu_reuse_hits => Some("lp.lu_reuse_hits"),
     /// Reuse attempts rejected — by the residual spot-check or by a failed
     /// warm continuation — and restarted through the install ladder.
-    pub refactor_reuse_rejected: u64,
-    /// Product-form factorization updates applied on structural edits
-    /// (one per bordering eta appended by `add_rows`).
-    pub lu_updates: u64,
+    refactor_reuse_rejected => Some("lp.refactor_reuse_rejected"),
     /// Number of degenerate pivots (zero step length).
-    pub degenerate_pivots: u64,
+    degenerate_pivots => Some("lp.degenerate_pivots"),
     /// Number of Devex reference-framework resets forced by weight blowup.
-    pub devex_resets: u64,
+    devex_resets => Some("lp.devex_resets"),
     /// Number of bound flips (nonbasic variable moved between its bounds
     /// without a basis change).
-    pub bound_flips: u64,
+    bound_flips => Some("lp.bound_flips"),
     /// Number of LP solves aggregated into these counters (1 for the stats
     /// of a single [`Solution`]).
-    pub solves: u64,
+    solves => Some("lp.solves"),
     /// Solves that started from a supplied basis and kept it.
-    pub warm_starts_accepted: u64,
+    warm_starts_accepted => Some("lp.warm_starts_accepted"),
     /// Solves that were offered a basis but fell back to a cold start
     /// (shape mismatch or numerical failure during installation).
-    pub warm_start_fallbacks: u64,
+    warm_start_fallbacks => Some("lp.warm_start_fallbacks"),
     /// FTRAN kernel runs (one per simplex iteration that reached the ratio
     /// test).
-    pub ftran_ops: u64,
+    ftran_ops => None,
     /// Summed nonzero count of FTRAN results; the full dimension is charged
     /// when a run fell back to dense. `ftran_nnz / ftran_ops` is the mean
     /// pivot-column density.
-    pub ftran_nnz: u64,
+    ftran_nnz => None,
     /// FTRAN runs that abandoned sparse pattern tracking because the
     /// symbolic reach crossed the density threshold.
-    pub ftran_dense_fallbacks: u64,
-    /// Pivotal-row BTRAN kernel runs (one per basis-changing pivot).
-    pub btran_ops: u64,
+    ftran_dense_fallbacks => Some("lp.ftran_dense_fallbacks"),
+    /// Pivotal-row BTRAN kernel runs: one per basis-changing pivot, primal
+    /// or dual (`iterations - bound_flips`).
+    btran_ops => None,
     /// Summed nonzero count of pivotal-row BTRAN results (the density of
     /// ρ = B⁻ᵀ e_r).
-    pub btran_nnz: u64,
+    btran_nnz => None,
     /// Pivotal-row BTRAN runs that abandoned sparse pattern tracking.
-    pub btran_dense_fallbacks: u64,
-    /// Summed count of nonbasic columns touched by pivotal-row pricing
-    /// updates (the support of α_r = ρᵀA net of basic/fixed columns).
-    pub pivot_row_nnz: u64,
+    btran_dense_fallbacks => Some("lp.btran_dense_fallbacks"),
+    /// Summed count of nonbasic columns touched by the pivotal-row pass
+    /// (the support of α_r = ρᵀA net of basic/fixed columns).
+    pivot_row_nnz => None,
     /// Dual simplex pivots (bound/RHS re-solves from a still-dual-feasible
     /// basis). Also included in `iterations`.
-    pub dual_iterations: u64,
+    dual_iterations => Some("lp.dual_iterations"),
     /// Nonbasic boxed variables flipped between their bounds by the dual
     /// ratio test (no basis change). Primal flips are in `bound_flips`.
-    pub dual_bound_flips: u64,
+    dual_bound_flips => Some("lp.dual_bound_flips"),
     /// Nonbasic columns whose reduced cost a primal pricing scan examined
     /// (full scans charge every nonbasic column; candidate-list scans only
     /// the sublist).
-    pub pricing_candidates_scanned: u64,
+    pricing_candidates_scanned => Some("lp.pricing_candidates_scanned"),
     /// Full refreshes of the partial-pricing candidate list (each one is a
     /// complete eligibility scan).
-    pub partial_refreshes: u64,
+    partial_refreshes => Some("lp.partial_refreshes"),
     /// Runtime-sanitizer sweeps performed (`WS_SANITIZE`; each sweep
     /// re-verifies the basic solution against the standardized system,
     /// Devex weight positivity, and eta-file/basis agreement).
-    pub sanitizer_checks: u64,
+    sanitizer_checks => Some("lp.sanitizer_checks"),
     /// Individual sanitizer check failures observed across those sweeps
     /// (0 on a numerically healthy solve).
-    pub sanitizer_violations: u64,
+    sanitizer_violations => Some("lp.sanitizer_violations"),
 }
 
 impl SolveStats {
     /// Iterations spent in phase 2 (optimizing after feasibility).
     pub fn phase2_iterations(&self) -> u64 {
         self.iterations - self.phase1_iterations
-    }
-
-    /// Accumulates `other` into `self`, field by field.
-    pub fn merge(&mut self, other: &SolveStats) {
-        self.iterations += other.iterations;
-        self.phase1_iterations += other.phase1_iterations;
-        self.refactorizations += other.refactorizations;
-        self.refactor_interval += other.refactor_interval;
-        self.refactor_cost_model += other.refactor_cost_model;
-        self.refactor_forced_fallback += other.refactor_forced_fallback;
-        self.refactor_forced_singular += other.refactor_forced_singular;
-        self.lu_reuse_hits += other.lu_reuse_hits;
-        self.refactor_reuse_rejected += other.refactor_reuse_rejected;
-        self.lu_updates += other.lu_updates;
-        self.degenerate_pivots += other.degenerate_pivots;
-        self.devex_resets += other.devex_resets;
-        self.bound_flips += other.bound_flips;
-        self.solves += other.solves;
-        self.warm_starts_accepted += other.warm_starts_accepted;
-        self.warm_start_fallbacks += other.warm_start_fallbacks;
-        self.ftran_ops += other.ftran_ops;
-        self.ftran_nnz += other.ftran_nnz;
-        self.ftran_dense_fallbacks += other.ftran_dense_fallbacks;
-        self.btran_ops += other.btran_ops;
-        self.btran_nnz += other.btran_nnz;
-        self.btran_dense_fallbacks += other.btran_dense_fallbacks;
-        self.pivot_row_nnz += other.pivot_row_nnz;
-        self.dual_iterations += other.dual_iterations;
-        self.dual_bound_flips += other.dual_bound_flips;
-        self.pricing_candidates_scanned += other.pricing_candidates_scanned;
-        self.partial_refreshes += other.partial_refreshes;
-        self.sanitizer_checks += other.sanitizer_checks;
-        self.sanitizer_violations += other.sanitizer_violations;
     }
 }
 
@@ -260,97 +260,21 @@ mod tests {
 
     #[test]
     fn stats_merge_sums_fields() {
-        let mut a = SolveStats {
-            iterations: 10,
-            phase1_iterations: 4,
-            refactorizations: 2,
-            refactor_interval: 1,
-            refactor_cost_model: 0,
-            refactor_forced_fallback: 1,
-            refactor_forced_singular: 0,
-            lu_reuse_hits: 1,
-            refactor_reuse_rejected: 0,
-            lu_updates: 2,
-            degenerate_pivots: 1,
-            devex_resets: 1,
-            bound_flips: 3,
-            solves: 1,
-            warm_starts_accepted: 1,
-            warm_start_fallbacks: 0,
-            ftran_ops: 10,
-            ftran_nnz: 55,
-            ftran_dense_fallbacks: 1,
-            btran_ops: 7,
-            btran_nnz: 21,
-            btran_dense_fallbacks: 2,
-            pivot_row_nnz: 70,
-            dual_iterations: 4,
-            dual_bound_flips: 2,
-            pricing_candidates_scanned: 120,
-            partial_refreshes: 3,
-            sanitizer_checks: 2,
-            sanitizer_violations: 0,
-        };
-        let b = SolveStats {
-            iterations: 5,
-            phase1_iterations: 0,
-            refactorizations: 1,
-            refactor_interval: 0,
-            refactor_cost_model: 1,
-            refactor_forced_fallback: 0,
-            refactor_forced_singular: 1,
-            lu_reuse_hits: 0,
-            refactor_reuse_rejected: 1,
-            lu_updates: 1,
-            degenerate_pivots: 0,
-            devex_resets: 2,
-            bound_flips: 0,
-            solves: 1,
-            warm_starts_accepted: 0,
-            warm_start_fallbacks: 1,
-            ftran_ops: 5,
-            ftran_nnz: 12,
-            ftran_dense_fallbacks: 0,
-            btran_ops: 5,
-            btran_nnz: 9,
-            btran_dense_fallbacks: 0,
-            pivot_row_nnz: 30,
-            dual_iterations: 1,
-            dual_bound_flips: 0,
-            pricing_candidates_scanned: 40,
-            partial_refreshes: 1,
-            sanitizer_checks: 1,
-            sanitizer_violations: 1,
-        };
+        // Distinct values per field, so a swapped or skipped field shows.
+        let (mut a, mut b) = (SolveStats::default(), SolveStats::default());
+        for (k, (_, v)) in a.fields_mut().into_iter().enumerate() {
+            *v = 10 + k as u64;
+        }
+        for (k, (_, v)) in b.fields_mut().into_iter().enumerate() {
+            *v = 1000 * (k as u64 + 1);
+        }
         a.merge(&b);
-        assert_eq!(a.iterations, 15);
-        assert_eq!(a.refactorizations, 3);
-        assert_eq!(a.refactor_interval, 1);
-        assert_eq!(a.refactor_cost_model, 1);
-        assert_eq!(a.refactor_forced_fallback, 1);
-        assert_eq!(a.refactor_forced_singular, 1);
-        assert_eq!(a.lu_reuse_hits, 1);
-        assert_eq!(a.refactor_reuse_rejected, 1);
-        assert_eq!(a.lu_updates, 3);
-        assert_eq!(a.devex_resets, 3);
-        assert_eq!(a.phase1_iterations, 4);
+        for (k, (name, v)) in a.fields_mut().into_iter().enumerate() {
+            assert_eq!(*v, 10 + k as u64 + 1000 * (k as u64 + 1), "{name}");
+        }
+        a.iterations = 15;
+        a.phase1_iterations = 4;
         assert_eq!(a.phase2_iterations(), 11);
-        assert_eq!(a.solves, 2);
-        assert_eq!(a.warm_starts_accepted, 1);
-        assert_eq!(a.warm_start_fallbacks, 1);
-        assert_eq!(a.ftran_ops, 15);
-        assert_eq!(a.ftran_nnz, 67);
-        assert_eq!(a.ftran_dense_fallbacks, 1);
-        assert_eq!(a.btran_ops, 12);
-        assert_eq!(a.btran_nnz, 30);
-        assert_eq!(a.btran_dense_fallbacks, 2);
-        assert_eq!(a.pivot_row_nnz, 100);
-        assert_eq!(a.dual_iterations, 5);
-        assert_eq!(a.dual_bound_flips, 2);
-        assert_eq!(a.pricing_candidates_scanned, 160);
-        assert_eq!(a.partial_refreshes, 4);
-        assert_eq!(a.sanitizer_checks, 3);
-        assert_eq!(a.sanitizer_violations, 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::model::{Objective, Problem};
 use crate::sparse::CscMatrix;
-use crate::{is_inf, SolveError};
+use crate::{is_inf, BasisStatus, SolveError};
 
 /// Classification of a standardized column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,29 +73,27 @@ impl StdForm {
         self.nstruct + 2 * self.nrows
     }
 
-    /// The initial nonbasic resting value for column `j`: the finite bound
-    /// nearest zero, or 0 for free columns.
-    pub fn resting_value(&self, j: usize) -> f64 {
+    /// The nonbasic resting rule, the only one in the crate: where column
+    /// `j` rests under its *current* bounds and at what value — the finite
+    /// bound nearest zero (the lower one on a tie, which also covers a
+    /// fixed column), or free at zero. Never [`BasisStatus::Basic`].
+    pub fn resting(&self, j: usize) -> (BasisStatus, f64) {
         let (l, u) = (self.lower[j], self.upper[j]);
-        if l.is_finite() && u.is_finite() {
-            // Prefer the bound of smaller magnitude to keep the start point
-            // well-scaled.
-            if l.abs() <= u.abs() {
-                l
-            } else {
-                u
-            }
-        } else if l.is_finite() {
-            l
+        // Prefer the bound of smaller magnitude to keep the start point
+        // well-scaled.
+        if l.is_finite() && (u.is_infinite() || l.abs() <= u.abs()) {
+            (BasisStatus::AtLower, l)
         } else if u.is_finite() {
-            u
+            (BasisStatus::AtUpper, u)
         } else {
-            0.0
+            (BasisStatus::Free, 0.0)
         }
     }
 }
 
-fn norm_lower(v: f64) -> f64 {
+/// Maps a lower bound of infinite magnitude (see [`is_inf`]) to exactly
+/// `f64::NEG_INFINITY`.
+pub(crate) fn norm_lower(v: f64) -> f64 {
     if is_inf(v) && v < 0.0 {
         f64::NEG_INFINITY
     } else {
@@ -103,7 +101,8 @@ fn norm_lower(v: f64) -> f64 {
     }
 }
 
-fn norm_upper(v: f64) -> f64 {
+/// Maps an upper bound of infinite magnitude to exactly `f64::INFINITY`.
+pub(crate) fn norm_upper(v: f64) -> f64 {
     if is_inf(v) && v > 0.0 {
         f64::INFINITY
     } else {
@@ -248,10 +247,10 @@ mod tests {
         p.add_col(f64::NEG_INFINITY, 7.0, 0.0);
         p.add_col(f64::NEG_INFINITY, f64::INFINITY, 0.0);
         let s = standardize(&p).unwrap();
-        assert_eq!(s.resting_value(0), 2.0);
-        assert_eq!(s.resting_value(1), -3.0);
-        assert_eq!(s.resting_value(2), 7.0);
-        assert_eq!(s.resting_value(3), 0.0);
+        assert_eq!(s.resting(0), (BasisStatus::AtLower, 2.0));
+        assert_eq!(s.resting(1), (BasisStatus::AtUpper, -3.0));
+        assert_eq!(s.resting(2), (BasisStatus::AtUpper, 7.0));
+        assert_eq!(s.resting(3), (BasisStatus::Free, 0.0));
     }
 
     #[test]

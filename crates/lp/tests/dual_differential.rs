@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wavesched_lp::{
     solve, solve_with, solve_with_start, Basis, BasisStatus, Col, NewColumn, Objective, Problem,
-    RefactorPolicy, Row, SimplexConfig, SolverSession, Status,
+    Row, SimplexConfig, SolverSession, Status,
 };
 
 /// Random LP from integer-ish data (mirrors `tests/differential.rs`), so
@@ -306,6 +306,17 @@ fn infeasible_with_corrupted_basis_still_proven() {
     }
 }
 
+/// The parking rule `add_columns` applies to the carried basis.
+fn parked(nc: &NewColumn) -> BasisStatus {
+    if nc.lower.is_finite() && (nc.upper.is_infinite() || nc.lower.abs() <= nc.upper.abs()) {
+        BasisStatus::AtLower
+    } else if nc.upper.is_finite() {
+        BasisStatus::AtUpper
+    } else {
+        BasisStatus::Free
+    }
+}
+
 /// The pivot-for-pivot regression for `SolverSession::add_columns`: the
 /// spliced session must behave exactly like a fresh session on the merged
 /// problem that was handed the identically extended warm basis. Any stale
@@ -320,17 +331,7 @@ fn add_columns_matches_fresh_session_on_merged_problem() {
         if nrows == 0 {
             continue;
         }
-        // Pin the refactorization policy to `Always` on both sides: the
-        // point of this test is the *pivot-for-pivot* stats equality below,
-        // and under the persistence policies the spliced session reuses its
-        // own factorization while the fresh session (foreign basis) cannot,
-        // legitimately splitting the refactorization counters. Answer-level
-        // reuse coverage lives in `tests/lu_persistence.rs`.
-        let cfg = SimplexConfig {
-            refactor_policy: RefactorPolicy::Always,
-            ..SimplexConfig::default()
-        };
-        let mut sess = SolverSession::with_config(&base, &cfg).unwrap();
+        let mut sess = SolverSession::new(&base).unwrap();
         let first = sess.solve().unwrap();
         if first.status != Status::Optimal {
             continue;
@@ -358,33 +359,25 @@ fn add_columns_matches_fresh_session_on_merged_problem() {
         }
 
         sess.add_columns(&news);
+        // The point of this test is the *pivot-for-pivot* stats equality
+        // below, so both sides enter on the same rung: handing the spliced
+        // session its own extended basis back switches its carried factors
+        // off, as the fresh session (foreign basis) has none. Answer-level
+        // coverage of the carried rung lives in `tests/lu_persistence.rs`.
+        let mut ext = basis.clone();
+        ext.cols.extend(news.iter().map(parked));
+        sess.warm_start_from(ext.clone());
         let spliced = sess.solve().unwrap();
 
         // Merged problem built from scratch in the same column order.
         let mut merged = base.clone();
-        let mut ext = basis.clone();
         for nc in &news {
             let c = merged.add_col(nc.lower, nc.upper, nc.cost);
             for &(r, v) in &nc.entries {
                 merged.set_coeff(r, c, v);
             }
-            // Same parking rule add_columns applies to the carried basis.
-            ext.cols
-                .push(if nc.lower.is_finite() && nc.upper.is_finite() {
-                    if nc.lower.abs() <= nc.upper.abs() {
-                        BasisStatus::AtLower
-                    } else {
-                        BasisStatus::AtUpper
-                    }
-                } else if nc.lower.is_finite() {
-                    BasisStatus::AtLower
-                } else if nc.upper.is_finite() {
-                    BasisStatus::AtUpper
-                } else {
-                    BasisStatus::Free
-                });
         }
-        let mut fresh = SolverSession::with_config(&merged, &cfg).unwrap();
+        let mut fresh = SolverSession::new(&merged).unwrap();
         fresh.warm_start_from(ext);
         let reference = fresh.solve().unwrap();
 

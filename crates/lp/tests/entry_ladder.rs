@@ -1,0 +1,280 @@
+//! The solve-entry ladder, rung by rung.
+//!
+//! Every solve enters through one routine tried in a fixed rung order:
+//! carried factors → own-basis dual → basis primal → cold. Each test below
+//! scripts one session onto one rung and pins status, `x`, objective and
+//! the whole [`SolveStats`] to the values the pre-refactor engine (three
+//! separate entry routines, commit 190e221) produced for the same script,
+//! with one stated difference: a dual pivot now runs a single pivotal-row
+//! pass, so `btran_ops`, `btran_nnz`, `btran_dense_fallbacks` and
+//! `pivot_row_nnz` no longer include the second pass the old update
+//! repeated. Hence the identity asserted on every solve in this file:
+//! `btran_ops == iterations − bound_flips`.
+
+use wavesched_lp::{
+    solve_with, solve_with_start, Basis, Col, Objective, Problem, Row, SimplexConfig, Solution,
+    SolveError, SolverSession, Status,
+};
+
+const NINF: f64 = f64::NEG_INFINITY;
+const INF: f64 = f64::INFINITY;
+
+/// 18 boxed columns under 12 packing rows (every fifth a range row), all
+/// data small integers from closed forms so the script is reproducible
+/// without a generator.
+fn base() -> (Problem, Vec<Col>, Vec<Row>) {
+    let mut p = Problem::new(Objective::Maximize);
+    let x: Vec<Col> = (0..18)
+        .map(|j| p.add_col(0.0, (3 + j * 7 % 5) as f64, (1 + j * 5 % 7) as f64))
+        .collect();
+    let mut r = Vec::new();
+    for i in 0..12usize {
+        let row: Vec<(Col, f64)> = (0..18)
+            .filter(|j| (j + 2 * i) % 4 == 0 || (j * i) % 7 == 3)
+            .map(|j| (x[j], 1.0 + ((i + j) % 3) as f64))
+            .collect();
+        let cap = (6 + i * 3 % 5) as f64;
+        r.push(if i % 5 == 4 {
+            p.add_row(2.0, cap + 6.0, &row)
+        } else {
+            p.add_row(NINF, cap, &row)
+        });
+    }
+    (p, x, r)
+}
+
+/// The base problem with a few bounds and a cost moved: same shape, so
+/// the base optimum's basis is a usable foreign start.
+fn relative() -> Problem {
+    let (mut q, x, r) = base();
+    q.set_col_bounds(x[7], 0.0, 2.0);
+    q.set_cost(x[0], 7.0);
+    q.set_row_bounds(r[2], NINF, 3.0);
+    q
+}
+
+/// A session parked on the base optimum (carried factors live), plus that
+/// optimum's basis.
+fn solved() -> (SolverSession, Basis, Vec<Col>, Vec<Row>) {
+    let (p, x, r) = base();
+    let mut s = SolverSession::new(&p).unwrap();
+    let first = s.solve().unwrap();
+    assert_eq!(first.status, Status::Optimal);
+    (s, first.basis.unwrap(), x, r)
+}
+
+/// The same session after an infeasible edit and its cold proof: the last
+/// optimal basis is still the session's own, the carried factors are gone.
+fn solved_then_infeasible() -> (SolverSession, Vec<Col>, Vec<Row>) {
+    let (mut s, _, x, r) = solved();
+    s.set_row_bounds(r[9], 40.0, 50.0);
+    assert_eq!(s.solve().unwrap().status, Status::Infeasible);
+    (s, x, r)
+}
+
+/// `answer` is `status objective x`, `work` the nonzero [`SolveStats`]
+/// fields other than `solves: 1`, both in `{:?}` form — shortest
+/// round-trip floats, so equal strings mean equal bits.
+fn check(got: &Solution, answer: &str, work: &str) {
+    assert_eq!(
+        format!("{:?} {:?} {:?}", got.status, got.objective, got.x),
+        answer
+    );
+    let all = format!("{:?}", got.stats);
+    let nonzero: Vec<&str> = all
+        .trim_start_matches("SolveStats { ")
+        .trim_end_matches(" }")
+        .split(", ")
+        .filter(|f| !f.ends_with(": 0") && *f != "solves: 1")
+        .collect();
+    assert_eq!(nonzero.join(", "), work);
+    assert_eq!(got.stats.solves, 1);
+    assert_eq!(
+        got.stats.btran_ops,
+        got.stats.iterations - got.stats.bound_flips,
+        "one pivotal-row BTRAN per basis-changing pivot, primal or dual"
+    );
+}
+
+#[test]
+fn no_basis_offered_runs_cold_without_counting_a_fallback() {
+    let (p, _, _) = base();
+    check(
+        &SolverSession::new(&p).unwrap().solve().unwrap(),
+        "Optimal 93.22222222222223 [0.0, 0.0, 1.6666666666666667, 0.0, 0.0, 3.0, 0.0, 7.0, 0.0, 0.8888888888888888, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
+        "iterations: 14, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, bound_flips: 1, ftran_ops: 14, ftran_nnz: 94, ftran_dense_fallbacks: 7, btran_ops: 13, btran_nnz: 16, pivot_row_nnz: 82, pricing_candidates_scanned: 89",
+    );
+}
+
+#[test]
+fn carried_factors_dual_continuation() {
+    let (mut s, _, _, r) = solved();
+    for i in [0, 1, 2, 3, 5, 6] {
+        s.set_row_bounds(r[i], NINF, 4.0);
+    }
+    s.set_row_bounds(r[4], 9.0, 14.0);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 69.66666666666666 [0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 7.0, 0.0, 1.3333333333333333, 0.0, 1.3333333333333333, 0.0, 4.0, 0.0, 3.0, 0.0, 4.0]",
+        "iterations: 4, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, warm_starts_accepted: 1, ftran_ops: 4, ftran_nnz: 37, ftran_dense_fallbacks: 2, btran_ops: 4, btran_nnz: 18, btran_dense_fallbacks: 1, pivot_row_nnz: 42, dual_iterations: 4",
+    );
+}
+
+#[test]
+fn carried_factors_primal_continuation_when_the_dual_screen_fails() {
+    // Opening x13's upper bound re-parks it at its lower bound, where its
+    // reduced cost has the wrong sign: no dual pivot, phase 1 on the row
+    // edit, phase 2 — all on the carried factors.
+    let (mut s, _, x, r) = solved();
+    s.set_col_bounds(x[13], 0.0, INF);
+    s.set_row_bounds(r[1], NINF, 3.0);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 89.0 [0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 7.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.666666666666667, 0.0, 3.0, 0.0, 3.0]",
+        "iterations: 6, phase1_iterations: 3, refactorizations: 2, refactor_forced_fallback: 2, lu_reuse_hits: 1, bound_flips: 1, warm_starts_accepted: 1, ftran_ops: 6, ftran_nnz: 42, ftran_dense_fallbacks: 3, btran_ops: 5, btran_nnz: 17, btran_dense_fallbacks: 1, pivot_row_nnz: 33, pricing_candidates_scanned: 25",
+    );
+}
+
+#[test]
+fn cost_edit_skips_the_dual_attempt() {
+    let (mut s, _, x, _) = solved();
+    s.set_cost(x[0], 30.0);
+    s.set_cost(x[4], 25.0);
+    s.set_cost(x[7], -1.0);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 114.9047619047619 [2.142857142857143, 0.0, 3.0, 0.0, 0.5714285714285716, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.9047619047619044, 0.0, 2.6666666666666665, 0.0, 0.0, 0.0, 1.5]",
+        "iterations: 7, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, bound_flips: 1, warm_starts_accepted: 1, ftran_ops: 7, ftran_nnz: 70, ftran_dense_fallbacks: 4, btran_ops: 6, btran_nnz: 31, btran_dense_fallbacks: 2, pivot_row_nnz: 45, pricing_candidates_scanned: 20",
+    );
+}
+
+#[test]
+fn corrupted_carried_factors_fail_the_residual_check() {
+    // x0 resting at a nonzero bound makes the damaged pivot visible in
+    // the recomputed basic values; the rejected rung's work is discarded
+    // and the own-basis dual rung answers from a fresh factor.
+    let (mut s, _, x, _) = solved();
+    s.debug_corrupt_factorization();
+    s.set_col_bounds(x[0], 1.0, 3.0);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 79.0 [1.0, 0.0, 2.5, 0.0, 0.0, 2.0, 0.0, 7.0, 0.0, 0.3333333333333333, 0.0, 2.6666666666666665, 0.0, 4.0, 0.0, 2.0, 0.0, 3.5]",
+        "iterations: 2, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, warm_starts_accepted: 1, ftran_ops: 2, ftran_nnz: 24, ftran_dense_fallbacks: 2, btran_ops: 2, btran_nnz: 4, pivot_row_nnz: 17, dual_iterations: 2",
+    );
+}
+
+#[test]
+fn infeasible_edit_walks_every_rung_to_the_cold_proof() {
+    // Carried factors: dual ray. Own-basis dual: dual ray again. Basis
+    // primal: the bound-shift phase 1 cannot clear the violation. Only
+    // the cold phase 1 is a proof, and only its work is reported.
+    let (mut s, _, _, r) = solved();
+    s.set_row_bounds(r[9], 40.0, 50.0);
+    check(
+        &s.solve().unwrap(),
+        "Infeasible 30.0 [0.0, 0.0, 2.2, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.6, 0.0, 0.3333333333333333, 0.4444444444444445, 0.0, 0.0, 0.0, 0.0]",
+        "iterations: 6, phase1_iterations: 6, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
+    );
+}
+
+#[test]
+fn infeasible_again_without_carried_factors() {
+    let (mut s, _, r) = solved_then_infeasible();
+    s.set_row_bounds(r[9], 35.0, 50.0);
+    check(
+        &s.solve().unwrap(),
+        "Infeasible 30.0 [0.0, 0.0, 2.2, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.6, 0.0, 0.3333333333333333, 0.4444444444444445, 0.0, 0.0, 0.0, 0.0]",
+        "iterations: 6, phase1_iterations: 6, refactorizations: 2, refactor_forced_fallback: 2, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
+    );
+}
+
+#[test]
+fn own_basis_dual_after_a_non_optimal_solve() {
+    let (mut s, _, r) = solved_then_infeasible();
+    s.set_row_bounds(r[9], 5.0, 8.0);
+    s.set_row_bounds(r[0], NINF, 4.0);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 89.33333333333333 [0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 7.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
+        "iterations: 1, refactorizations: 2, refactor_forced_fallback: 2, warm_starts_accepted: 1, ftran_ops: 1, ftran_nnz: 12, ftran_dense_fallbacks: 1, btran_ops: 1, btran_nnz: 1, pivot_row_nnz: 6, dual_iterations: 1",
+    );
+}
+
+#[test]
+fn own_basis_dual_abandoned_then_basis_primal() {
+    // No carried factors, and the re-parked x13 fails the dual screen:
+    // the dual rung's factor stays on the counters, the primal rung
+    // installs the same basis again and finishes.
+    let (mut s, x, r) = solved_then_infeasible();
+    s.set_row_bounds(r[9], 5.0, 8.0);
+    s.set_col_bounds(x[13], 0.0, INF);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 91.33333333333333 [0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 7.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.666666666666667, 0.0, 3.0, 0.0, 5.0]",
+        "iterations: 5, phase1_iterations: 2, refactorizations: 4, refactor_forced_fallback: 4, degenerate_pivots: 1, bound_flips: 1, warm_starts_accepted: 1, ftran_ops: 5, ftran_nnz: 57, ftran_dense_fallbacks: 4, btran_ops: 4, btran_nnz: 5, pivot_row_nnz: 25, pricing_candidates_scanned: 15",
+    );
+}
+
+#[test]
+fn foreign_basis_enters_on_the_primal_rung() {
+    let (_, basis, _, _) = solved();
+    let q = relative();
+    let free = solve_with_start(&q, &SimplexConfig::default(), Some(&basis)).unwrap();
+    let mut s = SolverSession::new(&q).unwrap();
+    s.warm_start_from(basis);
+    let sess = s.solve().unwrap();
+    assert_eq!((sess.stats, &sess.x), (free.stats, &free.x));
+    check(
+        &sess,
+        "Optimal 81.61111111111111 [0.0, 0.0, 2.3333333333333335, 0.0, 0.0, 1.5, 0.0, 2.0, 0.0, 0.44444444444444436, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
+        "iterations: 2, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, warm_starts_accepted: 1, ftran_ops: 2, ftran_nnz: 24, ftran_dense_fallbacks: 2, btran_ops: 2, btran_nnz: 15, btran_dense_fallbacks: 1, pivot_row_nnz: 22, pricing_candidates_scanned: 3",
+    );
+}
+
+#[test]
+fn stale_shape_basis_falls_back_cold() {
+    let (_, mut basis, _, _) = solved();
+    basis.cols.pop();
+    let mut s = SolverSession::new(&relative()).unwrap();
+    s.warm_start_from(basis);
+    check(
+        &s.solve().unwrap(),
+        "Optimal 81.61111111111111 [0.0, 0.0, 2.3333333333333335, 0.0, 0.0, 1.5, 0.0, 2.0, 0.0, 0.44444444444444436, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
+        "iterations: 14, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 14, ftran_nnz: 94, ftran_dense_fallbacks: 7, btran_ops: 13, btran_nnz: 28, btran_dense_fallbacks: 1, pivot_row_nnz: 91, pricing_candidates_scanned: 92",
+    );
+}
+
+#[test]
+fn hostile_config_is_a_typed_error() {
+    // Rejected at the door, before anything is standardized or factored.
+    let (p, _, _) = base();
+    let bad: [fn(&mut SimplexConfig); 8] = [
+        |c| c.refactor_interval = 0,
+        |c| c.feas_tol = f64::NAN,
+        |c| c.feas_tol = 0.0,
+        |c| c.opt_tol = -1e-7,
+        |c| c.opt_tol = f64::NAN,
+        |c| c.pivot_tol = 0.0,
+        |c| c.pivot_tol = f64::INFINITY,
+        |c| c.kernel_density_threshold = f64::NAN,
+    ];
+    for (k, spoil) in bad.iter().enumerate() {
+        let mut cfg = SimplexConfig::default();
+        spoil(&mut cfg);
+        let free = solve_with(&p, &cfg).map(drop);
+        let sess = SolverSession::with_config(&p, &cfg).map(drop);
+        for res in [free, sess] {
+            assert!(
+                matches!(res, Err(SolveError::InvalidModel(_))),
+                "case {k}: {res:?}"
+            );
+        }
+    }
+    // The probes' disabled cadence and the forced-dense oracle stay legal.
+    let edge = SimplexConfig {
+        refactor_interval: usize::MAX,
+        kernel_density_threshold: 0.0,
+        ..SimplexConfig::default()
+    };
+    assert_eq!(solve_with(&p, &edge).unwrap().status, Status::Optimal);
+}

@@ -1,10 +1,10 @@
 //! Differential testing for basis-factorization persistence.
 //!
-//! A `SolverSession` under the persistence policies (`Interval`,
-//! `CostModel`) carries its LU factorization across solves: bound/RHS/cost
-//! edits and nonbasic column splices leave it untouched, row growth
-//! extends it in product form, and the solve entry skips `Lu::factor`
-//! when the carried factors pass the residual spot-check. The PR 1 warm
+//! A `SolverSession` carries its LU factorization across solves:
+//! bound/RHS/cost edits and nonbasic column splices leave it untouched, a
+//! splice of uncoupled rows extends it in place (a coupled row drops it),
+//! and the solve entry skips `Lu::factor` when the carried factors pass
+//! the residual spot-check. The PR 1 warm
 //! guarantee must survive all of it: reuse may change work counters,
 //! never answers. These tests pit a reusing session against a
 //! from-scratch cold solve of the identical mutated problem (status
@@ -14,10 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use wavesched_lp::{
-    solve, Col, NewColumn, NewRow, Objective, Problem, RefactorPolicy, Row, SimplexConfig,
-    SolverSession, Status,
-};
+use wavesched_lp::{solve, Col, NewColumn, NewRow, Objective, Problem, Row, SolverSession, Status};
 
 /// Random LP from integer-ish data (mirrors `tests/dual_differential.rs`),
 /// so borderline feasibility at tolerance level is avoided.
@@ -148,8 +145,8 @@ fn edit_both(p: &mut Problem, sess: &mut SolverSession, rng: &mut StdRng) {
                 }
             }
         }
-        // Row splice (CG capacity-row growth; entries over existing
-        // columns exercise the product-form coupling etas).
+        // Row splice (entries over existing columns: the carried factors
+        // are dropped and the next solve refactors).
         _ => {
             let ncols = p.num_cols();
             let mut entries = Vec::new();
@@ -259,48 +256,65 @@ fn bound_edit_chain_reuses_factorization() {
     }
 }
 
-/// Row growth with coupling entries on existing basic columns: the
-/// carried LU is extended in product form (`lu_updates` counts the
-/// coupling etas) and the re-solve still matches cold.
+/// Row growth, both ways: a row with coefficients on existing columns
+/// drops the carried factors (the next solve installs the extended basis
+/// and refactors), a row without any — column generation's capacity row —
+/// extends them in place. Either way the re-solve matches cold.
 #[test]
-fn row_splice_extends_factorization_in_product_form() {
-    let mut p = Problem::new(Objective::Maximize);
-    let x = p.add_col(0.0, 10.0, 1.0);
-    let y = p.add_col(0.0, 10.0, 2.0);
-    p.add_row(2.0, 8.0, &[(x, 1.0), (y, 1.0)]);
-    p.add_row(f64::NEG_INFINITY, 5.0, &[(y, 1.0)]);
-    let mut sess = SolverSession::new(&p).unwrap();
-    assert_eq!(sess.solve().unwrap().status, Status::Optimal);
+fn row_splice_keeps_factors_only_for_uncoupled_rows() {
+    for coupled in [true, false] {
+        let mut p = Problem::new(Objective::Maximize);
+        let x = p.add_col(0.0, 10.0, 1.0);
+        let y = p.add_col(0.0, 10.0, 2.0);
+        p.add_row(2.0, 8.0, &[(x, 1.0), (y, 1.0)]);
+        p.add_row(f64::NEG_INFINITY, 5.0, &[(y, 1.0)]);
+        let mut sess = SolverSession::new(&p).unwrap();
+        assert_eq!(sess.solve().unwrap().status, Status::Optimal);
 
-    // New row cutting the previous optimum (x=3, y=5), with entries on
-    // both structural columns — the basic ones force coupling etas.
-    sess.add_rows(&[NewRow {
-        lower: f64::NEG_INFINITY,
-        upper: 6.0,
-        entries: vec![(x, 1.0), (y, 1.0)],
-    }]);
-    p.add_row(f64::NEG_INFINITY, 6.0, &[(x, 1.0), (y, 1.0)]);
+        // Coupled: cuts the previous optimum (x=3, y=5). Uncoupled: empty
+        // until a column spliced after it fills it.
+        let entries = if coupled {
+            vec![(x, 1.0), (y, 1.0)]
+        } else {
+            Vec::new()
+        };
+        let r = sess.add_rows(&[NewRow {
+            lower: f64::NEG_INFINITY,
+            upper: 6.0,
+            entries: entries.clone(),
+        }])[0];
+        p.add_row(f64::NEG_INFINITY, 6.0, &entries);
+        if !coupled {
+            let z = NewColumn {
+                lower: 0.0,
+                upper: 10.0,
+                cost: 3.0,
+                entries: vec![(r, 1.0)],
+            };
+            sess.add_columns(std::slice::from_ref(&z));
+            let c = p.add_col(z.lower, z.upper, z.cost);
+            p.set_coeff(r, c, 1.0);
+        }
 
-    let s = sess.solve().unwrap();
-    let cold = solve(&p).unwrap();
-    assert_eq!(s.status, Status::Optimal);
-    assert_eq!(cold.status, Status::Optimal);
-    assert!(
-        (s.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
-        "objective diverged: spliced {} vs cold {}",
-        s.objective,
-        cold.objective
-    );
-    assert_eq!(
-        s.stats.lu_reuse_hits, 1,
-        "row splice must keep the factorization live: {:?}",
-        s.stats
-    );
-    assert!(
-        s.stats.lu_updates >= 1,
-        "coupling entries must be carried as product-form updates: {:?}",
-        s.stats
-    );
+        let s = sess.solve().unwrap();
+        let cold = solve(&p).unwrap();
+        assert_eq!(s.status, Status::Optimal);
+        assert_eq!(cold.status, Status::Optimal);
+        assert!(
+            (s.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
+            "coupled={coupled}: objective diverged: spliced {} vs cold {}",
+            s.objective,
+            cold.objective
+        );
+        assert_eq!(
+            s.stats.lu_reuse_hits,
+            u64::from(!coupled),
+            "coupled={coupled}: {:?}",
+            s.stats
+        );
+        assert_eq!(s.stats.refactor_reuse_rejected, 0);
+        assert_eq!(s.stats.warm_starts_accepted, 1);
+    }
 }
 
 /// The residual guard: a corrupted factorization must be rejected at the
@@ -349,30 +363,4 @@ fn corrupted_lu_is_rejected_and_falls_back_cold() {
         "reuse must re-arm after a clean fallback solve: {:?}",
         s2.stats
     );
-}
-
-/// Under `RefactorPolicy::Always` the session must never take the reuse
-/// path — the A/B baseline CI compares answers against.
-#[test]
-fn always_policy_disables_reuse() {
-    let mut p = Problem::new(Objective::Maximize);
-    let x = p.add_col(0.0, 10.0, 1.0);
-    let r = p.add_row(f64::NEG_INFINITY, 6.0, &[(x, 1.0)]);
-    let cfg = SimplexConfig {
-        refactor_policy: RefactorPolicy::Always,
-        ..SimplexConfig::default()
-    };
-    let mut sess = SolverSession::with_config(&p, &cfg).unwrap();
-    assert_eq!(sess.solve().unwrap().status, Status::Optimal);
-    for rhs in [5.0, 4.0, 3.0] {
-        sess.set_row_bounds(r, f64::NEG_INFINITY, rhs);
-        let s = sess.solve().unwrap();
-        assert_eq!(s.status, Status::Optimal);
-        assert_eq!(
-            s.stats.lu_reuse_hits, 0,
-            "Always policy must pin reuse off: {:?}",
-            s.stats
-        );
-        assert_eq!(s.stats.refactor_reuse_rejected, 0);
-    }
 }
