@@ -81,7 +81,7 @@ pub const RULE_DESCRIPTIONS: [&str; 10] = [
 /// The simplex hot-function list for `alloc-in-hot-path`: the pivot loop
 /// and every kernel it calls per iteration. A `price_`/`ftran_`/`btran_`
 /// prefix covers variants (sparse/dense twins, future pricing modes).
-const HOT_FNS: [&str; 13] = [
+const HOT_FNS: [&str; 15] = [
     "pivot",
     "apply_pivot",
     "apply_bound_flip",
@@ -92,6 +92,8 @@ const HOT_FNS: [&str; 13] = [
     "push_row_cols",
     "scan_candidates",
     "refresh_candidates",
+    "refresh_eligible",
+    "sort_dedup",
     "price",
     "ftran",
     "btran",
@@ -1041,6 +1043,8 @@ mod tests {
         for hot in [
             "fn dual_loop(&mut self) { let b = Box::new(0); }",
             "fn pivotal_row(&mut self) { let a = touched.to_vec(); }",
+            "fn refresh_eligible(&mut self, j: usize) { let e = self.elig.clone(); }",
+            "fn sort_dedup(list: &mut Vec<u32>) { let words = vec![0u64; 8]; }",
         ] {
             assert_eq!(rules_hit("crates/lp/src/a.rs", hot), ["alloc-in-hot-path"]);
         }

@@ -26,3 +26,14 @@ pub fn dual_loop(n: usize) -> Vec<u32> {
 pub fn pivotal_row(touched: &[u32]) -> Vec<(u32, f64)> {
     touched.iter().map(|&j| (j, 0.0)).collect()
 }
+
+pub fn refresh_eligible(elig: &[u32], j: u32) -> Vec<u32> {
+    elig.iter().copied().filter(|&e| e != j).collect()
+}
+
+pub fn sort_dedup(list: &mut Vec<u32>, n: usize) {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for &i in list.iter() {
+        words[(i >> 6) as usize] |= 1 << (i & 63);
+    }
+}

@@ -179,6 +179,7 @@ impl Engine {
                     let delta = newv - self.xval[j];
                     self.xval[j] = newv;
                     self.state[j] = st;
+                    self.refresh_eligible(j);
                     let (rows, vals) = self.std.a.col(j);
                     for (&row, &v) in rows.iter().zip(vals) {
                         rhs.add(row, v * delta);

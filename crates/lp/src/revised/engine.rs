@@ -5,9 +5,10 @@ use super::entry::Relaxed;
 use super::eta::EtaFile;
 use super::kernels::{build_row_mirror, for_each_entry};
 use super::lu::{Lu, LuScratch};
+use super::pricing::NOT_ELIGIBLE;
 use super::{pos_or_zero, sanitize, SimplexConfig};
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
-use crate::sparse::WorkVec;
+use crate::sparse::{sort_words, WorkVec};
 use crate::stdform::{ColKind, StdForm};
 use wavesched_obs as obs;
 
@@ -117,11 +118,14 @@ pub(super) struct Engine {
     pub(super) rho: WorkVec,
     /// Dense BTRAN scratch for full dual recomputation (row-indexed).
     pub(super) dual: Vec<f64>,
-    /// Pivotal-row scratch: nonbasic columns with an entry in one of ρ's
-    /// rows, before dedup — up to `nnz(A)` pushes. This and the three
-    /// scratch lists below are sized by [`Self::size_scratch`], so
-    /// steady-state pivots never grow them.
+    /// Pivotal-row scratch: the nonbasic columns with an entry in one of
+    /// ρ's rows, each once. This and every other per-pivot list below is
+    /// sized by [`Self::size_scratch`], so steady-state pivots never grow
+    /// them.
     pub(super) touched: Vec<u32>,
+    /// One zeroed bit per column: `touched`'s marks while it is gathered,
+    /// then the words it is sorted with.
+    pub(super) col_words: Vec<u64>,
     /// DFS scratch for the sparse LU triangular solves.
     pub(super) lu_scratch: LuScratch,
     /// Per-eta activation flags for the pruned BTRAN eta pass (scratch,
@@ -135,6 +139,19 @@ pub(super) struct Engine {
     /// signed artificials of a cold start and any basic variables a warm
     /// start left outside their bounds.
     pub(super) relaxed: Vec<Relaxed>,
+    /// The eligible set: every column [`Self::eligible_dir`] accepts under
+    /// the maintained `d` and `state`, in no particular order. Rebuilt by
+    /// `recompute_reduced`, kept current by `refresh_eligible` at every
+    /// change inside the pivot loops, meaningless outside them. Only the
+    /// primal loop prices from it; the dual loop shares the update routines
+    /// and keeps it current for the consistency check alone (`iterate`
+    /// opens with `recompute_reduced`, which rebuilds it).
+    pub(super) elig: Vec<u32>,
+    /// Position of each column in `elig`, [`NOT_ELIGIBLE`] for the rest.
+    pub(super) elig_slot: Vec<u32>,
+    /// Primal ratio-test scratch: `(basis position, |w|, strict step)` of
+    /// every entry of `w` that can block, ascending by position.
+    pub(super) ratio_cand: Vec<(u32, f64, f64)>,
     /// Partial-pricing candidate list: column indices, rebuilt by each full
     /// refresh, scanned on minor iterations. Cleared at phase start.
     pub(super) cand: Vec<u32>,
@@ -178,7 +195,8 @@ pub(super) enum PhaseOutcome {
     IterationLimit,
 }
 
-enum RatioOutcome {
+#[derive(Debug, PartialEq)]
+pub(super) enum RatioOutcome {
     Unbounded,
     BoundFlip(f64),
     Pivot { pos: usize, step: f64 },
@@ -218,10 +236,14 @@ impl Engine {
             rho: WorkVec::new(m),
             dual: vec![0.0; m],
             touched: Vec::new(),
+            col_words: Vec::new(),
             lu_scratch: LuScratch::new(m),
             eta_active: Vec::new(),
             kernel_cap,
             relaxed: Vec::new(),
+            elig: Vec::new(),
+            elig_slot: Vec::new(),
+            ratio_cand: Vec::new(),
             cand: Vec::new(),
             cand_member: vec![false; ncols],
             cand_budget: 0,
@@ -239,20 +261,26 @@ impl Engine {
         engine
     }
 
-    /// Sizes the four per-pivot scratch lists to their worst case for the
-    /// current structure — the pivotal-row lists take at most one push per
-    /// matrix entry, the candidate scores one per column — so the pivot
-    /// loops never allocate, before or after growth.
+    /// Sizes every per-pivot list to its worst case for the current
+    /// structure, so the pivot loops never allocate, before or after
+    /// growth: the pivotal-row lists, the eligible set and the candidate
+    /// scores hold each column at most once, the ratio candidates each row.
+    /// The eligible set comes out empty; `recompute_reduced` fills it.
     pub(super) fn size_scratch(&mut self) {
-        let (nnz, ncols) = (self.std.a.nnz(), self.std.ncols());
-        self.touched.clear();
-        self.touched.reserve_exact(nnz);
+        let (m, ncols) = (self.std.nrows, self.std.ncols());
+        for list in [&mut self.touched, &mut self.dual_order, &mut self.elig] {
+            list.clear();
+            list.reserve_exact(ncols);
+        }
         self.row_alpha.clear();
-        self.row_alpha.reserve_exact(nnz);
-        self.dual_order.clear();
-        self.dual_order.reserve_exact(nnz);
+        self.row_alpha.reserve_exact(ncols);
         self.cand_scores.clear();
         self.cand_scores.reserve_exact(ncols);
+        self.ratio_cand.clear();
+        self.ratio_cand.reserve_exact(m);
+        self.elig_slot.clear();
+        self.elig_slot.resize(ncols, NOT_ELIGIBLE);
+        self.col_words = sort_words(ncols);
     }
 
     /// Rests nonbasic column `j` where [`StdForm::resting`] puts it under
@@ -368,7 +396,10 @@ impl Engine {
         }
     }
 
-    fn ratio_test(&self, q: usize, dir: f64, w: &WorkVec) -> RatioOutcome {
+    /// Harris-style ratio test: the minimum step to a tolerance-relaxed
+    /// bound, then the largest pivot among the rows that block by then.
+    /// `w` is walked once, into `ratio_cand`; both selections read that.
+    pub(super) fn ratio_test(&mut self, q: usize, dir: f64, w: &WorkVec) -> RatioOutcome {
         let ptol = self.cfg.pivot_tol;
         let ftol = self.cfg.feas_tol;
         // Step limit from the entering variable's own bound range.
@@ -377,38 +408,34 @@ impl Engine {
             _ => f64::INFINITY,
         };
 
-        // The step at which the basic variable at `pos` reaches the bound
-        // it moves toward, that bound widened by `slack`; `None` for an
-        // entry below the pivot tolerance or an open side.
-        let reach = |pos: usize, wp: f64, slack: f64| -> Option<f64> {
+        // The gather: for every entry above the pivot tolerance whose basic
+        // variable moves toward a finite bound, the step at which it gets
+        // there (strict) and the step to that bound widened by the
+        // feasibility tolerance (relaxed). The relaxed minimum is pass 1;
+        // the strict steps are kept for pass 2.
+        let mut cand = std::mem::take(&mut self.ratio_cand);
+        cand.clear();
+        let mut t_relaxed = own_range;
+        for_each_entry(w, |pos, wp| {
             if wp.abs() <= ptol {
-                return None;
+                return;
             }
             let rate = -wp * dir; // d(xb[pos]) / dt
             let j = self.basis[pos];
-            let limit = if rate > 0.0 {
+            let (bound, gap, speed) = if rate > 0.0 {
                 let ub = self.std.upper[j];
-                if !ub.is_finite() {
-                    return None;
-                }
-                (ub - self.xb[pos] + slack) / rate
+                (ub, ub - self.xb[pos], rate)
             } else {
                 let lb = self.std.lower[j];
-                if !lb.is_finite() {
-                    return None;
-                }
-                (self.xb[pos] - lb + slack) / -rate
+                (lb, self.xb[pos] - lb, -rate)
             };
-            Some(pos_or_zero(limit))
-        };
-
-        // Pass 1: minimum blocking step with tolerance-relaxed bounds.
-        let mut t_relaxed = own_range;
-        for_each_entry(w, |pos, wp| {
-            if let Some(limit) = reach(pos, wp, ftol) {
-                t_relaxed = t_relaxed.min(limit);
+            if !bound.is_finite() {
+                return; // open side
             }
+            t_relaxed = t_relaxed.min(pos_or_zero((gap + ftol) / speed));
+            cand.push((pos as u32, wp.abs(), pos_or_zero(gap / speed)));
         });
+        self.ratio_cand = cand;
         if t_relaxed.is_infinite() {
             return RatioOutcome::Unbounded;
         }
@@ -422,45 +449,30 @@ impl Engine {
         // then the lowest basis position — so the selection is deterministic
         // and independent of the visit order's rounding noise.
         const RATIO_TIE_BAND: f64 = 1e-9;
-        let mut max_mag = 0.0f64;
-        let blocking = |pos, wp| reach(pos, wp, 0.0).filter(|&limit| limit <= t_relaxed);
-        let mut any_blocking = false;
-        for_each_entry(w, |pos, wp| {
-            if blocking(pos, wp).is_some() {
-                any_blocking = true;
-                max_mag = max_mag.max(wp.abs());
-            }
-        });
-        if !any_blocking {
+        let blocking = || self.ratio_cand.iter().filter(|c| c.2 <= t_relaxed);
+        let Some(max_mag) = blocking().map(|c| c.1).reduce(f64::max) else {
             // Nothing blocks before the entering variable's own range:
             // a bound flip (own_range is finite here).
             return RatioOutcome::BoundFlip(own_range);
-        }
+        };
         let band_floor = max_mag * (1.0 - RATIO_TIE_BAND);
-        let mut best: Option<(usize, f64, bool)> = None; // pos, step, is_artificial
-        for_each_entry(w, |pos, wp| {
-            let Some(limit) = blocking(pos, wp) else {
-                return;
-            };
-            if wp.abs() < band_floor {
-                return;
+        // Candidates are in ascending basis position, so the first in-band
+        // row of a given artificiality class wins the lexicographic order.
+        let mut best: Option<&(u32, f64, f64)> = None;
+        for c in blocking().filter(|c| c.1 >= band_floor) {
+            if self.std.kind[self.basis[c.0 as usize]] == ColKind::Artificial {
+                best = Some(c);
+                break;
             }
-            let art = self.std.kind[self.basis[pos]] == ColKind::Artificial;
-            // Entries arrive in ascending basis position, so the first
-            // in-band row of a given artificiality class wins the
-            // lexicographic order automatically.
-            let better = match best {
-                None => true,
-                Some((_, _, bart)) => art && !bart,
-            };
-            if better {
-                best = Some((pos, limit, art));
-            }
-        });
+            best = best.or(Some(c));
+        }
         match best {
-            // max_mag > 0 guarantees an in-band blocking row exists.
+            // max_mag itself is in band, so a blocking row exists.
             None => RatioOutcome::BoundFlip(own_range),
-            Some((pos, step, _)) => RatioOutcome::Pivot { pos, step },
+            Some(&(pos, _, step)) => RatioOutcome::Pivot {
+                pos: pos as usize,
+                step,
+            },
         }
     }
 
@@ -478,6 +490,7 @@ impl Engine {
             VarState::AtUpper => VarState::AtLower,
             s => s,
         };
+        self.refresh_eligible(q);
     }
 
     pub(super) fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
@@ -518,6 +531,8 @@ impl Engine {
         self.basis[pos] = q;
         self.state[q] = VarState::Basic(pos as u32);
         self.xb[pos] = entering_value;
+        self.refresh_eligible(q);
+        self.refresh_eligible(leaving);
 
         // Record the eta for B_new = B_old E, entries ascending by basis
         // position (sorted pattern / dense scan order — the BTRAN gather
@@ -573,6 +588,11 @@ impl Engine {
             obj += self.cost[j] * self.xb[pos];
         }
         debug_assert!(obj.is_finite(), "objective became non-finite after pivot");
+        // Pricing reads the maintained eligible set in place of a scan.
+        debug_assert!(
+            self.eligible_set_consistent(),
+            "eligible set disagrees with a from-scratch eligibility scan"
+        );
     }
 
     /// In-loop refactorization cadence shared by the primal and dual

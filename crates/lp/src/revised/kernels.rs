@@ -4,7 +4,8 @@
 
 use super::engine::{Engine, VarState};
 use super::eta::ETA_NONE;
-use crate::sparse::{CscMatrix, WorkVec};
+use super::pricing::NOT_ELIGIBLE;
+use crate::sparse::{sort_dedup, CscMatrix, WorkVec};
 
 /// Builds the flat CSR row mirror (column indices per row) of `a`. Filling
 /// in ascending column order keeps each row's list sorted, so the
@@ -157,7 +158,7 @@ impl Engine {
     /// `usize::MAX`.
     pub(super) fn pivotal_row(&mut self, pos: usize, skip: usize) {
         self.btran_pos_sparse(pos);
-        let mut rho = std::mem::take(&mut self.rho);
+        let rho = std::mem::take(&mut self.rho);
         self.stats.btran_ops += 1;
         self.stats.btran_nnz += rho.nnz() as u64;
         if rho.is_dense() {
@@ -165,30 +166,30 @@ impl Engine {
         }
 
         // Touch only columns that intersect rho's nonzero rows. A column
-        // may be visited once per such row, so the list is sorted and
-        // deduped afterwards — which also normalizes the visit order to
-        // the ascending order a dense row scan would produce.
+        // met in several such rows is listed once (its bit in `col_words`
+        // marks it); the list is then put in the ascending order a dense
+        // row scan would produce.
         let mut touched = std::mem::take(&mut self.touched);
+        let mut words = std::mem::take(&mut self.col_words);
         touched.clear();
         if rho.is_dense() {
             for (r, &rv) in rho.values.iter().enumerate() {
                 if rv.abs() <= 1e-12 {
                     continue;
                 }
-                self.push_row_cols(r, skip, &mut touched);
+                self.push_row_cols(r, skip, &mut touched, &mut words);
             }
         } else {
-            rho.sort_pattern();
             for &r in &rho.pattern {
                 let r = r as usize;
                 if rho.values[r].abs() <= 1e-12 {
                     continue;
                 }
-                self.push_row_cols(r, skip, &mut touched);
+                self.push_row_cols(r, skip, &mut touched, &mut words);
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
+        sort_dedup(&mut touched, &mut words);
+        self.col_words = words;
         self.stats.pivot_row_nnz += touched.len() as u64;
 
         // Column-wise gather: the same FP summation order as a dense
@@ -204,18 +205,22 @@ impl Engine {
     }
 
     /// Appends to `out` the nonbasic, non-`q` columns with an entry in row
-    /// `r` (one pivotal-row pricing probe, via the CSR mirror).
+    /// `r` (one pivotal-row pricing probe, via the CSR mirror) that an
+    /// earlier row has not already put there: a listed column's bit is set
+    /// in `words`, which [`sort_dedup`] clears again.
     #[inline]
-    pub(super) fn push_row_cols(&self, r: usize, q: usize, out: &mut Vec<u32>) {
+    pub(super) fn push_row_cols(&self, r: usize, q: usize, out: &mut Vec<u32>, words: &mut [u64]) {
         for &jc in &self.csr_cols[self.csr_ptr[r]..self.csr_ptr[r + 1]] {
             let j = jc as usize;
             match self.state[j] {
                 VarState::Basic(_) | VarState::Fixed => continue,
                 _ => {}
             }
-            if j == q {
+            let (word, bit) = (&mut words[j >> 6], 1u64 << (j & 63));
+            if j == q || *word & bit != 0 {
                 continue;
             }
+            *word |= bit;
             out.push(jc);
         }
     }
@@ -231,14 +236,21 @@ impl Engine {
         self.dual = c;
     }
 
-    /// Recomputes every reduced cost exactly from the current basis.
+    /// Recomputes every reduced cost exactly from the current basis, and
+    /// with them the eligible set pricing reads. Every phase start,
+    /// refactorization and dual entry comes through here, so whatever moved
+    /// states or bounds outside the pivot loops is picked up before the
+    /// next pricing call.
     pub(super) fn recompute_reduced(&mut self) {
         self.compute_duals();
+        self.elig.clear();
         for j in 0..self.std.ncols() {
             self.d[j] = match self.state[j] {
                 VarState::Basic(_) | VarState::Fixed => 0.0,
                 _ => self.cost[j] - self.std.a.col_dot(j, &self.dual),
             };
+            self.elig_slot[j] = NOT_ELIGIBLE;
+            self.refresh_eligible(j);
         }
     }
 

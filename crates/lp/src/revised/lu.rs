@@ -6,7 +6,7 @@
 //! triangular and `U` upper triangular (both in pivot-position space; `L`'s
 //! entries are stored under original row indices for cheap FTRAN).
 
-use crate::sparse::{CscMatrix, WorkVec};
+use crate::sparse::{sort_dedup, sort_words, CscMatrix, WorkVec};
 
 const NONE: u32 = u32::MAX;
 
@@ -50,6 +50,8 @@ pub(crate) struct LuScratch {
     reach: Vec<u32>,
     reach2: Vec<u32>,
     vals: Vec<f64>,
+    /// Zeroed bit words the reaches are put in step order with.
+    sort_words: Vec<u64>,
 }
 
 impl LuScratch {
@@ -61,6 +63,7 @@ impl LuScratch {
             reach: Vec::with_capacity(m),
             reach2: Vec::with_capacity(m),
             vals: vec![0.0; m],
+            sort_words: sort_words(m),
         }
     }
 }
@@ -473,7 +476,7 @@ impl Lu {
             out.make_dense();
             return;
         }
-        s.reach.sort_unstable();
+        sort_dedup(&mut s.reach, &mut s.sort_words);
         for &p in &s.reach {
             s.visited[p as usize] = false;
         }
@@ -527,7 +530,7 @@ impl Lu {
             out.make_dense();
             return;
         }
-        s.reach2.sort_unstable();
+        sort_dedup(&mut s.reach2, &mut s.sort_words);
         for &j in &s.reach2 {
             s.visited[j as usize] = false;
         }
@@ -588,7 +591,7 @@ impl Lu {
             c.make_dense();
             return;
         }
-        s.reach.sort_unstable();
+        sort_dedup(&mut s.reach, &mut s.sort_words);
         for &p in &s.reach {
             s.visited[p as usize] = false;
         }
@@ -637,7 +640,7 @@ impl Lu {
             c.make_dense();
             return;
         }
-        s.reach2.sort_unstable();
+        sort_dedup(&mut s.reach2, &mut s.sort_words);
         for &p in &s.reach2 {
             s.visited[p as usize] = false;
         }

@@ -4,6 +4,9 @@
 
 use super::engine::{Engine, VarState};
 
+/// [`Engine::elig_slot`] of a column outside the eligible set.
+pub(super) const NOT_ELIGIBLE: u32 = u32::MAX;
+
 impl Engine {
     /// Entering-direction eligibility of nonbasic column `j` under the
     /// maintained reduced costs: +1 from lower/free, -1 from upper/free,
@@ -27,6 +30,49 @@ impl Engine {
         }
     }
 
+    /// Re-evaluates column `j`'s membership of the eligible set; called
+    /// wherever `d[j]` or `state[j]` changes inside the pivot loops, so
+    /// pricing reads the set instead of scanning every column for it.
+    #[inline]
+    pub(super) fn refresh_eligible(&mut self, j: usize) {
+        let slot = self.elig_slot[j];
+        let eligible = self.eligible_dir(j).is_some();
+        if eligible == (slot != NOT_ELIGIBLE) {
+            return;
+        }
+        if eligible {
+            self.elig_slot[j] = self.elig.len() as u32;
+            self.elig.push(j as u32);
+        } else {
+            self.elig.swap_remove(slot as usize);
+            if let Some(&moved) = self.elig.get(slot as usize) {
+                self.elig_slot[moved as usize] = slot;
+            }
+            self.elig_slot[j] = NOT_ELIGIBLE;
+        }
+    }
+
+    /// True when the eligible set is exactly the columns a from-scratch
+    /// [`Self::eligible_dir`] scan accepts and the slot index inverts the
+    /// list. Allocation-free; the debug invariants and the sanitizer sweep
+    /// hold the maintained set to it.
+    pub(super) fn eligible_set_consistent(&self) -> bool {
+        let mut members = 0;
+        for j in 0..self.std.ncols() {
+            let slot = self.elig_slot[j];
+            if self.eligible_dir(j).is_some() != (slot != NOT_ELIGIBLE) {
+                return false;
+            }
+            if slot != NOT_ELIGIBLE {
+                if self.elig.get(slot as usize) != Some(&(j as u32)) {
+                    return false;
+                }
+                members += 1;
+            }
+        }
+        members == self.elig.len()
+    }
+
     /// Pricing dispatch: candidate-list partial pricing when enabled, the
     /// full Devex scan otherwise. Bland mode always takes the full
     /// first-eligible scan — partial pricing must not weaken the
@@ -46,25 +92,27 @@ impl Engine {
         self.refresh_candidates()
     }
 
-    /// Devex pricing over every nonbasic column. Returns the entering
-    /// column and its movement direction.
+    /// Devex pricing over the eligible set: best score, ties to the lower
+    /// column index — the choice an ascending scan of every column makes.
+    /// Returns the entering column and its movement direction.
     pub(super) fn price_full(&mut self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
-        for j in 0..self.std.ncols() {
-            let Some(dir) = self.eligible_dir(j) else {
-                continue;
-            };
+        if self.bland {
+            // Bland: the lowest eligible index guarantees termination.
+            let j = *self.elig.iter().min()? as usize;
             self.stats.pricing_candidates_scanned += 1;
-            if self.bland {
-                // Bland: first eligible index guarantees termination.
-                return Some((j, dir));
-            }
+            return Some((j, self.eligible_dir(j)?));
+        }
+        self.stats.pricing_candidates_scanned += self.elig.len() as u64;
+        let mut best: Option<(u32, f64)> = None; // (col, score)
+        for &jc in &self.elig {
+            let j = jc as usize;
             let score = self.d[j] * self.d[j] / self.weights[j];
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((j, dir, score));
+            if best.is_none_or(|(b, s)| score > s || (jc < b && score >= s)) {
+                best = Some((jc, score));
             }
         }
-        best.map(|(j, dir, _)| (j, dir))
+        let j = best?.0 as usize;
+        Some((j, self.eligible_dir(j)?))
     }
 
     /// Minor-iteration pricing pass: best Devex score among the current
@@ -88,9 +136,9 @@ impl Engine {
         best.map(|(j, dir, _)| (j, dir))
     }
 
-    /// Full eligibility scan that rebuilds the candidate list with the
-    /// highest-scoring columns and returns the best of them. `None` means
-    /// no column anywhere is eligible (the full-scan optimality claim).
+    /// Rebuilds the candidate list with the highest-scoring columns of the
+    /// eligible set and returns the best of them. `None` means no column
+    /// anywhere is eligible (the full-scan optimality claim).
     /// Entirely deterministic: scores tie-break toward the lower column
     /// index, so the list does not depend on allocation or thread state.
     pub(super) fn refresh_candidates(&mut self) -> Option<(usize, f64)> {
@@ -101,13 +149,10 @@ impl Engine {
         self.cand.clear();
         let mut scores = std::mem::take(&mut self.cand_scores);
         scores.clear();
-        for j in 0..self.std.ncols() {
-            if self.eligible_dir(j).is_none() {
-                continue;
-            }
-            self.stats.pricing_candidates_scanned += 1;
-            let score = self.d[j] * self.d[j] / self.weights[j];
-            scores.push((score, j as u32));
+        self.stats.pricing_candidates_scanned += self.elig.len() as u64;
+        for &jc in &self.elig {
+            let j = jc as usize;
+            scores.push((self.d[j] * self.d[j] / self.weights[j], jc));
         }
         if scores.is_empty() {
             self.cand_scores = scores;
@@ -177,13 +222,15 @@ impl Engine {
         // column — optimality claims depend on them.
         let partial = self.cfg.partial_pricing && !self.bland;
         let mut max_weight: f64 = 1.0;
-        for &(jc, alpha_j) in &self.row_alpha {
+        let row_alpha = std::mem::take(&mut self.row_alpha);
+        for &(jc, alpha_j) in &row_alpha {
             let j = jc as usize;
             // The dual's row was gathered before `q` was known.
             if j == q || alpha_j.abs() <= 1e-12 {
                 continue;
             }
             self.d[j] -= ratio * alpha_j;
+            self.refresh_eligible(j);
             if partial && !self.cand_member[j] {
                 continue;
             }
@@ -193,8 +240,10 @@ impl Engine {
             }
             max_weight = max_weight.max(self.weights[j]);
         }
+        self.row_alpha = row_alpha;
         // Entering column becomes basic; leaving column becomes nonbasic
-        // with reduced cost -d_q / alpha_q and a fresh reference weight.
+        // with reduced cost -d_q / alpha_q and a fresh reference weight
+        // (`apply_pivot` re-evaluates both once their states have moved).
         self.d[q] = 0.0;
         self.d[leaving] = -ratio;
         self.weights[leaving] = (wq / (alpha_q * alpha_q)).max(1.0);

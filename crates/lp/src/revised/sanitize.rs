@@ -4,11 +4,12 @@
 //! engine cross-checks its incrementally maintained state against a
 //! from-scratch recomputation: the basic solution must satisfy the
 //! standardized system `B x_B + N x_N = 0`, Devex weights must stay
-//! finite and strictly positive, and the eta file must agree with the
-//! basis bookkeeping. Violations are never fatal — they are folded into
-//! [`SolveStats::sanitizer_violations`](crate::SolveStats) (and from
-//! there the `lp.sanitizer_*` obs counters) so smoke runs and CI gate on
-//! "checks ran, none failed" without perturbing the solve.
+//! finite and strictly positive, the eta file must agree with the basis
+//! bookkeeping, and the eligible set pricing reads must be the set a full
+//! eligibility scan would find. Violations are never fatal — they are
+//! folded into [`SolveStats::sanitizer_violations`](crate::SolveStats)
+//! (and from there the `lp.sanitizer_*` obs counters) so smoke runs and CI
+//! gate on "checks ran, none failed" without perturbing the solve.
 //!
 //! The sweep reuses the engine's `work_row` scratch (dead between
 //! pivots; `refactorize` refills it before every use) and allocates
@@ -115,7 +116,7 @@ impl Engine {
     /// only the countdown branch.
     #[cold]
     #[inline(never)]
-    fn sanitize_sweep(&mut self) {
+    pub(super) fn sanitize_sweep(&mut self) {
         self.stats.sanitizer_checks += 1;
         let mut violations = 0u64;
         let m = self.std.nrows;
@@ -158,6 +159,14 @@ impl Engine {
                 violations += 1;
                 break;
             }
+        }
+
+        // (5) The eligible set against the mathematics: exactly the columns
+        // whose maintained reduced cost and state make them eligible, each
+        // at the slot the index names. A column missing from it is never
+        // priced; a stale member is priced on a reduced cost it lost.
+        if !self.eligible_set_consistent() {
+            violations += 1;
         }
 
         self.stats.sanitizer_violations += violations;

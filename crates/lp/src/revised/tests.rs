@@ -1,6 +1,8 @@
 use super::*;
 use crate::model::{Col, Objective, Problem, Row};
 use crate::solution::Status;
+use crate::sparse::WorkVec;
+use crate::stdform::ColKind;
 
 fn assert_near(a: f64, b: f64) {
     assert!(
@@ -400,16 +402,15 @@ fn duals_satisfy_weak_pricing() {
 
 #[test]
 fn pivot_scratch_fits_after_growth() {
-    // The four per-pivot scratch lists are sized to the structure; a
-    // master that grows (here: nnz more than doubles) must re-fit all of
-    // them, or the next pivot allocates inside the hot loops.
+    // Every per-pivot list is sized to the structure — each column once,
+    // each row once, never an entry per nonzero; a master that grows must
+    // re-fit all of them, or the next pivot allocates inside the hot loops.
     let mut p = Problem::new(Objective::Maximize);
     let x = p.add_col(0.0, 1.0, 1.0);
     let rows: Vec<Row> = (0..4)
         .map(|_| p.add_row(f64::NEG_INFINITY, 9.0, &[(x, 1.0)]))
         .collect();
     let mut e = engine::Engine::new(standardize(&p).unwrap(), SimplexConfig::default());
-    let nnz0 = e.std.a.nnz();
     let cols = vec![
         NewColumn {
             lower: 0.0,
@@ -417,13 +418,189 @@ fn pivot_scratch_fits_after_growth() {
             cost: 1.0,
             entries: rows.iter().map(|&r| (r, 1.0)).collect(),
         };
-        4
+        40
     ];
     e.append_columns(&cols);
-    let (nnz, ncols) = (e.std.a.nnz(), e.std.ncols());
-    assert!(nnz >= 2 * nnz0);
-    assert!(e.touched.capacity() >= nnz);
-    assert!(e.row_alpha.capacity() >= nnz);
-    assert!(e.dual_order.capacity() >= nnz);
+    let (nnz, ncols, m) = (e.std.a.nnz(), e.std.ncols(), e.std.nrows);
+    assert!(
+        nnz > 3 * ncols,
+        "the old nnz-sized reserve would pass unnoticed"
+    );
+    for list in [&e.touched, &e.dual_order, &e.elig] {
+        assert!((ncols..nnz).contains(&list.capacity()));
+    }
+    assert!((ncols..nnz).contains(&e.row_alpha.capacity()));
     assert!(e.cand_scores.capacity() >= ncols);
+    assert!(e.ratio_cand.capacity() >= m);
+    assert_eq!(e.elig_slot.len(), ncols);
+    assert_eq!(e.col_words.len(), ncols.div_ceil(64));
+}
+
+#[test]
+fn sanitizer_holds_the_eligible_set_to_the_mathematics() {
+    let mut p = Problem::new(Objective::Maximize);
+    let x: Vec<Col> = (0..6)
+        .map(|j| p.add_col(0.0, 4.0, 1.0 + j as f64))
+        .collect();
+    for i in 0..3 {
+        let row: Vec<(Col, f64)> = x.iter().map(|&c| (c, 1.0 + (i % 2) as f64)).collect();
+        p.add_row(f64::NEG_INFINITY, 5.0 + i as f64, &row);
+    }
+    let mut e = engine::Engine::new(standardize(&p).unwrap(), SimplexConfig::default());
+    assert_eq!(e.solve(None, false).unwrap().status, Status::Optimal);
+    e.stats.sanitizer_violations = 0;
+    e.sanitize_sweep();
+    assert_eq!(e.stats.sanitizer_violations, 0, "a healthy endpoint");
+    // A reduced cost written behind the engine's back: the column is
+    // eligible by the mathematics and missing from the set.
+    let j = (0..e.std.ncols())
+        .find(|&j| e.state[j] == engine::VarState::AtLower)
+        .unwrap();
+    e.d[j] = -1.0;
+    e.sanitize_sweep();
+    assert_eq!(e.stats.sanitizer_violations, 1);
+}
+
+impl engine::Engine {
+    /// The ratio test as three closure passes over `w` — the version the
+    /// one-gather [`Self::ratio_test`] replaced, kept verbatim as its
+    /// oracle.
+    fn ratio_test_three_pass(&self, q: usize, dir: f64, w: &WorkVec) -> engine::RatioOutcome {
+        use engine::RatioOutcome;
+        let ptol = self.cfg.pivot_tol;
+        let ftol = self.cfg.feas_tol;
+        // Step limit from the entering variable's own bound range.
+        let own_range = match (self.std.lower[q].is_finite(), self.std.upper[q].is_finite()) {
+            (true, true) => self.std.upper[q] - self.std.lower[q],
+            _ => f64::INFINITY,
+        };
+
+        // The step at which the basic variable at `pos` reaches the bound
+        // it moves toward, that bound widened by `slack`; `None` for an
+        // entry below the pivot tolerance or an open side.
+        let reach = |pos: usize, wp: f64, slack: f64| -> Option<f64> {
+            if wp.abs() <= ptol {
+                return None;
+            }
+            let rate = -wp * dir; // d(xb[pos]) / dt
+            let j = self.basis[pos];
+            let limit = if rate > 0.0 {
+                let ub = self.std.upper[j];
+                if !ub.is_finite() {
+                    return None;
+                }
+                (ub - self.xb[pos] + slack) / rate
+            } else {
+                let lb = self.std.lower[j];
+                if !lb.is_finite() {
+                    return None;
+                }
+                (self.xb[pos] - lb + slack) / -rate
+            };
+            Some(pos_or_zero(limit))
+        };
+
+        // Pass 1: minimum blocking step with tolerance-relaxed bounds.
+        let mut t_relaxed = own_range;
+        kernels::for_each_entry(w, |pos, wp| {
+            if let Some(limit) = reach(pos, wp, ftol) {
+                t_relaxed = t_relaxed.min(limit);
+            }
+        });
+        if t_relaxed.is_infinite() {
+            return RatioOutcome::Unbounded;
+        }
+
+        // Pass 2: largest pivot magnitude among the rows blocking at or
+        // before `t_relaxed`.
+        const RATIO_TIE_BAND: f64 = 1e-9;
+        let mut max_mag = 0.0f64;
+        let blocking = |pos, wp| reach(pos, wp, 0.0).filter(|&limit| limit <= t_relaxed);
+        let mut any_blocking = false;
+        kernels::for_each_entry(w, |pos, wp| {
+            if blocking(pos, wp).is_some() {
+                any_blocking = true;
+                max_mag = max_mag.max(wp.abs());
+            }
+        });
+        if !any_blocking {
+            return RatioOutcome::BoundFlip(own_range);
+        }
+        // Pass 3: inside the tie band, artificials first, then the lowest
+        // basis position.
+        let band_floor = max_mag * (1.0 - RATIO_TIE_BAND);
+        let mut best: Option<(usize, f64, bool)> = None; // pos, step, is_artificial
+        kernels::for_each_entry(w, |pos, wp| {
+            let Some(limit) = blocking(pos, wp) else {
+                return;
+            };
+            if wp.abs() < band_floor {
+                return;
+            }
+            let art = self.std.kind[self.basis[pos]] == ColKind::Artificial;
+            let better = match best {
+                None => true,
+                Some((_, _, bart)) => art && !bart,
+            };
+            if better {
+                best = Some((pos, limit, art));
+            }
+        });
+        match best {
+            None => RatioOutcome::BoundFlip(own_range),
+            Some((pos, step, _)) => RatioOutcome::Pivot { pos, step },
+        }
+    }
+}
+
+proptest::proptest! {
+    /// One gather against three passes on random `(w, xb, bounds, dir)`:
+    /// values from a small grid so steps and magnitudes tie (exactly and
+    /// inside the band), basic artificials, open sides, entries below the
+    /// pivot tolerance, a tracked and a dense `w`, and an entering column
+    /// whose own range is zero, finite or infinite.
+    #[test]
+    fn ratio_test_matches_three_pass(seed in proptest::prelude::any::<u64>()) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = rng.random_range(1..24usize);
+        let mut p = Problem::new(Objective::Minimize);
+        let q = p.add_col(0.0, 1.0, 1.0);
+        for _ in 0..m {
+            p.add_row(0.0, 1.0, &[(q, 1.0)]);
+        }
+        let mut e = engine::Engine::new(standardize(&p).unwrap(), SimplexConfig::default());
+        let own = [(0.0, 0.0), (0.0, 2.0), (0.0, f64::INFINITY), (f64::NEG_INFINITY, 1.0)];
+        (e.std.lower[0], e.std.upper[0]) = own[rng.random_range(0..own.len())];
+        // Each row's activity column or its artificial is basic there.
+        e.basis = (0..m)
+            .map(|i| match rng.random_range(0..3) {
+                0 => e.std.artificial_col(i),
+                _ => e.std.activity_col(i),
+            })
+            .collect();
+        let dense = rng.random_range(0..3) == 0;
+        let mags = [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 2.0, 0.5, 1e-10, 0.0];
+        let mut w = WorkVec::new(m);
+        for pos in 0..m {
+            let j = e.basis[pos];
+            e.std.lower[j] = [f64::NEG_INFINITY, 0.0, 0.0, 1.0][rng.random_range(0..4)];
+            e.std.upper[j] = [f64::INFINITY, 3.0, 3.0, 2.0][rng.random_range(0..4)];
+            // On a bound, inside, or a tolerance past it.
+            e.xb[pos] = [0.0, 1.0, 1.5, 3.0, -1e-9, 3.0 + 1e-9][rng.random_range(0..6)];
+            if dense || rng.random_range(0..3) > 0 {
+                let sign = if rng.random_range(0..2) == 0 { 1.0 } else { -1.0 };
+                w.set(pos as u32, sign * mags[rng.random_range(0..mags.len())]);
+            }
+        }
+        if dense {
+            w.make_dense();
+        } else {
+            w.sort_pattern();
+        }
+        for dir in [1.0, -1.0] {
+            let want = e.ratio_test_three_pass(0, dir, &w);
+            proptest::prop_assert_eq!(e.ratio_test(0, dir, &w), want);
+        }
+    }
 }

@@ -287,6 +287,40 @@ impl CscMatrix {
     }
 }
 
+/// Sorts `list` ascending and removes duplicates, in place, without a
+/// comparison sort: one bit per entry into `words` (bit `i & 63` of word
+/// `i >> 6`), then a sweep of the word range between the smallest and the
+/// largest entry that pops the bits back out lowest first.
+///
+/// `words` needs a bit for every possible entry. On entry it may hold set
+/// bits only for entries of `list` (a caller de-duplicating at insertion
+/// uses them as its marks); on exit it is all zero.
+pub(crate) fn sort_dedup(list: &mut Vec<u32>, words: &mut [u64]) {
+    let Some(&first) = list.first() else {
+        return;
+    };
+    let (mut wlo, mut whi) = (first >> 6, first >> 6);
+    for &i in list.iter() {
+        let wi = i >> 6;
+        wlo = wlo.min(wi);
+        whi = whi.max(wi);
+        words[wi as usize] |= 1u64 << (i & 63);
+    }
+    list.clear();
+    for wi in wlo..=whi {
+        let mut bits = std::mem::take(&mut words[wi as usize]);
+        while bits != 0 {
+            list.push((wi << 6) | bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Zeroed bit words for [`sort_dedup`] over entries `0..n`.
+pub(crate) fn sort_words(n: usize) -> Vec<u64> {
+    vec![0; n.div_ceil(64)]
+}
+
 /// A sparse work vector: dense values plus an explicit nonzero pattern, with
 /// a density-based dense fallback.
 ///
@@ -307,6 +341,8 @@ pub struct WorkVec {
     pub pattern: Vec<u32>,
     /// Scratch flags marking membership of `pattern`.
     marked: Vec<bool>,
+    /// Zeroed bit words for [`sort_pattern`](Self::sort_pattern).
+    sort_words: Vec<u64>,
     /// When set, `pattern` is not maintained; any entry of `values` may be
     /// nonzero.
     dense: bool,
@@ -320,6 +356,7 @@ impl WorkVec {
             values: vec![0.0; n],
             pattern: Vec::with_capacity(n),
             marked: vec![false; n],
+            sort_words: sort_words(n),
             dense: false,
         }
     }
@@ -402,7 +439,7 @@ impl WorkVec {
     /// Sorts the pattern ascending, so pattern iteration visits entries in
     /// the same order a dense `0..n` scan would.
     pub fn sort_pattern(&mut self) {
-        self.pattern.sort_unstable();
+        sort_dedup(&mut self.pattern, &mut self.sort_words);
     }
 
     /// Number of tracked nonzeros — the full dimension after a dense
@@ -588,6 +625,46 @@ mod tests {
         w.set(2, 3.0);
         w.sort_pattern();
         assert_eq!(w.pattern, vec![0, 2, 4]);
+    }
+
+    proptest::proptest! {
+        /// Whatever the shape of the list, the result is `sort_unstable` +
+        /// `dedup` and the words come back zero — also when the caller
+        /// marked entries at insertion and their bits arrive set.
+        #[test]
+        fn sort_dedup_matches_sort_unstable_dedup(seed in proptest::prelude::any::<u64>()) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.random_range(65..4000u32);
+            let len = match seed % 5 {
+                0 => 0,
+                1 => 1,
+                // Short against the range it spans, then long against it.
+                2 | 3 => rng.random_range(2..3 + n as usize / 300),
+                _ => rng.random_range(n as usize / 8..2 * n as usize),
+            };
+            let mut list: Vec<u32> = (0..len).map(|_| rng.random_range(0..n)).collect();
+            if seed % 5 == 2 {
+                let all = rng.random_range(0..n);
+                list.fill(all);
+            }
+            if seed % 5 == 4 {
+                // The word-boundary entries and both ends of the range.
+                list.extend([0, 63, 64, n - 1]);
+            }
+            let mut words = sort_words(n as usize);
+            if rng.random_range(0..2) == 0 {
+                for &i in &list {
+                    words[(i >> 6) as usize] |= 1u64 << (i & 63);
+                }
+            }
+            let mut want = list.clone();
+            want.sort_unstable();
+            want.dedup();
+            sort_dedup(&mut list, &mut words);
+            proptest::prop_assert_eq!(list, want);
+            proptest::prop_assert!(words.iter().all(|&w| w == 0));
+        }
     }
 
     #[test]

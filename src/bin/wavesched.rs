@@ -46,26 +46,27 @@ commands:
 
 common options:
   --network <abilene14|abilene20|esnet|waxman:<nodes>:<pairs>:<seed>>
-  --wavelengths <w>      wavelengths per 20 Gbps link (default 4)
+  --wavelengths <w>      wavelengths per 20 Gbps link (default 4, at least 1)
   --trace <file>         job trace CSV (see workload::trace)
   --trace                with no value: print the observability span tree
                          to stderr after the command
-  --paths <k>            allowed paths per job (default 4)
-  --alpha <a>            stage-2 fairness slack (default 0.1)
+  --paths <k>            allowed paths per job (default 4, at least 1)
+  --alpha <a>            stage-2 fairness slack in [0, 1] (default 0.1)
   --colgen               solve through delayed column generation instead of
                          materializing every Yen column (schedule, ret)
   --pricer <reduced-cost|exhaustive>  column-generation pricing oracle
                          (default reduced-cost)
-  --cg-rounds <n>        max price-resolve rounds per LP form (default 50)
+  --cg-rounds <n>        max price-resolve rounds per LP form (default 50,
+                         at least 1)
   --cg-tol <t>           reduced-cost tolerance for entering columns
-                         (default 1e-7)
+                         (default 1e-7, positive and finite)
 
 gen-trace options:
   --jobs <n> --seed <s>  workload size and seed
 
 simulate options:
   --policy <reject|shrink|extend>   overload action (default shrink)
-  --tau <t>                          controller period in slices (default 1)
+  --tau <t>                          controller period in slices (default 1, at least 1)
 "
 }
 
@@ -133,6 +134,18 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("bad --{k} value {v:?}")),
         }
     }
+
+    /// [`Self::num`] for a count that must be at least 1.
+    fn at_least_one<T>(&self, k: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + From<u8> + std::fmt::Display,
+    {
+        let n = self.num(k, default)?;
+        if n < T::from(1) {
+            return Err(format!("--{k} must be at least 1, got {n}"));
+        }
+        Ok(n)
+    }
 }
 
 /// Parses the column-generation knobs (`--colgen`, `--pricer`,
@@ -150,8 +163,14 @@ fn colgen_cfg(args: &Args) -> Result<Option<ColGenConfig>, String> {
         return Ok(None);
     }
     let mut cg = ColGenConfig::default();
-    cg.max_rounds = args.num("cg-rounds", cg.max_rounds)?;
+    cg.max_rounds = args.at_least_one("cg-rounds", cg.max_rounds)?;
     cg.tolerance = args.num("cg-tol", cg.tolerance)?;
+    if !(cg.tolerance > 0.0 && cg.tolerance.is_finite()) {
+        return Err(format!(
+            "--cg-tol must be positive and finite, got {}",
+            cg.tolerance
+        ));
+    }
     cg.pricer = match args.get("pricer").unwrap_or("reduced-cost") {
         "reduced-cost" => PricerChoice::ReducedCost,
         "exhaustive" => PricerChoice::Exhaustive,
@@ -355,10 +374,10 @@ fn run() -> Result<(), String> {
         obs::set_enabled(true);
     }
 
-    let w: u32 = args.num("wavelengths", 4)?;
+    let w: u32 = args.at_least_one("wavelengths", 4)?;
     let net_spec = args.get("network").unwrap_or("abilene14").to_string();
     let graph = build_network(&net_spec, w)?;
-    let paths_per_job: usize = args.num("paths", 4)?;
+    let paths_per_job: usize = args.at_least_one("paths", 4)?;
     let alpha: f64 = args.num("alpha", 0.1)?;
     if !(0.0..=1.0).contains(&alpha) {
         return Err(format!("--alpha must be in [0, 1], got {alpha}"));
@@ -389,8 +408,9 @@ fn run() -> Result<(), String> {
             print!("{}", write_trace(&jobs));
         }
         "schedule" => {
+            let colgen = colgen_cfg(&args)?;
             let jobs = load_trace()?;
-            let (inst, r) = match colgen_cfg(&args)? {
+            let (inst, r) = match colgen {
                 Some(cg) => {
                     let (r, inst, stats) = max_throughput_pipeline_colgen(
                         &graph,
@@ -430,8 +450,9 @@ fn run() -> Result<(), String> {
             print!("{}", link_utilization(&inst, &plan, 10));
         }
         "ret" => {
+            let colgen = colgen_cfg(&args)?;
             let jobs = load_trace()?;
-            let out = match colgen_cfg(&args)? {
+            let out = match colgen {
                 Some(cg) => solve_ret_colgen(&graph, &jobs, &inst_cfg, &RetConfig::default(), &cg)
                     .map_err(|e| e.to_string())?
                     .map(|(r, stats)| {
@@ -460,11 +481,12 @@ fn run() -> Result<(), String> {
             }
         }
         "simulate" => {
+            let tau: usize = args.at_least_one("tau", 1)?;
             let jobs = load_trace()?;
             let mut cfg = SimConfig::paper(w);
             cfg.controller.instance = inst_cfg;
             cfg.controller.alpha = alpha;
-            cfg.controller.tau = args.num("tau", 1)?;
+            cfg.controller.tau = tau;
             cfg.controller.policy = match args.get("policy").unwrap_or("shrink") {
                 "reject" => OverloadPolicy::Reject,
                 "shrink" => OverloadPolicy::ShrinkDemands,
