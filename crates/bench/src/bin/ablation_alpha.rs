@@ -6,7 +6,7 @@
 //! cargo run --release -p wavesched-bench --bin ablation_alpha
 //! ```
 
-use wavesched_bench::{env_usize, par_points, quick};
+use wavesched_bench::par_points;
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_core::pipeline::max_throughput_pipeline;
 use wavesched_net::{abilene20, PathSet};
@@ -14,7 +14,7 @@ use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let jobs_n = env_usize("WS_JOBS", if quick() { 20 } else { 120 });
+    let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 20 } else { 120 });
     let w = 2;
     let (g, _) = abilene20(w);
     let jobs = WorkloadGenerator::new(WorkloadConfig {

@@ -8,7 +8,7 @@
 //! cargo run --release -p wavesched-bench --bin ablation_exact
 //! ```
 
-use wavesched_bench::{env_usize, par_seeds};
+use wavesched_bench::par_seeds;
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_core::lpdar::{lpdar, AdjustOrder};
 use wavesched_core::stage1::solve_stage1;
@@ -61,7 +61,7 @@ fn stage2_milp(inst: &Instance, fairness: Option<(f64, f64)>) -> Problem {
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let trials = env_usize("WS_SEEDS", 5);
+    let trials = opts.seeds.unwrap_or(5);
     println!("# Ablation A4: LPDAR vs exact ILP (tiny ring networks, W=2)");
     println!("trial,jobs,lp_obj,ilp_obj,ilp_fair_obj,lpdar_obj,lpdar_over_ilp,nodes_explored");
     // Trials run across the WS_THREADS pool; each trial's MILP solves also

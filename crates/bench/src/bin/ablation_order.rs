@@ -6,18 +6,16 @@
 //! cargo run --release -p wavesched-bench --bin ablation_order
 //! ```
 
-use wavesched_bench::{
-    build_instance, env_usize, fig_workload, paper_random_network, par_points, quick,
-};
+use wavesched_bench::{build_instance, fig_workload, paper_random_network, par_points};
 use wavesched_core::lpdar::{adjust_rates, truncate, AdjustOrder};
 use wavesched_core::stage1::solve_stage1;
 use wavesched_core::stage2::solve_stage2;
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let jobs_n = env_usize("WS_JOBS", if quick() { 30 } else { 150 });
+    let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 30 } else { 150 });
     let w = 2;
-    let g = paper_random_network(w, 42);
+    let g = paper_random_network(w, 42, opts.smoke);
     let jobs = fig_workload(&g, jobs_n, 1000);
     let inst = build_instance(&g, &jobs, w, 4);
 

@@ -6,16 +6,14 @@
 //! ```
 
 use std::time::Instant;
-use wavesched_bench::{
-    build_instance, env_usize, fig_workload, paper_random_network, par_points, quick, secs,
-};
+use wavesched_bench::{build_instance, fig_workload, paper_random_network, par_points, secs};
 use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let jobs_n = env_usize("WS_JOBS", if quick() { 25 } else { 100 });
+    let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 25 } else { 100 });
     let w = 4;
-    let g = paper_random_network(w, 42);
+    let g = paper_random_network(w, 42, opts.smoke);
     let jobs = fig_workload(&g, jobs_n, 1000);
 
     println!("# Ablation A3: paths per job (random network, W={w}, jobs={jobs_n})");

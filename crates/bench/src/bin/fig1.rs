@@ -9,16 +9,14 @@
 //! cargo run --release -p wavesched-bench --bin fig1
 //! ```
 
-use wavesched_bench::{
-    build_instance, env_usize, fig_workload, mean, paper_random_network, par_points, quick,
-};
+use wavesched_bench::{build_instance, fig_workload, mean, paper_random_network, par_points};
 use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let jobs_n = env_usize("WS_JOBS", if quick() { 40 } else { 250 });
-    let seeds = env_usize("WS_SEEDS", if quick() { 1 } else { 2 });
-    let wavelengths: &[u32] = if quick() {
+    let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 40 } else { 250 });
+    let seeds = opts.seeds.unwrap_or(if opts.smoke { 1 } else { 2 });
+    let wavelengths: &[u32] = if opts.smoke {
         &[2, 8, 32]
     } else {
         &[2, 4, 8, 16, 32]
@@ -35,7 +33,7 @@ fn main() {
         .flat_map(|&w| (0..seeds as u64).map(move |seed| (w, seed)))
         .collect();
     let cells = par_points(&grid, |&(w, seed)| {
-        let g = paper_random_network(w, 42 + seed);
+        let g = paper_random_network(w, 42 + seed, opts.smoke);
         let jobs = fig_workload(&g, jobs_n, 1000 + seed);
         let inst = build_instance(&g, &jobs, w, 4);
         let r = max_throughput_pipeline(&inst, 0.1).expect("pipeline");

@@ -9,7 +9,7 @@
 //! cargo run --release -p wavesched-bench --bin fig2
 //! ```
 
-use wavesched_bench::{env_usize, mean, par_points, quick};
+use wavesched_bench::{mean, par_points};
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_core::pipeline::max_throughput_pipeline;
 use wavesched_net::{abilene20, PathSet};
@@ -17,9 +17,9 @@ use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let jobs_n = env_usize("WS_JOBS", if quick() { 20 } else { 150 });
-    let seeds = env_usize("WS_SEEDS", if quick() { 1 } else { 3 });
-    let wavelengths: &[u32] = if quick() {
+    let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 20 } else { 150 });
+    let seeds = opts.seeds.unwrap_or(if opts.smoke { 1 } else { 3 });
+    let wavelengths: &[u32] = if opts.smoke {
         &[2, 8, 32]
     } else {
         &[2, 4, 8, 16, 32]

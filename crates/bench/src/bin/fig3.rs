@@ -10,17 +10,15 @@
 //! cargo run --release -p wavesched-bench --bin fig3
 //! ```
 
-use wavesched_bench::{
-    build_instance, env_usize, fig_workload, paper_random_network, par_points, quick, secs,
-};
+use wavesched_bench::{build_instance, fig_workload, paper_random_network, par_points, secs};
 use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let job_counts: Vec<usize> = if quick() {
+    let job_counts: Vec<usize> = if opts.smoke {
         vec![20, 40]
     } else {
-        let max = env_usize("WS_JOBS", 250);
+        let max = opts.jobs.unwrap_or(250);
         (1..=5).map(|k| k * max / 5).collect()
     };
     let w = 4;
@@ -34,7 +32,7 @@ fn main() {
     // deterministic, but the wall-clock columns share cores, so run with
     // WS_THREADS=1 when the absolute times matter.
     let rows = par_points(&job_counts, |&n| {
-        let g = paper_random_network(w, 42);
+        let g = paper_random_network(w, 42, opts.smoke);
         let jobs = fig_workload(&g, n, 1000);
         let inst = build_instance(&g, &jobs, w, 4);
         let r = max_throughput_pipeline(&inst, 0.1).expect("pipeline");

@@ -13,12 +13,12 @@
 //! ```
 //!
 //! With `--colgen` the binary instead runs the delayed-column-generation
-//! scaling sweep (EXPERIMENTS.md, BENCH_6): the two-stage pipeline on a
+//! scaling sweep (`results/fig4_colgen.csv`): the two-stage pipeline on a
 //! 1000-node Waxman network, reporting the restricted master's column
 //! count against the exhaustive Yen column census it avoided
 //! materializing.
 
-use wavesched_bench::{env_usize, paper_random_network, par_points, quick, secs, BenchOpts};
+use wavesched_bench::{paper_random_network, par_points, secs, BenchOpts};
 use wavesched_core::colgen::{ColGenConfig, PricerChoice};
 use wavesched_core::instance::InstanceConfig;
 use wavesched_core::ret::{solve_ret, solve_ret_colgen, RetConfig};
@@ -34,22 +34,22 @@ use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 /// ratio measures exactly what the refactor avoids. The sweep prices over
 /// the Yen universe (`PricerChoice::Exhaustive`, which enters only
 /// columns that pass the exact reduced-cost test) so pool and census draw
-/// from the same path set, with a deliberately generous `WS_PATHS` budget
+/// from the same path set, with a deliberately generous `--paths` budget
 /// (default 16) — the regime the monolithic build cannot afford. At sweep
 /// points small enough to afford the monolithic build (`jobs <= 100`) the
 /// `b_gap` column cross-checks the CG fractional extension against
 /// [`solve_ret`]; elsewhere it is `NA` (that infeasibility is the point —
 /// the differential suite covers objective agreement at paper scale).
 fn colgen_sweep(opts: &BenchOpts) {
-    let (nodes, pairs) = if quick() { (100, 200) } else { (1000, 2000) };
-    let job_counts: Vec<usize> = if quick() {
+    let (nodes, pairs) = if opts.smoke { (100, 200) } else { (1000, 2000) };
+    let job_counts: Vec<usize> = if opts.smoke {
         vec![20, 50]
     } else {
-        let max = env_usize("WS_JOBS", 10_000);
+        let max = opts.jobs.unwrap_or(10_000);
         (1..=4).map(|k| k * max / 4).collect()
     };
-    let paths_per_job = env_usize("WS_PATHS", 16);
-    let size_hi = env_usize("WS_SIZE_GB", 100) as f64;
+    let paths_per_job = opts.paths.unwrap_or(16);
+    let size_hi = opts.size_gb.unwrap_or(100) as f64;
     let w = 2;
 
     println!(
@@ -72,14 +72,14 @@ fn colgen_sweep(opts: &BenchOpts) {
             seed: 42,
         });
         // The figs. 1-2 workload shape (4-10 slice windows), with the job
-        // size ceiling on a knob (`WS_SIZE_GB`, default the standard
+        // size ceiling on a knob (`--size-gb`, default the standard
         // 100 GB). The dedicated fig. 4 overload workload (100-400 GB,
         // 2-4 slices) deliberately saturates the network, and certifying
         // an *infeasible* bisection probe prices in most of the path
         // universe — correct, but it measures overload certification, not
         // scaling. The network is fixed across the sweep, so at the
-        // 10k-job scale points even 1-100 GB jobs bury it; the BENCH_6
-        // capture sets `WS_SIZE_GB` so aggregate demand stays in the
+        // 10k-job scale points even 1-100 GB jobs bury it; the recorded
+        // sweep sets `--size-gb 8` so aggregate demand stays in the
         // contended-but-extensible regime where the RET search exercises
         // every master form instead of grinding out one giant
         // infeasibility certificate per probe.
@@ -166,10 +166,10 @@ fn main() {
         colgen_sweep(&opts);
         return;
     }
-    let job_counts: Vec<usize> = if quick() {
+    let job_counts: Vec<usize> = if opts.smoke {
         vec![10, 20]
     } else {
-        let max = env_usize("WS_JOBS", 100);
+        let max = opts.jobs.unwrap_or(100);
         (1..=4).map(|k| k * max / 4).collect()
     };
     let w = 2;
@@ -186,7 +186,7 @@ fn main() {
     // counters — is bit-identical at any thread count (see
     // tests/determinism.rs).
     let rows = par_points(&job_counts, |&n| {
-        let g = paper_random_network(w, 42);
+        let g = paper_random_network(w, 42, opts.smoke);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: n,
             seed: 3000,

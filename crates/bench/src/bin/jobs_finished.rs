@@ -11,7 +11,7 @@
 //! cargo run --release -p wavesched-bench --bin jobs_finished
 //! ```
 
-use wavesched_bench::{env_usize, paper_random_network, par_seeds, quick};
+use wavesched_bench::{paper_random_network, par_seeds};
 use wavesched_core::instance::InstanceConfig;
 use wavesched_core::ret::{solve_ret, RetConfig};
 use wavesched_net::abilene20;
@@ -19,7 +19,7 @@ use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
     let opts = wavesched_bench::bench_opts();
-    let seeds = env_usize("WS_SEEDS", if quick() { 1 } else { 3 });
+    let seeds = opts.seeds.unwrap_or(if opts.smoke { 1 } else { 3 });
     println!("# §III-B.1: fraction of jobs finished at the final RET extension");
     println!("network,seed,jobs,b_lp,b_final,lp_frac,lpd_frac,lpdar_frac");
 
@@ -46,8 +46,8 @@ fn main() {
     let lines = par_seeds(&seed_list, |seed| {
         // Random network scenario.
         let w = 2;
-        let n = if quick() { 15 } else { 50 };
-        let g = paper_random_network(w, 42 + seed);
+        let n = if opts.smoke { 15 } else { 50 };
+        let g = paper_random_network(w, 42 + seed, opts.smoke);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: n,
             seed: 4000 + seed,
@@ -62,7 +62,7 @@ fn main() {
 
         // Abilene scenario.
         let (ga, _) = abilene20(w);
-        let na = if quick() { 10 } else { 30 };
+        let na = if opts.smoke { 10 } else { 30 };
         let jobs_a = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: na,
             seed: 5000 + seed,

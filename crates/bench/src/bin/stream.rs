@@ -1,7 +1,7 @@
 //! **Streaming replay** — end-to-end memory benchmark: feed a synthetic
 //! (or recorded) trace of up to a million jobs through the periodic
 //! controller without ever materializing the whole trace, and record the
-//! per-invocation allocation profile (EXPERIMENTS.md, BENCH_8).
+//! per-invocation allocation profile.
 //!
 //! ```text
 //! cargo run --release -p wavesched-bench --bin stream -- --jobs 1000000

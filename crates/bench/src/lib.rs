@@ -5,56 +5,28 @@
 //! correspond to the series in the paper; EXPERIMENTS.md records
 //! paper-vs-measured values.
 //!
-//! Binaries accept their scale knobs from environment variables so a quick
-//! smoke run and the full reproduction use the same code:
+//! Every figure binary takes its scale knobs as CLI flags, parsed once by
+//! [`parse_bench_args`] (the `stream` binary documents its own):
 //!
-//! * `WS_JOBS` — override the job count(s)
-//! * `WS_SEEDS` — number of workload seeds to average over (default 3)
-//! * `WS_QUICK=1` — shrink everything for a fast smoke run
-//! * `WS_THREADS` — work-pool width for seed replications and sweep
-//!   points ([`par_seeds`] / [`par_points`]; default: available cores,
-//!   `1` = exact serial). Results are bit-identical at any width — only
-//!   wall-clock columns vary (see `tests/determinism.rs`).
-//!
-//! Every binary also accepts two CLI flags (parsed by [`bench_opts`]):
-//!
-//! * `--smoke` — same as `WS_QUICK=1`
+//! * `--smoke` — shrink everything for a fast smoke run
+//! * `--jobs <n>` — override the job count (or the sweep's largest)
+//! * `--seeds <n>` — number of workload seeds to average over
+//! * `--paths <k>`, `--size-gb <g>` — `fig4 --colgen` paths per job and
+//!   largest job size
+//! * `--colgen` — solve through the column-generation pipeline
 //! * `--report <path>` — enable the `wavesched-obs` layer and dump a
 //!   JSON-lines metrics snapshot (span durations, solver counters,
 //!   histograms) to `path` on exit
+//!
+//! The one environment variable is `WS_THREADS` — work-pool width for seed
+//! replications and sweep points ([`par_seeds`] / [`par_points`]; default:
+//! available cores, `1` = exact serial). Results are bit-identical at any
+//! width — only wall-clock columns vary (see `tests/determinism.rs`).
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Duration;
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_net::{waxman_network, Graph, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
-
-/// Reads a `usize` environment knob with a default: unset resolves to
-/// `default`, anything set must parse. (`Err` carries the usage message.)
-/// A knob that silently fell back to its default would run the wrong
-/// experiment and label the output with the right one — every misparse is
-/// an error.
-pub fn try_env_usize(name: &str, default: usize) -> Result<usize, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(default),
-        Ok(v) => v
-            .parse()
-            .map_err(|_| format!("{name}={v:?} is not a valid unsigned integer")),
-    }
-}
-
-/// Reads a `usize` environment knob with a default, exiting loudly
-/// (status 2, like unknown CLI flags) when the variable is set but
-/// unparseable.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    match try_env_usize(name, default) {
-        Ok(n) => n,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Runs `f` once per seed across the `WS_THREADS` work pool, returning
 /// results in seed order — replications are independent by construction,
@@ -79,17 +51,12 @@ where
     wavesched_par::par_map(points, f)
 }
 
-static SMOKE: AtomicBool = AtomicBool::new(false);
-
-/// True when `WS_QUICK=1` (env) or `--smoke` (CLI, via [`bench_opts`]) asks
-/// for a smoke-scale run.
-pub fn quick() -> bool {
-    SMOKE.load(Relaxed) || std::env::var("WS_QUICK").map(|v| v == "1").unwrap_or(false)
-}
-
-/// CLI options shared by every bench binary.
-#[derive(Debug, Default)]
+/// CLI options shared by every figure binary. A `None` knob means "the
+/// binary's own default for its scale".
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct BenchOpts {
+    /// Smoke scale: small networks, few jobs, one seed.
+    pub smoke: bool,
     /// Where to write the JSON-lines metrics report, if requested.
     pub report: Option<String>,
     /// Solve through the delayed column-generation pipeline instead of the
@@ -97,34 +64,58 @@ pub struct BenchOpts {
     /// the default-config outputs stay byte-identical because the flag is
     /// strictly opt-in).
     pub colgen: bool,
+    /// Job count (for a sweep, its largest point).
+    pub jobs: Option<usize>,
+    /// Workload seeds to average over.
+    pub seeds: Option<usize>,
+    /// Paths per job (`fig4 --colgen`).
+    pub paths: Option<usize>,
+    /// Largest job size in GB (`fig4 --colgen`).
+    pub size_gb: Option<usize>,
 }
 
-/// Parses the common bench CLI (`--smoke`, `--report <path>`, `--colgen`),
-/// turning on the observability layer when a report is requested. Exits
-/// with a usage message on unknown arguments, so typos fail loudly instead
-/// of silently running the full-scale experiment.
-pub fn bench_opts() -> BenchOpts {
+/// Parses the figure-binary CLI. `Err` carries the usage message: an
+/// unknown flag, a missing value or an unparseable number — a knob that
+/// silently fell back to its default would run the wrong experiment and
+/// label the output with the right one.
+pub fn parse_bench_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => SMOKE.store(true, Relaxed),
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+        let count = |v: String| {
+            v.parse::<usize>()
+                .map(Some)
+                .map_err(|_| format!("{flag}={v:?} is not a valid unsigned integer"))
+        };
+        match flag.as_str() {
+            "--smoke" => opts.smoke = true,
             "--colgen" => opts.colgen = true,
-            "--report" => match args.next() {
-                Some(path) => opts.report = Some(path),
-                None => {
-                    eprintln!("--report needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; supported: --smoke, --colgen, --report <path>"
-                );
-                std::process::exit(2);
+            "--report" => opts.report = Some(value()?),
+            "--jobs" => opts.jobs = count(value()?)?,
+            "--seeds" => opts.seeds = count(value()?)?,
+            "--paths" => opts.paths = count(value()?)?,
+            "--size-gb" => opts.size_gb = count(value()?)?,
+            _ => {
+                return Err(format!(
+                    "unknown argument {flag:?}; supported: --smoke, --colgen, --report <path>, \
+                     --jobs <n>, --seeds <n>, --paths <k>, --size-gb <g>"
+                ))
             }
         }
     }
+    Ok(opts)
+}
+
+/// [`parse_bench_args`] over the process arguments, turning on the
+/// observability layer when a report is requested. Exits with the usage
+/// message (status 2) on a bad argument, so typos fail loudly instead of
+/// silently running the full-scale experiment.
+pub fn bench_opts() -> BenchOpts {
+    let opts = parse_bench_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     if opts.report.is_some() {
         wavesched_obs::set_enabled(true);
     }
@@ -146,11 +137,12 @@ pub fn write_report(opts: &BenchOpts) {
 }
 
 /// The paper's random evaluation network: 100 nodes, 200 link pairs,
-/// average node degree 4, 20 Gbps links split into `w` wavelengths.
-pub fn paper_random_network(w: u32, seed: u64) -> Graph {
+/// average node degree 4, 20 Gbps links split into `w` wavelengths
+/// (`smoke`: 30 nodes, 60 link pairs).
+pub fn paper_random_network(w: u32, seed: u64, smoke: bool) -> Graph {
     let mut cfg = WaxmanConfig::paper_default(seed);
     cfg.wavelengths = w;
-    if quick() {
+    if smoke {
         cfg.nodes = 30;
         cfg.link_pairs = 60;
     }
@@ -201,47 +193,56 @@ mod tests {
     use super::*;
 
     #[test]
-    fn network_helper_respects_quick() {
-        // Without WS_QUICK the paper shape is produced (env not set in tests
-        // unless exported); just exercise the builder.
-        let g = paper_random_network(4, 1);
-        assert!(g.num_nodes() == 100 || g.num_nodes() == 30);
+    fn network_helper_respects_smoke() {
+        assert_eq!(paper_random_network(4, 1, false).num_nodes(), 100);
+        let g = paper_random_network(4, 1, true);
+        assert_eq!(g.num_nodes(), 30);
         assert!(g.is_strongly_connected());
     }
 
     #[test]
     fn workload_helper() {
-        let g = paper_random_network(4, 1);
+        let g = paper_random_network(4, 1, true);
         let jobs = fig_workload(&g, 20, 5);
         assert_eq!(jobs.len(), 20);
         assert!(jobs.iter().all(|j| j.size_gb <= 100.0));
     }
 
     #[test]
-    fn mean_and_env() {
+    fn mean_of_slice() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert!(mean(&[]).is_nan());
-        assert_eq!(env_usize("WS_SURELY_UNSET_VAR", 7), 7);
     }
 
     #[test]
-    fn env_knobs_fail_loudly_on_garbage() {
-        // Unset -> default; set-but-unparseable -> Err (env_usize exits).
-        assert_eq!(try_env_usize("WS_TEST_UNSET_KNOB", 3), Ok(3));
-        std::env::set_var("WS_TEST_GARBAGE_KNOB", "12abc");
-        assert!(try_env_usize("WS_TEST_GARBAGE_KNOB", 3).is_err());
-        std::env::set_var("WS_TEST_GARBAGE_KNOB", "-4");
-        assert!(try_env_usize("WS_TEST_GARBAGE_KNOB", 3).is_err());
-        std::env::set_var("WS_TEST_GARBAGE_KNOB", "");
-        assert!(try_env_usize("WS_TEST_GARBAGE_KNOB", 3).is_err());
-        std::env::set_var("WS_TEST_GARBAGE_KNOB", "42");
-        assert_eq!(try_env_usize("WS_TEST_GARBAGE_KNOB", 3), Ok(42));
-        std::env::remove_var("WS_TEST_GARBAGE_KNOB");
-        // WS_THREADS itself goes through the same loud-failure policy,
-        // with 0 additionally rejected (crates/par owns that parse).
-        assert!(wavesched_par::parse_threads(Some("0"), 4).is_err());
-        assert!(wavesched_par::parse_threads(Some("two"), 4).is_err());
-        assert_eq!(wavesched_par::parse_threads(Some("2"), 4), Ok(2));
+    fn bench_args_parse_or_fail_loudly() {
+        let parse = |line: &str| parse_bench_args(line.split_whitespace().map(String::from));
+        assert_eq!(parse(""), Ok(BenchOpts::default()));
+        assert_eq!(
+            parse("--smoke --colgen --report r.jsonl --jobs 40 --seeds 2 --paths 8 --size-gb 50"),
+            Ok(BenchOpts {
+                smoke: true,
+                report: Some("r.jsonl".into()),
+                colgen: true,
+                jobs: Some(40),
+                seeds: Some(2),
+                paths: Some(8),
+                size_gb: Some(50),
+            })
+        );
+        // A typo, a missing value and a garbage number are all errors,
+        // never a silent default.
+        for bad in [
+            "--smok",
+            "--report",
+            "--jobs",
+            "--jobs 12abc",
+            "--seeds -4",
+            "--paths two",
+            "--size-gb 1.5",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

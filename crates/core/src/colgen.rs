@@ -561,11 +561,6 @@ impl CgMaster {
         self.session.stats()
     }
 
-    /// The column-generation configuration.
-    pub fn cg_config(&self) -> &ColGenConfig {
-        &self.cg
-    }
-
     /// True when this master's price–resolve loop may run another round.
     pub fn may_round(&self, rounds_done: usize) -> bool {
         rounds_done < self.cg.max_rounds
@@ -635,14 +630,6 @@ impl CgMaster {
         for (i, w) in windows.iter().enumerate() {
             let env = &self.windows[i];
             self.active[i] = w.start.max(env.start)..w.end.min(env.end);
-        }
-        self.apply_active_bounds();
-    }
-
-    /// Reopens every job's full envelope window.
-    pub fn reset_active_windows(&mut self) {
-        for i in 0..self.windows.len() {
-            self.active[i] = self.windows[i].clone();
         }
         self.apply_active_bounds();
     }

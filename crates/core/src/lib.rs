@@ -12,8 +12,6 @@
 //!   (per-job throughput `Z_i`, weighted throughput, completion times,
 //!   capacity checks).
 //! * [`stage1`] — the Stage-1 maximum concurrent throughput LP (eqs. 1–5).
-//! * [`gkflow`] — a Garg–Könemann approximation of Stage 1: combinatorial,
-//!   certified-feasible, within `1 - O(epsilon)` of `Z*`.
 //! * [`stage2`] — the Stage-2 weighted-throughput LP with the fairness
 //!   constraint `Z_i >= (1-alpha) Z*` (eqs. 7–10, relaxed).
 //! * [`lpdar`](crate::lpdar()) (module `lpdar`) — **LPD** (truncation) and
@@ -35,7 +33,6 @@ pub mod arena;
 pub(crate) mod builders;
 pub mod colgen;
 pub mod controller;
-pub mod gkflow;
 pub mod instance;
 pub mod lpdar;
 pub mod pipeline;
@@ -53,7 +50,6 @@ pub use colgen::{
     PricingContext, ReducedCostPricer,
 };
 pub use controller::{Controller, ControllerConfig, OverloadPolicy};
-pub use gkflow::{approx_stage1, GkConfig, GkResult};
 pub use instance::{Instance, InstanceConfig, VarMap};
 pub use lpdar::{adjust_rates, adjust_rates_capped, lpdar, lpdar_capped, truncate, AdjustOrder};
 pub use pipeline::{

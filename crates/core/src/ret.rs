@@ -208,20 +208,6 @@ fn build_probe(inst: &Instance) -> Problem {
     p
 }
 
-/// The probes' LP settings: the configured simplex options plus
-/// candidate-list partial pricing. A probe's answer is a threshold test on
-/// the optimal *objective* — unique for an LP — never on the particular
-/// optimal vertex, so the vertex drift partial pricing allows on degenerate
-/// faces cannot change probe answers. The δ-growth and other
-/// schedule-bearing solves keep the exhaustive scan: their LPDAR rounding
-/// is a function of the vertex itself.
-fn probe_lp(cfg: &RetConfig) -> SimplexConfig {
-    SimplexConfig {
-        partial_pricing: true,
-        ..cfg.lp.clone()
-    }
-}
-
 /// Does a probe-form optimum certify feasibility at its trial `b`?
 fn probe_feasible(sol: &Solution) -> bool {
     sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL
@@ -525,7 +511,7 @@ impl<'a> EnvelopeBackend<'a> {
             // probes then answer without solving, so a session is useless.
             if !env.has_unschedulable_job() {
                 let p = build_probe(&env);
-                backend.probe_lp = Some(EnvelopeLp::new(env, &p, &probe_lp(cfg))?);
+                backend.probe_lp = Some(EnvelopeLp::new(env, &p, &cfg.lp)?);
             }
         }
         Ok(backend)
@@ -554,7 +540,7 @@ impl RetBackend for EnvelopeBackend<'_> {
                 if inst.has_unschedulable_job() {
                     None
                 } else {
-                    Some(solve_with(&build_probe(&inst), &probe_lp(self.cfg))?)
+                    Some(solve_with(&build_probe(&inst), &self.cfg.lp)?)
                 }
             }
         };

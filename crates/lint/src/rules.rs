@@ -81,7 +81,7 @@ pub const RULE_DESCRIPTIONS: [&str; 10] = [
 /// The simplex hot-function list for `alloc-in-hot-path`: the pivot loop
 /// and every kernel it calls per iteration. A `price_`/`ftran_`/`btran_`
 /// prefix covers variants (sparse/dense twins, future pricing modes).
-const HOT_FNS: [&str; 15] = [
+const HOT_FNS: [&str; 13] = [
     "pivot",
     "apply_pivot",
     "apply_bound_flip",
@@ -90,8 +90,6 @@ const HOT_FNS: [&str; 15] = [
     "pivotal_row",
     "update_reduced_and_weights",
     "push_row_cols",
-    "scan_candidates",
-    "refresh_candidates",
     "refresh_eligible",
     "sort_dedup",
     "price",

@@ -41,8 +41,6 @@
 pub mod dense;
 pub mod milp;
 pub mod model;
-pub mod mps;
-pub mod presolve;
 pub mod revised;
 pub mod solution;
 pub mod sparse;
@@ -50,8 +48,6 @@ pub(crate) mod stdform;
 
 pub use milp::{solve_milp, MilpConfig, MilpSolution, MilpStatus};
 pub use model::{Col, Objective, Problem, Row};
-pub use mps::{parse_mps, write_mps, MpsModel};
-pub use presolve::{presolve, PresolveOutcome, Reduction};
 #[doc(hidden)]
 pub use revised::PivotProbe;
 pub use revised::{

@@ -74,18 +74,6 @@ pub struct SimplexConfig {
     /// kernels everywhere, which the differential tests use as an oracle:
     /// the answer is bit-identical either way, only the work differs.
     pub kernel_density_threshold: f64,
-    /// Candidate-list partial pricing for the primal path: pricing scans a
-    /// minor-iteration sublist of attractive columns instead of every
-    /// nonbasic column, with periodic full refreshes. Bland's anti-cycling
-    /// rule always bypasses the sublist, so the termination guarantee is
-    /// unchanged.
-    ///
-    /// Off by default: partial pricing reaches the same *objective* but may
-    /// land on a different vertex of a degenerate optimal face, and several
-    /// consumers (LPDAR rounding, schedule extraction) are functions of the
-    /// particular vertex. Callers whose decisions are objective-only (e.g.
-    /// the RET feasibility probes) opt in per config.
-    pub partial_pricing: bool,
 }
 
 impl Default for SimplexConfig {
@@ -98,7 +86,6 @@ impl Default for SimplexConfig {
             refactor_interval: 100,
             degeneracy_threshold: 400,
             kernel_density_threshold: 0.3,
-            partial_pricing: false,
         }
     }
 }

@@ -152,17 +152,6 @@ pub(super) struct Engine {
     /// Primal ratio-test scratch: `(basis position, |w|, strict step)` of
     /// every entry of `w` that can block, ascending by position.
     pub(super) ratio_cand: Vec<(u32, f64, f64)>,
-    /// Partial-pricing candidate list: column indices, rebuilt by each full
-    /// refresh, scanned on minor iterations. Cleared at phase start.
-    pub(super) cand: Vec<u32>,
-    /// Candidate membership flags (sized to the column count at phase
-    /// start); Devex weight maintenance is restricted to members while the
-    /// sublist is active.
-    pub(super) cand_member: Vec<bool>,
-    /// Minor iterations remaining before the next forced full refresh.
-    pub(super) cand_budget: u32,
-    /// Refresh scratch: `(score, column)` pairs of eligible columns.
-    pub(super) cand_scores: Vec<(f64, u32)>,
     /// The pivotal row `(column, α_j)` over its nonbasic support, ascending
     /// by column: written by `pivotal_row`, read by the primal update and
     /// the dual ratio test.
@@ -244,10 +233,6 @@ impl Engine {
             elig: Vec::new(),
             elig_slot: Vec::new(),
             ratio_cand: Vec::new(),
-            cand: Vec::new(),
-            cand_member: vec![false; ncols],
-            cand_budget: 0,
-            cand_scores: Vec::new(),
             row_alpha: Vec::new(),
             dual_order: Vec::new(),
             sanitize_every: sanitize::sanitize_env(),
@@ -263,8 +248,8 @@ impl Engine {
 
     /// Sizes every per-pivot list to its worst case for the current
     /// structure, so the pivot loops never allocate, before or after
-    /// growth: the pivotal-row lists, the eligible set and the candidate
-    /// scores hold each column at most once, the ratio candidates each row.
+    /// growth: the pivotal-row lists and the eligible set hold each column
+    /// at most once, the ratio candidates each row.
     /// The eligible set comes out empty; `recompute_reduced` fills it.
     pub(super) fn size_scratch(&mut self) {
         let (m, ncols) = (self.std.nrows, self.std.ncols());
@@ -274,8 +259,6 @@ impl Engine {
         }
         self.row_alpha.clear();
         self.row_alpha.reserve_exact(ncols);
-        self.cand_scores.clear();
-        self.cand_scores.reserve_exact(ncols);
         self.ratio_cand.clear();
         self.ratio_cand.reserve_exact(m);
         self.elig_slot.clear();
@@ -316,7 +299,6 @@ impl Engine {
     pub(super) fn iterate(&mut self, phase1: bool) -> Result<PhaseOutcome, SolveError> {
         self.recompute_reduced();
         self.weights.fill(1.0);
-        self.reset_candidates();
         loop {
             if self.stats.iterations >= self.cfg.max_iterations {
                 return Ok(PhaseOutcome::IterationLimit);

@@ -339,7 +339,6 @@ impl Engine {
         self.bland = false;
         self.degen_run = 0;
         self.relaxed.clear();
-        self.reset_candidates();
         for i in 0..self.std.nrows {
             let a = self.std.artificial_col(i);
             self.std.lower[a] = 0.0;

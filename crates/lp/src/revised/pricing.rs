@@ -1,6 +1,6 @@
-//! Primal pricing: Devex over every nonbasic column or over the
-//! partial-pricing candidate list, and the per-pivot update of reduced
-//! costs and reference weights from the pivotal row.
+//! Primal pricing: Devex over the maintained eligible set, and the
+//! per-pivot update of reduced costs and reference weights from the
+//! pivotal row.
 
 use super::engine::{Engine, VarState};
 
@@ -73,29 +73,10 @@ impl Engine {
         members == self.elig.len()
     }
 
-    /// Pricing dispatch: candidate-list partial pricing when enabled, the
-    /// full Devex scan otherwise. Bland mode always takes the full
-    /// first-eligible scan — partial pricing must not weaken the
-    /// anti-cycling termination guarantee. A `None` from either mode means
-    /// a *complete* scan found no eligible column, so the claimed-optimal
-    /// verification in [`Self::iterate`] has identical semantics in both.
-    pub(super) fn price(&mut self) -> Option<(usize, f64)> {
-        if self.bland || !self.cfg.partial_pricing {
-            return self.price_full();
-        }
-        if !self.cand.is_empty() && self.cand_budget > 0 {
-            if let Some(best) = self.scan_candidates() {
-                self.cand_budget -= 1;
-                return Some(best);
-            }
-        }
-        self.refresh_candidates()
-    }
-
     /// Devex pricing over the eligible set: best score, ties to the lower
     /// column index — the choice an ascending scan of every column makes.
     /// Returns the entering column and its movement direction.
-    pub(super) fn price_full(&mut self) -> Option<(usize, f64)> {
+    pub(super) fn price(&mut self) -> Option<(usize, f64)> {
         if self.bland {
             // Bland: the lowest eligible index guarantees termination.
             let j = *self.elig.iter().min()? as usize;
@@ -115,112 +96,15 @@ impl Engine {
         Some((j, self.eligible_dir(j)?))
     }
 
-    /// Minor-iteration pricing pass: best Devex score among the current
-    /// candidates (entries that went basic or lost eligibility are skipped;
-    /// the next refresh drops them).
-    pub(super) fn scan_candidates(&mut self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, f64)> = None;
-        let mut scanned = 0u64;
-        for &jc in &self.cand {
-            let j = jc as usize;
-            scanned += 1;
-            let Some(dir) = self.eligible_dir(j) else {
-                continue;
-            };
-            let score = self.d[j] * self.d[j] / self.weights[j];
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((j, dir, score));
-            }
-        }
-        self.stats.pricing_candidates_scanned += scanned;
-        best.map(|(j, dir, _)| (j, dir))
-    }
-
-    /// Rebuilds the candidate list with the highest-scoring columns of the
-    /// eligible set and returns the best of them. `None` means no column
-    /// anywhere is eligible (the full-scan optimality claim).
-    /// Entirely deterministic: scores tie-break toward the lower column
-    /// index, so the list does not depend on allocation or thread state.
-    pub(super) fn refresh_candidates(&mut self) -> Option<(usize, f64)> {
-        self.stats.partial_refreshes += 1;
-        for &jc in &self.cand {
-            self.cand_member[jc as usize] = false;
-        }
-        self.cand.clear();
-        let mut scores = std::mem::take(&mut self.cand_scores);
-        scores.clear();
-        self.stats.pricing_candidates_scanned += self.elig.len() as u64;
-        for &jc in &self.elig {
-            let j = jc as usize;
-            scores.push((self.d[j] * self.d[j] / self.weights[j], jc));
-        }
-        if scores.is_empty() {
-            self.cand_scores = scores;
-            self.cand_budget = 0;
-            return None;
-        }
-        // Keep the top slice by (score desc, column asc); the list size
-        // grows with sqrt(ncols) so minor iterations touch O(sqrt n)
-        // columns instead of n.
-        let keep = Self::candidate_list_size(self.std.ncols()).min(scores.len());
-        scores.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scores.truncate(keep);
-        for &(_, jc) in scores.iter() {
-            self.cand.push(jc);
-            self.cand_member[jc as usize] = true;
-        }
-        let (_, best) = scores[0];
-        self.cand_budget = keep as u32;
-        self.cand_scores = scores;
-        let j = best as usize;
-        // The top candidate was eligible a moment ago by construction.
-        let dir = self.eligible_dir(j)?;
-        Some((j, dir))
-    }
-
-    /// Partial-pricing sublist size for an `ncols`-column problem.
-    pub(super) fn candidate_list_size(ncols: usize) -> usize {
-        // lint: allow(lossy-cast, reason = "sizing heuristic; truncation of the sqrt is intended")
-        (2.0 * (ncols as f64).sqrt()) as usize + 16
-    }
-
-    /// Empties the candidate list (start of a phase, or after a structural
-    /// change): the first partial-pricing call will run a full refresh.
-    pub(super) fn reset_candidates(&mut self) {
-        for &jc in &self.cand {
-            let j = jc as usize;
-            if j < self.cand_member.len() {
-                self.cand_member[j] = false;
-            }
-        }
-        self.cand.clear();
-        self.cand_member.resize(self.std.ncols(), false);
-        self.cand_budget = 0;
-    }
-
     /// After choosing pivot (entering `q`, leaving position `pos`), updates
     /// the reduced costs and Devex weights from the pivotal row
     /// `alpha = e_pos' B^{-1} A` that [`Self::pivotal_row`] left in
     /// `row_alpha`.
-    ///
-    /// Reduced costs are always updated globally, even under candidate-list
-    /// pricing. A sublist-only update (let non-candidate `d` go stale,
-    /// recompute wholesale at each refresh) was evaluated and rejected:
-    /// these time-expanded LPs are degenerate enough that the eligible set
-    /// churns across refreshes, which makes refreshes — and with them the
-    /// full recompute — far too frequent, and the sublist's pivot choices
-    /// inflate the iteration count well past what the cheaper update saves.
     pub(super) fn update_reduced_and_weights(&mut self, q: usize, pos: usize, alpha_q: f64) {
         let dq = self.d[q];
         let ratio = dq / alpha_q;
         let wq = self.weights[q].max(1.0);
         let leaving = self.basis[pos];
-        // With candidate-list pricing only the candidates' scores are ever
-        // read before the next full refresh (which rebuilds weights'
-        // relevance from scratch), so weight maintenance is confined to the
-        // sublist; reduced costs are always updated for every touched
-        // column — optimality claims depend on them.
-        let partial = self.cfg.partial_pricing && !self.bland;
         let mut max_weight: f64 = 1.0;
         let row_alpha = std::mem::take(&mut self.row_alpha);
         for &(jc, alpha_j) in &row_alpha {
@@ -231,9 +115,6 @@ impl Engine {
             }
             self.d[j] -= ratio * alpha_j;
             self.refresh_eligible(j);
-            if partial && !self.cand_member[j] {
-                continue;
-            }
             let cand = (alpha_j / alpha_q) * (alpha_j / alpha_q) * wq;
             if cand > self.weights[j] {
                 self.weights[j] = cand;

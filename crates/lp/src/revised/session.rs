@@ -205,13 +205,6 @@ impl SolverSession {
         self.engine.reuse_ready = false;
     }
 
-    /// Drops the carried basis; the next solve starts cold.
-    pub fn clear_warm_start(&mut self) {
-        self.warm = None;
-        self.warm_is_own = false;
-        self.engine.reuse_ready = false;
-    }
-
     /// Test-only hook: corrupts the carried LU factorization in place (a
     /// single factor entry is scaled), so the differential suites can
     /// prove the residual guard rejects bad carried factors and re-enters
@@ -230,8 +223,7 @@ impl SolverSession {
     /// of an infeasible (or limit-hit) solve is a phase-1 artifact that makes
     /// a poor starting point, so after such a solve the session keeps
     /// warm-starting from the last optimal basis it saw. Use
-    /// [`warm_start_from`](SolverSession::warm_start_from) /
-    /// [`clear_warm_start`](SolverSession::clear_warm_start) to override.
+    /// [`warm_start_from`](SolverSession::warm_start_from) to override.
     pub fn solve(&mut self) -> Result<Solution, SolveError> {
         // The dual re-solve path needs dual feasibility of the carried
         // basis, which only the session can certify: its own last optimal

@@ -430,7 +430,6 @@ fn pivot_scratch_fits_after_growth() {
         assert!((ncols..nnz).contains(&list.capacity()));
     }
     assert!((ncols..nnz).contains(&e.row_alpha.capacity()));
-    assert!(e.cand_scores.capacity() >= ncols);
     assert!(e.ratio_cand.capacity() >= m);
     assert_eq!(e.elig_slot.len(), ncols);
     assert_eq!(e.col_words.len(), ncols.div_ceil(64));

@@ -170,13 +170,9 @@ solve_counters! {
     /// Nonbasic boxed variables flipped between their bounds by the dual
     /// ratio test (no basis change). Primal flips are in `bound_flips`.
     dual_bound_flips => Some("lp.dual_bound_flips"),
-    /// Nonbasic columns whose reduced cost a primal pricing scan examined
-    /// (full scans charge every nonbasic column; candidate-list scans only
-    /// the sublist).
+    /// Eligible columns the primal pricing scans examined (Bland's rule
+    /// charges one per scan).
     pricing_candidates_scanned => Some("lp.pricing_candidates_scanned"),
-    /// Full refreshes of the partial-pricing candidate list (each one is a
-    /// complete eligibility scan).
-    partial_refreshes => Some("lp.partial_refreshes"),
     /// Runtime-sanitizer sweeps performed (`WS_SANITIZE`; each sweep
     /// re-verifies the basic solution against the standardized system,
     /// Devex weight positivity, and eta-file/basis agreement).
@@ -216,13 +212,6 @@ pub struct Solution {
     pub basis: Option<Basis>,
     /// Work counters.
     pub stats: SolveStats,
-}
-
-impl Solution {
-    /// True if the solve proved optimality.
-    pub fn is_optimal(&self) -> bool {
-        self.status == Status::Optimal
-    }
 }
 
 /// Errors that prevent a solve from producing a meaningful [`Solution`].

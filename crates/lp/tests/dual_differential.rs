@@ -1,19 +1,17 @@
-//! Differential testing for the dual simplex re-solve path and the
-//! candidate-list partial pricing option.
+//! Differential testing for the dual simplex re-solve path.
 //!
 //! The dual path is selected by `SolverSession` only when the carried basis
 //! is its own last optimal basis and every edit since was a bound/RHS edit.
 //! The PR 1 warm-start guarantee must survive: the dual path may change work
 //! counters, never answers. These tests pit a session's dual re-solve
-//! against a from-scratch cold solve of the identical mutated problem, and
-//! the partial-pricing primal against the full-pricing oracle.
+//! against a from-scratch cold solve of the identical mutated problem.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wavesched_lp::{
-    solve, solve_with, solve_with_start, Basis, BasisStatus, Col, NewColumn, Objective, Problem,
-    Row, SimplexConfig, SolverSession, Status,
+    solve, solve_with_start, Basis, BasisStatus, Col, NewColumn, Objective, Problem, Row,
+    SimplexConfig, SolverSession, Status,
 };
 
 /// Random LP from integer-ish data (mirrors `tests/differential.rs`), so
@@ -401,30 +399,6 @@ proptest! {
     #[test]
     fn proptest_dual_resolve_matches_cold(seed in any::<u64>()) {
         check_session_vs_cold(seed);
-    }
-
-    /// Candidate-list partial pricing reaches the same status and objective
-    /// as the full-pricing oracle (the vertex may differ on degenerate
-    /// faces, which is why answers-bearing consumers keep full pricing).
-    #[test]
-    fn proptest_partial_pricing_matches_full_objective(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let p = random_problem(&mut rng, 10, 8);
-        let full = solve(&p).expect("full pricing solve");
-        let cfg = SimplexConfig { partial_pricing: true, ..SimplexConfig::default() };
-        let partial = solve_with(&p, &cfg).expect("partial pricing solve");
-        prop_assert_eq!(full.status, partial.status, "status mismatch");
-        if full.status == Status::Optimal {
-            prop_assert!(
-                (full.objective - partial.objective).abs()
-                    <= 1e-7 * (1.0 + full.objective.abs()),
-                "objective mismatch full={} partial={}", full.objective, partial.objective
-            );
-            prop_assert!(
-                p.max_violation(&partial.x) <= 1e-6,
-                "partial-pricing point infeasible by {}", p.max_violation(&partial.x)
-            );
-        }
     }
 
     /// Infeasible problems stay proven infeasible through a session's dual

@@ -104,24 +104,6 @@ fn bland_mode_takes_the_lowest_eligible_index() {
 }
 
 #[test]
-fn candidate_list_across_refreshes() {
-    // 60 columns keep more eligible than the sublist holds, so the solve
-    // crosses budget-exhausted refreshes as well as the closing one.
-    let (p, _, _) = packing(
-        60,
-        30,
-        |j| (1 + j * 5 % 7) as f64,
-        |j| (3 + j * 7 % 5) as f64,
-        |i| (6 + i * 3 % 5) as f64,
-    );
-    let cfg = SimplexConfig {
-        partial_pricing: true,
-        ..SimplexConfig::default()
-    };
-    check(&solve_with(&p, &cfg).unwrap(), "Optimal 122.33333333333334 [0.0, 0.8333333333333334, 0.0, 1.8333333333333333, 0.0, 1.0, 0.0, 7.0, 0.0, 0.8333333333333334, 0.0, 0.27777777777777796, 0.0, 0.38888888888888884, 0.0, 0.8333333333333335, 0.0, 0.8333333333333335, 0.0, 2.0, 0.0, 5.0, 0.0, 0.8333333333333334, 0.0, 2.6111111111111107, 0.0, 1.0555555555555558, 0.0, 1.8333333333333333, 0.0, 0.8333333333333334, 0.0, 1.0, 0.0, 3.0, 0.0, 1.8333333333333333, 0.0, 0.9444444444444444, 0.0, 2.722222222222222, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]", "iterations: 28, refactorizations: 3, refactor_cost_model: 1, refactor_forced_fallback: 2, bound_flips: 4, ftran_ops: 28, ftran_nnz: 420, ftran_dense_fallbacks: 6, btran_ops: 24, btran_nnz: 222, btran_dense_fallbacks: 5, pivot_row_nnz: 840, pricing_candidates_scanned: 845, partial_refreshes: 4");
-}
-
-#[test]
 fn primal_bound_flips() {
     // Unit boxes under roomy rows: most entering columns reach their own
     // upper bound before any row blocks.

@@ -6,7 +6,7 @@
 //! stronger than we would get from it anyway):
 //!
 //! * **Order-preserving, deterministic reduction.** [`par_map`] /
-//!   [`par_map_indexed`] collect results into a vector indexed by *input*
+//!   [`par_map_indexed_with`] collect results into a vector indexed by *input*
 //!   position, regardless of which worker computed what and in which order
 //!   tasks finished. Callers fold that vector on one thread, so parallel
 //!   execution never reassociates floating-point reductions — results are
@@ -85,17 +85,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Maps `f` over `0..n` with the environment's thread count
-/// ([`threads`]), returning results in index order. See
-/// [`par_map_indexed_with`].
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_with(0, n, f)
 }
 
 /// Maps `f` over `0..n` on a scoped pool of at most `threads` workers

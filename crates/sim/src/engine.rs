@@ -239,6 +239,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_period_or_path_budget_is_a_typed_error() {
+        let (g, _) = abilene14(4);
+        let jobs = jobs_for(&g, 3, 1, ArrivalModel::Batch);
+        // (what the error must name, tau, paths_per_job)
+        for (what, tau, paths) in [("tau", 0, 4), ("paths_per_job", 1, 0)] {
+            let mut cfg = SimConfig::paper(4);
+            cfg.controller.tau = tau;
+            cfg.controller.instance.paths_per_job = paths;
+            let preloaded = run_simulation(&g, &jobs, &cfg).map(|_| ());
+            let streamed = crate::run_simulation_streamed(&g, jobs.clone(), &cfg, None).map(|_| ());
+            for out in [preloaded, streamed] {
+                assert!(
+                    matches!(&out, Err(SolveError::InvalidModel(m)) if m.contains(what)),
+                    "{what} = 0: {out:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn shrink_policy_moves_partial_volume() {
         let mut g = Graph::new();
         let ns = g.add_nodes(2);

@@ -201,6 +201,18 @@ pub(crate) fn run_event_loop(
 ) -> Result<(StreamReport, f64), SolveError> {
     let _span = obs::span("sim_stream");
     let tau = cfg.controller.tau;
+    // `Controller::new` and `PathSet::new` assert on these; a config is
+    // caller input, so it gets an error, not a panic.
+    if tau == 0 {
+        return Err(SolveError::InvalidModel(
+            "controller period tau must be positive".into(),
+        ));
+    }
+    if cfg.controller.instance.paths_per_job == 0 {
+        return Err(SolveError::InvalidModel(
+            "paths_per_job must be positive".into(),
+        ));
+    }
     let mut controller = Controller::new(graph.clone(), cfg.controller.clone());
     let mut it = jobs.into_iter().peekable();
 

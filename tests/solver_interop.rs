@@ -1,113 +1,10 @@
-//! Interop paths around the solver: the scheduler's Stage-2 formulation
-//! survives an MPS round trip and a presolve pass with the optimum intact,
-//! and the CLI-facing trace format pins workloads exactly.
+//! Interop paths around the solver: the CLI-facing trace format pins
+//! workloads exactly.
 
 use wavesched::core::instance::{Instance, InstanceConfig};
 use wavesched::core::stage1::solve_stage1;
-use wavesched::lp::{
-    parse_mps, presolve, solve, write_mps, Objective, PresolveOutcome, Problem, Status,
-};
 use wavesched::net::{abilene14, PathSet};
 use wavesched::workload::{parse_trace, write_trace, WorkloadConfig, WorkloadGenerator};
-
-/// Builds the Stage-2 LP by hand for an instance (mirrors
-/// `core::stage2` so the interop test is independent of its internals).
-fn stage2_lp(inst: &Instance, z_star: f64, alpha: f64) -> Problem {
-    let total = inst.total_demand();
-    let mut p = Problem::new(Objective::Maximize);
-    let mut cols = Vec::new();
-    for (_, job, path, slice) in inst.vars.iter() {
-        let bn = inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64;
-        cols.push(p.add_col(0.0, bn, inst.grid.len_of(slice) / total));
-    }
-    for i in 0..inst.num_jobs() {
-        let coeffs: Vec<_> = inst
-            .vars
-            .job_range(i)
-            .map(|v| {
-                let (_, _, s) = inst.vars.triple(v);
-                (cols[v], inst.grid.len_of(s))
-            })
-            .collect();
-        p.add_row(
-            (1.0 - alpha) * z_star * inst.demands[i],
-            f64::INFINITY,
-            &coeffs,
-        );
-    }
-    let mut keys: Vec<_> = inst.capacity_groups.keys().collect();
-    keys.sort();
-    for key in keys {
-        let cap = inst.graph.wavelengths(wavesched::net::EdgeId(key.0)) as f64;
-        let coeffs: Vec<_> = inst.capacity_groups[key]
-            .iter()
-            .map(|&v| (cols[v as usize], 1.0))
-            .collect();
-        p.add_row(f64::NEG_INFINITY, cap, &coeffs);
-    }
-    p
-}
-
-fn small_instance() -> Instance {
-    let (g, _) = abilene14(2);
-    let jobs = WorkloadGenerator::new(WorkloadConfig {
-        num_jobs: 8,
-        seed: 13,
-        window: (3.0, 8.0),
-        ..Default::default()
-    })
-    .generate(&g);
-    let cfg = InstanceConfig::paper(2);
-    let mut ps = PathSet::new(cfg.paths_per_job);
-    Instance::build(&g, &jobs, &cfg, &mut ps)
-}
-
-#[test]
-fn stage2_survives_mps_roundtrip() {
-    let inst = small_instance();
-    let z = solve_stage1(&inst).unwrap().z_star;
-    let p = stage2_lp(&inst, z, 0.1);
-    let direct = solve(&p).unwrap();
-    assert_eq!(direct.status, Status::Optimal);
-
-    let text = write_mps(&p, "STAGE2");
-    let parsed = parse_mps(&text).unwrap();
-    assert_eq!(parsed.problem.num_cols(), p.num_cols());
-    assert_eq!(parsed.problem.num_rows(), p.num_rows());
-    let re = solve(&parsed.problem).unwrap();
-    assert_eq!(re.status, Status::Optimal);
-    // MPS encodes the equivalent minimization: objective negates.
-    assert!(
-        (re.objective + direct.objective).abs() <= 1e-6 * (1.0 + direct.objective.abs()),
-        "direct {} vs roundtrip {}",
-        direct.objective,
-        re.objective
-    );
-}
-
-#[test]
-fn stage2_survives_presolve() {
-    let inst = small_instance();
-    let z = solve_stage1(&inst).unwrap().z_star;
-    let p = stage2_lp(&inst, z, 0.1);
-    let direct = solve(&p).unwrap();
-
-    match presolve(&p) {
-        PresolveOutcome::Reduced(r) => {
-            let s = solve(&r.problem).unwrap();
-            assert_eq!(s.status, Status::Optimal);
-            assert!(
-                (s.objective - direct.objective).abs() <= 1e-6 * (1.0 + direct.objective.abs()),
-                "direct {} vs presolved {}",
-                direct.objective,
-                s.objective
-            );
-            let x = r.postsolve(&s.x);
-            assert!(p.max_violation(&x) <= 1e-6);
-        }
-        other => panic!("expected a reduction, got {other:?}"),
-    }
-}
 
 #[test]
 fn trace_pins_workloads_across_networks() {
