@@ -8,8 +8,8 @@
 //! in the prefix length and binary search is exact.
 
 use crate::instance::{Instance, InstanceConfig};
-use crate::stage1::solve_stage1_with_start;
-use wavesched_lp::{SimplexConfig, SolveError};
+use crate::stage1::solve_stage1;
+use wavesched_lp::SolveError;
 use wavesched_net::{Graph, PathSet};
 use wavesched_workload::Job;
 
@@ -28,17 +28,18 @@ pub struct AdmissionOutcome {
 /// `mandatory` are previously-admitted, still-unfinished jobs whose
 /// guarantees must be preserved; `mandatory_demands` are their *remaining*
 /// normalized demands. If even the mandatory set alone is infeasible the
-/// prefix is 0 and `z_star` reports the mandatory-only value.
+/// prefix is 0 and `z_star` reports the mandatory-only value. Paths come
+/// from the caller's `pathset` (`cfg.paths_per_job` per endpoint pair), so
+/// a controller pays Yen once per pair, not once per invocation.
 pub fn admit_by_priority(
     graph: &Graph,
     mandatory: &[Job],
     mandatory_demands: &[f64],
     candidates: &[Job],
     cfg: &InstanceConfig,
-    lp_cfg: &SimplexConfig,
+    pathset: &mut PathSet,
 ) -> Result<AdmissionOutcome, SolveError> {
     assert_eq!(mandatory.len(), mandatory_demands.len());
-    let mut pathset = PathSet::new(cfg.paths_per_job);
 
     let mut z_of = |prefix: usize| -> Result<f64, SolveError> {
         let mut jobs: Vec<Job> = mandatory.to_vec();
@@ -52,8 +53,8 @@ pub fn admit_by_priority(
                 .iter()
                 .map(|j| cfg.demand_units(j.size_gb)),
         );
-        let inst = Instance::build_with_demands(graph, &jobs, demands, cfg, &mut pathset);
-        Ok(solve_stage1_with_start(&inst, lp_cfg, None)?.z_star)
+        let inst = Instance::build_with_demands(graph, &jobs, demands, cfg, pathset);
+        Ok(solve_stage1(&inst)?.z_star)
     };
 
     // Fast paths.
@@ -104,6 +105,18 @@ mod tests {
         (g, ns)
     }
 
+    /// [`admit_by_priority`] over a fresh path cache.
+    fn admit(
+        g: &Graph,
+        mandatory: &[Job],
+        m_demand: &[f64],
+        candidates: &[Job],
+        cfg: &InstanceConfig,
+    ) -> AdmissionOutcome {
+        let mut pathset = PathSet::new(cfg.paths_per_job);
+        admit_by_priority(g, mandatory, m_demand, candidates, cfg, &mut pathset).unwrap()
+    }
+
     #[test]
     fn admits_all_when_light() {
         let (g, _) = abilene14(8);
@@ -116,7 +129,7 @@ mod tests {
         })
         .generate(&g);
         let cfg = InstanceConfig::paper(8);
-        let out = admit_by_priority(&g, &[], &[], &jobs, &cfg, &Default::default()).unwrap();
+        let out = admit(&g, &[], &[], &jobs, &cfg);
         assert_eq!(out.admitted_prefix, 4);
         assert!(out.z_star >= 1.0);
     }
@@ -130,7 +143,7 @@ mod tests {
         let jobs: Vec<Job> = (0..5)
             .map(|i| Job::new(JobId(i), 0.0, ns[0], ns[1], 300.0, 0.0, 4.0))
             .collect();
-        let out = admit_by_priority(&g, &[], &[], &jobs, &cfg, &Default::default()).unwrap();
+        let out = admit(&g, &[], &[], &jobs, &cfg);
         assert_eq!(out.admitted_prefix, 2);
         assert!(out.z_star >= 1.0);
     }
@@ -145,15 +158,7 @@ mod tests {
         let candidates: Vec<Job> = (0..3)
             .map(|i| Job::new(JobId(i), 0.0, ns[0], ns[1], 150.0, 0.0, 4.0))
             .collect();
-        let out = admit_by_priority(
-            &g,
-            &mandatory,
-            &m_demand,
-            &candidates,
-            &cfg,
-            &Default::default(),
-        )
-        .unwrap();
+        let out = admit(&g, &mandatory, &m_demand, &candidates, &cfg);
         assert_eq!(out.admitted_prefix, 1);
     }
 
@@ -164,15 +169,7 @@ mod tests {
         let mandatory = vec![Job::new(JobId(9), 0.0, ns[0], ns[1], 1200.0, 0.0, 4.0)];
         let m_demand = vec![cfg.demand_units(1200.0)];
         let candidates = vec![Job::new(JobId(0), 0.0, ns[0], ns[1], 150.0, 0.0, 4.0)];
-        let out = admit_by_priority(
-            &g,
-            &mandatory,
-            &m_demand,
-            &candidates,
-            &cfg,
-            &Default::default(),
-        )
-        .unwrap();
+        let out = admit(&g, &mandatory, &m_demand, &candidates, &cfg);
         assert_eq!(out.admitted_prefix, 0);
         assert!(out.z_star < 1.0);
     }
@@ -181,7 +178,7 @@ mod tests {
     fn empty_candidates() {
         let (g, _) = one_link_graph(2);
         let cfg = InstanceConfig::paper(2);
-        let out = admit_by_priority(&g, &[], &[], &[], &cfg, &Default::default()).unwrap();
+        let out = admit(&g, &[], &[], &[], &cfg);
         assert_eq!(out.admitted_prefix, 0);
         assert!(out.z_star.is_infinite());
     }

@@ -44,8 +44,8 @@ use crate::timegrid::TimeGrid;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use wavesched_lp::{
-    Col, NewColumn, NewRow, Objective, Problem, Row, SimplexConfig, Solution, SolveError,
-    SolveStats, SolverSession, Status,
+    Col, NewColumn, NewRow, Objective, Problem, Row, Solution, SolveError, SolveStats,
+    SolverSession, Status,
 };
 use wavesched_net::{dijkstra, EdgeId, Graph, Path, PathSet};
 use wavesched_obs as obs;
@@ -87,8 +87,6 @@ pub struct ColGenConfig {
     /// Reduced-cost tolerance: a column must beat the duals by more than
     /// this to enter the pool.
     pub tolerance: f64,
-    /// Simplex settings for the restricted master.
-    pub lp: SimplexConfig,
 }
 
 impl Default for ColGenConfig {
@@ -97,7 +95,6 @@ impl Default for ColGenConfig {
             pricer: PricerChoice::default(),
             max_rounds: 50,
             tolerance: 1e-7,
-            lp: SimplexConfig::default(),
         }
     }
 }
@@ -439,13 +436,7 @@ impl CgMaster {
         cg: &ColGenConfig,
     ) -> Result<Self, SolveError> {
         assert_eq!(jobs.len(), demands.len());
-        let horizon = jobs
-            .iter()
-            .map(|j| j.end)
-            .fold(1.0_f64, f64::max)
-            .ceil()
-            .max(1.0) as usize;
-        let grid = TimeGrid::uniform(horizon);
+        let grid = TimeGrid::covering(jobs);
         let windows: Vec<Range<usize>> = jobs
             .iter()
             .map(|j| grid.window_slices(j.start, j.end))
@@ -504,7 +495,7 @@ impl CgMaster {
             cap_rows.insert(*key, p.add_row(f64::NEG_INFINITY, cap, coeffs));
         }
 
-        let session = SolverSession::with_config(&p, &cg.lp)?;
+        let session = SolverSession::new(&p)?;
         Ok(CgMaster {
             graph: graph.clone(),
             jobs: jobs.to_vec(),

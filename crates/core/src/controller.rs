@@ -19,7 +19,7 @@ use crate::pipeline::max_throughput_pipeline_in;
 use crate::ret::{solve_ret_with_demands, RetConfig};
 use crate::schedule::Schedule;
 use crate::stage1::solve_stage1_in;
-use wavesched_lp::{Basis, SimplexConfig, SolveError, SolveStats};
+use wavesched_lp::{Basis, SolveError, SolveStats};
 use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
 use wavesched_workload::{Job, JobId};
@@ -55,8 +55,6 @@ pub struct ControllerConfig {
     pub order: AdjustOrder,
     /// RET settings (used by [`OverloadPolicy::ExtendDeadlines`]).
     pub ret: RetConfig,
-    /// Simplex settings.
-    pub lp: SimplexConfig,
 }
 
 impl ControllerConfig {
@@ -69,7 +67,6 @@ impl ControllerConfig {
             policy: OverloadPolicy::ShrinkDemands,
             order: AdjustOrder::Paper,
             ret: RetConfig::default(),
-            lp: SimplexConfig::default(),
         }
     }
 }
@@ -253,51 +250,33 @@ impl Controller {
         let mut rejected: Vec<JobId> = Vec::new();
         let mut extension = 0.0_f64;
 
-        // Admission per policy.
-        let mut jobs: Vec<Job>;
-        let mut demands: Vec<f64>;
-        match self.cfg.policy {
+        // Admission per policy: only `Reject` turns requests away.
+        let admitted_prefix = match self.cfg.policy {
             OverloadPolicy::Reject => {
-                let out = admit_by_priority(
+                admit_by_priority(
                     &self.graph,
                     &mandatory,
                     &mandatory_demands,
                     &candidates,
                     &self.cfg.instance,
-                    &self.cfg.lp,
-                )?;
-                jobs = mandatory.clone();
-                demands = mandatory_demands.clone();
-                for (i, j) in candidates.iter().enumerate() {
-                    if i < out.admitted_prefix {
-                        admitted.push(j.id);
-                        jobs.push(j.clone());
-                        demands.push(self.cfg.instance.demand_units(j.size_gb));
-                    } else {
-                        rejected.push(j.id);
-                    }
-                }
-                self.rejected_total += rejected.len();
+                    &mut self.pathset,
+                )?
+                .admitted_prefix
             }
-            OverloadPolicy::ShrinkDemands => {
-                jobs = mandatory.clone();
-                demands = mandatory_demands.clone();
-                for j in &candidates {
-                    admitted.push(j.id);
-                    jobs.push(j.clone());
-                    demands.push(self.cfg.instance.demand_units(j.size_gb));
-                }
-            }
-            OverloadPolicy::ExtendDeadlines => {
-                jobs = mandatory.clone();
-                demands = mandatory_demands.clone();
-                for j in &candidates {
-                    admitted.push(j.id);
-                    jobs.push(j.clone());
-                    demands.push(self.cfg.instance.demand_units(j.size_gb));
-                }
+            OverloadPolicy::ShrinkDemands | OverloadPolicy::ExtendDeadlines => candidates.len(),
+        };
+        let mut jobs = mandatory;
+        let mut demands = mandatory_demands;
+        for (i, j) in candidates.iter().enumerate() {
+            if i < admitted_prefix {
+                admitted.push(j.id);
+                jobs.push(j.clone());
+                demands.push(self.cfg.instance.demand_units(j.size_gb));
+            } else {
+                rejected.push(j.id);
             }
         }
+        self.rejected_total += rejected.len();
 
         obs::counter_add("controller.admitted", admitted.len() as u64);
         obs::counter_add("controller.rejected", rejected.len() as u64);
@@ -313,20 +292,14 @@ impl Controller {
         // pipeline would schedule, so it both consumes and refreshes the
         // carried warm basis.
         if self.cfg.policy == OverloadPolicy::ExtendDeadlines && !jobs.is_empty() {
-            let probe = Instance::build_with_demands_from(
+            let probe = Instance::build_with_demands(
                 &self.graph,
                 &jobs,
                 demands.clone(),
                 &self.cfg.instance,
                 &mut self.pathset,
-                now,
             );
-            let s1 = solve_stage1_in(
-                &probe,
-                &self.cfg.lp,
-                self.warm_stage1.as_ref(),
-                &mut self.arena,
-            )?;
+            let s1 = solve_stage1_in(&probe, self.warm_stage1.as_ref(), &mut self.arena)?;
             inv_stats.merge(&s1.stats);
             if s1.basis.is_some() {
                 self.warm_stage1 = s1.basis;
@@ -339,15 +312,16 @@ impl Controller {
                     &demands,
                     &self.cfg.instance,
                     &self.cfg.ret,
+                    now,
                 )? {
                     inv_stats.merge(&ret.stats);
                     self.stats.merge(&inv_stats);
                     extension = ret.b_final;
-                    let ext_jobs: Vec<Job> = jobs
-                        .iter()
-                        .map(|j| j.with_extended_end(extension))
-                        .collect();
-                    self.active = ext_jobs
+                    // Commit the ends RET scheduled against: its instance
+                    // holds the jobs as relaxed at `b_final`.
+                    self.active = ret
+                        .instance
+                        .jobs
                         .iter()
                         .zip(&demands)
                         .map(|(j, &d)| ActiveJob {
@@ -373,19 +347,17 @@ impl Controller {
         // two-stage pipeline + LPDAR, warm-starting Stage 1 from the carried
         // basis (the previous invocation's — or, under ExtendDeadlines, this
         // round's overload probe over the identical instance).
-        let inst = Instance::build_with_demands_from(
+        let inst = Instance::build_with_demands(
             &self.graph,
             &jobs,
             demands.clone(),
             &self.cfg.instance,
             &mut self.pathset,
-            now,
         );
         let pipe = max_throughput_pipeline_in(
             &inst,
             self.cfg.alpha,
             self.cfg.order,
-            &self.cfg.lp,
             self.warm_stage1.as_ref(),
             &mut self.arena,
         )?;

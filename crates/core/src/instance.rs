@@ -212,28 +212,11 @@ impl Instance {
         cfg: &InstanceConfig,
         pathset: &mut PathSet,
     ) -> Self {
-        Self::build_with_demands_from(graph, jobs, demands, cfg, pathset, 0.0)
-    }
-
-    /// Like [`build_with_demands`](Instance::build_with_demands), but on an
-    /// active-window grid whose stored slices start at `from_time` (the
-    /// controller's current time). Slice indices stay global, so the
-    /// resulting LPs, schedules and CSVs are byte-identical to a full
-    /// build; only the memory for the dead `[0, from_time)` prefix is
-    /// elided. `from_time = 0` is exactly the full build.
-    pub fn build_with_demands_from(
-        graph: &Graph,
-        jobs: &[Job],
-        demands: Vec<f64>,
-        cfg: &InstanceConfig,
-        pathset: &mut PathSet,
-        from_time: f64,
-    ) -> Self {
         let paths: Vec<Vec<Path>> = jobs
             .iter()
             .map(|j| pathset.paths(graph, j.src, j.dst).to_vec())
             .collect();
-        Self::build_with_paths_from(graph, jobs, demands, cfg, paths, from_time)
+        Self::build_with_paths(graph, jobs, demands, cfg, paths)
     }
 
     /// Builds an instance with explicit per-job path lists instead of the
@@ -249,32 +232,9 @@ impl Instance {
         cfg: &InstanceConfig,
         paths: Vec<Vec<Path>>,
     ) -> Self {
-        Self::build_with_paths_from(graph, jobs, demands, cfg, paths, 0.0)
-    }
-
-    /// [`build_with_paths`](Instance::build_with_paths) on an active-window
-    /// grid starting at `from_time`; see
-    /// [`build_with_demands_from`](Instance::build_with_demands_from).
-    pub fn build_with_paths_from(
-        graph: &Graph,
-        jobs: &[Job],
-        demands: Vec<f64>,
-        cfg: &InstanceConfig,
-        paths: Vec<Vec<Path>>,
-        from_time: f64,
-    ) -> Self {
         assert_eq!(jobs.len(), demands.len());
         assert_eq!(jobs.len(), paths.len());
-        let horizon = jobs
-            .iter()
-            .map(|j| j.end)
-            .fold(1.0_f64, f64::max)
-            .ceil()
-            .max(1.0) as usize;
-        let origin = wavesched_lp::pos_or_zero(from_time).floor() as usize;
-        // `windowed(0, n)` is exactly `uniform(n)`; clamp so the grid keeps
-        // at least one slice even when every window has already closed.
-        let grid = TimeGrid::windowed(origin, horizon.max(origin + 1) - origin);
+        let grid = TimeGrid::covering(jobs);
 
         let windows: Vec<Range<usize>> = jobs
             .iter()
@@ -397,44 +357,7 @@ mod tests {
     fn grid_covers_all_windows() {
         let inst = small_instance(12);
         let max_end = inst.jobs.iter().map(|j| j.end).fold(0.0f64, f64::max);
-        assert!(inst.grid.horizon() >= max_end.floor());
-    }
-
-    #[test]
-    fn windowed_build_matches_full_build() {
-        // When every job's window lies at or after `from_time`, the
-        // active-window build must agree with the full build on everything
-        // an LP builder consumes: variable enumeration, windows and
-        // capacity groups — only the grid's stored prefix differs.
-        let (g, _) = abilene14(4);
-        let jobs: Vec<Job> = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: 10,
-            seed: 3,
-            ..Default::default()
-        })
-        .generate(&g)
-        .into_iter()
-        .map(|mut j| {
-            j.start += 25.0;
-            j.end += 25.0;
-            j
-        })
-        .collect();
-        let cfg = InstanceConfig::paper(4);
-        let mut ps = PathSet::new(cfg.paths_per_job);
-        let full = Instance::build(&g, &jobs, &cfg, &mut ps);
-        let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
-        let win = Instance::build_with_demands_from(&g, &jobs, demands, &cfg, &mut ps, 25.0);
-
-        assert_eq!(win.grid.first_slice(), 25);
-        assert_eq!(win.grid.num_slices(), full.grid.num_slices());
-        assert_eq!(win.vars.len(), full.vars.len());
-        for i in 0..jobs.len() {
-            assert_eq!(win.vars.window(i), full.vars.window(i), "job {i}");
-            assert_eq!(win.vars.paths_of(i), full.vars.paths_of(i), "job {i}");
-        }
-        assert_eq!(win.capacity_groups, full.capacity_groups);
-        assert_eq!(win.demands, full.demands);
+        assert!(inst.grid.end_of(inst.grid.num_slices() - 1) >= max_end.floor());
     }
 
     #[test]

@@ -85,8 +85,6 @@ fn adjust_impl(inst: &Instance, base: &Schedule, order: AdjustOrder, capped: boo
         .map(|i| inst.demands[i] - sched.transferred(inst, i))
         .collect();
 
-    // Slices before the grid's active window carry no variables, so the
-    // greedy fill starts at the window (identical result, bounded work).
     for slice in inst.grid.first_slice()..inst.grid.num_slices() {
         // Residual wavelengths per edge at this slice.
         #[allow(clippy::needless_range_loop)] // e is an edge id, not a slice index

@@ -80,20 +80,18 @@ impl PipelineResult {
     }
 }
 
-/// Runs the two-stage pipeline with default solver settings and the paper's
-/// visit order.
+/// Runs the two-stage pipeline with the paper's visit order.
 pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineResult, SolveError> {
     max_throughput_pipeline_in(
         inst,
         alpha,
         AdjustOrder::Paper,
-        &SimplexConfig::default(),
         None,
         &mut BuildArena::new(),
     )
 }
 
-/// Runs the two-stage pipeline with explicit order and solver settings,
+/// Runs the two-stage pipeline with an explicit visit order,
 /// warm-starting Stage 1 from `stage1_start` and routing all
 /// LP-construction scratch through a caller-held [`BuildArena`].
 ///
@@ -110,7 +108,6 @@ pub fn max_throughput_pipeline_in(
     inst: &Instance,
     alpha: f64,
     order: AdjustOrder,
-    cfg: &SimplexConfig,
     stage1_start: Option<&Basis>,
     arena: &mut BuildArena,
 ) -> Result<PipelineResult, SolveError> {
@@ -119,7 +116,7 @@ pub fn max_throughput_pipeline_in(
     let t0 = Instant::now();
     let s1 = {
         let _s = obs::span("stage1");
-        solve_stage1_in(inst, cfg, stage1_start, arena)?
+        solve_stage1_in(inst, stage1_start, arena)?
     };
     let stage1_time = t0.elapsed();
 
@@ -134,7 +131,7 @@ pub fn max_throughput_pipeline_in(
             s1.z_star,
             alpha,
             &WeightPolicy::DemandProportional,
-            cfg,
+            &SimplexConfig::default(),
             s2_start.as_ref(),
             arena,
         )?
@@ -343,11 +340,9 @@ mod tests {
         // the previous run's Stage-1 basis, must reproduce the same optima
         // with both warm starts accepted.
         let inst = abilene_instance(12, 2, 21);
-        let cfg = SimplexConfig::default();
         let mut arena = BuildArena::new();
         let mut run = |start: Option<&Basis>| {
-            max_throughput_pipeline_in(&inst, 0.1, AdjustOrder::Paper, &cfg, start, &mut arena)
-                .unwrap()
+            max_throughput_pipeline_in(&inst, 0.1, AdjustOrder::Paper, start, &mut arena).unwrap()
         };
         let cold = run(None);
         let warm = run(cold.stage1_basis.as_ref());

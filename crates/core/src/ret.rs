@@ -21,8 +21,7 @@ use crate::timegrid::TimeGrid;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use wavesched_lp::{
-    solve_with, Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats,
-    SolverSession, Status,
+    solve, Col, Objective, Problem, Solution, SolveError, SolveStats, SolverSession, Status,
 };
 use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
@@ -35,8 +34,9 @@ pub const COMPLETION_TOL: f64 = 1e-6;
 /// How the relaxation factor `(1+b)` is applied to each job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetMode {
-    /// Scale absolute end times: `E_i -> (1+b) E_i` (the paper's primary
-    /// formulation, eq. 16).
+    /// Scale end times as measured from the scheduling origin `o`:
+    /// `E_i -> o + (1+b)(E_i - o)` — the paper's primary formulation,
+    /// eq. 16, which schedules once at `o = 0`.
     #[default]
     ExtendEnd,
     /// Scale window lengths: `E_i -> S_i + (1+b)(E_i - S_i)` (the
@@ -46,10 +46,19 @@ pub enum RetMode {
     StretchWindow,
 }
 
-impl RetMode {
+/// How a trial `b` relaxes the jobs: the mode, and the scheduling instant
+/// [`RetMode::ExtendEnd`] measures end times from (0 for the paper's
+/// one-shot problem, the invocation time inside the controller).
+#[derive(Clone, Copy)]
+struct Relaxation {
+    mode: RetMode,
+    origin: f64,
+}
+
+impl Relaxation {
     fn apply(self, job: &Job, b: f64) -> Job {
-        match self {
-            RetMode::ExtendEnd => job.with_extended_end(b),
+        match self.mode {
+            RetMode::ExtendEnd => job.with_extended_end(b, self.origin),
             RetMode::StretchWindow => job.with_stretched_window(b),
         }
     }
@@ -68,8 +77,6 @@ pub struct RetConfig {
     pub bsearch_tol: f64,
     /// Visit order for the LPDAR adjustment.
     pub order: AdjustOrder,
-    /// Simplex settings for every LP solve.
-    pub lp: SimplexConfig,
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
     /// Answer the bisection's feasibility probes on clones of a template
@@ -100,7 +107,6 @@ impl Default for RetConfig {
             delta: 0.1,
             bsearch_tol: 0.01,
             order: AdjustOrder::Paper,
-            lp: SimplexConfig::default(),
             max_delta_steps: 60,
             warm_start: true,
             threads: 0,
@@ -169,13 +175,15 @@ impl RetResult {
 const RET_PROBE_TOL: f64 = 1e-6;
 
 /// Builds the SUB-RET problem (Quick-Finish objective, eqs. 14–16) on an
-/// (already end-extended) instance.
-fn build_subret(inst: &Instance) -> Problem {
+/// (already end-extended) instance whose jobs start at or after slice
+/// `origin`: `gamma(j) = j - origin + 1`, so a slice weighs by how long
+/// after the scheduling instant it ends, not by the clock.
+fn build_subret(inst: &Instance, origin: usize) -> Problem {
     let mut p = Problem::new(Objective::Minimize);
     let (mut cols, mut coeffs) = (Vec::new(), Vec::new());
     add_assignment_cols(&mut p, inst, &mut cols);
     for (var, _, _, slice) in inst.vars.iter() {
-        p.set_cost(cols[var], (slice + 1) as f64);
+        p.set_cost(cols[var], (slice - origin + 1) as f64);
     }
     // Eq. 15: every job moves at least its demand.
     for i in 0..inst.num_jobs() {
@@ -216,13 +224,18 @@ fn probe_feasible(sol: &Solution) -> bool {
 /// The jobs' slice windows at trial extension `b` on an envelope `grid`
 /// (one built at `b_max`); `None` when some job's window is empty — the
 /// question is then answered without an LP solve, like an instance built
-/// directly at `b` with an unschedulable job. The grid is uniform, so a
-/// window that fits under the envelope horizon is the same range the
-/// shorter grid of the `b`-instance would produce.
-fn windows_at(grid: &TimeGrid, jobs: &[Job], mode: RetMode, b: f64) -> Option<Vec<Range<usize>>> {
+/// directly at `b` with an unschedulable job. Slices are unit slices by
+/// global index, so a window that fits under the envelope horizon is the
+/// same range the shorter grid of the `b`-instance would produce.
+fn windows_at(
+    grid: &TimeGrid,
+    jobs: &[Job],
+    relax: Relaxation,
+    b: f64,
+) -> Option<Vec<Range<usize>>> {
     let mut windows = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let ext = mode.apply(job, b);
+        let ext = relax.apply(job, b);
         let w = grid.window_slices(ext.start, ext.end);
         if w.is_empty() {
             return None;
@@ -355,8 +368,8 @@ struct EnvelopeLp {
 type CloneProbe = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
 
 impl EnvelopeLp {
-    fn new(inst: Instance, p: &Problem, lp: &SimplexConfig) -> Result<Self, SolveError> {
-        let session = SolverSession::with_config(p, lp)?;
+    fn new(inst: Instance, p: &Problem) -> Result<Self, SolveError> {
+        let session = SolverSession::new(p)?;
         let upper = inst
             .vars
             .iter()
@@ -398,10 +411,10 @@ impl EnvelopeLp {
     fn solve_at(
         &mut self,
         jobs: &[Job],
-        mode: RetMode,
+        relax: Relaxation,
         b: f64,
     ) -> Result<Option<Solution>, SolveError> {
-        let Some(windows) = windows_at(&self.inst.grid, jobs, mode, b) else {
+        let Some(windows) = windows_at(&self.inst.grid, jobs, relax, b) else {
             return Ok(None);
         };
         let EnvelopeLp {
@@ -425,9 +438,9 @@ impl EnvelopeLp {
     /// edit, so the probe's solve enters through the factorization-reuse
     /// path (`SolveStats::lu_reuse_hits`) and skips `Lu::factor` entirely
     /// — the dominant cost of a few-pivot probe.
-    fn probe_on_clone(&self, jobs: &[Job], mode: RetMode, b: f64) -> CloneProbe {
+    fn probe_on_clone(&self, jobs: &[Job], relax: Relaxation, b: f64) -> CloneProbe {
         let _span = obs::span("ret_probe");
-        let Some(windows) = windows_at(&self.inst.grid, jobs, mode, b) else {
+        let Some(windows) = windows_at(&self.inst.grid, jobs, relax, b) else {
             return Ok((false, SolveStats::default(), None));
         };
         let mut session = self.session.clone();
@@ -465,6 +478,7 @@ struct EnvelopeBackend<'a> {
     demands: &'a [f64],
     inst_cfg: &'a InstanceConfig,
     cfg: &'a RetConfig,
+    relax: Relaxation,
     pathset: PathSet,
     /// The warm probe template; `None` in cold mode, when some job is
     /// unschedulable even at `b_max`, and once the bisection consumed it.
@@ -491,6 +505,7 @@ impl<'a> EnvelopeBackend<'a> {
         demands: &'a [f64],
         inst_cfg: &'a InstanceConfig,
         cfg: &'a RetConfig,
+        origin: f64,
     ) -> Result<Self, SolveError> {
         let mut backend = EnvelopeBackend {
             graph,
@@ -498,6 +513,10 @@ impl<'a> EnvelopeBackend<'a> {
             demands,
             inst_cfg,
             cfg,
+            relax: Relaxation {
+                mode: cfg.mode,
+                origin,
+            },
             pathset: PathSet::new(inst_cfg.paths_per_job),
             probe_lp: None,
             growth_lp: None,
@@ -511,7 +530,7 @@ impl<'a> EnvelopeBackend<'a> {
             // probes then answer without solving, so a session is useless.
             if !env.has_unschedulable_job() {
                 let p = build_probe(&env);
-                backend.probe_lp = Some(EnvelopeLp::new(env, &p, &cfg.lp)?);
+                backend.probe_lp = Some(EnvelopeLp::new(env, &p)?);
             }
         }
         Ok(backend)
@@ -519,11 +538,7 @@ impl<'a> EnvelopeBackend<'a> {
 
     /// Builds the instance with every window relaxed by `(1+b)`.
     fn instance_at(&mut self, b: f64) -> Instance {
-        let ext: Vec<Job> = self
-            .jobs
-            .iter()
-            .map(|j| self.cfg.mode.apply(j, b))
-            .collect();
+        let ext: Vec<Job> = self.jobs.iter().map(|j| self.relax.apply(j, b)).collect();
         let demands = self.demands.to_vec();
         Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, &mut self.pathset)
     }
@@ -534,13 +549,13 @@ impl RetBackend for EnvelopeBackend<'_> {
         obs::counter_add("ret.probes", 1);
         let _span = obs::span("ret_probe");
         let sol = match &mut self.probe_lp {
-            Some(lp) => lp.solve_at(self.jobs, self.cfg.mode, b)?,
+            Some(lp) => lp.solve_at(self.jobs, self.relax, b)?,
             None => {
                 let inst = self.instance_at(b);
                 if inst.has_unschedulable_job() {
                     None
                 } else {
-                    Some(solve_with(&build_probe(&inst), &self.cfg.lp)?)
+                    Some(solve(&build_probe(&inst))?)
                 }
             }
         };
@@ -571,7 +586,7 @@ impl RetBackend for EnvelopeBackend<'_> {
         let Some(mut template) = self.probe_lp.take() else {
             return bisect_steps((lo, hi), tol, usize::MAX, |b| self.probe(b)).map(|(_, hi)| hi);
         };
-        let (jobs, mode) = (self.jobs, self.cfg.mode);
+        let (jobs, relax) = (self.jobs, self.relax);
         let (mut lo, mut hi) = (lo, hi);
         while hi - lo > tol {
             // Speculate the full round when workers are available; probe
@@ -581,7 +596,7 @@ impl RetBackend for EnvelopeBackend<'_> {
                 let mut cands = Vec::with_capacity((1 << Self::ROUND_DEPTH) - 1);
                 collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
                 let answers = wavesched_par::par_map_with(self.cfg.threads, &cands, |&b| {
-                    template.probe_on_clone(jobs, mode, b)
+                    template.probe_on_clone(jobs, relax, b)
                 });
                 obs::counter_add("ret.speculative_probes", cands.len() as u64);
                 by_bits.extend(cands.iter().map(|b| b.to_bits()).zip(answers));
@@ -595,7 +610,7 @@ impl RetBackend for EnvelopeBackend<'_> {
             (lo, hi) = bisect_steps((lo, hi), tol, Self::ROUND_DEPTH, |mid| {
                 let (ans, stats, session) = match by_bits.remove(&mid.to_bits()) {
                     Some(r) => r?,
-                    None => template.probe_on_clone(jobs, mode, mid)?,
+                    None => template.probe_on_clone(jobs, relax, mid)?,
                 };
                 obs::counter_add("ret.probes", 1);
                 self.stats.merge(&stats);
@@ -614,23 +629,24 @@ impl RetBackend for EnvelopeBackend<'_> {
     }
 
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
+        let origin = self.relax.origin as usize;
         if self.growth_lp.is_none() {
             // The search is over: release the probe template first.
             self.probe_lp = None;
             let env = self.instance_at(self.cfg.b_max);
-            let p = build_subret(&env);
-            self.growth_lp = Some(EnvelopeLp::new(env, &p, &self.cfg.lp)?);
+            let p = build_subret(&env, origin);
+            self.growth_lp = Some(EnvelopeLp::new(env, &p)?);
         }
         let inst = self.instance_at(b);
         if b > self.cfg.b_max {
-            let sol = solve_with(&build_subret(&inst), &self.cfg.lp)?;
+            let sol = solve(&build_subret(&inst, origin))?;
             self.stats.merge(&sol.stats);
             let x = (sol.status == Status::Optimal).then(|| sol.x[..inst.vars.len()].to_vec());
             return Ok(x.map(|x| (inst, x)));
         }
         // lint: allow(lib-unwrap, reason = "invariant: populated just above")
         let growth = self.growth_lp.as_mut().expect("invariant: growth LP built");
-        let Some(sol) = growth.solve_at(self.jobs, self.cfg.mode, b)? else {
+        let Some(sol) = growth.solve_at(self.jobs, self.relax, b)? else {
             return Ok(None);
         };
         self.stats.merge(&sol.stats);
@@ -684,6 +700,7 @@ struct CgBackend<'a> {
     pricer: Box<dyn Pricer>,
     jobs: &'a [Job],
     cfg: &'a RetConfig,
+    relax: Relaxation,
 }
 
 impl RetBackend for CgBackend<'_> {
@@ -695,7 +712,7 @@ impl RetBackend for CgBackend<'_> {
     fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
         obs::counter_add("ret.probes", 1);
         let _span = obs::span("ret_probe");
-        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.cfg.mode, b) else {
+        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.relax, b) else {
             return Ok(false);
         };
         self.master.set_active_windows(&windows);
@@ -709,7 +726,7 @@ impl RetBackend for CgBackend<'_> {
     }
 
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
-        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.cfg.mode, b) else {
+        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.relax, b) else {
             return Ok(None);
         };
         self.master.set_active_windows(&windows);
@@ -718,11 +735,7 @@ impl RetBackend for CgBackend<'_> {
         if sol.status != Status::Optimal {
             return Ok(None);
         }
-        let ext: Vec<Job> = self
-            .jobs
-            .iter()
-            .map(|j| self.cfg.mode.apply(j, b))
-            .collect();
+        let ext: Vec<Job> = self.jobs.iter().map(|j| self.relax.apply(j, b)).collect();
         let inst = self.master.materialize_for(&ext);
         let x = self.master.values_on(&inst, &sol.x);
         Ok(Some((inst, x)))
@@ -751,17 +764,22 @@ pub fn solve_ret(
         .iter()
         .map(|j| inst_cfg.demand_units(j.size_gb))
         .collect();
-    solve_ret_with_demands(graph, jobs, &demands, inst_cfg, cfg)
+    solve_ret_with_demands(graph, jobs, &demands, inst_cfg, cfg, 0.0)
 }
 
-/// [`solve_ret`] with explicit normalized demands — used by the periodic
-/// controller to complete the *remaining* demand of in-flight jobs.
+/// [`solve_ret`] with explicit normalized demands, measured from the
+/// scheduling instant `origin` — used by the periodic controller to
+/// complete the *remaining* demand of in-flight jobs. [`RetMode::ExtendEnd`]
+/// extends end times as distances from `origin` and Quick-Finish weighs
+/// slice `j` by `j - origin + 1`, so the answer does not depend on the
+/// clock; no job may start before `origin`.
 pub fn solve_ret_with_demands(
     graph: &Graph,
     jobs: &[Job],
     demands: &[f64],
     inst_cfg: &InstanceConfig,
     cfg: &RetConfig,
+    origin: f64,
 ) -> Result<Option<RetResult>, SolveError> {
     if jobs.len() != demands.len() {
         return Err(SolveError::InvalidModel(format!(
@@ -770,8 +788,13 @@ pub fn solve_ret_with_demands(
             demands.len()
         )));
     }
+    if !(origin >= 0.0 && jobs.iter().all(|j| j.start >= origin)) {
+        return Err(SolveError::InvalidModel(format!(
+            "RET origin {origin} is negative or after a job's start"
+        )));
+    }
     let out = algorithm2(jobs, cfg, || {
-        EnvelopeBackend::new(graph, jobs, demands, inst_cfg, cfg)
+        EnvelopeBackend::new(graph, jobs, demands, inst_cfg, cfg, origin)
     })?;
     Ok(out.map(|(result, _)| result))
 }
@@ -780,9 +803,10 @@ pub fn solve_ret_with_demands(
 /// restricted master, built at the `b_max` envelope and seeded with
 /// shortest paths, answers every bisection probe and δ-growth step.
 ///
-/// Matches [`solve_ret`]'s trajectory semantics with one documented
-/// difference: growth is capped at the `b_max` envelope, where the
-/// monolithic path may take one final cold step beyond `b_max`. Returns
+/// Matches [`solve_ret`]'s trajectory semantics, end times measured from
+/// time 0 included, with one documented difference: growth is capped at
+/// the `b_max` envelope, where the monolithic path may take one final cold
+/// step beyond `b_max`. Returns
 /// the result together with the column-generation work counters, or
 /// `Ok(None)` when no extension within `b_max` completes all jobs.
 pub fn solve_ret_colgen(
@@ -792,17 +816,22 @@ pub fn solve_ret_colgen(
     cfg: &RetConfig,
     cg: &ColGenConfig,
 ) -> Result<Option<(RetResult, CgStats)>, SolveError> {
+    let relax = Relaxation {
+        mode: cfg.mode,
+        origin: 0.0,
+    };
     let out = algorithm2(jobs, cfg, || {
         let demands = jobs
             .iter()
             .map(|j| inst_cfg.demand_units(j.size_gb))
             .collect();
-        let env_jobs: Vec<Job> = jobs.iter().map(|j| cfg.mode.apply(j, cfg.b_max)).collect();
+        let env_jobs: Vec<Job> = jobs.iter().map(|j| relax.apply(j, cfg.b_max)).collect();
         Ok(CgBackend {
             master: CgMaster::build(graph, &env_jobs, demands, inst_cfg, cg)?,
             pricer: cg.pricer.build(inst_cfg.paths_per_job),
             jobs,
             cfg,
+            relax,
         })
     })?;
     Ok(out.map(|(result, backend)| (result, backend.master.stats())))
@@ -1085,11 +1114,19 @@ mod tests {
             ("no jobs", solve_ret(&g, &[], &cfg, &ret).map(drop)),
             (
                 "no jobs, explicit demands",
-                solve_ret_with_demands(&g, &[], &[], &cfg, &ret).map(drop),
+                solve_ret_with_demands(&g, &[], &[], &cfg, &ret, 0.0).map(drop),
             ),
             (
                 "2 jobs but 1 demand",
-                solve_ret_with_demands(&g, &jobs, &[1.0], &cfg, &ret).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0], &cfg, &ret, 0.0).map(drop),
+            ),
+            (
+                "origin after a job's start",
+                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, 1e9).map(drop),
+            ),
+            (
+                "NaN origin",
+                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, f64::NAN).map(drop),
             ),
             (
                 "no jobs, colgen",

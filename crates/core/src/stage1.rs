@@ -31,9 +31,9 @@ pub struct Stage1Result {
     pub stats: SolveStats,
 }
 
-/// Solves the Stage-1 MCF with default simplex settings.
+/// Solves the Stage-1 MCF.
 pub fn solve_stage1(inst: &Instance) -> Result<Stage1Result, SolveError> {
-    solve_stage1_with_start(inst, &SimplexConfig::default(), None)
+    solve_stage1_with_start(inst, None)
 }
 
 /// Builds the Stage-1 LP without solving it. Exposed for the kernel
@@ -68,10 +68,9 @@ pub(crate) fn build_stage1_problem_in(inst: &Instance, arena: &mut BuildArena) -
 /// same either way, only [`SolveStats`] differ.
 pub fn solve_stage1_with_start(
     inst: &Instance,
-    cfg: &SimplexConfig,
     start: Option<&Basis>,
 ) -> Result<Stage1Result, SolveError> {
-    solve_stage1_in(inst, cfg, start, &mut BuildArena::new())
+    solve_stage1_in(inst, start, &mut BuildArena::new())
 }
 
 /// [`solve_stage1_with_start`] building the LP through a caller-held
@@ -79,7 +78,6 @@ pub fn solve_stage1_with_start(
 /// construction buffers instead of reallocating them.
 pub(crate) fn solve_stage1_in(
     inst: &Instance,
-    cfg: &SimplexConfig,
     start: Option<&Basis>,
     arena: &mut BuildArena,
 ) -> Result<Stage1Result, SolveError> {
@@ -96,7 +94,7 @@ pub(crate) fn solve_stage1_in(
     let p = build_stage1_problem_in(inst, arena);
     drop(build_span);
 
-    let sol = solve_with_start(&p, cfg, start)?;
+    let sol = solve_with_start(&p, &SimplexConfig::default(), start)?;
     match sol.status {
         Status::Optimal => Ok(Stage1Result {
             z_star: sol.objective,

@@ -1,247 +1,121 @@
-//! Time slices: the paper's `I(·)` slice-index map and `LEN(j)`.
+//! Time slices: the paper's `LEN(j)` and the slice window of a request.
 //!
 //! The controller divides time into slices; wavelength assignments are
-//! constant within a slice. This grid supports non-uniform slice lengths
-//! (the formulations multiply by `LEN(j)` everywhere), although every
-//! experiment in the paper — and in this reproduction — uses unit slices.
+//! constant within a slice. Unit slices are the only kind: every
+//! formulation the paper states, and every experiment here, uses them, so
+//! global slice `j` covers `[j, j + 1)` and a grid is just the range of
+//! slice indices it addresses — two integers, no storage, the same cost at
+//! slice 100 000 as at slice 0. The formulations still read slice geometry
+//! through [`TimeGrid::len_of`], [`TimeGrid::end_of`] and
+//! [`TimeGrid::window_slices`] only, so `LEN(j)` stands where the paper
+//! writes it and a grid of another shape (the event-period grid of
+//! Ahani–Wiatr–Yuan) would replace this module, not its callers.
 //!
 //! **Window convention.** The paper zeroes `x_i(p, j)` for `j <= I(S_i)` or
 //! `j > I(E_i)`. When requested times fall on slice boundaries that equals
 //! "slices fully contained in `[S_i, E_i]`", which is the rule implemented
 //! here; for mid-slice times the contained-slices rule is the conservative
 //! reading that actually guarantees "finish before the requested end time".
-//!
-//! **Active-window grids.** A long-running controller only ever schedules
-//! from the current time forward, so materializing boundaries all the way
-//! back to time 0 wastes memory proportional to how long the system has
-//! been up. [`TimeGrid::windowed`] builds a grid whose stored boundaries
-//! start at a later origin while *slice indices stay global*: slice `j` of
-//! a windowed unit grid still covers `[j, j+1)`, exactly as on the full
-//! grid, so schedules, capacity-group keys and CSV outputs are
-//! byte-identical to a full-horizon build. The elided prefix — slices that
-//! can never carry a variable of any active job — stores nothing; because
-//! it consists of unit slices by construction, per-slice accessors
-//! synthesize its values (`LEN = 1`, `start_of(j) = j`) instead of storing
-//! them, so windowed grids are a drop-in for full grids at every call site.
 
 use std::ops::Range;
+use wavesched_workload::Job;
 
-/// A finite grid of consecutive time slices.
-///
-/// Full grids ([`uniform`](TimeGrid::uniform),
-/// [`from_bounds`](TimeGrid::from_bounds)) start at time 0. Active-window
-/// grids ([`windowed`](TimeGrid::windowed)) elide a prefix of `offset`
-/// whole unit slices; all public methods keep using *global* slice indices
-/// and absolute times, so consumers never see the difference.
-#[derive(Debug, Clone, PartialEq)]
+/// The consecutive unit slices `first_slice()..num_slices()`, by global
+/// index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeGrid {
-    /// Slice boundaries: global slice `offset + k` covers
-    /// `[bounds[k], bounds[k+1])`.
-    bounds: Vec<f64>,
-    /// Number of elided unit slices before `bounds[0]` (0 for full grids).
-    offset: usize,
-    /// Common slice length when the grid is known uniform — enables the
-    /// O(1) `slice_index` fast path. `None` falls back to binary search.
-    uniform_step: Option<f64>,
+    first: usize,
+    end: usize,
 }
 
 impl TimeGrid {
-    /// A grid of `n` unit-length slices covering `[0, n)`.
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0, "grid needs at least one slice");
-        TimeGrid {
-            bounds: (0..=n).map(|i| i as f64).collect(),
-            offset: 0,
-            uniform_step: Some(1.0),
-        }
+    /// The grid the windows of `jobs` span: from the first slice any job
+    /// may use through the last requested end time. Slices before the
+    /// earliest start can carry no variable, so the clock at which the jobs
+    /// are scheduled is not an input. Never empty (one slice when there are
+    /// no jobs or no job's window holds a whole slice).
+    pub(crate) fn covering(jobs: &[Job]) -> Self {
+        let end = jobs.iter().map(|j| j.end).fold(1.0_f64, f64::max).ceil() as usize;
+        let first = jobs
+            .iter()
+            .map(|j| j.start.ceil() as usize)
+            .min()
+            .unwrap_or(0)
+            .min(end - 1);
+        TimeGrid { first, end }
     }
 
-    /// An active-window grid of `n` unit-length slices covering
-    /// `[origin, origin + n)`, with the `origin` slices before it elided.
-    /// Global slice indices are preserved: the first addressable slice is
-    /// slice `origin`, covering `[origin, origin + 1)` exactly as it would
-    /// on [`TimeGrid::uniform`]`(origin + n)`.
-    pub fn windowed(origin: usize, n: usize) -> Self {
-        assert!(n > 0, "grid needs at least one slice");
-        TimeGrid {
-            bounds: (origin..=origin + n).map(|i| i as f64).collect(),
-            offset: origin,
-            uniform_step: Some(1.0),
-        }
-    }
-
-    /// A grid from explicit boundaries (strictly increasing, starting at 0).
-    pub fn from_bounds(bounds: Vec<f64>) -> Self {
-        assert!(bounds.len() >= 2, "need at least one slice");
-        // lint: allow(float-eq, reason = "validates a caller-supplied sentinel: the grid origin must be exactly 0.0, not merely near it")
-        assert!(bounds[0] == 0.0, "grid must start at time 0");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must be strictly increasing"
-        );
-        TimeGrid {
-            bounds,
-            offset: 0,
-            uniform_step: None,
-        }
-    }
-
-    /// Local index of global slice `j` (callers guard `j >= offset`).
-    #[inline]
-    fn local(&self, j: usize) -> usize {
-        debug_assert!(j >= self.offset);
-        j - self.offset
-    }
-
-    /// Number of stored (addressable) slices.
-    #[inline]
-    fn stored_slices(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Number of slices through the horizon, counting the elided prefix:
-    /// valid global slice indices are `first_slice()..num_slices()`. For
-    /// full grids (the default) this is simply the slice count.
+    /// One past the last slice: valid global slice indices are
+    /// `first_slice()..num_slices()`.
     pub fn num_slices(&self) -> usize {
-        self.offset + self.stored_slices()
+        self.end
     }
 
-    /// First addressable global slice index (0 for full grids; the window
-    /// origin for [`TimeGrid::windowed`] grids).
+    /// First global slice index of the grid.
     pub fn first_slice(&self) -> usize {
-        self.offset
+        self.first
     }
 
-    /// Start time of the grid's addressable window (0 for full grids).
-    pub fn origin(&self) -> f64 {
-        self.bounds[0]
+    /// `LEN(j)`: length of slice `j`.
+    pub fn len_of(&self, _j: usize) -> f64 {
+        1.0
     }
 
-    /// End of the grid (start of time is always 0).
-    pub fn horizon(&self) -> f64 {
-        // lint: allow(lib-unwrap, reason = "invariant: both constructors assert at least two boundaries, so `bounds` is never empty")
-        *self.bounds.last().expect("invariant: non-empty bounds")
-    }
-
-    /// `LEN(j)`: length of slice `j`. On windowed grids the elided prefix
-    /// consists of unit slices by construction, so its lengths are
-    /// synthesized rather than stored.
-    pub fn len_of(&self, j: usize) -> f64 {
-        if j < self.offset {
-            return 1.0;
-        }
-        let k = self.local(j);
-        self.bounds[k + 1] - self.bounds[k]
-    }
-
-    /// Start time of slice `j` (synthesized for the elided unit prefix).
+    /// Start time of slice `j`.
     pub fn start_of(&self, j: usize) -> f64 {
-        if j < self.offset {
-            return j as f64;
-        }
-        self.bounds[self.local(j)]
+        j as f64
     }
 
-    /// End time of slice `j` (synthesized for the elided unit prefix).
+    /// End time of slice `j`.
     pub fn end_of(&self, j: usize) -> f64 {
-        if j < self.offset {
-            return (j + 1) as f64;
-        }
-        self.bounds[self.local(j) + 1]
-    }
-
-    /// The paper's `I(t)`: index of the slice containing time `t`. Times at
-    /// or beyond the horizon map to the last slice; on a windowed grid,
-    /// times before the origin map to the first addressable slice.
-    pub fn slice_index(&self, t: f64) -> usize {
-        assert!(t >= 0.0, "negative time");
-        let last = self.stored_slices() - 1;
-        // O(1) fast path for uniform grids (the only kind any experiment
-        // uses). Guarded: the computed slice must actually contain `t`,
-        // otherwise (floating-point edge) fall back to the exact search.
-        if let Some(step) = self.uniform_step {
-            let rel = (t - self.bounds[0]) / step;
-            if rel >= 0.0 {
-                let k = (rel as usize).min(last);
-                if self.bounds[k] <= t && (k == last || t < self.bounds[k + 1]) {
-                    return self.offset + k;
-                }
-            } else {
-                return self.offset; // before the window: clip to its start
-            }
-        }
-        let k = match self.bounds.binary_search_by(|b| b.total_cmp(&t)) {
-            Ok(i) => i.min(last),
-            Err(0) => 0, // before the window (only reachable when offset > 0)
-            Err(i) => (i - 1).min(last),
-        };
-        self.offset + k
+        (j + 1) as f64
     }
 
     /// The slices on which a job with requested window `[start, end]` may be
     /// assigned wavelengths: slices fully contained in the window, clipped
-    /// to the grid (including its active window). May be empty.
+    /// to the grid. May be empty.
     pub fn window_slices(&self, start: f64, end: f64) -> Range<usize> {
         assert!(start <= end, "window crossed");
-        let n = self.stored_slices();
-        // First stored slice whose start is >= start.
-        let first = self.bounds[..n].partition_point(|&b| b < start);
-        // One past the last stored slice whose end is <= end.
-        let last = self.bounds[1..].partition_point(|&b| b <= end);
-        if first >= last {
-            self.offset + first..self.offset + first // empty
-        } else {
-            self.offset + first..self.offset + last
-        }
-    }
-
-    /// Extends the grid with unit slices (or the last slice's length for
-    /// non-uniform grids) until its horizon reaches at least `t`.
-    pub fn extend_to(&mut self, t: f64) {
-        let step = self.bounds[self.bounds.len() - 1] - self.bounds[self.bounds.len() - 2];
-        while self.horizon() < t {
-            let next = self.horizon() + step;
-            self.bounds.push(next);
-        }
+        let clip = |t: f64| (t as usize).clamp(self.first, self.end);
+        let first = clip(start.ceil());
+        first..clip(end.floor()).max(first)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavesched_net::NodeId;
+    use wavesched_workload::JobId;
 
-    #[test]
-    fn uniform_basics() {
-        let g = TimeGrid::uniform(10);
-        assert_eq!(g.num_slices(), 10);
-        assert_eq!(g.first_slice(), 0);
-        assert_eq!(g.horizon(), 10.0);
-        assert_eq!(g.len_of(3), 1.0);
-        assert_eq!(g.start_of(3), 3.0);
-        assert_eq!(g.end_of(3), 4.0);
+    fn grid(first: usize, end: usize) -> TimeGrid {
+        TimeGrid { first, end }
+    }
+
+    fn job(start: f64, end: f64) -> Job {
+        Job::new(JobId(0), 0.0, NodeId(0), NodeId(1), 1.0, start, end)
     }
 
     #[test]
-    fn slice_index_map() {
-        let g = TimeGrid::uniform(5);
-        assert_eq!(g.slice_index(0.0), 0);
-        assert_eq!(g.slice_index(0.99), 0);
-        assert_eq!(g.slice_index(1.0), 1);
-        assert_eq!(g.slice_index(4.5), 4);
-        assert_eq!(g.slice_index(5.0), 4); // clipped to last slice
-        assert_eq!(g.slice_index(99.0), 4);
+    fn unit_slices_by_global_index() {
+        let g = grid(12, 20);
+        assert_eq!(g.first_slice(), 12);
+        assert_eq!(g.num_slices(), 20);
+        assert_eq!(g.len_of(15), 1.0);
+        assert_eq!(g.start_of(15), 15.0);
+        assert_eq!(g.end_of(15), 16.0);
     }
 
     #[test]
     fn window_on_boundaries() {
-        let g = TimeGrid::uniform(10);
+        let g = grid(0, 10);
         assert_eq!(g.window_slices(2.0, 6.0), 2..6);
         assert_eq!(g.window_slices(0.0, 10.0), 0..10);
     }
 
     #[test]
     fn window_mid_slice_is_conservative() {
-        let g = TimeGrid::uniform(10);
+        let g = grid(0, 10);
         // Start mid-slice: first fully-contained slice is 3.
         assert_eq!(g.window_slices(2.5, 6.0), 3..6);
         // End mid-slice: slice 5 ([5,6)) not fully contained in [2, 5.5].
@@ -250,136 +124,32 @@ mod tests {
 
     #[test]
     fn empty_window() {
-        let g = TimeGrid::uniform(10);
-        let w = g.window_slices(2.5, 3.2);
-        assert!(w.is_empty());
+        assert!(grid(0, 10).window_slices(2.5, 3.2).is_empty());
+        assert!(grid(0, 10).window_slices(3.0, 3.0).is_empty());
     }
 
     #[test]
     fn window_clips_to_grid() {
-        let g = TimeGrid::uniform(5);
-        assert_eq!(g.window_slices(3.0, 50.0), 3..5);
+        assert_eq!(grid(0, 5).window_slices(3.0, 50.0), 3..5);
+        assert_eq!(grid(12, 20).window_slices(3.0, 16.0), 12..16);
+        assert!(grid(12, 20).window_slices(3.0, 7.0).is_empty());
+        assert!(grid(12, 20).window_slices(25.0, 30.0).is_empty());
     }
 
     #[test]
-    fn non_uniform_grid() {
-        let g = TimeGrid::from_bounds(vec![0.0, 2.0, 3.0, 6.0]);
-        assert_eq!(g.num_slices(), 3);
-        assert_eq!(g.len_of(0), 2.0);
-        assert_eq!(g.len_of(2), 3.0);
-        assert_eq!(g.slice_index(2.5), 1);
-        assert_eq!(g.window_slices(0.0, 3.0), 0..2);
+    fn covering_spans_the_windows_and_nothing_before_them() {
+        let g = TimeGrid::covering(&[job(100_003.5, 100_010.0), job(100_002.0, 100_007.2)]);
+        assert_eq!((g.first_slice(), g.num_slices()), (100_002, 100_010));
+        assert_eq!(g.window_slices(100_003.5, 100_010.0), 100_004..100_010);
+        assert_eq!(g.window_slices(100_002.0, 100_007.2), 100_002..100_007);
     }
 
     #[test]
-    fn extend_to_grows() {
-        let mut g = TimeGrid::uniform(4);
-        g.extend_to(7.5);
-        assert!(g.horizon() >= 7.5);
-        assert_eq!(g.num_slices(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn bad_bounds_panic() {
-        TimeGrid::from_bounds(vec![0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn windowed_grid_uses_global_indices() {
-        // A windowed grid must agree with the full grid it elides, slice
-        // for slice, on every addressable index.
-        let full = TimeGrid::uniform(20);
-        let win = TimeGrid::windowed(12, 8);
-        assert_eq!(win.first_slice(), 12);
-        assert_eq!(win.num_slices(), 20);
-        assert_eq!(win.origin(), 12.0);
-        assert_eq!(win.horizon(), 20.0);
-        // Stored slices (12..20) and the synthesized unit prefix (0..12)
-        // both agree with the full grid.
-        for j in 0..20 {
-            assert_eq!(win.len_of(j), full.len_of(j));
-            assert_eq!(win.start_of(j), full.start_of(j));
-            assert_eq!(win.end_of(j), full.end_of(j));
-        }
-        for t in [12.0, 12.3, 15.0, 19.99, 20.0, 77.0] {
-            assert_eq!(win.slice_index(t), full.slice_index(t), "t = {t}");
-        }
-        // Windows inside the active range match the full grid exactly.
-        assert_eq!(
-            win.window_slices(13.0, 18.0),
-            full.window_slices(13.0, 18.0)
-        );
-        assert_eq!(
-            win.window_slices(12.5, 19.5),
-            full.window_slices(12.5, 19.5)
-        );
-        // Windows reaching before the origin are clipped to it.
-        assert_eq!(win.window_slices(3.0, 16.0), 12..16);
-        // Times before the origin clip to the first addressable slice.
-        assert_eq!(win.slice_index(2.0), 12);
-    }
-
-    #[test]
-    fn windowed_grid_extends() {
-        let mut g = TimeGrid::windowed(100, 4);
-        g.extend_to(110.0);
-        assert_eq!(g.num_slices(), 110);
-        assert_eq!(g.end_of(109), 110.0);
-    }
-
-    /// Differential check of the uniform O(1) fast path against the binary
-    /// search over random probe times, and of the binary-search fallback on
-    /// random non-uniform grids against a linear-scan oracle.
-    #[test]
-    fn slice_index_fast_path_matches_search() {
-        // Deterministic LCG, no RNG crate needed.
-        let mut state = 0x5eed_0123_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-
-        // Uniform grids (full and windowed): fast path vs a forced binary
-        // search through an identical grid with the fast path disabled.
-        for _ in 0..50 {
-            let origin = (next() % 1000) as usize;
-            let n = 1 + (next() % 64) as usize;
-            let fast = TimeGrid::windowed(origin, n);
-            let slow = TimeGrid {
-                uniform_step: None,
-                ..fast.clone()
-            };
-            for _ in 0..100 {
-                // Probes span before-window, inside, boundaries, beyond.
-                let t = (next() % (1000 + 64 + 10) as u32) as f64 + (next() % 1000) as f64 / 1000.0;
-                assert_eq!(
-                    fast.slice_index(t),
-                    slow.slice_index(t),
-                    "origin {origin}, n {n}, t {t}"
-                );
-            }
-        }
-
-        // Non-uniform grids: binary search vs linear scan.
-        for _ in 0..50 {
-            let n = 1 + (next() % 16) as usize;
-            let mut bounds = vec![0.0];
-            for _ in 0..n {
-                let step = 0.25 + (next() % 400) as f64 / 100.0;
-                bounds.push(bounds.last().unwrap() + step);
-            }
-            let g = TimeGrid::from_bounds(bounds.clone());
-            for _ in 0..50 {
-                let t = (next() % 1000) as f64 / 1000.0 * (g.horizon() + 2.0);
-                let got = g.slice_index(t);
-                let want = (0..n)
-                    .find(|&j| t >= bounds[j] && t < bounds[j + 1])
-                    .unwrap_or(n - 1);
-                assert_eq!(got, want, "bounds {bounds:?}, t {t}");
-            }
-        }
+    fn covering_is_never_empty() {
+        let none = TimeGrid::covering(&[]);
+        assert_eq!((none.first_slice(), none.num_slices()), (0, 1));
+        // A window holding no whole slice still leaves a one-slice grid.
+        let closed = TimeGrid::covering(&[job(3.0, 3.0)]);
+        assert_eq!((closed.first_slice(), closed.num_slices()), (2, 3));
     }
 }

@@ -1,22 +1,24 @@
-//! Proves steady-state controller invocations allocate O(active window),
-//! independent of how far the simulated clock has advanced.
+//! Proves a controller invocation is translation-invariant: the same
+//! workload shifted from slice 0 to slice 100 000 allocates the same and
+//! answers the same, under each of the three overload actions.
 //!
-//! Before the active-window grid, every invocation materialized slice
-//! bounds from time 0 to the horizon — `Instance` construction at
-//! `now ≈ 100 000` allocated ~800 KB of grid alone, growing without bound
-//! as a replay progressed. With windowed builds and the engine-owned
-//! [`BuildArena`](wavesched_core::BuildArena), an invocation's allocation
-//! bill depends only on the jobs in flight. This test wraps the system
-//! allocator in a byte-counting shim (same thread-gated pattern as
-//! `crates/lp/tests/alloc.rs`), replays the identical workload in an era
-//! starting at `now = 0` and an era starting at `now = 100 000`, and
-//! asserts the steady-state per-invocation byte counts match.
+//! A grid that stored its slice boundaries grew with the clock — ~800 KB
+//! per instance built at `now ≈ 100 000` — and an end-time extension that
+//! scaled absolute times made [`OverloadPolicy::ExtendDeadlines`] answer
+//! differently, and ever more slowly, the longer the controller had been
+//! up. With a grid of two integers derived from the jobs' windows and RET
+//! measured from the scheduling instant, the clock is not an input. This
+//! test wraps the system allocator in a byte-counting shim (same
+//! thread-gated pattern as `crates/lp/tests/alloc.rs`), replays one
+//! overloaded closed-loop workload in an era starting at `now = 0` and an
+//! era starting at `now = 100 000`, and compares the eras invocation by
+//! invocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wavesched_core::controller::{Controller, ControllerConfig};
+use wavesched_core::controller::{Controller, ControllerConfig, OverloadPolicy};
 use wavesched_net::abilene14;
 use wavesched_workload::{Job, JobId};
 
@@ -58,30 +60,43 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs 12 controller invocations whose clock starts at `base`, feeding
-/// three fresh jobs per period, and returns the mean bytes allocated per
-/// invocation over the post-warmup half.
+/// What one invocation did, by everything but its clock.
+#[derive(Debug, PartialEq)]
+struct Step {
+    admitted: Vec<JobId>,
+    rejected: Vec<JobId>,
+    extension: f64,
+    vars: usize,
+    x: Vec<f64>,
+}
+
+/// Runs 8 controller invocations under `policy` whose clock starts at
+/// `base`, feeding three fresh jobs per period — more than the network can
+/// carry, so every overload action has to act — and executing each issued
+/// schedule for its period, as the simulator would. Returns what each
+/// invocation did and the bytes it allocated.
 ///
-/// The workloads of the two eras are identical up to the `base` time
-/// shift, so any difference in the means is allocation that scales with
-/// the absolute clock.
-fn era_mean_invocation_bytes(base: f64) -> f64 {
-    let (g, _) = abilene14(4);
+/// The workloads of two eras are identical up to the `base` time shift
+/// (integer-valued, so the shift is exact in floating point): any
+/// difference between them is the clock leaking in.
+fn era(policy: OverloadPolicy, base: f64) -> Vec<(Step, u64)> {
+    let (g, _) = abilene14(2);
     let nodes: Vec<_> = g.nodes().collect();
-    let cfg = ControllerConfig::paper(4);
-    let tau = cfg.tau as f64;
+    let mut cfg = ControllerConfig::paper(2);
+    cfg.policy = policy;
+    let tau = cfg.tau;
     let mut c = Controller::new(g.clone(), cfg);
 
     let mut id = 0u32;
-    let mut samples = Vec::new();
-    for k in 0..12u32 {
-        let now = base + f64::from(k) * tau;
+    let mut steps = Vec::new();
+    for k in 0..8 {
+        let now = base + (k * tau) as f64;
         let batch: Vec<Job> = (0..3)
             .map(|_| {
                 id += 1;
                 let src = nodes[id as usize % nodes.len()];
                 let dst = nodes[(id as usize + 5) % nodes.len()];
-                Job::new(JobId(id), now, src, dst, 30.0, now, now + 12.0)
+                Job::new(JobId(id), now, src, dst, 300.0, now, now + 4.0)
             })
             .collect();
 
@@ -90,23 +105,62 @@ fn era_mean_invocation_bytes(base: f64) -> f64 {
         let res = c.invoke(now, &batch);
         COUNTING.with(|cell| cell.set(false));
         let bytes = ALLOC_BYTES.load(Ordering::SeqCst) - before;
-        res.expect("invocation must solve");
-        samples.push(bytes);
+        let res = res.expect("invocation must solve");
+
+        let inst = &res.instance;
+        for slice in now as usize..now as usize + tau {
+            for (i, job) in inst.jobs.iter().enumerate() {
+                if inst.vars.window(i).contains(&slice) {
+                    let moved: f64 = (0..inst.vars.paths_of(i))
+                        .map(|p| res.schedule.x[inst.vars.var(i, p, slice)])
+                        .sum();
+                    c.record_transfer(job.id, moved * inst.grid.len_of(slice));
+                }
+            }
+        }
+        let step = Step {
+            admitted: res.admitted,
+            rejected: res.rejected,
+            extension: res.extension,
+            vars: res.instance.vars.len(),
+            x: res.schedule.x,
+        };
+        steps.push((step, bytes));
     }
-    let tail = &samples[6..];
-    tail.iter().sum::<u64>() as f64 / tail.len() as f64
+    steps
 }
 
 #[test]
-fn invocation_allocation_is_independent_of_clock() {
-    let early = era_mean_invocation_bytes(0.0);
-    let late = era_mean_invocation_bytes(100_000.0);
-    // Identical workloads shifted in time should allocate identically;
-    // 64 KB of slack absorbs allocator/collection noise. The regression
-    // this guards against is ~800 KB per invocation of grid bounds alone.
-    assert!(
-        late <= early + 64_000.0,
-        "steady-state invocation allocations grew with the clock: \
-         {early:.0} B/invocation at era 0 vs {late:.0} B/invocation at era 100000"
-    );
+fn invocation_is_independent_of_clock_under_every_policy() {
+    for policy in [
+        OverloadPolicy::Reject,
+        OverloadPolicy::ShrinkDemands,
+        OverloadPolicy::ExtendDeadlines,
+    ] {
+        let early = era(policy, 0.0);
+        let late = era(policy, 100_000.0);
+        // The workload must make the policy act, or the comparison below
+        // covers the plain pipeline three times.
+        match policy {
+            OverloadPolicy::Reject => assert!(early.iter().any(|(s, _)| !s.rejected.is_empty())),
+            OverloadPolicy::ShrinkDemands => {}
+            OverloadPolicy::ExtendDeadlines => {
+                assert!(early.iter().any(|(s, _)| s.extension > 0.0))
+            }
+        }
+        for (k, ((e, e_bytes), (l, l_bytes))) in early.iter().zip(&late).enumerate() {
+            assert_eq!(
+                e, l,
+                "{policy:?}, invocation {k}: the answer moved with the clock"
+            );
+            // 64 KB of slack absorbs allocator/collection noise. The
+            // regression this guards against is ~800 KB per instance built
+            // of grid bounds alone.
+            assert!(
+                *l_bytes <= e_bytes + 64_000,
+                "{policy:?}, invocation {k}: allocations grew with the clock: \
+                 {e_bytes} B at era 0 vs {l_bytes} B at era 100000"
+            );
+        }
+    }
 }

@@ -8,10 +8,9 @@
 //!
 //! Pipeline: a comment/string/char-literal-aware lexer ([`lexer`]) feeds a
 //! rule engine ([`rules`]) with inline
-//! `// lint: allow(<rule>, reason = "...")` suppressions; findings are
-//! ratcheted against a checked-in baseline ([`baseline`],
-//! `lint-baseline.json` at the workspace root) so pre-existing debt is
-//! tracked and burned down rather than blocking every change.
+//! `// lint: allow(<rule>, reason = "...")` suppressions. Any finding fails
+//! the run: the debt the first sweep found is paid, and an intentional
+//! exception is written down, with its reason, where it stands.
 //!
 //! Run it as `cargo run -p wavesched-lint` (see the binary for flags), or
 //! drive the library directly:
@@ -28,63 +27,12 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 pub mod tree;
 
 use rules::Finding;
 use std::path::{Path, PathBuf};
-
-/// Version stamped into the `--json` report. Bump on any change to the
-/// report's shape so CI consumers can hard-fail on drift instead of
-/// misparsing.
-pub const JSON_SCHEMA_VERSION: u64 = 1;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the `--json` report: a stable `schema_version`, the diff
-/// counts, and the new findings sorted by (file, line, rule) — the order
-/// is re-imposed here so the report is deterministic regardless of how
-/// the caller assembled the slice.
-pub fn render_json(new: &[Finding], matched: usize, stale: usize) -> String {
-    let mut new: Vec<&Finding> = new.iter().collect();
-    new.sort();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema_version\": {JSON_SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"matched\": {matched},\n"));
-    out.push_str(&format!("  \"stale\": {stale},\n"));
-    out.push_str("  \"new\": [\n");
-    for (i, f) in new.iter().enumerate() {
-        let comma = if i + 1 < new.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"snippet\": \"{}\", \
-             \"message\": \"{}\"}}{comma}\n",
-            json_escape(&f.file),
-            f.line,
-            f.rule,
-            json_escape(&f.snippet),
-            json_escape(&f.message)
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
 
 /// The workspace root, resolved at compile time from this crate's location
 /// (`crates/lint` → two levels up). Callers can override with `--root`.

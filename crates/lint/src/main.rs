@@ -1,46 +1,27 @@
 //! CLI for `wavesched-lint`.
 //!
 //! ```text
-//! cargo run -p wavesched-lint -- [--baseline <path>] [--update-baseline]
-//!                                [--json] [--root <dir>] [--list-rules]
+//! cargo run -p wavesched-lint -- [--root <dir>] [--list-rules]
 //! ```
 //!
-//! Exit codes: `0` clean (every finding covered by the baseline), `1` new
-//! findings, `2` usage or I/O error. Stale baseline entries (debt that was
-//! paid down) are reported on stderr but do not fail the run; shrink the
-//! file with `--update-baseline`.
+//! Exit codes: `0` no findings, `1` findings, `2` usage or I/O error. An
+//! intentional exception carries an inline
+//! `// lint: allow(<rule>, reason = "...")` where it stands.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wavesched_lint::baseline::Baseline;
-use wavesched_lint::rules::{Finding, RULE_DESCRIPTIONS, RULE_NAMES};
-
-struct Opts {
-    root: PathBuf,
-    baseline: PathBuf,
-    update: bool,
-    json: bool,
-}
+use wavesched_lint::rules::{RULE_DESCRIPTIONS, RULE_NAMES};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: wavesched-lint [--baseline <path>] [--update-baseline] [--json] \
-         [--root <dir>] [--list-rules]"
-    );
+    eprintln!("usage: wavesched-lint [--root <dir>] [--list-rules]");
     std::process::exit(2)
 }
 
-fn parse_args() -> Opts {
+fn parse_root() -> PathBuf {
     let mut root = wavesched_lint::workspace_root();
-    let mut baseline = None;
-    let mut update = false;
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--baseline" => baseline = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--update-baseline" => update = true,
-            "--json" => json = true,
             "--root" => root = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--list-rules" => {
                 for (name, desc) in RULE_NAMES.iter().zip(RULE_DESCRIPTIONS) {
@@ -55,86 +36,23 @@ fn parse_args() -> Opts {
             }
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("lint-baseline.json"));
-    Opts {
-        root,
-        baseline,
-        update,
-        json,
-    }
-}
-
-fn print_finding(f: &Finding) {
-    eprintln!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-    eprintln!("    {}", f.snippet);
+    root
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    let findings = match wavesched_lint::lint_workspace(&opts.root) {
+    let findings = match wavesched_lint::lint_workspace(&parse_root()) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("wavesched-lint: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if opts.update {
-        let base = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&opts.baseline, base.to_json()) {
-            eprintln!("wavesched-lint: writing {}: {e}", opts.baseline.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wavesched-lint: wrote {} ({} entries covering {} findings)",
-            opts.baseline.display(),
-            base.entries.len(),
-            findings.len()
-        );
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        eprintln!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
+        eprintln!("    {}", f.snippet);
     }
-
-    let base = if opts.baseline.exists() {
-        match std::fs::read_to_string(&opts.baseline)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("wavesched-lint: {}: {e}", opts.baseline.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    let diff = base.diff(&findings);
-    if opts.json {
-        print!(
-            "{}",
-            wavesched_lint::render_json(&diff.new, diff.matched, diff.stale.len())
-        );
-    } else {
-        for f in &diff.new {
-            print_finding(f);
-        }
-        for e in &diff.stale {
-            eprintln!(
-                "stale baseline entry ({}x): [{}] {} — `{}` no longer matches; \
-                 run --update-baseline to shrink the baseline",
-                e.count, e.rule, e.file, e.snippet
-            );
-        }
-        eprintln!(
-            "wavesched-lint: {} new, {} baselined, {} stale baseline entr{}",
-            diff.new.len(),
-            diff.matched,
-            diff.stale.len(),
-            if diff.stale.len() == 1 { "y" } else { "ies" }
-        );
-    }
-    if diff.new.is_empty() {
+    eprintln!("wavesched-lint: {} findings", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -113,7 +113,7 @@ pub struct Finding {
     pub line: u32,
     /// Rule name (one of [`RULE_NAMES`]).
     pub rule: &'static str,
-    /// The trimmed source line the finding sits on — also the baseline key.
+    /// The trimmed source line the finding sits on.
     pub snippet: String,
     /// Human-readable explanation.
     pub message: String,
@@ -390,7 +390,7 @@ fn parse_allow(s: &str) -> Result<String, String> {
     Ok(rule.to_string())
 }
 
-/// The trimmed text of the line containing byte `pos` — the baseline key.
+/// The trimmed text of the line containing byte `pos`.
 fn snippet_at(src: &str, pos: usize) -> String {
     let start = src[..pos].rfind('\n').map(|i| i + 1).unwrap_or(0);
     let end = src[pos..].find('\n').map(|i| pos + i).unwrap_or(src.len());

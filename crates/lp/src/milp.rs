@@ -27,7 +27,7 @@
 //! problem, so LP answers are pure functions of the node.
 
 use crate::model::{Objective, Problem};
-use crate::revised::{solve_with, SimplexConfig};
+use crate::revised::solve;
 use crate::solution::Status;
 use crate::SolveError;
 use std::sync::{Condvar, Mutex};
@@ -43,8 +43,6 @@ pub struct MilpConfig {
     /// Stop when the relative gap between incumbent and best bound drops
     /// below this.
     pub rel_gap: f64,
-    /// LP settings used at every node.
-    pub lp: SimplexConfig,
     /// Workers exploring the node stack. `0` (the default) resolves to the
     /// `WS_THREADS` environment knob; `1` is the exact serial depth-first
     /// search, run inline on the calling thread.
@@ -57,7 +55,6 @@ impl Default for MilpConfig {
             max_nodes: 100_000,
             int_tol: 1e-6,
             rel_gap: 1e-9,
-            lp: SimplexConfig::default(),
             threads: 0,
         }
     }
@@ -214,7 +211,7 @@ impl Ctx<'_> {
         let outcome = if !valid {
             Ok(NodeOutcome::Fathomed)
         } else {
-            match solve_with(work, &self.cfg.lp) {
+            match solve(work) {
                 Err(e) => Err(e),
                 Ok(sol) if sol.status == Status::Unbounded => Ok(NodeOutcome::Unbounded),
                 Ok(sol) if sol.status == Status::Optimal => {

@@ -46,20 +46,14 @@ pub use session::SolverSession;
 use crate::model::{Col, Problem, Row};
 use crate::solution::{Basis, Solution, SolveError};
 use crate::stdform::standardize;
-use crate::{FEAS_TOL, OPT_TOL, PIVOT_TOL};
 
-/// Tunable parameters of the revised simplex.
+/// Tunable parameters of the revised simplex: the three the tests select
+/// their reference paths with. The tolerances are the crate constants
+/// [`FEAS_TOL`](crate::FEAS_TOL), [`OPT_TOL`](crate::OPT_TOL) and
+/// [`PIVOT_TOL`](crate::PIVOT_TOL); the iteration cap is
+/// `50 * (rows + cols) + 10_000`.
 #[derive(Debug, Clone)]
 pub struct SimplexConfig {
-    /// Hard cap on total simplex iterations (both phases). `0` means the
-    /// solver picks `50 * (rows + cols) + 10_000`.
-    pub max_iterations: u64,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Minimum acceptable pivot magnitude.
-    pub pivot_tol: f64,
     /// Hard cap on the eta file: refactorize after this many eta updates
     /// at the latest (below the cap a cost model cuts the file as soon as
     /// its entries outweigh the factors' eight to one). `usize::MAX` — the
@@ -79,10 +73,6 @@ pub struct SimplexConfig {
 impl Default for SimplexConfig {
     fn default() -> Self {
         SimplexConfig {
-            max_iterations: 0,
-            feas_tol: FEAS_TOL,
-            opt_tol: OPT_TOL,
-            pivot_tol: PIVOT_TOL,
             refactor_interval: 100,
             degeneracy_threshold: 400,
             kernel_density_threshold: 0.3,
@@ -92,20 +82,9 @@ impl Default for SimplexConfig {
 
 impl SimplexConfig {
     /// Rejects settings no solve can run under: a zero refactorization
-    /// interval, a tolerance that is not a positive finite number (every
-    /// tolerance compare would be false, or vacuous), a NaN density
-    /// threshold.
+    /// interval, a NaN density threshold.
     fn validate(&self) -> Result<(), SolveError> {
         let bad = |what: &str| Err(SolveError::InvalidModel(format!("SimplexConfig: {what}")));
-        for (name, tol) in [
-            ("feas_tol", self.feas_tol),
-            ("opt_tol", self.opt_tol),
-            ("pivot_tol", self.pivot_tol),
-        ] {
-            if !(tol > 0.0 && tol.is_finite()) {
-                return bad(&format!("{name} must be positive and finite, got {tol}"));
-            }
-        }
         if self.refactor_interval == 0 {
             return bad("refactor_interval must be at least 1");
         }
@@ -185,8 +164,8 @@ pub fn solve_with(p: &Problem, cfg: &SimplexConfig) -> Result<Solution, SolveErr
 /// can therefore never change the answer, only the work required to reach
 /// it. `Solution::stats` records which path ran (`warm_starts_accepted` /
 /// `warm_start_fallbacks`). Settings no solve can run under — a zero
-/// `refactor_interval`, a NaN or non-positive tolerance, a NaN
-/// `kernel_density_threshold` — are a [`SolveError::InvalidModel`].
+/// `refactor_interval`, a NaN `kernel_density_threshold` — are a
+/// [`SolveError::InvalidModel`].
 pub fn solve_with_start(
     p: &Problem,
     cfg: &SimplexConfig,

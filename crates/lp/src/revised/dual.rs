@@ -31,6 +31,7 @@
 use super::engine::{Engine, VarState};
 use super::kernels::for_each_entry;
 use super::pos_or_zero;
+use crate::{FEAS_TOL, PIVOT_TOL};
 
 impl Engine {
     /// The dual pivot loop: repeatedly picks the most-violated basic value,
@@ -41,14 +42,14 @@ impl Engine {
     /// all of which the caller converts into a primal fallback.
     pub(super) fn dual_loop(&mut self) -> Result<(), ()> {
         let m = self.std.nrows;
-        let ftol = self.cfg.feas_tol;
-        let ptol = self.cfg.pivot_tol;
+        let ftol = FEAS_TOL;
+        let ptol = PIVOT_TOL;
         // A bound/RHS re-solve that needs more than a few sweeps of the
         // basis is not winning anything over the primal repair — stop
         // burning work and let the fallback run.
         let cap = self.stats.iterations + 4 * m as u64 + 100;
         loop {
-            if self.stats.iterations >= self.cfg.max_iterations || self.stats.iterations >= cap {
+            if self.stats.iterations >= self.max_iterations || self.stats.iterations >= cap {
                 return Err(());
             }
             if let Some(reason) = self.cadence_refactor_due() {

@@ -10,6 +10,7 @@ use super::{pos_or_zero, sanitize, SimplexConfig};
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 use crate::sparse::{sort_words, WorkVec};
 use crate::stdform::{ColKind, StdForm};
+use crate::{FEAS_TOL, PIVOT_TOL};
 use wavesched_obs as obs;
 
 /// Cost-model trigger ratio: refactorize once the eta file holds more
@@ -73,6 +74,10 @@ impl VarState {
 pub(super) struct Engine {
     pub(super) std: StdForm,
     pub(super) cfg: SimplexConfig,
+    /// Hard cap on total simplex iterations (both phases):
+    /// [`iteration_cap`] of the current structure, re-derived when it
+    /// grows. The pivot probes park the engine by lowering it.
+    pub(super) max_iterations: u64,
     /// Column occupying each basis position.
     pub(super) basis: Vec<usize>,
     /// State per standardized column.
@@ -184,6 +189,11 @@ pub(super) enum PhaseOutcome {
     IterationLimit,
 }
 
+/// The iteration cap for a problem of `std`'s size.
+pub(super) fn iteration_cap(std: &StdForm) -> u64 {
+    50 * (std.nrows as u64 + std.ncols() as u64) + 10_000
+}
+
 #[derive(Debug, PartialEq)]
 pub(super) enum RatioOutcome {
     Unbounded,
@@ -192,12 +202,9 @@ pub(super) enum RatioOutcome {
 }
 
 impl Engine {
-    pub(super) fn new(std: StdForm, mut cfg: SimplexConfig) -> Self {
+    pub(super) fn new(std: StdForm, cfg: SimplexConfig) -> Self {
         let m = std.nrows;
         let ncols = std.ncols();
-        if cfg.max_iterations == 0 {
-            cfg.max_iterations = 50 * (m as u64 + ncols as u64) + 10_000;
-        }
         let (csr_ptr, csr_cols) = build_row_mirror(&std.a);
         // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
         let kernel_cap = (pos_or_zero(cfg.kernel_density_threshold) * m as f64) as usize;
@@ -239,6 +246,7 @@ impl Engine {
             sanitize_left: sanitize::sanitize_env(),
             lu_nnz: 0,
             reuse_ready: false,
+            max_iterations: iteration_cap(&std),
             std,
             cfg,
         };
@@ -300,7 +308,7 @@ impl Engine {
         self.recompute_reduced();
         self.weights.fill(1.0);
         loop {
-            if self.stats.iterations >= self.cfg.max_iterations {
+            if self.stats.iterations >= self.max_iterations {
                 return Ok(PhaseOutcome::IterationLimit);
             }
             if let Some(reason) = self.cadence_refactor_due() {
@@ -347,7 +355,7 @@ impl Engine {
                 }
                 RatioOutcome::Pivot { pos, step } => {
                     let alpha_q = w.values[pos];
-                    if alpha_q.abs() <= self.cfg.pivot_tol {
+                    if alpha_q.abs() <= PIVOT_TOL {
                         // Should not happen (ratio test filters); refactor
                         // and retry rather than divide by ~0.
                         self.ftran_w = w;
@@ -362,7 +370,7 @@ impl Engine {
                     #[cfg(debug_assertions)]
                     self.debug_invariants();
                     self.maybe_sanitize();
-                    if step <= self.cfg.feas_tol * 1e-2 {
+                    if step <= FEAS_TOL * 1e-2 {
                         self.stats.degenerate_pivots += 1;
                         self.degen_run += 1;
                         if self.degen_run >= self.cfg.degeneracy_threshold {
@@ -382,8 +390,8 @@ impl Engine {
     /// bound, then the largest pivot among the rows that block by then.
     /// `w` is walked once, into `ratio_cand`; both selections read that.
     pub(super) fn ratio_test(&mut self, q: usize, dir: f64, w: &WorkVec) -> RatioOutcome {
-        let ptol = self.cfg.pivot_tol;
-        let ftol = self.cfg.feas_tol;
+        let ptol = PIVOT_TOL;
+        let ftol = FEAS_TOL;
         // Step limit from the entering variable's own bound range.
         let own_range = match (self.std.lower[q].is_finite(), self.std.upper[q].is_finite()) {
             (true, true) => self.std.upper[q] - self.std.lower[q],
@@ -606,7 +614,7 @@ impl Engine {
         let m = self.std.nrows;
         let mut attempt = 0usize;
         let lu = loop {
-            match Lu::factor(&self.std.a, &self.basis, self.cfg.pivot_tol) {
+            match Lu::factor(&self.std.a, &self.basis, PIVOT_TOL) {
                 Ok(f) => break f,
                 Err(unpivoted_row) => {
                     // Singular basis: swap the structurally dependent column

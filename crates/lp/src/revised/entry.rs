@@ -23,6 +23,7 @@ use super::engine::{Engine, PhaseOutcome, RefactorReason, VarState};
 use super::pos_or_zero;
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 use crate::stdform::ColKind;
+use crate::{FEAS_TOL, OPT_TOL};
 use wavesched_obs as obs;
 
 /// A phase-1 bound relaxation: column `col` temporarily has one bound opened
@@ -254,7 +255,7 @@ impl Engine {
 
         // Continue, primal: bound-shift every basic value outside its
         // bounds, clear the violations in phase 1, finish in phase 2.
-        let tol = self.cfg.feas_tol;
+        let tol = FEAS_TOL;
         for pos in 0..m {
             let j = self.basis[pos];
             let v = self.xb[pos];
@@ -289,7 +290,7 @@ impl Engine {
     /// True when every nonbasic reduced cost has the sign its resting side
     /// requires — the basis is dual feasible and the dual loop may run.
     fn dual_feasible(&self) -> bool {
-        let dtol = self.cfg.opt_tol;
+        let dtol = OPT_TOL;
         (0..self.std.ncols()).all(|j| match self.state[j] {
             VarState::Basic(_) | VarState::Fixed => true,
             VarState::AtLower => self.d[j] >= -dtol,
@@ -376,7 +377,7 @@ impl Engine {
             let s = self.std.activity_col(i);
             let (sl, su) = (self.std.lower[s], self.std.upper[s]);
             let v = act[i];
-            let tol = self.cfg.feas_tol;
+            let tol = FEAS_TOL;
             if v >= sl - tol && v <= su + tol {
                 // Activity variable basic and feasible: no artificial needed.
                 self.basis.push(s);
@@ -422,7 +423,7 @@ impl Engine {
             PhaseOutcome::Optimal => {}
         }
         let infeas = self.phase1_objective();
-        if infeas > self.cfg.feas_tol.max(1e-9 * self.std.nrows as f64) {
+        if infeas > FEAS_TOL.max(1e-9 * self.std.nrows as f64) {
             return Ok(Some(self.extract(Status::Infeasible)));
         }
         Ok(None)

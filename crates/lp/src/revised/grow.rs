@@ -2,7 +2,7 @@
 //! splices (the column-generation master's two edits), and the bound
 //! normalisation every in-place edit shares.
 
-use super::engine::{Engine, VarState};
+use super::engine::{iteration_cap, Engine, VarState};
 use super::kernels::build_row_mirror;
 use super::lu::LuScratch;
 use super::{pos_or_zero, NewColumn, NewRow};
@@ -32,7 +32,6 @@ impl Engine {
     /// `invalidate_factorization`.
     fn after_structure_change(&mut self) {
         let m = self.std.nrows;
-        let ncols = self.std.ncols();
         let (csr_ptr, csr_cols) = build_row_mirror(&self.std.a);
         self.csr_ptr = csr_ptr;
         self.csr_cols = csr_cols;
@@ -50,12 +49,7 @@ impl Engine {
         // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
         self.kernel_cap = (pos_or_zero(self.cfg.kernel_density_threshold) * m as f64) as usize;
         self.size_scratch();
-        // The default iteration cap scales with the problem size; growth
-        // may only raise it (an explicit user cap is never lowered).
-        self.cfg.max_iterations = self
-            .cfg
-            .max_iterations
-            .max(50 * (m as u64 + ncols as u64) + 10_000);
+        self.max_iterations = iteration_cap(&self.std);
     }
 
     /// Drops the carried factorization and the cross-solve flag that rides

@@ -3,6 +3,7 @@
 //! pivotal row.
 
 use super::engine::{Engine, VarState};
+use crate::OPT_TOL;
 
 /// [`Engine::elig_slot`] of a column outside the eligible set.
 pub(super) const NOT_ELIGIBLE: u32 = u32::MAX;
@@ -13,7 +14,7 @@ impl Engine {
     /// `None` when `j` cannot improve the objective.
     #[inline]
     pub(super) fn eligible_dir(&self, j: usize) -> Option<f64> {
-        let tol = self.cfg.opt_tol;
+        let tol = OPT_TOL;
         match self.state[j] {
             VarState::Basic(_) | VarState::Fixed => None,
             VarState::AtLower => (self.d[j] < -tol).then_some(1.0),

@@ -57,11 +57,8 @@ impl PivotProbe {
     pub fn new_with(p: &Problem, warmup: u64, base: &SimplexConfig) -> Self {
         // lint: allow(lib-unwrap, reason = "bench-only probe constructor: a malformed probe problem is a programming error in the benchmark, not a runtime condition")
         let std = standardize(p).expect("probe problem must standardize");
-        let cfg = SimplexConfig {
-            max_iterations: warmup.max(1),
-            ..*base
-        };
-        let mut engine = Engine::new(std, cfg);
+        let mut engine = Engine::new(std, base.clone());
+        engine.max_iterations = warmup.max(1);
         let sol = engine
             .solve(None, false)
             // lint: allow(lib-unwrap, reason = "bench-only probe constructor: warmup failure means the benchmark fixture is broken and should abort loudly")
@@ -91,7 +88,7 @@ impl PivotProbe {
     /// many actually ran — fewer only if the problem terminated first.
     pub fn pivots(&mut self, n: u64) -> u64 {
         let before = self.engine.stats.iterations;
-        self.engine.cfg.max_iterations = before + n;
+        self.engine.max_iterations = before + n;
         let _ = self
             .engine
             .iterate(false)

@@ -3,6 +3,7 @@ use crate::model::{Col, Objective, Problem, Row};
 use crate::solution::Status;
 use crate::sparse::WorkVec;
 use crate::stdform::ColKind;
+use crate::{FEAS_TOL, PIVOT_TOL};
 
 fn assert_near(a: f64, b: f64) {
     assert!(
@@ -466,8 +467,8 @@ impl engine::Engine {
     /// oracle.
     fn ratio_test_three_pass(&self, q: usize, dir: f64, w: &WorkVec) -> engine::RatioOutcome {
         use engine::RatioOutcome;
-        let ptol = self.cfg.pivot_tol;
-        let ftol = self.cfg.feas_tol;
+        let ptol = PIVOT_TOL;
+        let ftol = FEAS_TOL;
         // Step limit from the entering variable's own bound range.
         let own_range = match (self.std.lower[q].is_finite(), self.std.upper[q].is_finite()) {
             (true, true) => self.std.upper[q] - self.std.lower[q],

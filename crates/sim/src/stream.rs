@@ -218,7 +218,8 @@ pub(crate) fn run_event_loop(
 
     let mut report = StreamReport::default();
     let mut inflight: BTreeMap<JobId, InFlight> = BTreeMap::new();
-    let mut current: Option<(Instance, Schedule)> = None;
+    // The schedule in force, and the slice it runs out at.
+    let mut current: Option<(Instance, Schedule, usize)> = None;
     let mut batch: Vec<Job> = Vec::new();
     let total_wavelengths: f64 = graph.edge_ids().map(|e| graph.wavelengths(e) as f64).sum();
     let (mut reserved, mut executed_slices) = (0.0, 0usize);
@@ -308,12 +309,15 @@ pub(crate) fn run_event_loop(
                 rejected: res.rejected.len(),
                 active: inflight.len(),
             });
-            current = Some((res.instance, res.schedule));
+            // Even an empty schedule covers the slice it was issued at, so
+            // an idle period counts towards utilization at any clock.
+            let until = res.instance.grid.num_slices().max(slice + 1);
+            current = Some((res.instance, res.schedule, until));
         }
 
         // Execute this slice of the current schedule.
-        if let Some((inst, sched)) = &current {
-            if slice < inst.grid.num_slices() {
+        if let Some((inst, sched, until)) = &current {
+            if slice < *until {
                 executed_slices += 1;
                 let len = inst.grid.len_of(slice);
                 for (idx, job) in inst.jobs.iter().enumerate() {

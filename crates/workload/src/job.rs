@@ -80,12 +80,15 @@ impl Job {
         self.end - self.start
     }
 
-    /// Returns a copy with the end time extended by the factor `1 + b`
-    /// (the RET relaxation `I((1+b) E_i)` operates on this).
-    pub fn with_extended_end(&self, b: f64) -> Job {
+    /// Returns a copy with the end time, measured from `origin`, extended by
+    /// the factor `1 + b`: `E -> origin + (E - origin)(1 + b)` (the RET
+    /// relaxation `I((1+b) E_i)` operates on this). The paper schedules once,
+    /// at time 0; a periodic controller passes the scheduling instant, so a
+    /// request is extended the same whenever it is scheduled.
+    pub fn with_extended_end(&self, b: f64, origin: f64) -> Job {
         assert!(b >= 0.0, "extension factor must be nonnegative");
         let mut j = self.clone();
-        j.end = self.end * (1.0 + b);
+        j.end = origin + (self.end - origin) * (1.0 + b);
         j
     }
 
@@ -122,9 +125,12 @@ mod tests {
     fn window_and_scaling() {
         let j = mk();
         assert_eq!(j.window(), 8.0);
-        let e = j.with_extended_end(0.5);
-        assert!((e.end - 13.5).abs() < 1e-12);
+        let e = j.with_extended_end(0.5, 0.0);
+        assert_eq!(e.end.to_bits(), (j.end * 1.5).to_bits());
         assert_eq!(e.start, j.start);
+        // Measured from the scheduling instant, the extension is the same
+        // at any clock.
+        assert_eq!(j.with_extended_end(0.5, 1.0).end, 13.0);
         let s = j.with_scaled_size(0.5);
         assert!((s.size_gb - 25.0).abs() < 1e-12);
     }
