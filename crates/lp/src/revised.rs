@@ -62,9 +62,9 @@ pub struct SimplexConfig {
     pub refactor_interval: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub degeneracy_threshold: u64,
-    /// Fraction of the basis dimension above which the sparse FTRAN/BTRAN
-    /// kernels abandon pattern tracking and finish with the dense solves
-    /// (`SolveStats` counts these fallbacks). `0.0` forces the dense
+    /// Fraction of the basis dimension above which a sparse FTRAN/BTRAN
+    /// result is handed on flagged dense, without its nonzero pattern
+    /// (`SolveStats` counts these as fallbacks). `0.0` runs the dense
     /// kernels everywhere, which the differential tests use as an oracle:
     /// the answer is bit-identical either way, only the work differs.
     pub kernel_density_threshold: f64,

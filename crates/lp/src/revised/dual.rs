@@ -186,9 +186,6 @@ impl Engine {
                         rhs.add(row, v * delta);
                     }
                 }
-                if !rhs.is_dense() {
-                    rhs.sort_pattern();
-                }
                 self.ftran_loaded(rhs);
                 let w = std::mem::take(&mut self.ftran_w);
                 let xb = &mut self.xb;

@@ -25,7 +25,7 @@ const COST_MODEL_ETA_FACTOR: usize = 8;
 
 /// Cost-model floor: never cut a file shorter than this many etas. Tiny
 /// bases otherwise refactorize every few pivots, and the fixed overhead
-/// of `Lu::factor` never amortizes over so short a window.
+/// of `Lu::refactor` never amortizes over so short a window.
 const COST_MODEL_MIN_ETAS: usize = 16;
 
 /// Why a refactorization is being performed — routed into the matching
@@ -131,13 +131,14 @@ pub(super) struct Engine {
     /// One zeroed bit per column: `touched`'s marks while it is gathered,
     /// then the words it is sorted with.
     pub(super) col_words: Vec<u64>,
-    /// DFS scratch for the sparse LU triangular solves.
+    /// Step-space accumulator and marks of the sparse LU triangular solves.
     pub(super) lu_scratch: LuScratch,
     /// Per-eta activation flags for the pruned BTRAN eta pass (scratch,
     /// rebuilt from the rhs pattern on every sparse BTRAN).
     pub(super) eta_active: Vec<bool>,
-    /// Reach size above which the sparse kernels fall back to dense
-    /// (`kernel_density_threshold` × rows, precomputed).
+    /// Nonzero count above which a sparse kernel's result is flagged dense
+    /// (`kernel_density_threshold` × rows, precomputed); 0 runs the dense
+    /// kernels.
     pub(super) kernel_cap: usize,
     /// Columns whose bounds are temporarily shifted during phase 1 so the
     /// starting point is feasible, with their original bounds. Covers the
@@ -613,23 +614,21 @@ impl Engine {
     pub(super) fn refactorize(&mut self, reason: RefactorReason) -> Result<(), SolveError> {
         let m = self.std.nrows;
         let mut attempt = 0usize;
-        let lu = loop {
-            match Lu::factor(&self.std.a, &self.basis, PIVOT_TOL) {
-                Ok(f) => break f,
-                Err(unpivoted_row) => {
-                    // Singular basis: swap the structurally dependent column
-                    // out for the row's artificial and retry.
-                    attempt += 1;
-                    if attempt > m {
-                        return Err(SolveError::Numerical(
-                            "basis repair failed: persistent singularity".into(),
-                        ));
-                    }
-                    self.stats.refactor_forced_singular += 1;
-                    self.repair_basis(unpivoted_row)?;
-                }
+        // In place, into the arenas of the factors being replaced; a failed
+        // repair leaves no factorization installed.
+        let mut lu = self.lu.take().unwrap_or_default();
+        while let Err(unpivoted_row) = lu.refactor(&self.std.a, &self.basis, PIVOT_TOL) {
+            // Singular basis: swap the structurally dependent column out
+            // for the row's artificial and retry.
+            attempt += 1;
+            if attempt > m {
+                return Err(SolveError::Numerical(
+                    "basis repair failed: persistent singularity".into(),
+                ));
             }
-        };
+            self.stats.refactor_forced_singular += 1;
+            self.repair_basis(unpivoted_row)?;
+        }
         obs::record("lp.eta_len_at_refactor", self.etas.len() as u64);
         self.etas.clear();
         self.stats.refactorizations += 1;

@@ -3,7 +3,7 @@
 //!
 //! A solve that was offered a basis tries up to three *warm rungs*, each a
 //! call of [`Engine::warm_entry`] — **install** the nonbasic point (and,
-//! from a snapshot, the basis), **factor** it (a fresh `Lu::factor`, or the
+//! from a snapshot, the basis), **factor** it (a fresh `Lu::refactor`, or the
 //! residual spot-check on the factors the previous solve left), then
 //! **continue** (dual simplex, or the primal bound-shift phase 1 + phase
 //! 2) — in a fixed order:

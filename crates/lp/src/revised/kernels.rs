@@ -35,7 +35,7 @@ pub(super) fn build_row_mirror(a: &CscMatrix) -> (Vec<usize>, Vec<u32>) {
 }
 
 /// Visits the entries of `w` in ascending index order: the sorted pattern
-/// when tracked, every slot after a dense fallback. Pattern order equals
+/// when tracked, every slot of a result flagged dense. Pattern order equals
 /// the dense scan order restricted to (potential) nonzeros, so consumers
 /// behave identically in both modes.
 #[inline]
@@ -257,8 +257,8 @@ impl Engine {
     /// FTRAN of column `q` through LU and the eta file into the
     /// engine-owned `ftran_w` arena: `w = B^{-1} a_q`, basis-position
     /// indexed, pattern sorted ascending (or flagged dense past the
-    /// density threshold). Bit-identical to the former dense pass up to
-    /// the sign of cancelled zeros, which every consumer guards away.
+    /// density threshold). Bit-identical to the dense pass up to the sign
+    /// of cancelled zeros, which every consumer guards away.
     pub(super) fn ftran_entering(&mut self, q: usize) {
         let mut rhs = std::mem::take(&mut self.ftran_rhs);
         let (rows, vals) = self.std.a.col(q);
@@ -269,8 +269,9 @@ impl Engine {
     /// Shared FTRAN tail: solves `B w = rhs` for an already-loaded
     /// row-indexed `rhs` (LU pass, then the eta file), leaving the
     /// basis-position-indexed result in `ftran_w` and handing `rhs` back to
-    /// its arena. Used by the entering-column FTRAN above and by the dual
-    /// ratio test's accumulated bound-flip column.
+    /// its arena. The order of `rhs`'s pattern is immaterial: it only seeds
+    /// the LU sweep's marks. Used by the entering-column FTRAN above and by
+    /// the dual ratio test's accumulated bound-flip column.
     pub(super) fn ftran_loaded(&mut self, mut rhs: WorkVec) {
         let mut w = std::mem::take(&mut self.ftran_w);
         let mut s = std::mem::take(&mut self.lu_scratch);

@@ -3,15 +3,17 @@
 //! Gilbert–Peierls left-looking factorization with row partial pivoting and a
 //! sparsest-column-first processing order. Produces `P B Q = L U` where `P`
 //! is the row pivot order, `Q` the column processing order, `L` unit lower
-//! triangular and `U` upper triangular (both in pivot-position space; `L`'s
-//! entries are stored under original row indices for cheap FTRAN).
+//! triangular and `U` upper triangular (both in pivot-position space). The
+//! factors live in flat column-compressed arenas that [`Lu::refactor`]
+//! overwrites in place, so a steady-state refactorization allocates nothing
+//! and a clone copies a fixed handful of vectors.
 
-use crate::sparse::{sort_dedup, sort_words, CscMatrix, WorkVec};
+use crate::sparse::{sort_words, CscMatrix, WorkVec};
 
 const NONE: u32 = u32::MAX;
 
 /// The factors of a basis matrix, plus the permutations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Lu {
     m: usize,
     /// `row_perm[step] = original row pivoted at that step`.
@@ -22,183 +24,262 @@ pub(crate) struct Lu {
     col_order: Vec<u32>,
     /// Inverse of `col_order`: basis position → step.
     col_pos: Vec<u32>,
-    /// L columns by step: `(original_row, value)`, unit diagonal implicit.
-    l_cols: Vec<Vec<(u32, f64)>>,
-    /// U off-diagonal columns by step: `(earlier_step, value)`.
-    u_cols: Vec<Vec<(u32, f64)>>,
+    /// L by step, unit diagonal implicit: column `p` is the arena slice
+    /// `l_ptr[p]..l_ptr[p + 1]` of `l_row` (original row), `l_step` (the
+    /// step that row is pivoted at, always later than `p`) and `l_val`.
+    l_ptr: Vec<usize>,
+    l_row: Vec<u32>,
+    l_step: Vec<u32>,
+    l_val: Vec<f64>,
+    /// U off-diagonals by step: column `j` is `u_ptr[j]..u_ptr[j + 1]` of
+    /// `u_idx` (an earlier step) and `u_val`.
+    u_ptr: Vec<usize>,
+    u_idx: Vec<u32>,
+    u_val: Vec<f64>,
     /// U diagonal (the pivots) by step.
     u_diag: Vec<f64>,
-    /// Transposed U structure: for step `p`, the later steps `j` whose U
-    /// column hits it (`ut_idx[ut_ptr[p]..ut_ptr[p+1]]`). Drives the
-    /// symbolic reach of the BTRAN U'-solve.
-    ut_ptr: Vec<usize>,
-    ut_idx: Vec<u32>,
-    /// Transposed L structure in step space: for step `q`, the earlier
-    /// steps `p` whose L column contains a row pivoted at `q`. Drives the
-    /// symbolic reach of the BTRAN L'-solve.
-    lt_ptr: Vec<usize>,
-    lt_idx: Vec<u32>,
+    /// Transposed U pattern: for step `p`, the later steps whose U column
+    /// hits it — the steps a nonzero at `p` feeds in the BTRAN U'-solve.
+    ut: Transposed,
+    /// Transposed L pattern in step space: for step `q`, the earlier steps
+    /// whose L column contains the row pivoted at `q` — the steps a nonzero
+    /// at `q` feeds in the BTRAN L'-solve.
+    lt: Transposed,
+    /// [`Self::refactor`]'s scratch, kept so it allocates nothing once it has
+    /// run at this dimension: the dense accumulator by original row (zero
+    /// between calls), its membership flags and pattern, the DFS stack and
+    /// topological order, the counting sort's and the transposes' counters.
+    work: Vec<f64>,
+    visited: Vec<bool>,
+    pattern: Vec<u32>,
+    dfs: Vec<(u32, usize)>,
+    topo: Vec<u32>,
+    count: Vec<usize>,
+}
+
+/// For each step an ascending list of other steps, in compressed form: the
+/// transpose of a step-indexed column pattern.
+#[derive(Debug, Clone, Default)]
+struct Transposed {
+    ptr: Vec<usize>,
+    idx: Vec<u32>,
+}
+
+impl Transposed {
+    #[inline]
+    fn of(&self, step: usize) -> &[u32] {
+        &self.idx[self.ptr[step]..self.ptr[step + 1]]
+    }
+
+    /// Rebuilds as the transpose of the columns `idx[ptr[j]..ptr[j + 1]]`:
+    /// step `i`'s list names the columns holding `i`.
+    fn rebuild(&mut self, ptr: &[usize], idx: &[u32], fill: &mut Vec<usize>) {
+        let m = ptr.len() - 1;
+        self.ptr.clear();
+        self.ptr.resize(m + 1, 0);
+        for &i in idx {
+            self.ptr[i as usize + 1] += 1;
+        }
+        for i in 0..m {
+            self.ptr[i + 1] += self.ptr[i];
+        }
+        fill.clear();
+        fill.extend_from_slice(&self.ptr[..m]);
+        self.idx.clear();
+        self.idx.resize(idx.len(), 0);
+        for col in 0..m {
+            for &i in &idx[ptr[col]..ptr[col + 1]] {
+                self.idx[fill[i as usize]] = col as u32;
+                fill[i as usize] += 1;
+            }
+        }
+    }
 }
 
 /// Reusable scratch for the sparse triangular solves, owned by the caller so
-/// steady-state pivots allocate nothing. All buffers are step-indexed;
-/// `vals` is kept all-zero between calls.
+/// steady-state pivots allocate nothing. Both buffers are step-indexed and
+/// all-zero between calls.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LuScratch {
-    visited: Vec<bool>,
-    stack: Vec<u32>,
-    reach: Vec<u32>,
-    reach2: Vec<u32>,
     vals: Vec<f64>,
-    /// Zeroed bit words the reaches are put in step order with.
-    sort_words: Vec<u64>,
+    /// One bit per step: the steps a solve has yet to visit.
+    words: Vec<u64>,
 }
 
 impl LuScratch {
     /// Scratch for an `m`-row basis, pre-sized so no later call grows it.
     pub fn new(m: usize) -> Self {
         LuScratch {
-            visited: vec![false; m],
-            stack: Vec::with_capacity(m),
-            reach: Vec::with_capacity(m),
-            reach2: Vec::with_capacity(m),
             vals: vec![0.0; m],
-            sort_words: sort_words(m),
+            words: sort_words(m),
         }
     }
 }
 
-/// Depth-first reach of `starts` under `succ`, collected into `reach`.
-///
-/// Returns `false` (with `reach` emptied and `visited` reset) once the
-/// reach would exceed `cap` — the caller then falls back to a dense solve.
-/// On success the caller owns resetting `visited` via the reach list.
-fn reach_from<I>(
-    visited: &mut [bool],
-    stack: &mut Vec<u32>,
-    reach: &mut Vec<u32>,
-    cap: usize,
-    starts: impl Iterator<Item = u32>,
-    mut succ: impl FnMut(u32) -> I,
-) -> bool
-where
-    I: Iterator<Item = u32>,
-{
-    reach.clear();
-    stack.clear();
-    let mut overflow = false;
-    'outer: for s0 in starts {
-        if visited[s0 as usize] {
-            continue;
-        }
-        visited[s0 as usize] = true;
-        reach.push(s0);
-        if reach.len() > cap {
-            overflow = true;
-            break;
-        }
-        stack.push(s0);
-        while let Some(n) = stack.pop() {
-            for t in succ(n) {
-                if !visited[t as usize] {
-                    visited[t as usize] = true;
-                    reach.push(t);
-                    if reach.len() > cap {
-                        overflow = true;
-                        break 'outer;
-                    }
-                    stack.push(t);
-                }
-            }
-        }
+/// The lowest marked step at or above `from`, looking no further than word
+/// `hi`. Re-reads the word `from` sits in, so a mark set just ahead of the
+/// sweep is found.
+#[inline]
+fn lowest_from(words: &[u64], hi: usize, from: usize) -> Option<usize> {
+    let mut w = from >> 6;
+    if w > hi {
+        return None;
     }
-    if overflow {
-        for &n in reach.iter() {
-            visited[n as usize] = false;
+    let mut bits = words[w] & (!0u64 << (from & 63));
+    while bits == 0 {
+        w += 1;
+        if w > hi {
+            return None;
         }
-        reach.clear();
-        stack.clear();
-        return false;
+        bits = words[w];
     }
-    true
+    Some((w << 6) | bits.trailing_zeros() as usize)
+}
+
+/// The highest marked step below `end`, looking no further than word `lo`.
+#[inline]
+fn highest_below(words: &[u64], lo: usize, end: usize) -> Option<usize> {
+    let last = end.checked_sub(1)?;
+    let mut w = last >> 6;
+    if w < lo {
+        return None;
+    }
+    let mut bits = words[w] & (!0u64 >> (63 - (last & 63)));
+    while bits == 0 {
+        if w == lo {
+            return None;
+        }
+        w -= 1;
+        bits = words[w];
+    }
+    Some((w << 6) | (63 - bits.leading_zeros() as usize))
+}
+
+#[inline]
+fn mark(words: &mut [u64], step: usize) {
+    words[step >> 6] |= 1u64 << (step & 63);
+}
+
+#[inline]
+fn unmark(words: &mut [u64], step: usize) {
+    words[step >> 6] &= !(1u64 << (step & 63));
 }
 
 impl Lu {
-    /// Factorizes the basis given by `basis` (column indices into `a`).
-    ///
-    /// On structural or numerical singularity returns `Err(row)` with an
-    /// original row index that could not be pivoted, so the caller can
-    /// repair the basis.
+    /// [`Self::refactor`] into fresh arenas.
+    #[cfg(test)]
     pub fn factor(a: &CscMatrix, basis: &[usize], pivot_tol: f64) -> Result<Lu, usize> {
+        let mut lu = Lu::default();
+        lu.refactor(a, basis, pivot_tol)?;
+        Ok(lu)
+    }
+
+    /// Factorizes the basis given by `basis` (column indices into `a`) into
+    /// this factorization's own arenas. On structural or numerical
+    /// singularity returns `Err(row)` with an original row index that could
+    /// not be pivoted, so the caller can repair the basis and call again;
+    /// until a call succeeds the factors are unusable.
+    pub fn refactor(
+        &mut self,
+        a: &CscMatrix,
+        basis: &[usize],
+        pivot_tol: f64,
+    ) -> Result<(), usize> {
         let m = basis.len();
         assert_eq!(a.nrows(), m, "basis size must equal row count");
+        self.m = m;
 
         // Process sparsest columns first: cheap Markowitz-style ordering that
-        // keeps the mostly-singleton scheduling bases near-diagonal.
-        let mut col_order: Vec<u32> = (0..m as u32).collect();
-        col_order.sort_by_key(|&p| (a.col_nnz(basis[p as usize]), p));
+        // keeps the mostly-singleton scheduling bases near-diagonal. A stable
+        // counting sort on the column counts orders by `(col_nnz, position)`.
+        self.count.clear();
+        self.count.resize(m + 2, 0);
+        for &j in basis {
+            self.count[a.col_nnz(j) + 1] += 1;
+        }
+        for c in 0..=m {
+            self.count[c + 1] += self.count[c];
+        }
+        self.col_order.clear();
+        self.col_order.resize(m, 0);
+        for (p, &j) in basis.iter().enumerate() {
+            let slot = &mut self.count[a.col_nnz(j)];
+            self.col_order[*slot] = p as u32;
+            *slot += 1;
+        }
 
-        let mut row_perm = vec![NONE; m];
-        let mut row_pos = vec![NONE; m];
-        let mut l_cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut u_cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut u_diag = Vec::with_capacity(m);
-
-        // Dense accumulator indexed by original row, with explicit pattern.
-        let mut work = vec![0.0_f64; m];
-        let mut visited = vec![false; m];
-        let mut pattern: Vec<u32> = Vec::with_capacity(64);
-        // DFS scratch.
-        let mut dfs: Vec<(u32, usize)> = Vec::with_capacity(64);
-        let mut topo: Vec<u32> = Vec::with_capacity(64);
+        for perm in [&mut self.row_perm, &mut self.row_pos] {
+            perm.clear();
+            perm.resize(m, NONE);
+        }
+        for ptr in [&mut self.l_ptr, &mut self.u_ptr] {
+            ptr.clear();
+            ptr.reserve(m + 1);
+            ptr.push(0);
+        }
+        self.l_row.clear();
+        self.l_val.clear();
+        self.u_idx.clear();
+        self.u_val.clear();
+        self.u_diag.clear();
+        self.u_diag.reserve(m);
+        // Accumulator by original row, its pattern, DFS scratch: all within `m`.
+        self.work.resize(m, 0.0);
+        self.visited.resize(m, false);
+        for list in [&mut self.pattern, &mut self.topo] {
+            list.clear();
+            list.reserve(m);
+        }
+        self.dfs.reserve(m);
 
         for step in 0..m {
-            let bcol = basis[col_order[step] as usize];
+            let bcol = basis[self.col_order[step] as usize];
             let (rows, vals) = a.col(bcol);
 
             // Symbolic: reach of the column pattern through L.
-            pattern.clear();
-            topo.clear();
+            self.pattern.clear();
+            self.topo.clear();
             for &r in rows {
-                if visited[r as usize] {
+                if self.visited[r as usize] {
                     continue;
                 }
-                dfs.push((r, 0));
-                visited[r as usize] = true;
-                pattern.push(r);
-                while let Some(&mut (node, ref mut child)) = dfs.last_mut() {
-                    let p = row_pos[node as usize];
+                self.dfs.push((r, 0));
+                self.visited[r as usize] = true;
+                self.pattern.push(r);
+                while let Some(&mut (node, ref mut child)) = self.dfs.last_mut() {
+                    let p = self.row_pos[node as usize];
                     if p == NONE {
-                        dfs.pop();
+                        self.dfs.pop();
                         continue;
                     }
-                    let lcol = &l_cols[p as usize];
-                    if *child < lcol.len() {
-                        let next = lcol[*child].0;
+                    let k = self.l_ptr[p as usize] + *child;
+                    if k < self.l_ptr[p as usize + 1] {
+                        let next = self.l_row[k];
                         *child += 1;
-                        if !visited[next as usize] {
-                            visited[next as usize] = true;
-                            pattern.push(next);
-                            dfs.push((next, 0));
+                        if !self.visited[next as usize] {
+                            self.visited[next as usize] = true;
+                            self.pattern.push(next);
+                            self.dfs.push((next, 0));
                         }
                     } else {
-                        dfs.pop();
-                        topo.push(p);
+                        self.dfs.pop();
+                        self.topo.push(p);
                     }
                 }
             }
 
             // Numeric: scatter and eliminate in topological order.
             for (&r, &v) in rows.iter().zip(vals) {
-                work[r as usize] = v;
+                self.work[r as usize] = v;
             }
-            for &p in topo.iter().rev() {
-                let r_piv = row_perm[p as usize] as usize;
-                let v = work[r_piv];
+            for &p in self.topo.iter().rev() {
+                let p = p as usize;
+                let v = self.work[self.row_perm[p] as usize];
                 // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                 if v != 0.0 {
-                    for &(r, lv) in &l_cols[p as usize] {
-                        work[r as usize] -= lv * v;
+                    let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
+                    for (&r, &lv) in self.l_row[lo..hi].iter().zip(&self.l_val[lo..hi]) {
+                        self.work[r as usize] -= lv * v;
                     }
                 }
             }
@@ -206,9 +287,9 @@ impl Lu {
             // Pivot: largest magnitude among unpivoted rows in the pattern.
             let mut piv_row = NONE;
             let mut piv_val = 0.0_f64;
-            for &r in &pattern {
-                if row_pos[r as usize] == NONE {
-                    let v = work[r as usize];
+            for &r in self.pattern.iter() {
+                if self.row_pos[r as usize] == NONE {
+                    let v = self.work[r as usize];
                     if v.abs() > piv_val.abs() {
                         piv_val = v;
                         piv_row = r;
@@ -217,96 +298,68 @@ impl Lu {
             }
             if piv_row == NONE || piv_val.abs() <= pivot_tol {
                 // Singular: report some still-unpivoted row for repair.
-                let bad = (0..m).find(|&r| row_pos[r] == NONE).unwrap_or(0);
+                let bad = (0..m).find(|&r| self.row_pos[r] == NONE).unwrap_or(0);
                 // Reset accumulator before bailing.
-                for &r in &pattern {
-                    work[r as usize] = 0.0;
-                    visited[r as usize] = false;
+                for &r in self.pattern.iter() {
+                    self.work[r as usize] = 0.0;
+                    self.visited[r as usize] = false;
                 }
                 return Err(bad);
             }
 
             // Gather U (pivoted part) and L (unpivoted part) of the column.
-            let mut ucol = Vec::new();
-            let mut lcol = Vec::new();
-            for &r in &pattern {
-                let v = work[r as usize];
-                let p = row_pos[r as usize];
+            for &r in self.pattern.iter() {
+                let v = self.work[r as usize];
+                let p = self.row_pos[r as usize];
                 if p != NONE {
                     // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                     if v != 0.0 {
-                        ucol.push((p, v));
+                        self.u_idx.push(p);
+                        self.u_val.push(v);
                     }
                 // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                 } else if r != piv_row && v != 0.0 {
-                    lcol.push((r, v / piv_val));
+                    self.l_row.push(r);
+                    self.l_val.push(v / piv_val);
                 }
-                work[r as usize] = 0.0;
-                visited[r as usize] = false;
+                self.work[r as usize] = 0.0;
+                self.visited[r as usize] = false;
             }
-            u_cols.push(ucol);
-            l_cols.push(lcol);
-            u_diag.push(piv_val);
-            row_perm[step] = piv_row;
-            row_pos[piv_row as usize] = step as u32;
+            self.u_ptr.push(self.u_idx.len());
+            self.l_ptr.push(self.l_row.len());
+            self.u_diag.push(piv_val);
+            self.row_perm[step] = piv_row;
+            self.row_pos[piv_row as usize] = step as u32;
         }
 
-        // Inverse column permutation and the two transposed adjacency
-        // structures the sparse BTRAN reaches walk. Built once per
-        // factorization; the L transpose needs the *final* `row_pos`, so
-        // this cannot happen inside the elimination loop.
-        let mut col_pos = vec![0u32; m];
-        for (step, &p) in col_order.iter().enumerate() {
-            col_pos[p as usize] = step as u32;
+        // Inverse column permutation, the step each L row is pivoted at, and
+        // the two transposed patterns the sparse BTRAN marks through. The L
+        // side needs the *final* `row_pos`, so none of this can happen
+        // inside the elimination loop.
+        self.col_pos.clear();
+        self.col_pos.resize(m, 0);
+        for (step, &p) in self.col_order.iter().enumerate() {
+            self.col_pos[p as usize] = step as u32;
         }
-        let mut ut_ptr = vec![0usize; m + 1];
-        for ucol in &u_cols {
-            for &(p, _) in ucol {
-                ut_ptr[p as usize + 1] += 1;
-            }
-        }
-        let mut lt_ptr = vec![0usize; m + 1];
-        for lcol in &l_cols {
-            for &(r, _) in lcol {
-                lt_ptr[row_pos[r as usize] as usize + 1] += 1;
-            }
-        }
-        for i in 0..m {
-            ut_ptr[i + 1] += ut_ptr[i];
-            lt_ptr[i + 1] += lt_ptr[i];
-        }
-        let mut ut_fill = ut_ptr.clone();
-        let mut ut_idx = vec![0u32; ut_ptr[m]];
-        for (j, ucol) in u_cols.iter().enumerate() {
-            for &(p, _) in ucol {
-                ut_idx[ut_fill[p as usize]] = j as u32;
-                ut_fill[p as usize] += 1;
-            }
-        }
-        let mut lt_fill = lt_ptr.clone();
-        let mut lt_idx = vec![0u32; lt_ptr[m]];
-        for (p, lcol) in l_cols.iter().enumerate() {
-            for &(r, _) in lcol {
-                let q = row_pos[r as usize] as usize;
-                lt_idx[lt_fill[q]] = p as u32;
-                lt_fill[q] += 1;
-            }
-        }
+        self.l_step.clear();
+        self.l_step
+            .extend(self.l_row.iter().map(|&r| self.row_pos[r as usize]));
+        self.ut.rebuild(&self.u_ptr, &self.u_idx, &mut self.count);
+        self.lt.rebuild(&self.l_ptr, &self.l_step, &mut self.count);
+        Ok(())
+    }
 
-        Ok(Lu {
-            m,
-            row_perm,
-            row_pos,
-            col_order,
-            col_pos,
-            l_cols,
-            u_cols,
-            u_diag,
-            ut_ptr,
-            ut_idx,
-            lt_ptr,
-            lt_idx,
-        })
+    /// Pre-grows the factor arenas by `extra` entries each, so later
+    /// refactorizations with that much more fill do not allocate (the
+    /// allocation-free probe harness).
+    pub fn reserve(&mut self, extra: usize) {
+        self.l_row.reserve(extra);
+        self.l_step.reserve(extra);
+        self.l_val.reserve(extra);
+        self.lt.idx.reserve(extra);
+        self.u_idx.reserve(extra);
+        self.u_val.reserve(extra);
+        self.ut.idx.reserve(extra);
     }
 
     /// Entry count of the factors: L and U off-diagonals plus the `m`
@@ -314,9 +367,7 @@ impl Lu {
     /// this is the per-pass cost unit the refactorization cost model
     /// weighs the eta file against.
     pub fn nnz(&self) -> usize {
-        let l: usize = self.l_cols.iter().map(Vec::len).sum();
-        let u: usize = self.u_cols.iter().map(Vec::len).sum();
-        l + u + self.m
+        self.l_val.len() + self.u_val.len() + self.m
     }
 
     /// Extends the factorization in place for `k` rows appended to the
@@ -329,10 +380,6 @@ impl Lu {
     /// when the new rows have no entries on existing columns.
     pub fn extend_rows(&mut self, k: usize) {
         let m0 = self.m;
-        self.row_perm.reserve(k);
-        self.row_pos.reserve(k);
-        self.col_order.reserve(k);
-        self.col_pos.reserve(k);
         for i in 0..k {
             // lint: allow(lossy-cast, reason = "row indices are bounded by the CSR u32 index width by construction")
             let step = (m0 + i) as u32;
@@ -340,14 +387,17 @@ impl Lu {
             self.row_pos.push(step);
             self.col_order.push(step);
             self.col_pos.push(step);
-            self.l_cols.push(Vec::new());
-            self.u_cols.push(Vec::new());
             self.u_diag.push(-1.0);
         }
-        let ut_last = self.ut_ptr[m0];
-        let lt_last = self.lt_ptr[m0];
-        self.ut_ptr.resize(m0 + k + 1, ut_last);
-        self.lt_ptr.resize(m0 + k + 1, lt_last);
+        for ptr in [
+            &mut self.l_ptr,
+            &mut self.u_ptr,
+            &mut self.ut.ptr,
+            &mut self.lt.ptr,
+        ] {
+            let last = ptr[m0];
+            ptr.resize(m0 + k + 1, last);
+        }
         self.m = m0 + k;
     }
 
@@ -373,7 +423,8 @@ impl Lu {
             let v = rhs_by_row[self.row_perm[p] as usize];
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if v != 0.0 {
-                for &(r, lv) in &self.l_cols[p] {
+                let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
+                for (&r, &lv) in self.l_row[lo..hi].iter().zip(&self.l_val[lo..hi]) {
                     rhs_by_row[r as usize] -= lv * v;
                 }
             }
@@ -385,7 +436,8 @@ impl Lu {
             out_by_pos[j] = z;
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if z != 0.0 {
-                for &(p, uv) in &self.u_cols[j] {
+                let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
+                for (&p, &uv) in self.u_idx[lo..hi].iter().zip(&self.u_val[lo..hi]) {
                     out_by_pos[p as usize] -= uv * z;
                 }
             }
@@ -414,7 +466,8 @@ impl Lu {
         // U' w = cq (forward, since U' is lower triangular).
         for j in 0..m {
             let mut acc = scratch[j];
-            for &(p, uv) in &self.u_cols[j] {
+            let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
+            for (&p, &uv) in self.u_idx[lo..hi].iter().zip(&self.u_val[lo..hi]) {
                 acc -= uv * scratch[p as usize];
             }
             scratch[j] = acc / self.u_diag[j];
@@ -422,8 +475,9 @@ impl Lu {
         // L' v = w (backward, unit diagonal).
         for p in (0..m).rev() {
             let mut acc = scratch[p];
-            for &(r, lv) in &self.l_cols[p] {
-                acc -= lv * scratch[self.row_pos[r as usize] as usize];
+            let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
+            for (&q, &lv) in self.l_step[lo..hi].iter().zip(&self.l_val[lo..hi]) {
+                acc -= lv * scratch[q as usize];
             }
             scratch[p] = acc;
         }
@@ -433,234 +487,177 @@ impl Lu {
         }
     }
 
-    /// Sparse FTRAN: solves `B x = rhs`, tracking nonzeros through both
-    /// triangular solves via symbolic reach over the L/U dependency graphs.
+    /// Sparse FTRAN: solves `B x = rhs` in one sweep per triangular solve,
+    /// visiting only the steps that hold a nonzero.
     ///
     /// `rhs` is row-indexed and consumed (left cleared); `out` receives `x`
-    /// by basis position. Once the reach of either solve exceeds
-    /// `max_reach`, the remainder runs the dense kernel and `out` is
-    /// flagged dense. Either way the result is bit-identical to
-    /// [`Self::ftran`]: positions outside the reach hold exact zeros, the
-    /// reach is processed in the same step order as the dense loop, and the
-    /// only divergence is the sign of cancelled zeros, which no consumer
-    /// observes (every use is guarded by `!= 0` or magnitude tests).
+    /// by basis position, its pattern exactly the nonzeros in no particular
+    /// order, or flagged dense when there are more than `cap` of them.
+    /// `s.words` holds one mark per step still to visit: the rhs pattern
+    /// sets the first, the L-solve takes the lowest mark and the U
+    /// back-substitution the highest, each does that step's arithmetic
+    /// exactly as [`Self::ftran`] does, and a nonzero result marks the steps
+    /// it scatters into. Triangularity puts those strictly ahead of the
+    /// sweep, so the marks *are* the step order. An unmarked step holds an
+    /// exact zero, which the dense loop skips too: the result is
+    /// bit-identical to [`Self::ftran`] up to the sign of cancelled zeros,
+    /// which no consumer observes (every use is guarded by `!= 0` or
+    /// magnitude tests). A dense `rhs` or `cap == 0` runs the dense kernel.
     pub fn ftran_sparse(
         &self,
         rhs: &mut WorkVec,
         out: &mut WorkVec,
         s: &mut LuScratch,
-        max_reach: usize,
+        cap: usize,
     ) {
-        let m = self.m;
-        debug_assert_eq!(rhs.len(), m);
-        debug_assert_eq!(out.len(), m);
-        debug_assert_eq!(s.vals.len(), m);
+        debug_assert_eq!(rhs.len(), self.m);
+        debug_assert_eq!(out.len(), self.m);
+        debug_assert_eq!(s.vals.len(), self.m);
         out.clear();
-        // Symbolic: reach of the rhs pattern through L, in step space.
-        let sparse_l = !rhs.is_dense()
-            && reach_from(
-                &mut s.visited,
-                &mut s.stack,
-                &mut s.reach,
-                max_reach,
-                rhs.pattern.iter().map(|&r| self.row_pos[r as usize]),
-                |p| {
-                    self.l_cols[p as usize]
-                        .iter()
-                        .map(|&(r, _)| self.row_pos[r as usize])
-                },
-            );
-        if !sparse_l {
+        if rhs.is_dense() || cap == 0 {
             self.ftran(&mut rhs.values, &mut out.values);
             rhs.clear();
             out.make_dense();
             return;
         }
-        sort_dedup(&mut s.reach, &mut s.sort_words);
-        for &p in &s.reach {
-            s.visited[p as usize] = false;
-        }
-        // Numeric L-solve: the dense loop restricted to the reach, in the
-        // same ascending step order (skipped steps hold exact zeros).
-        for &p in &s.reach {
-            let p = p as usize;
-            let v = rhs.values[self.row_perm[p] as usize];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-            if v != 0.0 {
-                for &(r, lv) in &self.l_cols[p] {
-                    rhs.values[r as usize] -= lv * v;
-                }
-            }
-            s.vals[p] = v;
-        }
-        // rhs is spent: zero the rows the solve touched (a superset of its
-        // pattern) and reset its bookkeeping.
-        for &p in &s.reach {
-            rhs.values[self.row_perm[p as usize] as usize] = 0.0;
+        let (vals, words) = (&mut s.vals[..], &mut s.words[..]);
+        // Move the rhs into step space, marking its steps; `lo..=hi` is the
+        // word span the marks cover (`lo > hi`: none). The rhs is spent.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &r in &rhs.pattern {
+            let p = self.row_pos[r as usize] as usize;
+            vals[p] = rhs.values[r as usize];
+            mark(words, p);
+            (lo, hi) = (lo.min(p >> 6), hi.max(p >> 6));
         }
         rhs.clear();
 
-        // Symbolic: extend the reach through U's back-substitution edges.
-        let sparse_u = reach_from(
-            &mut s.visited,
-            &mut s.stack,
-            &mut s.reach2,
-            max_reach,
-            s.reach.iter().copied(),
-            |j| self.u_cols[j as usize].iter().map(|&(p, _)| p),
-        );
-        if !sparse_u {
-            // Finish densely from the step-indexed accumulator: skipped
-            // steps hold exact zeros, so this is the dense
-            // back-substitution verbatim.
-            for j in (0..m).rev() {
-                let z = s.vals[j] / self.u_diag[j];
-                s.vals[j] = z;
-                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-                if z != 0.0 {
-                    for &(p, uv) in &self.u_cols[j] {
-                        s.vals[p as usize] -= uv * z;
-                    }
-                }
-            }
-            for j in 0..m {
-                out.values[self.col_order[j] as usize] = s.vals[j];
-                s.vals[j] = 0.0;
-            }
-            out.make_dense();
-            return;
-        }
-        sort_dedup(&mut s.reach2, &mut s.sort_words);
-        for &j in &s.reach2 {
-            s.visited[j as usize] = false;
-        }
-        // Numeric U back-substitution over the reach, descending.
-        for &j in s.reach2.iter().rev() {
-            let j = j as usize;
-            let z = s.vals[j] / self.u_diag[j];
-            s.vals[j] = z;
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-            if z != 0.0 {
-                for &(p, uv) in &self.u_cols[j] {
-                    s.vals[p as usize] -= uv * z;
-                }
-            }
-        }
-        // Permute step → basis position, harvesting actual nonzeros and
-        // re-zeroing the scratch.
-        for &j in &s.reach2 {
-            let v = s.vals[j as usize];
-            s.vals[j as usize] = 0.0;
+        // L-solve, ascending. A step left at zero drops its mark, so what
+        // stays marked is the nonzero set the U-solve starts from.
+        let mut at = lo.saturating_mul(64);
+        while let Some(p) = lowest_from(words, hi, at) {
+            at = p + 1;
+            let v = vals[p];
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if v != 0.0 {
-                out.set(self.col_order[j as usize], v);
+                let (k0, k1) = (self.l_ptr[p], self.l_ptr[p + 1]);
+                for (&t, &lv) in self.l_step[k0..k1].iter().zip(&self.l_val[k0..k1]) {
+                    let t = t as usize;
+                    vals[t] -= lv * v;
+                    mark(words, t);
+                    hi = hi.max(t >> 6);
+                }
+            } else {
+                vals[p] = 0.0;
+                unmark(words, p);
             }
+        }
+        // U back-substitution, descending. Nothing writes to a step once
+        // the sweep has passed it, so each is harvested (permuted to its
+        // basis position) and its scratch zeroed as it is finished.
+        let mut end = (hi + 1) << 6;
+        while let Some(j) = highest_below(words, lo, end) {
+            end = j;
+            unmark(words, j);
+            let z = vals[j] / self.u_diag[j];
+            vals[j] = 0.0;
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if z != 0.0 {
+                out.set(self.col_order[j], z);
+                let (k0, k1) = (self.u_ptr[j], self.u_ptr[j + 1]);
+                for (&p, &uv) in self.u_idx[k0..k1].iter().zip(&self.u_val[k0..k1]) {
+                    let p = p as usize;
+                    vals[p] -= uv * z;
+                    mark(words, p);
+                    lo = lo.min(p >> 6);
+                }
+            }
+        }
+        if out.pattern.len() > cap {
+            out.make_dense();
         }
     }
 
-    /// Sparse BTRAN: solves `B' y = c`, tracking nonzeros via the
-    /// transposed U/L structures.
+    /// Sparse BTRAN: solves `B' y = c` by the same two marked sweeps as
+    /// [`Self::ftran_sparse`], through the transposed patterns.
     ///
     /// `c` comes in indexed by basis position and leaves indexed by
-    /// original row. Unlike FTRAN these solves are *gathers*, so each
-    /// reached step accumulates over its full stored adjacency in original
-    /// order — term-for-term the dense arithmetic (absent terms are exact
-    /// zeros) — which keeps the result bit-identical to [`Self::btran`] up
-    /// to the sign of cancelled zeros.
-    pub fn btran_sparse(&self, c: &mut WorkVec, s: &mut LuScratch, max_reach: usize) {
-        let m = self.m;
-        debug_assert_eq!(c.len(), m);
-        debug_assert_eq!(s.vals.len(), m);
-        // Symbolic U'-reach from the input pattern, mapped into step space.
-        let sparse_u = !c.is_dense()
-            && reach_from(
-                &mut s.visited,
-                &mut s.stack,
-                &mut s.reach,
-                max_reach,
-                c.pattern.iter().map(|&pos| self.col_pos[pos as usize]),
-                |p| {
-                    self.ut_idx[self.ut_ptr[p as usize]..self.ut_ptr[p as usize + 1]]
-                        .iter()
-                        .copied()
-                },
-            );
-        if !sparse_u {
+    /// original row, flagged dense when it has more than `cap` nonzeros.
+    /// Unlike FTRAN these solves are *gathers*: a visited step accumulates
+    /// over its full stored column in stored order — term-for-term the
+    /// dense arithmetic (absent terms are exact zeros) — and a nonzero
+    /// result marks the steps whose columns hold it (`ut`, `lt`).
+    /// A step nothing marked gathers only exact zeros. So the result is
+    /// bit-identical to [`Self::btran`] up to the sign of cancelled zeros.
+    pub fn btran_sparse(&self, c: &mut WorkVec, s: &mut LuScratch, cap: usize) {
+        debug_assert_eq!(c.len(), self.m);
+        debug_assert_eq!(s.vals.len(), self.m);
+        if c.is_dense() || cap == 0 {
             self.btran(&mut c.values, &mut s.vals);
             s.vals.fill(0.0);
             c.make_dense();
             return;
         }
-        sort_dedup(&mut s.reach, &mut s.sort_words);
-        for &p in &s.reach {
-            s.visited[p as usize] = false;
-        }
-        // Permute inputs into step space (unreached inputs are exact
-        // zeros) and clear `c` for reuse as the row-indexed output.
-        for &j in &s.reach {
-            s.vals[j as usize] = c.values[self.col_order[j as usize] as usize];
+        let (vals, words) = (&mut s.vals[..], &mut s.words[..]);
+        // Move the input into step space, marking its steps, and clear `c`
+        // for reuse as the row-indexed output.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &pos in &c.pattern {
+            let j = self.col_pos[pos as usize] as usize;
+            vals[j] = c.values[pos as usize];
+            mark(words, j);
+            (lo, hi) = (lo.min(j >> 6), hi.max(j >> 6));
         }
         c.clear();
-        // Forward U'-solve: full gather per reached step, ascending.
-        for &j in &s.reach {
-            let j = j as usize;
-            let mut acc = s.vals[j];
-            for &(p, uv) in &self.u_cols[j] {
-                acc -= uv * s.vals[p as usize];
+
+        // Forward U'-solve, ascending.
+        let mut at = lo.saturating_mul(64);
+        while let Some(j) = lowest_from(words, hi, at) {
+            at = j + 1;
+            let mut acc = vals[j];
+            let (k0, k1) = (self.u_ptr[j], self.u_ptr[j + 1]);
+            for (&p, &uv) in self.u_idx[k0..k1].iter().zip(&self.u_val[k0..k1]) {
+                acc -= uv * vals[p as usize];
             }
-            s.vals[j] = acc / self.u_diag[j];
-        }
-        // Symbolic L'-reach extends the U' reach.
-        let sparse_l = reach_from(
-            &mut s.visited,
-            &mut s.stack,
-            &mut s.reach2,
-            max_reach,
-            s.reach.iter().copied(),
-            |q| {
-                self.lt_idx[self.lt_ptr[q as usize]..self.lt_ptr[q as usize + 1]]
-                    .iter()
-                    .copied()
-            },
-        );
-        if !sparse_l {
-            // Finish densely: backward L'-solve over every step, then
-            // scatter to row space.
-            for p in (0..m).rev() {
-                let mut acc = s.vals[p];
-                for &(r, lv) in &self.l_cols[p] {
-                    acc -= lv * s.vals[self.row_pos[r as usize] as usize];
-                }
-                s.vals[p] = acc;
-            }
-            for p in 0..m {
-                c.values[self.row_perm[p] as usize] = s.vals[p];
-                s.vals[p] = 0.0;
-            }
-            c.make_dense();
-            return;
-        }
-        sort_dedup(&mut s.reach2, &mut s.sort_words);
-        for &p in &s.reach2 {
-            s.visited[p as usize] = false;
-        }
-        // Backward L'-solve over the reach, descending, full gathers.
-        for &p in s.reach2.iter().rev() {
-            let p = p as usize;
-            let mut acc = s.vals[p];
-            for &(r, lv) in &self.l_cols[p] {
-                acc -= lv * s.vals[self.row_pos[r as usize] as usize];
-            }
-            s.vals[p] = acc;
-        }
-        // Scatter to row space, harvesting actual nonzeros.
-        for &p in &s.reach2 {
-            let v = s.vals[p as usize];
-            s.vals[p as usize] = 0.0;
+            let w = acc / self.u_diag[j];
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-            if v != 0.0 {
-                c.set(self.row_perm[p as usize], v);
+            if w != 0.0 {
+                vals[j] = w;
+                for &t in self.ut.of(j) {
+                    let t = t as usize;
+                    mark(words, t);
+                    hi = hi.max(t >> 6);
+                }
+            } else {
+                vals[j] = 0.0;
+                unmark(words, j);
             }
+        }
+        // Backward L'-solve, descending: each step gathers from the finished
+        // part of the row-indexed output (`y[row_perm[q]]` is step `q`'s
+        // result) and is harvested straight into it.
+        let mut end = (hi + 1) << 6;
+        while let Some(p) = highest_below(words, lo, end) {
+            end = p;
+            unmark(words, p);
+            let mut acc = vals[p];
+            vals[p] = 0.0;
+            let (k0, k1) = (self.l_ptr[p], self.l_ptr[p + 1]);
+            for (&r, &lv) in self.l_row[k0..k1].iter().zip(&self.l_val[k0..k1]) {
+                acc -= lv * c.values[r as usize];
+            }
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if acc != 0.0 {
+                c.set(self.row_perm[p], acc);
+                for &q in self.lt.of(p) {
+                    let q = q as usize;
+                    mark(words, q);
+                    lo = lo.min(q >> 6);
+                }
+            }
+        }
+        if c.pattern.len() > cap {
+            c.make_dense();
         }
     }
 }
@@ -669,6 +666,8 @@ impl Lu {
 mod tests {
     use super::*;
     use crate::sparse::CscMatrix;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Builds a CSC matrix whose columns are exactly the basis columns.
     fn mat(cols: &[Vec<(u32, f64)>], m: usize) -> (CscMatrix, Vec<usize>) {
@@ -757,108 +756,159 @@ mod tests {
         assert!(Lu::factor(&a, &basis, 1e-12).is_err());
     }
 
-    /// Sparse FTRAN/BTRAN must be bit-identical to the dense kernels on
-    /// every nonzero (zeros may differ in sign only), at generous and at
-    /// zero reach caps (the latter forces the dense fallback).
-    #[test]
-    fn sparse_kernels_match_dense_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..40 {
-            let m = 2 + (trial % 14);
-            let mut cols: Vec<Vec<(u32, f64)>> = Vec::new();
-            for j in 0..m {
-                let mut col = vec![(j as u32, 1.0 + rng.random_range(0.0..4.0))];
-                for r in 0..m {
-                    if r != j && rng.random_range(0.0..1.0) < 0.25 {
-                        col.push((r as u32, rng.random_range(-1.0..1.0)));
-                    }
+    /// A random basis: a dominant diagonal plus off-diagonal entries with
+    /// probability `fill` each.
+    fn random_cols(rng: &mut StdRng, m: usize, fill: f64) -> Vec<Vec<(u32, f64)>> {
+        let mut cols = Vec::new();
+        for j in 0..m {
+            let mut col = vec![(j as u32, 1.0 + rng.random_range(0.0..4.0))];
+            for r in 0..m {
+                if r != j && rng.random_range(0.0..1.0) < fill {
+                    col.push((r as u32, rng.random_range(-1.0..1.0)));
                 }
-                col.sort_unstable_by_key(|e| e.0);
-                cols.push(col);
             }
-            let (a, basis) = mat(&cols, m);
-            let lu = match Lu::factor(&a, &basis, 1e-10) {
-                Ok(l) => l,
-                Err(_) => continue,
-            };
-            let mut scratch = LuScratch::new(m);
-            for cap in [m, 0] {
-                // FTRAN on a sparse rhs (a couple of entries).
-                let mut dense_rhs = vec![0.0; m];
-                dense_rhs[0] = 1.25;
-                dense_rhs[m / 2] = -0.5;
-                let mut dense_out = vec![0.0; m];
-                lu.ftran(&mut dense_rhs, &mut dense_out);
+            col.sort_unstable_by_key(|e| e.0);
+            cols.push(col);
+        }
+        cols
+    }
 
-                let mut rhs = WorkVec::new(m);
-                rhs.set(0, 1.25);
-                rhs.set(m as u32 / 2, -0.5);
-                let mut out = WorkVec::new(m);
-                lu.ftran_sparse(&mut rhs, &mut out, &mut scratch, cap);
-                assert_eq!(out.is_dense(), cap == 0);
-                for (p, &dv) in dense_out.iter().enumerate() {
-                    let sv = out.values[p];
-                    if dv == 0.0 {
-                        assert_eq!(sv, 0.0, "trial {trial} cap {cap} pos {p}");
-                    } else {
-                        assert_eq!(
-                            sv.to_bits(),
-                            dv.to_bits(),
-                            "trial {trial} cap {cap} pos {p}: {sv} vs {dv}"
-                        );
-                    }
-                }
-                // rhs left clean for reuse.
-                assert!(rhs.pattern.is_empty() && !rhs.is_dense());
-                assert!(rhs.values.iter().all(|&v| v == 0.0));
+    /// A multi-entry right-hand side in step space, with one explicit
+    /// `0.0` entry: over `lo..hi` its two ends, its middle and three random
+    /// steps. The callers pass the whole basis (the last step sits in the
+    /// final, partial bitmap word) and its first and last 64 steps alone,
+    /// so each sweep has to carry its marks into words no seed touched.
+    fn random_rhs(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+        let mut at = vec![lo, (lo + hi) / 2, hi - 1];
+        at.extend((0..3).map(|_| rng.random_range(lo..hi)));
+        at.sort_unstable();
+        at.dedup();
+        let zero = rng.random_range(0..at.len());
+        let mut rhs: Vec<(usize, f64)> = at
+            .iter()
+            .map(|&i| (i, rng.random_range(-2.0..2.0)))
+            .collect();
+        if rhs.len() > 1 {
+            rhs[zero].1 = 0.0;
+        }
+        rhs
+    }
 
-                // BTRAN on a unit vector (the pivotal-row case).
-                let mut dense_c = vec![0.0; m];
-                dense_c[m - 1] = 1.0;
-                let mut ds = vec![0.0; m];
-                lu.btran(&mut dense_c, &mut ds);
-                let mut c = WorkVec::new(m);
-                c.set(m as u32 - 1, 1.0);
-                lu.btran_sparse(&mut c, &mut scratch, cap);
-                for (r, &dv) in dense_c.iter().enumerate() {
-                    let sv = c.values[r];
-                    if dv == 0.0 {
-                        assert_eq!(sv, 0.0, "btran trial {trial} cap {cap} row {r}");
-                    } else {
-                        assert_eq!(
-                            sv.to_bits(),
-                            dv.to_bits(),
-                            "btran trial {trial} cap {cap} row {r}"
-                        );
-                    }
-                }
-                // Scratch values buffer must be left all-zero.
-                assert!(scratch.vals.iter().all(|&v| v == 0.0));
+    /// `got` against the dense kernel's `want`: nonzeros bit-equal, zeros
+    /// zero (their sign is free), the pattern exactly the nonzero set, and
+    /// flagged dense iff there are more than `cap` of them.
+    fn assert_same(got: &WorkVec, want: &[f64], cap: usize, label: &str) {
+        for (i, (&g, &w)) in got.values.iter().zip(want).enumerate() {
+            if w == 0.0 {
+                assert_eq!(g, 0.0, "{label} slot {i}");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{label} slot {i}: {g} vs {w}");
             }
         }
+        let nonzero: Vec<u32> = (0..want.len() as u32)
+            .filter(|&i| want[i as usize] != 0.0)
+            .collect();
+        assert_eq!(got.is_dense(), nonzero.len() > cap, "{label} dense flag");
+        if !got.is_dense() {
+            let mut pattern = got.pattern.clone();
+            pattern.sort_unstable();
+            assert_eq!(pattern, nonzero, "{label} pattern");
+        }
+    }
+
+    /// Both sparse kernels against the dense ones on one factorization and
+    /// one step-space right-hand side, at caps 0 and 1 and either side of
+    /// the result's nonzero count.
+    fn check_kernels(lu: &Lu, steps: &[(usize, f64)], label: &str) {
+        let m = lu.m;
+        let mut scratch = LuScratch::new(m);
+        let clean = |s: &LuScratch| {
+            s.vals.iter().all(|&v| v.to_bits() == 0) && s.words.iter().all(|&w| w == 0)
+        };
+        // The right-hand side as a tracked and as a dense vector, its steps
+        // mapped through `index` to rows (FTRAN) or positions (BTRAN).
+        let tracked = |index: &[u32]| {
+            let mut w = WorkVec::new(m);
+            for &(step, v) in steps {
+                w.set(index[step], v);
+            }
+            w
+        };
+        let dense = |index: &[u32]| {
+            let mut d = vec![0.0; m];
+            for &(step, v) in steps {
+                d[index[step] as usize] = v;
+            }
+            d
+        };
+
+        let mut want = vec![0.0; m];
+        lu.ftran(&mut dense(&lu.row_perm), &mut want);
+        let nnz = want.iter().filter(|&&v| v != 0.0).count();
+        for cap in [0, 1, nnz - 1, nnz, nnz + 1] {
+            let label = format!("{label} ftran cap {cap}");
+            let (mut rhs, mut out) = (tracked(&lu.row_perm), WorkVec::new(m));
+            lu.ftran_sparse(&mut rhs, &mut out, &mut scratch, cap);
+            assert_same(&out, &want, cap, &label);
+            // rhs handed back clean for reuse.
+            assert!(rhs.pattern.is_empty() && !rhs.is_dense(), "{label}");
+            assert!(rhs.values.iter().all(|&v| v == 0.0), "{label}");
+            assert!(clean(&scratch), "{label}: scratch left dirty");
+        }
+
+        let mut want = dense(&lu.col_order);
+        lu.btran(&mut want, &mut vec![0.0; m]);
+        let nnz = want.iter().filter(|&&v| v != 0.0).count();
+        for cap in [0, 1, nnz - 1, nnz, nnz + 1] {
+            let label = format!("{label} btran cap {cap}");
+            let mut c = tracked(&lu.col_order);
+            lu.btran_sparse(&mut c, &mut scratch, cap);
+            assert_same(&c, &want, cap, &label);
+            assert!(clean(&scratch), "{label}: scratch left dirty");
+        }
+    }
+
+    /// [`check_kernels`] seeded over the whole basis, then from its first
+    /// and from its last 64 steps alone.
+    fn check_factorization(lu: &Lu, rng: &mut StdRng, label: &str) {
+        let m = lu.m;
+        for (lo, hi) in [(0, m), (0, m.min(64)), (m.saturating_sub(64), m)] {
+            let steps = random_rhs(rng, lo, hi);
+            check_kernels(lu, &steps, &format!("{label} seeds {lo}..{hi}"));
+        }
+    }
+
+    /// Sparse FTRAN/BTRAN must be bit-identical to the dense kernels on
+    /// every nonzero (zeros may differ in sign only) and leave their
+    /// scratch zeroed: on small bases (one bitmap word), on bases around
+    /// and across the 64-step word boundaries, and on each again after
+    /// `extend_rows`.
+    #[test]
+    fn sparse_kernels_match_dense_bitwise() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let small = (0..40).map(|trial| (2 + trial % 14, 0.25));
+        let multi_word = [63, 64, 65, 130, 300].map(|m| (m, 2.5 / m as f64));
+        let mut checked = 0;
+        for (m, fill) in small.chain(multi_word) {
+            let (a, basis) = mat(&random_cols(&mut rng, m, fill), m);
+            let Ok(mut lu) = Lu::factor(&a, &basis, 1e-10) else {
+                continue; // genuinely singular draw
+            };
+            check_factorization(&lu, &mut rng, &format!("m {m}"));
+            lu.extend_rows(3);
+            check_factorization(&lu, &mut rng, &format!("m {m} + 3"));
+            checked += 1;
+        }
+        assert!(checked >= 40, "only {checked} of 45 bases factored");
     }
 
     #[test]
     fn randomized_roundtrip() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
         for trial in 0..30 {
             let m = 1 + (trial % 12);
             // Random sparse nonsingular-ish matrix: diagonal + noise.
-            let mut cols: Vec<Vec<(u32, f64)>> = Vec::new();
-            for j in 0..m {
-                let mut col = vec![(j as u32, 1.0 + rng.random_range(0.0..4.0))];
-                for r in 0..m {
-                    if r != j && rng.random_range(0.0..1.0) < 0.3 {
-                        col.push((r as u32, rng.random_range(-1.0..1.0)));
-                    }
-                }
-                col.sort_unstable_by_key(|e| e.0);
-                cols.push(col);
-            }
+            let cols = random_cols(&mut rng, m, 0.3);
             let (a, basis) = mat(&cols, m);
             let lu = match Lu::factor(&a, &basis, 1e-10) {
                 Ok(l) => l,

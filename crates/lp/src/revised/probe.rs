@@ -16,8 +16,8 @@ use crate::stdform::standardize;
 ///
 /// The problem must be feasible at its crash basis (phase-2-only): the
 /// probe advances by re-entering the phase-2 loop, which is only sound when
-/// no phase-1 bookkeeping is pending. `refactor_interval` is disabled so
-/// the measured window exercises the eta-file path, not `Lu::factor`.
+/// no phase-1 bookkeeping is pending. [`new`](Self::new) disables
+/// `refactor_interval`, so its windows exercise the eta-file path alone.
 #[doc(hidden)]
 #[derive(Clone)]
 pub struct PivotProbe {
@@ -37,9 +37,8 @@ impl PivotProbe {
             p,
             warmup,
             &SimplexConfig {
-                // Refactorize only on demand: the zero-allocation test
-                // must not cross a periodic `Lu::factor` (which allocates)
-                // inside its measured window.
+                // Refactorize only on demand: a window of pure eta-file
+                // pivots.
                 refactor_interval: usize::MAX,
                 ..SimplexConfig::default()
             },
@@ -75,13 +74,17 @@ impl PivotProbe {
         PivotProbe { engine }
     }
 
-    /// Pre-grows the eta arena for `n` further pivots, so the measured
-    /// window appends etas without allocating.
+    /// Pre-grows the eta arena for `n` further pivots, and the factor
+    /// arenas by as many entries, so the measured window appends etas and
+    /// refactorizes without allocating.
     pub fn reserve(&mut self, n: usize) {
         let m = self.engine.std.nrows;
         self.engine.etas.reserve(n + 1, (n + 1) * (m + 1));
         let total = self.engine.etas.len() + n + 1;
         self.engine.eta_active.reserve(total);
+        if let Some(lu) = self.engine.lu.as_mut() {
+            lu.reserve((n + 1) * (m + 1));
+        }
     }
 
     /// Runs up to `n` further pivots (phase-2 iterations) and returns how

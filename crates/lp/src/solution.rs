@@ -147,11 +147,14 @@ solve_counters! {
     /// test).
     ftran_ops => None,
     /// Summed nonzero count of FTRAN results; the full dimension is charged
-    /// when a run fell back to dense. `ftran_nnz / ftran_ops` is the mean
-    /// pivot-column density.
+    /// for a result flagged dense. `ftran_nnz / ftran_ops` is the mean
+    /// pivot-column density. This, `btran_nnz` and the two
+    /// `*_dense_fallbacks` describe how results were *represented*, not
+    /// which pivots were taken.
     ftran_nnz => None,
-    /// FTRAN runs that abandoned sparse pattern tracking because the
-    /// symbolic reach crossed the density threshold.
+    /// FTRAN results handed on flagged dense, without a pattern, because
+    /// the result nonzeros exceeded the density threshold (every run,
+    /// under a threshold of `0.0`).
     ftran_dense_fallbacks => Some("lp.ftran_dense_fallbacks"),
     /// Pivotal-row BTRAN kernel runs: one per basis-changing pivot, primal
     /// or dual (`iterations - bound_flips`).
@@ -159,7 +162,8 @@ solve_counters! {
     /// Summed nonzero count of pivotal-row BTRAN results (the density of
     /// ρ = B⁻ᵀ e_r).
     btran_nnz => None,
-    /// Pivotal-row BTRAN runs that abandoned sparse pattern tracking.
+    /// Pivotal-row BTRAN results handed on flagged dense because the
+    /// result nonzeros exceeded the density threshold.
     btran_dense_fallbacks => Some("lp.btran_dense_fallbacks"),
     /// Summed count of nonbasic columns touched by the pivotal-row pass
     /// (the support of α_r = ρᵀA net of basic/fixed columns).

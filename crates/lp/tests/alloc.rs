@@ -6,13 +6,15 @@
 //! that is pre-sized at construction or grown once during warmup. This
 //! test wraps the system allocator in a counting shim, warms a
 //! [`PivotProbe`] up, and then asserts that a window of 100 further pivots
-//! touches the allocator not even once.
+//! touches the allocator not even once — nor does a window under the
+//! default refactorization cadence that refactorizes twice, because the
+//! factors are rebuilt in place in their own arenas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wavesched_lp::{Objective, PivotProbe, Problem};
+use wavesched_lp::{Objective, PivotProbe, Problem, SimplexConfig};
 
 /// System allocator with an allocation-event counter. Deallocations are
 /// not counted (freeing is fine; acquiring is what the pivot loop must
@@ -110,6 +112,16 @@ fn steady_state_problem() -> Problem {
     p
 }
 
+/// Allocation events on this thread while `probe` runs `n` pivots.
+fn events_over(probe: &mut PivotProbe, n: u64) -> u64 {
+    let before = ALLOC_EVENTS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    let ran = probe.pivots(n);
+    COUNTING.with(|c| c.set(false));
+    assert_eq!(ran, n, "problem too small: probe ran out of pivots");
+    ALLOC_EVENTS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn steady_state_pivots_do_not_allocate() {
     let p = steady_state_problem();
@@ -120,15 +132,29 @@ fn steady_state_pivots_do_not_allocate() {
     // even that is allocation-free.
     probe.reserve(120);
 
-    let before = ALLOC_EVENTS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    let ran = probe.pivots(100);
-    COUNTING.with(|c| c.set(false));
-    let events = ALLOC_EVENTS.load(Ordering::SeqCst) - before;
-
-    assert_eq!(ran, 100, "problem too small: probe ran out of pivots");
+    let events = events_over(&mut probe, 100);
     assert_eq!(
         events, 0,
         "steady-state pivot loop performed {events} heap allocations"
+    );
+}
+
+#[test]
+fn refactorizations_do_not_allocate() {
+    let p = steady_state_problem();
+    // Default cadence: a refactorization every 100 pivots at the latest.
+    // The warm-up has seen the entry factorization and one periodic one;
+    // the window crosses at least two more.
+    let mut probe = PivotProbe::new_with(&p, 120, &SimplexConfig::default());
+    let warm = probe.stats().refactorizations;
+    assert!(warm >= 2, "warm-up saw {warm} factorizations");
+    probe.reserve(220);
+
+    let events = events_over(&mut probe, 210);
+    let crossed = probe.stats().refactorizations - warm;
+    assert!(crossed >= 2, "window crossed {crossed} refactorizations");
+    assert_eq!(
+        events, 0,
+        "{crossed} in-place refactorizations performed {events} heap allocations"
     );
 }

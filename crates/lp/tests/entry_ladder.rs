@@ -10,6 +10,15 @@
 //! `pivot_row_nnz` no longer include the second pass the old update
 //! repeated. Hence the identity asserted on every solve in this file:
 //! `btran_ops == iterations − bound_flips`.
+//!
+//! Four fields count how a kernel result was *represented*, not which
+//! pivot was taken, and may move with the kernels while every other
+//! character of a pin stays: `ftran_nnz`, `btran_nnz` (a result flagged
+//! dense counts every row) and the two `*_dense_fallbacks`. PR 18 — the
+//! flag now set from the result's nonzero count instead of a symbolic
+//! over-estimate of it — re-recorded them in the two cold pins
+//! (`ftran_nnz` 94 → 89, `ftran_dense_fallbacks` 7 → 6, `btran_nnz`
+//! 28 → 18, `btran_dense_fallbacks` 1 → 0).
 
 use wavesched_lp::{
     solve_with, solve_with_start, Basis, Col, Objective, Problem, Row, SimplexConfig, Solution,
@@ -102,7 +111,7 @@ fn no_basis_offered_runs_cold_without_counting_a_fallback() {
     check(
         &SolverSession::new(&p).unwrap().solve().unwrap(),
         "Optimal 93.22222222222223 [0.0, 0.0, 1.6666666666666667, 0.0, 0.0, 3.0, 0.0, 7.0, 0.0, 0.8888888888888888, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
-        "iterations: 14, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, bound_flips: 1, ftran_ops: 14, ftran_nnz: 94, ftran_dense_fallbacks: 7, btran_ops: 13, btran_nnz: 16, pivot_row_nnz: 82, pricing_candidates_scanned: 89",
+        "iterations: 14, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, bound_flips: 1, ftran_ops: 14, ftran_nnz: 89, ftran_dense_fallbacks: 6, btran_ops: 13, btran_nnz: 16, pivot_row_nnz: 82, pricing_candidates_scanned: 89",
     );
 }
 
@@ -240,7 +249,7 @@ fn stale_shape_basis_falls_back_cold() {
     check(
         &s.solve().unwrap(),
         "Optimal 81.61111111111111 [0.0, 0.0, 2.3333333333333335, 0.0, 0.0, 1.5, 0.0, 2.0, 0.0, 0.44444444444444436, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
-        "iterations: 14, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 14, ftran_nnz: 94, ftran_dense_fallbacks: 7, btran_ops: 13, btran_nnz: 28, btran_dense_fallbacks: 1, pivot_row_nnz: 91, pricing_candidates_scanned: 92",
+        "iterations: 14, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 14, ftran_nnz: 89, ftran_dense_fallbacks: 6, btran_ops: 13, btran_nnz: 18, pivot_row_nnz: 91, pricing_candidates_scanned: 92",
     );
 }
 

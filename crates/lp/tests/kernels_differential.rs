@@ -11,6 +11,9 @@
 //! A second tier of checks compares both modes against the independent
 //! dense tableau simplex (`solve_dense`), which shares *nothing*.
 
+mod common;
+
+use common::time_expanded_lp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -113,8 +116,7 @@ fn check_bit_identity(p: &Problem, label: &str) {
         );
     }
     // The dense-mode oracle cannot track patterns: any FTRAN with a
-    // nonzero result must have been charged as a fallback. (An all-zero
-    // result has an empty reach, which legitimately stays "sparse".)
+    // nonzero result must have been charged as a fallback.
     if d.stats.ftran_nnz > 0 {
         assert!(
             d.stats.ftran_dense_fallbacks > 0,
@@ -170,9 +172,9 @@ fn sparse_kernels_match_tableau_oracle() {
     }
 }
 
-/// A fully dense LP (every column in every row) drives the symbolic reach
-/// over the density threshold, exercising the dense-fallback path in
-/// normal (sparse) mode — and the answer must still match everything else.
+/// A fully dense LP (every column in every row) drives the kernel results
+/// over the density threshold, so normal (sparse) mode hands its consumers
+/// results flagged dense — and the answer must still match everything else.
 #[test]
 fn dense_degenerate_problem_exercises_fallback() {
     let mut rng = StdRng::seed_from_u64(0x51AB_0004);
@@ -183,8 +185,8 @@ fn dense_degenerate_problem_exercises_fallback() {
         .map(|_| p.add_col(0.0, f64::INFINITY, rng.random_range(1i32..=9) as f64))
         .collect();
     // Dense *equality* rows: the optimal basis must carry ~m structural
-    // (dense) columns, so the LU factors — and with them the BTRAN reach —
-    // are dense too. The RHS is A·1, so x = 1 is feasible.
+    // (dense) columns, so the LU factors — and with them the BTRAN results
+    // — are dense too. The RHS is A·1, so x = 1 is feasible.
     for _ in 0..m {
         let coeffs: Vec<_> = cols
             .iter()
@@ -208,6 +210,38 @@ fn dense_degenerate_problem_exercises_fallback() {
     );
     check_bit_identity(&p, "dense degenerate");
     check_oracle_agreement(&p, "dense degenerate");
+}
+
+/// The production shape (time-expanded, unit coefficients, degenerate) on
+/// a basis of three bitmap words: the sweeps, not the dense kernels, must
+/// have carried the solve that is then held to the two oracles.
+#[test]
+fn time_expanded_lp_runs_the_sweeps_across_bitmap_words() {
+    let p = time_expanded_lp(0x51AB_0005);
+    assert!(p.num_rows() >= 150, "{} rows", p.num_rows());
+    let s = solve_with(&p, &sparse_cfg()).expect("sparse-kernel solve");
+    assert_eq!(s.status, Status::Optimal);
+    assert!(s.stats.degenerate_pivots > 0, "{:?}", s.stats);
+    assert!(
+        2 * s.stats.ftran_dense_fallbacks < s.stats.ftran_ops
+            && 2 * s.stats.btran_dense_fallbacks < s.stats.btran_ops,
+        "most kernel results were flagged dense: {:?}",
+        s.stats
+    );
+    check_bit_identity(&p, "time-expanded");
+    check_oracle_agreement(&p, "time-expanded");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The production shape over arbitrary seeds, through both oracles.
+    #[test]
+    fn proptest_time_expanded_kernels(seed in any::<u64>()) {
+        let p = time_expanded_lp(seed);
+        check_bit_identity(&p, &format!("time-expanded seed {seed}"));
+        check_oracle_agreement(&p, &format!("time-expanded seed {seed}"));
+    }
 }
 
 proptest! {

@@ -7,7 +7,13 @@
 //! and pins status, objective, `x` and the whole [`SolveStats`] to what
 //! the engine that scanned every column on every pricing call (commit
 //! 49c9fa5) produced for the same script. A moved counter here is a moved
-//! trajectory.
+//! trajectory — except `ftran_nnz`, `btran_nnz` and the two
+//! `*_dense_fallbacks`, which count how a kernel result was *represented*
+//! (a result flagged dense counts every row), not which pivot was taken.
+//! PR 18 sets that flag from the result's nonzero count instead of a
+//! symbolic over-estimate of it and re-recorded `btran_nnz` /
+//! `btran_dense_fallbacks` in three pins (Bland 30 → 20 / 1 → 0, added
+//! columns 54 → 35 / 4 → 2, bulk flips 50 → 40 / 3 → 2).
 
 use wavesched_lp::{
     solve_with, Col, NewColumn, Objective, Problem, Row, SimplexConfig, Solution, SolverSession,
@@ -100,7 +106,7 @@ fn bland_mode_takes_the_lowest_eligible_index() {
         degeneracy_threshold: 1,
         ..SimplexConfig::default()
     };
-    check(&solve_with(&p, &cfg).unwrap(), "Optimal 14.666666666666666 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0]", "iterations: 15, refactorizations: 2, refactor_forced_fallback: 2, degenerate_pivots: 12, bound_flips: 2, ftran_ops: 15, ftran_nnz: 110, ftran_dense_fallbacks: 6, btran_ops: 13, btran_nnz: 30, btran_dense_fallbacks: 1, pivot_row_nnz: 114, pricing_candidates_scanned: 41");
+    check(&solve_with(&p, &cfg).unwrap(), "Optimal 14.666666666666666 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0]", "iterations: 15, refactorizations: 2, refactor_forced_fallback: 2, degenerate_pivots: 12, bound_flips: 2, ftran_ops: 15, ftran_nnz: 110, ftran_dense_fallbacks: 6, btran_ops: 13, btran_nnz: 20, pivot_row_nnz: 114, pricing_candidates_scanned: 41");
 }
 
 #[test]
@@ -137,7 +143,7 @@ fn dual_resolve_with_bulk_flips() {
     for &row in &r {
         s.set_row_bounds(row, NINF, 2.0);
     }
-    check(&s.solve().unwrap(), "Optimal 25.095238095238095 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.28571428571428575, 0.0, 0.6666666666666666, 0.0, 0.6666666666666666, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5714285714285714]", "iterations: 8, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, warm_starts_accepted: 1, ftran_ops: 11, ftran_nnz: 139, ftran_dense_fallbacks: 6, btran_ops: 8, btran_nnz: 50, btran_dense_fallbacks: 3, pivot_row_nnz: 109, dual_iterations: 8, dual_bound_flips: 5");
+    check(&s.solve().unwrap(), "Optimal 25.095238095238095 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.28571428571428575, 0.0, 0.6666666666666666, 0.0, 0.6666666666666666, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5714285714285714]", "iterations: 8, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, warm_starts_accepted: 1, ftran_ops: 11, ftran_nnz: 139, ftran_dense_fallbacks: 6, btran_ops: 8, btran_nnz: 40, btran_dense_fallbacks: 2, pivot_row_nnz: 109, dual_iterations: 8, dual_bound_flips: 5");
 }
 
 #[test]
@@ -165,5 +171,5 @@ fn add_columns_then_resolve() {
         })
         .collect();
     s.add_columns(&cols);
-    check(&s.solve().unwrap(), "Optimal 157.16666666666669 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 1.6666666666666667, 0.0, 1.5, 0.0, 1.25, 0.0, 2.0, 2.0, 1.0, 1.5, 2.0, 2.0, 2.0]", "iterations: 8, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, degenerate_pivots: 1, warm_starts_accepted: 1, ftran_ops: 8, ftran_nnz: 93, ftran_dense_fallbacks: 6, btran_ops: 8, btran_nnz: 54, btran_dense_fallbacks: 4, pivot_row_nnz: 101, pricing_candidates_scanned: 41");
+    check(&s.solve().unwrap(), "Optimal 157.16666666666669 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 1.6666666666666667, 0.0, 1.5, 0.0, 1.25, 0.0, 2.0, 2.0, 1.0, 1.5, 2.0, 2.0, 2.0]", "iterations: 8, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, degenerate_pivots: 1, warm_starts_accepted: 1, ftran_ops: 8, ftran_nnz: 93, ftran_dense_fallbacks: 6, btran_ops: 8, btran_nnz: 35, btran_dense_fallbacks: 2, pivot_row_nnz: 101, pricing_candidates_scanned: 41");
 }

@@ -7,6 +7,8 @@
 //! Cross-process behavior — byte-identical figure outputs with the
 //! sanitizer on vs. off — is covered by the `sanitizer-smoke` CI job.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wavesched_lp::{solve, Objective, Problem, Status};
@@ -61,6 +63,19 @@ fn sweeps_run_and_find_no_violations() {
         total_checks > 0,
         "no sweeps ran despite WS_SANITIZE=2 and pivot-heavy problems"
     );
+}
+
+/// The production shape on a basis of three bitmap words: every other
+/// pivot the residual check holds the sparse solves to `A x = b`.
+#[test]
+fn sweeps_hold_a_multi_word_basis_to_its_residual() {
+    set_interval();
+    let p = common::time_expanded_lp(0x51AB_0005);
+    assert!(p.num_rows() >= 150, "{} rows", p.num_rows());
+    let sol = solve(&p).expect("solve");
+    assert_eq!(sol.status, Status::Optimal);
+    assert_eq!(sol.stats.sanitizer_violations, 0, "{:?}", sol.stats);
+    assert!(sol.stats.sanitizer_checks > 0, "{:?}", sol.stats);
 }
 
 #[test]
