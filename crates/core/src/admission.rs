@@ -7,19 +7,43 @@
 //! (it adds demand under the same capacities), so the predicate is monotone
 //! in the prefix length and binary search is exact.
 
+use crate::arena::BuildArena;
+use crate::builders::HeldLp;
 use crate::instance::{Instance, InstanceConfig};
-use crate::stage1::solve_stage1;
+use crate::stage1::{open_stage1, Stage1Result};
 use wavesched_lp::SolveError;
 use wavesched_net::{Graph, PathSet};
 use wavesched_workload::Job;
 
 /// Result of prefix admission.
-#[derive(Debug, Clone)]
 pub struct AdmissionOutcome {
     /// Number of candidates admitted (a prefix of the candidate list).
     pub admitted_prefix: usize,
     /// Stage-1 `Z*` of mandatory + admitted prefix.
     pub z_star: f64,
+    /// The instance of mandatory + admitted prefix, its held LP and the
+    /// Stage-1 optimum `z_star` was read from: the overload test *is* the
+    /// scheduling pipeline's first stage, so the controller continues from
+    /// here instead of building and solving the admitted set again.
+    pub(crate) instance: Instance,
+    pub(crate) lp: HeldLp,
+    pub(crate) stage1: Stage1Result,
+}
+
+/// The instance over `mandatory` (at their remaining `mandatory_demands`)
+/// followed by `admitted` (at their full demands).
+pub(crate) fn instance_over(
+    graph: &Graph,
+    mandatory: &[Job],
+    mandatory_demands: &[f64],
+    admitted: &[Job],
+    cfg: &InstanceConfig,
+    pathset: &mut PathSet,
+) -> Instance {
+    let jobs = [mandatory, admitted].concat();
+    let mut demands = mandatory_demands.to_vec();
+    demands.extend(admitted.iter().map(|j| cfg.demand_units(j.size_gb)));
+    Instance::build_with_demands(graph, &jobs, demands, cfg, pathset)
 }
 
 /// Admits the longest prefix of `candidates` (in priority order) such that
@@ -41,55 +65,41 @@ pub fn admit_by_priority(
 ) -> Result<AdmissionOutcome, SolveError> {
     assert_eq!(mandatory.len(), mandatory_demands.len());
 
-    let mut z_of = |prefix: usize| -> Result<f64, SolveError> {
-        let mut jobs: Vec<Job> = mandatory.to_vec();
-        jobs.extend_from_slice(&candidates[..prefix]);
-        if jobs.is_empty() {
-            return Ok(f64::INFINITY);
-        }
-        let mut demands: Vec<f64> = mandatory_demands.to_vec();
-        demands.extend(
-            candidates[..prefix]
-                .iter()
-                .map(|j| cfg.demand_units(j.size_gb)),
-        );
-        let inst = Instance::build_with_demands(graph, &jobs, demands, cfg, pathset);
-        Ok(solve_stage1(&inst)?.z_star)
+    // Every trial is a cold Stage 1 on a freshly opened LP.
+    let mut try_prefix = |prefix: usize| -> Result<AdmissionOutcome, SolveError> {
+        let admitted = &candidates[..prefix];
+        let instance = instance_over(graph, mandatory, mandatory_demands, admitted, cfg, pathset);
+        let (lp, stage1) = open_stage1(&instance, None, &mut BuildArena::new())?;
+        Ok(AdmissionOutcome {
+            admitted_prefix: prefix,
+            z_star: stage1.z_star,
+            instance,
+            lp,
+            stage1,
+        })
     };
 
     // Fast paths.
-    let z_all = z_of(candidates.len())?;
-    if z_all >= 1.0 {
-        return Ok(AdmissionOutcome {
-            admitted_prefix: candidates.len(),
-            z_star: z_all,
-        });
+    let all = try_prefix(candidates.len())?;
+    if all.z_star >= 1.0 {
+        return Ok(all);
     }
-    let z_none = z_of(0)?;
-    if z_none < 1.0 {
-        return Ok(AdmissionOutcome {
-            admitted_prefix: 0,
-            z_star: z_none,
-        });
+    let mut best = try_prefix(0)?;
+    if best.z_star < 1.0 {
+        return Ok(best);
     }
 
-    // Binary search the boundary: lo admissible, hi not.
-    let (mut lo, mut hi) = (0usize, candidates.len());
-    let mut z_lo = z_none;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        let z = z_of(mid)?;
-        if z >= 1.0 {
-            lo = mid;
-            z_lo = z;
+    // Binary search the boundary: `best` admissible, `hi` not.
+    let mut hi = candidates.len();
+    while hi - best.admitted_prefix > 1 {
+        let trial = try_prefix((best.admitted_prefix + hi) / 2)?;
+        if trial.z_star >= 1.0 {
+            best = trial;
         } else {
-            hi = mid;
+            hi = trial.admitted_prefix;
         }
     }
-    Ok(AdmissionOutcome {
-        admitted_prefix: lo,
-        z_star: z_lo,
-    })
+    Ok(best)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Reusable LP-construction scratch, recycled across controller
 //! invocations.
 //!
-//! Building a Stage-1/Stage-2/SUB-RET problem needs a handful of
+//! Building the LP of an instance (once per instance: Stage 2 and the RET
+//! probe are forms installed on it) needs a handful of
 //! short-lived buffers: the column handles aligned with the instance's
 //! `VarMap` and a coefficient buffer refilled once per LP row. Allocating
 //! them fresh on every controller period is wasted work in a long-running

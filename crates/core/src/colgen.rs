@@ -39,6 +39,7 @@
 //! duals, sorted row keys, the tie-broken Dijkstra of `wavesched-net`), so
 //! runs are byte-reproducible at any `WS_THREADS`.
 
+use crate::builders::Form;
 use crate::instance::{Instance, InstanceConfig};
 use crate::timegrid::TimeGrid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -369,26 +370,6 @@ impl Pricer for ReducedCostPricer {
     }
 }
 
-/// Which of the paper's formulations the master currently encodes. All
-/// four share one variable space — the pool columns plus a single `Z`
-/// column — and one row space (a row per job, then on-demand capacity
-/// rows), so switching forms only rewrites costs and bounds and every
-/// warm start transfers.
-#[derive(Debug, Clone)]
-enum MasterForm {
-    /// Maximize `Z` s.t. per-job volume `= Z·D_i` (paper eqs. 1–5).
-    Stage1,
-    /// Maximize weighted throughput with fairness floor `Z >= floor`
-    /// (eqs. 7–10 relaxed); `scale[i] = (w_i / D_i) / Σw`.
-    Stage2 { scale: Vec<f64> },
-    /// RET feasibility probe: maximize `Z ∈ [0,1]` s.t. volume `>= Z·D_i`;
-    /// feasible at the trial deadline iff `Z* >= 1`.
-    Probe,
-    /// SUB-RET Quick-Finish: minimize `Σ (j+1)·x` (encoded as maximize
-    /// the negation) s.t. volume `>= D_i` (`Z` pinned to 1).
-    QuickFinish,
-}
-
 /// The restricted master problem of the column-generation loop.
 ///
 /// Owns one incremental [`SolverSession`] for the whole loop — and, via
@@ -415,7 +396,8 @@ pub struct CgMaster {
     pool: ColumnPool,
     /// LP column of each pool column, in pool order.
     lp_cols: Vec<Col>,
-    form: MasterForm,
+    /// The formulation the master currently encodes; see [`Form`].
+    form: Form,
     stats: CgStats,
     /// Per-round pricing scratch (reduced-cost budgets per job), recycled
     /// across rounds so steady-state pricing stops allocating.
@@ -511,7 +493,7 @@ impl CgMaster {
             cap_rows,
             pool,
             lp_cols,
-            form: MasterForm::Stage1,
+            form: Form::Stage1,
             stats: CgStats::default(),
             budget_scratch: Vec::new(),
         })
@@ -557,38 +539,11 @@ impl CgMaster {
         rounds_done < self.cg.max_rounds
     }
 
-    /// Switches the master to Stage-1 form (maximize `Z`, volume `= Z·D`).
-    pub fn set_stage1(&mut self) {
-        self.install_form(MasterForm::Stage1);
-    }
-
-    /// Switches the master to Stage-2 form: fairness floor
-    /// `Z >= (1-alpha)·Z*` and per-column costs
-    /// `scale[i] · LEN(j)` with `scale[i] = (w_i/D_i)/Σw`.
-    pub fn set_stage2(&mut self, floor: f64, scale: Vec<f64>) {
-        assert_eq!(scale.len(), self.jobs.len());
-        self.install_form(MasterForm::Stage2 { scale });
-        self.session.set_col_bounds(self.z, floor, f64::INFINITY);
-    }
-
-    /// Switches the master to the RET feasibility-probe form.
-    pub fn set_probe(&mut self) {
-        self.install_form(MasterForm::Probe);
-    }
-
-    /// Switches the master to the SUB-RET Quick-Finish form.
-    pub fn set_quick_finish(&mut self) {
-        self.install_form(MasterForm::QuickFinish);
-    }
-
-    fn install_form(&mut self, form: MasterForm) {
+    /// Switches the master to `form`: `Z`'s cost and bounds, the job rows'
+    /// upper bound and every pool column's cost, straight from the table.
+    pub(crate) fn install(&mut self, form: Form) {
         self.form = form;
-        let (z_cost, z_lo, z_hi, row_hi) = match &self.form {
-            MasterForm::Stage1 => (1.0, 0.0, f64::INFINITY, 0.0),
-            MasterForm::Stage2 { .. } => (0.0, 0.0, f64::INFINITY, f64::INFINITY),
-            MasterForm::Probe => (1.0, 0.0, 1.0, f64::INFINITY),
-            MasterForm::QuickFinish => (0.0, 1.0, 1.0, f64::INFINITY),
-        };
+        let (z_cost, z_lo, z_hi, row_hi) = self.form.z_and_rows();
         self.session.set_cost(self.z, z_cost);
         self.session.set_col_bounds(self.z, z_lo, z_hi);
         for i in 0..self.job_rows.len() {
@@ -604,12 +559,7 @@ impl CgMaster {
     /// The current form's objective coefficient of a `(job, slice)`
     /// column.
     fn cost_of(&self, job: usize, slice: usize) -> f64 {
-        match &self.form {
-            MasterForm::Stage1 | MasterForm::Probe => 0.0,
-            MasterForm::Stage2 { scale } => scale[job] * self.grid.len_of(slice),
-            // Minimize Σ (slice+1)·x as a maximization.
-            MasterForm::QuickFinish => -((slice + 1) as f64),
-        }
+        self.form.cost_of(job, slice, self.grid.len_of(slice))
     }
 
     /// Restricts each job to `windows[i]` (clipped to the envelope):
@@ -994,7 +944,7 @@ mod tests {
         };
         let mut master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
         let mut pricer = cg.pricer.build(cfg.paths_per_job);
-        master.set_stage1();
+        master.install(Form::Stage1);
         let sol = master.solve().unwrap();
         assert_eq!(master.price_and_augment(&sol, pricer.as_mut(), 0), 0);
         assert_eq!(master.stats().rounds, 0);

@@ -11,14 +11,15 @@
 //! reporting actual transfer progress back via
 //! [`Controller::record_transfer`].
 
-use crate::admission::admit_by_priority;
+use crate::admission::{admit_by_priority, instance_over};
 use crate::arena::BuildArena;
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::AdjustOrder;
-use crate::pipeline::max_throughput_pipeline_in;
+use crate::pipeline::pipeline_from_stage1;
 use crate::ret::{solve_ret_with_demands, RetConfig};
 use crate::schedule::Schedule;
-use crate::stage1::solve_stage1_in;
+use crate::stage1::open_stage1;
+use std::time::Instant;
 use wavesched_lp::{Basis, SolveError, SolveStats};
 use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
@@ -246,132 +247,104 @@ impl Controller {
             })
             .collect();
 
-        let mut admitted: Vec<JobId> = Vec::new();
-        let mut rejected: Vec<JobId> = Vec::new();
-        let mut extension = 0.0_f64;
-
-        // Admission per policy: only `Reject` turns requests away.
-        let admitted_prefix = match self.cfg.policy {
+        // Admission and the overload test are one step, and that step is the
+        // scheduling pipeline's first stage: one instance over the admitted
+        // set, its LP held open, Stage 1 solved on it. Only `Reject` turns
+        // requests away (its trials are cold solves; the admitted set's
+        // comes back); the other two admit everything and warm-start from
+        // the previous period's basis.
+        // lint: allow(wallclock, reason = "start of the pipeline run's reporting-only stage timings; no scheduling decision reads them")
+        let t0 = Instant::now();
+        let (admitted_prefix, inst, mut lp, s1) = match self.cfg.policy {
             OverloadPolicy::Reject => {
-                admit_by_priority(
+                let a = admit_by_priority(
                     &self.graph,
                     &mandatory,
                     &mandatory_demands,
                     &candidates,
                     &self.cfg.instance,
                     &mut self.pathset,
-                )?
-                .admitted_prefix
+                )?;
+                (a.admitted_prefix, a.instance, a.lp, a.stage1)
             }
-            OverloadPolicy::ShrinkDemands | OverloadPolicy::ExtendDeadlines => candidates.len(),
+            OverloadPolicy::ShrinkDemands | OverloadPolicy::ExtendDeadlines => {
+                let inst = instance_over(
+                    &self.graph,
+                    &mandatory,
+                    &mandatory_demands,
+                    &candidates,
+                    &self.cfg.instance,
+                    &mut self.pathset,
+                );
+                let (lp, s1) = open_stage1(&inst, self.warm_stage1.as_ref(), &mut self.arena)?;
+                if s1.basis.is_some() {
+                    self.warm_stage1.clone_from(&s1.basis);
+                }
+                (candidates.len(), inst, lp, s1)
+            }
         };
-        let mut jobs = mandatory;
-        let mut demands = mandatory_demands;
-        for (i, j) in candidates.iter().enumerate() {
-            if i < admitted_prefix {
-                admitted.push(j.id);
-                jobs.push(j.clone());
-                demands.push(self.cfg.instance.demand_units(j.size_gb));
-            } else {
-                rejected.push(j.id);
-            }
-        }
+        let (accepted, refused) = candidates.split_at(admitted_prefix);
+        let admitted: Vec<JobId> = accepted.iter().map(|j| j.id).collect();
+        let rejected: Vec<JobId> = refused.iter().map(|j| j.id).collect();
         self.rejected_total += rejected.len();
 
         obs::counter_add("controller.admitted", admitted.len() as u64);
         obs::counter_add("controller.rejected", rejected.len() as u64);
-        obs::record("controller.jobs_scheduled", jobs.len() as u64);
-
-        // Solver work this invocation; folded into the lifetime counters on
-        // every exit path.
-        let mut inv_stats = SolveStats::default();
+        obs::record("controller.jobs_scheduled", inst.num_jobs() as u64);
 
         // ExtendDeadlines under overload: schedule via RET (Quick-Finish +
-        // capped LPDAR), which completes every job by the extended ends. The
-        // overload probe is a plain Stage-1 solve over the same job set the
-        // pipeline would schedule, so it both consumes and refreshes the
-        // carried warm basis.
-        if self.cfg.policy == OverloadPolicy::ExtendDeadlines && !jobs.is_empty() {
-            let probe = Instance::build_with_demands(
+        // capped LPDAR), which completes every job by the extended ends.
+        if self.cfg.policy == OverloadPolicy::ExtendDeadlines && s1.z_star < 1.0 {
+            if let Some(ret) = solve_ret_with_demands(
                 &self.graph,
-                &jobs,
-                demands.clone(),
+                &inst.jobs,
+                &inst.demands,
                 &self.cfg.instance,
+                &self.cfg.ret,
+                now,
                 &mut self.pathset,
-            );
-            let s1 = solve_stage1_in(&probe, self.warm_stage1.as_ref(), &mut self.arena)?;
-            inv_stats.merge(&s1.stats);
-            if s1.basis.is_some() {
-                self.warm_stage1 = s1.basis;
-            }
-            let z = s1.z_star;
-            if z < 1.0 {
-                if let Some(ret) = solve_ret_with_demands(
-                    &self.graph,
-                    &jobs,
-                    &demands,
-                    &self.cfg.instance,
-                    &self.cfg.ret,
-                    now,
-                )? {
-                    inv_stats.merge(&ret.stats);
-                    self.stats.merge(&inv_stats);
-                    extension = ret.b_final;
-                    // Commit the ends RET scheduled against: its instance
-                    // holds the jobs as relaxed at `b_final`.
-                    self.active = ret
-                        .instance
-                        .jobs
-                        .iter()
-                        .zip(&demands)
-                        .map(|(j, &d)| ActiveJob {
-                            job: j.clone(),
-                            remaining: d,
-                            committed: d,
-                        })
-                        .collect();
-                    return Ok(InvocationResult {
-                        z_star: z,
-                        schedule: ret.lpdar,
-                        instance: ret.instance,
-                        admitted,
-                        rejected,
-                        extension,
-                        stats: inv_stats,
-                    });
-                }
+            )? {
+                let mut inv_stats = s1.stats;
+                inv_stats.merge(&ret.stats);
+                self.stats.merge(&inv_stats);
+                // Commit the ends RET scheduled against: its instance
+                // holds the jobs as relaxed at `b_final`.
+                self.active = ret
+                    .instance
+                    .jobs
+                    .iter()
+                    .zip(&inst.demands)
+                    .map(|(j, &d)| ActiveJob {
+                        job: j.clone(),
+                        remaining: d,
+                        committed: d,
+                    })
+                    .collect();
+                return Ok(InvocationResult {
+                    z_star: s1.z_star,
+                    schedule: ret.lpdar,
+                    instance: ret.instance,
+                    admitted,
+                    rejected,
+                    extension: ret.b_final,
+                    stats: inv_stats,
+                });
             }
         }
 
-        // Build the instance over the admitted set and schedule with the
-        // two-stage pipeline + LPDAR, warm-starting Stage 1 from the carried
-        // basis (the previous invocation's — or, under ExtendDeadlines, this
-        // round's overload probe over the identical instance).
-        let inst = Instance::build_with_demands(
-            &self.graph,
-            &jobs,
-            demands.clone(),
-            &self.cfg.instance,
-            &mut self.pathset,
-        );
-        let pipe = max_throughput_pipeline_in(
-            &inst,
-            self.cfg.alpha,
-            self.cfg.order,
-            self.warm_stage1.as_ref(),
-            &mut self.arena,
-        )?;
-        inv_stats.merge(&pipe.stats);
-        if pipe.stage1_basis.is_some() {
-            self.warm_stage1 = pipe.stage1_basis.clone();
-        }
+        // Schedule the admitted set with the rest of the pipeline — Stage 2
+        // on the LP Stage 1 was solved on, then LPD and LPDAR.
+        let pipe = {
+            let _pipeline_span = obs::span("pipeline");
+            pipeline_from_stage1(&inst, &mut lp, s1, self.cfg.alpha, self.cfg.order, t0)?
+        };
 
         // Refresh the active set: mandatory jobs keep their remaining
         // demand; new jobs enter with full demand. Committed demand under
         // ShrinkDemands is what the schedule can deliver.
-        let mut next_active = Vec::with_capacity(jobs.len());
-        for (idx, j) in jobs.iter().enumerate() {
-            let remaining = demands[idx];
+        let mut next_active = Vec::with_capacity(inst.num_jobs());
+        for (idx, j) in inst.jobs.iter().enumerate() {
+            let remaining = inst.demands[idx];
             let committed = match self.cfg.policy {
                 OverloadPolicy::ShrinkDemands => remaining.min(pipe.lpdar.transferred(&inst, idx)),
                 _ => remaining,
@@ -383,7 +356,7 @@ impl Controller {
             });
         }
         self.active = next_active;
-        self.stats.merge(&inv_stats);
+        self.stats.merge(&pipe.stats);
 
         Ok(InvocationResult {
             z_star: pipe.z_star,
@@ -391,8 +364,8 @@ impl Controller {
             instance: inst,
             admitted,
             rejected,
-            extension,
-            stats: inv_stats,
+            extension: 0.0,
+            stats: pipe.stats,
         })
     }
 }
@@ -525,6 +498,62 @@ mod tests {
             c.stats().iterations,
             after_first.iterations + r2.stats.iterations
         );
+    }
+
+    #[test]
+    fn an_invocation_is_one_instance_and_two_solves_under_every_policy() {
+        // Not overloaded, so every policy schedules what arrived: one
+        // instance over the job set, Stage 1 and Stage 2 on its one LP. The
+        // overload test of `Reject` and `ExtendDeadlines` is that Stage 1,
+        // not a solve (and a build) of its own in front of it.
+        for policy in [
+            OverloadPolicy::Reject,
+            OverloadPolicy::ShrinkDemands,
+            OverloadPolicy::ExtendDeadlines,
+        ] {
+            let (mut c, g) = controller(4, policy);
+            let js = jobs(&g, 6, 1);
+            let built = crate::instance::tests::BUILDS.with(|n| n.get());
+            let r = c.invoke(0.0, &js).unwrap();
+            let built = crate::instance::tests::BUILDS.with(|n| n.get()) - built;
+            assert!(r.z_star >= 1.0, "{policy:?}: workload must not overload");
+            assert_eq!(r.admitted.len(), 6, "{policy:?}");
+            assert_eq!(built, 1, "{policy:?}: instances built");
+            assert_eq!(r.stats.solves, 2, "{policy:?}: {:?}", r.stats);
+            assert_eq!(c.stats().solves, 2, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn extend_policy_computes_each_pair_once() {
+        // Two overloaded periods over the same endpoint pair: RET schedules
+        // over the controller's path cache, which ends up holding the
+        // distinct pairs and nothing else.
+        let mut g = Graph::new();
+        let ns = g.add_nodes(2);
+        g.add_link_pair(ns[0], ns[1], 1);
+        let mut cfg = ControllerConfig::paper(1);
+        cfg.policy = OverloadPolicy::ExtendDeadlines;
+        let mut c = Controller::new(g, cfg);
+        for period in 0..2u32 {
+            let now = f64::from(period);
+            let reqs: Vec<Job> = (0..3)
+                .map(|i| {
+                    Job::new(
+                        JobId(3 * period + i),
+                        now,
+                        ns[0],
+                        ns[1],
+                        300.0,
+                        now,
+                        now + 4.0,
+                    )
+                })
+                .collect();
+            let r = c.invoke(now, &reqs).unwrap();
+            assert!(r.extension > 0.0, "period {period} must overload");
+            assert_eq!(c.pathset.cached_pairs(), 1, "period {period}");
+        }
     }
 
     #[test]

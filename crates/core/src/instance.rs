@@ -234,6 +234,8 @@ impl Instance {
     ) -> Self {
         assert_eq!(jobs.len(), demands.len());
         assert_eq!(jobs.len(), paths.len());
+        #[cfg(test)]
+        tests::BUILDS.with(|n| n.set(n.get() + 1));
         let grid = TimeGrid::covering(jobs);
 
         let windows: Vec<Range<usize>> = jobs
@@ -283,8 +285,14 @@ impl Instance {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Instances built on this thread, for tests that hold a caller to
+        /// one build per job set.
+        pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
     use wavesched_net::abilene14;
     use wavesched_workload::{JobId, WorkloadConfig, WorkloadGenerator};
 

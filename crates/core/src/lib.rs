@@ -52,10 +52,7 @@ pub use colgen::{
 pub use controller::{Controller, ControllerConfig, OverloadPolicy};
 pub use instance::{Instance, InstanceConfig, VarMap};
 pub use lpdar::{adjust_rates, adjust_rates_capped, lpdar, lpdar_capped, truncate, AdjustOrder};
-pub use pipeline::{
-    max_throughput_pipeline, max_throughput_pipeline_colgen, max_throughput_pipeline_in,
-    PipelineResult,
-};
+pub use pipeline::{max_throughput_pipeline, max_throughput_pipeline_colgen, PipelineResult};
 pub use ret::{solve_ret, solve_ret_colgen, solve_ret_with_demands, RetConfig, RetMode, RetResult};
 pub use schedule::Schedule;
 pub use stage1::{solve_stage1, solve_stage1_colgen};

@@ -7,14 +7,15 @@
 //! solve it discretizes, and the LPDAR time includes both.
 
 use crate::arena::BuildArena;
+use crate::builders::HeldLp;
 use crate::colgen::{CgMaster, CgStats, ColGenConfig};
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{adjust_rates, truncate, AdjustOrder};
 use crate::schedule::Schedule;
-use crate::stage1::{solve_stage1_colgen, solve_stage1_in};
-use crate::stage2::{solve_stage2_colgen, solve_stage2_in, stage2_basis_from_stage1, WeightPolicy};
+use crate::stage1::{open_stage1, solve_stage1_colgen, Stage1Result};
+use crate::stage2::{solve_stage2_colgen, solve_stage2_on, WeightPolicy};
 use std::time::{Duration, Instant};
-use wavesched_lp::{Basis, SimplexConfig, SolveError, SolveStats};
+use wavesched_lp::{Basis, SolveError, SolveStats};
 use wavesched_net::Graph;
 use wavesched_obs as obs;
 use wavesched_workload::Job;
@@ -80,60 +81,45 @@ impl PipelineResult {
     }
 }
 
-/// Runs the two-stage pipeline with the paper's visit order.
+/// Runs the two-stage pipeline with the paper's visit order on **one held
+/// LP**: opened once, solved in Stage-1 form, then handed to
+/// [`pipeline_from_stage1`].
 pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineResult, SolveError> {
-    max_throughput_pipeline_in(
-        inst,
-        alpha,
-        AdjustOrder::Paper,
-        None,
-        &mut BuildArena::new(),
-    )
-}
-
-/// Runs the two-stage pipeline with an explicit visit order,
-/// warm-starting Stage 1 from `stage1_start` and routing all
-/// LP-construction scratch through a caller-held [`BuildArena`].
-///
-/// Stage 2 is always warm-started from the Stage-1 optimum (the two stages
-/// share their polytope; see
-/// [`stage2_basis_from_stage1`](crate::stage2::stage2_basis_from_stage1)),
-/// and `stage1_start` — typically [`PipelineResult::stage1_basis`] of the
-/// previous controller period — additionally seeds Stage 1 itself. Either
-/// warm start degrades to a cold solve on shape mismatch; the schedules are
-/// identical either way. A long-running caller (the controller, a replay
-/// loop) holds one arena for its lifetime so steady-state builds stop
-/// allocating.
-pub fn max_throughput_pipeline_in(
-    inst: &Instance,
-    alpha: f64,
-    order: AdjustOrder,
-    stage1_start: Option<&Basis>,
-    arena: &mut BuildArena,
-) -> Result<PipelineResult, SolveError> {
     let _pipeline_span = obs::span("pipeline");
     // lint: allow(wallclock, reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them")
     let t0 = Instant::now();
-    let s1 = {
-        let _s = obs::span("stage1");
-        solve_stage1_in(inst, stage1_start, arena)?
-    };
-    let stage1_time = t0.elapsed();
+    let (mut lp, s1) = open_stage1(inst, None, &mut BuildArena::new())?;
+    pipeline_from_stage1(inst, &mut lp, s1, alpha, AdjustOrder::Paper, t0)
+}
 
+/// The pipeline after its first stage: installs Stage 2 on `lp` — the held
+/// LP of `inst`, on which `s1` was just solved — and discretizes. The
+/// controller enters here, because its overload test *is* that Stage-1
+/// solve. `t0` is when the run started, for the cumulative timings.
+pub(crate) fn pipeline_from_stage1(
+    inst: &Instance,
+    lp: &mut HeldLp,
+    s1: Stage1Result,
+    alpha: f64,
+    order: AdjustOrder,
+    t0: Instant,
+) -> Result<PipelineResult, SolveError> {
+    let stage1_time = t0.elapsed();
     let s2 = {
         let _s = obs::span("stage2");
-        let s2_start = s1
-            .basis
-            .as_ref()
-            .and_then(|b| stage2_basis_from_stage1(b, inst.vars.len()));
-        solve_stage2_in(
+        // The Stage-1 optimum is offered as a snapshot (install + refactor),
+        // the entry a one-shot Stage 2 takes, although the session still
+        // holds that very basis factored: entering on the carried factors
+        // reaches the same optimum through another vertex, and every answer
+        // pin downstream is a function of the vertex. Switching rungs is
+        // ROADMAP item 5 (a) and waits for item 1's vertex contract.
+        solve_stage2_on(
+            lp,
             inst,
             s1.z_star,
             alpha,
             &WeightPolicy::DemandProportional,
-            &SimplexConfig::default(),
-            s2_start.as_ref(),
-            arena,
+            s1.basis.as_ref(),
         )?
     };
 
@@ -209,30 +195,16 @@ pub fn max_throughput_pipeline_colgen(
     order: AdjustOrder,
     cg: &ColGenConfig,
 ) -> Result<(PipelineResult, Instance, CgStats), SolveError> {
+    if jobs.is_empty() {
+        // Nothing to price (or to visit in `order`): the monolithic
+        // pipeline's answer over no jobs.
+        let inst = Instance::build_with_paths(graph, &[], Vec::new(), icfg, Vec::new());
+        let r = max_throughput_pipeline(&inst, alpha)?;
+        return Ok((r, inst, CgStats::default()));
+    }
     let _pipeline_span = obs::span("pipeline");
     // lint: allow(wallclock, reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them")
     let t0 = Instant::now();
-
-    if jobs.is_empty() {
-        let inst = Instance::build_with_paths(graph, &[], Vec::new(), icfg, Vec::new());
-        let zero = Schedule::zero(&inst);
-        let r = PipelineResult {
-            z_star: f64::INFINITY,
-            lp: zero.clone(),
-            lpd: zero.clone(),
-            lpdar: zero,
-            lp_throughput: 0.0,
-            lpd_throughput: 0.0,
-            lpdar_throughput: 0.0,
-            stage1_time: t0.elapsed(),
-            lp_time: t0.elapsed(),
-            lpd_time: t0.elapsed(),
-            lpdar_time: t0.elapsed(),
-            stage1_basis: None,
-            stats: SolveStats::default(),
-        };
-        return Ok((r, inst, CgStats::default()));
-    }
 
     let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
     let mut master = CgMaster::build(graph, jobs, demands, icfg, cg)?;
@@ -341,8 +313,12 @@ mod tests {
         // with both warm starts accepted.
         let inst = abilene_instance(12, 2, 21);
         let mut arena = BuildArena::new();
+        // The controller's sequence: Stage 1 from the carried basis on a
+        // freshly opened LP, then the rest of the pipeline on that LP.
         let mut run = |start: Option<&Basis>| {
-            max_throughput_pipeline_in(&inst, 0.1, AdjustOrder::Paper, start, &mut arena).unwrap()
+            let t0 = Instant::now();
+            let (mut lp, s1) = open_stage1(&inst, start, &mut arena).unwrap();
+            pipeline_from_stage1(&inst, &mut lp, s1, 0.1, AdjustOrder::Paper, t0).unwrap()
         };
         let cold = run(None);
         let warm = run(cold.stage1_basis.as_ref());

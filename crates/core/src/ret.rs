@@ -12,7 +12,8 @@
 //!    relaxation feasible, apply LPDAR to the fractional solution, and grow
 //!    `b` by `delta` until the integral schedule also completes every job.
 
-use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs};
+use crate::arena::BuildArena;
+use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs, Form, HeldLp};
 use crate::colgen::{price_resolve, price_resolve_until, CgMaster, CgStats, ColGenConfig, Pricer};
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{lpdar_capped, AdjustOrder};
@@ -21,7 +22,8 @@ use crate::timegrid::TimeGrid;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use wavesched_lp::{
-    solve, Col, Objective, Problem, Solution, SolveError, SolveStats, SolverSession, Status,
+    solve, Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats, SolverSession,
+    Status,
 };
 use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
@@ -86,10 +88,11 @@ pub struct RetConfig {
     /// returned schedules are identical either way — only the work counters
     /// differ.
     pub warm_start: bool,
-    /// Worker threads for speculative bisection probing: each round
-    /// evaluates the next `d` midpoint levels of the search tree
-    /// (`2^d − 1 <= threads`) concurrently, each probe on its own clone of
-    /// the warm template, then walks only the realized path. Probe answers
+    /// Worker threads for speculative bisection probing: when a round's
+    /// `2^d − 1` candidate midpoints (the next `d` levels of the search
+    /// tree) fit the pool, they are evaluated concurrently, each probe on
+    /// its own clone of the warm template, and only the realized path is
+    /// walked; a narrower pool probes lazily. Probe answers
     /// are pure functions of `b`, so `b̂`, the schedules, and the merged
     /// work counters are bit-identical for every thread count. `0` (the
     /// default) resolves from the `WS_THREADS` environment knob; `1` probes
@@ -194,26 +197,24 @@ fn build_subret(inst: &Instance, origin: usize) -> Problem {
     p
 }
 
-/// Builds the bisection's feasibility probe as an always-feasible LP:
-/// maximize the common completion ratio `z` (capped at 1) subject to
-/// `volume_i >= z D_i` — Stage 1's question with completion inequalities.
-/// SUB-RET at the same windows is feasible exactly when `z* = 1`; testing
+/// Opens the bisection's feasibility probe over `inst`: the [`Form::Probe`]
+/// of the instance's held LP, an always-feasible question — maximize the
+/// common completion ratio `z` (capped at 1) subject to `volume_i >= z D_i`,
+/// Stage 1's question with completion inequalities. SUB-RET at the same
+/// windows is feasible exactly when `z* = 1`; testing
 /// `z* >= 1 - RET_PROBE_TOL` makes the check robust. Because `x = 0, z = 0`
 /// is always feasible, a warm start never has to prove infeasibility — the
 /// situation where a warm simplex must discard its basis — so re-solves in
-/// a session stay warm across the whole search.
-fn build_probe(inst: &Instance) -> Problem {
-    let mut p = Problem::new(Objective::Maximize);
-    let (mut cols, mut coeffs) = (Vec::new(), Vec::new());
-    add_assignment_cols(&mut p, inst, &mut cols);
-    let z = p.add_col(0.0, 1.0, 1.0);
-    for i in 0..inst.num_jobs() {
-        job_volume_coeffs(inst, &cols, i, &mut coeffs);
-        coeffs.push((z, -inst.demands[i]));
-        p.add_row(0.0, f64::INFINITY, &coeffs);
+/// a session stay warm across the whole search. `None` when some job has no
+/// usable (path, slice) at all: the probe is then answered — infeasible —
+/// without an LP.
+fn open_probe(inst: &Instance) -> Result<Option<SolverSession>, SolveError> {
+    if inst.has_unschedulable_job() {
+        return Ok(None);
     }
-    add_capacity_rows(&mut p, inst, &cols, &mut coeffs);
-    p
+    let mut lp = HeldLp::open(inst, &SimplexConfig::default(), &mut BuildArena::new())?;
+    lp.install(inst, &Form::Probe);
+    Ok(lp.into_session())
 }
 
 /// Does a probe-form optimum certify feasibility at its trial `b`?
@@ -368,8 +369,7 @@ struct EnvelopeLp {
 type CloneProbe = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
 
 impl EnvelopeLp {
-    fn new(inst: Instance, p: &Problem) -> Result<Self, SolveError> {
-        let session = SolverSession::new(p)?;
+    fn new(inst: Instance, session: SolverSession) -> Self {
         let upper = inst
             .vars
             .iter()
@@ -377,11 +377,11 @@ impl EnvelopeLp {
                 inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64
             })
             .collect();
-        Ok(EnvelopeLp {
+        EnvelopeLp {
             inst,
             session,
             upper,
-        })
+        }
     }
 
     /// Retightens `session` — an envelope LP's own or a clone of it — to
@@ -453,7 +453,7 @@ impl EnvelopeLp {
 /// Quick-Finish LP, each built once on the `b_max` envelope.
 ///
 /// **Probing.** Warm and cold modes answer through the same
-/// [`build_probe`] LP, so the probe answers — and therefore the bisection
+/// [`open_probe`] LP, so the probe answers — and therefore the bisection
 /// trajectory and `b̂` — never depend on `warm_start`; cold mode rebuilds
 /// instance and LP at every `b`. In warm mode the template is re-anchored
 /// only at fixed points of the realized sequence: the two opening probes
@@ -479,7 +479,7 @@ struct EnvelopeBackend<'a> {
     inst_cfg: &'a InstanceConfig,
     cfg: &'a RetConfig,
     relax: Relaxation,
-    pathset: PathSet,
+    pathset: &'a mut PathSet,
     /// The warm probe template; `None` in cold mode, when some job is
     /// unschedulable even at `b_max`, and once the bisection consumed it.
     probe_lp: Option<EnvelopeLp>,
@@ -506,6 +506,7 @@ impl<'a> EnvelopeBackend<'a> {
         inst_cfg: &'a InstanceConfig,
         cfg: &'a RetConfig,
         origin: f64,
+        pathset: &'a mut PathSet,
     ) -> Result<Self, SolveError> {
         let mut backend = EnvelopeBackend {
             graph,
@@ -517,7 +518,7 @@ impl<'a> EnvelopeBackend<'a> {
                 mode: cfg.mode,
                 origin,
             },
-            pathset: PathSet::new(inst_cfg.paths_per_job),
+            pathset,
             probe_lp: None,
             growth_lp: None,
             width: wavesched_par::resolve_threads(cfg.threads),
@@ -528,10 +529,7 @@ impl<'a> EnvelopeBackend<'a> {
             // An unschedulable job at b_max stays unschedulable at every
             // smaller b (windows shrink, paths don't change); the cold
             // probes then answer without solving, so a session is useless.
-            if !env.has_unschedulable_job() {
-                let p = build_probe(&env);
-                backend.probe_lp = Some(EnvelopeLp::new(env, &p)?);
-            }
+            backend.probe_lp = open_probe(&env)?.map(|session| EnvelopeLp::new(env, session));
         }
         Ok(backend)
     }
@@ -540,7 +538,7 @@ impl<'a> EnvelopeBackend<'a> {
     fn instance_at(&mut self, b: f64) -> Instance {
         let ext: Vec<Job> = self.jobs.iter().map(|j| self.relax.apply(j, b)).collect();
         let demands = self.demands.to_vec();
-        Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, &mut self.pathset)
+        Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, self.pathset)
     }
 }
 
@@ -552,11 +550,9 @@ impl RetBackend for EnvelopeBackend<'_> {
             Some(lp) => lp.solve_at(self.jobs, self.relax, b)?,
             None => {
                 let inst = self.instance_at(b);
-                if inst.has_unschedulable_job() {
-                    None
-                } else {
-                    Some(solve(&build_probe(&inst))?)
-                }
+                open_probe(&inst)?
+                    .map(|mut session| session.solve())
+                    .transpose()?
             }
         };
         let Some(sol) = sol else {
@@ -569,9 +565,11 @@ impl RetBackend for EnvelopeBackend<'_> {
     /// Warm mode bisects in rounds of a **fixed** depth
     /// [`Self::ROUND_DEPTH`]: each round covers the next `D` levels of the
     /// midpoint tree (the `2^D − 1` candidate midpoints), every probe a
-    /// pure clone-solve of the round-entry template. With a pool width
-    /// over one, the whole round is evaluated concurrently up front
-    /// (speculation); serially, only realized midpoints are probed — in
+    /// pure clone-solve of the round-entry template. When the round fits
+    /// the pool (a worker per candidate), it is evaluated concurrently up
+    /// front (speculation); a narrower pool probes only realized midpoints
+    /// — three probes on two workers cost two probe-times, what the lazy
+    /// walk's two realized probes cost, plus a session clone each. In
     /// both cases the walk merges the realized probes' stats, counts them
     /// in `ret.probes`, and finally installs the last realized probe's
     /// solved session as the next round's template, so warm-start anchors
@@ -589,11 +587,12 @@ impl RetBackend for EnvelopeBackend<'_> {
         let (jobs, relax) = (self.jobs, self.relax);
         let (mut lo, mut hi) = (lo, hi);
         while hi - lo > tol {
-            // Speculate the full round when workers are available; probe
-            // lazily (realized midpoints only) on a width-1 pool.
+            // Speculate the full round when the pool holds it; probe lazily
+            // (realized midpoints only) on a narrower one.
             let mut by_bits: BTreeMap<u64, CloneProbe> = BTreeMap::new();
-            if self.width > 1 {
-                let mut cands = Vec::with_capacity((1 << Self::ROUND_DEPTH) - 1);
+            let round_probes = (1 << Self::ROUND_DEPTH) - 1;
+            if self.width >= round_probes {
+                let mut cands = Vec::with_capacity(round_probes);
                 collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
                 let answers = wavesched_par::par_map_with(self.cfg.threads, &cands, |&b| {
                     template.probe_on_clone(jobs, relax, b)
@@ -634,8 +633,8 @@ impl RetBackend for EnvelopeBackend<'_> {
             // The search is over: release the probe template first.
             self.probe_lp = None;
             let env = self.instance_at(self.cfg.b_max);
-            let p = build_subret(&env, origin);
-            self.growth_lp = Some(EnvelopeLp::new(env, &p)?);
+            let session = SolverSession::new(&build_subret(&env, origin))?;
+            self.growth_lp = Some(EnvelopeLp::new(env, session));
         }
         let inst = self.instance_at(b);
         if b > self.cfg.b_max {
@@ -716,7 +715,7 @@ impl RetBackend for CgBackend<'_> {
             return Ok(false);
         };
         self.master.set_active_windows(&windows);
-        self.master.set_probe();
+        self.master.install(Form::Probe);
         // Early-stop at the feasibility threshold: the restricted optimum
         // only underestimates the universe optimum, so reaching `Z >= 1`
         // already answers the probe — pricing to optimality is needed only
@@ -730,7 +729,7 @@ impl RetBackend for CgBackend<'_> {
             return Ok(None);
         };
         self.master.set_active_windows(&windows);
-        self.master.set_quick_finish();
+        self.master.install(Form::QuickFinish);
         let sol = price_resolve(&mut self.master, self.pricer.as_mut())?;
         if sol.status != Status::Optimal {
             return Ok(None);
@@ -764,7 +763,8 @@ pub fn solve_ret(
         .iter()
         .map(|j| inst_cfg.demand_units(j.size_gb))
         .collect();
-    solve_ret_with_demands(graph, jobs, &demands, inst_cfg, cfg, 0.0)
+    let mut pathset = PathSet::new(inst_cfg.paths_per_job);
+    solve_ret_with_demands(graph, jobs, &demands, inst_cfg, cfg, 0.0, &mut pathset)
 }
 
 /// [`solve_ret`] with explicit normalized demands, measured from the
@@ -772,7 +772,9 @@ pub fn solve_ret(
 /// complete the *remaining* demand of in-flight jobs. [`RetMode::ExtendEnd`]
 /// extends end times as distances from `origin` and Quick-Finish weighs
 /// slice `j` by `j - origin + 1`, so the answer does not depend on the
-/// clock; no job may start before `origin`.
+/// clock; no job may start before `origin`. Paths come from the caller's
+/// `pathset` (`inst_cfg.paths_per_job` per endpoint pair), so a controller
+/// pays Yen once per pair, not once per overloaded period.
 pub fn solve_ret_with_demands(
     graph: &Graph,
     jobs: &[Job],
@@ -780,6 +782,7 @@ pub fn solve_ret_with_demands(
     inst_cfg: &InstanceConfig,
     cfg: &RetConfig,
     origin: f64,
+    pathset: &mut PathSet,
 ) -> Result<Option<RetResult>, SolveError> {
     if jobs.len() != demands.len() {
         return Err(SolveError::InvalidModel(format!(
@@ -794,7 +797,7 @@ pub fn solve_ret_with_demands(
         )));
     }
     let out = algorithm2(jobs, cfg, || {
-        EnvelopeBackend::new(graph, jobs, demands, inst_cfg, cfg, origin)
+        EnvelopeBackend::new(graph, jobs, demands, inst_cfg, cfg, origin, pathset)
     })?;
     Ok(out.map(|(result, _)| result))
 }
@@ -1103,6 +1106,30 @@ mod tests {
     }
 
     #[test]
+    fn routes_over_the_callers_path_cache() {
+        // The caller's cache comes back holding the distinct endpoint pairs;
+        // a second solve over it adds none and answers the same.
+        let (g, jobs) = bisecting_jobs(10, 3000);
+        let cfg = InstanceConfig::paper(2);
+        let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
+        let mut pairs: Vec<_> = jobs.iter().map(|j| (j.src, j.dst)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+
+        let mut ps = PathSet::new(cfg.paths_per_job);
+        let mut solve = || {
+            solve_ret_with_demands(&g, &jobs, &demands, &cfg, &bisecting_cfg(), 0.0, &mut ps)
+                .unwrap()
+                .expect("feasible")
+        };
+        let (first, again) = (solve(), solve());
+        assert_eq!(ps.cached_pairs(), pairs.len());
+        assert_eq!(first.b_final.to_bits(), again.b_final.to_bits());
+        assert_eq!(first.lpdar, again.lpdar);
+        assert_eq!(first.stats, again.stats);
+    }
+
+    #[test]
     fn malformed_job_sets_are_typed_errors() {
         let (g, jobs) = overloaded_jobs(2, 2);
         let (cfg, ret, cg) = (
@@ -1110,23 +1137,25 @@ mod tests {
             RetConfig::default(),
             ColGenConfig::default(),
         );
+        let mut ps = PathSet::new(cfg.paths_per_job);
         let cases = [
             ("no jobs", solve_ret(&g, &[], &cfg, &ret).map(drop)),
             (
                 "no jobs, explicit demands",
-                solve_ret_with_demands(&g, &[], &[], &cfg, &ret, 0.0).map(drop),
+                solve_ret_with_demands(&g, &[], &[], &cfg, &ret, 0.0, &mut ps).map(drop),
             ),
             (
                 "2 jobs but 1 demand",
-                solve_ret_with_demands(&g, &jobs, &[1.0], &cfg, &ret, 0.0).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0], &cfg, &ret, 0.0, &mut ps).map(drop),
             ),
             (
                 "origin after a job's start",
-                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, 1e9).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, 1e9, &mut ps).map(drop),
             ),
             (
                 "NaN origin",
-                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, f64::NAN).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, f64::NAN, &mut ps)
+                    .map(drop),
             ),
             (
                 "no jobs, colgen",

@@ -6,13 +6,11 @@
 //! every deadline can be met (and demands could even be scaled up by `Z*`).
 
 use crate::arena::BuildArena;
-use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs};
+use crate::builders::{build_stage1_problem_in, expect_optimal, Form, HeldLp};
 use crate::colgen::{price_resolve, CgMaster, Pricer};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
-use wavesched_lp::{
-    solve_with_start, Basis, Objective, Problem, SimplexConfig, SolveError, SolveStats, Status,
-};
+use wavesched_lp::{Basis, Problem, SimplexConfig, SolveError, SolveStats};
 use wavesched_obs as obs;
 
 /// Result of the Stage-1 solve.
@@ -33,7 +31,7 @@ pub struct Stage1Result {
 
 /// Solves the Stage-1 MCF.
 pub fn solve_stage1(inst: &Instance) -> Result<Stage1Result, SolveError> {
-    solve_stage1_with_start(inst, None)
+    open_stage1(inst, None, &mut BuildArena::new()).map(|(_, s1)| s1)
 }
 
 /// Builds the Stage-1 LP without solving it. Exposed for the kernel
@@ -43,71 +41,26 @@ pub fn build_stage1_problem(inst: &Instance) -> Problem {
     build_stage1_problem_in(inst, &mut BuildArena::new())
 }
 
-/// [`build_stage1_problem`] writing its construction scratch into `arena`.
-pub(crate) fn build_stage1_problem_in(inst: &Instance, arena: &mut BuildArena) -> Problem {
-    let mut p = Problem::new(Objective::Maximize);
-    let (cols, coeffs) = arena.scratch();
-    add_assignment_cols(&mut p, inst, cols);
-    let z = p.add_col(0.0, f64::INFINITY, 1.0); // maximize Z
-
-    // Eq. 2: sum_{p,j} x·LEN = Z · D_i for every job.
-    for i in 0..inst.num_jobs() {
-        job_volume_coeffs(inst, cols, i, coeffs);
-        coeffs.push((z, -inst.demands[i]));
-        p.add_row(0.0, 0.0, coeffs);
-    }
-    add_capacity_rows(&mut p, inst, cols, coeffs);
-    p
-}
-
-/// Solves the Stage-1 MCF, warm-starting from `start` when given.
-///
-/// The basis is typically the [`Stage1Result::basis`] of a previous,
-/// structurally identical solve (e.g. the preceding controller period). A
-/// basis of the wrong shape degrades to a cold solve — the result is the
-/// same either way, only [`SolveStats`] differ.
-pub fn solve_stage1_with_start(
-    inst: &Instance,
-    start: Option<&Basis>,
-) -> Result<Stage1Result, SolveError> {
-    solve_stage1_in(inst, start, &mut BuildArena::new())
-}
-
-/// [`solve_stage1_with_start`] building the LP through a caller-held
-/// [`BuildArena`], so repeated solves (one per controller period) reuse the
-/// construction buffers instead of reallocating them.
-pub(crate) fn solve_stage1_in(
+/// Opens the held LP of `inst` (built through `arena`) and solves Stage 1
+/// on it, warm from `start` when given — typically the preceding controller
+/// period's [`Stage1Result::basis`]; one of the wrong shape degrades to a
+/// cold solve, and only [`SolveStats`] differ. The LP comes back with the
+/// result: Stage 2 is a form installed on it, not a second build.
+pub(crate) fn open_stage1(
     inst: &Instance,
     start: Option<&Basis>,
     arena: &mut BuildArena,
-) -> Result<Stage1Result, SolveError> {
-    if inst.num_jobs() == 0 {
-        return Ok(Stage1Result {
-            z_star: f64::INFINITY,
-            schedule: Schedule::zero(inst),
-            basis: None,
-            stats: SolveStats::default(),
-        });
-    }
-
-    let build_span = obs::span("build");
-    let p = build_stage1_problem_in(inst, arena);
-    drop(build_span);
-
-    let sol = solve_with_start(&p, &SimplexConfig::default(), start)?;
-    match sol.status {
-        Status::Optimal => Ok(Stage1Result {
-            z_star: sol.objective,
-            schedule: Schedule::from_values(inst, sol.x[..inst.vars.len()].to_vec()),
-            basis: sol.basis,
-            stats: sol.stats,
-        }),
-        // Z = 0, x = 0 is always feasible, so anything else is a solver
-        // breakdown worth surfacing.
-        other => Err(SolveError::Numerical(format!(
-            "stage 1 terminated with status {other}"
-        ))),
-    }
+) -> Result<(HeldLp, Stage1Result), SolveError> {
+    let _span = obs::span("stage1");
+    let mut lp = HeldLp::open(inst, &SimplexConfig::default(), arena)?;
+    let sol = lp.solve(inst, &Form::Stage1, start, "stage 1")?;
+    let s1 = Stage1Result {
+        z_star: sol.objective,
+        schedule: Schedule::from_values(inst, sol.x[..inst.vars.len()].to_vec()),
+        basis: sol.basis,
+        stats: sol.stats,
+    };
+    Ok((lp, s1))
 }
 
 /// Solves Stage 1 by delayed column generation: switches `master` to
@@ -123,16 +76,9 @@ pub fn solve_stage1_colgen(
         return Ok(f64::INFINITY);
     }
     let _span = obs::span("stage1");
-    master.set_stage1();
+    master.install(Form::Stage1);
     let sol = price_resolve(master, pricer)?;
-    if sol.status != Status::Optimal {
-        // Z = 0, x = 0 is always feasible, as in the monolithic build.
-        return Err(SolveError::Numerical(format!(
-            "stage 1 (colgen) terminated with status {}",
-            sol.status
-        )));
-    }
-    Ok(sol.objective)
+    Ok(expect_optimal(sol, "stage 1 (colgen)")?.objective)
 }
 
 #[cfg(test)]

@@ -10,14 +10,11 @@
 //! per-job lower bound on transferred volume.
 
 use crate::arena::BuildArena;
-use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs};
+use crate::builders::{expect_optimal, Form, HeldLp};
 use crate::colgen::{price_resolve, CgMaster, Pricer};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
-use wavesched_lp::{
-    solve_with_start, Basis, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats,
-    Status,
-};
+use wavesched_lp::{Basis, SimplexConfig, Solution, SolveError, SolveStats};
 
 /// The job weights `w_i` in the Stage-2 objective `sum_i w_i Z_i / sum_i w_i`.
 ///
@@ -38,14 +35,8 @@ pub enum WeightPolicy {
 }
 
 impl WeightPolicy {
-    /// Resolves the weight of job `i`.
-    pub fn weight(&self, inst: &Instance, i: usize) -> f64 {
-        self.weight_of(&inst.demands, i)
-    }
-
-    /// Resolves the weight of job `i` from raw normalized demands — for
-    /// callers without a materialized [`Instance`], like the
-    /// column-generation restricted master.
+    /// Resolves the weight of job `i` from the jobs' normalized demands
+    /// ([`Instance::demands`], or a column-generation master's).
     pub fn weight_of(&self, demands: &[f64], i: usize) -> f64 {
         match self {
             WeightPolicy::DemandProportional => demands[i],
@@ -125,82 +116,28 @@ pub fn solve_stage2_weighted_with_start(
     cfg: &SimplexConfig,
     start: Option<&Basis>,
 ) -> Result<Stage2Result, SolveError> {
-    solve_stage2_in(
-        inst,
-        z_star,
-        alpha,
-        weights,
-        cfg,
-        start,
-        &mut BuildArena::new(),
-    )
+    let mut lp = HeldLp::open(inst, cfg, &mut BuildArena::new())?;
+    solve_stage2_on(&mut lp, inst, z_star, alpha, weights, start)
 }
 
-/// [`solve_stage2_weighted_with_start`] building the LP through a
-/// caller-held [`BuildArena`]; see
-/// [`solve_stage1_in`](crate::stage1::solve_stage1_in).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_stage2_in(
+/// Stage 2 as a form installed on `lp`, the held LP of `inst` — freshly
+/// opened, or the one Stage 1 was just solved on.
+pub(crate) fn solve_stage2_on(
+    lp: &mut HeldLp,
     inst: &Instance,
     z_star: f64,
     alpha: f64,
     weights: &WeightPolicy,
-    cfg: &SimplexConfig,
     start: Option<&Basis>,
-    arena: &mut BuildArena,
 ) -> Result<Stage2Result, SolveError> {
-    assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    if inst.num_jobs() == 0 {
-        return Ok(Stage2Result {
-            schedule: Schedule::zero(inst),
-            objective: 0.0,
-            basis: None,
-            stats: SolveStats::default(),
-        });
-    }
-
-    let total_weight: f64 = (0..inst.num_jobs()).map(|i| weights.weight(inst, i)).sum();
-    let mut p = Problem::new(Objective::Maximize);
-    let (cols, coeffs) = arena.scratch();
-    add_assignment_cols(&mut p, inst, cols);
-    // A costless fairness-level variable Z >= (1-alpha) Z*, mirroring
-    // Stage 1's Z column so the two problems share one variable space and a
-    // Stage-1 basis installs verbatim. Writing the fairness rows as
-    // `volume_i - D_i Z >= 0` is equivalent to the literal floor
-    // `volume_i >= (1-alpha) Z* D_i`: lowering Z only relaxes the rows, so
-    // the x-projections of the two feasible sets coincide, and the objective
-    // doesn't involve Z.
-    let z = p.add_col((1.0 - alpha) * z_star, f64::INFINITY, 0.0);
-
-    // Objective: sum_i (w_i / D_i) sum_{p,j} x·LEN / sum_i w_i
-    // (eq. 7 generalized; with w_i = D_i this is total volume / total demand).
-    for (var, job, _, slice) in inst.vars.iter() {
-        let scale = weights.weight(inst, job) / inst.demands[job];
-        p.set_cost(cols[var], scale * inst.grid.len_of(slice) / total_weight);
-    }
-
-    // Fairness (eq. 9): per-job transferred volume >= (1-alpha) Z* D_i.
-    for i in 0..inst.num_jobs() {
-        job_volume_coeffs(inst, cols, i, coeffs);
-        coeffs.push((z, -inst.demands[i]));
-        p.add_row(0.0, f64::INFINITY, coeffs);
-    }
-    add_capacity_rows(&mut p, inst, cols, coeffs);
-
-    let sol = solve_with_start(&p, cfg, start)?;
-    match sol.status {
-        Status::Optimal => Ok(Stage2Result {
-            schedule: Schedule::from_values(inst, sol.x[..inst.vars.len()].to_vec()),
-            objective: sol.objective,
-            basis: sol.basis,
-            stats: sol.stats,
-        }),
-        // With z_star from Stage 1 the fairness floors are feasible by
-        // construction; any other status is a solver breakdown.
-        other => Err(SolveError::Numerical(format!(
-            "stage 2 terminated with status {other}"
-        ))),
-    }
+    let form = Form::stage2(&inst.demands, z_star, alpha, weights);
+    let sol = lp.solve(inst, &form, start, "stage 2")?;
+    Ok(Stage2Result {
+        schedule: Schedule::from_values(inst, sol.x[..inst.vars.len()].to_vec()),
+        objective: sol.objective,
+        basis: sol.basis,
+        stats: sol.stats,
+    })
 }
 
 /// Solves Stage 2 by delayed column generation **on the same master Stage 1
@@ -217,25 +154,9 @@ pub fn solve_stage2_colgen(
     alpha: f64,
     weights: &WeightPolicy,
 ) -> Result<Solution, SolveError> {
-    assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    let demands = master.demands().to_vec();
-    let total_weight: f64 = (0..demands.len())
-        .map(|i| weights.weight_of(&demands, i))
-        .sum();
-    let scale: Vec<f64> = (0..demands.len())
-        .map(|i| weights.weight_of(&demands, i) / demands[i] / total_weight)
-        .collect();
-    master.set_stage2((1.0 - alpha) * z_star, scale);
-    let sol = price_resolve(master, pricer)?;
-    if sol.status != Status::Optimal {
-        // With z_star from Stage 1 the floors are feasible by
-        // construction; anything else is a solver breakdown.
-        return Err(SolveError::Numerical(format!(
-            "stage 2 (colgen) terminated with status {}",
-            sol.status
-        )));
-    }
-    Ok(sol)
+    let form = Form::stage2(master.demands(), z_star, alpha, weights);
+    master.install(form);
+    expect_optimal(price_resolve(master, pricer)?, "stage 2 (colgen)")
 }
 
 #[cfg(test)]

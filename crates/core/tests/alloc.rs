@@ -12,33 +12,38 @@
 //! thread-gated pattern as `crates/lp/tests/alloc.rs`), replays one
 //! overloaded closed-loop workload in an era starting at `now = 0` and an
 //! era starting at `now = 100 000`, and compares the eras invocation by
-//! invocation.
+//! invocation. The same shim holds RET to its caller's path cache: a second
+//! call over the same endpoint pairs computes no path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use wavesched_core::controller::{Controller, ControllerConfig, OverloadPolicy};
-use wavesched_net::abilene14;
-use wavesched_workload::{Job, JobId};
+use wavesched_core::instance::InstanceConfig;
+use wavesched_core::ret::{solve_ret_with_demands, RetConfig};
+use wavesched_net::{abilene14, PathSet};
+use wavesched_workload::{Job, JobId, WorkloadConfig, WorkloadGenerator};
 
 /// System allocator with a byte counter for allocation events
 /// (deallocations are free; acquiring memory is what must stay flat).
-/// Thread-gated so harness-thread printing is not charged.
+/// Counted per thread, inside [`counted`] only, so neither the harness nor
+/// a test running beside this one is charged to it.
 struct CountingAlloc;
 
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count_bytes(n: usize) {
-    let _ = COUNTING.try_with(|c| {
-        if c.get() {
-            ALLOC_BYTES.fetch_add(n as u64, Ordering::Relaxed);
-        }
-    });
+    let _ = COUNTED.try_with(|c| c.set(c.get().map(|bytes| bytes + n as u64)));
+}
+
+/// Runs `f` and returns what it returned with the bytes it allocated.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNTED.with(|c| c.set(Some(0)));
+    let out = f();
+    let bytes = COUNTED.with(|c| c.take()).expect("counting was on");
+    (out, bytes)
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -100,11 +105,7 @@ fn era(policy: OverloadPolicy, base: f64) -> Vec<(Step, u64)> {
             })
             .collect();
 
-        let before = ALLOC_BYTES.load(Ordering::SeqCst);
-        COUNTING.with(|cell| cell.set(true));
-        let res = c.invoke(now, &batch);
-        COUNTING.with(|cell| cell.set(false));
-        let bytes = ALLOC_BYTES.load(Ordering::SeqCst) - before;
+        let (res, bytes) = counted(|| c.invoke(now, &batch));
         let res = res.expect("invocation must solve");
 
         let inst = &res.instance;
@@ -163,4 +164,54 @@ fn invocation_is_independent_of_clock_under_every_policy() {
             );
         }
     }
+}
+
+/// RET routes over the caller's path cache: a second call over the same
+/// endpoint pairs allocates what the first did less what computing their
+/// paths allocates — it computes none. (Allocation is deterministic, so the
+/// three byte counts are held to each other far inside the translation
+/// test's 64 KB: Yen over a dozen Abilene pairs is some 5 KB.)
+#[test]
+fn ret_on_a_warm_path_cache_computes_no_path() {
+    let (g, _) = abilene14(2);
+    let jobs = WorkloadGenerator::new(WorkloadConfig {
+        num_jobs: 12,
+        seed: 3000,
+        size_gb: (100.0, 400.0),
+        window: (2.0, 4.0),
+        ..Default::default()
+    })
+    .generate(&g);
+    let icfg = InstanceConfig::paper(2);
+    let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
+    // One thread: speculative probes would allocate on pool workers, which
+    // the per-thread counter does not see.
+    let cfg = RetConfig {
+        threads: 1,
+        b_max: 10.0,
+        ..RetConfig::default()
+    };
+    let mut pairs: Vec<_> = jobs.iter().map(|j| (j.src, j.dst)).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+
+    let mut cache = PathSet::new(icfg.paths_per_job);
+    let mut run = || {
+        let (res, bytes) =
+            counted(|| solve_ret_with_demands(&g, &jobs, &demands, &icfg, &cfg, 0.0, &mut cache));
+        let b_final = res.expect("RET must solve").expect("feasible").b_final;
+        (b_final, bytes)
+    };
+    let (b_cold, cold) = run();
+    let (b_warm, warm) = run();
+    assert!(b_cold > 0.0, "the workload must overload");
+    assert_eq!(b_cold.to_bits(), b_warm.to_bits());
+    assert_eq!(cache.cached_pairs(), pairs.len());
+
+    let ((), yen) = counted(|| PathSet::new(icfg.paths_per_job).warm(&g, pairs.iter().copied()));
+    assert!(yen > 1_000, "{} pairs took {yen} B", pairs.len());
+    assert!(
+        cold.saturating_sub(warm).abs_diff(yen) <= yen / 8,
+        "cold cache {cold} B, warm cache {warm} B, the paths themselves {yen} B"
+    );
 }

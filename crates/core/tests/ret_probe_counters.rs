@@ -1,6 +1,7 @@
 //! The `ret.probes` counter must report the serial trajectory's probe count
 //! at every pool width; mis-speculated work lands in
-//! `ret.speculative_probes` only. Lives in its own single-test integration
+//! `ret.speculative_probes` only, and only when a round's three candidate
+//! probes fit the pool. Lives in its own single-test integration
 //! binary because it toggles the process-wide obs registry.
 
 use wavesched_core::instance::InstanceConfig;
@@ -48,6 +49,15 @@ fn speculation_counts_only_realized_probes() {
     let (serial_probes, serial_spec) = probes_at(1);
     assert!(serial_probes.is_some());
     assert_eq!(serial_spec, None, "serial path never speculates");
+    // Two workers cannot hold a round's three candidates: three probes on
+    // two workers cost what the lazy walk's two realized probes do, so a
+    // width-2 pool walks lazily too.
+    let (narrow_probes, narrow_spec) = probes_at(2);
+    assert_eq!(
+        narrow_probes, serial_probes,
+        "width 2: realized probe count"
+    );
+    assert_eq!(narrow_spec, None, "width 2 never speculates");
     let (par_probes, par_spec) = probes_at(4);
     assert_eq!(par_probes, serial_probes, "realized probe count");
     let spec = par_spec.expect("width 4 speculates");

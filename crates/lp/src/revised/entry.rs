@@ -336,6 +336,12 @@ impl Engine {
         if !keep_factors {
             self.etas.clear();
             self.lu = None;
+            // Everything the sanitizer sweeps is about to be rebuilt from
+            // the installed point, so its pivot countdown starts over too:
+            // a solve entered this way sweeps on a fresh engine's cadence,
+            // whatever this engine solved before, and only an entry on the
+            // carried factors keeps counting.
+            self.sanitize_left = self.sanitize_every;
         }
         self.bland = false;
         self.degen_run = 0;

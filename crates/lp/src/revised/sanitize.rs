@@ -1,6 +1,8 @@
 //! Runtime numerics sanitizer for the simplex hot path.
 //!
-//! Every `sanitize_every` basis-changing pivots (primal or dual) the
+//! Every `sanitize_every` basis-changing pivots (primal or dual; counted
+//! from the last solve entry that rebuilt that state — cold or from a basis
+//! snapshot — and on through entries on carried factors) the
 //! engine cross-checks its incrementally maintained state against a
 //! from-scratch recomputation: the basic solution must satisfy the
 //! standardized system `B x_B + N x_N = 0`, Devex weights must stay

@@ -11,7 +11,9 @@ mod common;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use wavesched_lp::{solve, Objective, Problem, Status};
+use wavesched_lp::{
+    solve, solve_with_start, Col, Objective, Problem, SimplexConfig, SolverSession, Status,
+};
 
 fn set_interval() {
     std::env::set_var("WS_SANITIZE", "2");
@@ -94,4 +96,45 @@ fn sanitizer_does_not_change_the_answer() {
     assert!((sol.x[x.index()] - 3.0).abs() < 1e-9);
     assert!((sol.x[y.index()] - 1.0).abs() < 1e-9);
     assert_eq!(sol.stats.sanitizer_violations, 0);
+}
+
+/// A solve that installs a basis snapshot rebuilds everything the sweep
+/// checks, so it sweeps on a fresh engine's cadence: a session that already
+/// pivoted reports the same work, sweeps included, as a one-shot solve of
+/// the same LP from the same basis — which lets a caller hold one engine
+/// across related solves without moving a counter.
+#[test]
+fn snapshot_entry_sweeps_on_a_fresh_engines_cadence() {
+    set_interval();
+    let mut odd_first_solves = 0;
+    for seed in 0..8 {
+        let mut p = pivot_heavy_problem(seed, 40, 30);
+        let mut session = SolverSession::new(&p).expect("session");
+        let first = session.solve().expect("solve");
+        let basis = first.basis.expect("optimal basis");
+        // At a sweep every other pivot, an odd first solve leaves the
+        // countdown mid-interval.
+        odd_first_solves += first.stats.iterations % 2;
+
+        for j in 0..p.num_cols() {
+            let col = Col::from_index(j);
+            let flipped = 10.0 - p.cost(col);
+            p.set_cost(col, flipped);
+            session.set_cost(col, flipped);
+        }
+        session.warm_start_from(basis.clone());
+        let held = session.solve().expect("re-solve");
+        let one_shot =
+            solve_with_start(&p, &SimplexConfig::default(), Some(&basis)).expect("one-shot");
+        assert!(
+            held.stats.iterations > 0,
+            "seed {seed}: nothing to re-solve"
+        );
+        assert_eq!(held.stats, one_shot.stats, "seed {seed}");
+        assert_eq!(held.objective.to_bits(), one_shot.objective.to_bits());
+    }
+    assert!(
+        odd_first_solves > 0,
+        "no seed left the countdown mid-interval"
+    );
 }
