@@ -63,11 +63,11 @@ fn main() {
     let opts = wavesched_bench::bench_opts();
     let trials = opts.seeds.unwrap_or(5);
     println!("# Ablation A4: LPDAR vs exact ILP (tiny ring networks, W=2)");
-    println!("trial,jobs,lp_obj,ilp_obj,ilp_fair_obj,lpdar_obj,lpdar_over_ilp,nodes_explored");
-    // Trials run across the WS_THREADS pool; each trial's MILP solves also
-    // use the pool (MilpConfig.threads defaults to WS_THREADS). Objectives
-    // are deterministic at any thread count; nodes_explored is
-    // scheduling-dependent when the branch-and-bound runs parallel.
+    println!(
+        "trial,jobs,lp_obj,ilp_obj,ilp_fair_obj,lpdar_obj,lpdar_over_ilp,nodes_explored,\
+         ilp_fair_status,ilp_fair_nodes"
+    );
+    // Trials run across the WS_THREADS pool; each branch-and-bound is serial.
     let trial_ids: Vec<u64> = (0..trials as u64).collect();
     let rows = par_seeds(&trial_ids, |trial| {
         // A 6-node ring with 2 wavelengths per link; 6 jobs, tiny windows.
@@ -102,10 +102,7 @@ fn main() {
         let heur = lpdar(&inst, &s2.schedule, AdjustOrder::Paper);
         let heur_obj = heur.weighted_throughput(&inst);
 
-        let cfg_milp = MilpConfig {
-            max_nodes: 200_000,
-            ..MilpConfig::default()
-        };
+        let cfg_milp = MilpConfig { max_nodes: 200_000 };
         let sol = solve_milp(&stage2_milp(&inst, None), &cfg_milp).expect("milp");
         let (ilp_obj, nodes) = match sol.status {
             MilpStatus::Optimal => (sol.objective, sol.nodes),
@@ -113,14 +110,20 @@ fn main() {
         };
         let fair =
             solve_milp(&stage2_milp(&inst, Some((s1.z_star, 0.1))), &cfg_milp).expect("milp");
-        let fair_obj = match fair.status {
-            MilpStatus::Optimal => fair.objective,
-            _ => f64::NAN,
+        // `ilp_fair_obj` is NaN both when eq. 9 leaves no integer point and
+        // when the search gave up; the status column tells them apart.
+        let (fair_obj, fair_status) = match fair.status {
+            MilpStatus::Optimal => (fair.objective, "optimal"),
+            MilpStatus::Infeasible => (f64::NAN, "infeasible"),
+            MilpStatus::NodeLimit => (f64::NAN, "node_limit"),
+            MilpStatus::Unbounded => (f64::NAN, "unbounded"),
         };
         format!(
-            "{trial},{},{lp_obj:.4},{ilp_obj:.4},{fair_obj:.4},{heur_obj:.4},{:.4},{nodes}",
+            "{trial},{},{lp_obj:.4},{ilp_obj:.4},{fair_obj:.4},{heur_obj:.4},{:.4},{nodes},\
+             {fair_status},{}",
             inst.num_jobs(),
-            heur_obj / ilp_obj
+            heur_obj / ilp_obj,
+            fair.nodes
         )
     });
     for row in rows {

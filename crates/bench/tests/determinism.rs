@@ -1,22 +1,19 @@
 //! Determinism regression: the `WS_THREADS` work pool must never change
-//! results — only wall-clock. Three layers are pinned bit-identical at
+//! results — only wall-clock. Two layers are pinned bit-identical at
 //! 1 vs 4 threads:
 //!
 //! * the fig4 binary end-to-end (subprocess, `WS_THREADS` env path): the
 //!   whole CSV, including the solver-work counter columns, byte for byte;
 //! * RET directly (`RetConfig::threads`): b̂, schedules, and the full
-//!   [`SolveStats`] despite speculative probing;
-//! * MILP directly (`MilpConfig::threads`): incumbent objective and point
-//!   despite scheduling-dependent node order.
+//!   [`SolveStats`] despite speculative probing.
 //!
-//! Thread-dependent observables (wall-clock, `milp.nodes`,
-//! `ret.speculative_probes`, `lp.*` counters folded in from mis-speculated
-//! probes) are deliberately *not* compared.
+//! Thread-dependent observables (wall-clock, `ret.speculative_probes`,
+//! `lp.*` counters folded in from mis-speculated probes) are deliberately
+//! *not* compared.
 
 use std::process::Command;
 use wavesched_core::instance::InstanceConfig;
 use wavesched_core::ret::{solve_ret, RetConfig};
-use wavesched_lp::{solve_milp, MilpConfig, MilpStatus, Objective, Problem};
 use wavesched_net::abilene14;
 use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -194,50 +191,4 @@ fn ret_search_is_bit_identical_across_probe_widths() {
     // the fixed-round speculation realizes the same probes in the same
     // order at every width.
     assert_eq!(serial.stats, pooled.stats);
-}
-
-#[test]
-fn milp_incumbent_is_bit_identical_across_worker_counts() {
-    // A 14-variable knapsack with enough fractional branching for 4
-    // workers to race on the incumbent.
-    let mut state = 0xfeed_5eed_u64;
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut p = Problem::new(Objective::Maximize);
-    let mut coeffs = Vec::new();
-    for _ in 0..14 {
-        let c = p.add_int_col(0.0, 1.0, 1.0 + (next() * 20.0).round());
-        coeffs.push((c, 1.0 + (next() * 12.0).round()));
-    }
-    let cap: f64 = coeffs.iter().map(|&(_, w)| w).sum::<f64>() * 0.4;
-    p.add_row(f64::NEG_INFINITY, cap.round(), &coeffs);
-
-    let solve_at = |threads: usize| {
-        solve_milp(
-            &p,
-            &MilpConfig {
-                threads,
-                ..MilpConfig::default()
-            },
-        )
-        .expect("milp")
-    };
-    let serial = solve_at(1);
-    assert_eq!(serial.status, MilpStatus::Optimal);
-    for workers in [2usize, 4] {
-        let pooled = solve_at(workers);
-        assert_eq!(pooled.status, MilpStatus::Optimal);
-        assert_eq!(
-            serial.objective.to_bits(),
-            pooled.objective.to_bits(),
-            "objective differs at {workers} workers"
-        );
-        // The lexicographic tie-break makes the incumbent *point* (not just
-        // its objective) reproducible.
-        assert_eq!(serial.x, pooled.x, "incumbent differs at {workers} workers");
-    }
 }

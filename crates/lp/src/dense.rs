@@ -1,9 +1,8 @@
 //! Dense two-phase full-tableau simplex.
 //!
-//! An intentionally *independent* implementation used as a
-//! differential-testing oracle for the sparse revised simplex and as the
-//! relaxation engine for tiny problems. It uses a completely different
-//! lowering than `stdform`:
+//! An intentionally *independent* implementation: the oracle the
+//! differential tests compare the sparse revised simplex against. It uses a
+//! completely different lowering than `stdform`:
 //!
 //! * every variable is shifted/split to be nonnegative (`x = l + x'`,
 //!   `x = u - x''`, or `x = x⁺ - x⁻` for free variables);

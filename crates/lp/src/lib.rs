@@ -11,8 +11,8 @@
 //! * [`solve`] — the default solver: a sparse two-phase revised simplex with
 //!   a product-form-of-the-inverse (eta file) basis representation and
 //!   periodic sparse LU refactorization (see [`revised`]).
-//! * [`dense`] — an independent dense tableau simplex used as a
-//!   differential-testing oracle and for very small problems.
+//! * `dense` — an independent dense tableau simplex: the oracle the
+//!   differential tests compare [`solve`] against.
 //! * [`milp`] — branch-and-bound mixed-integer programming on top of the LP
 //!   solver; practical for small instances, used to validate the paper's
 //!   LPDAR heuristic against true integer optima.
@@ -38,12 +38,13 @@
 
 #![warn(missing_docs)]
 
+#[doc(hidden)]
 pub mod dense;
 pub mod milp;
 pub mod model;
 pub mod revised;
 pub mod solution;
-pub mod sparse;
+pub(crate) mod sparse;
 pub(crate) mod stdform;
 
 pub use milp::{solve_milp, MilpConfig, MilpSolution, MilpStatus};

@@ -245,16 +245,6 @@ impl Problem {
         self.entries.len()
     }
 
-    /// Iterator over column handles.
-    pub fn iter_cols(&self) -> impl Iterator<Item = Col> {
-        (0..self.cols.len() as u32).map(Col)
-    }
-
-    /// Iterator over row handles.
-    pub fn iter_rows(&self) -> impl Iterator<Item = Row> {
-        (0..self.rows.len() as u32).map(Row)
-    }
-
     /// Evaluates the objective function at `x` (dense, one value per column),
     /// including the offset, in the problem's own direction.
     pub fn eval_objective(&self, x: &[f64]) -> f64 {

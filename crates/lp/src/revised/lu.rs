@@ -671,7 +671,7 @@ mod tests {
 
     /// Builds a CSC matrix whose columns are exactly the basis columns.
     fn mat(cols: &[Vec<(u32, f64)>], m: usize) -> (CscMatrix, Vec<usize>) {
-        let mut a = CscMatrix::empty(m);
+        let mut a = CscMatrix::from_triplets(m, 0, []);
         for c in cols {
             a.push_col(c);
         }

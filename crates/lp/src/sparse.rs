@@ -66,17 +66,6 @@ impl CscMatrix {
         }
     }
 
-    /// An `nrows x 0` matrix to which columns can be appended.
-    pub fn empty(nrows: usize) -> Self {
-        CscMatrix {
-            nrows,
-            ncols: 0,
-            col_ptr: vec![0],
-            row_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Appends a column given as sorted `(row, value)` pairs.
     ///
     /// # Panics
@@ -256,24 +245,9 @@ impl CscMatrix {
         }
     }
 
-    /// Computes `y = A x` for dense `x` (len `ncols`) into dense `y`
-    /// (len `nrows`), overwriting `y`.
-    pub fn mul_dense(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        y.fill(0.0);
-        #[allow(clippy::needless_range_loop)] // column index drives col_axpy
-        for j in 0..self.ncols {
-            let xj = x[j];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-            if xj != 0.0 {
-                self.col_axpy(j, xj, y);
-            }
-        }
-    }
-
-    /// Returns the dense `nrows x ncols` representation (row-major), for
-    /// tests and small-problem fallbacks.
+    /// The dense `nrows x ncols` representation (row-major): the unit
+    /// tests' probe.
+    #[cfg(test)]
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut d = vec![vec![0.0; self.ncols]; self.nrows];
         #[allow(clippy::needless_range_loop)] // column index drives col()
@@ -366,11 +340,6 @@ impl WorkVec {
         self.values.len()
     }
 
-    /// True if the dimension is zero.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// True when the pattern has been abandoned and every entry of `values`
     /// must be assumed nonzero.
     #[inline]
@@ -430,12 +399,6 @@ impl WorkVec {
         self.marked[i as usize]
     }
 
-    /// Current value at index `i`.
-    #[inline]
-    pub fn get(&self, i: u32) -> f64 {
-        self.values[i as usize]
-    }
-
     /// Sorts the pattern ascending, so pattern iteration visits entries in
     /// the same order a dense `0..n` scan would.
     pub fn sort_pattern(&mut self) {
@@ -485,7 +448,7 @@ mod tests {
 
     #[test]
     fn push_col_and_dot() {
-        let mut m = CscMatrix::empty(4);
+        let mut m = CscMatrix::from_triplets(4, 0, []);
         m.push_col(&[(0, 1.0), (3, 2.0)]);
         m.push_col(&[(1, 5.0)]);
         assert_eq!(m.ncols(), 2);
@@ -495,17 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn mul_dense_matches_manual() {
-        let m = CscMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (1, 1, 2.0), (0, 2, 3.0)]);
-        let mut y = vec![0.0; 2];
-        m.mul_dense(&[1.0, 1.0, 1.0], &mut y);
-        assert_eq!(y, vec![4.0, 2.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "strictly increasing")]
     fn push_col_rejects_unsorted() {
-        let mut m = CscMatrix::empty(4);
+        let mut m = CscMatrix::from_triplets(4, 0, []);
         m.push_col(&[(2, 1.0), (1, 2.0)]);
     }
 
@@ -584,10 +539,10 @@ mod tests {
         w.add(3, 1.5);
         w.add(3, 0.5);
         w.set(1, -1.0);
-        assert_eq!(w.get(3), 2.0);
+        assert_eq!(w.values[3], 2.0);
         assert_eq!(w.pattern.len(), 2);
         w.clear();
-        assert_eq!(w.get(3), 0.0);
+        assert_eq!(w.values[3], 0.0);
         assert!(w.pattern.is_empty());
     }
 
@@ -603,16 +558,14 @@ mod tests {
         assert_eq!(w.nnz(), 4);
         // Values survive the fallback; writes keep working without pattern
         // maintenance.
-        assert_eq!(w.get(1), 2.0);
+        assert_eq!(w.values[1], 2.0);
         w.set(0, 5.0);
         w.add(3, 1.0);
         assert!(w.pattern.is_empty());
         // clear() recovers full sparse tracking.
         w.clear();
         assert!(!w.is_dense());
-        for i in 0..4 {
-            assert_eq!(w.get(i), 0.0);
-        }
+        assert_eq!(w.values, vec![0.0; 4]);
         w.set(3, 7.0);
         assert_eq!(w.pattern, vec![3]);
     }
@@ -672,8 +625,8 @@ mod tests {
         let mut w = WorkVec::new(4);
         w.add(0, 9.0);
         w.load(&[1, 3], &[2.0, 4.0]);
-        assert_eq!(w.get(0), 0.0);
-        assert_eq!(w.get(1), 2.0);
-        assert_eq!(w.get(3), 4.0);
+        assert_eq!(w.values[0], 0.0);
+        assert_eq!(w.values[1], 2.0);
+        assert_eq!(w.values[3], 4.0);
     }
 }

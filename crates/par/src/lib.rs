@@ -172,40 +172,9 @@ where
     par_map_indexed_with(threads, items.len(), |i| f(&items[i]))
 }
 
-/// Runs `workers` copies of `f` (each receiving its worker index) to
-/// completion on a scoped pool — the building block for consumers that pull
-/// from their own shared queue, like the MILP branch-and-bound node pool.
-///
-/// With `workers <= 1` the single copy runs inline on the calling thread
-/// (no spawn). Worker panics propagate to the caller. As in the map entry
-/// points, spawned workers adopt the caller's observability span path.
-pub fn run_workers<F>(workers: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let width = resolve_threads(workers);
-    if width <= 1 {
-        f(0);
-        return;
-    }
-    let parent = wavesched_obs::current_span_path();
-    std::thread::scope(|scope| {
-        for w in 0..width {
-            let f = &f;
-            let parent = parent.clone();
-            // Unjoined handles: `scope` joins them and re-raises panics.
-            scope.spawn(move || {
-                let _obs = wavesched_obs::attach(parent);
-                f(w);
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use std::thread::ThreadId;
 
     #[test]
@@ -288,26 +257,6 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn run_workers_runs_each_index_once() {
-        let seen = Mutex::new(Vec::new());
-        run_workers(4, |w| seen.lock().unwrap().push(w));
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn run_workers_inline_on_one() {
-        let caller = std::thread::current().id();
-        let id = Mutex::new(None);
-        run_workers(1, |w| {
-            assert_eq!(w, 0);
-            *id.lock().unwrap() = Some(std::thread::current().id());
-        });
-        assert_eq!(id.into_inner().unwrap(), Some(caller));
     }
 
     #[test]
