@@ -79,9 +79,11 @@ pub const RULE_DESCRIPTIONS: [&str; 10] = [
 ];
 
 /// The simplex hot-function list for `alloc-in-hot-path`: the pivot loop
-/// and every kernel it calls per iteration. A `price_`/`ftran_`/`btran_`
-/// prefix covers variants (sparse/dense twins, future pricing modes).
-const HOT_FNS: [&str; 13] = [
+/// and every kernel it calls per iteration, and the solve entry and the
+/// refactorization boundary, which a re-solve that pivots little or not at
+/// all is made of. A `price_`/`ftran_`/`btran_` prefix covers variants
+/// (sparse/dense twins, future pricing modes).
+const HOT_FNS: [&str; 19] = [
     "pivot",
     "apply_pivot",
     "apply_bound_flip",
@@ -91,10 +93,16 @@ const HOT_FNS: [&str; 13] = [
     "update_reduced_and_weights",
     "push_row_cols",
     "refresh_eligible",
+    "refresh_infeasible",
     "sort_dedup",
     "price",
     "ftran",
     "btran",
+    "crash",
+    "warm_entry",
+    "refactorize",
+    "compute_xb",
+    "recompute_reduced",
 ];
 
 fn is_hot_fn(name: &str) -> bool {
@@ -137,9 +145,11 @@ fn is_bench_or_example(path: &str) -> bool {
     path.contains("/benches/") || path.starts_with("examples/") || path.contains("/examples/")
 }
 
-/// Integration-test code (a `tests/` directory at any crate root).
+/// Test code by its path: integration tests (a `tests/` directory at any
+/// crate root) and out-of-line unit-test modules (a `tests.rs` under `src/`,
+/// the file a `#[cfg(test)] mod tests;` declaration names).
 fn is_test_file(path: &str) -> bool {
-    path.starts_with("tests/") || path.contains("/tests/")
+    path.starts_with("tests/") || path.contains("/tests/") || path.ends_with("/tests.rs")
 }
 
 /// Library source: a crate's (or the root package's) `src/` tree minus
@@ -877,6 +887,8 @@ mod tests {
         assert_eq!(rules_hit("crates/lp/src/a.rs", bad), ["float-eq"]);
         assert_eq!(rules_hit("crates/core/src/a.rs", bad), ["float-eq"]);
         assert!(rules_hit("crates/net/src/a.rs", bad).is_empty());
+        // A unit-test module kept in a file of its own is test code.
+        assert!(rules_hit("crates/lp/src/revised/lu/tests.rs", bad).is_empty());
         // Both operand sides and NaN constants.
         assert_eq!(
             rules_hit("crates/lp/src/a.rs", "fn f(x: f64) -> bool { 0.5 != x }"),
@@ -1043,6 +1055,12 @@ mod tests {
             "fn pivotal_row(&mut self) { let a = touched.to_vec(); }",
             "fn refresh_eligible(&mut self, j: usize) { let e = self.elig.clone(); }",
             "fn sort_dedup(list: &mut Vec<u32>) { let words = vec![0u64; 8]; }",
+            "fn crash(&mut self) { let act = vec![0.0; m]; }",
+            "fn warm_entry(&mut self) { let basic: Vec<usize> = Vec::with_capacity(m); }",
+            "fn refactorize(&mut self) { let lu = Box::new(Lu::default()); }",
+            "fn compute_xb(&mut self) { let rhs = self.work_row.clone(); }",
+            "fn recompute_reduced(&mut self) { let y = self.dual.to_vec(); }",
+            "fn refresh_infeasible(&mut self, pos: usize) { let v = self.infeas.clone(); }",
         ] {
             assert_eq!(rules_hit("crates/lp/src/a.rs", hot), ["alloc-in-hot-path"]);
         }

@@ -37,3 +37,19 @@ pub fn sort_dedup(list: &mut Vec<u32>, n: usize) {
         words[(i >> 6) as usize] |= 1 << (i & 63);
     }
 }
+
+pub fn crash(m: usize) -> Vec<f64> {
+    vec![0.0; m]
+}
+
+pub fn warm_entry(m: usize) -> Vec<usize> {
+    Vec::with_capacity(m)
+}
+
+pub fn compute_xb(work_row: &[f64]) -> Vec<f64> {
+    work_row.to_vec()
+}
+
+pub fn refresh_infeasible(infeas: &[u32], pos: u32) -> Vec<u32> {
+    infeas.iter().copied().filter(|&p| p != pos).collect()
+}

@@ -11,6 +11,13 @@ impl Engine {
         }
     }
 
+    /// The solve entry borrows the engine's scratch as the pivot does.
+    pub fn crash(&mut self, m: usize) {
+        let mut act = std::mem::take(&mut self.scratch);
+        act[..m].fill(0.0);
+        self.scratch = act;
+    }
+
     pub fn pivot(&mut self, xs: &[f64]) -> f64 {
         self.scratch.clear();
         self.scratch.extend_from_slice(xs);

@@ -24,18 +24,97 @@
 //! (`entry.rs`, which also screens dual feasibility before calling in)
 //! falls back to the primal rungs and ultimately the cold solve, whose
 //! phase 1 remains the only infeasibility proof. A converged dual loop
-//! still finishes through the ordinary primal `iterate`, so the claimed
-//! optimum is re-verified against exactly recomputed reduced costs before
-//! it is extracted.
+//! still finishes through the ordinary primal `iterate`, so a claimed
+//! optimum it pivoted to is re-verified against exactly recomputed reduced
+//! costs before it is extracted (one that took no pivot still stands on
+//! the exact values the entry computed).
 
-use super::engine::{Engine, VarState};
+use super::engine::{Engine, Exact, VarState};
 use super::kernels::for_each_entry;
 use super::pos_or_zero;
+use super::pricing::{set_consistent, set_member, NOT_LISTED};
+use crate::sparse::WorkVec;
 use crate::{FEAS_TOL, PIVOT_TOL};
 
 impl Engine {
-    /// The dual pivot loop: repeatedly picks the most-violated basic value,
-    /// runs the dual (bound-flip) ratio test over the pivotal row, and
+    /// How far the basic value at `pos` lies outside its column's bounds
+    /// (negative inside them).
+    #[inline]
+    fn violation(&self, pos: usize) -> f64 {
+        let j = self.basis[pos];
+        let v = self.xb[pos];
+        (v - self.std.upper[j]).max(self.std.lower[j] - v)
+    }
+
+    /// Re-evaluates position `pos`'s membership of the infeasible set;
+    /// called for every position whose basic value or column changed.
+    #[inline]
+    fn refresh_infeasible(&mut self, pos: usize) {
+        let infeasible = self.violation(pos) > FEAS_TOL;
+        set_member(&mut self.infeas, &mut self.infeas_slot, pos, infeasible);
+    }
+
+    /// [`Self::refresh_infeasible`] over every position `w` moved.
+    fn refresh_infeasible_over(&mut self, w: &WorkVec) {
+        for_each_entry(w, |pos, _| self.refresh_infeasible(pos));
+    }
+
+    /// Builds the infeasible set from scratch, after `xb` was recomputed
+    /// wholesale.
+    pub(super) fn rebuild_infeasible(&mut self) {
+        self.infeas.clear();
+        for pos in 0..self.std.nrows {
+            self.infeas_slot[pos] = NOT_LISTED;
+            self.refresh_infeasible(pos);
+        }
+    }
+
+    /// True when the infeasible set is exactly the positions a from-scratch
+    /// scan of the basic values finds violated and the slot index inverts
+    /// the list. Allocation-free; inside the dual loop the debug invariants
+    /// and the sanitizer sweep hold the maintained set to it.
+    pub(super) fn infeasible_set_consistent(&self) -> bool {
+        set_consistent(&self.infeas, &self.infeas_slot, |pos| {
+            self.violation(pos) > FEAS_TOL
+        })
+    }
+
+    /// The leaving row as an ascending scan of every basic value picks it —
+    /// the routine the infeasible set replaced, kept as its oracle.
+    #[cfg(test)]
+    pub(super) fn leaving_row_by_scan(&self) -> Option<(usize, f64)> {
+        let mut r = usize::MAX;
+        let mut viol = FEAS_TOL;
+        for pos in 0..self.std.nrows {
+            let j = self.basis[pos];
+            let v = self.xb[pos];
+            let over = v - self.std.upper[j];
+            let under = self.std.lower[j] - v;
+            let w = over.max(under);
+            if w > viol {
+                viol = w;
+                r = pos;
+            }
+        }
+        (r != usize::MAX).then_some((r, viol))
+    }
+
+    /// The leaving row: the largest bound violation in the infeasible set,
+    /// ties to the lowest position, with the violation.
+    pub(super) fn leaving_row(&self) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for &p in &self.infeas {
+            let p = p as usize;
+            let w = self.violation(p);
+            if best.is_none_or(|(r, viol)| w > viol || (p < r && w >= viol)) {
+                best = Some((p, w));
+            }
+        }
+        best
+    }
+
+    /// The dual pivot loop: repeatedly takes the most-violated basic value
+    /// from the infeasible set, runs the dual (bound-flip) ratio test over the pivotal row, and
     /// exchanges it against the blocking nonbasic column. Returns `Ok(())`
     /// when no basic value violates its bounds (primal feasibility), and
     /// `Err(())` on a dual ray, numerical disagreement, or a stalled loop —
@@ -44,6 +123,7 @@ impl Engine {
         let m = self.std.nrows;
         let ftol = FEAS_TOL;
         let ptol = PIVOT_TOL;
+        self.rebuild_infeasible();
         // A bound/RHS re-solve that needs more than a few sweeps of the
         // basis is not winning anything over the primal repair — stop
         // burning work and let the fallback run.
@@ -55,26 +135,14 @@ impl Engine {
             if let Some(reason) = self.cadence_refactor_due() {
                 self.refactorize(reason).map_err(|_| ())?;
                 self.recompute_reduced();
+                self.rebuild_infeasible();
             }
 
-            // Leaving row: the largest bound violation among basic values
-            // (ties resolve to the lowest position via the strict compare).
-            let mut r = usize::MAX;
-            let mut viol = ftol;
-            for pos in 0..m {
-                let j = self.basis[pos];
-                let v = self.xb[pos];
-                let over = v - self.std.upper[j];
-                let under = self.std.lower[j] - v;
-                let w = over.max(under);
-                if w > viol {
-                    viol = w;
-                    r = pos;
-                }
-            }
-            if r == usize::MAX {
+            #[cfg(test)]
+            assert_eq!(self.leaving_row(), self.leaving_row_by_scan());
+            let Some((r, viol)) = self.leaving_row() else {
                 return Ok(()); // primal feasible
-            }
+            };
             let leaving = self.basis[r];
             let above = self.xb[r] - self.std.upper[leaving] > 0.0;
             // `s` orients the dual ratio test: +1 when the leaving value
@@ -168,6 +236,7 @@ impl Engine {
             // Apply the flips through one accumulated FTRAN:
             // xb -= B^-1 (sum_j a_j * delta_j).
             if nflips > 0 {
+                self.exact = Exact::Nothing;
                 let mut rhs = std::mem::take(&mut self.ftran_rhs);
                 rhs.clear();
                 for &k in &order[..nflips] {
@@ -195,6 +264,7 @@ impl Engine {
                         xb[pos] -= wv;
                     }
                 });
+                self.refresh_infeasible_over(&w);
                 self.ftran_w = w;
                 self.stats.dual_bound_flips += nflips as u64;
             }
@@ -234,10 +304,11 @@ impl Engine {
             let step = pos_or_zero((self.xb[r] - target) / (wr * dir));
             self.update_reduced_and_weights(q, r, wr);
             self.apply_pivot(q, dir, r, step, &w);
+            self.refresh_infeasible_over(&w);
             self.ftran_w = w;
             #[cfg(debug_assertions)]
-            self.debug_invariants();
-            self.maybe_sanitize();
+            self.debug_invariants(true);
+            self.maybe_sanitize(true);
             if step <= ftol * 1e-2 {
                 self.stats.degenerate_pivots += 1;
             }

@@ -5,7 +5,7 @@ use super::entry::Relaxed;
 use super::eta::EtaFile;
 use super::kernels::{build_row_mirror, for_each_entry};
 use super::lu::{Lu, LuScratch};
-use super::pricing::NOT_ELIGIBLE;
+use super::pricing::NOT_LISTED;
 use super::{pos_or_zero, sanitize, SimplexConfig};
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 use crate::sparse::{sort_words, WorkVec};
@@ -43,6 +43,29 @@ pub(super) enum RefactorReason {
     /// basis installed from a snapshot, claimed-optimal verification, or a
     /// zero-pivot retry.
     Forced,
+}
+
+/// How much of the live iterate is, bit for bit, what a refactorization
+/// of the live basis would rebuild. Each level includes the ones before
+/// it, so whatever disturbs one caps the level just below it
+/// ([`Engine::inexact`]). At [`Exact::Reduced`] a verification —
+/// refactorize, `compute_xb`, `recompute_reduced`, price again — is a
+/// deterministic function of inputs that have not moved since it last
+/// ran, and `iterate` skips it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) enum Exact {
+    /// Pivots or flips since the last refactorization, factors extended or
+    /// damaged in place, or no factors at all.
+    Nothing,
+    /// The factors are what `Lu::refactor` builds for the live basis and
+    /// the eta file is empty.
+    Factors,
+    /// ... and `xb` is what `compute_xb` makes of them and of the nonbasic
+    /// point as it stands.
+    Basics,
+    /// ... and `d`, `dual` and the eligible set are what
+    /// `recompute_reduced` makes of them and of the costs as they stand.
+    Reduced,
 }
 
 /// Where a nonbasic variable rests.
@@ -153,8 +176,17 @@ pub(super) struct Engine {
     /// and keeps it current for the consistency check alone (`iterate`
     /// opens with `recompute_reduced`, which rebuilds it).
     pub(super) elig: Vec<u32>,
-    /// Position of each column in `elig`, [`NOT_ELIGIBLE`] for the rest.
+    /// Position of each column in `elig`, [`NOT_LISTED`] for the rest.
     pub(super) elig_slot: Vec<u32>,
+    /// The infeasible set: every basis position whose value lies more than
+    /// `FEAS_TOL` outside its column's bounds, in no particular order — the
+    /// dual loop's candidates for the leaving row. Built by
+    /// `rebuild_infeasible` when the dual loop starts and wherever it
+    /// recomputes `xb`, kept current by `refresh_infeasible` over every
+    /// position a dual pivot or bulk flip moves, meaningless outside it.
+    pub(super) infeas: Vec<u32>,
+    /// Slot of each basis position in `infeas`, [`NOT_LISTED`] for the rest.
+    pub(super) infeas_slot: Vec<u32>,
     /// Primal ratio-test scratch: `(basis position, |w|, strict step)` of
     /// every entry of `w` that can block, ascending by position.
     pub(super) ratio_cand: Vec<(u32, f64, f64)>,
@@ -182,6 +214,10 @@ pub(super) struct Engine {
     /// optimal extract, and kept by the splices that keep the factors
     /// (`append_columns`, `append_rows` of uncoupled rows).
     pub(super) reuse_ready: bool,
+    /// See [`Exact`]. Raised by `refactorize`, `compute_xb` and
+    /// `recompute_reduced`, capped by everything else that writes what
+    /// they read.
+    pub(super) exact: Exact,
 }
 
 pub(super) enum PhaseOutcome {
@@ -240,6 +276,8 @@ impl Engine {
             relaxed: Vec::new(),
             elig: Vec::new(),
             elig_slot: Vec::new(),
+            infeas: Vec::new(),
+            infeas_slot: Vec::new(),
             ratio_cand: Vec::new(),
             row_alpha: Vec::new(),
             dual_order: Vec::new(),
@@ -247,6 +285,7 @@ impl Engine {
             sanitize_left: sanitize::sanitize_env(),
             lu_nnz: 0,
             reuse_ready: false,
+            exact: Exact::Nothing,
             max_iterations: iteration_cap(&std),
             std,
             cfg,
@@ -258,8 +297,9 @@ impl Engine {
     /// Sizes every per-pivot list to its worst case for the current
     /// structure, so the pivot loops never allocate, before or after
     /// growth: the pivotal-row lists and the eligible set hold each column
-    /// at most once, the ratio candidates each row.
-    /// The eligible set comes out empty; `recompute_reduced` fills it.
+    /// at most once, the ratio candidates and the infeasible set each row.
+    /// Both sets come out empty; `recompute_reduced` and
+    /// `rebuild_infeasible` fill them.
     pub(super) fn size_scratch(&mut self) {
         let (m, ncols) = (self.std.nrows, self.std.ncols());
         for list in [&mut self.touched, &mut self.dual_order, &mut self.elig] {
@@ -271,7 +311,11 @@ impl Engine {
         self.ratio_cand.clear();
         self.ratio_cand.reserve_exact(m);
         self.elig_slot.clear();
-        self.elig_slot.resize(ncols, NOT_ELIGIBLE);
+        self.elig_slot.resize(ncols, NOT_LISTED);
+        self.infeas.clear();
+        self.infeas.reserve_exact(m);
+        self.infeas_slot.clear();
+        self.infeas_slot.resize(m, NOT_LISTED);
         self.col_words = sort_words(ncols);
     }
 
@@ -290,8 +334,16 @@ impl Engine {
         self.xval[j] = x;
     }
 
+    /// Caps [`Self::exact`]: the caller is about to write something the
+    /// levels above `at_most` were computed from.
+    #[inline]
+    pub(super) fn inexact(&mut self, at_most: Exact) {
+        self.exact = self.exact.min(at_most);
+    }
+
     /// Installs the true objective on every non-artificial column.
     pub(super) fn install_phase2_costs(&mut self) {
+        self.inexact(Exact::Basics);
         for j in 0..self.std.ncols() {
             if self.std.kind[j] != ColKind::Artificial {
                 self.cost[j] = self.std.cost[j];
@@ -302,11 +354,16 @@ impl Engine {
     /// Core primal simplex loop shared by both phases.
     ///
     /// Reduced costs are maintained incrementally (updated with the pivotal
-    /// row after every basis change) and recomputed exactly at every
-    /// refactorization; entering variables are chosen by Devex pricing with
-    /// a Bland fallback after a long degenerate run.
+    /// row after every basis change) and recomputed exactly on entry and at
+    /// every refactorization; entering variables are chosen by Devex
+    /// pricing with a Bland fallback after a long degenerate run. The loop
+    /// claims optimality only at [`Exact::Reduced`]: when pricing finds
+    /// nothing on maintained values it refactorizes, recomputes and prices
+    /// again — unless the iterate already is what that would rebuild.
     pub(super) fn iterate(&mut self, phase1: bool) -> Result<PhaseOutcome, SolveError> {
-        self.recompute_reduced();
+        if self.exact < Exact::Reduced {
+            self.recompute_reduced();
+        }
         self.weights.fill(1.0);
         loop {
             if self.stats.iterations >= self.max_iterations {
@@ -320,6 +377,10 @@ impl Engine {
             // Pricing from the maintained reduced costs.
             let entering = match self.price() {
                 Some(e) => e,
+                None if self.exact == Exact::Reduced => {
+                    self.stats.verifications_skipped += 1;
+                    return Ok(PhaseOutcome::Optimal);
+                }
                 None => {
                     // Claimed optimal: verify against exactly recomputed
                     // reduced costs before accepting (guards drift).
@@ -369,8 +430,8 @@ impl Engine {
                     self.apply_pivot(q, dir, pos, step, &w);
                     self.ftran_w = w;
                     #[cfg(debug_assertions)]
-                    self.debug_invariants();
-                    self.maybe_sanitize();
+                    self.debug_invariants(false);
+                    self.maybe_sanitize(false);
                     if step <= FEAS_TOL * 1e-2 {
                         self.stats.degenerate_pivots += 1;
                         self.degen_run += 1;
@@ -468,6 +529,7 @@ impl Engine {
     }
 
     fn apply_bound_flip(&mut self, q: usize, dir: f64, t: f64, w: &WorkVec) {
+        self.exact = Exact::Nothing;
         let xb = &mut self.xb;
         for_each_entry(w, |pos, wp| {
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
@@ -485,6 +547,7 @@ impl Engine {
     }
 
     pub(super) fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
+        self.exact = Exact::Nothing;
         let leaving = self.basis[pos];
         let xb = &mut self.xb;
         for_each_entry(w, |p, wp| {
@@ -538,11 +601,12 @@ impl Engine {
         });
     }
 
-    /// Debug-build invariant sweep, run after every basis change. Release
+    /// Debug-build invariant sweep, run after every basis change (`dual`:
+    /// by the dual loop, where the infeasible set is live). Release
     /// builds compile this to nothing; the `wavesched-lint` rules keep the
     /// invariants *stated*, this keeps them *checked* where they mutate.
     #[cfg(debug_assertions)]
-    pub(super) fn debug_invariants(&self) {
+    pub(super) fn debug_invariants(&self, dual: bool) {
         // Basis column-count consistency: exactly one column per row, each
         // marked Basic at its own position.
         debug_assert_eq!(
@@ -583,6 +647,11 @@ impl Engine {
         debug_assert!(
             self.eligible_set_consistent(),
             "eligible set disagrees with a from-scratch eligibility scan"
+        );
+        // The dual loop picks its leaving row from the infeasible set.
+        debug_assert!(
+            !dual || self.infeasible_set_consistent(),
+            "infeasible set disagrees with a from-scratch scan of the basic values"
         );
     }
 
@@ -639,6 +708,7 @@ impl Engine {
         }
         self.lu_nnz = lu.nnz();
         self.lu = Some(lu);
+        self.exact = Exact::Factors;
         self.compute_xb();
         Ok(())
     }
@@ -671,6 +741,9 @@ impl Engine {
         debug_assert!(self.etas.is_empty(), "compute_xb on a non-empty eta file");
         lu.ftran(&mut self.work_row, &mut self.xb);
         self.lu = Some(lu);
+        if self.exact >= Exact::Factors {
+            self.exact = Exact::Basics;
+        }
     }
 
     /// Replaces whichever basis column failed to pivot with the artificial
@@ -712,9 +785,19 @@ impl Engine {
         for (j, &xj) in x.iter().enumerate() {
             obj += self.std.obj_sign * self.std.cost[j] * xj;
         }
-        // Duals from a final BTRAN with phase-2 costs.
-        self.install_phase2_costs();
-        self.compute_duals();
+        // Duals under phase-2 costs. An optimal exit is at `Exact::Reduced`
+        // under those costs already, and `dual` holds the prices its last
+        // `recompute_reduced` solved for; any other exit needs the BTRAN.
+        if status == Status::Optimal {
+            debug_assert_eq!(
+                self.exact,
+                Exact::Reduced,
+                "optimal exit off an inexact iterate"
+            );
+        } else {
+            self.install_phase2_costs();
+            self.compute_duals();
+        }
         let duals: Vec<f64> = self.dual.iter().map(|&v| self.std.obj_sign * v).collect();
         let basis = Basis {
             cols: self.state[..self.std.nstruct]

@@ -19,7 +19,7 @@
 //! gives up returns `Err(())`, never an answer, so a warm start can change
 //! the work counters but not the result.
 
-use super::engine::{Engine, PhaseOutcome, RefactorReason, VarState};
+use super::engine::{Engine, Exact, PhaseOutcome, RefactorReason, VarState};
 use super::pos_or_zero;
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 use crate::stdform::ColKind;
@@ -90,6 +90,9 @@ impl Engine {
         // Taken up front: any exit that does not re-arm it below leaves the
         // carried rung off for the next solve.
         let carried = std::mem::take(&mut self.reuse_ready);
+        // Whatever was edited since the last solve, it was not the basis
+        // matrix or its factors.
+        self.inexact(Exact::Factors);
         let mut rejected = 0;
         let warm = 'rungs: {
             let Some(basis) = start else {
@@ -129,9 +132,10 @@ impl Engine {
         sol.stats.refactor_reuse_rejected += rejected;
         self.stats.refactor_reuse_rejected += rejected;
         publish_stats(&sol.stats, self.std.nrows);
-        // Every Optimal exit ends with a verification refactorization and an
-        // empty eta file (iterate() refuses to claim optimality otherwise),
-        // which is exactly the state a later solve may continue from.
+        // Every Optimal exit ends on factors fresh for the live basis and
+        // an empty eta file, however it got there (iterate() refuses to
+        // claim optimality below `Exact::Reduced`), which is exactly the
+        // state a later solve may continue from.
         self.reuse_ready =
             sol.status == Status::Optimal && self.lu.is_some() && self.etas.is_empty();
         Ok(sol)
@@ -173,7 +177,10 @@ impl Engine {
             return Err(());
         }
         self.scrub(from.is_none());
-        let mut basic: Vec<usize> = Vec::with_capacity(if from.is_some() { m } else { 0 });
+        if from.is_some() {
+            // The snapshot's basic columns, straight into the basis.
+            self.basis.clear();
+        }
         for j in 0..n + m {
             let status = match from {
                 Some(b) if j < n => b.cols[j],
@@ -183,7 +190,7 @@ impl Engine {
             if status != BasisStatus::Basic {
                 self.park_nonbasic(j, status);
             } else if from.is_some() {
-                basic.push(j);
+                self.basis.push(j);
             }
         }
         if from.is_some() {
@@ -191,17 +198,16 @@ impl Engine {
             // snapshot is repaired: demote extras, pad a deficit with
             // artificials (their columns are independent; a redundant
             // choice is caught and repaired during factorization).
-            if how == Continue::Dual && basic.len() != m {
+            if how == Continue::Dual && self.basis.len() != m {
                 return Err(());
             }
-            while basic.len() > m {
-                let Some(j) = basic.pop() else { break };
+            while self.basis.len() > m {
+                let Some(j) = self.basis.pop() else { break };
                 self.park_nonbasic(j, BasisStatus::AtLower);
             }
-            for row in 0..m - basic.len() {
-                basic.push(self.std.artificial_col(row));
+            for row in 0..m - self.basis.len() {
+                self.basis.push(self.std.artificial_col(row));
             }
-            self.basis = basic;
             for (pos, &j) in self.basis.iter().enumerate() {
                 self.state[j] = VarState::Basic(pos as u32);
             }
@@ -240,13 +246,17 @@ impl Engine {
                 // under *maintained* reduced costs; the primal loop
                 // verifies the optimum against exactly recomputed ones
                 // (it prices, refactorizes, re-prices — and cleans up any
-                // eligible column the drift hid).
+                // eligible column the drift hid). A dual loop that found
+                // nothing to do moved nothing: the iterate is still the
+                // exact one computed above and the finish is one pricing
+                // call.
                 return match self.iterate(false).map_err(|_| ())? {
                     PhaseOutcome::Optimal => Ok(self.extract(Status::Optimal)),
                     PhaseOutcome::Unbounded | PhaseOutcome::IterationLimit => Err(()),
                 };
             }
             // Back to phase-1 costs for a primal continuation.
+            self.inexact(Exact::Basics);
             self.cost.fill(0.0);
         }
         if how == Continue::Dual {
@@ -334,8 +344,10 @@ impl Engine {
     fn scrub(&mut self, keep_factors: bool) {
         self.cost.fill(0.0);
         if !keep_factors {
+            // Stale from here on, but left in place: the entry
+            // factorization that follows rebuilds them in their own arenas.
             self.etas.clear();
-            self.lu = None;
+            self.exact = Exact::Nothing;
             // Everything the sanitizer sweeps is about to be rebuilt from
             // the installed point, so its pivot countdown starts over too:
             // a solve entered this way sweeps on a fresh engine's cadence,
@@ -365,18 +377,17 @@ impl Engine {
         for j in 0..self.std.ncols() {
             self.rest(j);
         }
-        // Row activities of the structural block at the resting point.
-        let act = {
-            let mut act = vec![0.0; m];
-            for j in 0..self.std.nstruct {
-                let xj = self.xval[j];
-                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-                if xj != 0.0 {
-                    self.std.a.col_axpy(j, xj, &mut act);
-                }
+        // Row activities of the structural block at the resting point, in
+        // the row scratch (dead until the entry factorization refills it).
+        let mut act = std::mem::take(&mut self.work_row);
+        act[..m].fill(0.0);
+        for j in 0..self.std.nstruct {
+            let xj = self.xval[j];
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if xj != 0.0 {
+                self.std.a.col_axpy(j, xj, &mut act);
             }
-            act
-        };
+        }
         self.basis.clear();
         #[allow(clippy::needless_range_loop)] // parallel arrays, index is clearest
         for i in 0..m {
@@ -408,6 +419,7 @@ impl Engine {
                 self.xb[i] = aval;
             }
         }
+        self.work_row = act;
     }
 
     /// Runs phase 1 with the relaxation costs already installed. Returns a
@@ -465,6 +477,7 @@ impl Engine {
     /// [`Self::restore_relaxed`]. For artificials the "original" bounds are
     /// always `[0, 0]` regardless of what a previous basis repair left.
     fn relax_column(&mut self, col: usize, value: f64) {
+        self.inexact(Exact::Basics);
         let (lo, up) = if self.std.kind[col] == ColKind::Artificial {
             (0.0, 0.0)
         } else {
@@ -504,6 +517,8 @@ impl Engine {
     /// parked at its temporary finite bound is sitting exactly on the
     /// original bound it used to violate.
     fn restore_relaxed(&mut self) {
+        // Re-parking can move a nonbasic value `xb` was computed from.
+        self.inexact(Exact::Factors);
         for k in 0..self.relaxed.len() {
             let Relaxed { col, lo, up } = self.relaxed[k];
             self.std.lower[col] = lo;

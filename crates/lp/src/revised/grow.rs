@@ -2,7 +2,7 @@
 //! splices (the column-generation master's two edits), and the bound
 //! normalisation every in-place edit shares.
 
-use super::engine::{iteration_cap, Engine, VarState};
+use super::engine::{iteration_cap, Engine, Exact, VarState};
 use super::kernels::build_row_mirror;
 use super::lu::LuScratch;
 use super::{pos_or_zero, NewColumn, NewRow};
@@ -58,6 +58,7 @@ impl Engine {
         self.lu = None;
         self.etas.clear();
         self.reuse_ready = false;
+        self.exact = Exact::Nothing;
     }
 
     /// Inserts columns with the given bounds and phase-2 costs at index
@@ -200,6 +201,8 @@ impl Engine {
         self.after_structure_change();
         if let (true, Some(lu)) = (preserve, self.lu.as_mut()) {
             lu.extend_rows(k);
+            // Valid factors, but not the ones `Lu::refactor` would order.
+            self.exact = Exact::Nothing;
             self.lu_nnz += k;
             for i in 0..k {
                 self.basis.push(at + i);

@@ -2,9 +2,9 @@
 //! factors and the eta file, exact reduced-cost recomputation, and the one
 //! pivotal-row pass both simplex loops share.
 
-use super::engine::{Engine, VarState};
+use super::engine::{Engine, Exact, VarState};
 use super::eta::ETA_NONE;
-use super::pricing::NOT_ELIGIBLE;
+use super::pricing::NOT_LISTED;
 use crate::sparse::{sort_dedup, CscMatrix, WorkVec};
 
 /// Builds the flat CSR row mirror (column indices per row) of `a`. Filling
@@ -249,8 +249,19 @@ impl Engine {
                 VarState::Basic(_) | VarState::Fixed => 0.0,
                 _ => self.cost[j] - self.std.a.col_dot(j, &self.dual),
             };
-            self.elig_slot[j] = NOT_ELIGIBLE;
-            self.refresh_eligible(j);
+            // The set is being rebuilt from empty: a member goes on the
+            // end, everything else is simply not listed.
+            self.elig_slot[j] = if self.eligible_dir(j).is_some() {
+                let slot = self.elig.len() as u32;
+                self.elig.push(j as u32);
+                slot
+            } else {
+                NOT_LISTED
+            };
+        }
+        if self.exact >= Exact::Basics {
+            debug_assert!(self.etas.is_empty(), "exact basics on a non-empty eta file");
+            self.exact = Exact::Reduced;
         }
     }
 

@@ -48,7 +48,7 @@ pub(crate) struct Lu {
     /// [`Self::refactor`]'s scratch, kept so it allocates nothing once it has
     /// run at this dimension: the dense accumulator by original row (zero
     /// between calls), its membership flags and pattern, the DFS stack and
-    /// topological order, the counting sort's and the transposes' counters.
+    /// topological order, the counting sort's counters.
     work: Vec<f64>,
     visited: Vec<bool>,
     pattern: Vec<u32>,
@@ -73,26 +73,32 @@ impl Transposed {
 
     /// Rebuilds as the transpose of the columns `idx[ptr[j]..ptr[j + 1]]`:
     /// step `i`'s list names the columns holding `i`.
-    fn rebuild(&mut self, ptr: &[usize], idx: &[u32], fill: &mut Vec<usize>) {
+    fn rebuild(&mut self, ptr: &[usize], idx: &[u32]) {
         let m = ptr.len() - 1;
+        // Counted two places up, so the running sum leaves list `i`'s
+        // start in `ptr[i + 1]`: the cursor the fill below advances to
+        // list `i + 1`'s start, which is what `ptr[i + 1]` has to end as.
         self.ptr.clear();
-        self.ptr.resize(m + 1, 0);
+        self.ptr.resize(m + 2, 0);
         for &i in idx {
-            self.ptr[i as usize + 1] += 1;
+            self.ptr[i as usize + 2] += 1;
         }
-        for i in 0..m {
+        for i in 1..=m {
             self.ptr[i + 1] += self.ptr[i];
         }
-        fill.clear();
-        fill.extend_from_slice(&self.ptr[..m]);
         self.idx.clear();
         self.idx.resize(idx.len(), 0);
-        for col in 0..m {
+        // The columns in front of the first entry are empty: the one-entry
+        // steps a scheduling basis opens with, nearly all of them.
+        let first = ptr.partition_point(|&k| k == 0).saturating_sub(1);
+        for col in first..m {
             for &i in &idx[ptr[col]..ptr[col + 1]] {
-                self.idx[fill[i as usize]] = col as u32;
-                fill[i as usize] += 1;
+                let at = &mut self.ptr[i as usize + 1];
+                self.idx[*at] = col as u32;
+                *at += 1;
             }
         }
+        self.ptr.truncate(m + 1);
     }
 }
 
@@ -185,25 +191,83 @@ impl Lu {
         basis: &[usize],
         pivot_tol: f64,
     ) -> Result<(), usize> {
+        self.begin(a, basis);
+        for step in 0..basis.len() {
+            let (rows, vals) = a.col(basis[self.col_order[step] as usize]);
+            // A one-entry column whose row is still unpivoted is its own
+            // step: the reach is that row alone, nothing eliminates into
+            // it, the entry is the pivot and both factor columns are empty
+            // — what `eliminate` would work out for it, without the walk.
+            // The scheduling bases are nearly all slack, so this is nearly
+            // every step. (A pivot at or below the tolerance goes to
+            // `eliminate` for the singular exit.)
+            if let (&[r], &[v]) = (rows, vals) {
+                if self.row_pos[r as usize] == NONE && v.abs() > pivot_tol {
+                    self.u_ptr.push(self.u_idx.len());
+                    self.l_ptr.push(self.l_row.len());
+                    self.u_diag.push(v);
+                    self.row_perm[step] = r;
+                    self.row_pos[r as usize] = step as u32;
+                    continue;
+                }
+            }
+            self.eliminate(step, rows, vals, pivot_tol)?;
+        }
+        self.finish();
+        Ok(())
+    }
+
+    /// [`Self::refactor`] with every column taken through
+    /// [`Self::eliminate`] — the loop before one-entry columns had a step
+    /// of their own, kept as its oracle.
+    #[cfg(test)]
+    fn refactor_by_elimination(
+        &mut self,
+        a: &CscMatrix,
+        basis: &[usize],
+        pivot_tol: f64,
+    ) -> Result<(), usize> {
+        self.begin(a, basis);
+        for step in 0..basis.len() {
+            let (rows, vals) = a.col(basis[self.col_order[step] as usize]);
+            self.eliminate(step, rows, vals, pivot_tol)?;
+        }
+        self.finish();
+        Ok(())
+    }
+
+    /// Fixes the processing order and empties the arenas for a
+    /// factorization of `basis`.
+    fn begin(&mut self, a: &CscMatrix, basis: &[usize]) {
         let m = basis.len();
         assert_eq!(a.nrows(), m, "basis size must equal row count");
         self.m = m;
 
-        // Process sparsest columns first: cheap Markowitz-style ordering that
-        // keeps the mostly-singleton scheduling bases near-diagonal. A stable
-        // counting sort on the column counts orders by `(col_nnz, position)`.
+        // Process sparsest columns first: a cheap Markowitz-style static
+        // ordering. One-entry columns — nearly all of a scheduling basis —
+        // come first and pivot on their own entry, so the columns that
+        // need elimination meet an L that is still empty below them. A
+        // stable counting sort on the column counts orders by
+        // `(col_nnz, position)`.
+        // Each position's count is read once, into `col_pos` (its own
+        // content comes last, in `finish`), and the sort never looks past
+        // the largest.
+        self.col_pos.clear();
+        self.col_pos
+            .extend(basis.iter().map(|&j| a.col_nnz(j) as u32));
+        let widest = self.col_pos.iter().copied().max().unwrap_or(0) as usize;
         self.count.clear();
-        self.count.resize(m + 2, 0);
-        for &j in basis {
-            self.count[a.col_nnz(j) + 1] += 1;
+        self.count.resize(widest + 2, 0);
+        for &c in &self.col_pos {
+            self.count[c as usize + 1] += 1;
         }
-        for c in 0..=m {
+        for c in 0..=widest {
             self.count[c + 1] += self.count[c];
         }
         self.col_order.clear();
         self.col_order.resize(m, 0);
-        for (p, &j) in basis.iter().enumerate() {
-            let slot = &mut self.count[a.col_nnz(j)];
+        for (p, &c) in self.col_pos.iter().enumerate() {
+            let slot = &mut self.count[c as usize];
             self.col_order[*slot] = p as u32;
             *slot += 1;
         }
@@ -231,111 +295,123 @@ impl Lu {
             list.reserve(m);
         }
         self.dfs.reserve(m);
+    }
 
-        for step in 0..m {
-            let bcol = basis[self.col_order[step] as usize];
-            let (rows, vals) = a.col(bcol);
-
-            // Symbolic: reach of the column pattern through L.
-            self.pattern.clear();
-            self.topo.clear();
-            for &r in rows {
-                if self.visited[r as usize] {
+    /// One left-looking step: the column `(rows, vals)` is solved against
+    /// the L built so far, pivoted on its largest unpivoted entry, and
+    /// gathered into the factors as step `step`. `Err(row)` as
+    /// [`Self::refactor`] returns it.
+    #[inline]
+    fn eliminate(
+        &mut self,
+        step: usize,
+        rows: &[u32],
+        vals: &[f64],
+        pivot_tol: f64,
+    ) -> Result<(), usize> {
+        // Symbolic: reach of the column pattern through L.
+        self.pattern.clear();
+        self.topo.clear();
+        for &r in rows {
+            if self.visited[r as usize] {
+                continue;
+            }
+            self.dfs.push((r, 0));
+            self.visited[r as usize] = true;
+            self.pattern.push(r);
+            while let Some(&mut (node, ref mut child)) = self.dfs.last_mut() {
+                let p = self.row_pos[node as usize];
+                if p == NONE {
+                    self.dfs.pop();
                     continue;
                 }
-                self.dfs.push((r, 0));
-                self.visited[r as usize] = true;
-                self.pattern.push(r);
-                while let Some(&mut (node, ref mut child)) = self.dfs.last_mut() {
-                    let p = self.row_pos[node as usize];
-                    if p == NONE {
-                        self.dfs.pop();
-                        continue;
+                let k = self.l_ptr[p as usize] + *child;
+                if k < self.l_ptr[p as usize + 1] {
+                    let next = self.l_row[k];
+                    *child += 1;
+                    if !self.visited[next as usize] {
+                        self.visited[next as usize] = true;
+                        self.pattern.push(next);
+                        self.dfs.push((next, 0));
                     }
-                    let k = self.l_ptr[p as usize] + *child;
-                    if k < self.l_ptr[p as usize + 1] {
-                        let next = self.l_row[k];
-                        *child += 1;
-                        if !self.visited[next as usize] {
-                            self.visited[next as usize] = true;
-                            self.pattern.push(next);
-                            self.dfs.push((next, 0));
-                        }
-                    } else {
-                        self.dfs.pop();
-                        self.topo.push(p);
-                    }
+                } else {
+                    self.dfs.pop();
+                    self.topo.push(p);
                 }
             }
+        }
 
-            // Numeric: scatter and eliminate in topological order.
-            for (&r, &v) in rows.iter().zip(vals) {
-                self.work[r as usize] = v;
-            }
-            for &p in self.topo.iter().rev() {
-                let p = p as usize;
-                let v = self.work[self.row_perm[p] as usize];
-                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-                if v != 0.0 {
-                    let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
-                    for (&r, &lv) in self.l_row[lo..hi].iter().zip(&self.l_val[lo..hi]) {
-                        self.work[r as usize] -= lv * v;
-                    }
+        // Numeric: scatter and eliminate in topological order.
+        for (&r, &v) in rows.iter().zip(vals) {
+            self.work[r as usize] = v;
+        }
+        for &p in self.topo.iter().rev() {
+            let p = p as usize;
+            let v = self.work[self.row_perm[p] as usize];
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            if v != 0.0 {
+                let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
+                for (&r, &lv) in self.l_row[lo..hi].iter().zip(&self.l_val[lo..hi]) {
+                    self.work[r as usize] -= lv * v;
                 }
             }
+        }
 
-            // Pivot: largest magnitude among unpivoted rows in the pattern.
-            let mut piv_row = NONE;
-            let mut piv_val = 0.0_f64;
-            for &r in self.pattern.iter() {
-                if self.row_pos[r as usize] == NONE {
-                    let v = self.work[r as usize];
-                    if v.abs() > piv_val.abs() {
-                        piv_val = v;
-                        piv_row = r;
-                    }
-                }
-            }
-            if piv_row == NONE || piv_val.abs() <= pivot_tol {
-                // Singular: report some still-unpivoted row for repair.
-                let bad = (0..m).find(|&r| self.row_pos[r] == NONE).unwrap_or(0);
-                // Reset accumulator before bailing.
-                for &r in self.pattern.iter() {
-                    self.work[r as usize] = 0.0;
-                    self.visited[r as usize] = false;
-                }
-                return Err(bad);
-            }
-
-            // Gather U (pivoted part) and L (unpivoted part) of the column.
-            for &r in self.pattern.iter() {
+        // Pivot: largest magnitude among unpivoted rows in the pattern.
+        let mut piv_row = NONE;
+        let mut piv_val = 0.0_f64;
+        for &r in self.pattern.iter() {
+            if self.row_pos[r as usize] == NONE {
                 let v = self.work[r as usize];
-                let p = self.row_pos[r as usize];
-                if p != NONE {
-                    // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-                    if v != 0.0 {
-                        self.u_idx.push(p);
-                        self.u_val.push(v);
-                    }
-                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
-                } else if r != piv_row && v != 0.0 {
-                    self.l_row.push(r);
-                    self.l_val.push(v / piv_val);
+                if v.abs() > piv_val.abs() {
+                    piv_val = v;
+                    piv_row = r;
                 }
+            }
+        }
+        if piv_row == NONE || piv_val.abs() <= pivot_tol {
+            // Singular: report some still-unpivoted row for repair.
+            let bad = (0..self.m).find(|&r| self.row_pos[r] == NONE).unwrap_or(0);
+            // Reset accumulator before bailing.
+            for &r in self.pattern.iter() {
                 self.work[r as usize] = 0.0;
                 self.visited[r as usize] = false;
             }
-            self.u_ptr.push(self.u_idx.len());
-            self.l_ptr.push(self.l_row.len());
-            self.u_diag.push(piv_val);
-            self.row_perm[step] = piv_row;
-            self.row_pos[piv_row as usize] = step as u32;
+            return Err(bad);
         }
 
-        // Inverse column permutation, the step each L row is pivoted at, and
-        // the two transposed patterns the sparse BTRAN marks through. The L
-        // side needs the *final* `row_pos`, so none of this can happen
-        // inside the elimination loop.
+        // Gather U (pivoted part) and L (unpivoted part) of the column.
+        for &r in self.pattern.iter() {
+            let v = self.work[r as usize];
+            let p = self.row_pos[r as usize];
+            if p != NONE {
+                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+                if v != 0.0 {
+                    self.u_idx.push(p);
+                    self.u_val.push(v);
+                }
+            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
+            } else if r != piv_row && v != 0.0 {
+                self.l_row.push(r);
+                self.l_val.push(v / piv_val);
+            }
+            self.work[r as usize] = 0.0;
+            self.visited[r as usize] = false;
+        }
+        self.u_ptr.push(self.u_idx.len());
+        self.l_ptr.push(self.l_row.len());
+        self.u_diag.push(piv_val);
+        self.row_perm[step] = piv_row;
+        self.row_pos[piv_row as usize] = step as u32;
+        Ok(())
+    }
+
+    /// What only the finished elimination can give: the inverse column
+    /// permutation, the step each L row is pivoted at, and the two
+    /// transposed patterns the sparse BTRAN marks through (the L side
+    /// needs the *final* `row_pos`).
+    fn finish(&mut self) {
+        let m = self.m;
         self.col_pos.clear();
         self.col_pos.resize(m, 0);
         for (step, &p) in self.col_order.iter().enumerate() {
@@ -344,9 +420,8 @@ impl Lu {
         self.l_step.clear();
         self.l_step
             .extend(self.l_row.iter().map(|&r| self.row_pos[r as usize]));
-        self.ut.rebuild(&self.u_ptr, &self.u_idx, &mut self.count);
-        self.lt.rebuild(&self.l_ptr, &self.l_step, &mut self.count);
-        Ok(())
+        self.ut.rebuild(&self.u_ptr, &self.u_idx);
+        self.lt.rebuild(&self.l_ptr, &self.l_step);
     }
 
     /// Pre-grows the factor arenas by `extra` entries each, so later
@@ -663,276 +738,4 @@ impl Lu {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sparse::CscMatrix;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
-    /// Builds a CSC matrix whose columns are exactly the basis columns.
-    fn mat(cols: &[Vec<(u32, f64)>], m: usize) -> (CscMatrix, Vec<usize>) {
-        let mut a = CscMatrix::from_triplets(m, 0, []);
-        for c in cols {
-            a.push_col(c);
-        }
-        (a, (0..cols.len()).collect())
-    }
-
-    fn mul(a: &CscMatrix, basis: &[usize], x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; a.nrows()];
-        for (pos, &j) in basis.iter().enumerate() {
-            a.col_axpy(j, x[pos], &mut y);
-        }
-        y
-    }
-
-    #[test]
-    fn identity_roundtrip() {
-        let cols: Vec<Vec<(u32, f64)>> = (0..4).map(|i| vec![(i as u32, 1.0)]).collect();
-        let (a, basis) = mat(&cols, 4);
-        let lu = Lu::factor(&a, &basis, 1e-12).unwrap();
-        let mut rhs = vec![1.0, 2.0, 3.0, 4.0];
-        let mut x = vec![0.0; 4];
-        lu.ftran(&mut rhs, &mut x);
-        assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn dense_3x3_ftran_btran() {
-        // B = [[2,1,0],[1,3,1],[0,1,4]] as columns.
-        let cols = vec![
-            vec![(0, 2.0), (1, 1.0)],
-            vec![(0, 1.0), (1, 3.0), (2, 1.0)],
-            vec![(1, 1.0), (2, 4.0)],
-        ];
-        let (a, basis) = mat(&cols, 3);
-        let lu = Lu::factor(&a, &basis, 1e-12).unwrap();
-
-        let want = vec![0.5, -1.5, 2.0];
-        let rhs0 = mul(&a, &basis, &want);
-        let mut rhs = rhs0.clone();
-        let mut x = vec![0.0; 3];
-        lu.ftran(&mut rhs, &mut x);
-        for (xi, wi) in x.iter().zip(&want) {
-            assert!((xi - wi).abs() < 1e-12, "{x:?} vs {want:?}");
-        }
-
-        // BTRAN: y such that B' y = c  <=>  y' B = c'.
-        let mut c = vec![1.0, 0.0, -2.0];
-        let mut scratch = vec![0.0; 3];
-        lu.btran(&mut c, &mut scratch);
-        // Check y' * B columns == original c.
-        let y = c;
-        let orig = [1.0, 0.0, -2.0];
-        for (pos, col) in cols.iter().enumerate() {
-            let mut acc = 0.0;
-            for &(r, v) in col {
-                acc += y[r as usize] * v;
-            }
-            assert!((acc - orig[pos]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn permuted_diagonal() {
-        // Columns hit rows out of order; forces pivoting bookkeeping.
-        let cols = vec![vec![(2, 5.0)], vec![(0, -3.0)], vec![(1, 2.0)]];
-        let (a, basis) = mat(&cols, 3);
-        let lu = Lu::factor(&a, &basis, 1e-12).unwrap();
-        let want = vec![1.0, 2.0, 3.0];
-        let mut rhs = mul(&a, &basis, &want);
-        let mut x = vec![0.0; 3];
-        lu.ftran(&mut rhs, &mut x);
-        for (xi, wi) in x.iter().zip(&want) {
-            assert!((xi - wi).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn singular_reports_row() {
-        // Two identical columns: structurally singular.
-        let cols = vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]];
-        let (a, basis) = mat(&cols, 2);
-        assert!(Lu::factor(&a, &basis, 1e-12).is_err());
-    }
-
-    /// A random basis: a dominant diagonal plus off-diagonal entries with
-    /// probability `fill` each.
-    fn random_cols(rng: &mut StdRng, m: usize, fill: f64) -> Vec<Vec<(u32, f64)>> {
-        let mut cols = Vec::new();
-        for j in 0..m {
-            let mut col = vec![(j as u32, 1.0 + rng.random_range(0.0..4.0))];
-            for r in 0..m {
-                if r != j && rng.random_range(0.0..1.0) < fill {
-                    col.push((r as u32, rng.random_range(-1.0..1.0)));
-                }
-            }
-            col.sort_unstable_by_key(|e| e.0);
-            cols.push(col);
-        }
-        cols
-    }
-
-    /// A multi-entry right-hand side in step space, with one explicit
-    /// `0.0` entry: over `lo..hi` its two ends, its middle and three random
-    /// steps. The callers pass the whole basis (the last step sits in the
-    /// final, partial bitmap word) and its first and last 64 steps alone,
-    /// so each sweep has to carry its marks into words no seed touched.
-    fn random_rhs(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<(usize, f64)> {
-        let mut at = vec![lo, (lo + hi) / 2, hi - 1];
-        at.extend((0..3).map(|_| rng.random_range(lo..hi)));
-        at.sort_unstable();
-        at.dedup();
-        let zero = rng.random_range(0..at.len());
-        let mut rhs: Vec<(usize, f64)> = at
-            .iter()
-            .map(|&i| (i, rng.random_range(-2.0..2.0)))
-            .collect();
-        if rhs.len() > 1 {
-            rhs[zero].1 = 0.0;
-        }
-        rhs
-    }
-
-    /// `got` against the dense kernel's `want`: nonzeros bit-equal, zeros
-    /// zero (their sign is free), the pattern exactly the nonzero set, and
-    /// flagged dense iff there are more than `cap` of them.
-    fn assert_same(got: &WorkVec, want: &[f64], cap: usize, label: &str) {
-        for (i, (&g, &w)) in got.values.iter().zip(want).enumerate() {
-            if w == 0.0 {
-                assert_eq!(g, 0.0, "{label} slot {i}");
-            } else {
-                assert_eq!(g.to_bits(), w.to_bits(), "{label} slot {i}: {g} vs {w}");
-            }
-        }
-        let nonzero: Vec<u32> = (0..want.len() as u32)
-            .filter(|&i| want[i as usize] != 0.0)
-            .collect();
-        assert_eq!(got.is_dense(), nonzero.len() > cap, "{label} dense flag");
-        if !got.is_dense() {
-            let mut pattern = got.pattern.clone();
-            pattern.sort_unstable();
-            assert_eq!(pattern, nonzero, "{label} pattern");
-        }
-    }
-
-    /// Both sparse kernels against the dense ones on one factorization and
-    /// one step-space right-hand side, at caps 0 and 1 and either side of
-    /// the result's nonzero count.
-    fn check_kernels(lu: &Lu, steps: &[(usize, f64)], label: &str) {
-        let m = lu.m;
-        let mut scratch = LuScratch::new(m);
-        let clean = |s: &LuScratch| {
-            s.vals.iter().all(|&v| v.to_bits() == 0) && s.words.iter().all(|&w| w == 0)
-        };
-        // The right-hand side as a tracked and as a dense vector, its steps
-        // mapped through `index` to rows (FTRAN) or positions (BTRAN).
-        let tracked = |index: &[u32]| {
-            let mut w = WorkVec::new(m);
-            for &(step, v) in steps {
-                w.set(index[step], v);
-            }
-            w
-        };
-        let dense = |index: &[u32]| {
-            let mut d = vec![0.0; m];
-            for &(step, v) in steps {
-                d[index[step] as usize] = v;
-            }
-            d
-        };
-
-        let mut want = vec![0.0; m];
-        lu.ftran(&mut dense(&lu.row_perm), &mut want);
-        let nnz = want.iter().filter(|&&v| v != 0.0).count();
-        for cap in [0, 1, nnz - 1, nnz, nnz + 1] {
-            let label = format!("{label} ftran cap {cap}");
-            let (mut rhs, mut out) = (tracked(&lu.row_perm), WorkVec::new(m));
-            lu.ftran_sparse(&mut rhs, &mut out, &mut scratch, cap);
-            assert_same(&out, &want, cap, &label);
-            // rhs handed back clean for reuse.
-            assert!(rhs.pattern.is_empty() && !rhs.is_dense(), "{label}");
-            assert!(rhs.values.iter().all(|&v| v == 0.0), "{label}");
-            assert!(clean(&scratch), "{label}: scratch left dirty");
-        }
-
-        let mut want = dense(&lu.col_order);
-        lu.btran(&mut want, &mut vec![0.0; m]);
-        let nnz = want.iter().filter(|&&v| v != 0.0).count();
-        for cap in [0, 1, nnz - 1, nnz, nnz + 1] {
-            let label = format!("{label} btran cap {cap}");
-            let mut c = tracked(&lu.col_order);
-            lu.btran_sparse(&mut c, &mut scratch, cap);
-            assert_same(&c, &want, cap, &label);
-            assert!(clean(&scratch), "{label}: scratch left dirty");
-        }
-    }
-
-    /// [`check_kernels`] seeded over the whole basis, then from its first
-    /// and from its last 64 steps alone.
-    fn check_factorization(lu: &Lu, rng: &mut StdRng, label: &str) {
-        let m = lu.m;
-        for (lo, hi) in [(0, m), (0, m.min(64)), (m.saturating_sub(64), m)] {
-            let steps = random_rhs(rng, lo, hi);
-            check_kernels(lu, &steps, &format!("{label} seeds {lo}..{hi}"));
-        }
-    }
-
-    /// Sparse FTRAN/BTRAN must be bit-identical to the dense kernels on
-    /// every nonzero (zeros may differ in sign only) and leave their
-    /// scratch zeroed: on small bases (one bitmap word), on bases around
-    /// and across the 64-step word boundaries, and on each again after
-    /// `extend_rows`.
-    #[test]
-    fn sparse_kernels_match_dense_bitwise() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let small = (0..40).map(|trial| (2 + trial % 14, 0.25));
-        let multi_word = [63, 64, 65, 130, 300].map(|m| (m, 2.5 / m as f64));
-        let mut checked = 0;
-        for (m, fill) in small.chain(multi_word) {
-            let (a, basis) = mat(&random_cols(&mut rng, m, fill), m);
-            let Ok(mut lu) = Lu::factor(&a, &basis, 1e-10) else {
-                continue; // genuinely singular draw
-            };
-            check_factorization(&lu, &mut rng, &format!("m {m}"));
-            lu.extend_rows(3);
-            check_factorization(&lu, &mut rng, &format!("m {m} + 3"));
-            checked += 1;
-        }
-        assert!(checked >= 40, "only {checked} of 45 bases factored");
-    }
-
-    #[test]
-    fn randomized_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for trial in 0..30 {
-            let m = 1 + (trial % 12);
-            // Random sparse nonsingular-ish matrix: diagonal + noise.
-            let cols = random_cols(&mut rng, m, 0.3);
-            let (a, basis) = mat(&cols, m);
-            let lu = match Lu::factor(&a, &basis, 1e-10) {
-                Ok(l) => l,
-                Err(_) => continue, // genuinely singular draw
-            };
-            let want: Vec<f64> = (0..m).map(|_| rng.random_range(-5.0..5.0)).collect();
-            let mut rhs = mul(&a, &basis, &want);
-            let mut x = vec![0.0; m];
-            lu.ftran(&mut rhs, &mut x);
-            for (xi, wi) in x.iter().zip(&want) {
-                assert!((xi - wi).abs() < 1e-7, "trial {trial}: {x:?} vs {want:?}");
-            }
-            // BTRAN consistency: y' B = c'.
-            let c: Vec<f64> = (0..m).map(|_| rng.random_range(-3.0_f64..3.0)).collect();
-            let mut y = c.clone();
-            let mut scratch = vec![0.0; m];
-            lu.btran(&mut y, &mut scratch);
-            for (pos, col) in cols.iter().enumerate() {
-                let mut acc = 0.0;
-                for &(r, v) in col {
-                    acc += y[r as usize] * v;
-                }
-                assert!((acc - c[pos]).abs() < 1e-7);
-            }
-        }
-    }
-}
+mod tests;

@@ -5,8 +5,48 @@
 use super::engine::{Engine, VarState};
 use crate::OPT_TOL;
 
-/// [`Engine::elig_slot`] of a column outside the eligible set.
-pub(super) const NOT_ELIGIBLE: u32 = u32::MAX;
+/// The slot of an index outside a maintained set ([`Engine::elig_slot`],
+/// [`Engine::infeas_slot`]).
+pub(super) const NOT_LISTED: u32 = u32::MAX;
+
+/// Makes `i` a member of the unordered set `list` or takes it out, keeping
+/// `slot` — each index's place in `list`, [`NOT_LISTED`] outside it — its
+/// inverse. Constant time: a removal moves the last member into the gap.
+#[inline]
+pub(super) fn set_member(list: &mut Vec<u32>, slot: &mut [u32], i: usize, member: bool) {
+    let at = slot[i];
+    if member == (at != NOT_LISTED) {
+        return;
+    }
+    if member {
+        slot[i] = list.len() as u32;
+        list.push(i as u32);
+    } else {
+        list.swap_remove(at as usize);
+        if let Some(&moved) = list.get(at as usize) {
+            slot[moved as usize] = at;
+        }
+        slot[i] = NOT_LISTED;
+    }
+}
+
+/// True when `list` holds exactly the indices below `slot.len()` that
+/// `member` accepts and `slot` inverts it. Allocation-free.
+pub(super) fn set_consistent(list: &[u32], slot: &[u32], member: impl Fn(usize) -> bool) -> bool {
+    let mut members = 0;
+    for (i, &at) in slot.iter().enumerate() {
+        if member(i) != (at != NOT_LISTED) {
+            return false;
+        }
+        if at != NOT_LISTED {
+            if list.get(at as usize) != Some(&(i as u32)) {
+                return false;
+            }
+            members += 1;
+        }
+    }
+    members == list.len()
+}
 
 impl Engine {
     /// Entering-direction eligibility of nonbasic column `j` under the
@@ -36,21 +76,8 @@ impl Engine {
     /// pricing reads the set instead of scanning every column for it.
     #[inline]
     pub(super) fn refresh_eligible(&mut self, j: usize) {
-        let slot = self.elig_slot[j];
         let eligible = self.eligible_dir(j).is_some();
-        if eligible == (slot != NOT_ELIGIBLE) {
-            return;
-        }
-        if eligible {
-            self.elig_slot[j] = self.elig.len() as u32;
-            self.elig.push(j as u32);
-        } else {
-            self.elig.swap_remove(slot as usize);
-            if let Some(&moved) = self.elig.get(slot as usize) {
-                self.elig_slot[moved as usize] = slot;
-            }
-            self.elig_slot[j] = NOT_ELIGIBLE;
-        }
+        set_member(&mut self.elig, &mut self.elig_slot, j, eligible);
     }
 
     /// True when the eligible set is exactly the columns a from-scratch
@@ -58,20 +85,9 @@ impl Engine {
     /// list. Allocation-free; the debug invariants and the sanitizer sweep
     /// hold the maintained set to it.
     pub(super) fn eligible_set_consistent(&self) -> bool {
-        let mut members = 0;
-        for j in 0..self.std.ncols() {
-            let slot = self.elig_slot[j];
-            if self.eligible_dir(j).is_some() != (slot != NOT_ELIGIBLE) {
-                return false;
-            }
-            if slot != NOT_ELIGIBLE {
-                if self.elig.get(slot as usize) != Some(&(j as u32)) {
-                    return false;
-                }
-                members += 1;
-            }
-        }
-        members == self.elig.len()
+        set_consistent(&self.elig, &self.elig_slot, |j| {
+            self.eligible_dir(j).is_some()
+        })
     }
 
     /// Devex pricing over the eligible set: best score, ties to the lower

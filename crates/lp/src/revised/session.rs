@@ -1,7 +1,7 @@
 //! [`SolverSession`]: one standardized problem held across a sequence of
 //! solves, edited in place between them.
 
-use super::engine::Engine;
+use super::engine::{Engine, Exact};
 use super::grow::checked_bounds;
 use super::{NewColumn, NewRow, SimplexConfig};
 use crate::model::{Col, Problem, Row};
@@ -213,6 +213,7 @@ impl SolverSession {
     pub fn debug_corrupt_factorization(&mut self) {
         if let Some(lu) = self.engine.lu.as_mut() {
             lu.corrupt_for_test();
+            self.engine.exact = Exact::Nothing;
         }
     }
 

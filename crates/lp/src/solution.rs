@@ -49,12 +49,28 @@ pub enum BasisStatus {
 /// A basis only makes sense for a problem with the same number of columns
 /// and rows it was extracted from; the solver falls back to a cold start
 /// when the shapes disagree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Basis {
     /// Status per problem column, in column order.
     pub cols: Vec<BasisStatus>,
     /// Status per problem row (the row's activity variable), in row order.
     pub rows: Vec<BasisStatus>,
+}
+
+impl Clone for Basis {
+    fn clone(&self) -> Self {
+        Basis {
+            cols: self.cols.clone(),
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Into `self`'s own vectors: a session re-solving at one shape keeps
+    /// its carried basis without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.cols.clone_from(&source.cols);
+        self.rows.clone_from(&source.rows);
+    }
 }
 
 /// The one table of solve counters: `field => obs counter name (or None)`,
@@ -113,10 +129,19 @@ solve_counters! {
     /// outgrew the amortized factor cost) before the interval cap hit.
     refactor_cost_model => Some("lp.refactor_cost_model"),
     /// Refactorizations that are part of the algorithm itself: the entry
-    /// factor of a cold start or of a basis installed from a snapshot,
-    /// claimed-optimal verification, and zero-pivot retries. An entry on
-    /// carried factors avoids the entry share of these.
+    /// factor of a cold start or of a basis installed from a snapshot, the
+    /// verification of a claimed optimum reached by pivoting, and
+    /// zero-pivot retries. An entry on carried factors avoids the entry
+    /// share of these; a claim made on an iterate nothing has moved since
+    /// it was last computed exactly avoids the verification
+    /// (`verifications_skipped`).
     refactor_forced_fallback => Some("lp.refactor_forced_fallback"),
+    /// Claimed optima accepted without a verification refactorization:
+    /// factors fresh for the live basis, an empty eta file, and basic
+    /// values and reduced costs computed from them with nothing moved
+    /// since, so the verification would have rebuilt every value bit for
+    /// bit. Each is one `refactor_forced_fallback` not spent.
+    verifications_skipped => Some("lp.verifications_skipped"),
     /// Basis repairs performed because a factorization attempt hit a
     /// numerically singular basis (counts repairs, not whole
     /// refactorizations; the repaired factor lands in one of the reason

@@ -8,13 +8,18 @@
 //! [`PivotProbe`] up, and then asserts that a window of 100 further pivots
 //! touches the allocator not even once — nor does a window under the
 //! default refactorization cadence that refactorizes twice, because the
-//! factors are rebuilt in place in their own arenas.
+//! factors are rebuilt in place in their own arenas. The solve entry is
+//! held to the same standard: a session re-solve, on its carried factors
+//! or from a basis snapshot, allocates the `Solution` it returns and
+//! nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wavesched_lp::{Objective, PivotProbe, Problem, SimplexConfig};
+use wavesched_lp::{
+    Objective, PivotProbe, Problem, Row, SimplexConfig, Solution, SolverSession, Status,
+};
 
 /// System allocator with an allocation-event counter. Deallocations are
 /// not counted (freeing is fine; acquiring is what the pivot loop must
@@ -156,5 +161,71 @@ fn refactorizations_do_not_allocate() {
     assert_eq!(
         events, 0,
         "{crossed} in-place refactorizations performed {events} heap allocations"
+    );
+}
+
+/// Allocation events on this thread across one `solve` of `session`.
+fn events_over_solve(session: &mut SolverSession) -> (u64, Solution) {
+    let before = ALLOC_EVENTS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    let sol = session.solve().expect("re-solve");
+    COUNTING.with(|c| c.set(false));
+    (ALLOC_EVENTS.load(Ordering::SeqCst) - before, sol)
+}
+
+#[test]
+fn re_solves_allocate_only_the_solution_they_return() {
+    // What a `Solution` owns: `x`, `duals` and the basis snapshot's two
+    // status vectors. The session's own copy of that snapshot is refreshed
+    // in place.
+    const SOLUTION_VECTORS: u64 = 4;
+    let p = steady_state_problem();
+    let mut session = SolverSession::new(&p).expect("session");
+    let first = session.solve().expect("first solve");
+    assert_eq!(first.status, Status::Optimal);
+    let snapshot = first.basis.expect("optimal basis");
+    // Two rows the optimum leans on: cutting either forces pivots.
+    let tight: Vec<Row> = (0..p.num_rows())
+        .map(Row::from_index)
+        .filter(|&r| first.duals[r.index()].abs() > 1e-6)
+        .take(2)
+        .collect();
+    let cut = |session: &mut SolverSession, row: Row, share: f64| {
+        let (_, cap) = p.row_bounds(row);
+        session.set_row_bounds(row, f64::NEG_INFINITY, share * cap);
+    };
+
+    // On the carried factors: once to bring every arena (eta file, factors,
+    // the phase-1 relaxation list) to its working set, then measured.
+    cut(&mut session, tight[0], 0.5);
+    let warmup = session.solve().expect("warm-up");
+    assert_eq!(warmup.stats.lu_reuse_hits, 1, "{:?}", warmup.stats);
+    cut(&mut session, tight[0], 1.0);
+    session.solve().expect("restore");
+    cut(&mut session, tight[0], 0.5);
+    let (events, carried) = events_over_solve(&mut session);
+    assert_eq!(carried.status, Status::Optimal);
+    assert_eq!(carried.stats.lu_reuse_hits, 1, "{:?}", carried.stats);
+    assert!(carried.stats.iterations > 0, "{:?}", carried.stats);
+    assert_eq!(
+        events, SOLUTION_VECTORS,
+        "a re-solve on carried factors performed {events} heap allocations"
+    );
+
+    // From a snapshot: the same LP from the same basis twice, so the
+    // measured solve repeats the warm-up's work exactly.
+    cut(&mut session, tight[0], 1.0);
+    cut(&mut session, tight[1], 0.5);
+    session.warm_start_from(snapshot.clone());
+    session.solve().expect("warm-up");
+    session.warm_start_from(snapshot);
+    let (events, installed) = events_over_solve(&mut session);
+    assert_eq!(installed.status, Status::Optimal);
+    assert_eq!(installed.stats.warm_starts_accepted, 1);
+    assert_eq!(installed.stats.lu_reuse_hits, 0, "{:?}", installed.stats);
+    assert!(installed.stats.iterations > 0, "{:?}", installed.stats);
+    assert_eq!(
+        events, SOLUTION_VECTORS,
+        "a re-solve from a basis snapshot performed {events} heap allocations"
     );
 }

@@ -265,6 +265,67 @@ fn dual_resolves_match_cold_across_seeds() {
     );
 }
 
+/// The dual loop picks its leaving row from a maintained set of infeasible
+/// basis positions. The set's oracle — the ascending scan of every basic
+/// value it replaced — lives with the engine's unit tests, which can see
+/// the loop (`infeasible_set_names_the_scanned_leaving_row_at_every_dual_pivot`);
+/// what is checked from outside is that the paths that rewrite or bulk-move
+/// `xb` under the loop change no answer: the seeded sessions again, under
+/// a cadence that refactorizes after every dual pivot and under kernels
+/// that flag every FTRAN result dense. In this (debug) profile the engine's
+/// invariant sweep also holds the set to a from-scratch scan after every
+/// dual pivot.
+#[test]
+fn dual_resolves_match_cold_under_cadence_refactorizations_and_dense_kernels() {
+    let configs = [
+        SimplexConfig {
+            refactor_interval: 1,
+            ..SimplexConfig::default()
+        },
+        SimplexConfig {
+            kernel_density_threshold: 0.0,
+            ..SimplexConfig::default()
+        },
+    ];
+    for (k, cfg) in configs.iter().enumerate() {
+        let mut dual_iters = 0;
+        let mut in_loop_refactorizations = 0;
+        for seed in 0..150 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = random_problem(&mut rng, 8, 8);
+            let mut sess = SolverSession::with_config(&p, cfg).unwrap();
+            sess.solve().expect("first session solve");
+            for step in 0..3 {
+                perturb_both(&mut p, &mut sess, &mut rng);
+                let warm = sess.solve().expect("session re-solve");
+                let cold = solve(&p).expect("cold re-solve");
+                assert_eq!(warm.status, cold.status, "cfg {k} seed {seed} step {step}");
+                if cold.status == Status::Optimal {
+                    assert!(
+                        (warm.objective - cold.objective).abs()
+                            <= 1e-9 * (1.0 + cold.objective.abs()),
+                        "cfg {k} seed {seed} step {step}: objective warm={} cold={}",
+                        warm.objective,
+                        cold.objective
+                    );
+                }
+                assert_eq!(warm.stats.sanitizer_violations, 0, "cfg {k} seed {seed}");
+                dual_iters += warm.stats.dual_iterations;
+                if warm.stats.iterations == warm.stats.dual_iterations {
+                    in_loop_refactorizations += warm.stats.refactor_interval;
+                }
+            }
+        }
+        assert!(dual_iters > 0, "cfg {k}: the dual path never engaged");
+        if k == 0 {
+            assert!(
+                in_loop_refactorizations > 0,
+                "no cadence refactorization inside the dual loop"
+            );
+        }
+    }
+}
+
 #[test]
 fn infeasible_with_corrupted_basis_still_proven() {
     // An infeasible instance offered deliberately corrupted warm bases must

@@ -19,6 +19,13 @@
 //! over-estimate of it — re-recorded them in the two cold pins
 //! (`ftran_nnz` 94 → 89, `ftran_dense_fallbacks` 7 → 6, `btran_nnz`
 //! 28 → 18, `btran_dense_fallbacks` 1 → 0).
+//!
+//! PR 22 added a counter, `verifications_skipped`, and the two "nothing to
+//! do" rungs it shows on: a claimed optimum on an iterate nothing has
+//! moved since it was computed exactly is accepted as it stands, and
+//! `refactorizations` / `refactor_forced_fallback` fall by exactly that
+//! count. Every pin that was here before passed unedited — each of those
+//! scripts pivots, and a solve that pivoted still ends on a verification.
 
 use wavesched_lp::{
     solve_with, solve_with_start, Basis, Col, Objective, Problem, Row, SimplexConfig, Solution,
@@ -170,6 +177,48 @@ fn corrupted_carried_factors_fail_the_residual_check() {
         "Optimal 79.0 [1.0, 0.0, 2.5, 0.0, 0.0, 2.0, 0.0, 7.0, 0.0, 0.3333333333333333, 0.0, 2.6666666666666665, 0.0, 4.0, 0.0, 2.0, 0.0, 3.5]",
         "iterations: 2, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, warm_starts_accepted: 1, ftran_ops: 2, ftran_nnz: 24, ftran_dense_fallbacks: 2, btran_ops: 2, btran_nnz: 4, pivot_row_nnz: 17, dual_iterations: 2",
     );
+}
+
+/// The answer both "nothing to do" rungs must give, recorded from d2a2d48
+/// — where each of them ended on a verification refactorization that
+/// rebuilt, bit for bit, what the entry had just computed.
+const NOTHING_TO_DO: &str = "Optimal 91.30555555555556 [0.0, 0.0, 1.6666666666666667, 0.0, 0.25, 3.0, 0.0, 7.0, 0.0, 0.8888888888888888, 0.0, 2.8333333333333335, 0.0, 4.0, 0.0, 2.625, 0.0, 4.875]";
+const NOTHING_TO_DO_DUALS: &str =
+    "[0.0, 0.0, 0.0, 0.0, 0.0, 1.3333333333333333, 2.3333333333333335, 0.0, 1.0, 0.4444444444444445, 3.0, 0.0]";
+
+#[test]
+fn carried_factors_nothing_to_do() {
+    // Lifting x4's lower bound moves the basic values and leaves every one
+    // inside its bounds: no dual pivot, no eligible column. The parent
+    // reported `refactorizations: 1, refactor_forced_fallback: 1` here.
+    let (mut s, _, x, _) = solved();
+    s.set_col_bounds(x[4], 0.25, 6.0);
+    let got = s.solve().unwrap();
+    check(
+        &got,
+        NOTHING_TO_DO,
+        "verifications_skipped: 1, lu_reuse_hits: 1, warm_starts_accepted: 1",
+    );
+    assert_eq!(format!("{:?}", got.duals), NOTHING_TO_DO_DUALS);
+}
+
+#[test]
+fn corrupted_carried_factors_with_nothing_to_do_still_fail_the_residual_check() {
+    // The same edit on damaged factors: the residual gate still stands in
+    // front of everything the exactness bookkeeping spares, so the rung is
+    // refused and the own-basis dual rung answers from a fresh factor —
+    // which is then the only factorization (the parent reported
+    // `refactorizations: 2, refactor_forced_fallback: 2`).
+    let (mut s, _, x, _) = solved();
+    s.debug_corrupt_factorization();
+    s.set_col_bounds(x[4], 0.25, 6.0);
+    let got = s.solve().unwrap();
+    check(
+        &got,
+        NOTHING_TO_DO,
+        "refactorizations: 1, refactor_forced_fallback: 1, verifications_skipped: 1, refactor_reuse_rejected: 1, warm_starts_accepted: 1",
+    );
+    assert_eq!(format!("{:?}", got.duals), NOTHING_TO_DO_DUALS);
 }
 
 #[test]
