@@ -9,7 +9,10 @@
 //! The controller is deliberately I/O-free: the caller (normally
 //! `wavesched-sim`) feeds it arrivals and applies the returned schedule,
 //! reporting actual transfer progress back via
-//! [`Controller::record_transfer`].
+//! [`Controller::record_transfer`]. It is also the only holder of per-job
+//! state: a job's remaining demand, and the rules that retire it — delivered
+//! in full, or less than a slice of window left — live here and nowhere
+//! else.
 
 use crate::admission::{admit_by_priority, instance_over};
 use crate::arena::BuildArena;
@@ -32,8 +35,10 @@ pub enum OverloadPolicy {
     /// Action (i): reject the lowest-priority new requests (footnote 1's
     /// binary search). Admitted jobs keep full demands and deadlines.
     Reject,
-    /// Action (ii): admit everything; demands are implicitly reduced to
-    /// what the Stage-2/LPDAR schedule delivers (`Z_i D_i`).
+    /// Action (ii): admit everything and schedule what fits. No reduced
+    /// demand is recorded anywhere: a job still completes only at its full
+    /// demand, and what the Stage-2/LPDAR schedules leave unmet at the end
+    /// of its window expires with it.
     ShrinkDemands,
     /// Action (iii): admit everything and extend all end times by the
     /// smallest common factor found by RET.
@@ -52,7 +57,8 @@ pub struct ControllerConfig {
     pub alpha: f64,
     /// Overload action.
     pub policy: OverloadPolicy,
-    /// LPDAR visit order.
+    /// Visit order of the pipeline's LPDAR only; RET's capped LPDAR always
+    /// runs in the paper's order.
     pub order: AdjustOrder,
     /// RET settings (used by [`OverloadPolicy::ExtendDeadlines`]).
     pub ret: RetConfig,
@@ -75,13 +81,27 @@ impl ControllerConfig {
 /// An admitted, unfinished job tracked by the controller.
 #[derive(Debug, Clone)]
 pub struct ActiveJob {
-    /// The (possibly deadline-extended) request.
+    /// The request as last scheduled: start clamped to that invocation, end
+    /// extended by RET.
     pub job: Job,
     /// Remaining demand in normalized units.
     pub remaining: f64,
-    /// Demand the network has committed to deliver (may be below the
-    /// original under [`OverloadPolicy::ShrinkDemands`]).
-    pub committed: f64,
+    /// The end time as submitted, before [`Controller::invoke`]'s clamp to a
+    /// whole slice and before any RET extension.
+    pub requested_end: f64,
+}
+
+impl ActiveJob {
+    /// Whether the full demand was delivered; the job then only waits for
+    /// the next invocation to retire it.
+    pub fn is_done(&self) -> bool {
+        self.remaining <= 1e-9
+    }
+
+    /// Whether a completion at time `at` meets the end time as submitted.
+    pub fn on_time(&self, at: f64) -> bool {
+        at <= self.requested_end + 1e-9
+    }
 }
 
 /// The outcome of one controller invocation.
@@ -98,6 +118,12 @@ pub struct InvocationResult {
     pub admitted: Vec<JobId>,
     /// Ids of rejected requests (only under [`OverloadPolicy::Reject`]).
     pub rejected: Vec<JobId>,
+    /// Jobs this invocation retired because their demand was delivered in
+    /// full since the previous one.
+    pub finished: Vec<JobId>,
+    /// Jobs this invocation dropped with demand unmet: less than a slice of
+    /// their window was left.
+    pub expired: Vec<JobId>,
     /// The common deadline-extension factor applied this round (only under
     /// [`OverloadPolicy::ExtendDeadlines`]).
     pub extension: f64,
@@ -113,9 +139,6 @@ pub struct Controller {
     graph: Graph,
     pathset: PathSet,
     active: Vec<ActiveJob>,
-    finished: Vec<JobId>,
-    expired: Vec<JobId>,
-    rejected_total: usize,
     /// Stage-1 optimal basis from the previous invocation; the next round's
     /// Stage 1 warm-starts from it when the job set's shape still matches
     /// (the solver falls back to a cold start otherwise).
@@ -135,9 +158,6 @@ impl Controller {
             graph,
             pathset,
             active: Vec::new(),
-            finished: Vec::new(),
-            expired: Vec::new(),
-            rejected_total: 0,
             warm_stage1: None,
             arena: BuildArena::new(),
             stats: SolveStats::default(),
@@ -149,48 +169,28 @@ impl Controller {
         &self.stats
     }
 
-    /// Currently admitted, unfinished jobs.
+    /// The jobs of the last invocation's schedule, in its instance's order
+    /// (`instance.jobs[i]` is `active()[i]` until the next invocation). A
+    /// job whose demand was delivered since then stays listed
+    /// ([`ActiveJob::is_done`]) until the next invocation retires it.
     pub fn active(&self) -> &[ActiveJob] {
         &self.active
     }
 
-    /// Ids of jobs that completed their committed demand.
-    pub fn finished(&self) -> &[JobId] {
-        &self.finished
-    }
-
-    /// Ids of jobs dropped because their window elapsed before completion.
-    pub fn expired(&self) -> &[JobId] {
-        &self.expired
-    }
-
-    /// Drains the finished-job log, returning the retired ids.
-    ///
-    /// Long replays call this every period so controller memory tracks the
-    /// *active* job set instead of growing with everything ever completed;
-    /// callers that never drain keep the cumulative
-    /// [`finished`](Controller::finished) view unchanged.
-    pub fn take_finished(&mut self) -> Vec<JobId> {
-        std::mem::take(&mut self.finished)
-    }
-
-    /// Drains the expired-job log; see
-    /// [`take_finished`](Controller::take_finished).
-    pub fn take_expired(&mut self) -> Vec<JobId> {
-        std::mem::take(&mut self.expired)
-    }
-
-    /// Total number of rejected requests so far.
-    pub fn total_rejected(&self) -> usize {
-        self.rejected_total
-    }
-
-    /// Reports that `amount` demand units of `job` were actually moved; the
-    /// simulator calls this after executing each slice.
-    pub fn record_transfer(&mut self, job: JobId, amount: f64) {
-        if let Some(a) = self.active.iter_mut().find(|a| a.job.id == job) {
-            a.remaining = wavesched_lp::pos_or_zero(a.remaining - amount);
+    /// Reports that the schedule moved `moved` demand units of `job`; the
+    /// simulator calls this after executing each slice. The delivery is
+    /// capped at what the job still needs. Returns what was delivered and
+    /// whether that completed the job — `None` for a job the controller
+    /// does not hold or one already complete, so a job done early in a
+    /// period is reported once however often it is scheduled afterwards.
+    pub fn record_transfer(&mut self, job: JobId, moved: f64) -> Option<(f64, bool)> {
+        let a = self.active.iter_mut().find(|a| a.job.id == job)?;
+        if a.is_done() {
+            return None;
         }
+        let delivered = moved.min(a.remaining);
+        a.remaining -= delivered;
+        Some((delivered, a.is_done()))
     }
 
     /// Runs one AC/scheduling invocation at time `now` (a slice boundary,
@@ -205,10 +205,9 @@ impl Controller {
         obs::counter_add("controller.invocations", 1);
         // Retire completed jobs; expire jobs with less than a full slice of
         // window left (they can receive nothing more).
-        let mut finished = std::mem::take(&mut self.finished);
-        let mut expired = std::mem::take(&mut self.expired);
+        let (mut finished, mut expired) = (Vec::new(), Vec::new());
         self.active.retain(|a| {
-            if a.remaining <= 1e-9 {
+            if a.is_done() {
                 finished.push(a.job.id);
                 return false;
             }
@@ -218,8 +217,6 @@ impl Controller {
             }
             true
         });
-        self.finished = finished;
-        self.expired = expired;
 
         // Clamp surviving jobs' start times to now (they may be mid-flight).
         let mandatory: Vec<Job> = self
@@ -286,7 +283,6 @@ impl Controller {
         let (accepted, refused) = candidates.split_at(admitted_prefix);
         let admitted: Vec<JobId> = accepted.iter().map(|j| j.id).collect();
         let rejected: Vec<JobId> = refused.iter().map(|j| j.id).collect();
-        self.rejected_total += rejected.len();
 
         obs::counter_add("controller.admitted", admitted.len() as u64);
         obs::counter_add("controller.rejected", rejected.len() as u64);
@@ -309,23 +305,15 @@ impl Controller {
                 self.stats.merge(&inv_stats);
                 // Commit the ends RET scheduled against: its instance
                 // holds the jobs as relaxed at `b_final`.
-                self.active = ret
-                    .instance
-                    .jobs
-                    .iter()
-                    .zip(&inst.demands)
-                    .map(|(j, &d)| ActiveJob {
-                        job: j.clone(),
-                        remaining: d,
-                        committed: d,
-                    })
-                    .collect();
+                self.commit(&ret.instance, new_requests);
                 return Ok(InvocationResult {
                     z_star: s1.z_star,
                     schedule: ret.lpdar,
                     instance: ret.instance,
                     admitted,
                     rejected,
+                    finished,
+                    expired,
                     extension: ret.b_final,
                     stats: inv_stats,
                 });
@@ -339,23 +327,7 @@ impl Controller {
             pipeline_from_stage1(&inst, &mut lp, s1, self.cfg.alpha, self.cfg.order, t0)?
         };
 
-        // Refresh the active set: mandatory jobs keep their remaining
-        // demand; new jobs enter with full demand. Committed demand under
-        // ShrinkDemands is what the schedule can deliver.
-        let mut next_active = Vec::with_capacity(inst.num_jobs());
-        for (idx, j) in inst.jobs.iter().enumerate() {
-            let remaining = inst.demands[idx];
-            let committed = match self.cfg.policy {
-                OverloadPolicy::ShrinkDemands => remaining.min(pipe.lpdar.transferred(&inst, idx)),
-                _ => remaining,
-            };
-            next_active.push(ActiveJob {
-                job: j.clone(),
-                remaining,
-                committed,
-            });
-        }
-        self.active = next_active;
+        self.commit(&inst, new_requests);
         self.stats.merge(&pipe.stats);
 
         Ok(InvocationResult {
@@ -364,9 +336,30 @@ impl Controller {
             instance: inst,
             admitted,
             rejected,
+            finished,
+            expired,
             extension: 0.0,
             stats: pipe.stats,
         })
+    }
+
+    /// Makes the scheduled instance's jobs the active set: the carried jobs
+    /// come first, at their remaining demand and the end they asked for when
+    /// submitted; the admitted prefix of `new_requests` follows at full
+    /// demand.
+    fn commit(&mut self, inst: &Instance, new_requests: &[Job]) {
+        let carried = self.active.len();
+        let next = inst.jobs.iter().zip(&inst.demands).enumerate();
+        self.active = next
+            .map(|(idx, (job, &remaining))| ActiveJob {
+                job: job.clone(),
+                remaining,
+                requested_end: match self.active.get(idx) {
+                    Some(a) => a.requested_end,
+                    None => new_requests[idx - carried].end,
+                },
+            })
+            .collect();
     }
 }
 
@@ -409,18 +402,60 @@ mod tests {
         let (mut c, g) = controller(4, OverloadPolicy::ShrinkDemands);
         let js = jobs(&g, 3, 2);
         let r = c.invoke(0.0, &js).unwrap();
-        let _ = r;
+        assert!(r.finished.is_empty() && r.expired.is_empty());
         // Report full transfers for all jobs.
         let ids: Vec<JobId> = c.active().iter().map(|a| a.job.id).collect();
         let rem: Vec<f64> = c.active().iter().map(|a| a.remaining).collect();
-        for (id, r) in ids.iter().zip(rem) {
-            c.record_transfer(*id, r);
+        for (&id, r) in ids.iter().zip(rem) {
+            assert_eq!(c.record_transfer(id, r), Some((r, true)));
         }
-        // Next invocation retires them.
+        // Done, but listed until the next invocation retires them.
+        assert_eq!(c.active().len(), 3);
+        assert!(c.active().iter().all(ActiveJob::is_done));
         let r2 = c.invoke(1.0, &[]).unwrap();
         assert_eq!(c.active().len(), 0);
-        assert_eq!(c.finished().len(), 3);
+        assert_eq!(r2.finished, ids);
+        assert!(r2.expired.is_empty());
         assert_eq!(r2.admitted.len(), 0);
+        // Each retirement is reported by one invocation only.
+        assert!(c.invoke(2.0, &[]).unwrap().finished.is_empty());
+    }
+
+    #[test]
+    fn record_transfer_caps_the_delivery_and_reports_a_job_once() {
+        let (mut c, g) = controller(4, OverloadPolicy::ShrinkDemands);
+        let js = jobs(&g, 2, 2);
+        c.invoke(0.0, &js).unwrap();
+        let (id, demand) = (c.active()[0].job.id, c.active()[0].remaining);
+        assert_eq!(
+            c.record_transfer(id, 0.25 * demand),
+            Some((0.25 * demand, false))
+        );
+        // An over-delivery moves only what is left, and that finishes the job.
+        let left = c.active()[0].remaining;
+        assert_eq!(c.record_transfer(id, demand), Some((left, true)));
+        assert_eq!(c.active()[0].remaining, 0.0);
+        // A finished job and an id the controller never saw take nothing.
+        assert_eq!(c.record_transfer(id, 1.0), None);
+        assert_eq!(c.record_transfer(JobId(999), 1.0), None);
+        // The other job's ledger is untouched.
+        let full = c.cfg.instance.demand_units(js[1].size_gb);
+        assert_eq!(c.active()[1].remaining, full);
+    }
+
+    #[test]
+    fn window_elapsed_expires_the_job_in_the_invocation_that_drops_it() {
+        let mut g = Graph::new();
+        let ns = g.add_nodes(2);
+        g.add_link_pair(ns[0], ns[1], 1);
+        let mut c = Controller::new(g, ControllerConfig::paper(1));
+        let job = Job::new(JobId(7), 0.0, ns[0], ns[1], 300.0, 0.0, 2.0);
+        assert!(c.invoke(0.0, &[job]).unwrap().expired.is_empty());
+        // At 1.0 a whole slice of window is left; at 2.0 none is.
+        assert!(c.invoke(1.0, &[]).unwrap().expired.is_empty());
+        let r = c.invoke(2.0, &[]).unwrap();
+        assert_eq!(r.expired, [JobId(7)]);
+        assert!(r.finished.is_empty() && c.active().is_empty());
     }
 
     #[test]
@@ -442,7 +477,7 @@ mod tests {
         assert_eq!(r.admitted.len() + r.rejected.len(), 5);
         assert!(!r.rejected.is_empty(), "overload must reject something");
         assert!(r.z_star >= 1.0, "admitted set must be feasible");
-        assert_eq!(c.total_rejected(), r.rejected.len());
+        assert_eq!(c.active().len(), r.admitted.len());
     }
 
     #[test]
@@ -461,6 +496,20 @@ mod tests {
             .collect();
         let r = c.invoke(0.0, &reqs).unwrap();
         assert!(r.extension > 0.0, "overload must extend deadlines");
+        // The controller schedules against the extended ends from here on,
+        // and still knows what each job asked for.
+        for a in c.active() {
+            assert!(a.job.end > 4.0, "{a:?}");
+            assert_eq!(a.requested_end, 4.0);
+            assert!(a.on_time(4.0) && !a.on_time(5.0));
+        }
+        // A second overloaded period extends again; the carried jobs keep
+        // the end they submitted, the newcomer gets its own.
+        let late = Job::new(JobId(9), 1.0, ns[0], ns[1], 300.0, 1.0, 3.5);
+        let r2 = c.invoke(1.0, &[late]).unwrap();
+        assert!(r2.extension > 0.0);
+        let ends: Vec<f64> = c.active().iter().map(|a| a.requested_end).collect();
+        assert_eq!(ends, [4.0, 4.0, 4.0, 3.5]);
         // With extended deadlines the whole demand fits.
         let total: f64 = (0..r.instance.num_jobs())
             .map(|i| {
@@ -582,7 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn shrink_policy_commits_reduced_demand() {
+    fn shrink_policy_keeps_full_demands() {
+        // Four 2-unit jobs over a window that carries 4 units: the schedule
+        // delivers less than was asked, and the ledger still asks for all
+        // of it — what stays unmet expires with the window.
         let mut g = Graph::new();
         let ns = g.add_nodes(2);
         g.add_link_pair(ns[0], ns[1], 1);
@@ -592,10 +644,10 @@ mod tests {
             .collect();
         let r = c.invoke(0.0, &reqs).unwrap();
         assert!(r.z_star < 1.0);
+        let scheduled: f64 = (0..4).map(|i| r.schedule.transferred(&r.instance, i)).sum();
+        assert!(scheduled < r.instance.total_demand() - 1e-9);
         for a in c.active() {
-            assert!(a.committed <= a.remaining + 1e-9);
+            assert_eq!(a.remaining, 2.0);
         }
-        // At least one job's commitment was genuinely shrunk.
-        assert!(c.active().iter().any(|a| a.committed < a.remaining - 1e-9));
     }
 }

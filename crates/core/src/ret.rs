@@ -73,12 +73,8 @@ pub struct RetConfig {
     pub mode: RetMode,
     /// Upper end of the binary-search interval for `b`.
     pub b_max: f64,
-    /// The δ growth step of Algorithm 2 (0.1 in the paper).
-    pub delta: f64,
     /// Binary-search resolution on `b`.
     pub bsearch_tol: f64,
-    /// Visit order for the LPDAR adjustment.
-    pub order: AdjustOrder,
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
     /// Answer the bisection's feasibility probes on clones of a template
@@ -107,9 +103,7 @@ impl Default for RetConfig {
         RetConfig {
             mode: RetMode::default(),
             b_max: 4.0,
-            delta: 0.1,
             bsearch_tol: 0.01,
-            order: AdjustOrder::Paper,
             max_delta_steps: 60,
             warm_start: true,
             threads: 0,
@@ -176,6 +170,12 @@ impl RetResult {
 /// Tolerance on the probe LP's completion ratio: SUB-RET counts as feasible
 /// when every job can reach at least `1 - RET_PROBE_TOL` of its demand.
 const RET_PROBE_TOL: f64 = 1e-6;
+
+/// The δ growth step of Algorithm 2 (the paper's value).
+const RET_DELTA: f64 = 0.1;
+
+/// Visit order of Algorithm 2's capped LPDAR.
+const RET_ORDER: AdjustOrder = AdjustOrder::Paper;
 
 /// Builds the SUB-RET problem (Quick-Finish objective, eqs. 14–16) on an
 /// (already end-extended) instance whose jobs start at or after slice
@@ -329,7 +329,7 @@ fn algorithm2<B: RetBackend>(
         if let Some((inst, x)) = backend.quick_finish(b)? {
             let lp_sched = Schedule::from_values(&inst, x);
             let lpd = crate::lpdar::truncate(&inst, &lp_sched);
-            let adj = lpdar_capped(&inst, &lp_sched, cfg.order);
+            let adj = lpdar_capped(&inst, &lp_sched, RET_ORDER);
             if (0..inst.num_jobs()).all(|i| adj.completes(&inst, i, COMPLETION_TOL)) {
                 let result = RetResult {
                     b_lp,
@@ -343,7 +343,7 @@ fn algorithm2<B: RetBackend>(
                 return Ok(Some((result, backend)));
             }
         }
-        b += cfg.delta;
+        b += RET_DELTA;
         if b > backend.growth_limit() {
             break;
         }
@@ -369,19 +369,14 @@ struct EnvelopeLp {
 type CloneProbe = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
 
 impl EnvelopeLp {
-    fn new(inst: Instance, session: SolverSession) -> Self {
-        let upper = inst
-            .vars
+    /// Every variable's bottleneck bound on the envelope instance.
+    fn bounds_of(inst: &Instance) -> Vec<f64> {
+        inst.vars
             .iter()
             .map(|(_, job, path, _)| {
                 inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64
             })
-            .collect();
-        EnvelopeLp {
-            inst,
-            session,
-            upper,
-        }
+            .collect()
     }
 
     /// Retightens `session` — an envelope LP's own or a clone of it — to
@@ -449,8 +444,8 @@ impl EnvelopeLp {
     }
 }
 
-/// Algorithm 2's backend over the monolithic builders: a probe LP and a
-/// Quick-Finish LP, each built once on the `b_max` envelope.
+/// Algorithm 2's backend over the monolithic builders: a probe LP, then a
+/// Quick-Finish LP, on one `b_max` envelope built once.
 ///
 /// **Probing.** Warm and cold modes answer through the same
 /// [`open_probe`] LP, so the probe answers — and therefore the bisection
@@ -481,9 +476,11 @@ struct EnvelopeBackend<'a> {
     relax: Relaxation,
     pathset: &'a mut PathSet,
     /// The warm probe template; `None` in cold mode, when some job is
-    /// unschedulable even at `b_max`, and once the bisection consumed it.
+    /// unschedulable even at `b_max`, and once the growth LP took over its
+    /// envelope.
     probe_lp: Option<EnvelopeLp>,
-    /// The Quick-Finish LP, built at the first growth step.
+    /// The Quick-Finish LP, built at the first growth step on the probe
+    /// template's envelope (cold mode builds the envelope there).
     growth_lp: Option<EnvelopeLp>,
     /// Resolved probe-pool width (`cfg.threads`, `0` → `WS_THREADS`).
     width: usize,
@@ -529,7 +526,11 @@ impl<'a> EnvelopeBackend<'a> {
             // An unschedulable job at b_max stays unschedulable at every
             // smaller b (windows shrink, paths don't change); the cold
             // probes then answer without solving, so a session is useless.
-            backend.probe_lp = open_probe(&env)?.map(|session| EnvelopeLp::new(env, session));
+            backend.probe_lp = open_probe(&env)?.map(|session| EnvelopeLp {
+                upper: EnvelopeLp::bounds_of(&env),
+                inst: env,
+                session,
+            });
         }
         Ok(backend)
     }
@@ -624,17 +625,30 @@ impl RetBackend for EnvelopeBackend<'_> {
                 template.session = s;
             }
         }
+        // The growth phase inherits the envelope.
+        self.probe_lp = Some(template);
         Ok(hi)
     }
 
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
         let origin = self.relax.origin as usize;
         if self.growth_lp.is_none() {
-            // The search is over: release the probe template first.
-            self.probe_lp = None;
-            let env = self.instance_at(self.cfg.b_max);
-            let session = SolverSession::new(&build_subret(&env, origin))?;
-            self.growth_lp = Some(EnvelopeLp::new(env, session));
+            // The search is over: the probe template's session is released
+            // and its envelope (instance and bounds) carries the
+            // Quick-Finish LP from here on.
+            let (upper, inst) = match self.probe_lp.take() {
+                Some(EnvelopeLp { inst, upper, .. }) => (upper, inst),
+                None => {
+                    let env = self.instance_at(self.cfg.b_max);
+                    (EnvelopeLp::bounds_of(&env), env)
+                }
+            };
+            let session = SolverSession::new(&build_subret(&inst, origin))?;
+            self.growth_lp = Some(EnvelopeLp {
+                inst,
+                session,
+                upper,
+            });
         }
         let inst = self.instance_at(b);
         if b > self.cfg.b_max {
@@ -664,7 +678,7 @@ impl RetBackend for EnvelopeBackend<'_> {
     }
 
     fn growth_limit(&self) -> f64 {
-        self.cfg.b_max + self.cfg.delta
+        self.cfg.b_max + RET_DELTA
     }
 
     fn stats(&self) -> SolveStats {

@@ -47,42 +47,24 @@ impl Ord for HeapItem {
     }
 }
 
-/// Edge weight functions for path searches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Weight {
-    /// Every edge costs 1 (hop count). The default: the paper's formulations
-    /// care about path diversity, not geometric length.
-    #[default]
-    Hops,
-    /// Use the edge's geometric length.
-    Length,
-}
-
-impl Weight {
-    fn of(self, g: &Graph, e: EdgeId) -> f64 {
-        match self {
-            Weight::Hops => 1.0,
-            Weight::Length => g.length(e),
-        }
-    }
-}
-
-/// Computes a shortest path from `src` to `dst`, or `None` if unreachable.
+/// Computes a path of fewest hops from `src` to `dst`, or `None` if
+/// unreachable.
 pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
-    shortest_path_filtered(g, src, dst, Weight::Hops, |_| true, |_| true)
+    shortest_path_filtered(g, src, dst, |_| true, |_| true)
 }
 
-/// Dijkstra with filters: only edges passing `edge_ok` and nodes passing
-/// `node_ok` participate (the source and destination must pass `node_ok`).
+/// Fewest-hops Dijkstra with filters: only edges passing `edge_ok` and nodes
+/// passing `node_ok` participate (the source and destination must pass
+/// `node_ok`). Every link costs 1: the paper's formulations care about path
+/// diversity, and no topology here gives its links a length.
 pub fn shortest_path_filtered(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
-    weight: Weight,
     edge_ok: impl Fn(EdgeId) -> bool,
     node_ok: impl Fn(NodeId) -> bool,
 ) -> Option<Path> {
-    shortest_path_weighted(g, src, dst, |e| weight.of(g, e), edge_ok, node_ok).map(|(_, path)| path)
+    shortest_path_weighted(g, src, dst, |_| 1.0, edge_ok, node_ok).map(|(_, path)| path)
 }
 
 /// Dijkstra under an arbitrary non-negative per-link weight closure,
@@ -162,7 +144,8 @@ pub fn shortest_path_weighted(
 mod tests {
     use super::*;
 
-    /// A 4-node diamond: 0 -> {1,2} -> 3 plus a long direct 0 -> 3.
+    /// A 4-node diamond: 0 -> {1,2} -> 3 plus a direct 0 -> 3, the long one
+    /// under `length`.
     fn diamond() -> (Graph, Vec<NodeId>) {
         let mut g = Graph::new();
         let ns = g.add_nodes(4);
@@ -170,8 +153,16 @@ mod tests {
         g.add_link(ns[1], ns[3], 1); // e1
         g.add_link(ns[0], ns[2], 1); // e2
         g.add_link(ns[2], ns[3], 1); // e3
-        g.add_link_with_length(ns[0], ns[3], 1, 10.0); // e4 direct
+        g.add_link(ns[0], ns[3], 1); // e4 direct
         (g, ns)
+    }
+
+    fn length(e: EdgeId) -> f64 {
+        if e == EdgeId(4) {
+            10.0
+        } else {
+            1.0
+        }
     }
 
     #[test]
@@ -186,8 +177,7 @@ mod tests {
     #[test]
     fn weighted_avoids_long_edge() {
         let (g, ns) = diamond();
-        let p =
-            shortest_path_filtered(&g, ns[0], ns[3], Weight::Length, |_| true, |_| true).unwrap();
+        let (_, p) = shortest_path_weighted(&g, ns[0], ns[3], length, |_| true, |_| true).unwrap();
         assert_eq!(p.len(), 2); // 2 hops of length 1 beat the length-10 edge
     }
 
@@ -195,9 +185,7 @@ mod tests {
     fn respects_edge_filter() {
         let (g, ns) = diamond();
         // Ban the direct edge (e4): shortest becomes 2 hops.
-        let p =
-            shortest_path_filtered(&g, ns[0], ns[3], Weight::Hops, |e| e != EdgeId(4), |_| true)
-                .unwrap();
+        let p = shortest_path_filtered(&g, ns[0], ns[3], |e| e != EdgeId(4), |_| true).unwrap();
         assert_eq!(p.len(), 2);
     }
 
@@ -205,23 +193,15 @@ mod tests {
     fn respects_node_filter() {
         let (g, ns) = diamond();
         // Ban node 1 and the direct edge: must route via node 2.
-        let p = shortest_path_filtered(
-            &g,
-            ns[0],
-            ns[3],
-            Weight::Hops,
-            |e| e != EdgeId(4),
-            |v| v != ns[1],
-        )
-        .unwrap();
+        let p =
+            shortest_path_filtered(&g, ns[0], ns[3], |e| e != EdgeId(4), |v| v != ns[1]).unwrap();
         assert_eq!(p.nodes(&g), vec![ns[0], ns[2], ns[3]]);
     }
 
     #[test]
     fn weighted_closure_returns_distance() {
         let (g, ns) = diamond();
-        let (d, p) =
-            shortest_path_weighted(&g, ns[0], ns[3], |e| g.length(e), |_| true, |_| true).unwrap();
+        let (d, p) = shortest_path_weighted(&g, ns[0], ns[3], length, |_| true, |_| true).unwrap();
         assert_eq!(p.len(), 2);
         assert!((d - 2.0).abs() < 1e-12);
         // Zero-weight closures are legal (all-slack duals).

@@ -44,8 +44,6 @@ struct EdgeData {
     dst: NodeId,
     /// Number of wavelengths on this link (the paper's `C_e`).
     wavelengths: u32,
-    /// Geometric length (used by weighted path searches; 1.0 by default).
-    length: f64,
 }
 
 /// A directed graph whose edges are optical links carrying a number of
@@ -85,17 +83,6 @@ impl Graph {
     /// Adds a directed link from `src` to `dst` with the given number of
     /// wavelengths; returns its handle.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, wavelengths: u32) -> EdgeId {
-        self.add_link_with_length(src, dst, wavelengths, 1.0)
-    }
-
-    /// Adds a directed link with an explicit geometric length.
-    pub fn add_link_with_length(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        wavelengths: u32,
-        length: f64,
-    ) -> EdgeId {
         assert!(src.index() < self.names.len(), "src out of range");
         assert!(dst.index() < self.names.len(), "dst out of range");
         assert_ne!(src, dst, "self-loops are not valid optical links");
@@ -104,7 +91,6 @@ impl Graph {
             src,
             dst,
             wavelengths,
-            length,
         });
         self.out_adj[src.index()].push(id);
         self.in_adj[dst.index()].push(id);
@@ -150,21 +136,6 @@ impl Graph {
     #[inline]
     pub fn wavelengths(&self, e: EdgeId) -> u32 {
         self.edges[e.index()].wavelengths
-    }
-
-    /// Re-provisions every link to carry `w` wavelengths. Used by the
-    /// figure sweeps that vary wavelengths per link while holding total
-    /// capacity constant.
-    pub fn set_all_wavelengths(&mut self, w: u32) {
-        for e in &mut self.edges {
-            e.wavelengths = w;
-        }
-    }
-
-    /// Geometric length of `e`.
-    #[inline]
-    pub fn length(&self, e: EdgeId) -> f64 {
-        self.edges[e.index()].length
     }
 
     /// Outgoing edges of `n`.
@@ -296,11 +267,6 @@ impl Path {
         v
     }
 
-    /// Total geometric length.
-    pub fn total_length(&self, g: &Graph) -> f64 {
-        self.edges.iter().map(|&e| g.length(e)).sum()
-    }
-
     /// The bottleneck wavelength count along the path.
     pub fn bottleneck_wavelengths(&self, g: &Graph) -> u32 {
         self.edges
@@ -350,13 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn set_all_wavelengths() {
-        let (mut g, _) = triangle();
-        g.set_all_wavelengths(16);
-        assert!(g.edge_ids().all(|e| g.wavelengths(e) == 16));
-    }
-
-    #[test]
     fn path_construction_and_queries() {
         let (g, ns) = triangle();
         // edges: 0:(0->1) 1:(1->0) 2:(1->2) 3:(2->1) 4:(2->0) 5:(0->2)
@@ -366,7 +325,6 @@ mod tests {
         assert_eq!(p.target(&g), ns[2]);
         assert_eq!(p.nodes(&g), vec![ns[0], ns[1], ns[2]]);
         assert_eq!(p.bottleneck_wavelengths(&g), 4);
-        assert!((p.total_length(&g) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use common::random_graph;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
-use wavesched_net::dijkstra::{shortest_path_filtered, Weight};
+use wavesched_net::dijkstra::shortest_path_filtered;
 use wavesched_net::{
     k_shortest_paths, waxman_network, EdgeId, Graph, NodeId, Path, PathSet, WaxmanConfig,
 };
@@ -22,8 +22,7 @@ fn reference_yen(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     if k == 0 {
         return Vec::new();
     }
-    let weight = Weight::Hops;
-    let Some(first) = shortest_path_filtered(g, src, dst, weight, |_| true, |_| true) else {
+    let Some(first) = shortest_path_filtered(g, src, dst, |_| true, |_| true) else {
         return Vec::new();
     };
 
@@ -62,7 +61,6 @@ fn reference_yen(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
                 g,
                 spur_node,
                 dst,
-                weight,
                 |e| !banned_edges.contains(&e),
                 |v| !banned_nodes.contains(&v),
             ) else {

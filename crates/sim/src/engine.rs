@@ -45,29 +45,18 @@ pub fn run_simulation(
         .map(|j| (j.id, JobOutcome::Unfinished))
         .collect();
     // A job's last event is its outcome; one no event mentions stays
-    // `Unfinished`. An unknown `on_time` counts as late, as in
-    // `StreamReport::on_time`.
+    // `Unfinished`.
     let mut collect = |event: Event| {
         let (id, outcome) = match event {
             Event::Invoke { .. } => return,
-            Event::Done(id, at, on_time) => {
-                let on_time = on_time.unwrap_or(false);
-                (id, JobOutcome::Completed { at, on_time })
-            }
+            Event::Done(id, at, on_time) => (id, JobOutcome::Completed { at, on_time }),
             Event::Expired(id, _) => (id, JobOutcome::Expired),
             Event::Rejected(id) => (id, JobOutcome::Rejected),
         };
         outcomes.insert(id, outcome);
     };
-    let (report, mean_utilization) = run_event_loop(graph, pending, cfg, &mut collect)?;
-    Ok(SimReport {
-        outcomes,
-        volume_moved: report.volume_moved,
-        volume_requested: report.volume_requested,
-        mean_utilization,
-        invocations: report.invocations,
-        slices: report.slices,
-    })
+    let totals = run_event_loop(graph, pending, cfg, &mut collect)?;
+    Ok(SimReport { outcomes, totals })
 }
 
 #[cfg(test)]
@@ -102,8 +91,8 @@ mod tests {
         let r = run_simulation(&g, &jobs, &cfg).unwrap();
         assert_eq!(r.completion_rate(), 1.0, "outcomes: {:?}", r.outcomes);
         assert_eq!(r.on_time_rate(), 1.0);
-        assert!((r.goodput() - 1.0).abs() < 1e-9);
-        assert!(r.invocations >= 1);
+        assert!((r.totals.goodput() - 1.0).abs() < 1e-9);
+        assert!(r.totals.invocations >= 1);
     }
 
     #[test]
@@ -112,13 +101,13 @@ mod tests {
         let jobs = jobs_for(&g, 10, 5, ArrivalModel::Poisson { rate: 0.8 });
         let cfg = SimConfig::paper(4);
         let r = run_simulation(&g, &jobs, &cfg).unwrap();
-        assert!(r.invocations > 2);
+        assert!(r.totals.invocations > 2);
         assert!(
             r.completion_rate() > 0.5,
             "completion {}",
             r.completion_rate()
         );
-        assert!(r.mean_utilization > 0.0);
+        assert!(r.totals.mean_utilization > 0.0);
     }
 
     #[test]
@@ -157,7 +146,7 @@ mod tests {
         let r = run_simulation(&g, &jobs, &cfg).unwrap();
         assert_eq!(r.completion_rate(), 1.0, "outcomes: {:?}", r.outcomes);
         assert!(r.on_time_rate() < 1.0, "someone must be late");
-        assert!((r.goodput() - 1.0).abs() < 1e-9);
+        assert!((r.totals.goodput() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -269,7 +258,7 @@ mod tests {
         let cfg = SimConfig::paper(1); // ShrinkDemands default
         let r = run_simulation(&g, &jobs, &cfg).unwrap();
         // Network can move at most 4 of the 8 requested units.
-        assert!(r.goodput() < 0.75);
-        assert!(r.volume_moved > 0.0);
+        assert!(r.totals.goodput() < 0.75);
+        assert!(r.totals.volume_moved > 0.0);
     }
 }

@@ -7,13 +7,15 @@
 //! * [`stream`] — the one slice-by-slice event loop: feed arrivals to the
 //!   [`Controller`](wavesched_core::Controller) at each invocation instant,
 //!   execute the returned integral schedule one slice at a time, report
-//!   actual progress back. It pulls jobs lazily and tracks only in-flight
-//!   jobs, so replaying a million-job trace costs memory proportional to
-//!   the active window, not the trace.
+//!   actual progress back. It pulls jobs lazily and keeps nothing per job
+//!   — the controller holds the one ledger of remaining demand — so
+//!   replaying a million-job trace costs memory proportional to the
+//!   controller's active set, not the trace.
 //! * [`engine`] — [`SimConfig`], and [`run_simulation`]: the same loop over
 //!   a preloaded trace, collecting every job's outcome.
-//! * [`metrics`] — what came out: completion/on-time rates, rejections,
-//!   expiries, average end times, link utilization, volume moved.
+//! * [`metrics`] — what came out per job: completion/on-time rates,
+//!   rejections, expiries, average end times, beside the loop's aggregate
+//!   [`StreamReport`] (volume moved, link utilization).
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,6 @@
 //! Simulation outcome metrics.
 
+use crate::stream::StreamReport;
 use std::collections::BTreeMap;
 use wavesched_workload::JobId;
 
@@ -8,7 +9,8 @@ use wavesched_workload::JobId;
 pub enum JobOutcome {
     /// Rejected at admission (only under the `Reject` policy).
     Rejected,
-    /// Completed its full (possibly shrunk) demand at the given time.
+    /// Received its full demand at the given time. No policy completes a job
+    /// at less: what is unmet when the window ends is [`JobOutcome::Expired`].
     Completed {
         /// Slice-unit time at which the cumulative transfer reached the
         /// demand.
@@ -22,23 +24,15 @@ pub enum JobOutcome {
     Unfinished,
 }
 
-/// Aggregated results of a simulation run.
+/// Results of a simulation run over a preloaded trace: every job's outcome
+/// beside the event loop's aggregate report.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// Final outcome per job.
+    /// Final outcome per job of the trace, dispatched or not.
     pub outcomes: BTreeMap<JobId, JobOutcome>,
-    /// Total normalized demand volume actually moved.
-    pub volume_moved: f64,
-    /// Total normalized demand volume requested (all jobs dispatched
-    /// before the simulation stopped).
-    pub volume_requested: f64,
-    /// Mean over executed slices of the share of installed wavelength-links
-    /// the schedule reserved.
-    pub mean_utilization: f64,
-    /// Number of controller invocations performed.
-    pub invocations: usize,
-    /// Number of slices simulated.
-    pub slices: usize,
+    /// Counts, volumes and utilization over the jobs dispatched before the
+    /// simulation stopped.
+    pub totals: StreamReport,
 }
 
 impl SimReport {
@@ -79,15 +73,6 @@ impl SimReport {
         }
     }
 
-    /// Fraction of requested volume that was delivered.
-    pub fn goodput(&self) -> f64 {
-        if self.volume_requested == 0.0 {
-            0.0
-        } else {
-            self.volume_moved / self.volume_requested
-        }
-    }
-
     fn rate(&self, pred: impl Fn(&JobOutcome) -> bool) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
@@ -121,11 +106,7 @@ mod tests {
         outcomes.insert(JobId(3), JobOutcome::Expired);
         SimReport {
             outcomes,
-            volume_moved: 30.0,
-            volume_requested: 40.0,
-            mean_utilization: 0.5,
-            invocations: 3,
-            slices: 12,
+            totals: StreamReport::default(),
         }
     }
 
@@ -136,7 +117,6 @@ mod tests {
         assert!((r.on_time_rate() - 0.25).abs() < 1e-12);
         assert!((r.rejection_rate() - 0.25).abs() < 1e-12);
         assert!((r.expiry_rate() - 0.25).abs() < 1e-12);
-        assert!((r.goodput() - 0.75).abs() < 1e-12);
         assert_eq!(r.average_end_time(), Some(6.0));
     }
 
@@ -144,11 +124,7 @@ mod tests {
     fn empty_report() {
         let r = SimReport {
             outcomes: BTreeMap::new(),
-            volume_moved: 0.0,
-            volume_requested: 0.0,
-            mean_utilization: 0.0,
-            invocations: 0,
-            slices: 0,
+            totals: StreamReport::default(),
         };
         // Empty-report semantics: every rate is exactly 0.0 — never NaN
         // (the 0/0 family of bugs; `assert_eq!` would accept nothing else,
@@ -157,12 +133,11 @@ mod tests {
         assert_eq!(r.on_time_rate(), 0.0);
         assert_eq!(r.rejection_rate(), 0.0);
         assert_eq!(r.expiry_rate(), 0.0);
-        assert_eq!(r.goodput(), 0.0);
+        assert_eq!(r.totals.goodput(), 0.0);
         assert!(!r.completion_rate().is_nan());
         assert!(!r.on_time_rate().is_nan());
         assert!(!r.rejection_rate().is_nan());
         assert!(!r.expiry_rate().is_nan());
-        assert!(!r.goodput().is_nan());
         assert_eq!(r.average_end_time(), None);
     }
 }

@@ -1,13 +1,14 @@
 //! The slice-by-slice event loop, over a lazily produced job sequence.
 //!
 //! The loop pulls jobs from an iterator as the simulated clock reaches
-//! their arrival times and tracks only the jobs currently in flight, so
-//! its own memory follows the controller's active window, not the trace
-//! length. Every retirement goes to an event sink: [`run_simulation_streamed`]
-//! plugs in the decision-log writer and returns the aggregate
-//! [`StreamReport`] (counts and volumes) — O(1) in trace length —
-//! while [`run_simulation`](crate::run_simulation) plugs in a per-job
-//! outcome collector over a preloaded trace.
+//! their arrival times and keeps a clock, the schedule in force and the
+//! aggregate counters — nothing per job: a job's remaining demand and the
+//! rules that retire it are the controller's, so the loop's own memory does
+//! not depend on the trace length at all. Every retirement goes to an event
+//! sink: [`run_simulation_streamed`] plugs in the decision-log writer,
+//! [`run_simulation`](crate::run_simulation) a per-job outcome collector
+//! over a preloaded trace; both return the one [`StreamReport`] (counts and
+//! volumes), O(1) in trace length.
 //!
 //! The loop also feeds the `mem.*` counter family: around every
 //! controller invocation it snapshots [`obs::mem::stats`] and emits the
@@ -17,12 +18,9 @@
 //! installed the deltas are all zero and the profile is inert.
 
 use crate::engine::SimConfig;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io::Write;
-use wavesched_core::controller::{Controller, InvocationResult};
-use wavesched_core::instance::Instance;
-use wavesched_core::schedule::Schedule;
+use wavesched_core::controller::{ActiveJob, Controller, InvocationResult};
 use wavesched_lp::SolveError;
 use wavesched_net::Graph;
 use wavesched_obs as obs;
@@ -52,11 +50,9 @@ impl MemProfile {
     pub const WINDOW: usize = 64;
 }
 
-/// Aggregate results of a streamed replay.
-///
-/// The streaming counterpart of [`SimReport`](crate::SimReport): per-job
-/// outcomes are folded into counts as jobs retire, so the report is O(1)
-/// in trace length.
+/// Aggregate results of a replay: per-job outcomes are folded into counts as
+/// jobs retire, so the report is O(1) in trace length.
+/// [`SimReport`](crate::SimReport) adds the per-job outcomes to it.
 #[derive(Debug, Clone, Default)]
 pub struct StreamReport {
     /// Jobs pulled from the input stream.
@@ -80,8 +76,11 @@ pub struct StreamReport {
     /// Slices simulated.
     pub slices: usize,
     /// Most jobs ever simultaneously in flight — the quantity that bounds
-    /// the engine's memory.
+    /// the controller's memory.
     pub peak_active: usize,
+    /// Mean over executed slices of the share of installed wavelength-links
+    /// the schedule reserved.
+    pub mean_utilization: f64,
     /// Per-invocation allocation profile (all-zero without a tracking
     /// allocator).
     pub mem: MemProfile,
@@ -107,12 +106,6 @@ impl StreamReport {
     }
 }
 
-/// A job currently in flight, from admission to retirement.
-struct InFlight {
-    remaining: f64,
-    original_end: f64,
-}
-
 /// What the event loop reports to its sink, in decision order.
 pub(crate) enum Event {
     /// One controller invocation at `now`: jobs handed over, of which
@@ -123,10 +116,9 @@ pub(crate) enum Event {
         rejected: usize,
         active: usize,
     },
-    /// The job received its full demand at the given time. `on_time` is
-    /// `None` when the controller retired the job without the loop seeing
-    /// the final delivery.
-    Done(JobId, f64, Option<bool>),
+    /// The job received its full demand at the given time; the flag says
+    /// whether that met the end time it was submitted with.
+    Done(JobId, f64, bool),
     /// The controller dropped the job at the given time: its window elapsed.
     Expired(JobId, f64),
     /// The controller refused the job at admission.
@@ -134,7 +126,7 @@ pub(crate) enum Event {
 }
 
 /// Runs the periodic-controller simulation over a lazily produced job
-/// stream, holding only in-flight state.
+/// stream.
 ///
 /// `jobs` must yield jobs in nondecreasing arrival order (as
 /// [`JobStream`](wavesched_workload::JobStream) and
@@ -169,14 +161,13 @@ pub fn run_simulation_streamed(
                 w,
                 "invoke now={now} batch={batch} rejected={rejected} active={active}"
             ),
-            Event::Done(id, at, Some(t)) => writeln!(w, "done {} at={at} on_time={t}", id.0),
-            Event::Done(id, at, None) => writeln!(w, "done {} at={at} on_time=?", id.0),
+            Event::Done(id, at, t) => writeln!(w, "done {} at={at} on_time={t}", id.0),
             Event::Expired(id, now) => writeln!(w, "expired {} at={now}", id.0),
             Event::Rejected(id) => writeln!(w, "rejected {}", id.0),
         };
         log_failed |= written.is_err();
     };
-    let (report, _) = run_event_loop(graph, jobs, cfg, &mut write_line)?;
+    let report = run_event_loop(graph, jobs, cfg, &mut write_line)?;
     if log_failed {
         // Surfaced once rather than per line; a truncated log would fail
         // any downstream byte-comparison anyway.
@@ -189,16 +180,15 @@ pub fn run_simulation_streamed(
 /// multiple of τ the controller is invoked with the requests that arrived
 /// in the preceding period and returns an integral schedule, which the
 /// loop executes slice by slice — reporting delivered volume back to the
-/// controller — until the next invocation replaces it. Every retirement is
-/// reported to `sink`. Returns the aggregate report and the mean link
-/// utilization over the executed slices (wavelength-links reserved by the
-/// schedule over wavelength-links installed).
+/// controller, which says what of it was still needed and whether it
+/// completed the job — until the next invocation replaces it. Every
+/// retirement is reported to `sink`.
 pub(crate) fn run_event_loop(
     graph: &Graph,
     jobs: impl IntoIterator<Item = Job>,
     cfg: &SimConfig,
     sink: &mut dyn FnMut(Event),
-) -> Result<(StreamReport, f64), SolveError> {
+) -> Result<StreamReport, SolveError> {
     let _span = obs::span("sim_stream");
     let tau = cfg.controller.tau;
     // `Controller::new` and `PathSet::new` assert on these; a config is
@@ -217,9 +207,9 @@ pub(crate) fn run_event_loop(
     let mut it = jobs.into_iter().peekable();
 
     let mut report = StreamReport::default();
-    let mut inflight: BTreeMap<JobId, InFlight> = BTreeMap::new();
-    // The schedule in force, and the slice it runs out at.
-    let mut current: Option<(Instance, Schedule, usize)> = None;
+    // The schedule in force (`instance.jobs[i]` is `controller.active()[i]`
+    // while it is), and the slice it runs out at.
+    let mut current: Option<(InvocationResult, usize)> = None;
     let mut batch: Vec<Job> = Vec::new();
     let total_wavelengths: f64 = graph.edge_ids().map(|e| graph.wavelengths(e) as f64).sum();
     let (mut reserved, mut executed_slices) = (0.0, 0usize);
@@ -252,7 +242,7 @@ pub(crate) fn run_event_loop(
             }
 
             let before = obs::mem::stats();
-            let res: InvocationResult = controller.invoke(now, &batch)?;
+            let res = controller.invoke(now, &batch)?;
             let after = obs::mem::stats();
             let alloc_delta = after.allocated_bytes - before.allocated_bytes;
             obs::counter_add("mem.bytes_allocated", alloc_delta);
@@ -269,55 +259,34 @@ pub(crate) fn run_event_loop(
             }
             report.invocations += 1;
 
-            // Retirements the controller decided at this invocation.
-            for id in controller.take_expired() {
-                if inflight.remove(&id).is_some() {
-                    report.expired += 1;
-                    sink(Event::Expired(id, now));
-                }
+            // Retirements the controller decided at this invocation; the
+            // jobs it found finished were reported when they completed.
+            for &id in &res.expired {
+                report.expired += 1;
+                sink(Event::Expired(id, now));
             }
-            for id in controller.take_finished() {
-                // Normally already retired by the completion check below;
-                // this only catches jobs the controller finished without
-                // the engine seeing the final delivery.
-                if inflight.remove(&id).is_some() {
-                    report.completed += 1;
-                    sink(Event::Done(id, now, None));
-                }
-            }
-            for id in &res.rejected {
+            for &id in &res.rejected {
                 report.rejected += 1;
-                inflight.remove(id);
-                sink(Event::Rejected(*id));
+                sink(Event::Rejected(id));
             }
-            for j in &batch {
-                if res.rejected.contains(&j.id) {
-                    continue;
-                }
-                inflight.insert(
-                    j.id,
-                    InFlight {
-                        remaining: cfg.controller.instance.demand_units(j.size_gb),
-                        original_end: j.end,
-                    },
-                );
-            }
-            report.peak_active = report.peak_active.max(inflight.len());
+            let active = controller.active().len();
+            report.peak_active = report.peak_active.max(active);
             sink(Event::Invoke {
                 now,
                 batch: batch.len(),
                 rejected: res.rejected.len(),
-                active: inflight.len(),
+                active,
             });
             // Even an empty schedule covers the slice it was issued at, so
             // an idle period counts towards utilization at any clock.
             let until = res.instance.grid.num_slices().max(slice + 1);
-            current = Some((res.instance, res.schedule, until));
+            current = Some((res, until));
         }
 
         // Execute this slice of the current schedule.
-        if let Some((inst, sched, until)) = &current {
+        if let Some((res, until)) = &current {
             if slice < *until {
+                let (inst, sched) = (&res.instance, &res.schedule);
                 executed_slices += 1;
                 let len = inst.grid.len_of(slice);
                 for (idx, job) in inst.jobs.iter().enumerate() {
@@ -334,20 +303,17 @@ pub(crate) fn run_event_loop(
                         }
                     }
                     if moved > 0.0 {
-                        let Some(f) = inflight.get_mut(&job.id) else {
+                        let Some((delivered, finished)) = controller.record_transfer(job.id, moved)
+                        else {
                             continue;
                         };
-                        let deliver = moved.min(f.remaining);
-                        f.remaining -= deliver;
-                        report.volume_moved += deliver;
-                        controller.record_transfer(job.id, deliver);
-                        if f.remaining <= 1e-9 {
+                        report.volume_moved += delivered;
+                        if finished {
                             let at = inst.grid.end_of(slice);
-                            let on_time = at <= f.original_end + 1e-9;
+                            let on_time = controller.active()[idx].on_time(at);
                             report.completed += 1;
                             report.on_time += usize::from(on_time);
-                            inflight.remove(&job.id);
-                            sink(Event::Done(job.id, at, Some(on_time)));
+                            sink(Event::Done(job.id, at, on_time));
                         }
                     }
                 }
@@ -357,12 +323,16 @@ pub(crate) fn run_event_loop(
         slice += 1;
 
         // Drained: no more arrivals, nothing in flight.
-        if it.peek().is_none() && inflight.is_empty() && report.invocations > 0 {
+        if it.peek().is_none()
+            && report.invocations > 0
+            && controller.active().iter().all(ActiveJob::is_done)
+        {
             break;
         }
     }
 
-    report.unfinished = inflight.len();
+    let unfinished = controller.active().iter().filter(|a| !a.is_done());
+    report.unfinished = unfinished.count();
     report.slices = slice;
     fn mean(xs: impl Iterator<Item = u64>) -> f64 {
         let (mut sum, mut n) = (0u128, 0usize);
@@ -383,12 +353,10 @@ pub(crate) fn run_event_loop(
     }
     report.mem.late_mean_alloc_bytes = mean(late.iter().copied());
     let capacity = total_wavelengths * executed_slices as f64;
-    let mean_utilization = if capacity > 0.0 {
-        reserved / capacity
-    } else {
-        0.0
-    };
-    Ok((report, mean_utilization))
+    if capacity > 0.0 {
+        report.mean_utilization = reserved / capacity;
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -423,10 +391,12 @@ mod tests {
         assert_eq!(streamed.jobs_seen, 30);
         // Both sides run the one event loop, so the aggregates agree to
         // the bit.
-        assert_eq!(streamed.invocations, full.invocations);
-        assert_eq!(streamed.slices, full.slices);
-        assert_eq!(streamed.volume_moved, full.volume_moved);
-        assert_eq!(streamed.volume_requested, full.volume_requested);
+        assert_eq!(streamed.invocations, full.totals.invocations);
+        assert_eq!(streamed.slices, full.totals.slices);
+        assert_eq!(streamed.volume_moved, full.totals.volume_moved);
+        assert_eq!(streamed.volume_requested, full.totals.volume_requested);
+        assert_eq!(streamed.mean_utilization, full.totals.mean_utilization);
+        assert!(streamed.mean_utilization > 0.0);
         let count =
             |pred: fn(&JobOutcome) -> bool| full.outcomes.values().filter(|o| pred(o)).count();
         assert_eq!(
@@ -479,6 +449,54 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the log's bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The decision log of one overloaded Abilene replay under each policy,
+    /// lines and hash as the event loop wrote it while it still kept its
+    /// own per-job ledger beside the controller's (recorded at 97bd353):
+    /// rejections, expiries, late completions under RET extensions, and
+    /// jobs done in the first slice of a two-slice period.
+    #[test]
+    fn overloaded_decision_log_is_pinned_under_each_policy() {
+        use wavesched_core::controller::OverloadPolicy;
+        let (g, _) = abilene14(2);
+        let wl = WorkloadConfig {
+            num_jobs: 200,
+            seed: 42,
+            size_gb: (300.0, 600.0),
+            arrival: ArrivalModel::Poisson { rate: 1.0 },
+            window: (3.0, 6.0),
+            ..Default::default()
+        };
+        for (policy, lines, hash) in [
+            (OverloadPolicy::Reject, 308, 0x10d6_aa41_ee22_49c5_u64),
+            (OverloadPolicy::ShrinkDemands, 309, 0x62ce_37d5_472e_2303),
+            (OverloadPolicy::ExtendDeadlines, 310, 0xd668_4d8e_234b_a542),
+        ] {
+            let mut cfg = SimConfig::paper(2);
+            cfg.controller.tau = 2;
+            cfg.controller.policy = policy;
+            let mut log = Vec::new();
+            let jobs = WorkloadGenerator::new(wl.clone()).stream(&g);
+            let r = run_simulation_streamed(&g, jobs, &cfg, Some(&mut log)).unwrap();
+            assert_eq!(r.jobs_seen, 200);
+            assert!(r.expired > 0 && r.unfinished == 0, "{policy:?}: {r:?}");
+            let got = (log.iter().filter(|&&b| b == b'\n').count(), fnv1a(&log));
+            assert_eq!(
+                got,
+                (lines, hash),
+                "{policy:?}: decision log moved ({} lines, {:#018x})",
+                got.0,
+                got.1
+            );
+        }
+    }
+
     #[test]
     fn rejections_are_counted() {
         use wavesched_core::controller::OverloadPolicy;
@@ -502,5 +520,14 @@ mod tests {
         assert_eq!(r.completion_rate(), 0.0);
         assert_eq!(r.goodput(), 0.0);
         assert!(!r.completion_rate().is_nan());
+        let r = StreamReport {
+            jobs_seen: 4,
+            completed: 2,
+            volume_moved: 30.0,
+            volume_requested: 40.0,
+            ..Default::default()
+        };
+        assert_eq!(r.completion_rate(), 0.5);
+        assert_eq!(r.goodput(), 0.75);
     }
 }

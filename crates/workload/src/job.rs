@@ -102,15 +102,6 @@ impl Job {
         j.end = self.start + (self.end - self.start) * (1.0 + b);
         j
     }
-
-    /// Returns a copy with the size scaled by `z` (the Stage-2 demand
-    /// reduction applies `Z_i < 1`).
-    pub fn with_scaled_size(&self, z: f64) -> Job {
-        assert!(z > 0.0, "scale must be positive");
-        let mut j = self.clone();
-        j.size_gb = self.size_gb * z;
-        j
-    }
 }
 
 #[cfg(test)]
@@ -131,8 +122,6 @@ mod tests {
         // Measured from the scheduling instant, the extension is the same
         // at any clock.
         assert_eq!(j.with_extended_end(0.5, 1.0).end, 13.0);
-        let s = j.with_scaled_size(0.5);
-        assert!((s.size_gb - 25.0).abs() < 1e-12);
     }
 
     #[test]

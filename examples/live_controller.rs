@@ -43,7 +43,7 @@ fn main() {
         println!("== policy {policy:?} ==");
         println!(
             "  {} slices simulated, {} controller invocations",
-            report.slices, report.invocations
+            report.totals.slices, report.totals.invocations
         );
         println!(
             "  completed {:.0}%  on-time {:.0}%  rejected {:.0}%  expired {:.0}%",
@@ -54,8 +54,8 @@ fn main() {
         );
         println!(
             "  goodput {:.0}% of requested volume, mean utilization {:.1}%",
-            report.goodput() * 100.0,
-            report.mean_utilization * 100.0
+            report.totals.goodput() * 100.0,
+            report.totals.mean_utilization * 100.0
         );
         if let Some(t) = report.average_end_time() {
             println!("  average end time of completed jobs: {t:.1} slices");

@@ -496,8 +496,8 @@ fn run() -> Result<(), String> {
             let rep = run_simulation(&graph, &jobs, &cfg).map_err(|e| e.to_string())?;
             println!(
                 "{} slices, {} invocations | completed {:.0}% (on time {:.0}%), rejected {:.0}%, expired {:.0}%",
-                rep.slices,
-                rep.invocations,
+                rep.totals.slices,
+                rep.totals.invocations,
                 100.0 * rep.completion_rate(),
                 100.0 * rep.on_time_rate(),
                 100.0 * rep.rejection_rate(),
@@ -505,8 +505,8 @@ fn run() -> Result<(), String> {
             );
             println!(
                 "goodput {:.0}%, mean utilization {:.1}%{}",
-                100.0 * rep.goodput(),
-                100.0 * rep.mean_utilization,
+                100.0 * rep.totals.goodput(),
+                100.0 * rep.totals.mean_utilization,
                 rep.average_end_time()
                     .map(|t| format!(", avg end time {t:.1} slices"))
                     .unwrap_or_default()

@@ -125,9 +125,9 @@ fn simulation_closes_the_loop() {
     .generate(&g);
     let cfg = SimConfig::paper(4);
     let report = run_simulation(&g, &jobs, &cfg).expect("simulation");
-    assert!(report.invocations >= 1);
-    assert!(report.volume_moved > 0.0);
-    assert!(report.volume_moved <= report.volume_requested + 1e-6);
+    assert!(report.totals.invocations >= 1);
+    assert!(report.totals.volume_moved > 0.0);
+    assert!(report.totals.volume_moved <= report.totals.volume_requested + 1e-6);
     assert!(report.completion_rate() > 0.5);
     // Every job has a definite outcome entry.
     assert_eq!(report.outcomes.len(), jobs.len());
