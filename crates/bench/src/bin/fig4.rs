@@ -103,7 +103,6 @@ fn colgen_sweep(opts: &BenchOpts) {
         };
         let cg = ColGenConfig {
             pricer: PricerChoice::Exhaustive,
-            ..ColGenConfig::default()
         };
         // lint: allow(wallclock, reason = "bench wall-clock column; results columns stay deterministic")
         let t0 = std::time::Instant::now();

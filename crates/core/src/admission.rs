@@ -16,11 +16,11 @@ use wavesched_net::{Graph, PathSet};
 use wavesched_workload::Job;
 
 /// Result of prefix admission.
-pub struct AdmissionOutcome {
+pub(crate) struct AdmissionOutcome {
     /// Number of candidates admitted (a prefix of the candidate list).
-    pub admitted_prefix: usize,
+    pub(crate) admitted_prefix: usize,
     /// Stage-1 `Z*` of mandatory + admitted prefix.
-    pub z_star: f64,
+    pub(crate) z_star: f64,
     /// The instance of mandatory + admitted prefix, its held LP and the
     /// Stage-1 optimum `z_star` was read from: the overload test *is* the
     /// scheduling pipeline's first stage, so the controller continues from
@@ -55,7 +55,7 @@ pub(crate) fn instance_over(
 /// prefix is 0 and `z_star` reports the mandatory-only value. Paths come
 /// from the caller's `pathset` (`cfg.paths_per_job` per endpoint pair), so
 /// a controller pays Yen once per pair, not once per invocation.
-pub fn admit_by_priority(
+pub(crate) fn admit_by_priority(
     graph: &Graph,
     mandatory: &[Job],
     mandatory_demands: &[f64],

@@ -22,14 +22,14 @@ use wavesched_obs as obs;
 /// Acquire the buffers through [`BuildArena::scratch`]; they come back
 /// cleared but with their capacity intact.
 #[derive(Debug, Default)]
-pub struct BuildArena {
+pub(crate) struct BuildArena {
     cols: Vec<Col>,
     coeffs: Vec<(Col, f64)>,
 }
 
 impl BuildArena {
     /// An empty arena. Buffers grow on first use and are kept thereafter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

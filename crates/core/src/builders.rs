@@ -71,6 +71,16 @@ impl Form {
         }
     }
 
+    /// The form's name, for error messages.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Form::Stage1 => "stage 1",
+            Form::Stage2 { .. } => "stage 2",
+            Form::Probe => "RET probe",
+            Form::QuickFinish => "RET quick-finish",
+        }
+    }
+
     /// `(Z cost, Z lower, Z upper, job-row upper)`.
     pub(crate) fn z_and_rows(&self) -> (f64, f64, f64, f64) {
         match self {

@@ -9,12 +9,11 @@
 //! Capacity Allocation"), this module keeps only an *active* column pool:
 //!
 //! 1. seed the pool with each job's hop-shortest path,
-//! 2. solve the restricted master over the pool ([`CgMaster::solve`]),
-//! 3. price new paths against the optimal duals
-//!    ([`CgMaster::price_and_augment`]): a path column for `(job i,
-//!    slice j)` improves the master iff its reduced cost is positive,
-//!    i.e. iff its dual load `Σ_{e∈p} μ_{e,j}` is below the budget
-//!    `c_ij − λ_i·LEN(j) − tol`,
+//! 2. solve the restricted master over the pool,
+//! 3. price new paths against the optimal duals: a path column for
+//!    `(job i, slice j)` improves the master iff its reduced cost is
+//!    positive, i.e. iff its dual load `Σ_{e∈p} μ_{e,j}` is below the
+//!    budget `c_ij − λ_i·LEN(j) − tol`,
 //! 4. repeat until no pricer proposal survives verification.
 //!
 //! When the loop terminates, the restricted optimum is optimal for the
@@ -22,24 +21,30 @@
 //! with zeros on the unmaterialized capacity rows are dual-feasible within
 //! tolerance for every priced-out column.
 //!
-//! Two pricers implement [`Pricer`]:
+//! Two pricers, chosen by [`PricerChoice`]:
 //!
-//! * [`ExhaustivePricer`] prices over the Yen k-shortest universe: each
-//!   round it proposes the best improving out-of-pool Yen path per job, so
-//!   at convergence the whole Yen set is priced out and column generation
-//!   with this pricer must match the monolithic [`Instance`]-based solve
-//!   to tolerance — the differential oracle.
-//! * [`ReducedCostPricer`] runs Dijkstra on the clamped capacity duals
-//!   (`max(μ_{e,j}, 0)` per link) and can propose negative-reduced-cost
-//!   paths *outside* the Yen set. Clamping only under-estimates the dual
-//!   load, so every proposal is re-verified against the exact reduced cost
-//!   before columns are added.
+//! * [`PricerChoice::Exhaustive`] prices over the Yen k-shortest universe:
+//!   each round it proposes the best improving out-of-pool Yen path per
+//!   job, so at convergence the whole Yen set is priced out and column
+//!   generation with this pricer must match the monolithic
+//!   [`Instance`]-based solve to tolerance — the differential oracle.
+//! * [`PricerChoice::ReducedCost`] runs Dijkstra on the clamped capacity
+//!   duals (`max(μ_{e,j}, 0)` per link) and can propose
+//!   negative-reduced-cost paths *outside* the Yen set. Clamping only
+//!   under-estimates the dual load, so every proposal is re-verified
+//!   against the exact reduced cost before columns are added.
+//!
+//! The master, its pool and the pricers are the crate's internals: callers
+//! reach them through
+//! [`max_throughput_pipeline_colgen`](crate::pipeline::max_throughput_pipeline_colgen)
+//! and [`solve_ret_colgen`](crate::ret::solve_ret_colgen), and choose the
+//! pricer with a [`ColGenConfig`].
 //!
 //! Everything here is serial and deterministically ordered (`BTreeMap`
 //! duals, sorted row keys, the tie-broken Dijkstra of `wavesched-net`), so
 //! runs are byte-reproducible at any `WS_THREADS`.
 
-use crate::builders::Form;
+use crate::builders::{expect_optimal, Form};
 use crate::instance::{Instance, InstanceConfig};
 use crate::timegrid::TimeGrid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,37 +73,32 @@ pub enum PricerChoice {
 impl PricerChoice {
     /// Instantiates the pricer. `paths_per_job` is the Yen `k` used by the
     /// exhaustive oracle (ignored by the reduced-cost pricer).
-    pub fn build(&self, paths_per_job: usize) -> Box<dyn Pricer> {
+    pub(crate) fn build(&self, paths_per_job: usize) -> Box<dyn Pricer> {
         match self {
-            PricerChoice::ReducedCost => Box::new(ReducedCostPricer::new()),
-            PricerChoice::Exhaustive => Box::new(ExhaustivePricer::new(paths_per_job)),
+            PricerChoice::ReducedCost => Box::new(ReducedCostPricer),
+            PricerChoice::Exhaustive => Box::new(ExhaustivePricer {
+                pathset: PathSet::new(paths_per_job),
+            }),
         }
     }
 }
 
-/// Column-generation knobs.
-#[derive(Debug, Clone)]
+/// The column-generation knob: which pricer.
+#[derive(Debug, Clone, Default)]
 pub struct ColGenConfig {
     /// Pricing oracle.
     pub pricer: PricerChoice,
-    /// Hard cap on price–resolve rounds per master form (stage 1, stage 2,
-    /// each RET probe, each growth step). Hitting the cap returns the best
-    /// restricted optimum found so far.
-    pub max_rounds: usize,
-    /// Reduced-cost tolerance: a column must beat the duals by more than
-    /// this to enter the pool.
-    pub tolerance: f64,
 }
 
-impl Default for ColGenConfig {
-    fn default() -> Self {
-        ColGenConfig {
-            pricer: PricerChoice::default(),
-            max_rounds: 50,
-            tolerance: 1e-7,
-        }
-    }
-}
+/// Safety cap on price–resolve rounds per master form (stage 1, stage 2,
+/// each RET probe, each growth step). A loop that has not priced out
+/// within it is reported as a breakdown, never answered from a master that
+/// was not priced to optimality.
+const MAX_ROUNDS: usize = 50;
+
+/// Reduced-cost tolerance: a column must beat the duals by more than this
+/// to enter the pool.
+const TOLERANCE: f64 = 1e-7;
 
 /// Column-generation work counters (also mirrored into the `cg.*` obs
 /// counters: `cg.rounds`, `cg.columns_added`, `cg.pricer_calls`,
@@ -106,7 +106,7 @@ impl Default for ColGenConfig {
 /// `cg.master_lu_reuse_hits`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CgStats {
-    /// Price–resolve rounds run (one per [`CgMaster::price_and_augment`]).
+    /// Price–resolve rounds run.
     pub rounds: u64,
     /// Master columns added after the seed.
     pub columns_added: u64,
@@ -125,13 +125,11 @@ pub struct CgStats {
 
 /// One pool column: `(job, path index within the job's pool, slice)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolCol {
-    /// Job index.
-    pub job: u32,
-    /// Index into [`ColumnPool::paths_of`] for the job.
-    pub path: u32,
-    /// Time slice.
-    pub slice: u32,
+struct PoolCol {
+    job: u32,
+    /// Index into the job's [`ColumnPool::paths`].
+    path: u32,
+    slice: u32,
 }
 
 /// The restricted master's active `(job, path, slice)` columns.
@@ -142,8 +140,10 @@ pub struct PoolCol {
 /// columns appended at the end), which is what keeps Stage-2 / RET /
 /// controller warm starts working under column generation.
 #[derive(Debug, Clone)]
-pub struct ColumnPool {
+pub(crate) struct ColumnPool {
+    /// The active paths of each job, in pool order.
     paths: Vec<Vec<Path>>,
+    /// The pool columns in master order.
     cols: Vec<PoolCol>,
 }
 
@@ -155,56 +155,31 @@ impl ColumnPool {
         }
     }
 
-    /// Number of jobs covered.
-    pub fn num_jobs(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// The active paths of one job, in pool order.
-    pub fn paths_of(&self, job: usize) -> &[Path] {
-        &self.paths[job]
-    }
-
-    /// Total number of active paths across all jobs.
-    pub fn num_paths(&self) -> usize {
-        self.paths.iter().map(|p| p.len()).sum()
-    }
-
-    /// Total number of `(job, path, slice)` columns.
-    pub fn num_cols(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The pool columns in master order.
-    pub fn cols(&self) -> &[PoolCol] {
-        &self.cols
-    }
-
     /// True when `path` is already in `job`'s pool.
-    pub fn contains(&self, job: usize, path: &Path) -> bool {
+    fn contains(&self, job: usize, path: &Path) -> bool {
         self.paths[job].iter().any(|p| p == path)
     }
 }
 
 /// Everything a [`Pricer`] may consult when proposing columns.
-pub struct PricingContext<'a> {
+pub(crate) struct PricingContext<'a> {
     /// The network.
-    pub graph: &'a Graph,
+    graph: &'a Graph,
     /// The jobs (RET callers pass the deadline-extended jobs).
-    pub jobs: &'a [Job],
+    jobs: &'a [Job],
     /// The *active* slice window per job at the current trial deadline.
-    pub windows: &'a [Range<usize>],
+    windows: &'a [Range<usize>],
     /// Dual value of every materialized capacity row, keyed by
     /// `(edge index, slice)`. Rows not in the map have dual zero (their
     /// constraint is slack by construction).
-    pub cap_duals: &'a BTreeMap<(u32, u32), f64>,
+    cap_duals: &'a BTreeMap<(u32, u32), f64>,
     /// `budgets[i][j - windows[i].start]`: a new path for job `i` usable
     /// in slice `j` improves the master iff its dual load
     /// `Σ_{e∈p} μ_{e,j}` is strictly below this (the reduced-cost
     /// tolerance is already subtracted).
-    pub budgets: &'a [Vec<f64>],
+    budgets: &'a [Vec<f64>],
     /// The current pool, for deduplication.
-    pub pool: &'a ColumnPool,
+    pool: &'a ColumnPool,
 }
 
 /// A column-generation pricing oracle: proposes `(job, path)` candidates
@@ -215,10 +190,7 @@ pub struct PricingContext<'a> {
 /// round — the best exact margin — which keeps the pool lean (textbook
 /// column-generation discipline; entering every improving column floods
 /// the restricted master back to the monolithic size).
-pub trait Pricer {
-    /// Short name for diagnostics.
-    fn name(&self) -> &'static str;
-
+pub(crate) trait Pricer {
     /// Proposes candidate paths under the given duals.
     fn price(&mut self, ctx: &PricingContext<'_>) -> Vec<(usize, Path)>;
 }
@@ -228,18 +200,9 @@ pub trait Pricer {
 /// margin per job. At convergence no out-of-pool Yen path improves, so
 /// column generation with this pricer reaches exactly the monolithic
 /// [`Instance`]-based optimum — the differential oracle.
-pub struct ExhaustivePricer {
+struct ExhaustivePricer {
+    /// Yen's `k` is the instance's `paths_per_job`.
     pathset: PathSet,
-}
-
-impl ExhaustivePricer {
-    /// Creates the oracle with the Yen `k` (the instance's
-    /// `paths_per_job`).
-    pub fn new(paths_per_job: usize) -> Self {
-        ExhaustivePricer {
-            pathset: PathSet::new(paths_per_job),
-        }
-    }
 }
 
 /// Exact reduced-cost margin of `path` for `job`: the maximum over the
@@ -264,10 +227,6 @@ fn exact_margin(ctx: &PricingContext<'_>, job: usize, path: &Path) -> f64 {
 }
 
 impl Pricer for ExhaustivePricer {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
     fn price(&mut self, ctx: &PricingContext<'_>) -> Vec<(usize, Path)> {
         let mut out = Vec::new();
         for (i, job) in ctx.jobs.iter().enumerate() {
@@ -302,21 +261,9 @@ impl Pricer for ExhaustivePricer {
 /// proposed for the job. Searches are cached per `(slice, src, dst)`
 /// within one call; candidate order is slice-major with first-wins ties —
 /// fully deterministic.
-#[derive(Default)]
-pub struct ReducedCostPricer {}
-
-impl ReducedCostPricer {
-    /// Creates the pricer.
-    pub fn new() -> Self {
-        ReducedCostPricer {}
-    }
-}
+struct ReducedCostPricer;
 
 impl Pricer for ReducedCostPricer {
-    fn name(&self) -> &'static str {
-        "reduced-cost"
-    }
-
     fn price(&mut self, ctx: &PricingContext<'_>) -> Vec<(usize, Path)> {
         let mut out = Vec::new();
         // (slice, src, dst) -> cheapest-dual-load path this round.
@@ -376,7 +323,7 @@ impl Pricer for ReducedCostPricer {
 /// form switching, for the whole Stage-1 → Stage-2 pipeline or the whole
 /// RET bisection + δ-growth — so the simplex basis is reused across every
 /// resolve, augmentation, and bound change.
-pub struct CgMaster {
+pub(crate) struct CgMaster {
     graph: Graph,
     jobs: Vec<Job>,
     demands: Vec<f64>,
@@ -388,7 +335,9 @@ pub struct CgMaster {
     /// fixed to zero.
     active: Vec<Range<usize>>,
     config: InstanceConfig,
-    cg: ColGenConfig,
+    /// Price–resolve rounds allowed per form: [`MAX_ROUNDS`], lowered only
+    /// by the cap's own unit test.
+    max_rounds: usize,
     session: SolverSession,
     z: Col,
     job_rows: Vec<Row>,
@@ -410,12 +359,11 @@ impl CgMaster {
     /// [`InstanceConfig::demand_units`]); jobs with no route simply get an
     /// empty pool (their job row then forces `Z = 0`, exactly like the
     /// monolithic build).
-    pub fn build(
+    pub(crate) fn build(
         graph: &Graph,
         jobs: &[Job],
         demands: Vec<f64>,
         config: &InstanceConfig,
-        cg: &ColGenConfig,
     ) -> Result<Self, SolveError> {
         assert_eq!(jobs.len(), demands.len());
         let grid = TimeGrid::covering(jobs);
@@ -486,7 +434,7 @@ impl CgMaster {
             active: windows.clone(),
             windows,
             config: config.clone(),
-            cg: cg.clone(),
+            max_rounds: MAX_ROUNDS,
             session,
             z,
             job_rows,
@@ -499,44 +447,24 @@ impl CgMaster {
         })
     }
 
-    /// Number of jobs.
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// The normalized demands the master was built with.
-    pub fn demands(&self) -> &[f64] {
+    pub(crate) fn demands(&self) -> &[f64] {
         &self.demands
     }
 
     /// The master's time grid.
-    pub fn grid(&self) -> &TimeGrid {
+    pub(crate) fn grid(&self) -> &TimeGrid {
         &self.grid
     }
 
-    /// The envelope slice windows the master was built with.
-    pub fn windows(&self) -> &[Range<usize>] {
-        &self.windows
-    }
-
-    /// The active column pool.
-    pub fn pool(&self) -> &ColumnPool {
-        &self.pool
-    }
-
     /// Column-generation work counters so far.
-    pub fn stats(&self) -> CgStats {
+    pub(crate) fn stats(&self) -> CgStats {
         self.stats
     }
 
     /// Aggregated simplex counters over every master solve.
-    pub fn session_stats(&self) -> SolveStats {
+    pub(crate) fn session_stats(&self) -> SolveStats {
         self.session.stats()
-    }
-
-    /// True when this master's price–resolve loop may run another round.
-    pub fn may_round(&self, rounds_done: usize) -> bool {
-        rounds_done < self.cg.max_rounds
     }
 
     /// Switches the master to `form`: `Z`'s cost and bounds, the job rows'
@@ -556,6 +484,20 @@ impl CgMaster {
         }
     }
 
+    /// Installs `form` and prices it out to optimality over the pricer's
+    /// path universe — with the exhaustive pricer, the optimum of the
+    /// monolithic LP over the same Yen paths, to tolerance. Any other
+    /// status is the breakdown it is for the instance-backed LP.
+    pub(crate) fn solve_form(
+        &mut self,
+        form: Form,
+        pricer: &mut dyn Pricer,
+    ) -> Result<Solution, SolveError> {
+        let what = form.name();
+        self.install(form);
+        expect_optimal(price_resolve(self, pricer)?, what)
+    }
+
     /// The current form's objective coefficient of a `(job, slice)`
     /// column.
     fn cost_of(&self, job: usize, slice: usize) -> f64 {
@@ -566,7 +508,7 @@ impl CgMaster {
     /// columns outside are fixed to zero, columns inside reopened. RET
     /// drives this per bisection probe and per δ-growth step, re-pricing
     /// after every change.
-    pub fn set_active_windows(&mut self, windows: &[Range<usize>]) {
+    pub(crate) fn set_active_windows(&mut self, windows: &[Range<usize>]) {
         assert_eq!(windows.len(), self.jobs.len());
         for (i, w) in windows.iter().enumerate() {
             let env = &self.windows[i];
@@ -592,7 +534,7 @@ impl CgMaster {
     /// Solves the restricted master (warm from the previous optimum; the
     /// session takes the dual simplex path automatically when every edit
     /// since the last optimum was a bound/RHS re-aim).
-    pub fn solve(&mut self) -> Result<Solution, SolveError> {
+    fn solve(&mut self) -> Result<Solution, SolveError> {
         let sol = self.session.solve()?;
         self.stats.master_dual_iterations += sol.stats.dual_iterations;
         obs::counter_add("cg.master_dual_iterations", sol.stats.dual_iterations);
@@ -606,18 +548,9 @@ impl CgMaster {
     /// surviving paths' columns (and any newly crossed capacity rows) to
     /// the master. Returns the number of columns added — zero means the
     /// restricted optimum is optimal over the pricer's universe and the
-    /// loop is done. Returns zero without pricing once `rounds_done`
-    /// reaches the configured round cap.
-    pub fn price_and_augment(
-        &mut self,
-        sol: &Solution,
-        pricer: &mut dyn Pricer,
-        rounds_done: usize,
-    ) -> usize {
+    /// loop is done.
+    fn price_and_augment(&mut self, sol: &Solution, pricer: &mut dyn Pricer) -> usize {
         debug_assert_eq!(sol.status, Status::Optimal, "pricing needs optimal duals");
-        if !self.may_round(rounds_done) {
-            return 0;
-        }
         self.stats.rounds += 1;
         obs::counter_add("cg.rounds", 1);
 
@@ -636,7 +569,7 @@ impl CgMaster {
             bi.clear();
             bi.reserve(w.len());
             for j in w {
-                let b = self.cost_of(i, j) - lambda * self.grid.len_of(j) - self.cg.tolerance;
+                let b = self.cost_of(i, j) - lambda * self.grid.len_of(j) - TOLERANCE;
                 bi.push(b);
             }
         }
@@ -770,14 +703,14 @@ impl CgMaster {
     /// Materializes the converged pool as a standard [`Instance`] (the
     /// pool paths become the allowed paths), so schedules, LPD/LPDAR and
     /// all metrics work downstream exactly as after a monolithic build.
-    pub fn materialize(&self) -> Instance {
+    pub(crate) fn materialize(&self) -> Instance {
         self.materialize_for(&self.jobs)
     }
 
     /// Like [`materialize`](Self::materialize) but over substitute jobs
     /// (same count, sources and destinations — RET passes the jobs
     /// extended to the current trial deadline).
-    pub fn materialize_for(&self, jobs: &[Job]) -> Instance {
+    pub(crate) fn materialize_for(&self, jobs: &[Job]) -> Instance {
         assert_eq!(jobs.len(), self.jobs.len());
         Instance::build_with_paths(
             &self.graph,
@@ -793,7 +726,7 @@ impl CgMaster {
     /// [`materialize_for`](Self::materialize_for)). Pool columns whose
     /// slice falls outside the instance window are dropped — they are
     /// bound to zero whenever the active windows match the instance.
-    pub fn values_on(&self, inst: &Instance, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn values_on(&self, inst: &Instance, x: &[f64]) -> Vec<f64> {
         let mut v = vec![0.0; inst.vars.len()];
         for (k, pc) in self.pool.cols.iter().enumerate() {
             let (job, pi, slice) = (pc.job as usize, pc.path as usize, pc.slice as usize);
@@ -806,10 +739,12 @@ impl CgMaster {
 }
 
 /// Runs the price–resolve loop on `master`'s **current** form: solve,
-/// price, augment, repeat until the pricer prices out (or the round cap is
-/// hit, or a non-optimal status stops the loop — RET's Quick-Finish form
-/// can legitimately be infeasible). Returns the final restricted solution.
-pub fn price_resolve(
+/// price, augment, repeat until the pricer prices out (or a non-optimal
+/// status stops the loop — RET's Quick-Finish form can legitimately be
+/// infeasible). Returns the final restricted solution; a loop not priced
+/// out within [`MAX_ROUNDS`] is a [`SolveError::Numerical`], because a master
+/// cut off there was never priced to optimality.
+pub(crate) fn price_resolve(
     master: &mut CgMaster,
     pricer: &mut dyn Pricer,
 ) -> Result<Solution, SolveError> {
@@ -823,7 +758,7 @@ pub fn price_resolve(
 /// threshold is reached, more columns cannot un-reach it. RET's bisection
 /// probes use this — a probe only needs pricing to optimality to certify
 /// *in*feasibility, and stopping at the threshold keeps the pool lean.
-pub fn price_resolve_until(
+pub(crate) fn price_resolve_until(
     master: &mut CgMaster,
     pricer: &mut dyn Pricer,
     stop: impl Fn(&Solution) -> bool,
@@ -834,7 +769,13 @@ pub fn price_resolve_until(
         if sol.status != Status::Optimal || stop(&sol) {
             return Ok(sol);
         }
-        if master.price_and_augment(&sol, pricer, rounds) == 0 {
+        if rounds == master.max_rounds {
+            return Err(SolveError::Numerical(format!(
+                "column generation ({}) not priced out after {rounds} rounds",
+                master.form.name()
+            )));
+        }
+        if master.price_and_augment(&sol, pricer) == 0 {
             return Ok(sol);
         }
         rounds += 1;
@@ -845,7 +786,12 @@ pub fn price_resolve_until(
 mod tests {
     use super::*;
     use crate::instance::InstanceConfig;
-    use crate::stage1::{solve_stage1, solve_stage1_colgen};
+    use crate::stage1::solve_stage1;
+
+    /// Stage 1 priced out on `master`: `Z*` over the pricer's universe.
+    fn stage1_colgen(master: &mut CgMaster, pricer: &mut dyn Pricer) -> Result<f64, SolveError> {
+        Ok(master.solve_form(Form::Stage1, pricer)?.objective)
+    }
     use wavesched_net::abilene14;
     use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -869,13 +815,9 @@ mod tests {
         let inst = Instance::build(&g, &jobs, &cfg, &mut ps);
         let mono = solve_stage1(&inst).unwrap();
 
-        let cg = ColGenConfig {
-            pricer: PricerChoice::Exhaustive,
-            ..Default::default()
-        };
-        let mut master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
-        let mut pricer = cg.pricer.build(cfg.paths_per_job);
-        let z = solve_stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let mut pricer = PricerChoice::Exhaustive.build(cfg.paths_per_job);
+        let z = stage1_colgen(&mut master, pricer.as_mut()).unwrap();
         assert!(
             (z - mono.z_star).abs() < 1e-6,
             "colgen z* {z} vs monolithic {}",
@@ -890,10 +832,9 @@ mod tests {
         let inst = Instance::build(&g, &jobs, &cfg, &mut ps);
         let mono = solve_stage1(&inst).unwrap();
 
-        let cg = ColGenConfig::default(); // reduced-cost
-        let mut master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
-        let mut pricer = cg.pricer.build(cfg.paths_per_job);
-        let z = solve_stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let mut pricer = PricerChoice::ReducedCost.build(cfg.paths_per_job);
+        let z = stage1_colgen(&mut master, pricer.as_mut()).unwrap();
         // The reduced-cost pricer optimizes over ALL simple paths, a
         // superset of the Yen set: its optimum can only be >= (up to tol).
         assert!(
@@ -909,17 +850,16 @@ mod tests {
     #[test]
     fn pool_stays_restricted() {
         let (g, jobs, demands, cfg) = setup(10, 42);
-        let cg = ColGenConfig::default();
-        let mut master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
-        let mut pricer = cg.pricer.build(cfg.paths_per_job);
-        solve_stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
+        stage1_colgen(&mut master, pricer.as_mut()).unwrap();
         // Exhaustive column count over the same jobs.
         let mut ps = PathSet::new(cfg.paths_per_job);
         let inst = Instance::build(&g, &jobs, &cfg, &mut ps);
         assert!(
-            master.pool().num_cols() <= inst.vars.len(),
+            master.pool.cols.len() <= inst.vars.len(),
             "pool {} vs exhaustive {}",
-            master.pool().num_cols(),
+            master.pool.cols.len(),
             inst.vars.len()
         );
     }
@@ -927,27 +867,31 @@ mod tests {
     #[test]
     fn seed_paths_are_shortest() {
         let (g, jobs, demands, cfg) = setup(5, 3);
-        let cg = ColGenConfig::default();
-        let master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
+        let master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
         for (i, job) in jobs.iter().enumerate() {
             let want = dijkstra::shortest_path(&g, job.src, job.dst).unwrap();
-            assert_eq!(master.pool().paths_of(i)[0], want);
+            assert_eq!(master.pool.paths[i][0], want);
         }
     }
 
+    /// A loop cut off at its round cap was never priced to optimality: it
+    /// must say so, not hand back the restricted optimum as if converged.
     #[test]
-    fn round_cap_stops_pricing() {
-        let (g, jobs, demands, cfg) = setup(6, 9);
-        let cg = ColGenConfig {
-            max_rounds: 0,
-            ..Default::default()
-        };
-        let mut master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
-        let mut pricer = cg.pricer.build(cfg.paths_per_job);
-        master.install(Form::Stage1);
-        let sol = master.solve().unwrap();
-        assert_eq!(master.price_and_augment(&sol, pricer.as_mut(), 0), 0);
-        assert_eq!(master.stats().rounds, 0);
+    fn round_cap_is_an_error_not_an_answer() {
+        let (g, jobs, demands, cfg) = setup(10, 42);
+        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
+        let mut free = CgMaster::build(&g, &jobs, demands.clone(), &cfg).unwrap();
+        stage1_colgen(&mut free, pricer.as_mut()).unwrap();
+        assert!(free.stats().rounds > 2, "workload must need several rounds");
+
+        let mut capped = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        capped.max_rounds = 1;
+        let out = stage1_colgen(&mut capped, pricer.as_mut());
+        assert!(
+            matches!(&out, Err(SolveError::Numerical(why)) if why.contains("stage 1")),
+            "{out:?}"
+        );
+        assert_eq!(capped.stats().rounds, 1);
     }
 
     /// `add_paths(batch)` must leave the master exactly where one splice
@@ -956,9 +900,8 @@ mod tests {
     #[test]
     fn batched_augmentation_matches_singleton_batches() {
         let (g, jobs, demands, cfg) = setup(10, 42);
-        let cg = ColGenConfig::default();
-        let mut batched = CgMaster::build(&g, &jobs, demands.clone(), &cfg, &cg).unwrap();
-        let mut twin = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
+        let mut batched = CgMaster::build(&g, &jobs, demands.clone(), &cfg).unwrap();
+        let mut twin = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
         let mut yen = PathSet::new(cfg.paths_per_job);
 
         // Round 1: every job's second Yen path, the first of them proposed
@@ -1026,10 +969,9 @@ mod tests {
     #[test]
     fn values_map_onto_materialized_instance() {
         let (g, jobs, demands, cfg) = setup(8, 5);
-        let cg = ColGenConfig::default();
-        let mut master = CgMaster::build(&g, &jobs, demands, &cfg, &cg).unwrap();
-        let mut pricer = cg.pricer.build(cfg.paths_per_job);
-        let z = solve_stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
+        let z = stage1_colgen(&mut master, pricer.as_mut()).unwrap();
         let sol = master.solve().unwrap();
         let inst = master.materialize();
         let x = master.values_on(&inst, &sol.x);

@@ -17,7 +17,6 @@
 use crate::admission::{admit_by_priority, instance_over};
 use crate::arena::BuildArena;
 use crate::instance::{Instance, InstanceConfig};
-use crate::lpdar::AdjustOrder;
 use crate::pipeline::pipeline_from_stage1;
 use crate::ret::{solve_ret_with_demands, RetConfig};
 use crate::schedule::Schedule;
@@ -57,9 +56,6 @@ pub struct ControllerConfig {
     pub alpha: f64,
     /// Overload action.
     pub policy: OverloadPolicy,
-    /// Visit order of the pipeline's LPDAR only; RET's capped LPDAR always
-    /// runs in the paper's order.
-    pub order: AdjustOrder,
     /// RET settings (used by [`OverloadPolicy::ExtendDeadlines`]).
     pub ret: RetConfig,
 }
@@ -72,7 +68,6 @@ impl ControllerConfig {
             instance: InstanceConfig::paper(w),
             alpha: 0.1,
             policy: OverloadPolicy::ShrinkDemands,
-            order: AdjustOrder::Paper,
             ret: RetConfig::default(),
         }
     }
@@ -324,7 +319,7 @@ impl Controller {
         // on the LP Stage 1 was solved on, then LPD and LPDAR.
         let pipe = {
             let _pipeline_span = obs::span("pipeline");
-            pipeline_from_stage1(&inst, &mut lp, s1, self.cfg.alpha, self.cfg.order, t0)?
+            pipeline_from_stage1(&inst, &mut lp, s1, self.cfg.alpha, t0)?
         };
 
         self.commit(&inst, new_requests);

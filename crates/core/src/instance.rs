@@ -205,7 +205,7 @@ impl Instance {
     /// Builds an instance with explicit normalized demands (used by the
     /// periodic controller to schedule *remaining* demand of in-flight
     /// jobs).
-    pub fn build_with_demands(
+    pub(crate) fn build_with_demands(
         graph: &Graph,
         jobs: &[Job],
         demands: Vec<f64>,
@@ -225,7 +225,7 @@ impl Instance {
     /// active paths become the allowed paths, and every downstream
     /// consumer (schedules, LPD/LPDAR discretization, metrics) works
     /// unchanged.
-    pub fn build_with_paths(
+    pub(crate) fn build_with_paths(
         graph: &Graph,
         jobs: &[Job],
         demands: Vec<f64>,
@@ -279,7 +279,7 @@ impl Instance {
 
     /// True when some job has no allowed path or an empty window — such a
     /// job can never be scheduled and makes `Z* = 0`.
-    pub fn has_unschedulable_job(&self) -> bool {
+    pub(crate) fn has_unschedulable_job(&self) -> bool {
         (0..self.num_jobs()).any(|i| self.paths[i].is_empty() || self.vars.window(i).is_empty())
     }
 }
@@ -326,7 +326,7 @@ pub(crate) mod tests {
         for (i, j) in inst.jobs.iter().enumerate() {
             let w = inst.vars.window(i);
             if !w.is_empty() {
-                assert!(inst.grid.start_of(w.start) >= j.start);
+                assert!(w.start as f64 >= j.start);
                 assert!(inst.grid.end_of(w.end - 1) <= j.end);
             }
         }

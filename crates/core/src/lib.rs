@@ -21,15 +21,23 @@
 //!   Quick-Finish objective and Algorithm 2's binary search + δ-growth.
 //! * [`pipeline`] — the end-to-end "maximize throughput with end-time
 //!   guarantee" pipeline with per-stage timings (Figs. 1–3).
-//! * [`admission`] — the three overload actions: reject (footnote 1's
-//!   binary search), shrink demands, extend deadlines.
 //! * [`controller`] — the periodic network controller that re-optimizes
-//!   every τ, carrying unfinished jobs forward.
+//!   every τ, carrying unfinished jobs forward, with the three overload
+//!   actions: reject (footnote 1's binary search), shrink demands, extend
+//!   deadlines.
+//! * [`colgen`] — the choice of pricer for the column-generated drivers.
+//!
+//! Eight functions run the algorithms: [`solve_stage1`], [`solve_stage2`],
+//! [`max_throughput_pipeline`], [`max_throughput_pipeline_colgen`],
+//! [`solve_ret`], [`solve_ret_with_demands`], [`solve_ret_colgen`] and
+//! [`Controller::invoke`]. The restricted master behind the two `_colgen`
+//! drivers, the admission search behind [`OverloadPolicy::Reject`] and the
+//! LP build scratch are the crate's internals.
 
 #![warn(missing_docs)]
 
-pub mod admission;
-pub mod arena;
+pub(crate) mod admission;
+pub(crate) mod arena;
 pub(crate) mod builders;
 pub mod colgen;
 pub mod controller;
@@ -43,18 +51,13 @@ pub mod stage1;
 pub mod stage2;
 pub mod timegrid;
 
-pub use admission::{admit_by_priority, AdmissionOutcome};
-pub use arena::BuildArena;
-pub use colgen::{
-    CgMaster, CgStats, ColGenConfig, ColumnPool, ExhaustivePricer, Pricer, PricerChoice,
-    PricingContext, ReducedCostPricer,
-};
+pub use colgen::{CgStats, ColGenConfig, PricerChoice};
 pub use controller::{Controller, ControllerConfig, OverloadPolicy};
 pub use instance::{Instance, InstanceConfig, VarMap};
-pub use lpdar::{adjust_rates, adjust_rates_capped, lpdar, lpdar_capped, truncate, AdjustOrder};
+pub use lpdar::{adjust_rates, adjust_rates_capped, lpdar, truncate, AdjustOrder};
 pub use pipeline::{max_throughput_pipeline, max_throughput_pipeline_colgen, PipelineResult};
-pub use ret::{solve_ret, solve_ret_colgen, solve_ret_with_demands, RetConfig, RetMode, RetResult};
+pub use ret::{solve_ret, solve_ret_colgen, solve_ret_with_demands, RetConfig, RetResult};
 pub use schedule::Schedule;
-pub use stage1::{solve_stage1, solve_stage1_colgen};
-pub use stage2::{solve_stage2, solve_stage2_colgen, WeightPolicy};
+pub use stage1::solve_stage1;
+pub use stage2::{solve_stage2, WeightPolicy};
 pub use timegrid::TimeGrid;

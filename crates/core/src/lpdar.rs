@@ -144,11 +144,6 @@ pub fn lpdar(inst: &Instance, lp: &Schedule, order: AdjustOrder) -> Schedule {
     adjust_rates(inst, &truncate(inst, lp), order)
 }
 
-/// LPDAR with the demand-aware adjustment (used by RET).
-pub fn lpdar_capped(inst: &Instance, lp: &Schedule, order: AdjustOrder) -> Schedule {
-    adjust_rates_capped(inst, &truncate(inst, lp), order)
-}
-
 fn job_order(inst: &Instance, order: AdjustOrder) -> Vec<usize> {
     let mut jobs: Vec<usize> = (0..inst.num_jobs()).collect();
     match order {

@@ -7,13 +7,13 @@
 //! solve it discretizes, and the LPDAR time includes both.
 
 use crate::arena::BuildArena;
-use crate::builders::HeldLp;
+use crate::builders::{Form, HeldLp};
 use crate::colgen::{CgMaster, CgStats, ColGenConfig};
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{adjust_rates, truncate, AdjustOrder};
 use crate::schedule::Schedule;
-use crate::stage1::{open_stage1, solve_stage1_colgen, Stage1Result};
-use crate::stage2::{solve_stage2_colgen, solve_stage2_on, WeightPolicy};
+use crate::stage1::{open_stage1, Stage1Result};
+use crate::stage2::{solve_stage2_on, WeightPolicy};
 use std::time::{Duration, Instant};
 use wavesched_lp::{Basis, SolveError, SolveStats};
 use wavesched_net::Graph;
@@ -83,13 +83,13 @@ impl PipelineResult {
 
 /// Runs the two-stage pipeline with the paper's visit order on **one held
 /// LP**: opened once, solved in Stage-1 form, then handed to
-/// [`pipeline_from_stage1`].
+/// `pipeline_from_stage1`.
 pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineResult, SolveError> {
     let _pipeline_span = obs::span("pipeline");
     // lint: allow(wallclock, reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them")
     let t0 = Instant::now();
     let (mut lp, s1) = open_stage1(inst, None, &mut BuildArena::new())?;
-    pipeline_from_stage1(inst, &mut lp, s1, alpha, AdjustOrder::Paper, t0)
+    pipeline_from_stage1(inst, &mut lp, s1, alpha, t0)
 }
 
 /// The pipeline after its first stage: installs Stage 2 on `lp` — the held
@@ -101,7 +101,6 @@ pub(crate) fn pipeline_from_stage1(
     lp: &mut HeldLp,
     s1: Stage1Result,
     alpha: f64,
-    order: AdjustOrder,
     t0: Instant,
 ) -> Result<PipelineResult, SolveError> {
     let stage1_time = t0.elapsed();
@@ -125,17 +124,17 @@ pub(crate) fn pipeline_from_stage1(
 
     let mut stats = s1.stats;
     stats.merge(&s2.stats);
-    let mut r = discretize(inst, order, t0, s1.z_star, stage1_time, s2.schedule, stats);
+    let mut r = discretize(inst, t0, s1.z_star, stage1_time, s2.schedule, stats);
     r.stage1_basis = s1.basis;
     Ok(r)
 }
 
 /// The tail both pipelines share: discretizes the fractional `lp` (LPD,
-/// then LPDAR) and assembles the result with the cumulative timings off
-/// `t0`. `stage1_basis` is left `None` for the caller to fill.
+/// then LPDAR in the paper's visit order) and assembles the result with the
+/// cumulative timings off `t0`. `stage1_basis` is left `None` for the
+/// caller to fill.
 fn discretize(
     inst: &Instance,
-    order: AdjustOrder,
     t0: Instant,
     z_star: f64,
     stage1_time: Duration,
@@ -152,7 +151,7 @@ fn discretize(
 
     let adj = {
         let _s = obs::span("lpdar");
-        adjust_rates(inst, &lpd, order)
+        adjust_rates(inst, &lpd, AdjustOrder::Paper)
     };
     let lpdar_time = t0.elapsed();
 
@@ -176,7 +175,7 @@ fn discretize(
 /// Runs the two-stage pipeline under delayed column generation.
 ///
 /// Instead of materializing every Yen column up front, a single restricted
-/// master ([`CgMaster`]) is seeded with each job's shortest path, driven to
+/// master is seeded with each job's shortest path, driven to
 /// the Stage-1 optimum by the price–resolve loop, switched to Stage-2 form
 /// in place (pool, capacity rows and basis all carry over), and priced out
 /// again. The converged pool then materializes into a standard
@@ -192,12 +191,10 @@ pub fn max_throughput_pipeline_colgen(
     jobs: &[Job],
     icfg: &InstanceConfig,
     alpha: f64,
-    order: AdjustOrder,
     cg: &ColGenConfig,
 ) -> Result<(PipelineResult, Instance, CgStats), SolveError> {
     if jobs.is_empty() {
-        // Nothing to price (or to visit in `order`): the monolithic
-        // pipeline's answer over no jobs.
+        // Nothing to price: the monolithic pipeline's answer over no jobs.
         let inst = Instance::build_with_paths(graph, &[], Vec::new(), icfg, Vec::new());
         let r = max_throughput_pipeline(&inst, alpha)?;
         return Ok((r, inst, CgStats::default()));
@@ -207,34 +204,29 @@ pub fn max_throughput_pipeline_colgen(
     let t0 = Instant::now();
 
     let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
-    let mut master = CgMaster::build(graph, jobs, demands, icfg, cg)?;
+    let mut master = CgMaster::build(graph, jobs, demands, icfg)?;
     let mut pricer = cg.pricer.build(icfg.paths_per_job);
 
-    let z_star = solve_stage1_colgen(&mut master, pricer.as_mut())?;
+    let z_star = {
+        let _s = obs::span("stage1");
+        master.solve_form(Form::Stage1, pricer.as_mut())?.objective
+    };
     let stage1_time = t0.elapsed();
 
+    // Stage 2 on the master Stage 1 converged on: only costs and bounds
+    // change, so the pool, the capacity rows and the optimal basis carry
+    // over and pricing adds only what the weighted objective makes
+    // attractive.
     let sol = {
         let _s = obs::span("stage2");
-        solve_stage2_colgen(
-            &mut master,
-            pricer.as_mut(),
-            z_star,
-            alpha,
-            &WeightPolicy::DemandProportional,
-        )?
+        let weights = WeightPolicy::DemandProportional;
+        let form = Form::stage2(master.demands(), z_star, alpha, &weights);
+        master.solve_form(form, pricer.as_mut())?
     };
 
     let inst = master.materialize();
     let lp = Schedule::from_values(&inst, master.values_on(&inst, &sol.x));
-    let r = discretize(
-        &inst,
-        order,
-        t0,
-        z_star,
-        stage1_time,
-        lp,
-        master.session_stats(),
-    );
+    let r = discretize(&inst, t0, z_star, stage1_time, lp, master.session_stats());
     Ok((r, inst, master.stats()))
 }
 
@@ -318,7 +310,7 @@ mod tests {
         let mut run = |start: Option<&Basis>| {
             let t0 = Instant::now();
             let (mut lp, s1) = open_stage1(&inst, start, &mut arena).unwrap();
-            pipeline_from_stage1(&inst, &mut lp, s1, 0.1, AdjustOrder::Paper, t0).unwrap()
+            pipeline_from_stage1(&inst, &mut lp, s1, 0.1, t0).unwrap()
         };
         let cold = run(None);
         let warm = run(cold.stage1_basis.as_ref());

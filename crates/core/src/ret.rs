@@ -16,7 +16,7 @@ use crate::arena::BuildArena;
 use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs, Form, HeldLp};
 use crate::colgen::{price_resolve, price_resolve_until, CgMaster, CgStats, ColGenConfig, Pricer};
 use crate::instance::{Instance, InstanceConfig};
-use crate::lpdar::{lpdar_capped, AdjustOrder};
+use crate::lpdar::{adjust_rates_capped, truncate, AdjustOrder};
 use crate::schedule::Schedule;
 use crate::timegrid::TimeGrid;
 use std::collections::BTreeMap;
@@ -31,46 +31,11 @@ use wavesched_workload::Job;
 
 /// Completion tolerance used when checking whether a job received its full
 /// demand.
-pub const COMPLETION_TOL: f64 = 1e-6;
-
-/// How the relaxation factor `(1+b)` is applied to each job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetMode {
-    /// Scale end times as measured from the scheduling origin `o`:
-    /// `E_i -> o + (1+b)(E_i - o)` — the paper's primary formulation,
-    /// eq. 16, which schedules once at `o = 0`.
-    #[default]
-    ExtendEnd,
-    /// Scale window lengths: `E_i -> S_i + (1+b)(E_i - S_i)` (the
-    /// alternative mentioned in the paper's Section II-C remark; fairer to
-    /// jobs that start late, whose absolute ends would otherwise stretch
-    /// disproportionately).
-    StretchWindow,
-}
-
-/// How a trial `b` relaxes the jobs: the mode, and the scheduling instant
-/// [`RetMode::ExtendEnd`] measures end times from (0 for the paper's
-/// one-shot problem, the invocation time inside the controller).
-#[derive(Clone, Copy)]
-struct Relaxation {
-    mode: RetMode,
-    origin: f64,
-}
-
-impl Relaxation {
-    fn apply(self, job: &Job, b: f64) -> Job {
-        match self.mode {
-            RetMode::ExtendEnd => job.with_extended_end(b, self.origin),
-            RetMode::StretchWindow => job.with_stretched_window(b),
-        }
-    }
-}
+const COMPLETION_TOL: f64 = 1e-6;
 
 /// Knobs for [`solve_ret`] (Algorithm 2).
 #[derive(Debug, Clone)]
 pub struct RetConfig {
-    /// How `(1+b)` is applied.
-    pub mode: RetMode,
     /// Upper end of the binary-search interval for `b`.
     pub b_max: f64,
     /// Binary-search resolution on `b`.
@@ -101,7 +66,6 @@ pub struct RetConfig {
 impl Default for RetConfig {
     fn default() -> Self {
         RetConfig {
-            mode: RetMode::default(),
             b_max: 4.0,
             bsearch_tol: 0.01,
             max_delta_steps: 60,
@@ -227,16 +191,14 @@ fn probe_feasible(sol: &Solution) -> bool {
 /// question is then answered without an LP solve, like an instance built
 /// directly at `b` with an unschedulable job. Slices are unit slices by
 /// global index, so a window that fits under the envelope horizon is the
-/// same range the shorter grid of the `b`-instance would produce.
-fn windows_at(
-    grid: &TimeGrid,
-    jobs: &[Job],
-    relax: Relaxation,
-    b: f64,
-) -> Option<Vec<Range<usize>>> {
+/// same range the shorter grid of the `b`-instance would produce. A trial `b`
+/// relaxes end times as measured from the scheduling instant `origin`,
+/// `E_i -> o + (1+b)(E_i - o)` — the paper's eq. 16, which schedules once at
+/// `o = 0`; inside the controller `o` is the invocation time.
+fn windows_at(grid: &TimeGrid, jobs: &[Job], origin: f64, b: f64) -> Option<Vec<Range<usize>>> {
     let mut windows = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let ext = relax.apply(job, b);
+        let ext = job.with_extended_end(b, origin);
         let w = grid.window_slices(ext.start, ext.end);
         if w.is_empty() {
             return None;
@@ -328,8 +290,8 @@ fn algorithm2<B: RetBackend>(
         obs::counter_add("ret.growth_rounds", 1);
         if let Some((inst, x)) = backend.quick_finish(b)? {
             let lp_sched = Schedule::from_values(&inst, x);
-            let lpd = crate::lpdar::truncate(&inst, &lp_sched);
-            let adj = lpdar_capped(&inst, &lp_sched, RET_ORDER);
+            let lpd = truncate(&inst, &lp_sched);
+            let adj = adjust_rates_capped(&inst, &lpd, RET_ORDER);
             if (0..inst.num_jobs()).all(|i| adj.completes(&inst, i, COMPLETION_TOL)) {
                 let result = RetResult {
                     b_lp,
@@ -406,10 +368,10 @@ impl EnvelopeLp {
     fn solve_at(
         &mut self,
         jobs: &[Job],
-        relax: Relaxation,
+        origin: f64,
         b: f64,
     ) -> Result<Option<Solution>, SolveError> {
-        let Some(windows) = windows_at(&self.inst.grid, jobs, relax, b) else {
+        let Some(windows) = windows_at(&self.inst.grid, jobs, origin, b) else {
             return Ok(None);
         };
         let EnvelopeLp {
@@ -433,9 +395,9 @@ impl EnvelopeLp {
     /// edit, so the probe's solve enters through the factorization-reuse
     /// path (`SolveStats::lu_reuse_hits`) and skips `Lu::factor` entirely
     /// — the dominant cost of a few-pivot probe.
-    fn probe_on_clone(&self, jobs: &[Job], relax: Relaxation, b: f64) -> CloneProbe {
+    fn probe_on_clone(&self, jobs: &[Job], origin: f64, b: f64) -> CloneProbe {
         let _span = obs::span("ret_probe");
-        let Some(windows) = windows_at(&self.inst.grid, jobs, relax, b) else {
+        let Some(windows) = windows_at(&self.inst.grid, jobs, origin, b) else {
             return Ok((false, SolveStats::default(), None));
         };
         let mut session = self.session.clone();
@@ -473,7 +435,7 @@ struct EnvelopeBackend<'a> {
     demands: &'a [f64],
     inst_cfg: &'a InstanceConfig,
     cfg: &'a RetConfig,
-    relax: Relaxation,
+    origin: f64,
     pathset: &'a mut PathSet,
     /// The warm probe template; `None` in cold mode, when some job is
     /// unschedulable even at `b_max`, and once the growth LP took over its
@@ -511,10 +473,7 @@ impl<'a> EnvelopeBackend<'a> {
             demands,
             inst_cfg,
             cfg,
-            relax: Relaxation {
-                mode: cfg.mode,
-                origin,
-            },
+            origin,
             pathset,
             probe_lp: None,
             growth_lp: None,
@@ -537,7 +496,11 @@ impl<'a> EnvelopeBackend<'a> {
 
     /// Builds the instance with every window relaxed by `(1+b)`.
     fn instance_at(&mut self, b: f64) -> Instance {
-        let ext: Vec<Job> = self.jobs.iter().map(|j| self.relax.apply(j, b)).collect();
+        let ext: Vec<Job> = self
+            .jobs
+            .iter()
+            .map(|j| j.with_extended_end(b, self.origin))
+            .collect();
         let demands = self.demands.to_vec();
         Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, self.pathset)
     }
@@ -548,7 +511,7 @@ impl RetBackend for EnvelopeBackend<'_> {
         obs::counter_add("ret.probes", 1);
         let _span = obs::span("ret_probe");
         let sol = match &mut self.probe_lp {
-            Some(lp) => lp.solve_at(self.jobs, self.relax, b)?,
+            Some(lp) => lp.solve_at(self.jobs, self.origin, b)?,
             None => {
                 let inst = self.instance_at(b);
                 open_probe(&inst)?
@@ -585,7 +548,7 @@ impl RetBackend for EnvelopeBackend<'_> {
         let Some(mut template) = self.probe_lp.take() else {
             return bisect_steps((lo, hi), tol, usize::MAX, |b| self.probe(b)).map(|(_, hi)| hi);
         };
-        let (jobs, relax) = (self.jobs, self.relax);
+        let (jobs, origin) = (self.jobs, self.origin);
         let (mut lo, mut hi) = (lo, hi);
         while hi - lo > tol {
             // Speculate the full round when the pool holds it; probe lazily
@@ -596,7 +559,7 @@ impl RetBackend for EnvelopeBackend<'_> {
                 let mut cands = Vec::with_capacity(round_probes);
                 collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
                 let answers = wavesched_par::par_map_with(self.cfg.threads, &cands, |&b| {
-                    template.probe_on_clone(jobs, relax, b)
+                    template.probe_on_clone(jobs, origin, b)
                 });
                 obs::counter_add("ret.speculative_probes", cands.len() as u64);
                 by_bits.extend(cands.iter().map(|b| b.to_bits()).zip(answers));
@@ -610,7 +573,7 @@ impl RetBackend for EnvelopeBackend<'_> {
             (lo, hi) = bisect_steps((lo, hi), tol, Self::ROUND_DEPTH, |mid| {
                 let (ans, stats, session) = match by_bits.remove(&mid.to_bits()) {
                     Some(r) => r?,
-                    None => template.probe_on_clone(jobs, relax, mid)?,
+                    None => template.probe_on_clone(jobs, origin, mid)?,
                 };
                 obs::counter_add("ret.probes", 1);
                 self.stats.merge(&stats);
@@ -631,7 +594,7 @@ impl RetBackend for EnvelopeBackend<'_> {
     }
 
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
-        let origin = self.relax.origin as usize;
+        let origin = self.origin as usize;
         if self.growth_lp.is_none() {
             // The search is over: the probe template's session is released
             // and its envelope (instance and bounds) carries the
@@ -659,7 +622,7 @@ impl RetBackend for EnvelopeBackend<'_> {
         }
         // lint: allow(lib-unwrap, reason = "invariant: populated just above")
         let growth = self.growth_lp.as_mut().expect("invariant: growth LP built");
-        let Some(sol) = growth.solve_at(self.jobs, self.relax, b)? else {
+        let Some(sol) = growth.solve_at(self.jobs, self.origin, b)? else {
             return Ok(None);
         };
         self.stats.merge(&sol.stats);
@@ -713,7 +676,7 @@ struct CgBackend<'a> {
     pricer: Box<dyn Pricer>,
     jobs: &'a [Job],
     cfg: &'a RetConfig,
-    relax: Relaxation,
+    origin: f64,
 }
 
 impl RetBackend for CgBackend<'_> {
@@ -725,7 +688,7 @@ impl RetBackend for CgBackend<'_> {
     fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
         obs::counter_add("ret.probes", 1);
         let _span = obs::span("ret_probe");
-        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.relax, b) else {
+        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.origin, b) else {
             return Ok(false);
         };
         self.master.set_active_windows(&windows);
@@ -739,7 +702,7 @@ impl RetBackend for CgBackend<'_> {
     }
 
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
-        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.relax, b) else {
+        let Some(windows) = windows_at(self.master.grid(), self.jobs, self.origin, b) else {
             return Ok(None);
         };
         self.master.set_active_windows(&windows);
@@ -748,7 +711,11 @@ impl RetBackend for CgBackend<'_> {
         if sol.status != Status::Optimal {
             return Ok(None);
         }
-        let ext: Vec<Job> = self.jobs.iter().map(|j| self.relax.apply(j, b)).collect();
+        let ext: Vec<Job> = self
+            .jobs
+            .iter()
+            .map(|j| j.with_extended_end(b, self.origin))
+            .collect();
         let inst = self.master.materialize_for(&ext);
         let x = self.master.values_on(&inst, &sol.x);
         Ok(Some((inst, x)))
@@ -783,8 +750,8 @@ pub fn solve_ret(
 
 /// [`solve_ret`] with explicit normalized demands, measured from the
 /// scheduling instant `origin` — used by the periodic controller to
-/// complete the *remaining* demand of in-flight jobs. [`RetMode::ExtendEnd`]
-/// extends end times as distances from `origin` and Quick-Finish weighs
+/// complete the *remaining* demand of in-flight jobs. End times extend as
+/// distances from `origin` and Quick-Finish weighs
 /// slice `j` by `j - origin + 1`, so the answer does not depend on the
 /// clock; no job may start before `origin`. Paths come from the caller's
 /// `pathset` (`inst_cfg.paths_per_job` per endpoint pair), so a controller
@@ -833,22 +800,22 @@ pub fn solve_ret_colgen(
     cfg: &RetConfig,
     cg: &ColGenConfig,
 ) -> Result<Option<(RetResult, CgStats)>, SolveError> {
-    let relax = Relaxation {
-        mode: cfg.mode,
-        origin: 0.0,
-    };
+    let origin = 0.0;
     let out = algorithm2(jobs, cfg, || {
         let demands = jobs
             .iter()
             .map(|j| inst_cfg.demand_units(j.size_gb))
             .collect();
-        let env_jobs: Vec<Job> = jobs.iter().map(|j| relax.apply(j, cfg.b_max)).collect();
+        let env_jobs: Vec<Job> = jobs
+            .iter()
+            .map(|j| j.with_extended_end(cfg.b_max, origin))
+            .collect();
         Ok(CgBackend {
-            master: CgMaster::build(graph, &env_jobs, demands, inst_cfg, cg)?,
+            master: CgMaster::build(graph, &env_jobs, demands, inst_cfg)?,
             pricer: cg.pricer.build(inst_cfg.paths_per_job),
             jobs,
             cfg,
-            relax,
+            origin,
         })
     })?;
     Ok(out.map(|(result, backend)| (result, backend.master.stats())))
@@ -933,25 +900,6 @@ mod tests {
             .expect("feasible");
         let t = r.lpdar_avg_end_time().unwrap();
         assert!(t <= 3.0, "QF should finish early, got {t}");
-    }
-
-    #[test]
-    fn stretch_window_mode_completes() {
-        let (g, jobs) = overloaded_jobs(8, 4);
-        let cfg = InstanceConfig::paper(2);
-        let ret_cfg = RetConfig {
-            mode: RetMode::StretchWindow,
-            ..RetConfig::default()
-        };
-        let r = solve_ret(&g, &jobs, &cfg, &ret_cfg)
-            .unwrap()
-            .expect("stretch mode feasible");
-        assert_eq!(r.lpdar_fraction_finished(), 1.0);
-        // Start times are preserved by the stretch.
-        for (orig, ext) in jobs.iter().zip(&r.instance.jobs) {
-            assert_eq!(orig.start, ext.start);
-            assert!(ext.end >= orig.end - 1e-12);
-        }
     }
 
     #[test]

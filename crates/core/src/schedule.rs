@@ -25,7 +25,7 @@ impl Schedule {
     }
 
     /// Wraps raw variable values (must be aligned with the instance).
-    pub fn from_values(inst: &Instance, x: Vec<f64>) -> Self {
+    pub(crate) fn from_values(inst: &Instance, x: Vec<f64>) -> Self {
         assert_eq!(x.len(), inst.vars.len(), "schedule length mismatch");
         Schedule { x }
     }

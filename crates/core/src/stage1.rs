@@ -6,8 +6,7 @@
 //! every deadline can be met (and demands could even be scaled up by `Z*`).
 
 use crate::arena::BuildArena;
-use crate::builders::{build_stage1_problem_in, expect_optimal, Form, HeldLp};
-use crate::colgen::{price_resolve, CgMaster, Pricer};
+use crate::builders::{build_stage1_problem_in, Form, HeldLp};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use wavesched_lp::{Basis, Problem, SimplexConfig, SolveError, SolveStats};
@@ -61,24 +60,6 @@ pub(crate) fn open_stage1(
         stats: sol.stats,
     };
     Ok((lp, s1))
-}
-
-/// Solves Stage 1 by delayed column generation: switches `master` to
-/// Stage-1 form and runs the price–resolve loop until the pricer finds no
-/// improving path (or the round cap is hit). Returns `Z*`, optimal over
-/// the pricer's path universe — for the exhaustive pricer this matches
-/// [`solve_stage1`] over the same Yen paths to tolerance.
-pub fn solve_stage1_colgen(
-    master: &mut CgMaster,
-    pricer: &mut dyn Pricer,
-) -> Result<f64, SolveError> {
-    if master.num_jobs() == 0 {
-        return Ok(f64::INFINITY);
-    }
-    let _span = obs::span("stage1");
-    master.install(Form::Stage1);
-    let sol = price_resolve(master, pricer)?;
-    Ok(expect_optimal(sol, "stage 1 (colgen)")?.objective)
 }
 
 #[cfg(test)]

@@ -10,11 +10,10 @@
 //! per-job lower bound on transferred volume.
 
 use crate::arena::BuildArena;
-use crate::builders::{expect_optimal, Form, HeldLp};
-use crate::colgen::{price_resolve, CgMaster, Pricer};
+use crate::builders::{Form, HeldLp};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
-use wavesched_lp::{Basis, SimplexConfig, Solution, SolveError, SolveStats};
+use wavesched_lp::{Basis, SimplexConfig, SolveError, SolveStats};
 
 /// The job weights `w_i` in the Stage-2 objective `sum_i w_i Z_i / sum_i w_i`.
 ///
@@ -37,7 +36,7 @@ pub enum WeightPolicy {
 impl WeightPolicy {
     /// Resolves the weight of job `i` from the jobs' normalized demands
     /// ([`Instance::demands`], or a column-generation master's).
-    pub fn weight_of(&self, demands: &[f64], i: usize) -> f64 {
+    pub(crate) fn weight_of(&self, demands: &[f64], i: usize) -> f64 {
         match self {
             WeightPolicy::DemandProportional => demands[i],
             WeightPolicy::Uniform => 1.0,
@@ -74,7 +73,9 @@ pub struct Stage2Result {
 /// starting absorbs: the Stage-1 optimal vertex `(x*, Z*)` is feasible for
 /// Stage 2 as-is, so the basis transfers verbatim. Returns `None` when the
 /// shape doesn't match (`num_vars` is the assignment-variable count,
-/// `inst.vars.len()`); callers then simply solve cold.
+/// `inst.vars.len()`); callers then simply solve cold. Exposed for the
+/// kernel benchmarks.
+#[doc(hidden)]
 pub fn stage2_basis_from_stage1(stage1: &Basis, num_vars: usize) -> Option<Basis> {
     if stage1.cols.len() != num_vars + 1 {
         return None;
@@ -107,7 +108,10 @@ pub fn solve_stage2(inst: &Instance, z_star: f64, alpha: f64) -> Result<Stage2Re
 /// The natural start is the Stage-1 optimum over the same instance, mapped
 /// via [`stage2_basis_from_stage1`]: Stage 2 explores the same polytope from
 /// a vertex that already satisfies the capacity rows and sits on the fairness
-/// floors. A mismatched basis degrades to a cold solve.
+/// floors. A mismatched basis degrades to a cold solve. Exposed for the
+/// kernel benchmarks, which time Stage 2 alone under their own
+/// [`SimplexConfig`].
+#[doc(hidden)]
 pub fn solve_stage2_weighted_with_start(
     inst: &Instance,
     z_star: f64,
@@ -138,25 +142,6 @@ pub(crate) fn solve_stage2_on(
         basis: sol.basis,
         stats: sol.stats,
     })
-}
-
-/// Solves Stage 2 by delayed column generation **on the same master Stage 1
-/// converged on**: only costs and bounds change (the fairness floor on `Z`,
-/// the per-column volume costs), so the converged pool, the capacity rows
-/// and the optimal basis all carry over, and the price–resolve loop only
-/// has to generate whatever additional paths the weighted objective makes
-/// attractive. Returns the final restricted-master solution; map it onto a
-/// materialized instance with [`CgMaster::values_on`].
-pub fn solve_stage2_colgen(
-    master: &mut CgMaster,
-    pricer: &mut dyn Pricer,
-    z_star: f64,
-    alpha: f64,
-    weights: &WeightPolicy,
-) -> Result<Solution, SolveError> {
-    let form = Form::stage2(master.demands(), z_star, alpha, weights);
-    master.install(form);
-    expect_optimal(price_resolve(master, pricer)?, "stage 2 (colgen)")
 }
 
 #[cfg(test)]

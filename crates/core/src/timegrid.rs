@@ -61,11 +61,6 @@ impl TimeGrid {
         1.0
     }
 
-    /// Start time of slice `j`.
-    pub fn start_of(&self, j: usize) -> f64 {
-        j as f64
-    }
-
     /// End time of slice `j`.
     pub fn end_of(&self, j: usize) -> f64 {
         (j + 1) as f64
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(g.first_slice(), 12);
         assert_eq!(g.num_slices(), 20);
         assert_eq!(g.len_of(15), 1.0);
-        assert_eq!(g.start_of(15), 15.0);
         assert_eq!(g.end_of(15), 16.0);
     }
 

@@ -8,19 +8,25 @@
 //! that the pricing loop's optimality certificate (no out-of-pool column
 //! with positive reduced cost) is implemented correctly.
 //!
-//! * With the [`ExhaustivePricer`] the path universes coincide, so Stage-1
-//!   `Z*`, the Stage-2 weighted objective, and RET's `b̂` must all match
-//!   the monolithic results to tolerance.
-//! * With the [`ReducedCostPricer`] the universe is *all* simple paths — a
-//!   superset of the Yen set — so Stage-1 `Z*` must be at least the
+//! Both sides are driven through the crate's entry points only —
+//! [`max_throughput_pipeline_colgen`] against [`solve_stage1`] /
+//! [`solve_stage2`], [`solve_ret_colgen`] against [`solve_ret`] — so the
+//! master, its pool and its pricers stay the crate's internals.
+//!
+//! * With [`PricerChoice::Exhaustive`] the path universes coincide, so
+//!   Stage-1 `Z*`, the Stage-2 weighted objective, and RET's `b̂` must all
+//!   match the monolithic results to tolerance, over no more columns.
+//! * With [`PricerChoice::ReducedCost`] the universe is *all* simple paths —
+//!   a superset of the Yen set — so Stage-1 `Z*` must be at least the
 //!   monolithic optimum (minus tolerance).
 
 use proptest::prelude::*;
-use wavesched_core::colgen::{CgMaster, ColGenConfig, PricerChoice};
+use wavesched_core::colgen::{ColGenConfig, PricerChoice};
 use wavesched_core::instance::{Instance, InstanceConfig};
+use wavesched_core::pipeline::{max_throughput_pipeline_colgen, PipelineResult};
 use wavesched_core::ret::{solve_ret, solve_ret_colgen, RetConfig};
-use wavesched_core::stage1::{solve_stage1, solve_stage1_colgen};
-use wavesched_core::stage2::{solve_stage2, solve_stage2_colgen, WeightPolicy};
+use wavesched_core::stage1::solve_stage1;
+use wavesched_core::stage2::solve_stage2;
 use wavesched_net::{abilene14, waxman_network, Graph, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
 
@@ -40,13 +46,17 @@ fn monolithic(g: &Graph, jobs: &[Job], cfg: &InstanceConfig) -> Instance {
     Instance::build(g, jobs, cfg, &mut ps)
 }
 
-fn cg_master(g: &Graph, jobs: &[Job], cfg: &InstanceConfig, pricer: PricerChoice) -> CgMaster {
-    let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
-    let cg = ColGenConfig {
-        pricer,
-        ..ColGenConfig::default()
-    };
-    CgMaster::build(g, jobs, demands, cfg, &cg).expect("master builds")
+/// The column-generated pipeline under `pricer`, with the instance its
+/// converged pool materialized into.
+fn cg_pipeline(
+    g: &Graph,
+    jobs: &[Job],
+    cfg: &InstanceConfig,
+    pricer: PricerChoice,
+) -> (PipelineResult, Instance) {
+    let (r, inst, _) = max_throughput_pipeline_colgen(g, jobs, cfg, 0.1, &ColGenConfig { pricer })
+        .expect("cg pipeline");
+    (r, inst)
 }
 
 /// Stage-1 + Stage-2 agreement on one instance: exhaustive-pricer column
@@ -55,46 +65,35 @@ fn cg_master(g: &Graph, jobs: &[Job], cfg: &InstanceConfig, pricer: PricerChoice
 fn check_pipeline_agreement(g: &Graph, jobs: &[Job], cfg: &InstanceConfig, label: &str) {
     let inst = monolithic(g, jobs, cfg);
     let mono1 = solve_stage1(&inst).expect("monolithic stage 1");
+    let mono2 = solve_stage2(&inst, mono1.z_star, 0.1).expect("monolithic stage 2");
 
-    let mut master = cg_master(g, jobs, cfg, PricerChoice::Exhaustive);
-    let mut pricer = PricerChoice::Exhaustive.build(cfg.paths_per_job);
-    let z_cg = solve_stage1_colgen(&mut master, pricer.as_mut()).expect("cg stage 1");
+    let (cg, cg_inst) = cg_pipeline(g, jobs, cfg, PricerChoice::Exhaustive);
     assert!(
-        (z_cg - mono1.z_star).abs() <= TOL * (1.0 + mono1.z_star.abs()),
-        "{label}: stage-1 mismatch cg={z_cg} monolithic={}",
+        (cg.z_star - mono1.z_star).abs() <= TOL * (1.0 + mono1.z_star.abs()),
+        "{label}: stage-1 mismatch cg={} monolithic={}",
+        cg.z_star,
         mono1.z_star
+    );
+    assert!(
+        (cg.lp_throughput - mono2.objective).abs() <= 1e-5 * (1.0 + mono2.objective.abs()),
+        "{label}: stage-2 mismatch cg={} monolithic={}",
+        cg.lp_throughput,
+        mono2.objective
     );
 
     // The restricted master held a subset of the monolithic columns.
     assert!(
-        master.pool().num_cols() <= inst.vars.len(),
+        cg_inst.vars.len() <= inst.vars.len(),
         "{label}: pool {} exceeds monolithic {}",
-        master.pool().num_cols(),
+        cg_inst.vars.len(),
         inst.vars.len()
     );
 
-    let mono2 = solve_stage2(&inst, mono1.z_star, 0.1).expect("monolithic stage 2");
-    let sol2 = solve_stage2_colgen(
-        &mut master,
-        pricer.as_mut(),
-        z_cg,
-        0.1,
-        &WeightPolicy::DemandProportional,
-    )
-    .expect("cg stage 2");
+    let (rc, _) = cg_pipeline(g, jobs, cfg, PricerChoice::ReducedCost);
     assert!(
-        (sol2.objective - mono2.objective).abs() <= 1e-5 * (1.0 + mono2.objective.abs()),
-        "{label}: stage-2 mismatch cg={} monolithic={}",
-        sol2.objective,
-        mono2.objective
-    );
-
-    let mut rc_master = cg_master(g, jobs, cfg, PricerChoice::ReducedCost);
-    let mut rc_pricer = PricerChoice::ReducedCost.build(cfg.paths_per_job);
-    let z_rc = solve_stage1_colgen(&mut rc_master, rc_pricer.as_mut()).expect("rc stage 1");
-    assert!(
-        z_rc >= mono1.z_star - TOL * (1.0 + mono1.z_star.abs()),
-        "{label}: reduced-cost pricer below Yen optimum: {z_rc} < {}",
+        rc.z_star >= mono1.z_star - TOL * (1.0 + mono1.z_star.abs()),
+        "{label}: reduced-cost pricer below Yen optimum: {} < {}",
+        rc.z_star,
         mono1.z_star
     );
 }
@@ -151,7 +150,6 @@ proptest! {
         let ret_cfg = RetConfig::default();
         let cg = ColGenConfig {
             pricer: PricerChoice::Exhaustive,
-            ..ColGenConfig::default()
         };
         let mono = solve_ret(&g, &jobs, &cfg, &ret_cfg).expect("monolithic ret");
         let colgen = solve_ret_colgen(&g, &jobs, &cfg, &ret_cfg, &cg).expect("cg ret");

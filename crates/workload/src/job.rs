@@ -91,17 +91,6 @@ impl Job {
         j.end = origin + (self.end - origin) * (1.0 + b);
         j
     }
-
-    /// Returns a copy with the start-to-end window stretched by the factor
-    /// `1 + b` (the alternative deadline relaxation mentioned in the
-    /// paper's Section II-C remark: intervals, not absolute end times, are
-    /// scaled).
-    pub fn with_stretched_window(&self, b: f64) -> Job {
-        assert!(b >= 0.0, "stretch factor must be nonnegative");
-        let mut j = self.clone();
-        j.end = self.start + (self.end - self.start) * (1.0 + b);
-        j
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +111,6 @@ mod tests {
         // Measured from the scheduling instant, the extension is the same
         // at any clock.
         assert_eq!(j.with_extended_end(0.5, 1.0).end, 13.0);
-    }
-
-    #[test]
-    fn window_stretch() {
-        let j = mk(); // start 1, end 9, window 8
-        let w = j.with_stretched_window(0.5);
-        assert_eq!(w.start, 1.0);
-        assert!((w.end - 13.0).abs() < 1e-12); // 1 + 8 * 1.5
-        assert!((w.window() - 12.0).abs() < 1e-12);
     }
 
     #[test]

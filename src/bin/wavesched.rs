@@ -14,7 +14,6 @@ use std::process::ExitCode;
 use wavesched::core::colgen::{CgStats, ColGenConfig, PricerChoice};
 use wavesched::core::controller::OverloadPolicy;
 use wavesched::core::instance::{Instance, InstanceConfig};
-use wavesched::core::lpdar::AdjustOrder;
 use wavesched::core::pipeline::{max_throughput_pipeline, max_throughput_pipeline_colgen};
 use wavesched::core::report::{job_timeline, link_utilization};
 use wavesched::core::ret::{solve_ret, solve_ret_colgen, RetConfig};
@@ -56,10 +55,6 @@ common options:
                          materializing every Yen column (schedule, ret)
   --pricer <reduced-cost|exhaustive>  column-generation pricing oracle
                          (default reduced-cost)
-  --cg-rounds <n>        max price-resolve rounds per LP form (default 50,
-                         at least 1)
-  --cg-tol <t>           reduced-cost tolerance for entering columns
-                         (default 1e-7, positive and finite)
 
 gen-trace options:
   --jobs <n> --seed <s>  workload size and seed
@@ -148,30 +143,18 @@ impl Args {
     }
 }
 
-/// Parses the column-generation knobs (`--colgen`, `--pricer`,
-/// `--cg-rounds`, `--cg-tol`) into a config, or `None` when `--colgen`
-/// was not requested. The knobs are accepted only alongside `--colgen`
-/// so a typo'd invocation cannot silently run the monolithic pipeline
-/// with pricing options ignored.
+/// Parses the column-generation options (`--colgen`, `--pricer`) into a
+/// config, or `None` when `--colgen` was not requested. `--pricer` is
+/// accepted only alongside `--colgen` so a typo'd invocation cannot
+/// silently run the monolithic pipeline with the pricer ignored.
 fn colgen_cfg(args: &Args) -> Result<Option<ColGenConfig>, String> {
     if !args.flag("colgen") {
-        for k in ["pricer", "cg-rounds", "cg-tol"] {
-            if args.get(k).is_some() {
-                return Err(format!("--{k} requires --colgen"));
-            }
+        if args.get("pricer").is_some() {
+            return Err("--pricer requires --colgen".into());
         }
         return Ok(None);
     }
-    let mut cg = ColGenConfig::default();
-    cg.max_rounds = args.at_least_one("cg-rounds", cg.max_rounds)?;
-    cg.tolerance = args.num("cg-tol", cg.tolerance)?;
-    if !(cg.tolerance > 0.0 && cg.tolerance.is_finite()) {
-        return Err(format!(
-            "--cg-tol must be positive and finite, got {}",
-            cg.tolerance
-        ));
-    }
-    cg.pricer = match args.get("pricer").unwrap_or("reduced-cost") {
+    let pricer = match args.get("pricer").unwrap_or("reduced-cost") {
         "reduced-cost" => PricerChoice::ReducedCost,
         "exhaustive" => PricerChoice::Exhaustive,
         other => {
@@ -180,7 +163,7 @@ fn colgen_cfg(args: &Args) -> Result<Option<ColGenConfig>, String> {
             ))
         }
     };
-    Ok(Some(cg))
+    Ok(Some(ColGenConfig { pricer }))
 }
 
 fn print_cg_stats(stats: &CgStats) {
@@ -412,15 +395,9 @@ fn run() -> Result<(), String> {
             let jobs = load_trace()?;
             let (inst, r) = match colgen {
                 Some(cg) => {
-                    let (r, inst, stats) = max_throughput_pipeline_colgen(
-                        &graph,
-                        &jobs,
-                        &inst_cfg,
-                        alpha,
-                        AdjustOrder::Paper,
-                        &cg,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let (r, inst, stats) =
+                        max_throughput_pipeline_colgen(&graph, &jobs, &inst_cfg, alpha, &cg)
+                            .map_err(|e| e.to_string())?;
                     print_cg_stats(&stats);
                     (inst, r)
                 }
