@@ -23,6 +23,10 @@ fn main() {
     let ks = [1usize, 2, 4, 8];
     let rows = par_points(&ks, |&k| {
         let inst = build_instance(&g, &jobs, w, k);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench wall-clock column; results columns stay deterministic"
+        )]
         let t = Instant::now();
         let r = max_throughput_pipeline(&inst, 0.1).expect("pipeline");
         format!(

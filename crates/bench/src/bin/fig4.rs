@@ -104,7 +104,10 @@ fn colgen_sweep(opts: &BenchOpts) {
         let cg = ColGenConfig {
             pricer: PricerChoice::Exhaustive,
         };
-        // lint: allow(wallclock, reason = "bench wall-clock column; results columns stay deterministic")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench wall-clock column; results columns stay deterministic"
+        )]
         let t0 = std::time::Instant::now();
         let out = solve_ret_colgen(&g, &jobs, &cfg, &ret_cfg, &cg).expect("ret colgen");
         let solve = t0.elapsed();
@@ -115,7 +118,10 @@ fn colgen_sweep(opts: &BenchOpts) {
         };
         // The census the restricted master never paid for: every Yen path
         // times every window slice at the final extension.
-        // lint: allow(wallclock, reason = "bench wall-clock column; results columns stay deterministic")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bench wall-clock column; results columns stay deterministic"
+        )]
         let t1 = std::time::Instant::now();
         let mut ps = PathSet::new(cfg.paths_per_job);
         let exhaustive: usize = jobs

@@ -23,6 +23,11 @@
 //! available cores, `1` = exact serial). Results are bit-identical at any
 //! width — only wall-clock columns vary (see `tests/determinism.rs`).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::time::Duration;
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_net::{waxman_network, Graph, PathSet, WaxmanConfig};

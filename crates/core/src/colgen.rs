@@ -575,7 +575,10 @@ impl CgMaster {
         }
 
         let _pricing = obs::span("cg_pricing");
-        // lint: allow(wallclock, reason = "cg.pricing_ns is a reporting-only counter; no scheduling decision reads it")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cg.pricing_ns is a reporting-only counter; no scheduling decision reads it"
+        )]
         let t0 = std::time::Instant::now();
         let proposals = {
             let ctx = PricingContext {

@@ -245,7 +245,10 @@ impl Controller {
         // requests away (its trials are cold solves; the admitted set's
         // comes back); the other two admit everything and warm-start from
         // the previous period's basis.
-        // lint: allow(wallclock, reason = "start of the pipeline run's reporting-only stage timings; no scheduling decision reads them")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "start of the pipeline run's reporting-only stage timings; no scheduling decision reads them"
+        )]
         let t0 = Instant::now();
         let (admitted_prefix, inst, mut lp, s1) = match self.cfg.policy {
             OverloadPolicy::Reject => {

@@ -35,6 +35,11 @@
 //! LP build scratch are the crate's internals.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub(crate) mod admission;
 pub(crate) mod arena;

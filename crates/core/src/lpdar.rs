@@ -87,7 +87,10 @@ fn adjust_impl(inst: &Instance, base: &Schedule, order: AdjustOrder, capped: boo
 
     for slice in inst.grid.first_slice()..inst.grid.num_slices() {
         // Residual wavelengths per edge at this slice.
-        #[allow(clippy::needless_range_loop)] // e is an edge id, not a slice index
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "e is an edge id, not a slice index"
+        )]
         for e in 0..nedges {
             rb[e] = inst.graph.wavelengths(wavesched_net::EdgeId(e as u32)) as i64;
         }
@@ -245,7 +248,7 @@ mod tests {
         let nedges = inst.graph.num_edges();
         for slice in 0..inst.grid.num_slices() {
             let mut rb = vec![0i64; nedges];
-            #[allow(clippy::needless_range_loop)] // e is an edge id
+            #[expect(clippy::needless_range_loop, reason = "e is an edge id")]
             for e in 0..nedges {
                 rb[e] = inst.graph.wavelengths(wavesched_net::EdgeId(e as u32)) as i64;
             }

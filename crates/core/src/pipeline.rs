@@ -60,7 +60,8 @@ impl PipelineResult {
     /// discretization lost nothing — rather than the NaN a literal `0/0`
     /// would give.
     pub fn lpd_normalized(&self) -> f64 {
-        // lint: allow(float-eq, reason = "exact-zero guard against a literal 0/0: any nonzero throughput, however small, is a meaningful denominator")
+        // Exact-zero guard against a literal 0/0: any nonzero throughput,
+        // however small, is a meaningful denominator.
         if self.lp_throughput == 0.0 {
             return 1.0;
         }
@@ -73,7 +74,8 @@ impl PipelineResult {
     ///
     /// [`lpd_normalized`]: PipelineResult::lpd_normalized
     pub fn lpdar_normalized(&self) -> f64 {
-        // lint: allow(float-eq, reason = "exact-zero guard against a literal 0/0: any nonzero throughput, however small, is a meaningful denominator")
+        // Exact-zero guard against a literal 0/0: any nonzero throughput,
+        // however small, is a meaningful denominator.
         if self.lp_throughput == 0.0 {
             return 1.0;
         }
@@ -86,7 +88,10 @@ impl PipelineResult {
 /// `pipeline_from_stage1`.
 pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineResult, SolveError> {
     let _pipeline_span = obs::span("pipeline");
-    // lint: allow(wallclock, reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them"
+    )]
     let t0 = Instant::now();
     let (mut lp, s1) = open_stage1(inst, None, &mut BuildArena::new())?;
     pipeline_from_stage1(inst, &mut lp, s1, alpha, t0)
@@ -200,7 +205,10 @@ pub fn max_throughput_pipeline_colgen(
         return Ok((r, inst, CgStats::default()));
     }
     let _pipeline_span = obs::span("pipeline");
-    // lint: allow(wallclock, reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them"
+    )]
     let t0 = Instant::now();
 
     let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
@@ -308,6 +316,10 @@ mod tests {
         // The controller's sequence: Stage 1 from the carried basis on a
         // freshly opened LP, then the rest of the pipeline on that LP.
         let mut run = |start: Option<&Basis>| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the stage timings need a start; the test asserts on optima and counters, never on a timing"
+            )]
             let t0 = Instant::now();
             let (mut lp, s1) = open_stage1(&inst, start, &mut arena).unwrap();
             pipeline_from_stage1(&inst, &mut lp, s1, 0.1, t0).unwrap()

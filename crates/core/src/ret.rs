@@ -620,7 +620,7 @@ impl RetBackend for EnvelopeBackend<'_> {
             let x = (sol.status == Status::Optimal).then(|| sol.x[..inst.vars.len()].to_vec());
             return Ok(x.map(|x| (inst, x)));
         }
-        // lint: allow(lib-unwrap, reason = "invariant: populated just above")
+        #[expect(clippy::expect_used, reason = "invariant: populated just above")]
         let growth = self.growth_lp.as_mut().expect("invariant: growth LP built");
         let Some(sol) = growth.solve_at(self.jobs, self.origin, b)? else {
             return Ok(None);

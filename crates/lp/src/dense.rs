@@ -175,7 +175,8 @@ pub fn solve_dense(p: &Problem) -> Result<Solution, SolveError> {
             slack_sign = -slack_sign;
         }
         let mut init_basic = usize::MAX;
-        // lint: allow(float-eq, reason = "exact sentinel: `slack_sign` is one of the literals 1.0, -1.0 and 0.0 (an equality row has no slack)")
+        // `slack_sign` is one of the literals 1.0, -1.0 and 0.0 (an
+        // equality row has no slack).
         if slack_sign != 0.0 {
             row[next_slack] = slack_sign;
             if slack_sign > 0.0 {
@@ -290,7 +291,6 @@ fn tableau_simplex(
             let mut d = c[j];
             for i in 0..m {
                 let cb = c[basis[i]];
-                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                 if cb != 0.0 {
                     d -= cb * a[i][j];
                 }
@@ -341,7 +341,6 @@ fn pivot(a: &mut [Vec<f64>], b: &mut [f64], basis: &mut [usize], r: usize, q: us
     for i in 0..m {
         if i != r {
             let f = a[i][q];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if f != 0.0 {
                 // Row operation: row_i -= f * row_r.
                 let (head, tail) = if i < r {

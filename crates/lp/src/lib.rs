@@ -37,6 +37,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 #[doc(hidden)]
 pub mod dense;

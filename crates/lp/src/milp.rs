@@ -76,6 +76,10 @@ type Incumbent = Option<(f64, Vec<f64>)>;
 /// The incumbent replacement rule: a candidate wins iff its objective is
 /// strictly better, or exactly equal with a lexicographically smaller
 /// point.
+#[expect(
+    clippy::float_cmp,
+    reason = "exact-tie incumbent order: the rule above breaks only a bit-equal objective by the lexicographic order of the points"
+)]
 fn should_replace(maximize: bool, obj: f64, x: &[f64], incumbent: &Incumbent) -> bool {
     let Some((inc, ix)) = incumbent else {
         return true;

@@ -170,7 +170,6 @@ impl Problem {
         assert!(!value.is_nan(), "NaN coefficient");
         assert!((row.index()) < self.rows.len(), "row out of range");
         assert!((col.index()) < self.cols.len(), "col out of range");
-        // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: dropping true zeros never changes the arithmetic")
         if value != 0.0 {
             self.entries.push((row.0, col.0, value));
         }

@@ -101,9 +101,10 @@ impl SimplexConfig {
 /// unoptimized builds can disagree on `(-0.0).max(0.0)` — and a `-0.0`
 /// step or ratio leaks into `total_cmp`-ordered candidate sorts, which
 /// distinguish the two zeros. Every zero-clamp on the pivot trajectory
-/// (and, workspace-wide, every `.max(0.0)` the `zero-sign-clamp` lint rule
-/// would otherwise flag) goes through here so debug and release builds
-/// pick identical pivots. `NaN` clamps to `+0.0`, same as `f64::max(0.0)`.
+/// (and, by convention, every `.max(0.0)` in `lp` and `core`; no lint
+/// checks it, see DESIGN.md "Static analysis") goes through here so debug
+/// and release builds pick identical pivots. `NaN` clamps to `+0.0`, same
+/// as `f64::max(0.0)`.
 #[inline]
 pub fn pos_or_zero(t: f64) -> f64 {
     if t > 0.0 {

@@ -259,7 +259,6 @@ impl Engine {
                 let w = std::mem::take(&mut self.ftran_w);
                 let xb = &mut self.xb;
                 for_each_entry(&w, |pos, wv| {
-                    // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                     if wv != 0.0 {
                         xb[pos] -= wv;
                     }

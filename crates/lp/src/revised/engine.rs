@@ -243,7 +243,7 @@ impl Engine {
         let m = std.nrows;
         let ncols = std.ncols();
         let (csr_ptr, csr_cols) = build_row_mirror(&std.a);
-        // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
+        // Intentional truncation of a density fraction to a scratch-arena size.
         let kernel_cap = (pos_or_zero(cfg.kernel_density_threshold) * m as f64) as usize;
         let mut etas = EtaFile::default();
         etas.ensure_rows(m);
@@ -323,6 +323,10 @@ impl Engine {
     /// its current bounds; artificials and fixed columns are never priced.
     pub(super) fn rest(&mut self, j: usize) {
         let (status, x) = self.std.resting(j);
+        #[expect(
+            clippy::float_cmp,
+            reason = "bound identity: a fixed column's two bounds are copies of one stored value, so exact equality is what marks it fixed"
+        )]
         let fixed =
             self.std.kind[j] == ColKind::Artificial || self.std.lower[j] == self.std.upper[j];
         self.state[j] = match status {
@@ -532,7 +536,6 @@ impl Engine {
         self.exact = Exact::Nothing;
         let xb = &mut self.xb;
         for_each_entry(w, |pos, wp| {
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if wp != 0.0 {
                 xb[pos] -= wp * dir * t;
             }
@@ -546,12 +549,15 @@ impl Engine {
         self.refresh_eligible(q);
     }
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "bound identity: a fixed column's two bounds are copies of one stored value, so exact equality is what marks it fixed"
+    )]
     pub(super) fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
         self.exact = Exact::Nothing;
         let leaving = self.basis[pos];
         let xb = &mut self.xb;
         for_each_entry(w, |p, wp| {
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if wp != 0.0 {
                 xb[p] -= wp * dir * step;
             }
@@ -603,8 +609,8 @@ impl Engine {
 
     /// Debug-build invariant sweep, run after every basis change (`dual`:
     /// by the dual loop, where the infeasible set is live). Release
-    /// builds compile this to nothing; the `wavesched-lint` rules keep the
-    /// invariants *stated*, this keeps them *checked* where they mutate.
+    /// builds compile this to nothing; this keeps the basis invariants
+    /// *checked* where they mutate.
     #[cfg(debug_assertions)]
     pub(super) fn debug_invariants(&self, dual: bool) {
         // Basis column-count consistency: exactly one column per row, each
@@ -725,7 +731,6 @@ impl Engine {
                 continue;
             }
             let xj = self.xval[j];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if xj != 0.0 {
                 let (rows, vals) = self.std.a.col(j);
                 for (&r, &v) in rows.iter().zip(vals) {
@@ -733,10 +738,13 @@ impl Engine {
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: every caller installs an LU immediately before recomputing xb"
+        )]
         let lu = self
             .lu
             .take()
-            // lint: allow(lib-unwrap, reason = "invariant: every caller installs an LU immediately before recomputing xb")
             .expect("invariant: LU installed before compute_xb");
         debug_assert!(self.etas.is_empty(), "compute_xb on a non-empty eta file");
         lu.ftran(&mut self.work_row, &mut self.xb);

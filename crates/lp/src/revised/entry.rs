@@ -314,6 +314,10 @@ impl Engine {
     fn park_nonbasic(&mut self, j: usize, status: BasisStatus) {
         let (l, u) = (self.std.lower[j], self.std.upper[j]);
         let (state, x) = match status {
+            #[expect(
+                clippy::float_cmp,
+                reason = "bound identity: a fixed column's two bounds are copies of one stored value, so exact equality is what marks it fixed"
+            )]
             _ if l == u => return self.rest(j),
             BasisStatus::AtLower if l.is_finite() => (VarState::AtLower, l),
             BasisStatus::AtUpper if u.is_finite() => (VarState::AtUpper, u),
@@ -383,18 +387,24 @@ impl Engine {
         act[..m].fill(0.0);
         for j in 0..self.std.nstruct {
             let xj = self.xval[j];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if xj != 0.0 {
                 self.std.a.col_axpy(j, xj, &mut act);
             }
         }
         self.basis.clear();
-        #[allow(clippy::needless_range_loop)] // parallel arrays, index is clearest
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "parallel arrays, index is clearest"
+        )]
         for i in 0..m {
             let s = self.std.activity_col(i);
             let (sl, su) = (self.std.lower[s], self.std.upper[s]);
             let v = act[i];
             let tol = FEAS_TOL;
+            #[expect(
+                clippy::float_cmp,
+                reason = "resting-at-bound detection: `srest` is a copy of `sl` or `su`, so exact equality names the bound it rests on"
+            )]
             if v >= sl - tol && v <= su + tol {
                 // Activity variable basic and feasible: no artificial needed.
                 self.basis.push(s);
@@ -527,6 +537,10 @@ impl Engine {
             if matches!(self.state[col], VarState::Basic(_)) {
                 continue;
             }
+            #[expect(
+                clippy::float_cmp,
+                reason = "bound identity: `lo == up` marks a fixed column; resting-at-bound detection: a column phase 1 parked on its temporary bound holds a copy of the original bound it violated"
+            )]
             if lo == up {
                 self.state[col] = VarState::Fixed;
             } else if self.xval[col] == up {

@@ -46,7 +46,7 @@ impl Engine {
             self.lu_scratch = LuScratch::new(m);
             self.etas.ensure_rows(m);
         }
-        // lint: allow(lossy-cast, reason = "intentional truncation of a density fraction to a scratch-arena size")
+        // Intentional truncation of a density fraction to a scratch-arena size.
         self.kernel_cap = (pos_or_zero(self.cfg.kernel_density_threshold) * m as f64) as usize;
         self.size_scratch();
         self.max_iterations = iteration_cap(&self.std);
@@ -173,16 +173,16 @@ impl Engine {
             for &(c, v) in &r.entries {
                 assert!(c.index() < n, "col out of range");
                 assert!(v.is_finite(), "non-finite coefficient");
-                // lint: allow(lossy-cast, reason = "row indices are bounded by the CSR u32 index width by construction")
+                // Row indices are bounded by the CSR u32 index width by construction.
                 trips.push(((m0 + i) as u32, c.index() as u32, v));
             }
         }
         self.std.a.append_rows(k, &trips);
-        // lint: allow(lossy-cast, reason = "row indices are bounded by the CSR u32 index width by construction")
+        // Row indices are bounded by the CSR u32 index width by construction.
         let acts: Vec<Vec<(u32, f64)>> = (0..k).map(|i| vec![((m0 + i) as u32, -1.0)]).collect();
         self.std.a.insert_cols(n + m0, &acts);
         for i in 0..k {
-            // lint: allow(lossy-cast, reason = "row indices are bounded by the CSR u32 index width by construction")
+            // Row indices are bounded by the CSR u32 index width by construction.
             self.std.a.push_col(&[((m0 + i) as u32, 1.0)]);
         }
         // Activity columns at the end of their block, artificials (fixed
@@ -206,7 +206,7 @@ impl Engine {
             self.lu_nnz += k;
             for i in 0..k {
                 self.basis.push(at + i);
-                // lint: allow(lossy-cast, reason = "basis positions are bounded by the CSR u32 index width by construction")
+                // Basis positions are bounded by the CSR u32 index width by construction.
                 self.state[at + i] = VarState::Basic((m0 + i) as u32);
             }
         } else {

@@ -67,9 +67,12 @@ impl Engine {
             }
             c[r] = acc / head.pivot;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: solve() refactorizes before any pricing pass, so an LU is always installed here"
+        )]
         self.lu
             .as_ref()
-            // lint: allow(lib-unwrap, reason = "invariant: solve() refactorizes before any pricing pass, so an LU is always installed here")
             .expect("invariant: LU installed before btran")
             .btran(c, &mut self.work_pos);
     }
@@ -119,7 +122,6 @@ impl Engine {
                 }
             }
             let t = acc / head.pivot;
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if t != 0.0 {
                 let newly = !c.is_dense() && !c.marked(r);
                 c.set(r, t);
@@ -140,9 +142,12 @@ impl Engine {
             }
         }
         let mut s = std::mem::take(&mut self.lu_scratch);
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: solve() refactorizes before any pricing pass, so an LU is always installed here"
+        )]
         self.lu
             .as_ref()
-            // lint: allow(lib-unwrap, reason = "invariant: solve() refactorizes before any pricing pass, so an LU is always installed here")
             .expect("invariant: LU installed before btran")
             .btran_sparse(&mut c, &mut s, self.kernel_cap);
         self.lu_scratch = s;
@@ -286,9 +291,12 @@ impl Engine {
     pub(super) fn ftran_loaded(&mut self, mut rhs: WorkVec) {
         let mut w = std::mem::take(&mut self.ftran_w);
         let mut s = std::mem::take(&mut self.lu_scratch);
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: solve() refactorizes before any ratio test, so an LU is always installed here"
+        )]
         self.lu
             .as_ref()
-            // lint: allow(lib-unwrap, reason = "invariant: solve() refactorizes before any ratio test, so an LU is always installed here")
             .expect("invariant: LU installed before ftran")
             .ftran_sparse(&mut rhs, &mut w, &mut s, self.kernel_cap);
         // Eta passes: each is a scatter from the pivotal position, applied
@@ -297,7 +305,6 @@ impl Engine {
             let head = self.etas.head(k);
             let r = head.pos;
             let t = w.values[r as usize] / head.pivot;
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if t != 0.0 {
                 for &(i, wi) in self.etas.entries_of(k) {
                     if i != r {

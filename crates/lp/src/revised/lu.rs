@@ -348,7 +348,6 @@ impl Lu {
         for &p in self.topo.iter().rev() {
             let p = p as usize;
             let v = self.work[self.row_perm[p] as usize];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if v != 0.0 {
                 let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
                 for (&r, &lv) in self.l_row[lo..hi].iter().zip(&self.l_val[lo..hi]) {
@@ -385,12 +384,10 @@ impl Lu {
             let v = self.work[r as usize];
             let p = self.row_pos[r as usize];
             if p != NONE {
-                // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
                 if v != 0.0 {
                     self.u_idx.push(p);
                     self.u_val.push(v);
                 }
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             } else if r != piv_row && v != 0.0 {
                 self.l_row.push(r);
                 self.l_val.push(v / piv_val);
@@ -456,7 +453,7 @@ impl Lu {
     pub fn extend_rows(&mut self, k: usize) {
         let m0 = self.m;
         for i in 0..k {
-            // lint: allow(lossy-cast, reason = "row indices are bounded by the CSR u32 index width by construction")
+            // Row indices are bounded by the CSR u32 index width by construction.
             let step = (m0 + i) as u32;
             self.row_perm.push(step);
             self.row_pos.push(step);
@@ -496,7 +493,6 @@ impl Lu {
         // L y = P rhs.
         for p in 0..m {
             let v = rhs_by_row[self.row_perm[p] as usize];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if v != 0.0 {
                 let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
                 for (&r, &lv) in self.l_row[lo..hi].iter().zip(&self.l_val[lo..hi]) {
@@ -509,7 +505,6 @@ impl Lu {
         for j in (0..m).rev() {
             let z = out_by_pos[j] / self.u_diag[j];
             out_by_pos[j] = z;
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if z != 0.0 {
                 let (lo, hi) = (self.u_ptr[j], self.u_ptr[j + 1]);
                 for (&p, &uv) in self.u_idx[lo..hi].iter().zip(&self.u_val[lo..hi]) {
@@ -613,7 +608,6 @@ impl Lu {
         while let Some(p) = lowest_from(words, hi, at) {
             at = p + 1;
             let v = vals[p];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if v != 0.0 {
                 let (k0, k1) = (self.l_ptr[p], self.l_ptr[p + 1]);
                 for (&t, &lv) in self.l_step[k0..k1].iter().zip(&self.l_val[k0..k1]) {
@@ -636,7 +630,6 @@ impl Lu {
             unmark(words, j);
             let z = vals[j] / self.u_diag[j];
             vals[j] = 0.0;
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if z != 0.0 {
                 out.set(self.col_order[j], z);
                 let (k0, k1) = (self.u_ptr[j], self.u_ptr[j + 1]);
@@ -695,7 +688,6 @@ impl Lu {
                 acc -= uv * vals[p as usize];
             }
             let w = acc / self.u_diag[j];
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if w != 0.0 {
                 vals[j] = w;
                 for &t in self.ut.of(j) {
@@ -721,7 +713,6 @@ impl Lu {
             for (&r, &lv) in self.l_row[k0..k1].iter().zip(&self.l_val[k0..k1]) {
                 acc -= lv * c.values[r as usize];
             }
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if acc != 0.0 {
                 c.set(self.row_perm[p], acc);
                 for &q in self.lt.of(p) {

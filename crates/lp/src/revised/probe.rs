@@ -54,14 +54,18 @@ impl PivotProbe {
     /// realistic steady state (periodic refactorization included) rather
     /// than an ever-growing eta file.
     pub fn new_with(p: &Problem, warmup: u64, base: &SimplexConfig) -> Self {
-        // lint: allow(lib-unwrap, reason = "bench-only probe constructor: a malformed probe problem is a programming error in the benchmark, not a runtime condition")
+        #[expect(
+            clippy::expect_used,
+            reason = "bench-only probe constructor: a malformed probe problem is a programming error in the benchmark, not a runtime condition"
+        )]
         let std = standardize(p).expect("probe problem must standardize");
         let mut engine = Engine::new(std, base.clone());
         engine.max_iterations = warmup.max(1);
-        let sol = engine
-            .solve(None, false)
-            // lint: allow(lib-unwrap, reason = "bench-only probe constructor: warmup failure means the benchmark fixture is broken and should abort loudly")
-            .expect("probe warmup failed");
+        #[expect(
+            clippy::expect_used,
+            reason = "bench-only probe constructor: warmup failure means the benchmark fixture is broken and should abort loudly"
+        )]
+        let sol = engine.solve(None, false).expect("probe warmup failed");
         assert_eq!(
             sol.status,
             Status::IterationLimit,
@@ -92,10 +96,13 @@ impl PivotProbe {
     pub fn pivots(&mut self, n: u64) -> u64 {
         let before = self.engine.stats.iterations;
         self.engine.max_iterations = before + n;
+        #[expect(
+            clippy::expect_used,
+            reason = "bench-only probe: a numerical failure mid-window invalidates the measurement, so abort loudly"
+        )]
         let _ = self
             .engine
             .iterate(false)
-            // lint: allow(lib-unwrap, reason = "bench-only probe: a numerical failure mid-window invalidates the measurement, so abort loudly")
             .expect("probe pivot batch hit a numerical failure");
         self.engine.stats.iterations - before
     }

@@ -45,7 +45,10 @@ const ON_INTERVAL: u64 = 64;
 pub(super) fn sanitize_env() -> u64 {
     static INTERVAL: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *INTERVAL.get_or_init(|| {
-        // lint: allow(env-knob, reason = "WS_SANITIZE mirrors the sanctioned WS_THREADS pattern: read once at first use, build-dependent default when unset, documented in the README")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WS_SANITIZE mirrors the sanctioned WS_THREADS pattern: read once at first use, build-dependent default when unset, documented in the README"
+        )]
         match std::env::var("WS_SANITIZE") {
             Ok(v) => match v.trim().parse::<u64>() {
                 Ok(0) | Err(_) => 0,
@@ -95,7 +98,6 @@ impl Engine {
                 VarState::Basic(p) => self.xb[p as usize],
                 _ => self.xval[j],
             };
-            // lint: allow(float-eq, reason = "exact-zero skip is a sparsity guard: skipping true zeros never changes the arithmetic")
             if xj != 0.0 {
                 if xj.abs() > scale {
                     scale = xj.abs();

@@ -134,7 +134,10 @@ impl SolverSession {
         assert!(j < self.engine.std.nstruct, "col out of range");
         assert!(cost.is_finite(), "non-finite cost");
         let signed = self.engine.std.obj_sign * cost;
-        // lint: allow(float-eq, reason = "exact no-op detection: re-setting the identical coefficient (the common install-everything pattern) must not disqualify the dual re-solve path, and an exact compare can never misclassify a real change")
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact no-op detection: re-setting the identical coefficient (the common install-everything pattern) must not disqualify the dual re-solve path, and an exact compare can never misclassify a real change"
+        )]
         if signed != self.engine.std.cost[j] {
             self.engine.std.cost[j] = signed;
             self.cost_dirty = true;

@@ -250,7 +250,7 @@ impl CscMatrix {
     #[cfg(test)]
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut d = vec![vec![0.0; self.ncols]; self.nrows];
-        #[allow(clippy::needless_range_loop)] // column index drives col()
+        #[expect(clippy::needless_range_loop, reason = "column index drives col()")]
         for j in 0..self.ncols {
             let (rows, vals) = self.col(j);
             for (&r, &v) in rows.iter().zip(vals) {

@@ -9,16 +9,17 @@
 //! touches the allocator not even once — nor does a window under the
 //! default refactorization cadence that refactorizes twice, because the
 //! factors are rebuilt in place in their own arenas. The solve entry is
-//! held to the same standard: a session re-solve, on its carried factors
-//! or from a basis snapshot, allocates the `Solution` it returns and
-//! nothing else.
+//! held to the same standard: a session re-solve, on its carried factors,
+//! from a basis snapshot or cold from the crash basis, allocates the
+//! `Solution` it returns and nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wavesched_lp::{
-    Objective, PivotProbe, Problem, Row, SimplexConfig, Solution, SolverSession, Status,
+    BasisStatus, Objective, PivotProbe, Problem, Row, SimplexConfig, Solution, SolverSession,
+    Status,
 };
 
 /// System allocator with an allocation-event counter. Deallocations are
@@ -227,5 +228,28 @@ fn re_solves_allocate_only_the_solution_they_return() {
     assert_eq!(
         events, SOLUTION_VECTORS,
         "a re-solve from a basis snapshot performed {events} heap allocations"
+    );
+
+    // Cold: a basis of another shape is refused, so the solve falls back to
+    // the crash basis; boxing every column makes the primal ratio test flip
+    // entering columns between their bounds. Twice again, the first to bring
+    // the arenas to the cold working set. The extra status only shortens
+    // the session's copy of the answer, which stays within capacity.
+    cut(&mut session, tight[1], 1.0);
+    for j in 0..p.num_cols() {
+        session.set_col_bounds(wavesched_lp::Col::from_index(j), 0.0, 5.0);
+    }
+    let mut foreign = installed.basis.expect("optimal basis");
+    foreign.cols.push(BasisStatus::AtLower);
+    session.warm_start_from(foreign.clone());
+    session.solve().expect("warm-up");
+    session.warm_start_from(foreign);
+    let (events, cold) = events_over_solve(&mut session);
+    assert_eq!(cold.status, Status::Optimal);
+    assert_eq!(cold.stats.warm_start_fallbacks, 1, "{:?}", cold.stats);
+    assert!(cold.stats.bound_flips > 0, "{:?}", cold.stats);
+    assert_eq!(
+        events, SOLUTION_VECTORS,
+        "a cold re-solve with bound flips performed {events} heap allocations"
     );
 }

@@ -131,7 +131,10 @@ pub fn shortest_path_weighted(
     let mut edges = Vec::new();
     let mut cur = dst;
     while cur != src {
-        // lint: allow(lib-unwrap, reason = "invariant: dst has finite distance, so every node on the chain back to src was relaxed and has a predecessor")
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: dst has finite distance, so every node on the chain back to src was relaxed and has a predecessor"
+        )]
         let e = pred[cur.index()].expect("invariant: predecessor chain intact");
         edges.push(e);
         cur = g.src(e);

@@ -253,7 +253,10 @@ impl Path {
 
     /// Last node of the path.
     pub fn target(&self, g: &Graph) -> NodeId {
-        // lint: allow(lib-unwrap, reason = "invariant: this crate never constructs an empty path (see is_empty docs)")
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: this crate never constructs an empty path (see is_empty docs)"
+        )]
         g.dst(*self.edges.last().expect("invariant: non-empty path"))
     }
 

@@ -14,6 +14,10 @@
 //! * [`pathset`] — cached allowed-path collections per (source, destination).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod abilene;
 pub mod dijkstra;

@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 ///
 /// Backed by a `BTreeMap` so that iterating the cache (debug dumps, future
 /// serialization) visits pairs in a stable order — part of the workspace's
-/// bit-identical-output guarantee (see `wavesched-lint`'s `hash-iter-order`).
+/// bit-identical-output guarantee (`clippy.toml` disallows `HashMap` and
+/// `HashSet` workspace-wide).
 ///
 /// Also owns the Yen search workspace, so filling the cache for many pairs
 /// reuses one set of per-node and per-edge arrays.

@@ -18,6 +18,10 @@
 //! the aggregated span hierarchy for the CLI's `--trace` flag.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod json;
 pub mod mem;
@@ -175,6 +179,10 @@ pub fn span(name: &'static str) -> Span {
         None => local,
     });
     Span {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a span's duration is what the obs layer records; no scheduling decision reads it"
+        )]
         armed: Some((path, Instant::now())),
     }
 }

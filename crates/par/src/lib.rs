@@ -36,6 +36,10 @@
 //! from indexed result placement, not from a static assignment.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -67,6 +71,10 @@ pub fn parse_threads(value: Option<&str>, default: usize) -> Result<usize, Strin
 /// unparseable or zero `WS_THREADS`, mirroring how the bench harness
 /// rejects unknown CLI flags.
 pub fn threads() -> usize {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one WS_THREADS reader: a misread exits loudly instead of running at a width nobody asked for"
+    )]
     let var = std::env::var("WS_THREADS").ok();
     match parse_threads(var.as_deref(), available()) {
         Ok(n) => n,
@@ -142,9 +150,12 @@ where
             }
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the work pool writes every slot exactly once before join"
+    )]
     slots
         .into_iter()
-        // lint: allow(lib-unwrap, reason = "invariant: the work pool writes every slot exactly once before join")
         .map(|s| s.expect("invariant: every index mapped"))
         .collect()
 }

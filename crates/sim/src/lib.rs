@@ -18,6 +18,10 @@
 //!   [`StreamReport`] (volume moved, link utilization).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod engine;
 pub mod metrics;

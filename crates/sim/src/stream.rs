@@ -230,7 +230,7 @@ pub(crate) fn run_event_loop(
             batch.clear();
             while let Some(j) = it.peek() {
                 if j.arrival <= now {
-                    // lint: allow(lib-unwrap, reason = "peek just returned Some")
+                    #[expect(clippy::expect_used, reason = "peek just returned Some")]
                     batch.push(it.next().expect("peeked"));
                 } else {
                     break;

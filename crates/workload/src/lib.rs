@@ -14,6 +14,10 @@
 //!   Poisson or batch arrivals).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod generator;
 pub mod job;

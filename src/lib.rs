@@ -18,6 +18,11 @@
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! full system inventory and experiment index.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub use wavesched_core as core;
 pub use wavesched_lp as lp;
 pub use wavesched_net as net;
