@@ -116,7 +116,7 @@ pub(crate) fn pipeline_from_stage1(
         // holds that very basis factored: entering on the carried factors
         // reaches the same optimum through another vertex, and every answer
         // pin downstream is a function of the vertex. Switching rungs is
-        // ROADMAP item 5 (a) and waits for item 1's vertex contract.
+        // ROADMAP item 1 (c) and waits for that item's vertex contract.
         solve_stage2_on(
             lp,
             inst,

@@ -10,8 +10,14 @@
 //! of links", i.e. average node degree 4): a Waxman-weighted random spanning
 //! tree guarantees connectivity, then the remaining pairs are drawn without
 //! replacement with probability proportional to their Waxman weight.
+//!
+//! A draw of the second phase finds its pair by a descent of a Fenwick tree
+//! over the candidate weights, O(log n) a link instead of a scan of all
+//! O(n²) candidates, and lands on the pair the sequential scan would pick:
+//! a draw within rounding distance of a pair's boundary is re-resolved by
+//! that scan (see `PairSampler`).
 
-use crate::graph::Graph;
+use crate::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -42,54 +48,89 @@ impl WaxmanConfig {
             seed,
         }
     }
+
+    /// Checks that [`waxman_network`] can build this network: at least two
+    /// nodes, enough link pairs to connect them and no more than there are
+    /// node pairs, and a finite positive `alpha`.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.nodes;
+        if n < 2 {
+            return Err(format!(
+                "a Waxman network needs at least two nodes, got {n}"
+            ));
+        }
+        if self.link_pairs < n - 1 {
+            return Err(format!(
+                "{} link pairs cannot connect {n} nodes: connectivity needs at least {}",
+                self.link_pairs,
+                n - 1
+            ));
+        }
+        let node_pairs = n as u128 * (n as u128 - 1) / 2;
+        if self.link_pairs as u128 > node_pairs {
+            return Err(format!(
+                "{} link pairs exceed the {node_pairs} node pairs of {n} nodes",
+                self.link_pairs
+            ));
+        }
+        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+            return Err(format!(
+                "Waxman alpha must be finite and > 0, got {}",
+                self.alpha
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Generates a connected Waxman network per `cfg`.
 ///
 /// # Panics
-/// Panics if `link_pairs < nodes - 1` (cannot be connected) or exceeds the
-/// complete graph size.
+/// Panics if [`WaxmanConfig::validate`] rejects `cfg`: fewer than two nodes,
+/// `link_pairs < nodes - 1` (cannot be connected) or beyond the complete
+/// graph size, or an `alpha` that is not finite and positive. Also panics if
+/// `alpha` is so small that every weight of a draw underflows to zero.
 pub fn waxman_network(cfg: &WaxmanConfig) -> Graph {
+    let valid = cfg.validate();
+    assert!(valid.is_ok(), "{}", valid.err().unwrap_or_default());
     let n = cfg.nodes;
-    assert!(n >= 2, "need at least two nodes");
-    assert!(
-        cfg.link_pairs >= n - 1,
-        "need at least nodes-1 link pairs for connectivity"
-    );
-    assert!(
-        cfg.link_pairs <= n * (n - 1) / 2,
-        "more link pairs than node pairs"
-    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Node placement on the unit square.
     let pos: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
         .collect();
-    let dist = |a: usize, b: usize| -> f64 {
+    let dist2 = |a: usize, b: usize| -> f64 {
         let dx = pos[a].0 - pos[b].0;
         let dy = pos[a].1 - pos[b].1;
-        (dx * dx + dy * dy).sqrt()
+        dx * dx + dy * dy
     };
-    let mut max_d: f64 = 0.0;
+    // The largest distance is the root of the largest square: the square
+    // root is monotone and correctly rounded.
+    let mut max_d2: f64 = 0.0;
     for a in 0..n {
         for b in (a + 1)..n {
-            max_d = max_d.max(dist(a, b));
+            max_d2 = max_d2.max(dist2(a, b));
         }
     }
-    let scale = cfg.alpha * max_d;
-    let weight = |a: usize, b: usize| (-dist(a, b) / scale).exp();
+    let scale = cfg.alpha * max_d2.sqrt();
+
+    // Every pair's weight, once, at its slot in (lower, higher) order. The
+    // distance is symmetric to the bit, so `weights[slot(u, v)]` is the
+    // weight of `u` to `v` whichever is lower.
+    let mut weights = Vec::with_capacity(n * (n - 1) / 2);
+    for a in 0..n {
+        for b in (a + 1)..n {
+            weights.push((-dist2(a, b).sqrt() / scale).exp());
+        }
+    }
+    let slot = |u: usize, v: usize| {
+        let (a, b) = (u.min(v), u.max(v));
+        a * (2 * n - a - 1) / 2 + b - a - 1
+    };
 
     let mut g = Graph::new();
     let nodes = g.add_nodes(n);
-
-    // `chosen[a][b]` over a < b.
-    let mut chosen = vec![false; n * n];
-    let mark = |chosen: &mut Vec<bool>, a: usize, b: usize| {
-        let (a, b) = if a < b { (a, b) } else { (b, a) };
-        chosen[a * n + b] = true;
-    };
-    let is_marked = |chosen: &[bool], a: usize, b: usize| chosen[a.min(b) * n + a.max(b)];
 
     // Waxman-weighted random spanning tree: attach each node (in random
     // order) to an already-attached node drawn by weight.
@@ -100,52 +141,178 @@ pub fn waxman_network(cfg: &WaxmanConfig) -> Graph {
         order.swap(i, j);
     }
     let mut attached = vec![order[0]];
-    let mut pairs_used = 0usize;
+    let mut tree_slots = Vec::with_capacity(n - 1);
+    let mut w = Vec::with_capacity(n);
     for &v in &order[1..] {
-        let total: f64 = attached.iter().map(|&u| weight(u, v)).sum();
-        let mut draw = rng.random_range(0.0..total);
-        let mut pick = attached[attached.len() - 1];
-        for &u in &attached {
-            let w = weight(u, v);
-            if draw < w {
-                pick = u;
-                break;
-            }
-            draw -= w;
-        }
+        w.clear();
+        w.extend(attached.iter().map(|&u| weights[slot(u, v)]));
+        let total: f64 = w.iter().sum();
+        let pick = attached[scan(&w, draw(&mut rng, total, cfg.alpha))];
         g.add_link_pair(nodes[pick], nodes[v], cfg.wavelengths);
-        mark(&mut chosen, pick, v);
-        pairs_used += 1;
+        tree_slots.push(slot(pick, v));
         attached.push(v);
     }
+    tree_slots.sort_unstable();
 
-    // Remaining pairs: weighted sampling without replacement.
-    let mut cand: Vec<(usize, usize, f64)> = Vec::new();
+    // Remaining pairs: weighted sampling without replacement, over the
+    // pairs the tree left, in slot order.
+    let mut pairs = Vec::with_capacity(weights.len() - tree_slots.len());
+    let mut in_tree = tree_slots.iter().peekable();
+    let mut i = 0;
     for a in 0..n {
         for b in (a + 1)..n {
-            if !is_marked(&chosen, a, b) {
-                cand.push((a, b, weight(a, b)));
+            if in_tree.next_if_eq(&&i).is_none() {
+                weights[pairs.len()] = weights[i];
+                pairs.push((nodes[a], nodes[b]));
             }
+            i += 1;
         }
     }
-    let mut total: f64 = cand.iter().map(|c| c.2).sum();
-    while pairs_used < cfg.link_pairs {
-        let mut draw = rng.random_range(0.0..total);
-        let mut idx = cand.len() - 1;
-        for (i, c) in cand.iter().enumerate() {
-            if draw < c.2 {
-                idx = i;
-                break;
-            }
-            draw -= c.2;
-        }
-        let (a, b, w) = cand.swap_remove(idx);
-        total -= w;
-        g.add_link_pair(nodes[a], nodes[b], cfg.wavelengths);
-        pairs_used += 1;
+    weights.truncate(pairs.len());
+    let mut sampler = PairSampler::new(pairs, weights, cfg.link_pairs - (n - 1));
+    for _ in (n - 1)..cfg.link_pairs {
+        let (a, b) = sampler.take(&mut rng, cfg.alpha);
+        g.add_link_pair(a, b, cfg.wavelengths);
     }
 
     g
+}
+
+/// A uniform draw below the weight `total` of the candidates it picks from.
+fn draw(rng: &mut StdRng, total: f64, alpha: f64) -> f64 {
+    assert!(
+        total > 0.0,
+        "Waxman alpha {alpha} underflows every candidate weight of a draw to zero"
+    );
+    rng.random_range(0.0..total)
+}
+
+/// The slot `draw` lands on when `weights` are laid end to end, found by
+/// subtracting them one at a time; the last slot when rounding leaves the
+/// draw past them all.
+fn scan(weights: &[f64], mut draw: f64) -> usize {
+    for (i, &w) in weights.iter().enumerate() {
+        if draw < w {
+            return i;
+        }
+        draw -= w;
+    }
+    weights.len() - 1
+}
+
+/// The candidate pairs of the second phase, drawn by weight without
+/// replacement.
+///
+/// A removal moves the last candidate into the vacated slot (`swap_remove`),
+/// and the running total loses the removed weight, so the candidate order
+/// and every draw's bound are those of a plain scan over a `Vec`. The
+/// Fenwick tree only finds the slot a draw lands on faster. Its partial sums
+/// round differently from the scan's running difference, so a draw within
+/// [`band`](Self::band) of either boundary of the slot the descent found is
+/// re-resolved by [`scan`]: outside the band both computations agree with
+/// exact arithmetic, hence with each other.
+struct PairSampler {
+    /// Candidate pairs, in slot order.
+    pairs: Vec<(NodeId, NodeId)>,
+    /// `weights[i]` is the Waxman weight of `pairs[i]`.
+    weights: Vec<f64>,
+    /// Fenwick tree over `weights`, 1-based: `tree[k]` sums slots
+    /// `k - lowbit(k) .. k`; `tree[0]` is unused.
+    tree: Vec<f64>,
+    /// Weight of the candidates left, lowered by each removed weight.
+    total: f64,
+    /// Worst-case rounding of the scan's running difference plus that of a
+    /// tree partial sum (build, one update a node per removal, the descent's
+    /// additions), with a factor 4 to spare: `4ε · (candidates + 2 · draws ·
+    /// log₂ candidates) · total`.
+    band: f64,
+}
+
+impl PairSampler {
+    /// A sampler over `pairs` weighted by `weights`, for `draws` draws.
+    fn new(pairs: Vec<(NodeId, NodeId)>, weights: Vec<f64>, draws: usize) -> Self {
+        let len = weights.len();
+        let total: f64 = weights.iter().sum();
+        let mut tree = Vec::with_capacity(len + 1);
+        tree.push(0.0);
+        tree.extend_from_slice(&weights);
+        for k in 1..=len {
+            let parent = k + lowbit(k);
+            if parent <= len {
+                tree[parent] += tree[k];
+            }
+        }
+        let depth = f64::from(usize::BITS - len.leading_zeros());
+        let band = 4.0 * f64::EPSILON * (len as f64 + 2.0 * draws as f64 * depth) * total;
+        PairSampler {
+            pairs,
+            weights,
+            tree,
+            total,
+            band,
+        }
+    }
+
+    /// Draws one pair by weight and removes it.
+    fn take(&mut self, rng: &mut StdRng, alpha: f64) -> (NodeId, NodeId) {
+        let i = self.pick(draw(rng, self.total, alpha));
+        let last = self.weights.len() - 1;
+        let delta = self.weights[last] - self.weights[i];
+        // Slot `last` leaves the tree with node `last + 1`; the nodes below
+        // it that cover slot `i` take the moved weight in place of the old.
+        let mut k = i + 1;
+        while k <= last {
+            self.tree[k] += delta;
+            k += lowbit(k);
+        }
+        self.tree.pop();
+        self.total -= self.weights.swap_remove(i);
+        self.pairs.swap_remove(i)
+    }
+
+    /// The slot [`scan`] picks for `draw`.
+    fn pick(&self, draw: f64) -> usize {
+        let (slot, lo) = self.descend(draw);
+        let clear = slot < self.weights.len()
+            && draw - lo > self.band
+            && lo + self.weights[slot] - draw > self.band;
+        let i = if clear {
+            slot
+        } else {
+            scan(&self.weights, draw)
+        };
+        #[cfg(test)]
+        assert_eq!(
+            i,
+            scan(&self.weights, draw),
+            "descent left the scan at {draw}"
+        );
+        i
+    }
+
+    /// The number of slots whose tree-summed prefix is at most `draw` — the
+    /// slot `draw` lands on, or the slot count past the end — and that prefix.
+    fn descend(&self, draw: f64) -> (usize, f64) {
+        let len = self.weights.len();
+        let (mut slot, mut lo) = (0, 0.0);
+        let mut step = if len == 0 { 0 } else { 1 << len.ilog2() };
+        while step > 0 {
+            if slot + step <= len {
+                let hi = lo + self.tree[slot + step];
+                if hi <= draw {
+                    slot += step;
+                    lo = hi;
+                }
+            }
+            step >>= 1;
+        }
+        (slot, lo)
+    }
+}
+
+/// The lowest set bit of `k`: the number of slots Fenwick node `k` sums.
+fn lowbit(k: usize) -> usize {
+    k & k.wrapping_neg()
 }
 
 #[cfg(test)]
@@ -224,5 +391,63 @@ mod tests {
             seed: 5,
         };
         waxman_network(&cfg);
+    }
+
+    #[test]
+    fn validate_names_what_is_wrong() {
+        let ok = WaxmanConfig::paper_default(0);
+        assert_eq!(ok.validate(), Ok(()));
+        for (nodes, link_pairs, alpha, want) in [
+            (1, 0, 0.15, "two nodes"),
+            (10, 5, 0.15, "connectivity"),
+            (10, 46, 0.15, "45 node pairs"),
+            (100, 200, 0.0, "alpha"),
+            (100, 200, f64::NAN, "alpha"),
+            (100, 200, f64::INFINITY, "alpha"),
+        ] {
+            let cfg = WaxmanConfig {
+                nodes,
+                link_pairs,
+                alpha,
+                ..ok.clone()
+            };
+            let err = cfg.validate().expect_err("must be rejected");
+            assert!(err.contains(want), "{cfg:?}: {err}");
+        }
+    }
+
+    /// Two draws the descent alone would place in another slot than the
+    /// scan. On a boundary: `0.9 + 0.1` rounds to exactly `1.0`, so the tree
+    /// ends slot 1 at the draw and the descent lands on slot 2, while the
+    /// scan's `1.0 - 0.9` rounds below `0.1` and picks slot 1. Inside a
+    /// rounding gap: the tree ends slot 2 at `0.8 + 0.9 =
+    /// 1.7000000000000002`, above the draw `1.7`, while the scan's `1.7 -
+    /// 0.2 - 0.6` is exactly `0.9`, not below it, and picks slot 3. Both lie
+    /// within the band and are re-resolved by the scan.
+    #[test]
+    fn draws_within_the_band_are_resolved_by_the_scan() {
+        for (weights, draw, descent, want) in [
+            (vec![0.9, 0.1, 0.5], 1.0, (2, 1.0), 1),
+            (vec![0.2, 0.6, 0.9, 0.3], 1.7, (2, 0.8), 3),
+        ] {
+            let len = weights.len();
+            let s = PairSampler::new(vec![(NodeId(0), NodeId(1)); len], weights.clone(), 1);
+            assert_eq!(s.descend(draw), descent, "{weights:?}");
+            assert_eq!(scan(&weights, draw), want, "{weights:?}");
+            assert_eq!(s.pick(draw), want, "{weights:?}");
+        }
+        // Clear of both boundaries the descent answers alone.
+        let s = PairSampler::new(vec![(NodeId(0), NodeId(1)); 4], vec![0.2, 0.6, 0.9, 0.3], 1);
+        assert_eq!(s.descend(1.2), (2, 0.8));
+        assert_eq!(s.pick(1.2), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha 0.000000001 underflows")]
+    fn an_alpha_that_underflows_every_weight_is_named() {
+        waxman_network(&WaxmanConfig {
+            alpha: 1e-9,
+            ..WaxmanConfig::paper_default(0)
+        });
     }
 }

@@ -187,13 +187,15 @@ fn build_network(spec: &str, w: u32) -> Result<Graph, String> {
                 let nodes = parts[0].parse().map_err(|_| "bad node count")?;
                 let link_pairs = parts[1].parse().map_err(|_| "bad pair count")?;
                 let seed = parts[2].parse().map_err(|_| "bad seed")?;
-                Ok(waxman_network(&WaxmanConfig {
+                let cfg = WaxmanConfig {
                     nodes,
                     link_pairs,
                     wavelengths: w,
                     alpha: 0.15,
                     seed,
-                }))
+                };
+                cfg.validate()?;
+                Ok(waxman_network(&cfg))
             } else {
                 Err(format!("unknown network {other:?}"))
             }

@@ -13,7 +13,7 @@ fn bad_input_is_a_one_line_error_not_a_panic() {
     std::fs::write(&one_job, format!("{header}0,0,0,1,10,0,4\n")).unwrap();
     let (empty, one_job) = (empty.to_str().unwrap(), one_job.to_str().unwrap());
 
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["ret", "--trace", empty], "at least one job"),
         (&["ret", "--trace", empty, "--colgen"], "at least one job"),
         (
@@ -34,6 +34,9 @@ fn bad_input_is_a_one_line_error_not_a_panic() {
             "--wavelengths",
         ),
         (&["simulate", "--trace", one_job, "--tau", "0"], "--tau"),
+        (&["dot", "--network", "waxman:10:5:1"], "connectivity"),
+        (&["dot", "--network", "waxman:1:0:1"], "two nodes"),
+        (&["dot", "--network", "waxman:10:100:1"], "45 node pairs"),
     ];
     for (args, want) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_wavesched"))

@@ -156,3 +156,41 @@ fn multi_seed_determinism() {
     assert_eq!(a.1.to_bits(), b.1.to_bits());
     assert_eq!(a.2, b.2);
 }
+
+/// FNV-1a over a graph's edge list, `(src, dst)` in edge order.
+fn edge_list_fnv1a(g: &wavesched::net::Graph) -> u64 {
+    g.edge_ids()
+        .flat_map(|e| [g.src(e).0, g.dst(e).0])
+        .flat_map(u32::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The Waxman topologies every figure and benchmark digest is built on,
+/// pinned edge for edge: a generator change that would move those digests
+/// fails here first.
+#[test]
+fn waxman_topologies_are_pinned() {
+    let paper = waxman_network(&WaxmanConfig::paper_default(42));
+    let big = waxman_network(&WaxmanConfig {
+        nodes: 1000,
+        link_pairs: 2000,
+        wavelengths: 2,
+        alpha: 0.15,
+        seed: 42,
+    });
+    for (what, g, edges, hash) in [
+        ("paper_default(42)", &paper, 400, 0xee0c_890e_9237_d1b5_u64),
+        ("1000 nodes / 2000 pairs", &big, 4000, 0xcf7c_2957_7426_ed11),
+    ] {
+        let got = (g.num_edges(), edge_list_fnv1a(g));
+        assert_eq!(
+            got,
+            (edges, hash),
+            "{what}: topology moved ({} edges, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
