@@ -40,9 +40,10 @@
 //! and [`solve_ret_colgen`](crate::ret::solve_ret_colgen), and choose the
 //! pricer with a [`ColGenConfig`].
 //!
-//! Everything here is serial and deterministically ordered (`BTreeMap`
-//! duals, sorted row keys, the tie-broken Dijkstra of `wavesched-net`), so
-//! runs are byte-reproducible at any `WS_THREADS`.
+//! Everything here is serial and deterministically ordered (capacity rows
+//! created in sorted `(edge, slice)` order and looked up per edge, duals read
+//! straight from the solution, the tie-broken searches of `wavesched-net`),
+//! so runs are byte-reproducible at any `WS_THREADS`.
 
 use crate::builders::{expect_optimal, Form};
 use crate::instance::{Instance, InstanceConfig};
@@ -161,6 +162,83 @@ impl ColumnPool {
     }
 }
 
+/// The master's capacity rows, looked up by edge and then by slice: each
+/// edge keeps the slices it has a row in as sorted runs of consecutive
+/// slices, one row handle per slice. Memory is O(edges + rows) however long
+/// the horizon; a lookup searches one edge's runs (one, as a rule) and
+/// indexes into the run.
+#[derive(Debug, Clone, PartialEq)]
+struct CapRows {
+    /// `runs[e]`: edge `e`'s runs in ascending slice order, disjoint and
+    /// never adjacent (two runs that touch are merged), so two indexes over
+    /// the same rows are equal.
+    runs: Vec<Vec<Run>>,
+}
+
+/// Consecutive slices of one edge that all have a capacity row.
+#[derive(Debug, Clone, PartialEq)]
+struct Run {
+    /// Slice of `rows[0]`.
+    first: usize,
+    /// Row of slice `first + k`, for each `k`.
+    rows: Vec<Row>,
+}
+
+impl Run {
+    /// One past the run's last slice.
+    fn end(&self) -> usize {
+        self.first + self.rows.len()
+    }
+}
+
+impl CapRows {
+    /// An index with no rows, over `edges` edges.
+    fn new(edges: usize) -> Self {
+        CapRows {
+            runs: vec![Vec::new(); edges],
+        }
+    }
+
+    /// The row of `(e, slice)`, if the master has one.
+    fn get(&self, e: EdgeId, slice: usize) -> Option<Row> {
+        let runs = self.runs.get(e.index())?;
+        let run = &runs[runs.partition_point(|r| r.first <= slice).checked_sub(1)?];
+        run.rows.get(slice - run.first).copied()
+    }
+
+    /// The dual `μ_{e,slice}` in `duals`: zero where no row exists, since
+    /// such a constraint is slack by construction.
+    fn dual(&self, duals: &[f64], e: EdgeId, slice: usize) -> f64 {
+        self.get(e, slice).map_or(0.0, |r| duals[r.index()])
+    }
+
+    /// Records `row` as the row of `(e, slice)`, which has none yet.
+    fn insert(&mut self, e: EdgeId, slice: usize, row: Row) {
+        let runs = &mut self.runs[e.index()];
+        let k = runs.partition_point(|r| r.first <= slice);
+        debug_assert!(k == 0 || runs[k - 1].end() <= slice, "row inserted twice");
+        let joins_next = k < runs.len() && runs[k].first == slice + 1;
+        if k > 0 && runs[k - 1].end() == slice {
+            runs[k - 1].rows.push(row);
+            if joins_next {
+                let next = runs.remove(k);
+                runs[k - 1].rows.extend(next.rows);
+            }
+        } else if joins_next {
+            runs[k].first = slice;
+            runs[k].rows.insert(0, row);
+        } else {
+            runs.insert(
+                k,
+                Run {
+                    first: slice,
+                    rows: vec![row],
+                },
+            );
+        }
+    }
+}
+
 /// Everything a [`Pricer`] may consult when proposing columns.
 pub(crate) struct PricingContext<'a> {
     /// The network.
@@ -169,10 +247,10 @@ pub(crate) struct PricingContext<'a> {
     jobs: &'a [Job],
     /// The *active* slice window per job at the current trial deadline.
     windows: &'a [Range<usize>],
-    /// Dual value of every materialized capacity row, keyed by
-    /// `(edge index, slice)`. Rows not in the map have dual zero (their
-    /// constraint is slack by construction).
-    cap_duals: &'a BTreeMap<(u32, u32), f64>,
+    /// The master's capacity rows, for [`mu`](Self::mu).
+    cap_rows: &'a CapRows,
+    /// The master's optimal duals, indexed by row.
+    duals: &'a [f64],
     /// `budgets[i][j - windows[i].start]`: a new path for job `i` usable
     /// in slice `j` improves the master iff its dual load
     /// `Σ_{e∈p} μ_{e,j}` is strictly below this (the reduced-cost
@@ -180,6 +258,13 @@ pub(crate) struct PricingContext<'a> {
     budgets: &'a [Vec<f64>],
     /// The current pool, for deduplication.
     pool: &'a ColumnPool,
+}
+
+impl PricingContext<'_> {
+    /// The capacity dual `μ_{e,slice}`: zero where the master has no row.
+    fn mu(&self, e: EdgeId, slice: usize) -> f64 {
+        self.cap_rows.dual(self.duals, e, slice)
+    }
 }
 
 /// A column-generation pricing oracle: proposes `(job, path)` candidates
@@ -213,11 +298,7 @@ fn exact_margin(ctx: &PricingContext<'_>, job: usize, path: &Path) -> f64 {
     let w = &ctx.windows[job];
     let mut best = f64::NEG_INFINITY;
     for j in w.clone() {
-        let load: f64 = path
-            .edges()
-            .iter()
-            .map(|e| ctx.cap_duals.get(&(e.0, j as u32)).copied().unwrap_or(0.0))
-            .sum();
+        let load: f64 = path.edges().iter().map(|&e| ctx.mu(e, j)).sum();
         let m = ctx.budgets[job][j - w.start] - load;
         if m > best {
             best = m;
@@ -287,11 +368,7 @@ impl Pricer for ReducedCostPricer {
                         ctx.graph,
                         job.src,
                         job.dst,
-                        |e| {
-                            wavesched_lp::pos_or_zero(
-                                ctx.cap_duals.get(&(e.0, j as u32)).copied().unwrap_or(0.0),
-                            )
-                        },
+                        |e| wavesched_lp::pos_or_zero(ctx.mu(e, j)),
                         |_| true,
                         |_| true,
                     )
@@ -341,7 +418,7 @@ pub(crate) struct CgMaster {
     session: SolverSession,
     z: Col,
     job_rows: Vec<Row>,
-    cap_rows: BTreeMap<(u32, u32), Row>,
+    cap_rows: CapRows,
     pool: ColumnPool,
     /// LP column of each pool column, in pool order.
     lp_cols: Vec<Col>,
@@ -410,19 +487,25 @@ impl CgMaster {
             coeffs.push((z, -demand));
             job_rows.push(p.add_row(0.0, 0.0, &coeffs));
         }
-        let mut crossings: BTreeMap<(u32, u32), Vec<(Col, f64)>> = BTreeMap::new();
+        // Every `((edge, slice), pool index)` crossing. The pairs are
+        // distinct, so sorted they run in `(edge, slice)` order with each
+        // key's columns in pool order.
+        let mut crossings: Vec<((u32, u32), usize)> = Vec::new();
         for (k, pc) in pool.cols.iter().enumerate() {
             for &e in pool.paths[pc.job as usize][pc.path as usize].edges() {
-                crossings
-                    .entry((e.0, pc.slice))
-                    .or_default()
-                    .push((lp_cols[k], 1.0));
+                crossings.push(((e.0, pc.slice), k));
             }
         }
-        let mut cap_rows = BTreeMap::new();
-        for (key, coeffs) in &crossings {
-            let cap = graph.wavelengths(EdgeId(key.0)) as f64;
-            cap_rows.insert(*key, p.add_row(f64::NEG_INFINITY, cap, coeffs));
+        crossings.sort_unstable();
+        let mut cap_rows = CapRows::new(graph.num_edges());
+        let mut coeffs: Vec<(Col, f64)> = Vec::new();
+        for key_crossings in crossings.chunk_by(|a, b| a.0 == b.0) {
+            let (e, slice) = key_crossings[0].0;
+            coeffs.clear();
+            coeffs.extend(key_crossings.iter().map(|&(_, k)| (lp_cols[k], 1.0)));
+            let cap = graph.wavelengths(EdgeId(e)) as f64;
+            let row = p.add_row(f64::NEG_INFINITY, cap, &coeffs);
+            cap_rows.insert(EdgeId(e), slice as usize, row);
         }
 
         let session = SolverSession::new(&p)?;
@@ -554,11 +637,6 @@ impl CgMaster {
         self.stats.rounds += 1;
         obs::counter_add("cg.rounds", 1);
 
-        let cap_duals: BTreeMap<(u32, u32), f64> = self
-            .cap_rows
-            .iter()
-            .map(|(k, r)| (*k, sol.duals[r.index()]))
-            .collect();
         // Budgets live in recycled scratch: taken out of the master for the
         // round (so `cost_of` can still borrow `self`), restored on exit.
         let mut budgets = std::mem::take(&mut self.budget_scratch);
@@ -585,7 +663,8 @@ impl CgMaster {
                 graph: &self.graph,
                 jobs: &self.jobs,
                 windows: &self.active,
-                cap_duals: &cap_duals,
+                cap_rows: &self.cap_rows,
+                duals: &sol.duals,
                 budgets: &budgets,
                 pool: &self.pool,
             };
@@ -609,7 +688,7 @@ impl CgMaster {
                     let load: f64 = path
                         .edges()
                         .iter()
-                        .map(|e| cap_duals.get(&(e.0, j as u32)).copied().unwrap_or(0.0))
+                        .map(|&e| self.cap_rows.dual(&sol.duals, e, j))
                         .sum();
                     load < budgets[*job][j - w.start]
                 })
@@ -649,7 +728,8 @@ impl CgMaster {
             }
             keys.sort_unstable();
             for &key in &keys {
-                if !self.cap_rows.contains_key(&key) && pending.insert(key) {
+                let (e, j) = (EdgeId(key.0), key.1 as usize);
+                if self.cap_rows.get(e, j).is_none() && pending.insert(key) {
                     missing.push(key);
                 }
             }
@@ -669,7 +749,9 @@ impl CgMaster {
                 })
                 .collect();
             let rows = self.session.add_rows(&new_rows);
-            self.cap_rows.extend(missing.into_iter().zip(rows));
+            for ((e, j), row) in missing.into_iter().zip(rows) {
+                self.cap_rows.insert(EdgeId(e), j as usize, row);
+            }
         }
 
         let mut new_cols = Vec::new();
@@ -678,7 +760,12 @@ impl CgMaster {
             for j in self.windows[job].clone() {
                 let mut entries: Vec<(Row, f64)> = vec![(self.job_rows[job], self.grid.len_of(j))];
                 for &e in path.edges() {
-                    entries.push((self.cap_rows[&(e.0, j as u32)], 1.0));
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: every (edge, slice) of the path got its row above"
+                    )]
+                    let row = self.cap_rows.get(e, j).expect("capacity row exists");
+                    entries.push((row, 1.0));
                 }
                 let upper = if self.active[job].contains(&j) {
                     f64::INFINITY
@@ -943,7 +1030,8 @@ mod tests {
             assert!(
                 crossings
                     .iter()
-                    .any(|(key, n)| *n > 1 && !batched.cap_rows.contains_key(key)),
+                    .any(|(&(e, j), n)| *n > 1
+                        && batched.cap_rows.get(EdgeId(e), j as usize).is_none()),
                 "no two paths of the batch share a missing capacity row"
             );
 
@@ -967,6 +1055,131 @@ mod tests {
             assert_eq!(bits(&a.duals), bits(&b.duals));
             assert_eq!(a.stats.iterations, b.stats.iterations);
         }
+    }
+
+    /// Every `(edge, slice, row)` of the index, in `(edge, slice)` order.
+    fn cap_rows_in_order(index: &CapRows) -> Vec<(usize, usize, Row)> {
+        let mut out = Vec::new();
+        for (e, runs) in index.runs.iter().enumerate() {
+            for run in runs {
+                for (k, &row) in run.rows.iter().enumerate() {
+                    out.push((e, run.first + k, row));
+                }
+            }
+        }
+        out
+    }
+
+    /// Inserts in every order — appending to a run, prepending, bridging
+    /// two runs, opening a run between others — answer as an ordered map
+    /// would, and leave no two runs touching.
+    #[test]
+    fn capacity_index_answers_as_an_ordered_map() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..50 {
+            let mut keys: Vec<(u32, usize)> = Vec::new();
+            for e in 0..3 {
+                for j in 0..40 {
+                    if rng.random_range(0..3) > 0 {
+                        keys.push((e, 1000 + j));
+                    }
+                }
+            }
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, rng.random_range(0..=i));
+            }
+            let mut index = CapRows::new(3);
+            let mut map = BTreeMap::new();
+            for (n, &(e, j)) in keys.iter().enumerate() {
+                index.insert(EdgeId(e), j, Row::from_index(n));
+                map.insert((e, j), Row::from_index(n));
+                for runs in &index.runs {
+                    assert!(runs.windows(2).all(|w| w[0].end() < w[1].first));
+                }
+            }
+            for e in 0..4 {
+                for j in 990..1050 {
+                    assert_eq!(index.get(EdgeId(e), j), map.get(&(e, j)).copied());
+                }
+            }
+        }
+    }
+
+    /// A fresh master creates its capacity rows right after the job rows,
+    /// in ascending `(edge, slice)` order — the handles every pinned master
+    /// trajectory depends on — and the index answers every `(edge, slice)`
+    /// a seed column crosses and nothing else.
+    #[test]
+    fn fresh_capacity_rows_come_out_in_edge_slice_order() {
+        let (g, jobs, demands, cfg) = setup(10, 42);
+        let master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let rows = cap_rows_in_order(&master.cap_rows);
+        assert!(rows.len() > jobs.len(), "{} capacity rows", rows.len());
+        for (i, &(e, j, row)) in rows.iter().enumerate() {
+            assert_eq!(row.index(), jobs.len() + i, "row of ({e}, {j})");
+            assert_eq!(master.cap_rows.get(EdgeId(e as u32), j), Some(row));
+        }
+        let crossed = |e: usize, j: usize| {
+            master.pool.cols.iter().any(|pc| {
+                pc.slice as usize == j
+                    && master.pool.paths[pc.job as usize][pc.path as usize]
+                        .edges()
+                        .contains(&EdgeId(e as u32))
+            })
+        };
+        for e in 0..g.num_edges() {
+            for j in master.grid.first_slice()..master.grid.num_slices() {
+                let row = master.cap_rows.get(EdgeId(e as u32), j);
+                assert_eq!(row.is_some(), crossed(e, j), "({e}, {j})");
+            }
+        }
+    }
+
+    /// Jobs spread over a 10 000-slice horizon: the index grows with the
+    /// rows the master has, not with edges × slices.
+    #[test]
+    fn capacity_index_stays_proportional_to_its_rows() {
+        let (g, mut jobs, _, cfg) = setup(40, 9);
+        for (i, job) in jobs.iter_mut().enumerate() {
+            let shift = (i * 250) as f64;
+            job.start += shift;
+            job.end += shift;
+        }
+        let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
+        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
+        stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        assert!(master.stats().columns_added > 0);
+        let horizon = master.grid.num_slices() - master.grid.first_slice();
+        assert!(horizon >= 9_750, "horizon {horizon}");
+
+        let index = &master.cap_rows;
+        let rows = cap_rows_in_order(index).len();
+        let runs: usize = index.runs.iter().map(Vec::len).sum();
+        let bytes = index.runs.capacity() * size_of::<Vec<Run>>()
+            + index
+                .runs
+                .iter()
+                .map(|runs| {
+                    runs.capacity() * size_of::<Run>()
+                        + runs
+                            .iter()
+                            .map(|r| r.rows.capacity() * size_of::<Row>())
+                            .sum::<usize>()
+                })
+                .sum::<usize>();
+        // A handle, its share of the run headers and the growth slack stay
+        // within four handles a row past the per-edge headers; a dense
+        // edges × slices table would hold a handle for every pair.
+        let per_edge = g.num_edges() * size_of::<Vec<Run>>();
+        assert!(runs < rows / 4, "{runs} runs for {rows} rows");
+        assert!(
+            bytes < per_edge + 4 * size_of::<Row>() * rows,
+            "{bytes} bytes for {rows} rows"
+        );
+        assert!(10 * bytes < g.num_edges() * horizon * size_of::<Row>());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Dijkstra shortest paths with optional edge/node exclusion (as needed by
-//! Yen's spur computations) and arbitrary per-link weight closures (as
+//! Shortest paths: the fewest-hops search with optional edge/node
+//! exclusion, and Dijkstra under arbitrary per-link weight closures (as
 //! needed by reduced-cost pricing in delayed column generation).
 //!
 //! ## Determinism
@@ -8,13 +8,18 @@
 //! construction order, independent of thread count or platform:
 //!
 //! * frontier nodes with **equal distance settle in ascending node-id
-//!   order** (the heap tie-breaks on node id — lowest wins);
+//!   order** (the heap tie-breaks on node id — lowest wins; the fewest-hops
+//!   search sorts each BFS level);
 //! * among **equal-cost predecessors** the first relaxation is kept
-//!   (strict `<` improvement test), so ties resolve to the edge relaxed
-//!   from the earliest-settled tail, in `out_edges` order.
+//!   (strict `<` improvement test; the first discoverer in the BFS), so
+//!   ties resolve to the edge relaxed from the earliest-settled tail, in
+//!   `out_edges` order.
 //!
-//! Reduced-cost pricing relies on this: two runs at different `WS_THREADS`
-//! settings must propose byte-identical columns.
+//! Under unit weights the two rules make [`shortest_path_weighted`] and the
+//! level-ordered BFS of [`shortest_path_filtered`] pick the same path, edge
+//! for edge; `tests/properties.rs` holds them to it. Reduced-cost pricing
+//! relies on the rules too: two runs at different `WS_THREADS` settings
+//! must propose byte-identical columns.
 
 use crate::graph::{EdgeId, Graph, NodeId, Path};
 use std::cmp::Ordering;
@@ -53,10 +58,16 @@ pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
     shortest_path_filtered(g, src, dst, |_| true, |_| true)
 }
 
-/// Fewest-hops Dijkstra with filters: only edges passing `edge_ok` and nodes
+/// Fewest-hops path with filters: only edges passing `edge_ok` and nodes
 /// passing `node_ok` participate (the source and destination must pass
 /// `node_ok`). Every link costs 1: the paper's formulations care about path
 /// diversity, and no topology here gives its links a length.
+///
+/// A level-ordered BFS: each level is expanded in ascending node id,
+/// `out_edges` in order, a node keeps the first edge that discovers it, and
+/// the search stops the moment `dst` is discovered. That is the path
+/// [`shortest_path_weighted`] settles on under unit weights (see the module
+/// docs), without a heap.
 pub fn shortest_path_filtered(
     g: &Graph,
     src: NodeId,
@@ -64,7 +75,50 @@ pub fn shortest_path_filtered(
     edge_ok: impl Fn(EdgeId) -> bool,
     node_ok: impl Fn(NodeId) -> bool,
 ) -> Option<Path> {
-    shortest_path_weighted(g, src, dst, |_| 1.0, edge_ok, node_ok).map(|(_, path)| path)
+    if src == dst || !node_ok(src) || !node_ok(dst) {
+        return None;
+    }
+    let n = g.num_nodes();
+    let mut seen = vec![false; n];
+    // Edge that discovered each node (valid where `seen`).
+    let mut pred = vec![EdgeId(0); n];
+    seen[src.index()] = true;
+    let mut frontier = vec![src];
+    let mut next = Vec::new();
+    'levels: while !frontier.is_empty() {
+        next.clear();
+        for &v in &frontier {
+            for &e in g.out_edges(v) {
+                if !edge_ok(e) {
+                    continue;
+                }
+                let w = g.dst(e);
+                if seen[w.index()] || !node_ok(w) {
+                    continue;
+                }
+                seen[w.index()] = true;
+                pred[w.index()] = e;
+                if w == dst {
+                    break 'levels;
+                }
+                next.push(w);
+            }
+        }
+        next.sort_unstable();
+        std::mem::swap(&mut frontier, &mut next);
+    }
+    if !seen[dst.index()] {
+        return None;
+    }
+    let mut edges = Vec::new();
+    let mut cur = dst;
+    while cur != src {
+        let e = pred[cur.index()];
+        edges.push(e);
+        cur = g.src(e);
+    }
+    edges.reverse();
+    Some(Path::from_edges_unchecked(edges))
 }
 
 /// Dijkstra under an arbitrary non-negative per-link weight closure,

@@ -116,12 +116,17 @@ pub fn waxman_network(cfg: &WaxmanConfig) -> Graph {
     let scale = cfg.alpha * max_d2.sqrt();
 
     // Every pair's weight, once, at its slot in (lower, higher) order. The
-    // distance is symmetric to the bit, so `weights[slot(u, v)]` is the
-    // weight of `u` to `v` whichever is lower.
-    let mut weights = Vec::with_capacity(n * (n - 1) / 2);
+    // distance is symmetric to the bit, so `slots[slot(u, v)].weight` is the
+    // weight of `u` to `v` whichever is lower. The pair and the Fenwick node
+    // of each slot are filled in for the second phase, in the same records.
+    let mut slots = Vec::with_capacity(n * (n - 1) / 2);
     for a in 0..n {
         for b in (a + 1)..n {
-            weights.push((-dist2(a, b).sqrt() / scale).exp());
+            slots.push(Slot {
+                weight: (-dist2(a, b).sqrt() / scale).exp(),
+                tree: 0.0,
+                pair: (NodeId(0), NodeId(0)),
+            });
         }
     }
     let slot = |u: usize, v: usize| {
@@ -145,9 +150,9 @@ pub fn waxman_network(cfg: &WaxmanConfig) -> Graph {
     let mut w = Vec::with_capacity(n);
     for &v in &order[1..] {
         w.clear();
-        w.extend(attached.iter().map(|&u| weights[slot(u, v)]));
+        w.extend(attached.iter().map(|&u| slots[slot(u, v)].weight));
         let total: f64 = w.iter().sum();
-        let pick = attached[scan(&w, draw(&mut rng, total, cfg.alpha))];
+        let pick = attached[scan(w.iter().copied(), draw(&mut rng, total, cfg.alpha))];
         g.add_link_pair(nodes[pick], nodes[v], cfg.wavelengths);
         tree_slots.push(slot(pick, v));
         attached.push(v);
@@ -155,21 +160,22 @@ pub fn waxman_network(cfg: &WaxmanConfig) -> Graph {
     tree_slots.sort_unstable();
 
     // Remaining pairs: weighted sampling without replacement, over the
-    // pairs the tree left, in slot order.
-    let mut pairs = Vec::with_capacity(weights.len() - tree_slots.len());
+    // pairs the tree left, in slot order, packed to the front of the table.
+    let mut left = 0;
     let mut in_tree = tree_slots.iter().peekable();
     let mut i = 0;
     for a in 0..n {
         for b in (a + 1)..n {
             if in_tree.next_if_eq(&&i).is_none() {
-                weights[pairs.len()] = weights[i];
-                pairs.push((nodes[a], nodes[b]));
+                slots[left].weight = slots[i].weight;
+                slots[left].pair = (nodes[a], nodes[b]);
+                left += 1;
             }
             i += 1;
         }
     }
-    weights.truncate(pairs.len());
-    let mut sampler = PairSampler::new(pairs, weights, cfg.link_pairs - (n - 1));
+    slots.truncate(left);
+    let mut sampler = PairSampler::new(slots, cfg.link_pairs - (n - 1));
     for _ in (n - 1)..cfg.link_pairs {
         let (a, b) = sampler.take(&mut rng, cfg.alpha);
         g.add_link_pair(a, b, cfg.wavelengths);
@@ -190,14 +196,29 @@ fn draw(rng: &mut StdRng, total: f64, alpha: f64) -> f64 {
 /// The slot `draw` lands on when `weights` are laid end to end, found by
 /// subtracting them one at a time; the last slot when rounding leaves the
 /// draw past them all.
-fn scan(weights: &[f64], mut draw: f64) -> usize {
-    for (i, &w) in weights.iter().enumerate() {
+fn scan(weights: impl IntoIterator<Item = f64>, mut draw: f64) -> usize {
+    let mut last = 0;
+    for (i, w) in weights.into_iter().enumerate() {
         if draw < w {
             return i;
         }
         draw -= w;
+        last = i;
     }
-    weights.len() - 1
+    last
+}
+
+/// One candidate slot of the second phase: 24 bytes, so the slot table,
+/// the pairs and the Fenwick tree are one allocation.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Waxman weight of `pair`.
+    weight: f64,
+    /// Fenwick node `k + 1` of the slot at index `k`: the tree stays
+    /// positional while the candidates move.
+    tree: f64,
+    /// The candidate link pair.
+    pair: (NodeId, NodeId),
 }
 
 /// The candidate pairs of the second phase, drawn by weight without
@@ -212,13 +233,10 @@ fn scan(weights: &[f64], mut draw: f64) -> usize {
 /// re-resolved by [`scan`]: outside the band both computations agree with
 /// exact arithmetic, hence with each other.
 struct PairSampler {
-    /// Candidate pairs, in slot order.
-    pairs: Vec<(NodeId, NodeId)>,
-    /// `weights[i]` is the Waxman weight of `pairs[i]`.
-    weights: Vec<f64>,
-    /// Fenwick tree over `weights`, 1-based: `tree[k]` sums slots
-    /// `k - lowbit(k) .. k`; `tree[0]` is unused.
-    tree: Vec<f64>,
+    /// Candidates in slot order, each with its Fenwick node: `slots[k].tree`
+    /// is 1-based node `k + 1`, which sums slots `k + 1 - lowbit(k + 1) ..=
+    /// k`.
+    slots: Vec<Slot>,
     /// Weight of the candidates left, lowered by each removed weight.
     total: f64,
     /// Worst-case rounding of the scan's running difference plus that of a
@@ -229,62 +247,74 @@ struct PairSampler {
 }
 
 impl PairSampler {
-    /// A sampler over `pairs` weighted by `weights`, for `draws` draws.
-    fn new(pairs: Vec<(NodeId, NodeId)>, weights: Vec<f64>, draws: usize) -> Self {
-        let len = weights.len();
-        let total: f64 = weights.iter().sum();
-        let mut tree = Vec::with_capacity(len + 1);
-        tree.push(0.0);
-        tree.extend_from_slice(&weights);
+    /// A sampler over the pairs and weights of `slots` (whose tree fields
+    /// it overwrites), for `draws` draws.
+    fn new(mut slots: Vec<Slot>, draws: usize) -> Self {
+        let len = slots.len();
+        // One pass: node `k` starts from its own weight and adds its
+        // children `k − lowbit(k)/2, …, k − 2, k − 1` in ascending order —
+        // the additions, in their order, of adding every node to its
+        // parent after seeding each with its weight.
+        let mut total = 0.0;
         for k in 1..=len {
-            let parent = k + lowbit(k);
-            if parent <= len {
-                tree[parent] += tree[k];
+            let weight = slots[k - 1].weight;
+            total += weight;
+            let mut sum = weight;
+            let mut half = lowbit(k) / 2;
+            while half > 0 {
+                sum += slots[k - half - 1].tree;
+                half /= 2;
             }
+            slots[k - 1].tree = sum;
         }
         let depth = f64::from(usize::BITS - len.leading_zeros());
         let band = 4.0 * f64::EPSILON * (len as f64 + 2.0 * draws as f64 * depth) * total;
-        PairSampler {
-            pairs,
-            weights,
-            tree,
-            total,
-            band,
-        }
+        PairSampler { slots, total, band }
+    }
+
+    /// The candidate weights, in slot order.
+    fn weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.slots.iter().map(|s| s.weight)
     }
 
     /// Draws one pair by weight and removes it.
     fn take(&mut self, rng: &mut StdRng, alpha: f64) -> (NodeId, NodeId) {
         let i = self.pick(draw(rng, self.total, alpha));
-        let last = self.weights.len() - 1;
-        let delta = self.weights[last] - self.weights[i];
+        let last = self.slots.len() - 1;
+        let delta = self.slots[last].weight - self.slots[i].weight;
         // Slot `last` leaves the tree with node `last + 1`; the nodes below
         // it that cover slot `i` take the moved weight in place of the old.
         let mut k = i + 1;
         while k <= last {
-            self.tree[k] += delta;
+            self.slots[k - 1].tree += delta;
             k += lowbit(k);
         }
-        self.tree.pop();
-        self.total -= self.weights.swap_remove(i);
-        self.pairs.swap_remove(i)
+        // The last candidate moves into slot `i`; slot `i`'s tree node
+        // stays where it is.
+        let Slot { weight, pair, .. } = self.slots[i];
+        let moved = self.slots[last];
+        self.slots[i].weight = moved.weight;
+        self.slots[i].pair = moved.pair;
+        self.slots.pop();
+        self.total -= weight;
+        pair
     }
 
     /// The slot [`scan`] picks for `draw`.
     fn pick(&self, draw: f64) -> usize {
         let (slot, lo) = self.descend(draw);
-        let clear = slot < self.weights.len()
+        let clear = slot < self.slots.len()
             && draw - lo > self.band
-            && lo + self.weights[slot] - draw > self.band;
+            && lo + self.slots[slot].weight - draw > self.band;
         let i = if clear {
             slot
         } else {
-            scan(&self.weights, draw)
+            scan(self.weights(), draw)
         };
         #[cfg(test)]
         assert_eq!(
             i,
-            scan(&self.weights, draw),
+            scan(self.weights(), draw),
             "descent left the scan at {draw}"
         );
         i
@@ -293,12 +323,12 @@ impl PairSampler {
     /// The number of slots whose tree-summed prefix is at most `draw` — the
     /// slot `draw` lands on, or the slot count past the end — and that prefix.
     fn descend(&self, draw: f64) -> (usize, f64) {
-        let len = self.weights.len();
+        let len = self.slots.len();
         let (mut slot, mut lo) = (0, 0.0);
         let mut step = if len == 0 { 0 } else { 1 << len.ilog2() };
         while step > 0 {
             if slot + step <= len {
-                let hi = lo + self.tree[slot + step];
+                let hi = lo + self.slots[slot + step - 1].tree;
                 if hi <= draw {
                     slot += step;
                     lo = hi;
@@ -416,6 +446,39 @@ mod tests {
         }
     }
 
+    /// A one-draw sampler over `weights`.
+    fn sampler(weights: &[f64]) -> PairSampler {
+        let slots = weights.iter().map(|&weight| Slot {
+            weight,
+            tree: 0.0,
+            pair: (NodeId(0), NodeId(1)),
+        });
+        PairSampler::new(slots.collect(), 1)
+    }
+
+    /// The one-pass build adds what seeding every node with its weight and
+    /// then adding each to its parent adds, in the same order: the same
+    /// bits.
+    #[test]
+    fn tree_build_adds_in_the_order_of_the_parent_pushes() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for len in [1, 2, 3, 7, 8, 9, 100, 1023, 1024, 1025] {
+            let weights: Vec<f64> = (0..len).map(|_| rng.random_range(0.0..1.0)).collect();
+            let mut pushed = weights.clone();
+            for k in 1..=len {
+                let parent = k + lowbit(k);
+                if parent <= len {
+                    pushed[parent - 1] += pushed[k - 1];
+                }
+            }
+            let s = sampler(&weights);
+            let built: Vec<u64> = s.slots.iter().map(|s| s.tree.to_bits()).collect();
+            let want: Vec<u64> = pushed.iter().map(|t| t.to_bits()).collect();
+            assert_eq!(built, want, "{len} slots");
+            assert_eq!(s.total.to_bits(), weights.iter().sum::<f64>().to_bits());
+        }
+    }
+
     /// Two draws the descent alone would place in another slot than the
     /// scan. On a boundary: `0.9 + 0.1` rounds to exactly `1.0`, so the tree
     /// ends slot 1 at the draw and the descent lands on slot 2, while the
@@ -430,14 +493,13 @@ mod tests {
             (vec![0.9, 0.1, 0.5], 1.0, (2, 1.0), 1),
             (vec![0.2, 0.6, 0.9, 0.3], 1.7, (2, 0.8), 3),
         ] {
-            let len = weights.len();
-            let s = PairSampler::new(vec![(NodeId(0), NodeId(1)); len], weights.clone(), 1);
+            let s = sampler(&weights);
             assert_eq!(s.descend(draw), descent, "{weights:?}");
-            assert_eq!(scan(&weights, draw), want, "{weights:?}");
+            assert_eq!(scan(weights.iter().copied(), draw), want, "{weights:?}");
             assert_eq!(s.pick(draw), want, "{weights:?}");
         }
         // Clear of both boundaries the descent answers alone.
-        let s = PairSampler::new(vec![(NodeId(0), NodeId(1)); 4], vec![0.2, 0.6, 0.9, 0.3], 1);
+        let s = sampler(&[0.2, 0.6, 0.9, 0.3]);
         assert_eq!(s.descend(1.2), (2, 0.8));
         assert_eq!(s.pick(1.2), 2);
     }

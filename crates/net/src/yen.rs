@@ -6,33 +6,26 @@
 //!
 //! Paths are ranked by hop count, so every spur search is a breadth-first
 //! search — but one that must return *exactly* the path
-//! [`dijkstra::shortest_path_weighted`](crate::dijkstra::shortest_path_weighted)
-//! returns under unit weights, because every pinned schedule downstream
-//! depends on which of several equal-length paths is picked. That
-//! tie-break is: equal-distance nodes settle in ascending node id, and a
-//! node keeps the first edge that reached it. The search here honours it
-//! by expanding each BFS level in ascending node id, scanning `out_edges`
-//! in order, and keeping the first discoverer as predecessor.
-//! `tests/yen_differential.rs` holds the textbook loop over the filtered
-//! Dijkstra as the oracle; DESIGN.md ("Path generation") has the argument
-//! for why neither shortcut below can change a path.
+//! [`dijkstra::shortest_path_filtered`](crate::dijkstra::shortest_path_filtered)
+//! returns, because every pinned schedule downstream depends on which of
+//! several equal-length paths is picked. That tie-break is: each BFS level
+//! is expanded in ascending node id, `out_edges` are scanned in order, and
+//! a node keeps the first edge that discovered it. Two shortcuts keep the
+//! searches few and small: each accepted path is spurred only from its
+//! deviation index on, and before a spur search one A\* pass over `level +
+//! rdist` finds the spur's hop distance, so the search only expands nodes
+//! that can still finish within it. `tests/yen_differential.rs` holds the
+//! textbook loop over the unit-weight Dijkstra as the oracle; DESIGN.md
+//! ("Path generation") has the argument for why neither shortcut can change
+//! a path.
 
 use crate::graph::{EdgeId, Graph, NodeId, Path};
 
 /// Hop distance of a node that cannot reach the destination.
 const UNREACHED: u32 = u32::MAX;
 
-/// Outcome of one bounded search pass.
-enum Pass {
-    /// The destination was discovered; `pred` holds the path.
-    Found,
-    /// Nothing was discovered and nothing was held back by the bound: the
-    /// destination is unreachable under the current bans.
-    Exhausted,
-    /// The destination was not discovered; this is the smallest bound
-    /// that admits a node this pass held back.
-    Retry(u32),
-}
+/// End of a bucket's stack in the A\* queue.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// Reusable search state for [`k_shortest_paths`], owned by
 /// [`PathSet`](crate::PathSet) so a warm cache fill allocates per emitted
@@ -46,10 +39,22 @@ enum Pass {
 pub(crate) struct Workspace {
     /// Last stamp handed out.
     stamp: u64,
-    /// `seen[v]` is the stamp of the last search pass that discovered `v`.
+    /// `seen[v]` is the stamp of the last pass (A\* or search) that
+    /// discovered `v`.
     seen: Vec<u64>,
     /// Edge that discovered each node (valid where `seen` is current).
     pred: Vec<EdgeId>,
+    /// Best level the A\* pass has found for each node (valid where `seen`
+    /// is current).
+    level: Vec<u32>,
+    /// The A\* bucket queue, one stack per bucket threaded through
+    /// `queue`: `heads[b]` is the entry last queued at `level + rdist =
+    /// rdist[spur] + b`, and each entry names its node and the entry queued
+    /// before it in the same bucket. Every pass queues at most one entry per
+    /// edge plus the spur node, so `queue` never outgrows the capacity
+    /// `begin` reserves. All heads are [`NO_ENTRY`] between passes.
+    heads: Vec<u32>,
+    queue: Vec<(NodeId, u32)>,
     /// `banned_node[v] == node_ban` ⇔ `v` lies on the root before the spur.
     node_ban: u64,
     banned_node: Vec<u64>,
@@ -63,6 +68,9 @@ pub(crate) struct Workspace {
     next: Vec<NodeId>,
     /// Root plus spur edges of the path being assembled.
     edges: Vec<EdgeId>,
+    /// Spur searches the deepening oracle checked: `[found, unreachable]`.
+    #[cfg(test)]
+    checked: [usize; 2],
 }
 
 impl Workspace {
@@ -78,10 +86,14 @@ impl Workspace {
         if self.seen.len() < n {
             self.seen.resize(n, 0);
             self.pred.resize(n, EdgeId(0));
+            self.level.resize(n, 0);
+            // `level + rdist − rdist[spur]` is at most `2(n − 1)`.
+            self.heads.resize(2 * n, NO_ENTRY);
             self.banned_node.resize(n, 0);
         }
         if self.banned_edge.len() < m {
             self.banned_edge.resize(m, 0);
+            self.queue.reserve_exact(m + 1);
         }
         self.node_ban = self.next_stamp();
         self.edge_ban = self.next_stamp();
@@ -108,11 +120,91 @@ impl Workspace {
         }
     }
 
+    /// Hop distance from `from` to `dst` over unbanned edges and nodes, or
+    /// [`UNREACHED`]. One A\* pass over `f = level + rdist`: bans only
+    /// delete edges, so `rdist` stays a consistent estimate, `f` never
+    /// falls along an edge, and a node leaves its bucket at its true level.
+    fn distance(&mut self, g: &Graph, from: NodeId, dst: NodeId) -> u32 {
+        // A `dst` whose every in-link is banned or leaves a banned node is
+        // cut off; say so before the pass floods the graph to learn it.
+        let open = |e: EdgeId| {
+            self.banned_edge[e.index()] != self.edge_ban
+                && self.banned_node[g.src(e).index()] != self.node_ban
+        };
+        if !g.in_edges(dst).iter().any(|&e| open(e)) {
+            return UNREACHED;
+        }
+        let pass = self.next_stamp();
+        let Workspace {
+            seen,
+            level,
+            heads,
+            queue,
+            node_ban,
+            banned_node,
+            edge_ban,
+            banned_edge,
+            rdist,
+            ..
+        } = self;
+        let base = rdist[from.index()];
+        seen[from.index()] = pass;
+        level[from.index()] = 0;
+        queue.push((from, NO_ENTRY));
+        heads[0] = 0;
+        let mut found = UNREACHED;
+        // Highest bucket anything was queued in.
+        let mut top = 0;
+        let mut b = 0;
+        'drain: while b <= top {
+            while heads[b] != NO_ENTRY {
+                let (v, below) = queue[heads[b] as usize];
+                heads[b] = below;
+                let lv = level[v.index()];
+                // An entry left behind when `v` was requeued lower.
+                if (lv + rdist[v.index()] - base) as usize != b {
+                    continue;
+                }
+                if v == dst {
+                    found = lv;
+                    break 'drain;
+                }
+                for &e in g.out_edges(v) {
+                    if banned_edge[e.index()] == *edge_ban {
+                        continue;
+                    }
+                    let w = g.dst(e);
+                    let to_go = rdist[w.index()];
+                    if banned_node[w.index()] == *node_ban || to_go == UNREACHED {
+                        continue;
+                    }
+                    if seen[w.index()] == pass && level[w.index()] <= lv + 1 {
+                        continue;
+                    }
+                    seen[w.index()] = pass;
+                    level[w.index()] = lv + 1;
+                    let bw = (lv + 1 + to_go - base) as usize;
+                    debug_assert!(queue.len() < queue.capacity(), "queue outgrew its edges");
+                    queue.push((w, heads[bw]));
+                    heads[bw] = (queue.len() - 1) as u32;
+                    top = top.max(bw);
+                }
+            }
+            b += 1;
+        }
+        for head in &mut heads[b.min(top)..=top] {
+            *head = NO_ENTRY;
+        }
+        queue.clear();
+        found
+    }
+
     /// One level-ordered BFS from `from` over unbanned edges and nodes,
-    /// stopping the moment `dst` is discovered. A node first reached at
-    /// level `l` is expanded only if `l + rdist[node] <= bound`, i.e. only
-    /// if it can still lie on a path of at most `bound` hops.
-    fn search(&mut self, g: &Graph, from: NodeId, dst: NodeId, bound: u32) -> Pass {
+    /// stopping the moment `dst` is discovered; true if it was. A node
+    /// first reached at level `l` is expanded only if `l + rdist[node] <=
+    /// bound`, i.e. only if it can still lie on a path of at most `bound`
+    /// hops.
+    fn search(&mut self, g: &Graph, from: NodeId, dst: NodeId, bound: u32) -> bool {
         let pass = self.next_stamp();
         let Workspace {
             seen,
@@ -130,7 +222,6 @@ impl Workspace {
         frontier.clear();
         frontier.push(from);
         let mut level = 0u32;
-        let mut retry = UNREACHED;
         while !frontier.is_empty() {
             level += 1;
             next.clear();
@@ -144,19 +235,15 @@ impl Workspace {
                         continue;
                     }
                     // Held-back nodes are marked too: a later, deeper
-                    // discovery could only need a larger bound.
+                    // discovery would be held back as well.
                     seen[w.index()] = pass;
                     let to_go = rdist[w.index()];
-                    if to_go == UNREACHED {
-                        continue;
-                    }
-                    if level + to_go > bound {
-                        retry = retry.min(level + to_go);
+                    if to_go == UNREACHED || level + to_go > bound {
                         continue;
                     }
                     pred[w.index()] = e;
                     if w == dst {
-                        return Pass::Found;
+                        return true;
                     }
                     next.push(w);
                 }
@@ -164,28 +251,24 @@ impl Workspace {
             next.sort_unstable();
             std::mem::swap(frontier, next);
         }
-        if retry == UNREACHED {
-            Pass::Exhausted
-        } else {
-            Pass::Retry(retry)
-        }
+        false
     }
 
     /// Appends to `edges` the hop-shortest path from `from` to `dst` under
-    /// the current bans — the path the filtered Dijkstra returns. False
-    /// (and `edges` untouched) when `dst` is unreachable.
+    /// the current bans — the path the filtered fewest-hops search
+    /// returns. False (and `edges` untouched) when `dst` is unreachable.
     ///
-    /// The bound starts at the unfiltered distance and rises only as far
-    /// as needed, so the search stays inside the cone of nodes that can
-    /// still finish in time instead of flooding the graph.
+    /// The search runs at the bound the A\* pass found, so it stays inside
+    /// the cone of nodes that can still finish in time instead of flooding
+    /// the graph.
     fn spur(&mut self, g: &Graph, from: NodeId, dst: NodeId) -> bool {
-        let mut bound = self.rdist[from.index()];
-        loop {
-            match self.search(g, from, dst, bound) {
-                Pass::Found => break,
-                Pass::Exhausted => return false,
-                Pass::Retry(b) => bound = b,
-            }
+        let bound = self.distance(g, from, dst);
+        #[cfg(test)]
+        let oracle = self.spur_by_deepening(g, from, dst);
+        if bound == UNREACHED || !self.search(g, from, dst, bound) {
+            #[cfg(test)]
+            self.check(oracle, None);
+            return false;
         }
         let at = self.edges.len();
         let mut cur = dst;
@@ -195,6 +278,8 @@ impl Workspace {
             cur = g.src(e);
         }
         self.edges[at..].reverse();
+        #[cfg(test)]
+        self.check(oracle, Some((bound, self.edges[at..].to_vec())));
         true
     }
 }
@@ -298,6 +383,158 @@ pub(crate) fn k_shortest_paths_in(
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::waxman::{waxman_network, WaxmanConfig};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The spur search as it ran before the A\* pass, kept as its oracle:
+    /// start at `L = rdist[from]` and, while a pass misses `dst`, rerun it
+    /// at the smallest bound that admits a node it held back.
+    impl Workspace {
+        /// The final bound and the path of the deepening loop, or `None`
+        /// when a pass holds nothing back (`dst` unreachable).
+        pub(super) fn spur_by_deepening(
+            &mut self,
+            g: &Graph,
+            from: NodeId,
+            dst: NodeId,
+        ) -> Option<(u32, Vec<EdgeId>)> {
+            let mut bound = self.rdist[from.index()];
+            loop {
+                match self.deepening_pass(g, from, dst, bound) {
+                    Ok(()) => break,
+                    Err(UNREACHED) => return None,
+                    Err(higher) => bound = higher,
+                }
+            }
+            let mut edges = Vec::new();
+            let mut cur = dst;
+            while cur != from {
+                let e = self.pred[cur.index()];
+                edges.push(e);
+                cur = g.src(e);
+            }
+            edges.reverse();
+            Some((bound, edges))
+        }
+
+        /// One bounded pass of the deepening loop: `Ok` when `dst` was
+        /// discovered, else the smallest bound that admits a node the pass
+        /// held back ([`UNREACHED`] if none was).
+        fn deepening_pass(
+            &mut self,
+            g: &Graph,
+            from: NodeId,
+            dst: NodeId,
+            bound: u32,
+        ) -> Result<(), u32> {
+            let pass = self.next_stamp();
+            self.seen[from.index()] = pass;
+            let mut frontier = vec![from];
+            let mut level = 0u32;
+            let mut higher = UNREACHED;
+            while !frontier.is_empty() {
+                level += 1;
+                let mut next = Vec::new();
+                for &v in &frontier {
+                    for &e in g.out_edges(v) {
+                        if self.banned_edge[e.index()] == self.edge_ban {
+                            continue;
+                        }
+                        let w = g.dst(e);
+                        if self.seen[w.index()] == pass
+                            || self.banned_node[w.index()] == self.node_ban
+                        {
+                            continue;
+                        }
+                        self.seen[w.index()] = pass;
+                        let to_go = self.rdist[w.index()];
+                        if to_go == UNREACHED {
+                            continue;
+                        }
+                        if level + to_go > bound {
+                            higher = higher.min(level + to_go);
+                            continue;
+                        }
+                        self.pred[w.index()] = e;
+                        if w == dst {
+                            return Ok(());
+                        }
+                        next.push(w);
+                    }
+                }
+                next.sort_unstable();
+                frontier = next;
+            }
+            Err(higher)
+        }
+
+        /// Asserts that the spur search found what the deepening loop
+        /// found — the same bound and path, or neither — and counts it.
+        pub(super) fn check(
+            &mut self,
+            oracle: Option<(u32, Vec<EdgeId>)>,
+            got: Option<(u32, Vec<EdgeId>)>,
+        ) {
+            assert_eq!(got, oracle, "A* bound and spur path vs the deepening loop");
+            self.checked[usize::from(got.is_none())] += 1;
+        }
+    }
+
+    /// A random digraph on `n` nodes with `m` links, parallel ones allowed.
+    fn random_graph(rng: &mut StdRng, n: usize, m: usize) -> Graph {
+        let mut g = Graph::new();
+        let ns = g.add_nodes(n);
+        for _ in 0..m {
+            let a = rng.random_range(0..n);
+            let b = (a + rng.random_range(1..n)) % n;
+            g.add_link(ns[a], ns[b], 1);
+        }
+        g
+    }
+
+    /// Every spur search of these Yen runs is checked against the
+    /// deepening loop inside `spur`: the A\* distance is the loop's final
+    /// bound, and the search at it returns the loop's path.
+    #[test]
+    fn astar_bound_is_the_deepening_loops_last_bound_on_waxman1000() {
+        let g = waxman_network(&WaxmanConfig {
+            nodes: 1000,
+            link_pairs: 2000,
+            wavelengths: 2,
+            alpha: 0.15,
+            seed: 42,
+        });
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut ws = Workspace::default();
+        for _ in 0..40 {
+            let s = NodeId(rng.random_range(0..1000));
+            let d = NodeId(rng.random_range(0..1000));
+            k_shortest_paths_in(&mut ws, &g, s, d, 16);
+        }
+        assert!(ws.checked[0] > 500, "{:?}", ws.checked);
+    }
+
+    /// The same on small random digraphs, where bans often cut `dst` off:
+    /// there both searches must give up.
+    #[test]
+    fn astar_bound_is_the_deepening_loops_last_bound_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ws = Workspace::default();
+        for _ in 0..300 {
+            let n = rng.random_range(2..15usize);
+            let m = rng.random_range(1..50usize);
+            let g = random_graph(&mut rng, n, m);
+            for _ in 0..4 {
+                let s = NodeId(rng.random_range(0..n) as u32);
+                let d = NodeId(rng.random_range(0..n) as u32);
+                for k in [3, 40] {
+                    k_shortest_paths_in(&mut ws, &g, s, d, k);
+                }
+            }
+        }
+        assert!(ws.checked.iter().all(|&c| c > 100), "{:?}", ws.checked);
+    }
 
     /// 0 -> 3 through a braided 5-node mesh with many alternatives.
     fn mesh() -> (Graph, Vec<NodeId>) {

@@ -1,13 +1,19 @@
 //! Property-based tests for the network substrate: Waxman generation,
-//! Dijkstra optimality, and Yen's k-shortest-path invariants on random
-//! graphs.
+//! Dijkstra optimality, the fewest-hops BFS against the heap search, and
+//! Yen's k-shortest-path invariants on random graphs.
 
 mod common;
 
 use common::random_graph;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
-use wavesched_net::{k_shortest_paths, shortest_path, waxman_network, Graph, NodeId, WaxmanConfig};
+use wavesched_net::dijkstra::shortest_path_filtered;
+use wavesched_net::{
+    k_shortest_paths, shortest_path, shortest_path_weighted, waxman_network, EdgeId, Graph, NodeId,
+    WaxmanConfig,
+};
 
 /// BFS hop distance, as an independent oracle for Dijkstra on unit weights.
 fn bfs_hops(g: &Graph, src: NodeId, dst: NodeId) -> Option<usize> {
@@ -67,6 +73,47 @@ proptest! {
         if src == dst { return Ok(()); }
         let d = shortest_path(&g, src, dst).map(|p| p.len());
         prop_assert_eq!(d, bfs_hops(&g, src, dst));
+    }
+
+    /// The level-ordered BFS and the unit-weight heap search pick the same
+    /// path, edge for edge, under random edge and node bans; both give up
+    /// on `src == dst` and on a `dst` nothing reaches.
+    #[test]
+    fn fewest_hops_bfs_equals_unit_weight_dijkstra(
+        seed in any::<u64>(),
+        n in 2usize..25,
+        m in 0usize..80,
+        ban_seed in any::<u64>(),
+    ) {
+        let mut g = random_graph(seed, n, m);
+        let isolated = g.add_nodes(1)[0];
+        let mut rng = StdRng::seed_from_u64(ban_seed);
+        let edge_banned: Vec<bool> =
+            (0..g.num_edges()).map(|_| rng.random_range(0..4) == 0).collect();
+        let node_banned: Vec<bool> =
+            (0..g.num_nodes()).map(|_| rng.random_range(0..6) == 0).collect();
+        let edge_ok = |e: EdgeId| !edge_banned[e.index()];
+        let node_ok = |v: NodeId| !node_banned[v.index()];
+        let v = NodeId(rng.random_range(0..n) as u32);
+        let mut pairs = vec![(NodeId(0), isolated), (v, v)];
+        for _ in 0..6 {
+            pairs.push((
+                NodeId(rng.random_range(0..n) as u32),
+                NodeId(rng.random_range(0..n) as u32),
+            ));
+        }
+        for (i, (s, d)) in pairs.into_iter().enumerate() {
+            let bfs = shortest_path_filtered(&g, s, d, edge_ok, node_ok);
+            let heap = shortest_path_weighted(&g, s, d, |_| 1.0, edge_ok, node_ok);
+            prop_assert_eq!(
+                bfs.as_ref().map(|p| p.edges()),
+                heap.as_ref().map(|(_, p)| p.edges()),
+                "({}, {})", s, d
+            );
+            if i < 2 {
+                prop_assert!(bfs.is_none());
+            }
+        }
     }
 
     #[test]

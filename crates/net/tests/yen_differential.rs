@@ -1,7 +1,9 @@
 //! Differential oracle for `yen::k_shortest_paths`: the textbook Yen loop
-//! over the filtered Dijkstra — the implementation the crate shipped before
-//! the BFS kernel, the deviation index and the goal bound — must return the
-//! same `Vec<Path>`, edge for edge, on every input. Downstream schedules
+//! over the unit-weight Dijkstra — the implementation the crate shipped
+//! before the BFS kernel, the deviation index and the goal bound — must
+//! return the same `Vec<Path>`, edge for edge, on every input. It calls
+//! `shortest_path_weighted`, the heap search, not the fewest-hops BFS, so
+//! it shares no search code with what it checks. Downstream schedules
 //! are pinned to the bit, so "a shortest path" is not enough: it has to be
 //! *the* path the reference picks among equal-length ones.
 
@@ -11,10 +13,21 @@ use common::random_graph;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
-use wavesched_net::dijkstra::shortest_path_filtered;
+use wavesched_net::dijkstra::shortest_path_weighted;
 use wavesched_net::{
     k_shortest_paths, waxman_network, EdgeId, Graph, NodeId, Path, PathSet, WaxmanConfig,
 };
+
+/// Fewest hops by Dijkstra under unit weights, through the given filters.
+fn unit_dijkstra(
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    edge_ok: impl Fn(EdgeId) -> bool,
+    node_ok: impl Fn(NodeId) -> bool,
+) -> Option<Path> {
+    shortest_path_weighted(g, src, dst, |_| 1.0, edge_ok, node_ok).map(|(_, p)| p)
+}
 
 /// The reference: a from-scratch Dijkstra per spur, spurring every accepted
 /// path from index 0, `BTreeSet` filters and dedup.
@@ -22,7 +35,7 @@ fn reference_yen(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     if k == 0 {
         return Vec::new();
     }
-    let Some(first) = shortest_path_filtered(g, src, dst, |_| true, |_| true) else {
+    let Some(first) = unit_dijkstra(g, src, dst, |_| true, |_| true) else {
         return Vec::new();
     };
 
@@ -57,7 +70,7 @@ fn reference_yen(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
             // (keeps the total path simple).
             let banned_nodes: BTreeSet<NodeId> = prev_nodes[..i].iter().copied().collect();
 
-            let Some(spur) = shortest_path_filtered(
+            let Some(spur) = unit_dijkstra(
                 g,
                 spur_node,
                 dst,
