@@ -16,7 +16,7 @@
 //! mean over the last window, no matter how long the replay ran — that is
 //! the clock-free time grid and the build arenas paying off. Stdout is a
 //! small `key,value` CSV so CI can diff it; `--log` captures the decision
-//! log whose bytes must not depend on `WS_THREADS` or on `--preload`.
+//! log whose bytes must not depend on `--preload`.
 //!
 //! Flags (beyond the common `--smoke` / `--report <path>`):
 //!

@@ -18,42 +18,125 @@
 //!   JSON-lines metrics snapshot (span durations, solver counters,
 //!   histograms) to `path` on exit
 //!
-//! The one environment variable is `WS_THREADS` — work-pool width for seed
-//! replications and sweep points ([`par_seeds`] / [`par_points`]; default:
-//! available cores, `1` = exact serial). Results are bit-identical at any
-//! width — only wall-clock columns vary (see `tests/determinism.rs`).
+//! The one environment variable is `WS_THREADS` — the width of the sweep
+//! pool that runs seed replications and sweep points ([`par_seeds`] /
+//! [`par_points`]; default: available cores, `1` = exact serial). The pool
+//! lives here, not under the algorithms, which read no thread knob.
+//! Results come back in input order, so every mean and CSV row is folded on
+//! the calling thread and is bit-identical at any width — only wall-clock
+//! columns vary (see `tests/determinism.rs`).
 
 #![cfg_attr(
     not(test),
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_net::{waxman_network, Graph, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
 
-/// Runs `f` once per seed across the `WS_THREADS` work pool, returning
+/// Parses a `WS_THREADS` setting. `None` (unset) resolves to `default`;
+/// garbage and `0` are errors — a width knob that silently fell back would
+/// make every "parallel" measurement a lie.
+fn parse_threads(value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(s) => match s.parse::<usize>() {
+            Ok(0) => Err(format!(
+                "WS_THREADS={s:?}: thread count must be >= 1 (use 1 for the serial path)"
+            )),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("WS_THREADS={s:?} is not a valid thread count")),
+        },
+    }
+}
+
+/// The sweep-pool width: `WS_THREADS` when set, otherwise the machine's
+/// available parallelism. Exits with status 2 on a zero or unparseable
+/// `WS_THREADS`, the way [`bench_opts`] rejects an unknown flag.
+fn threads() -> usize {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one WS_THREADS reader: a misread exits loudly instead of running at a width nobody asked for"
+    )]
+    let var = std::env::var("WS_THREADS").ok();
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    parse_threads(var.as_deref(), available).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// Maps `f` over `items` on at most `width` scoped workers, returning
+/// `[f(&items[0]), f(&items[1]), ...]`. Workers pull the next index from
+/// one atomic cursor, so uneven points balance, and results are sorted
+/// back into input order. At width 1, or on one item, the closure runs
+/// inline on the calling thread.
+///
+/// # Panics
+/// Re-raises the panic of any task on the calling thread.
+fn pool_map<T, R, F>(width: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let width = width.min(items.len());
+    if width <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return out;
+                        };
+                        out.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        let mut done = Vec::with_capacity(items.len());
+        for w in workers {
+            match w.join() {
+                Ok(pairs) => done.extend(pairs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs `f` once per seed across the `WS_THREADS` sweep pool, returning
 /// results in seed order — replications are independent by construction,
 /// and the order-preserving pool keeps every downstream mean/CSV row
-/// bit-identical to the serial loop ([`wavesched_par::par_map`]).
+/// bit-identical to the serial loop.
 pub fn par_seeds<R, F>(seeds: &[u64], f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(u64) -> R + Sync,
 {
-    wavesched_par::par_map(seeds, |&s| f(s))
+    par_points(seeds, |&s| f(s))
 }
 
 /// Maps independent sweep points (job counts, alphas, orders, …) across
-/// the `WS_THREADS` work pool, preserving input order. See [`par_seeds`].
+/// the `WS_THREADS` sweep pool, preserving input order. See [`par_seeds`].
 pub fn par_points<T, R, F>(points: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    wavesched_par::par_map(points, f)
+    pool_map(threads(), points, f)
 }
 
 /// CLI options shared by every figure binary. A `None` knob means "the
@@ -258,5 +341,87 @@ mod tests {
         let points = [5usize, 1, 9, 2];
         let out = par_points(&points, |&p| p + 1);
         assert_eq!(out, vec![6, 2, 10, 3]);
+    }
+
+    #[test]
+    fn pool_preserves_input_order() {
+        // Every task waits until four run at once, so each of the four
+        // workers finishes exactly two: their results interleave, and only
+        // the pool's reordering puts them back in input order.
+        let barrier = std::sync::Barrier::new(4);
+        let items: Vec<u64> = (0..8).collect();
+        let out = pool_map(4, &items, |&x| {
+            barrier.wait();
+            x * 2
+        });
+        assert_eq!(out, (0..8).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_fold_is_bit_identical_across_widths() {
+        // A floating-point fold whose result depends on association order:
+        // identical across widths because the fold runs over the
+        // index-ordered vector on the calling thread.
+        let xs: Vec<f64> = (1..500).map(|i| 1.0 / i as f64).collect();
+        let fold = |width: usize| {
+            pool_map(width, &xs, |&x| x.sin().exp())
+                .into_iter()
+                .sum::<f64>()
+        };
+        let serial = fold(1);
+        for width in [2, 3, 8] {
+            assert_eq!(serial.to_bits(), fold(width).to_bits(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn pool_of_one_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = pool_map(1, &[0; 16], |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        // One item stays inline even on a wide pool.
+        assert_eq!(
+            pool_map(8, &[0], |_| std::thread::current().id()),
+            vec![caller]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "task 7 exploded")]
+    fn pool_worker_panic_reaches_the_caller() {
+        let items: Vec<usize> = (0..16).collect();
+        pool_map(4, &items, |&i| {
+            if i == 7 {
+                panic!("task 7 exploded");
+            }
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "inline panic")]
+    fn pool_inline_panic_reaches_the_caller() {
+        pool_map(1, &[0, 1, 2, 3], |&i| {
+            if i == 2 {
+                panic!("inline panic");
+            }
+            i
+        });
+    }
+
+    #[test]
+    fn pool_maps_empty_input_to_empty_output() {
+        let out: Vec<u32> = pool_map(4, &[] as &[u32], |_| unreachable!());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn thread_knob_parses_counts_and_rejects_the_rest() {
+        assert_eq!(parse_threads(None, 7), Ok(7));
+        assert_eq!(parse_threads(Some("1"), 7), Ok(1));
+        assert_eq!(parse_threads(Some("16"), 7), Ok(16));
+        for bad in ["0", "-2", "1.5", "abc", ""] {
+            assert!(parse_threads(Some(bad), 4).is_err(), "WS_THREADS={bad:?}");
+        }
     }
 }

@@ -1,15 +1,17 @@
-//! Determinism regression: the `WS_THREADS` work pool must never change
-//! results — only wall-clock. Two layers are pinned bit-identical at
-//! 1 vs 4 threads:
+//! Determinism regression: the bench harness's `WS_THREADS` sweep pool
+//! must never change results — only wall-clock. Two layers are pinned
+//! bit-identical at 1 vs 4 threads:
 //!
-//! * the fig4 binary end-to-end (subprocess, `WS_THREADS` env path): the
-//!   whole CSV, including the solver-work counter columns, byte for byte;
+//! * the fig4 and jobs_finished binaries end-to-end (subprocess,
+//!   `WS_THREADS` env path): the whole CSV, including the solver-work
+//!   counter columns, byte for byte;
 //! * RET directly (`RetConfig::threads`): b̂, schedules, and the full
 //!   [`SolveStats`] despite speculative probing.
 //!
 //! Thread-dependent observables (wall-clock, `ret.speculative_probes`,
 //! `lp.*` counters folded in from mis-speculated probes) are deliberately
-//! *not* compared.
+//! *not* compared. The `stream` replay reads no thread knob; it is pinned
+//! streamed against preloaded.
 
 use std::process::Command;
 use wavesched_core::instance::InstanceConfig;
@@ -45,8 +47,8 @@ fn fig4_smoke_csv_is_bit_identical_across_thread_counts() {
     let serial = run_smoke(bin, "1");
     let pooled = run_smoke(bin, "4");
     // Every column — b̂, end times, LP solves, simplex iterations, warm
-    // starts, cold fallbacks — must survive both sweep-level parallelism
-    // and RET's speculative probes unchanged.
+    // starts, cold fallbacks — must survive sweep-level parallelism
+    // unchanged.
     assert_eq!(serial, pooled, "fig4 CSV must not depend on WS_THREADS");
     assert!(serial.lines().count() > 4, "fig4 produced no data rows");
 }
@@ -98,19 +100,18 @@ fn jobs_finished_smoke_csv_is_bit_identical_across_thread_counts() {
 /// rows are allocation telemetry — machine-dependent by design — so they
 /// are stripped before comparison; the decision log contains scheduling
 /// outcomes only and is compared whole.
-fn run_stream(threads: &str, label: &str, extra_args: &[&str]) -> (String, Vec<u8>) {
+fn run_stream(label: &str, extra_args: &[&str]) -> (String, Vec<u8>) {
     let log_path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("stream_determinism_{label}.log"));
     let out = Command::new(env!("CARGO_BIN_EXE_stream"))
         .args(["--jobs", "600", "--log"])
         .arg(&log_path)
         .args(extra_args)
-        .env("WS_THREADS", threads)
         .output()
         .expect("stream binary runs");
     assert!(
         out.status.success(),
-        "stream failed under WS_THREADS={threads}: {}",
+        "stream failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf8 csv");
@@ -125,26 +126,12 @@ fn run_stream(threads: &str, label: &str, extra_args: &[&str]) -> (String, Vec<u
 }
 
 #[test]
-fn streamed_replay_log_is_bit_identical_across_thread_counts() {
-    let (csv1, log1) = run_stream("1", "t1", &[]);
-    let (csv4, log4) = run_stream("4", "t4", &[]);
-    assert_eq!(
-        log1, log4,
-        "streamed decision log must not depend on WS_THREADS"
-    );
-    assert_eq!(
-        csv1, csv4,
-        "stream scheduling CSV must not depend on WS_THREADS"
-    );
-}
-
-#[test]
 fn streamed_replay_log_is_bit_identical_to_preloaded() {
     // Feeding the controller from the lazy stream versus from a fully
     // materialized trace must be observationally equivalent: same
     // decisions, same bytes. Only memory differs.
-    let (csv_s, log_s) = run_stream("1", "streamed", &[]);
-    let (csv_p, log_p) = run_stream("1", "preloaded", &["--preload"]);
+    let (csv_s, log_s) = run_stream("streamed", &[]);
+    let (csv_p, log_p) = run_stream("preloaded", &["--preload"]);
     assert_eq!(
         log_s, log_p,
         "streamed and preloaded replays must produce identical decision logs"

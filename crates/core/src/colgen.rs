@@ -43,7 +43,7 @@
 //! Everything here is serial and deterministically ordered (capacity rows
 //! created in sorted `(edge, slice)` order and looked up per edge, duals read
 //! straight from the solution, the tie-broken searches of `wavesched-net`),
-//! so runs are byte-reproducible at any `WS_THREADS`.
+//! so runs are byte-reproducible.
 
 use crate::builders::{expect_optimal, Form};
 use crate::instance::{Instance, InstanceConfig};

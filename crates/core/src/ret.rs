@@ -49,17 +49,16 @@ pub struct RetConfig {
     /// returned schedules are identical either way — only the work counters
     /// differ.
     pub warm_start: bool,
-    /// Worker threads for speculative bisection probing: when a round's
-    /// `2^d − 1` candidate midpoints (the next `d` levels of the search
-    /// tree) fit the pool, they are evaluated concurrently, each probe on
-    /// its own clone of the warm template, and only the realized path is
-    /// walked; a narrower pool probes lazily. Probe answers
-    /// are pure functions of `b`, so `b̂`, the schedules, and the merged
-    /// work counters are bit-identical for every thread count. `0` (the
-    /// default) resolves from the `WS_THREADS` environment knob; `1` probes
-    /// serially on the calling thread. Ignored when `warm_start` is off —
-    /// cold probes rebuild instances through a shared path cache and stay
-    /// serial.
+    /// Probe-pool width; `1` (the default) probes serially on the calling
+    /// thread. When a round's `2^d − 1` candidate midpoints (the next `d`
+    /// levels of the search tree) fit the width, they are evaluated
+    /// concurrently on scoped threads, each probe on its own clone of the
+    /// warm template, and only the realized path is walked; a narrower
+    /// width probes lazily. Probe answers are pure functions of `b`, so
+    /// `b̂`, the schedules, and the merged work counters are bit-identical
+    /// at every width. `0` is rejected as a [`SolveError::InvalidModel`].
+    /// Ignored when `warm_start` is off — cold probes rebuild instances
+    /// through a shared path cache and stay serial.
     pub threads: usize,
 }
 
@@ -70,7 +69,7 @@ impl Default for RetConfig {
             bsearch_tol: 0.01,
             max_delta_steps: 60,
             warm_start: true,
-            threads: 0,
+            threads: 1,
         }
     }
 }
@@ -273,6 +272,11 @@ fn algorithm2<B: RetBackend>(
             "RET needs at least one job".into(),
         ));
     }
+    if cfg.threads == 0 {
+        return Err(SolveError::InvalidModel(
+            "RetConfig::threads must be at least 1 (1 probes serially)".into(),
+        ));
+    }
     let _span = obs::span("ret");
     let mut backend = make()?;
 
@@ -420,7 +424,7 @@ impl EnvelopeLp {
 /// probe's answer *and its work counters* are pure functions of `b` — the
 /// property that lets [`EnvelopeBackend::bisect`] evaluate speculative
 /// midpoints in parallel and still merge bit-identical realized stats at
-/// every pool width. Structural trouble degrades to a cold solve inside
+/// every width. Structural trouble degrades to a cold solve inside
 /// the clone, never to a wrong answer.
 ///
 /// **Growth.** Consecutive δ-steps chain through one Quick-Finish session
@@ -444,8 +448,6 @@ struct EnvelopeBackend<'a> {
     /// The Quick-Finish LP, built at the first growth step on the probe
     /// template's envelope (cold mode builds the envelope there).
     growth_lp: Option<EnvelopeLp>,
-    /// Resolved probe-pool width (`cfg.threads`, `0` → `WS_THREADS`).
-    width: usize,
     stats: SolveStats,
 }
 
@@ -454,8 +456,8 @@ impl<'a> EnvelopeBackend<'a> {
     /// width-derived) because the round boundaries decide where the
     /// template re-anchors: a width-dependent depth would give different
     /// widths different warm-start anchors and break bit-identical work
-    /// counters. Depth 2 (three candidate probes) fits pools of 3–4
-    /// workers exactly and still halves the rounds for wider ones.
+    /// counters. Depth 2: three candidate probes, so any width of 3 or more
+    /// speculates on three threads.
     const ROUND_DEPTH: usize = 2;
 
     fn new(
@@ -477,7 +479,6 @@ impl<'a> EnvelopeBackend<'a> {
             pathset,
             probe_lp: None,
             growth_lp: None,
-            width: wavesched_par::resolve_threads(cfg.threads),
             stats: SolveStats::default(),
         };
         if cfg.warm_start {
@@ -530,18 +531,19 @@ impl RetBackend for EnvelopeBackend<'_> {
     /// [`Self::ROUND_DEPTH`]: each round covers the next `D` levels of the
     /// midpoint tree (the `2^D − 1` candidate midpoints), every probe a
     /// pure clone-solve of the round-entry template. When the round fits
-    /// the pool (a worker per candidate), it is evaluated concurrently up
-    /// front (speculation); a narrower pool probes only realized midpoints
-    /// — three probes on two workers cost two probe-times, what the lazy
-    /// walk's two realized probes cost, plus a session clone each. In
-    /// both cases the walk merges the realized probes' stats, counts them
+    /// `RetConfig::threads` (a thread per candidate), it is evaluated up
+    /// front on scoped threads (speculation); a narrower width probes only
+    /// realized midpoints — three probes on two cores cost two
+    /// probe-times, what the lazy walk's two realized probes cost, plus a
+    /// session clone each. In both cases the walk merges the realized
+    /// probes' stats, counts them
     /// in `ret.probes`, and finally installs the last realized probe's
     /// solved session as the next round's template, so warm-start anchors
     /// converge toward `b̂` like a chained search would. The round
     /// structure, the realized trajectory, and the installed anchors are
-    /// all independent of the pool width, so `b̂` and the merged stats are
+    /// all independent of the width, so `b̂` and the merged stats are
     /// bit-identical to the serial walk; mis-speculated probes cost only
-    /// wasted wall clock on otherwise-idle workers (reported under
+    /// wasted wall clock on otherwise-idle cores (reported under
     /// `ret.speculative_probes`). Cold probes rebuild instances through
     /// the shared path cache and stay serial.
     fn bisect(&mut self, lo: f64, hi: f64, tol: f64) -> Result<f64, SolveError> {
@@ -551,15 +553,24 @@ impl RetBackend for EnvelopeBackend<'_> {
         let (jobs, origin) = (self.jobs, self.origin);
         let (mut lo, mut hi) = (lo, hi);
         while hi - lo > tol {
-            // Speculate the full round when the pool holds it; probe lazily
+            // Speculate the full round when the width holds it, one scoped
+            // thread per candidate, joined in candidate order; probe lazily
             // (realized midpoints only) on a narrower one.
             let mut by_bits: BTreeMap<u64, CloneProbe> = BTreeMap::new();
             let round_probes = (1 << Self::ROUND_DEPTH) - 1;
-            if self.width >= round_probes {
+            if self.cfg.threads >= round_probes {
                 let mut cands = Vec::with_capacity(round_probes);
                 collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
-                let answers = wavesched_par::par_map_with(self.cfg.threads, &cands, |&b| {
-                    template.probe_on_clone(jobs, origin, b)
+                let template = &template;
+                let answers: Vec<CloneProbe> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = cands
+                        .iter()
+                        .map(|&b| scope.spawn(move || template.probe_on_clone(jobs, origin, b)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
                 });
                 obs::counter_add("ret.speculative_probes", cands.len() as u64);
                 by_bits.extend(cands.iter().map(|b| b.to_bits()).zip(answers));
@@ -668,9 +679,8 @@ fn collect_midpoints(lo: f64, hi: f64, depth: usize, tol: f64, out: &mut Vec<f64
 /// Quick-Finish), and the price–resolve loop re-prices — columns
 /// accumulate monotonically across the whole search and the simplex basis
 /// chains warm throughout. The master is a single evolving session, so
-/// probing stays serial (and trivially byte-reproducible at any
-/// `WS_THREADS`), and growth is capped at the envelope: the pool's windows
-/// cannot extend past `b_max`.
+/// probing stays serial at any `RetConfig::threads`, and growth is capped
+/// at the envelope: the pool's windows cannot extend past `b_max`.
 struct CgBackend<'a> {
     master: CgMaster,
     pricer: Box<dyn Pricer>,
@@ -1099,6 +1109,10 @@ mod tests {
             RetConfig::default(),
             ColGenConfig::default(),
         );
+        let zero_threads = RetConfig {
+            threads: 0,
+            ..RetConfig::default()
+        };
         let mut ps = PathSet::new(cfg.paths_per_job);
         let cases = [
             ("no jobs", solve_ret(&g, &[], &cfg, &ret).map(drop)),
@@ -1122,6 +1136,14 @@ mod tests {
             (
                 "no jobs, colgen",
                 solve_ret_colgen(&g, &[], &cfg, &ret, &cg).map(drop),
+            ),
+            (
+                "zero threads",
+                solve_ret(&g, &jobs, &cfg, &zero_threads).map(drop),
+            ),
+            (
+                "zero threads, colgen",
+                solve_ret_colgen(&g, &jobs, &cfg, &zero_threads, &cg).map(drop),
             ),
         ];
         for (name, out) in cases {

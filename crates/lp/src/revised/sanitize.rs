@@ -47,7 +47,7 @@ pub(super) fn sanitize_env() -> u64 {
     *INTERVAL.get_or_init(|| {
         #[expect(
             clippy::disallowed_methods,
-            reason = "WS_SANITIZE mirrors the sanctioned WS_THREADS pattern: read once at first use, build-dependent default when unset, documented in the README"
+            reason = "the one WS_SANITIZE reader: read once at first use, build-dependent default when unset, documented in the README"
         )]
         match std::env::var("WS_SANITIZE") {
             Ok(v) => match v.trim().parse::<u64>() {

@@ -18,8 +18,8 @@
 //! Under unit weights the two rules make [`shortest_path_weighted`] and the
 //! level-ordered BFS of [`shortest_path_filtered`] pick the same path, edge
 //! for edge; `tests/properties.rs` holds them to it. Reduced-cost pricing
-//! relies on the rules too: two runs at different `WS_THREADS` settings
-//! must propose byte-identical columns.
+//! relies on the rules too: two runs over the same master must propose
+//! byte-identical columns.
 
 use crate::graph::{EdgeId, Graph, NodeId, Path};
 use std::cmp::Ordering;

@@ -45,10 +45,6 @@ static REGISTRY: OnceLock<Mutex<Inner>> = OnceLock::new();
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    /// Path prefix adopted from another thread (see [`attach`]): a worker
-    /// thread's spans aggregate under the spawning span's path instead of
-    /// starting a disconnected tree at the worker's root.
-    static BASE_PATH: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 /// Turns the whole layer on or off. Off (the default) makes every
@@ -154,14 +150,14 @@ pub struct Span {
 }
 
 /// Opens a span named `name` nested under the spans currently live on this
-/// thread (and under any [`attach`]ed parent path). When the layer is
-/// disabled this is a single branch: no clock is read and nothing is
+/// thread; a span opened on a fresh thread starts at the root. When the
+/// layer is disabled this is a single branch: no clock is read and nothing is
 /// allocated.
 pub fn span(name: &'static str) -> Span {
     if !ENABLED.load(Relaxed) {
         return Span { armed: None };
     }
-    let local = SPAN_STACK.with(|s| {
+    let path = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
         let path = if s.is_empty() {
             name.to_string()
@@ -174,64 +170,12 @@ pub fn span(name: &'static str) -> Span {
         s.push(name);
         path
     });
-    let path = BASE_PATH.with(|b| match &*b.borrow() {
-        Some(base) => format!("{base}/{local}"),
-        None => local,
-    });
     Span {
         #[expect(
             clippy::disallowed_methods,
             reason = "a span's duration is what the obs layer records; no scheduling decision reads it"
         )]
         armed: Some((path, Instant::now())),
-    }
-}
-
-/// The `/`-joined path of the spans currently live on this thread
-/// (including any [`attach`]ed base), or `None` when no span is open or the
-/// layer is disabled. Capture this on a spawning thread and hand it to
-/// worker threads via [`attach`], so a pool worker's spans aggregate under
-/// the span that spawned the work — `--report` output then still folds into
-/// one tree.
-pub fn current_span_path() -> Option<String> {
-    if !ENABLED.load(Relaxed) {
-        return None;
-    }
-    let local = SPAN_STACK.with(|s| {
-        let s = s.borrow();
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.join("/"))
-        }
-    });
-    BASE_PATH.with(|b| match (&*b.borrow(), local) {
-        (Some(base), Some(local)) => Some(format!("{base}/{local}")),
-        (Some(base), None) => Some(base.clone()),
-        (None, local) => local,
-    })
-}
-
-/// Adopts `parent` (a path from [`current_span_path`], captured on another
-/// thread) as the base path for every span this thread opens until the
-/// returned guard drops. Passing `None` is a no-op guard, so call sites can
-/// thread the capture through unconditionally.
-#[must_use = "the attachment ends when the guard drops; bind it with `let _g = ...`"]
-pub fn attach(parent: Option<String>) -> AttachGuard {
-    let prev = BASE_PATH.with(|b| std::mem::replace(&mut *b.borrow_mut(), parent));
-    AttachGuard { prev }
-}
-
-/// Restores the previously attached base path on drop. Created by
-/// [`attach`].
-pub struct AttachGuard {
-    prev: Option<String>,
-}
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        BASE_PATH.with(|b| *b.borrow_mut() = prev);
     }
 }
 
@@ -497,60 +441,6 @@ mod tests {
             assert!(tree.contains("outer"), "tree:\n{tree}");
             assert!(tree.contains("  inner"), "tree:\n{tree}");
         });
-    }
-
-    #[test]
-    fn attach_nests_spans_under_foreign_path() {
-        with_enabled(|| {
-            let parent = {
-                let _outer = span("outer");
-                current_span_path()
-            };
-            assert_eq!(parent.as_deref(), Some("outer"));
-            // Simulate a worker thread: fresh stack, adopted base path.
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _g = attach(parent.clone());
-                    let _w = span("work");
-                })
-                .join()
-                .unwrap();
-            });
-            let snap = snapshot();
-            assert!(
-                snap.iter()
-                    .any(|m| matches!(m, Metric::Span { path, .. } if path == "outer/work")),
-                "worker span should aggregate under the spawning path"
-            );
-        });
-    }
-
-    #[test]
-    fn attach_guard_restores_previous_base() {
-        with_enabled(|| {
-            assert_eq!(current_span_path(), None);
-            {
-                let _g = attach(Some("root".to_string()));
-                assert_eq!(current_span_path().as_deref(), Some("root"));
-                {
-                    let _h = attach(Some("other".to_string()));
-                    assert_eq!(current_span_path().as_deref(), Some("other"));
-                }
-                assert_eq!(current_span_path().as_deref(), Some("root"));
-            }
-            assert_eq!(current_span_path(), None);
-            // None attachment is a no-op guard.
-            let _g = attach(None);
-            assert_eq!(current_span_path(), None);
-        });
-    }
-
-    #[test]
-    fn current_span_path_is_none_when_disabled() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        set_enabled(false);
-        let _s = span("ghost");
-        assert_eq!(current_span_path(), None);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! counted. They live in their own integration-test binary (a dedicated
 //! process) so no other test can race the process-wide enabled flag.
 
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use wavesched_obs as obs;
 
@@ -127,44 +126,6 @@ fn concurrent_spans_aggregate_per_path() {
         assert_eq!(
             span_count("stress_outer/stress_inner"),
             Some(THREADS as u64 * SPANS)
-        );
-    });
-}
-
-#[test]
-fn concurrent_attached_workers_fold_into_one_tree() {
-    with_enabled(|| {
-        const TASKS: usize = 64;
-        let done = AtomicUsize::new(0);
-        {
-            let _root = obs::span("fanout");
-            let parent = obs::current_span_path();
-            std::thread::scope(|s| {
-                for _ in 0..THREADS {
-                    let parent = parent.clone();
-                    let done = &done;
-                    s.spawn(move || {
-                        let _g = obs::attach(parent);
-                        while done.fetch_add(1, Relaxed) < TASKS {
-                            let _w = obs::span("task");
-                        }
-                    });
-                }
-            });
-        }
-        let snap = obs::snapshot();
-        let task_count = snap.iter().find_map(|m| match m {
-            obs::Metric::Span { path, count, .. } if path == "fanout/task" => Some(*count),
-            _ => None,
-        });
-        // Exactly TASKS spans ran (the fetch_add gate), all under the
-        // spawning span's path even though none ran on its thread.
-        assert_eq!(task_count, Some(TASKS as u64));
-        assert!(
-            !snap
-                .iter()
-                .any(|m| matches!(m, obs::Metric::Span { path, .. } if path == "task")),
-            "no orphan worker-root spans"
         );
     });
 }

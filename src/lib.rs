@@ -12,8 +12,9 @@
 //! * [`sim`] — discrete-event simulation of the controller loop
 //! * [`obs`] — zero-dependency observability: spans, counters, histograms,
 //!   JSON-lines reports
-//! * [`par`] — std-only scoped work pool (`WS_THREADS`) with
-//!   order-preserving, deterministic parallel map
+//!
+//! The algorithms run on the calling thread; only `RetConfig::threads ≥ 3`
+//! lets RET probe on scoped threads. The figure binaries' sweep pool lives in `crates/bench`.
 //!
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! full system inventory and experiment index.
@@ -27,6 +28,5 @@ pub use wavesched_core as core;
 pub use wavesched_lp as lp;
 pub use wavesched_net as net;
 pub use wavesched_obs as obs;
-pub use wavesched_par as par;
 pub use wavesched_sim as sim;
 pub use wavesched_workload as workload;
