@@ -169,11 +169,11 @@ impl HeldLp {
     /// names the solve in the error any other status becomes.
     ///
     /// `start` goes in as a *snapshot* ([`SolverSession::warm_start_from`]):
-    /// the solve installs and refactors it — the rung a one-shot
-    /// `solve_with_start` of the same LP takes — whatever the session solved
-    /// before. An optimum always carries the next snapshot to offer; one
-    /// that came back without is the breakdown it would be, never left to
-    /// enter the next form on whatever state the session carries.
+    /// the solve installs and refactors it — the rung a fresh session of the
+    /// same LP takes from that basis — whatever the session solved before.
+    /// An optimum always carries the next snapshot to offer; one that came
+    /// back without is the breakdown it would be, never left to enter the
+    /// next form on whatever state the session carries.
     pub(crate) fn solve(
         &mut self,
         inst: &Instance,
@@ -190,6 +190,7 @@ impl HeldLp {
                 objective: if z_cost > 0.0 { z_cost * z_hi } else { 0.0 },
                 x: Vec::new(),
                 duals: Vec::new(),
+                ray: Vec::new(),
                 basis: None,
                 stats: SolveStats::default(),
             });
@@ -283,12 +284,12 @@ mod tests {
     //! Stage 1 — is bit for bit, counter for counter, the one-shot solve of the
     //! `Problem` written out by hand. The hand-written builders are the two the
     //! form table replaced (`stage2.rs`'s and `ret.rs`'s), kept here as the
-    //! oracle.
+    //! oracle, and every one-shot optimum is held to its certificate.
 
     use super::*;
     use crate::instance::InstanceConfig;
     use std::ops::Range;
-    use wavesched_lp::solve_with_start;
+    use wavesched_lp::certify;
     use wavesched_net::{abilene14, waxman_network, Graph, PathSet, WaxmanConfig};
     use wavesched_workload::{Job, JobId, WorkloadConfig, WorkloadGenerator};
 
@@ -340,6 +341,19 @@ mod tests {
             .collect()
     }
 
+    /// The one-shot solve of `p` from `start` — a fresh session offered the
+    /// basis as a snapshot — certified optimal.
+    fn one_shot(p: &Problem, cfg: &SimplexConfig, start: Option<&Basis>) -> Solution {
+        let mut session = SolverSession::with_config(p, cfg).unwrap();
+        if let Some(basis) = start {
+            session.warm_start_from(basis.clone());
+        }
+        let sol = session.solve().unwrap();
+        let cert = certify(p, &sol);
+        assert!(sol.status == Status::Optimal && cert.verified, "{cert:?}");
+        sol
+    }
+
     fn assert_same_solve(held: &Solution, oracle: &Solution, what: &str) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(held.status, oracle.status, "{what}: status");
@@ -367,12 +381,11 @@ mod tests {
         };
 
         // Stage 1 itself: the LP as built, and the basis every start below is.
-        let s1 = solve_with_start(
+        let s1 = one_shot(
             &build_stage1_problem_in(inst, &mut BuildArena::new()),
             &cfg,
             None,
-        )
-        .unwrap();
+        );
         assert_same_solve(&solved_stage1().1, &s1, &format!("{name}: stage 1"));
         let (z_star, s1_basis) = (s1.objective, s1.basis.as_ref());
 
@@ -390,12 +403,12 @@ mod tests {
             let p = stage2_problem(inst, z_star, *alpha, weights);
             let form = Form::stage2(&inst.demands, z_star, *alpha, weights);
             for start in [None, s1_basis] {
-                let oracle = solve_with_start(&p, &cfg, start).unwrap();
+                let oracle = one_shot(&p, &cfg, start);
                 let fresh = open().solve(inst, &form, start, "stage 2").unwrap();
                 let what = format!("{what}, fresh, started {}", start.is_some());
                 assert_same_solve(&fresh, &oracle, &what);
             }
-            let oracle = solve_with_start(&p, &cfg, s1_basis).unwrap();
+            let oracle = one_shot(&p, &cfg, s1_basis);
             let after = (solved_stage1().0)
                 .solve(inst, &form, s1_basis, "stage 2")
                 .unwrap();
@@ -428,10 +441,10 @@ mod tests {
                 session.solve().unwrap()
             };
             for start in [None, s1_basis] {
-                let oracle = solve_with_start(&p, &cfg, start).unwrap();
+                let oracle = one_shot(&p, &cfg, start);
                 assert_same_solve(&held(open(), start), &oracle, &format!("{what}, fresh"));
             }
-            let oracle = solve_with_start(&p, &cfg, s1_basis).unwrap();
+            let oracle = one_shot(&p, &cfg, s1_basis);
             let after = held(solved_stage1().0, s1_basis);
             assert_same_solve(&after, &oracle, &format!("{what}, after stage 1"));
         }

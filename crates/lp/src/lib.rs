@@ -11,8 +11,11 @@
 //! * [`solve`] — the default solver: a sparse two-phase revised simplex with
 //!   a product-form-of-the-inverse (eta file) basis representation and
 //!   periodic sparse LU refactorization (see [`revised`]).
-//! * `dense` — an independent dense tableau simplex: the oracle the
-//!   differential tests compare [`solve`] against.
+//! * [`certify`] — checks a [`Solution`] against its [`Problem`] by the
+//!   mathematics of its status (KKT conditions for an optimum, a Farkas
+//!   multiplier for infeasibility, an improving ray for unboundedness) in
+//!   O(nnz), trusting nothing of the solver: the differential tests hold
+//!   every answer to it.
 //! * [`milp`] — branch-and-bound mixed-integer programming on top of the LP
 //!   solver; practical for small instances, used to validate the paper's
 //!   LPDAR heuristic against true integer optima.
@@ -43,8 +46,7 @@
 )]
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
 
-#[doc(hidden)]
-pub mod dense;
+mod certificate;
 pub mod milp;
 pub mod model;
 pub mod revised;
@@ -52,14 +54,12 @@ pub mod solution;
 pub(crate) mod sparse;
 pub(crate) mod stdform;
 
+pub use certificate::{certify, Certificate};
 pub use milp::{solve_milp, MilpConfig, MilpSolution, MilpStatus};
 pub use model::{Col, Objective, Problem, Row};
 #[doc(hidden)]
 pub use revised::PivotProbe;
-pub use revised::{
-    pos_or_zero, solve, solve_with, solve_with_start, NewColumn, NewRow, SimplexConfig,
-    SolverSession,
-};
+pub use revised::{pos_or_zero, solve, NewColumn, NewRow, SimplexConfig, SolverSession};
 pub use solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 
 /// Default feasibility tolerance: a bound or row is considered satisfied if

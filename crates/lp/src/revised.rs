@@ -44,7 +44,7 @@ pub use probe::PivotProbe;
 pub use session::SolverSession;
 
 use crate::model::{Col, Problem, Row};
-use crate::solution::{Basis, Solution, SolveError};
+use crate::solution::{Solution, SolveError};
 use crate::stdform::standardize;
 
 /// Tunable parameters of the revised simplex: the three the tests select
@@ -143,39 +143,10 @@ pub struct NewRow {
     pub entries: Vec<(Col, f64)>,
 }
 
-/// Solves `p` with the sparse revised simplex under default settings.
+/// Solves `p` cold with the sparse revised simplex under default settings.
+/// Other settings, a warm start and in-place re-solves go through a
+/// [`SolverSession`].
 pub fn solve(p: &Problem) -> Result<Solution, SolveError> {
-    solve_with(p, &SimplexConfig::default())
-}
-
-/// Solves `p` with explicit [`SimplexConfig`] settings.
-pub fn solve_with(p: &Problem, cfg: &SimplexConfig) -> Result<Solution, SolveError> {
-    solve_with_start(p, cfg, None)
-}
-
-/// Solves `p`, optionally warm-starting from a basis of a related problem.
-///
-/// When `start` is given and its shape matches `p` (same number of columns
-/// and rows), the solver installs that basis, repairs any infeasibility it
-/// causes with a bound-shift phase-1 restart, and proceeds to phase 2. On a
-/// shape mismatch, any numerical trouble during installation, or a repair
-/// phase 1 that cannot clear the violations (which includes every genuinely
-/// infeasible instance — only the cold artificial-based phase 1 constitutes
-/// an infeasibility proof), the solver silently restarts cold. A warm start
-/// can therefore never change the answer, only the work required to reach
-/// it. `Solution::stats` records which path ran (`warm_starts_accepted` /
-/// `warm_start_fallbacks`). Settings no solve can run under — a zero
-/// `refactor_interval`, a NaN `kernel_density_threshold` — are a
-/// [`SolveError::InvalidModel`].
-pub fn solve_with_start(
-    p: &Problem,
-    cfg: &SimplexConfig,
-    start: Option<&Basis>,
-) -> Result<Solution, SolveError> {
-    cfg.validate()?;
     let std = standardize(p)?;
-    // A caller-supplied basis has no provenance guarantee, so the dual
-    // re-solve (which requires "own last optimal basis, bounds-only edits
-    // since") is reserved for `SolverSession`.
-    engine::Engine::new(std, cfg.clone()).solve(start, false)
+    engine::Engine::new(std, SimplexConfig::default()).solve(None, false)
 }

@@ -222,7 +222,12 @@ pub(super) struct Engine {
 
 pub(super) enum PhaseOutcome {
     Optimal,
-    Unbounded,
+    /// Column `q` can move in direction `dir` without limit; its FTRAN'd
+    /// column is still in `ftran_w`.
+    Unbounded {
+        q: usize,
+        dir: f64,
+    },
     IterationLimit,
 }
 
@@ -411,7 +416,7 @@ impl Engine {
                     if phase1 {
                         return Err(SolveError::Numerical("unbounded ray in phase 1".into()));
                     }
-                    return Ok(PhaseOutcome::Unbounded);
+                    return Ok(PhaseOutcome::Unbounded { q, dir });
                 }
                 RatioOutcome::BoundFlip(t) => {
                     // No basis change: reduced costs stay valid.
@@ -793,20 +798,31 @@ impl Engine {
         for (j, &xj) in x.iter().enumerate() {
             obj += self.std.obj_sign * self.std.cost[j] * xj;
         }
-        // Duals under phase-2 costs. An optimal exit is at `Exact::Reduced`
-        // under those costs already, and `dual` holds the prices its last
-        // `recompute_reduced` solved for; any other exit needs the BTRAN.
-        if status == Status::Optimal {
-            debug_assert_eq!(
-                self.exact,
-                Exact::Reduced,
-                "optimal exit off an inexact iterate"
-            );
-        } else {
-            self.install_phase2_costs();
-            self.compute_duals();
-        }
-        let duals: Vec<f64> = self.dual.iter().map(|&v| self.std.obj_sign * v).collect();
+        // An optimal exit is at `Exact::Reduced` under phase-2 costs, and
+        // `dual` holds the prices its last `recompute_reduced` solved for.
+        // An infeasible one is the same under the phase-1 costs still
+        // installed: it hands out their prices, the Farkas multipliers, in
+        // no objective's direction. Any other exit prices the phase-2 costs.
+        let sign = match status {
+            Status::Optimal | Status::Infeasible => {
+                debug_assert_eq!(
+                    self.exact,
+                    Exact::Reduced,
+                    "{status:?} exit off an inexact iterate"
+                );
+                if status == Status::Optimal {
+                    self.std.obj_sign
+                } else {
+                    1.0
+                }
+            }
+            Status::Unbounded | Status::IterationLimit => {
+                self.install_phase2_costs();
+                self.compute_duals();
+                self.std.obj_sign
+            }
+        };
+        let duals: Vec<f64> = self.dual.iter().map(|&v| sign * v).collect();
         let basis = Basis {
             cols: self.state[..self.std.nstruct]
                 .iter()
@@ -821,8 +837,27 @@ impl Engine {
             objective: obj,
             x,
             duals,
+            ray: Vec::new(),
             basis: Some(basis),
             stats: self.stats,
         }
+    }
+
+    /// The recession direction of an unbounded exit over the structural
+    /// columns: the entering column `q` moves by `dir`, each basic variable
+    /// by `−dir·w` (`w = B⁻¹ a_q`, still in `ftran_w`).
+    pub(super) fn unbounded_ray(&self, q: usize, dir: f64) -> Vec<f64> {
+        let n = self.std.nstruct;
+        let mut ray = vec![0.0; n];
+        if q < n {
+            ray[q] = dir;
+        }
+        for_each_entry(&self.ftran_w, |pos, wp| {
+            let j = self.basis[pos];
+            if j < n {
+                ray[j] = -dir * wp;
+            }
+        });
+        ray
     }
 }

@@ -252,7 +252,7 @@ impl Engine {
                 // call.
                 return match self.iterate(false).map_err(|_| ())? {
                     PhaseOutcome::Optimal => Ok(self.extract(Status::Optimal)),
-                    PhaseOutcome::Unbounded | PhaseOutcome::IterationLimit => Err(()),
+                    PhaseOutcome::Unbounded { .. } | PhaseOutcome::IterationLimit => Err(()),
                 };
             }
             // Back to phase-1 costs for a primal continuation.
@@ -433,8 +433,9 @@ impl Engine {
     }
 
     /// Runs phase 1 with the relaxation costs already installed. Returns a
-    /// terminal solution (iteration limit or infeasible), or `None` when the
-    /// iterate reached feasibility and phase 2 should proceed.
+    /// terminal solution (iteration limit, or infeasible with the phase-1
+    /// prices as its Farkas multipliers), or `None` when the iterate reached
+    /// feasibility and phase 2 should proceed.
     fn run_phase1(&mut self) -> Result<Option<Solution>, SolveError> {
         let before = self.stats.iterations;
         let out = self.iterate(true)?;
@@ -443,7 +444,7 @@ impl Engine {
             PhaseOutcome::IterationLimit => {
                 return Ok(Some(self.extract(Status::IterationLimit)));
             }
-            PhaseOutcome::Unbounded => {
+            PhaseOutcome::Unbounded { .. } => {
                 // Phase-1 objective is bounded below; an "unbounded" signal
                 // is a numerical breakdown.
                 return Err(SolveError::Numerical("phase 1 reported unbounded".into()));
@@ -477,7 +478,10 @@ impl Engine {
         self.degen_run = 0;
         match self.iterate(false)? {
             PhaseOutcome::Optimal => Ok(self.extract(Status::Optimal)),
-            PhaseOutcome::Unbounded => Ok(self.extract(Status::Unbounded)),
+            PhaseOutcome::Unbounded { q, dir } => Ok(Solution {
+                ray: self.unbounded_ray(q, dir),
+                ..self.extract(Status::Unbounded)
+            }),
             PhaseOutcome::IterationLimit => Ok(self.extract(Status::IterationLimit)),
         }
     }

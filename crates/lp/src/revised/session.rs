@@ -73,9 +73,9 @@ impl SolverSession {
         Self::with_config(p, &SimplexConfig::default())
     }
 
-    /// Builds a session for `p` with explicit [`SimplexConfig`] settings;
-    /// unusable settings (see [`solve_with_start`](crate::solve_with_start))
-    /// are a [`SolveError::InvalidModel`].
+    /// Builds a session for `p` with explicit [`SimplexConfig`] settings.
+    /// Settings no solve can run under — a zero `refactor_interval`, a NaN
+    /// `kernel_density_threshold` — are a [`SolveError::InvalidModel`].
     pub fn with_config(p: &Problem, cfg: &SimplexConfig) -> Result<Self, SolveError> {
         cfg.validate()?;
         let std = standardize(p)?;
@@ -200,6 +200,14 @@ impl SolverSession {
     /// Seeds the next solve with `basis` — e.g. one extracted from a
     /// structurally related problem — replacing whatever basis the session
     /// was carrying.
+    ///
+    /// The solve installs it, repairs any infeasibility it causes with a
+    /// bound-shift phase 1, and proceeds to phase 2 — on a fresh session
+    /// exactly as a one-shot solve from that basis would. On a shape
+    /// mismatch, numerical trouble during installation, or a repair that
+    /// cannot clear the violations (every genuinely infeasible problem: only
+    /// the cold artificial phase 1 is an infeasibility proof) it restarts
+    /// cold, so the basis can change the work, never the answer.
     pub fn warm_start_from(&mut self, basis: Basis) {
         self.warm = Some(basis);
         self.warm_is_own = false; // foreign provenance: primal rung only

@@ -44,8 +44,8 @@ pub enum BasisStatus {
 /// the original problem's columns and rows.
 ///
 /// Obtained from [`Solution::basis`] and consumed by
-/// [`solve_with_start`](crate::solve_with_start) or a
-/// [`SolverSession`](crate::SolverSession) to warm-start a related solve.
+/// [`SolverSession::warm_start_from`](crate::SolverSession::warm_start_from)
+/// to warm-start a related solve.
 /// A basis only makes sense for a problem with the same number of columns
 /// and rows it was extracted from; the solver falls back to a cold start
 /// when the shapes disagree.
@@ -220,24 +220,34 @@ impl SolveStats {
 
 /// The result of an LP solve.
 ///
-/// `x` and `duals` are meaningful only when `status` is
-/// [`Status::Optimal`]; for [`Status::Infeasible`] they hold the final
-/// phase-1 iterate (useful for diagnosing which constraints conflict).
+/// Each status carries the evidence [`certify`](crate::certify) checks:
+/// an optimum its `x` and `duals`, an infeasible problem a Farkas
+/// multiplier in `duals`, an unbounded one a feasible `x` and a `ray`.
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// Termination status.
     pub status: Status,
     /// Objective value in the problem's own direction (includes any offset).
     pub objective: f64,
-    /// Primal values, one per problem column.
+    /// Primal values, one per problem column. For [`Status::Infeasible`]
+    /// the final phase-1 iterate (useful for diagnosing which constraints
+    /// conflict).
     pub x: Vec<f64>,
     /// Dual values (simplex multipliers), one per problem row, in the
     /// *minimization* convention used internally: for a maximization problem
     /// the sign is flipped back so that duals price the original objective.
+    /// For [`Status::Infeasible`] the phase-1 multipliers `y`, in no
+    /// objective's direction: `yᵀ(A x − r) < 0` for every `x` and every row
+    /// activity `r` within their bounds.
     pub duals: Vec<f64>,
+    /// For [`Status::Unbounded`], one entry per problem column: a direction
+    /// along which `x` stays feasible and the objective improves without
+    /// limit. Empty for every other status.
+    pub ray: Vec<f64>,
     /// The final simplex basis, suitable for warm-starting a related solve.
-    /// `None` for solvers that do not maintain an explicit basis (e.g. the
-    /// dense oracle).
+    /// Always present from this crate's solvers; `None` only in a
+    /// `Solution` built without a solve (the scheduling layer's answer
+    /// over an LP with no jobs).
     pub basis: Option<Basis>,
     /// Work counters.
     pub stats: SolveStats,

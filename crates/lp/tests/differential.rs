@@ -1,21 +1,25 @@
-//! Differential testing: the sparse revised simplex against the independent
-//! dense tableau simplex, on randomized problems.
+//! Differential testing on randomized problems: every answer of the sparse
+//! revised simplex is held to its certificate, and every warm start to the
+//! cold solve of the same problem.
 //!
-//! The two solvers share no lowering, factorization, or pivoting code, so
-//! agreement on status and objective is strong evidence of correctness.
+//! The certificate (`certify`) shares no lowering, factorization or
+//! pivoting code with the solver — it reads the `Problem` and the
+//! `Solution` and proves the returned status from them alone — so a
+//! verified answer is correct whichever vertex the solver chose.
 
+mod certified;
+
+use certified::{assert_certified, assert_every_status, check_certified};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use wavesched_lp::dense::solve_dense;
 use wavesched_lp::{
-    solve, solve_with_start, Basis, BasisStatus, Objective, Problem, SimplexConfig, SolverSession,
-    Status,
+    solve, Basis, BasisStatus, Objective, Problem, Solution, SolverSession, Status,
 };
 
-/// Builds a random LP from integer-ish data so borderline feasibility (which
-/// the two solvers could legitimately classify differently at tolerance
-/// level) is avoided.
+/// Builds a random LP from integer-ish data, so no instance is feasible or
+/// infeasible only by a margin at the tolerances' level, where the status
+/// would be a matter of tolerance rather than of the mathematics.
 fn random_problem(rng: &mut StdRng, nmax: usize, mmax: usize) -> Problem {
     let maximize = rng.random_range(0..2) == 0;
     let mut p = Problem::new(if maximize {
@@ -64,66 +68,54 @@ fn random_problem(rng: &mut StdRng, nmax: usize, mmax: usize) -> Problem {
     p
 }
 
-fn check_agreement(p: &Problem, label: &str) {
-    let a = solve(p).expect("revised solve");
-    let b = solve_dense(p).expect("dense solve");
-    assert_eq!(
-        a.status, b.status,
-        "{label}: status mismatch revised={:?} dense={:?}",
-        a.status, b.status
-    );
-    if a.status == Status::Optimal {
-        assert!(
-            (a.objective - b.objective).abs() <= 1e-5 * (1.0 + a.objective.abs()),
-            "{label}: objective mismatch revised={} dense={}",
-            a.objective,
-            b.objective
-        );
-        // Both solutions must actually be feasible in the model.
-        assert!(
-            p.max_violation(&a.x) <= 1e-5,
-            "{label}: revised solution infeasible by {}",
-            p.max_violation(&a.x)
-        );
-        assert!(
-            p.max_violation(&b.x) <= 1e-5,
-            "{label}: dense solution infeasible by {}",
-            p.max_violation(&b.x)
-        );
-        // The reported objective must match the reported point.
-        assert!(
-            (p.eval_objective(&a.x) - a.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-            "{label}: revised objective inconsistent with x"
-        );
-    }
+/// A fresh session's solve of `p`, offered `basis` as a snapshot.
+fn solve_from(p: &Problem, basis: &Basis) -> Solution {
+    let mut session = SolverSession::new(p).expect("session");
+    session.warm_start_from(basis.clone());
+    session.solve().expect("warm solve")
+}
+
+/// Certifies `trials` random problems of up to `nmax` columns and `mmax`
+/// rows drawn from `seed`, and returns their statuses.
+fn certified_batch(seed: u64, trials: usize, nmax: usize, mmax: usize, label: &str) -> Vec<Status> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..trials)
+        .map(|trial| {
+            check_certified(
+                &random_problem(&mut rng, nmax, mmax),
+                &format!("{label} {trial}"),
+            )
+        })
+        .collect()
 }
 
 #[test]
-fn small_randomized_agreement() {
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    for trial in 0..500 {
-        let p = random_problem(&mut rng, 6, 6);
-        check_agreement(&p, &format!("small trial {trial}"));
-    }
+fn small_randomized_certified() {
+    let seen = certified_batch(0xC0FFEE, 500, 6, 6, "small trial");
+    assert_every_status(&seen, "small trials");
 }
 
 #[test]
-fn medium_randomized_agreement() {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    for trial in 0..60 {
-        let p = random_problem(&mut rng, 25, 20);
-        check_agreement(&p, &format!("medium trial {trial}"));
-    }
+fn medium_randomized_certified() {
+    let seen = certified_batch(0xBEEF, 60, 25, 20, "medium trial");
+    assert_every_status(&seen, "medium trials");
 }
 
 #[test]
-fn tall_problems_agreement() {
+fn tall_problems_certified() {
     // Many rows, few columns: stresses phase 1 and basis repair paths.
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    for trial in 0..60 {
-        let p = random_problem(&mut rng, 4, 30);
-        check_agreement(&p, &format!("tall trial {trial}"));
-    }
+    let seen = certified_batch(0x5EED, 60, 4, 30, "tall trial");
+    assert_every_status(&seen, "tall trials");
+}
+
+#[test]
+fn barely_infeasible_is_still_proved() {
+    // x ∈ [0, 1] falls 5e-5 short of the row: five hundred times the
+    // phase-1 threshold (and half of it multiplied by 1e3).
+    let mut p = Problem::new(Objective::Maximize);
+    let x = p.add_col(0.0, 1.0, 1.0);
+    p.add_row(1.0 + 5e-5, f64::INFINITY, &[(x, 1.0)]);
+    assert_eq!(check_certified(&p, "barely infeasible"), Status::Infeasible);
 }
 
 /// Applies a random small perturbation to the bounds of a few columns and
@@ -159,13 +151,15 @@ fn perturb(p: &mut Problem, rng: &mut StdRng) {
 }
 
 /// Cold-solves `p`, perturbs it, then checks that a warm-started re-solve
-/// from the first basis agrees with a cold solve of the perturbed problem.
+/// from the first basis proves its status and agrees with a cold solve of
+/// the perturbed problem.
 fn check_warm_agreement(p: &mut Problem, rng: &mut StdRng, label: &str) {
     let first = solve(p).expect("first solve");
     let basis = first.basis.clone().expect("revised solve returns a basis");
     perturb(p, rng);
     let cold = solve(p).expect("cold re-solve");
-    let warm = solve_with_start(p, &SimplexConfig::default(), Some(&basis)).expect("warm re-solve");
+    let warm = solve_from(p, &basis);
+    assert_certified(p, &warm, label);
     assert_eq!(
         warm.status, cold.status,
         "{label}: status mismatch warm={:?} cold={:?}",
@@ -201,9 +195,10 @@ fn warm_start_mismatched_basis_falls_back_cold() {
     big.add_row(f64::NEG_INFINITY, 8.0, &[(a, 1.0), (b, 1.0)]);
     big.add_row(f64::NEG_INFINITY, 6.0, &[(a, 1.0)]);
 
-    let warm = solve_with_start(&big, &SimplexConfig::default(), Some(&donor)).unwrap();
+    let warm = solve_from(&big, &donor);
     let cold = solve(&big).unwrap();
     assert_eq!(warm.status, Status::Optimal);
+    assert_certified(&big, &warm, "mismatched basis");
     assert!((warm.objective - cold.objective).abs() <= 1e-9);
     assert_eq!(warm.stats.warm_start_fallbacks, 1);
     assert_eq!(warm.stats.warm_starts_accepted, 0);
@@ -231,8 +226,8 @@ fn warm_start_garbage_basis_still_correct() {
                 rows: vec![BasisStatus::AtLower; p.num_rows()],
             },
         ] {
-            let warm = solve_with_start(&p, &SimplexConfig::default(), Some(&garbage))
-                .expect("warm solve");
+            let warm = solve_from(&p, &garbage);
+            assert_certified(&p, &warm, &format!("garbage trial {trial}"));
             assert_eq!(
                 warm.status, cold.status,
                 "garbage trial {trial}: status mismatch"
@@ -266,6 +261,7 @@ fn session_tracks_repeated_mutations() {
         sess.set_row_bounds(budget, f64::NEG_INFINITY, cap as f64);
         let cold = solve(&p).unwrap();
         let warm = sess.solve().unwrap();
+        assert_certified(&p, &warm, &format!("cap {cap}"));
         assert_eq!(warm.status, cold.status, "cap {cap}");
         assert!(
             (warm.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
@@ -285,12 +281,12 @@ fn session_tracks_repeated_mutations() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Property form of the differential check, with shrinking on failure.
+    /// Property form of the certified check, with shrinking on failure.
     #[test]
-    fn proptest_agreement(seed in any::<u64>()) {
+    fn proptest_certified(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = random_problem(&mut rng, 8, 8);
-        check_agreement(&p, &format!("seed {seed}"));
+        check_certified(&p, &format!("seed {seed}"));
     }
 
     /// Warm-started re-solves after random bound/RHS perturbations match a
@@ -302,10 +298,10 @@ proptest! {
         check_warm_agreement(&mut p, &mut rng, &format!("warm seed {seed}"));
     }
 
-    /// Weak duality sanity: for optimal maximization LPs with only
-    /// upper-bounded rows and nonnegative variables, b'y bounds the primal.
+    /// Packing LPs — `≤` rows with positive data, `x ≥ 0`, maximized —
+    /// whose optimum is priced by nonnegative row duals.
     #[test]
-    fn proptest_weak_duality(seed in any::<u64>()) {
+    fn proptest_packing_certified(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut p = Problem::new(Objective::Maximize);
         let n = rng.random_range(1..6usize);
@@ -313,7 +309,6 @@ proptest! {
         let cols: Vec<_> = (0..n)
             .map(|_| p.add_col(0.0, f64::INFINITY, rng.random_range(0i32..5) as f64))
             .collect();
-        let mut rhs = Vec::new();
         for _ in 0..m {
             let coeffs: Vec<_> = cols
                 .iter()
@@ -322,20 +317,8 @@ proptest! {
                     (v > 0.0).then_some((c, v))
                 })
                 .collect();
-            let b = rng.random_range(1i32..=15) as f64;
-            rhs.push(b);
-            p.add_row(f64::NEG_INFINITY, b, &coeffs);
+            p.add_row(f64::NEG_INFINITY, rng.random_range(1i32..=15) as f64, &coeffs);
         }
-        let s = solve(&p).expect("solve");
-        if s.status == Status::Optimal {
-            let dual_obj: f64 = rhs.iter().zip(&s.duals).map(|(b, y)| b * y).collect::<Vec<_>>().iter().sum();
-            // Strong duality should hold at optimum.
-            prop_assert!((dual_obj - s.objective).abs() <= 1e-5 * (1.0 + s.objective.abs()),
-                "primal {} vs dual {}", s.objective, dual_obj);
-            // Duals of <= rows in a max problem are nonnegative.
-            for &y in &s.duals {
-                prop_assert!(y >= -1e-7, "negative dual {y}");
-            }
-        }
+        check_certified(&p, &format!("packing seed {seed}"));
     }
 }

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wavesched_lp::{
-    solve, solve_with_start, Basis, BasisStatus, Col, NewColumn, Objective, Problem, Row,
-    SimplexConfig, SolverSession, Status,
+    solve, Basis, BasisStatus, Col, NewColumn, Objective, Problem, Row, SimplexConfig,
+    SolverSession, Status,
 };
 
 /// Random LP from integer-ish data (mirrors `tests/differential.rs`), so
@@ -355,7 +355,9 @@ fn infeasible_with_corrupted_basis_still_proven() {
                 .map(|_| statuses[rng.random_range(0..4)])
                 .collect(),
         };
-        let warm = solve_with_start(&p, &SimplexConfig::default(), Some(&garbage)).unwrap();
+        let mut session = SolverSession::new(&p).unwrap();
+        session.warm_start_from(garbage);
+        let warm = session.solve().unwrap();
         assert_eq!(
             warm.status,
             Status::Infeasible,

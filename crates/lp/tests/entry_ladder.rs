@@ -28,8 +28,7 @@
 //! scripts pivots, and a solve that pivoted still ends on a verification.
 
 use wavesched_lp::{
-    solve_with, solve_with_start, Basis, Col, Objective, Problem, Row, SimplexConfig, Solution,
-    SolveError, SolverSession, Status,
+    Basis, Col, Objective, Problem, Row, SimplexConfig, Solution, SolveError, SolverSession, Status,
 };
 
 const NINF: f64 = f64::NEG_INFINITY;
@@ -276,12 +275,9 @@ fn own_basis_dual_abandoned_then_basis_primal() {
 #[test]
 fn foreign_basis_enters_on_the_primal_rung() {
     let (_, basis, _, _) = solved();
-    let q = relative();
-    let free = solve_with_start(&q, &SimplexConfig::default(), Some(&basis)).unwrap();
-    let mut s = SolverSession::new(&q).unwrap();
+    let mut s = SolverSession::new(&relative()).unwrap();
     s.warm_start_from(basis);
     let sess = s.solve().unwrap();
-    assert_eq!((sess.stats, &sess.x), (free.stats, &free.x));
     check(
         &sess,
         "Optimal 81.61111111111111 [0.0, 0.0, 2.3333333333333335, 0.0, 0.0, 1.5, 0.0, 2.0, 0.0, 0.44444444444444436, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
@@ -313,20 +309,18 @@ fn hostile_config_is_a_typed_error() {
     for (k, spoil) in bad.iter().enumerate() {
         let mut cfg = SimplexConfig::default();
         spoil(&mut cfg);
-        let free = solve_with(&p, &cfg).map(drop);
-        let sess = SolverSession::with_config(&p, &cfg).map(drop);
-        for res in [free, sess] {
-            assert!(
-                matches!(res, Err(SolveError::InvalidModel(_))),
-                "case {k}: {res:?}"
-            );
-        }
+        let res = SolverSession::with_config(&p, &cfg).map(drop);
+        assert!(
+            matches!(res, Err(SolveError::InvalidModel(_))),
+            "case {k}: {res:?}"
+        );
     }
-    // The probes' disabled cadence and the forced-dense oracle stay legal.
+    // The probes' disabled cadence and the forced-dense kernels stay legal.
     let edge = SimplexConfig {
         refactor_interval: usize::MAX,
         kernel_density_threshold: 0.0,
         ..SimplexConfig::default()
     };
-    assert_eq!(solve_with(&p, &edge).unwrap().status, Status::Optimal);
+    let mut s = SolverSession::with_config(&p, &edge).unwrap();
+    assert_eq!(s.solve().unwrap().status, Status::Optimal);
 }

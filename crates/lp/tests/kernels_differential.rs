@@ -8,17 +8,19 @@
 //! the dense path, giving an in-tree oracle that shares the model lowering
 //! and pivoting logic but none of the pattern-tracking code.
 //!
-//! A second tier of checks compares both modes against the independent
-//! dense tableau simplex (`solve_dense`), which shares *nothing*.
+//! A second tier holds every answer to its certificate (`certify`), which
+//! shares *nothing* with the solver: it reads the `Problem` and the
+//! `Solution`, and proves the returned status from them alone.
 
+mod certified;
 mod common;
 
+use certified::{assert_certified, assert_every_status, check_certified};
 use common::time_expanded_lp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use wavesched_lp::dense::solve_dense;
-use wavesched_lp::{solve_with, Objective, Problem, SimplexConfig, Status};
+use wavesched_lp::{Objective, Problem, SimplexConfig, Solution, SolverSession, Status};
 
 /// A random LP with controlled column density so the sparse kernels see a
 /// realistic mix of hypersparse and near-dense FTRAN/BTRAN results.
@@ -83,11 +85,20 @@ fn dense_oracle_cfg() -> SimplexConfig {
     }
 }
 
+/// A cold solve of `p` under `cfg`.
+fn solve_under(p: &Problem, cfg: &SimplexConfig) -> Solution {
+    let mut session = SolverSession::with_config(p, cfg).expect("session");
+    session.solve().expect("solve")
+}
+
 /// The core claim: sparse and forced-dense kernels take the *same* pivot
-/// path and land on the *same bits*.
+/// path and land on the *same bits* — each an answer that proves its
+/// status.
 fn check_bit_identity(p: &Problem, label: &str) {
-    let s = solve_with(p, &sparse_cfg()).expect("sparse-kernel solve");
-    let d = solve_with(p, &dense_oracle_cfg()).expect("dense-kernel solve");
+    let s = solve_under(p, &sparse_cfg());
+    let d = solve_under(p, &dense_oracle_cfg());
+    assert_certified(p, &s, label);
+    assert_certified(p, &d, label);
     assert_eq!(s.status, d.status, "{label}: status diverged");
     assert_eq!(
         s.stats.iterations, d.stats.iterations,
@@ -125,26 +136,6 @@ fn check_bit_identity(p: &Problem, label: &str) {
     }
 }
 
-/// Second tier: both kernel modes against the independent tableau solver.
-fn check_oracle_agreement(p: &Problem, label: &str) {
-    let s = solve_with(p, &sparse_cfg()).expect("sparse-kernel solve");
-    let o = solve_dense(p).expect("tableau oracle solve");
-    assert_eq!(s.status, o.status, "{label}: status vs tableau oracle");
-    if s.status == Status::Optimal {
-        assert!(
-            (s.objective - o.objective).abs() <= 1e-7 * (1.0 + s.objective.abs()),
-            "{label}: objective {} vs tableau oracle {}",
-            s.objective,
-            o.objective
-        );
-        assert!(
-            p.max_violation(&s.x) <= 1e-6,
-            "{label}: sparse-kernel solution infeasible by {}",
-            p.max_violation(&s.x)
-        );
-    }
-}
-
 #[test]
 fn sparse_kernels_bit_identical_small() {
     let mut rng = StdRng::seed_from_u64(0x51AB_0001);
@@ -164,17 +155,21 @@ fn sparse_kernels_bit_identical_medium() {
 }
 
 #[test]
-fn sparse_kernels_match_tableau_oracle() {
+fn sparse_kernels_prove_every_status() {
     let mut rng = StdRng::seed_from_u64(0x51AB_0003);
-    for trial in 0..150 {
-        let p = random_sparse_problem(&mut rng, 10, 10);
-        check_oracle_agreement(&p, &format!("oracle trial {trial}"));
-    }
+    let seen: Vec<Status> = (0..150)
+        .map(|trial| {
+            let p = random_sparse_problem(&mut rng, 10, 10);
+            check_certified(&p, &format!("certified trial {trial}"))
+        })
+        .collect();
+    assert_every_status(&seen, "certified trials");
 }
 
 /// A fully dense LP (every column in every row) drives the kernel results
 /// over the density threshold, so normal (sparse) mode hands its consumers
-/// results flagged dense — and the answer must still match everything else.
+/// results flagged dense — and the answer must still match everything else
+/// and prove its optimality.
 #[test]
 fn dense_degenerate_problem_exercises_fallback() {
     let mut rng = StdRng::seed_from_u64(0x51AB_0004);
@@ -196,7 +191,7 @@ fn dense_degenerate_problem_exercises_fallback() {
         p.add_row(b, b, &coeffs);
     }
 
-    let s = solve_with(&p, &sparse_cfg()).expect("sparse-kernel solve");
+    let s = solve_under(&p, &sparse_cfg());
     assert_eq!(s.status, Status::Optimal);
     assert!(
         s.stats.ftran_dense_fallbacks > 0,
@@ -209,17 +204,17 @@ fn dense_degenerate_problem_exercises_fallback() {
         s.stats
     );
     check_bit_identity(&p, "dense degenerate");
-    check_oracle_agreement(&p, "dense degenerate");
 }
 
 /// The production shape (time-expanded, unit coefficients, degenerate) on
 /// a basis of three bitmap words: the sweeps, not the dense kernels, must
-/// have carried the solve that is then held to the two oracles.
+/// have carried the solve that is then held to the forced-dense kernels
+/// and to its certificate.
 #[test]
 fn time_expanded_lp_runs_the_sweeps_across_bitmap_words() {
     let p = time_expanded_lp(0x51AB_0005);
     assert!(p.num_rows() >= 150, "{} rows", p.num_rows());
-    let s = solve_with(&p, &sparse_cfg()).expect("sparse-kernel solve");
+    let s = solve_under(&p, &sparse_cfg());
     assert_eq!(s.status, Status::Optimal);
     assert!(s.stats.degenerate_pivots > 0, "{:?}", s.stats);
     assert!(
@@ -229,18 +224,16 @@ fn time_expanded_lp_runs_the_sweeps_across_bitmap_words() {
         s.stats
     );
     check_bit_identity(&p, "time-expanded");
-    check_oracle_agreement(&p, "time-expanded");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The production shape over arbitrary seeds, through both oracles.
+    /// The production shape over arbitrary seeds, through both tiers.
     #[test]
     fn proptest_time_expanded_kernels(seed in any::<u64>()) {
         let p = time_expanded_lp(seed);
         check_bit_identity(&p, &format!("time-expanded seed {seed}"));
-        check_oracle_agreement(&p, &format!("time-expanded seed {seed}"));
     }
 }
 
@@ -256,11 +249,11 @@ proptest! {
         check_bit_identity(&p, &format!("seed {seed}"));
     }
 
-    /// Property form of the tableau-oracle agreement.
+    /// Property form of the certified tier.
     #[test]
-    fn proptest_kernels_match_oracle(seed in any::<u64>()) {
+    fn proptest_kernels_certified(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = random_sparse_problem(&mut rng, 9, 9);
-        check_oracle_agreement(&p, &format!("oracle seed {seed}"));
+        check_certified(&p, &format!("certified seed {seed}"));
     }
 }

@@ -16,8 +16,7 @@
 //! columns 54 → 35 / 4 → 2, bulk flips 50 → 40 / 3 → 2).
 
 use wavesched_lp::{
-    solve_with, Col, NewColumn, Objective, Problem, Row, SimplexConfig, Solution, SolverSession,
-    Status,
+    solve, Col, NewColumn, Objective, Problem, Row, SimplexConfig, Solution, SolverSession, Status,
 };
 
 const NINF: f64 = f64::NEG_INFINITY;
@@ -78,7 +77,7 @@ fn cold_devex_with_score_ties() {
         |i| (6 + i * 3 % 5) as f64,
     );
     check(
-        &solve_with(&p, &SimplexConfig::default()).unwrap(),
+        &solve(&p).unwrap(),
         "Optimal 84.14285714285715 [0.0, 0.0, 0.0, 0.6666666666666666, 0.0, 0.0, 0.0, 4.0, 0.0, 0.5714285714285715, 0.0, 3.0, 0.0, 2.6666666666666665, 0.0, 3.0, 0.0, 4.0, 0.0, 4.0, 0.0, 4.0, 0.0, 2.142857142857143]",
         "iterations: 12, refactorizations: 2, refactor_forced_fallback: 2, bound_flips: 3, ftran_ops: 12, ftran_nnz: 20, btran_ops: 9, btran_nnz: 10, pivot_row_nnz: 75, pricing_candidates_scanned: 106",
     );
@@ -106,7 +105,8 @@ fn bland_mode_takes_the_lowest_eligible_index() {
         degeneracy_threshold: 1,
         ..SimplexConfig::default()
     };
-    check(&solve_with(&p, &cfg).unwrap(), "Optimal 14.666666666666666 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0]", "iterations: 15, refactorizations: 2, refactor_forced_fallback: 2, degenerate_pivots: 12, bound_flips: 2, ftran_ops: 15, ftran_nnz: 110, ftran_dense_fallbacks: 6, btran_ops: 13, btran_nnz: 20, pivot_row_nnz: 114, pricing_candidates_scanned: 41");
+    let mut session = SolverSession::with_config(&p, &cfg).unwrap();
+    check(&session.solve().unwrap(), "Optimal 14.666666666666666 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0]", "iterations: 15, refactorizations: 2, refactor_forced_fallback: 2, degenerate_pivots: 12, bound_flips: 2, ftran_ops: 15, ftran_nnz: 110, ftran_dense_fallbacks: 6, btran_ops: 13, btran_nnz: 20, pivot_row_nnz: 114, pricing_candidates_scanned: 41");
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn primal_bound_flips() {
         |i| (9 + i * 3 % 5) as f64,
     );
     check(
-        &solve_with(&p, &SimplexConfig::default()).unwrap(),
+        &solve(&p).unwrap(),
         "Optimal 69.0952380952381 [0.0, 1.0, 0.6666666666666666, 1.0, 0.3333333333333333, 1.0, 0.0, 1.0, 1.0, 0.6190476190476191, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.9047619047619049]",
         "iterations: 22, refactorizations: 2, refactor_forced_fallback: 2, degenerate_pivots: 2, bound_flips: 15, ftran_ops: 22, ftran_nnz: 156, ftran_dense_fallbacks: 9, btran_ops: 7, btran_nnz: 17, pivot_row_nnz: 79, pricing_candidates_scanned: 252",
     );

@@ -11,9 +11,7 @@ mod common;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use wavesched_lp::{
-    solve, solve_with_start, Col, Objective, Problem, Row, SimplexConfig, SolverSession, Status,
-};
+use wavesched_lp::{solve, Col, Objective, Problem, Row, SolverSession, Status};
 
 fn set_interval() {
     std::env::set_var("WS_SANITIZE", "2");
@@ -147,8 +145,9 @@ fn snapshot_entry_sweeps_on_a_fresh_engines_cadence() {
         }
         session.warm_start_from(basis.clone());
         let held = session.solve().expect("re-solve");
-        let one_shot =
-            solve_with_start(&p, &SimplexConfig::default(), Some(&basis)).expect("one-shot");
+        let mut fresh = SolverSession::new(&p).expect("session");
+        fresh.warm_start_from(basis);
+        let one_shot = fresh.solve().expect("one-shot");
         assert!(
             held.stats.iterations > 0,
             "seed {seed}: nothing to re-solve"
