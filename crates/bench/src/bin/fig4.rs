@@ -186,9 +186,9 @@ fn main() {
     println!("# warm starts accepted, and cold fallbacks across the bisection and delta growth");
     println!("jobs,b_lp,b_final,lp_avg_end,lpdar_avg_end,lpd_frac_finished,lp_solves,iters,phase1_iters,warm_accepted,cold_fallbacks");
     // Job-count sweep points run across the WS_THREADS pool; each point's
-    // RET search probes serially (RetConfig.threads defaults to 1). Every
-    // column — including the solver-work counters — is bit-identical at any
-    // thread count (see tests/determinism.rs).
+    // RET search is one serial chain of probes. Every column — including the
+    // solver-work counters — is bit-identical at any thread count (see
+    // tests/determinism.rs).
     let rows = par_points(&job_counts, |&n| {
         let g = paper_random_network(w, 42, opts.smoke);
         let jobs = WorkloadGenerator::new(WorkloadConfig {

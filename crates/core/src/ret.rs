@@ -19,7 +19,6 @@ use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{adjust_rates_capped, truncate, AdjustOrder};
 use crate::schedule::Schedule;
 use crate::timegrid::TimeGrid;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use wavesched_lp::{
     solve, Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats, SolverSession,
@@ -42,23 +41,15 @@ pub struct RetConfig {
     pub bsearch_tol: f64,
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
-    /// Answer the bisection's feasibility probes on clones of a template
-    /// [`SolverSession`] built once on the `b_max` envelope, warm-starting
-    /// every probe from an anchored optimal basis. Disable to
-    /// force a fresh cold solve per probe; the search trajectory and the
-    /// returned schedules are identical either way — only the work counters
-    /// differ.
+    /// Answer the bisection's feasibility probes in place on one
+    /// [`SolverSession`] built once on the `b_max` envelope, each probe
+    /// warm-starting from the optimum of the one before. Disable to force a
+    /// fresh cold solve per probe; the search trajectory and the returned
+    /// schedules are identical either way — only the work counters differ.
     pub warm_start: bool,
-    /// Probe-pool width; `1` (the default) probes serially on the calling
-    /// thread. When a round's `2^d − 1` candidate midpoints (the next `d`
-    /// levels of the search tree) fit the width, they are evaluated
-    /// concurrently on scoped threads, each probe on its own clone of the
-    /// warm template, and only the realized path is walked; a narrower
-    /// width probes lazily. Probe answers are pure functions of `b`, so
-    /// `b̂`, the schedules, and the merged work counters are bit-identical
-    /// at every width. `0` is rejected as a [`SolveError::InvalidModel`].
-    /// Ignored when `warm_start` is off — cold probes rebuild instances
-    /// through a shared path cache and stay serial.
+    /// Has no effect: every probe runs serially on the calling thread. The
+    /// field remains only because the outside-in benchmark sets it, and goes
+    /// with that benchmark's `par.ret_scale_t2` row.
     pub threads: usize,
 }
 
@@ -207,43 +198,14 @@ fn windows_at(grid: &TimeGrid, jobs: &[Job], origin: f64, b: f64) -> Option<Vec<
     Some(windows)
 }
 
-/// Up to `max_steps` bisection steps between an infeasible `lo` and a
-/// feasible `hi`, stopping early once the interval is within `tol`.
-/// Returns the narrowed `(lo, hi)`.
-fn bisect_steps(
-    (mut lo, mut hi): (f64, f64),
-    tol: f64,
-    max_steps: usize,
-    mut probe: impl FnMut(f64) -> Result<bool, SolveError>,
-) -> Result<(f64, f64), SolveError> {
-    for _ in 0..max_steps {
-        if hi - lo <= tol {
-            break;
-        }
-        let mid = 0.5 * (lo + hi);
-        if probe(mid)? {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok((lo, hi))
-}
-
 /// What Algorithm 2 needs from an LP backend. Two implementations:
 /// [`EnvelopeBackend`] (the monolithic `b_max`-envelope LPs) and
 /// [`CgBackend`] (one column-generation master).
 trait RetBackend {
-    /// One realized, serial probe — the two opening ones (`b = 0`,
-    /// `b = b_max`) and the default bisection's midpoints: is the
-    /// fractional SUB-RET feasible at extension `b`?
+    /// One probe of the search — the two opening ones (`b = 0`,
+    /// `b = b_max`) and every bisection midpoint: is the fractional SUB-RET
+    /// feasible at extension `b`?
     fn probe(&mut self, b: f64) -> Result<bool, SolveError>;
-
-    /// Narrows an infeasible `lo` / feasible `hi` pair to `tol` and returns
-    /// the final `hi`. Serial probing unless the backend can do better.
-    fn bisect(&mut self, lo: f64, hi: f64, tol: f64) -> Result<f64, SolveError> {
-        bisect_steps((lo, hi), tol, usize::MAX, |b| self.probe(b)).map(|(_, hi)| hi)
-    }
 
     /// Solves the Quick-Finish SUB-RET at extension `b`. Returns the
     /// instance at `b` with the fractional values over its variables, or
@@ -272,10 +234,17 @@ fn algorithm2<B: RetBackend>(
             "RET needs at least one job".into(),
         ));
     }
-    if cfg.threads == 0 {
-        return Err(SolveError::InvalidModel(
-            "RetConfig::threads must be at least 1 (1 probes serially)".into(),
-        ));
+    if !(cfg.b_max.is_finite() && cfg.b_max >= 0.0) {
+        return Err(SolveError::InvalidModel(format!(
+            "RetConfig::b_max must be finite and at least 0, got {}",
+            cfg.b_max
+        )));
+    }
+    if !(cfg.bsearch_tol.is_finite() && cfg.bsearch_tol > 0.0) {
+        return Err(SolveError::InvalidModel(format!(
+            "RetConfig::bsearch_tol must be finite and positive, got {}",
+            cfg.bsearch_tol
+        )));
     }
     let _span = obs::span("ret");
     let mut backend = make()?;
@@ -285,7 +254,22 @@ fn algorithm2<B: RetBackend>(
     } else if !backend.probe(cfg.b_max)? {
         return Ok(None);
     } else {
-        backend.bisect(0.0, cfg.b_max, cfg.bsearch_tol)?
+        // Bisect between an infeasible `lo` and a feasible `hi`. The
+        // interval stops shrinking at adjacent floats, which a tolerance
+        // below their spacing would otherwise never reach.
+        let (mut lo, mut hi) = (0.0, cfg.b_max);
+        while hi - lo > cfg.bsearch_tol {
+            let mid = 0.5 * (lo + hi);
+            if !(lo < mid && mid < hi) {
+                break;
+            }
+            if backend.probe(mid)? {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
     };
 
     let mut b = b_lp;
@@ -331,9 +315,6 @@ struct EnvelopeLp {
     upper: Vec<f64>,
 }
 
-/// A clone probe's outcome: `(feasible, work, solved session if any)`.
-type CloneProbe = Result<(bool, SolveStats, Option<SolverSession>), SolveError>;
-
 impl EnvelopeLp {
     /// Every variable's bottleneck bound on the envelope instance.
     fn bounds_of(inst: &Instance) -> Vec<f64> {
@@ -345,30 +326,14 @@ impl EnvelopeLp {
             .collect()
     }
 
-    /// Retightens `session` — an envelope LP's own or a clone of it — to
-    /// `windows` and solves: variables of out-of-window slices are fixed to
-    /// `[0, 0]`, the rest restored to `[0, bottleneck]`. (An associated
-    /// function over split fields so it can target either.)
-    fn solve_on(
-        inst: &Instance,
-        upper: &[f64],
-        session: &mut SolverSession,
-        windows: &[Range<usize>],
-    ) -> Result<Solution, SolveError> {
-        for (var, job, _, slice) in inst.vars.iter() {
-            let ub = if windows[job].contains(&slice) {
-                upper[var]
-            } else {
-                0.0
-            };
-            session.set_col_bounds(Col::from_index(var), 0.0, ub);
-        }
-        session.solve()
-    }
-
-    /// Solves at extension `b` **in place**, so the next solve — or every
-    /// later clone — warm-starts from this optimum. `None` when some window
-    /// is empty at `b` (no solve).
+    /// Retightens the session to the windows at extension `b` and solves
+    /// **in place**, so the next solve warm-starts from this optimum:
+    /// variables of out-of-window slices are fixed to `[0, 0]`, the rest
+    /// restored to `[0, bottleneck]`. A solved session carries a valid basis
+    /// factorization and the retightening is a bound-only edit, so the
+    /// re-solve enters through the factorization-reuse path
+    /// (`SolveStats::lu_reuse_hits`). `None` when some window is empty at
+    /// `b` (no solve).
     fn solve_at(
         &mut self,
         jobs: &[Job],
@@ -378,35 +343,15 @@ impl EnvelopeLp {
         let Some(windows) = windows_at(&self.inst.grid, jobs, origin, b) else {
             return Ok(None);
         };
-        let EnvelopeLp {
-            inst,
-            session,
-            upper,
-        } = self;
-        Self::solve_on(inst, upper, session, &windows).map(Some)
-    }
-
-    /// One feasibility probe at extension `b` on a fresh clone of the
-    /// session: a **pure function** of `b` and the template state — no
-    /// shared mutation, so probes may run concurrently and a probe's
-    /// `(answer, stats)` never depends on which other probes ran. The
-    /// solved clone is returned so the caller may adopt a *realized*
-    /// probe's basis as the next template (`None` when the probe answered
-    /// without solving).
-    ///
-    /// A solved template also carries a *valid basis factorization*, and
-    /// the clone inherits it: the window retightening is a bound-only
-    /// edit, so the probe's solve enters through the factorization-reuse
-    /// path (`SolveStats::lu_reuse_hits`) and skips `Lu::factor` entirely
-    /// — the dominant cost of a few-pivot probe.
-    fn probe_on_clone(&self, jobs: &[Job], origin: f64, b: f64) -> CloneProbe {
-        let _span = obs::span("ret_probe");
-        let Some(windows) = windows_at(&self.inst.grid, jobs, origin, b) else {
-            return Ok((false, SolveStats::default(), None));
-        };
-        let mut session = self.session.clone();
-        let sol = Self::solve_on(&self.inst, &self.upper, &mut session, &windows)?;
-        Ok((probe_feasible(&sol), sol.stats, Some(session)))
+        for (var, job, _, slice) in self.inst.vars.iter() {
+            let ub = if windows[job].contains(&slice) {
+                self.upper[var]
+            } else {
+                0.0
+            };
+            self.session.set_col_bounds(Col::from_index(var), 0.0, ub);
+        }
+        self.session.solve().map(Some)
     }
 }
 
@@ -416,16 +361,10 @@ impl EnvelopeLp {
 /// **Probing.** Warm and cold modes answer through the same
 /// [`open_probe`] LP, so the probe answers — and therefore the bisection
 /// trajectory and `b̂` — never depend on `warm_start`; cold mode rebuilds
-/// instance and LP at every `b`. In warm mode the template is re-anchored
-/// only at fixed points of the realized sequence: the two opening probes
-/// solve it **in place** (`b = 0` cold on the fresh session, `b_max` warm
-/// from that basis), and each bisection round installs its last realized
-/// probe's solved clone. Between anchors the template is constant, so a
-/// probe's answer *and its work counters* are pure functions of `b` — the
-/// property that lets [`EnvelopeBackend::bisect`] evaluate speculative
-/// midpoints in parallel and still merge bit-identical realized stats at
-/// every width. Structural trouble degrades to a cold solve inside
-/// the clone, never to a wrong answer.
+/// instance and LP at every `b`. In warm mode every probe solves **in
+/// place** on the one envelope session, warm from the probe before it
+/// (`b = 0` cold on the fresh session). Structural trouble degrades to a
+/// cold solve, never to a wrong answer.
 ///
 /// **Growth.** Consecutive δ-steps chain through one Quick-Finish session
 /// in *both* modes — the same deterministic call sequence either way — so
@@ -441,25 +380,17 @@ struct EnvelopeBackend<'a> {
     cfg: &'a RetConfig,
     origin: f64,
     pathset: &'a mut PathSet,
-    /// The warm probe template; `None` in cold mode, when some job is
+    /// The warm probe LP; `None` in cold mode, when some job is
     /// unschedulable even at `b_max`, and once the growth LP took over its
     /// envelope.
     probe_lp: Option<EnvelopeLp>,
     /// The Quick-Finish LP, built at the first growth step on the probe
-    /// template's envelope (cold mode builds the envelope there).
+    /// LP's envelope (cold mode builds the envelope there).
     growth_lp: Option<EnvelopeLp>,
     stats: SolveStats,
 }
 
 impl<'a> EnvelopeBackend<'a> {
-    /// Levels of the midpoint tree covered per bisection round. Fixed (not
-    /// width-derived) because the round boundaries decide where the
-    /// template re-anchors: a width-dependent depth would give different
-    /// widths different warm-start anchors and break bit-identical work
-    /// counters. Depth 2: three candidate probes, so any width of 3 or more
-    /// speculates on three threads.
-    const ROUND_DEPTH: usize = 2;
-
     fn new(
         graph: &'a Graph,
         jobs: &'a [Job],
@@ -527,87 +458,10 @@ impl RetBackend for EnvelopeBackend<'_> {
         Ok(probe_feasible(&sol))
     }
 
-    /// Warm mode bisects in rounds of a **fixed** depth
-    /// [`Self::ROUND_DEPTH`]: each round covers the next `D` levels of the
-    /// midpoint tree (the `2^D − 1` candidate midpoints), every probe a
-    /// pure clone-solve of the round-entry template. When the round fits
-    /// `RetConfig::threads` (a thread per candidate), it is evaluated up
-    /// front on scoped threads (speculation); a narrower width probes only
-    /// realized midpoints — three probes on two cores cost two
-    /// probe-times, what the lazy walk's two realized probes cost, plus a
-    /// session clone each. In both cases the walk merges the realized
-    /// probes' stats, counts them
-    /// in `ret.probes`, and finally installs the last realized probe's
-    /// solved session as the next round's template, so warm-start anchors
-    /// converge toward `b̂` like a chained search would. The round
-    /// structure, the realized trajectory, and the installed anchors are
-    /// all independent of the width, so `b̂` and the merged stats are
-    /// bit-identical to the serial walk; mis-speculated probes cost only
-    /// wasted wall clock on otherwise-idle cores (reported under
-    /// `ret.speculative_probes`). Cold probes rebuild instances through
-    /// the shared path cache and stay serial.
-    fn bisect(&mut self, lo: f64, hi: f64, tol: f64) -> Result<f64, SolveError> {
-        let Some(mut template) = self.probe_lp.take() else {
-            return bisect_steps((lo, hi), tol, usize::MAX, |b| self.probe(b)).map(|(_, hi)| hi);
-        };
-        let (jobs, origin) = (self.jobs, self.origin);
-        let (mut lo, mut hi) = (lo, hi);
-        while hi - lo > tol {
-            // Speculate the full round when the width holds it, one scoped
-            // thread per candidate, joined in candidate order; probe lazily
-            // (realized midpoints only) on a narrower one.
-            let mut by_bits: BTreeMap<u64, CloneProbe> = BTreeMap::new();
-            let round_probes = (1 << Self::ROUND_DEPTH) - 1;
-            if self.cfg.threads >= round_probes {
-                let mut cands = Vec::with_capacity(round_probes);
-                collect_midpoints(lo, hi, Self::ROUND_DEPTH, tol, &mut cands);
-                let template = &template;
-                let answers: Vec<CloneProbe> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = cands
-                        .iter()
-                        .map(|&b| scope.spawn(move || template.probe_on_clone(jobs, origin, b)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-                obs::counter_add("ret.speculative_probes", cands.len() as u64);
-                by_bits.extend(cands.iter().map(|b| b.to_bits()).zip(answers));
-            }
-            // Walk the realized path. Midpoints are pure functions of
-            // (lo, hi), so a speculated round was built over exactly these
-            // bit patterns; errors on mis-speculated probes are discarded
-            // with them — only a realized probe's error surfaces, as in
-            // the serial walk.
-            let mut last_realized: Option<SolverSession> = None;
-            (lo, hi) = bisect_steps((lo, hi), tol, Self::ROUND_DEPTH, |mid| {
-                let (ans, stats, session) = match by_bits.remove(&mid.to_bits()) {
-                    Some(r) => r?,
-                    None => template.probe_on_clone(jobs, origin, mid)?,
-                };
-                obs::counter_add("ret.probes", 1);
-                self.stats.merge(&stats);
-                if let Some(s) = session {
-                    last_realized = Some(s);
-                }
-                Ok(ans)
-            })?;
-            // Re-anchor for the next round on the last realized basis (a
-            // pure function of the realized trajectory — width-independent).
-            if let Some(s) = last_realized {
-                template.session = s;
-            }
-        }
-        // The growth phase inherits the envelope.
-        self.probe_lp = Some(template);
-        Ok(hi)
-    }
-
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
         let origin = self.origin as usize;
         if self.growth_lp.is_none() {
-            // The search is over: the probe template's session is released
+            // The search is over: the probe LP's session is released
             // and its envelope (instance and bounds) carries the
             // Quick-Finish LP from here on.
             let (upper, inst) = match self.probe_lp.take() {
@@ -660,27 +514,13 @@ impl RetBackend for EnvelopeBackend<'_> {
     }
 }
 
-/// Pre-order collection of the bisection tree's candidate midpoints to
-/// `depth` levels below `[lo, hi]`, skipping subtrees the walk could never
-/// enter (intervals already within `tol`).
-fn collect_midpoints(lo: f64, hi: f64, depth: usize, tol: f64, out: &mut Vec<f64>) {
-    if depth == 0 || hi - lo <= tol {
-        return;
-    }
-    let mid = 0.5 * (lo + hi);
-    out.push(mid);
-    collect_midpoints(lo, mid, depth - 1, tol, out);
-    collect_midpoints(mid, hi, depth - 1, tol, out);
-}
-
 /// Algorithm 2's backend over one column-generation master, built at the
 /// `b_max` envelope and seeded with shortest paths: per trial `b` the
 /// active windows tighten or reopen, the form switches (probe /
 /// Quick-Finish), and the price–resolve loop re-prices — columns
 /// accumulate monotonically across the whole search and the simplex basis
-/// chains warm throughout. The master is a single evolving session, so
-/// probing stays serial at any `RetConfig::threads`, and growth is capped
-/// at the envelope: the pool's windows cannot extend past `b_max`.
+/// chains warm throughout. Growth is capped at the envelope: the pool's
+/// windows cannot extend past `b_max`.
 struct CgBackend<'a> {
     master: CgMaster,
     pricer: Box<dyn Pricer>,
@@ -970,7 +810,9 @@ mod tests {
     #[test]
     fn warm_probes_cut_iterations_on_fig4_workload() {
         // The Fig. 4 RET workload (scaled to test size): warm-started probes
-        // must save at least 30% of the total simplex iterations.
+        // must save at least 25% of the total simplex iterations. Probes
+        // chained in place take 705 against 951 cold (26% saved); the
+        // clone-per-probe rounds they replaced took 657 (31%).
         let (g, _) = abilene14(2);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: 15,
@@ -1000,8 +842,8 @@ mod tests {
         assert_eq!(cold.b_lp.to_bits(), warm.b_lp.to_bits());
         assert_eq!(cold.lpdar, warm.lpdar);
         assert!(
-            (warm.stats.iterations as f64) <= 0.7 * cold.stats.iterations as f64,
-            "warm {} vs cold {} iterations: less than 30% saved",
+            (warm.stats.iterations as f64) <= 0.75 * cold.stats.iterations as f64,
+            "warm {} vs cold {} iterations: less than 25% saved",
             warm.stats.iterations,
             cold.stats.iterations
         );
@@ -1031,49 +873,6 @@ mod tests {
             b_max: 10.0,
             max_delta_steps: 120,
             ..RetConfig::default()
-        }
-    }
-
-    #[test]
-    fn speculative_probes_match_serial_bitwise() {
-        // Probe answers and work counters are pure functions of b (clones
-        // of one anchored template), and only realized probes are merged —
-        // so EVERY field of the result, including the solver-work stats,
-        // must be bit-identical at any pool width.
-        for seed in [3000, 3001] {
-            let (g, jobs) = bisecting_jobs(10, seed);
-            let cfg = InstanceConfig::paper(2);
-            let run = |threads: usize| {
-                let ret_cfg = RetConfig {
-                    threads,
-                    ..bisecting_cfg()
-                };
-                solve_ret(&g, &jobs, &cfg, &ret_cfg)
-                    .unwrap()
-                    .expect("feasible")
-            };
-            let serial = run(1);
-            assert!(serial.b_lp > 0.0, "seed {seed}: workload must bisect");
-            for threads in [2, 4, 8] {
-                let spec = run(threads);
-                assert_eq!(
-                    serial.b_lp.to_bits(),
-                    spec.b_lp.to_bits(),
-                    "seed {seed} threads {threads}: b_lp"
-                );
-                assert_eq!(
-                    serial.b_final.to_bits(),
-                    spec.b_final.to_bits(),
-                    "seed {seed} threads {threads}: b_final"
-                );
-                assert_eq!(serial.lp, spec.lp, "seed {seed} threads {threads}");
-                assert_eq!(serial.lpd, spec.lpd, "seed {seed} threads {threads}");
-                assert_eq!(serial.lpdar, spec.lpdar, "seed {seed} threads {threads}");
-                assert_eq!(
-                    serial.stats, spec.stats,
-                    "seed {seed} threads {threads}: realized work counters"
-                );
-            }
         }
     }
 
@@ -1109,10 +908,6 @@ mod tests {
             RetConfig::default(),
             ColGenConfig::default(),
         );
-        let zero_threads = RetConfig {
-            threads: 0,
-            ..RetConfig::default()
-        };
         let mut ps = PathSet::new(cfg.paths_per_job);
         let cases = [
             ("no jobs", solve_ret(&g, &[], &cfg, &ret).map(drop)),
@@ -1137,14 +932,6 @@ mod tests {
                 "no jobs, colgen",
                 solve_ret_colgen(&g, &[], &cfg, &ret, &cg).map(drop),
             ),
-            (
-                "zero threads",
-                solve_ret(&g, &jobs, &cfg, &zero_threads).map(drop),
-            ),
-            (
-                "zero threads, colgen",
-                solve_ret_colgen(&g, &jobs, &cfg, &zero_threads, &cg).map(drop),
-            ),
         ];
         for (name, out) in cases {
             assert!(
@@ -1152,6 +939,55 @@ mod tests {
                 "{name}: {out:?}"
             );
         }
+
+        // Hostile search knobs on a workload that bisects. Unchecked, a
+        // non-positive tolerance asks for a search finer than the floats, a
+        // NaN or infinite one skips it and answers `b_max`, a NaN or
+        // negative `b_max` panics in the job model, and an infinite one
+        // builds an endless horizon.
+        let (g, jobs) = bisecting_jobs(10, 3000);
+        let hostile = [
+            ("bsearch_tol 0", 0.0, 10.0),
+            ("bsearch_tol -1", -1.0, 10.0),
+            ("bsearch_tol NaN", f64::NAN, 10.0),
+            ("bsearch_tol inf", f64::INFINITY, 10.0),
+            ("b_max NaN", 0.05, f64::NAN),
+            ("b_max -1", 0.05, -1.0),
+            ("b_max inf", 0.05, f64::INFINITY),
+        ];
+        for (name, bsearch_tol, b_max) in hostile {
+            let ret = RetConfig {
+                bsearch_tol,
+                b_max,
+                ..bisecting_cfg()
+            };
+            let mono = solve_ret(&g, &jobs, &cfg, &ret).map(drop);
+            let colgen = solve_ret_colgen(&g, &jobs, &cfg, &ret, &cg).map(drop);
+            for (solver, out) in [("solve_ret", mono), ("solve_ret_colgen", colgen)] {
+                assert!(
+                    matches!(out, Err(SolveError::InvalidModel(_))),
+                    "{name}, {solver}: {out:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tolerance_below_float_spacing_ends_the_search() {
+        // Bisection halts at adjacent floats; the answer is the one a
+        // tolerance just above their spacing reaches.
+        let (g, jobs) = bisecting_jobs(10, 3000);
+        let cfg = InstanceConfig::paper(2);
+        let at = |bsearch_tol: f64| {
+            let ret = RetConfig {
+                bsearch_tol,
+                ..bisecting_cfg()
+            };
+            solve_ret(&g, &jobs, &cfg, &ret).unwrap().expect("feasible")
+        };
+        let (tiny, fine) = (at(f64::MIN_POSITIVE), at(1e-12));
+        assert!(tiny.b_lp > 0.0, "workload must bisect");
+        assert!((tiny.b_lp - fine.b_lp).abs() <= 1e-12);
     }
 
     #[test]

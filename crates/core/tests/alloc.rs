@@ -184,10 +184,7 @@ fn ret_on_a_warm_path_cache_computes_no_path() {
     .generate(&g);
     let icfg = InstanceConfig::paper(2);
     let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
-    // One thread: speculative probes would allocate on pool workers, which
-    // the per-thread counter does not see.
     let cfg = RetConfig {
-        threads: 1,
         b_max: 10.0,
         ..RetConfig::default()
     };

@@ -27,11 +27,9 @@ use crate::stdform::standardize;
 ///
 /// Sessions are [`Clone`]: a clone carries the full engine state, including
 /// the basis the original would warm-start from, and the two evolve
-/// independently afterwards. Speculative evaluation (e.g. the RET probe
-/// pool) clones one template session per probe so every probe re-solves
-/// from the *same* starting basis — making each answer, and its iteration
-/// counts, a pure function of the probed bounds rather than of which
-/// thread answered which probe in which order.
+/// independently afterwards. Clones of one solved session all re-solve from
+/// the *same* starting basis, so each clone's answer, and its iteration
+/// counts, are a pure function of the edits made to that clone.
 ///
 /// ```
 /// use wavesched_lp::{Objective, Problem, SolverSession, Status};

@@ -190,8 +190,7 @@ fn cloned_sessions_answer_identically_and_independently() {
     // A template session solved once; clones re-solve tightened
     // variants. Every clone starts from the same basis, so the same
     // tightening must produce bit-identical objectives and stats no
-    // matter how many clones ran before it — the property the RET
-    // speculative probe pool is built on.
+    // matter how many clones ran before it.
     let mut p = Problem::new(Objective::Maximize);
     let x = p.add_col(0.0, 4.0, 1.0);
     let y = p.add_col(0.0, 10.0, 2.0);

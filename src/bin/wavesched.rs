@@ -289,11 +289,14 @@ fn run() -> Result<(), String> {
             [a, e] => (a.as_str(), e.as_str()),
             _ => return Err("check-counters needs <actual> <expected> file paths".to_string()),
         };
-        // `--require-nonzero <name>` (repeatable): the named counter must be
-        // present AND strictly positive in <actual>. The plain comparison is
-        // upper-bound only, so without this a code path that silently stops
-        // running (e.g. the dual simplex never engaging) would read as an
-        // "improvement" — this makes "the path actually ran" a gate.
+        // Every expected counter is an upper bound, so an expectation file
+        // lists only counters where less is better; a counter where more is
+        // better (LU reuse, accepted warm starts, skipped verifications,
+        // arena reuse) has no row there. `--require-nonzero <name>`
+        // (repeatable) gates those instead: the named counter must be
+        // present AND strictly positive in <actual>, so a code path that
+        // silently stops running (e.g. the dual simplex never engaging)
+        // fails rather than reading as an "improvement".
         let required: Vec<&str> = args
             .opts
             .iter()

@@ -13,8 +13,8 @@
 //! * [`obs`] — zero-dependency observability: spans, counters, histograms,
 //!   JSON-lines reports
 //!
-//! The algorithms run on the calling thread; only `RetConfig::threads ≥ 3`
-//! lets RET probe on scoped threads. The figure binaries' sweep pool lives in `crates/bench`.
+//! The algorithms run on the calling thread and spawn none. The figure
+//! binaries' sweep pool lives in `crates/bench`.
 //!
 //! See the repository `README.md` for a quickstart and `DESIGN.md` for the
 //! full system inventory and experiment index.
