@@ -3,7 +3,9 @@
 //! `results/`, so structural refactors (like the column-generation
 //! restructure of the solve layers) cannot silently change the default
 //! pipeline's results. Wall-clock columns are masked before comparison —
-//! they are the only columns allowed to differ run to run.
+//! they are the only columns allowed to differ run to run. fig4's answer
+//! columns and its solver-work columns are compared apart, so a change
+//! that moves only the work re-pins only the work.
 //!
 //! Refresh a fixture after an *intentional* result change with:
 //!
@@ -58,14 +60,28 @@ fn project_columns(csv: &str, keep: &[usize]) -> String {
 
 #[test]
 fn fig4_smoke_csv_matches_recorded_fixture() {
-    // Every fig4 column (b̂, end times, solver-work counters) is
-    // deterministic: full byte comparison.
-    let actual = run_smoke(env!("CARGO_BIN_EXE_fig4"), &[]);
-    assert_eq!(
-        actual,
+    // Every fig4 column is deterministic, but they pin two different
+    // things. Columns 1-6 (jobs, b̂, b_final, end times, LPD's share) are
+    // the answers: a change that only moves solver work never refreshes
+    // them. Columns 7-11 (LP solves, iterations, phase-1 iterations, warm
+    // starts, fallbacks) count that work, and are re-pinned when it moves.
+    const ANSWERS: &[usize] = &[0, 1, 2, 3, 4, 5];
+    const COUNTERS: &[usize] = &[0, 6, 7, 8, 9, 10];
+    let (actual, expected) = (
+        run_smoke(env!("CARGO_BIN_EXE_fig4"), &[]),
         fixture("fig4_smoke.csv"),
-        "fig4 --smoke output drifted from results/fig4_smoke.csv; if the \
-         change is intentional, refresh the fixture"
+    );
+    assert_eq!(
+        project_columns(&actual, ANSWERS),
+        project_columns(&expected, ANSWERS),
+        "fig4 --smoke answers drifted from results/fig4_smoke.csv: b̂, b_final \
+         or a schedule moved"
+    );
+    assert_eq!(
+        project_columns(&actual, COUNTERS),
+        project_columns(&expected, COUNTERS),
+        "fig4 --smoke solver-work columns drifted from results/fig4_smoke.csv; \
+         if the change is intentional, refresh the fixture's columns 7-11"
     );
 }
 

@@ -206,7 +206,7 @@ impl HeldLp {
     }
 
     /// Gives up the session — to RET, which re-aims one probe LP by column
-    /// bounds through many solves and clones. `None` over no jobs.
+    /// bounds through many solves. `None` over no jobs.
     pub(crate) fn into_session(self) -> Option<SolverSession> {
         self.session
     }

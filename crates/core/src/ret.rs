@@ -41,11 +41,13 @@ pub struct RetConfig {
     pub bsearch_tol: f64,
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
-    /// Answer the bisection's feasibility probes in place on one
-    /// [`SolverSession`] built once on the `b_max` envelope, each probe
-    /// warm-starting from the optimum of the one before. Disable to force a
-    /// fresh cold solve per probe; the search trajectory and the returned
-    /// schedules are identical either way — only the work counters differ.
+    /// Solve the bisection's feasibility probes that need an LP in place on
+    /// one held [`SolverSession`], built at twice the probe's `b` and rebuilt
+    /// when a probe outgrows it, each probe warm-starting from the optimum
+    /// of the one before. Disable to build and cold-solve a fresh LP per such
+    /// probe. Both modes answer the same probes from the same memo and
+    /// gallop, so the search trajectory and the returned schedules are
+    /// identical either way — only the work counters differ.
     pub warm_start: bool,
     /// Has no effect: every probe runs serially on the calling thread. The
     /// field remains only because the outside-in benchmark sets it, and goes
@@ -159,9 +161,9 @@ fn build_subret(inst: &Instance, origin: usize) -> Problem {
 /// `z* >= 1 - RET_PROBE_TOL` makes the check robust. Because `x = 0, z = 0`
 /// is always feasible, a warm start never has to prove infeasibility — the
 /// situation where a warm simplex must discard its basis — so re-solves in
-/// a session stay warm across the whole search. `None` when some job has no
-/// usable (path, slice) at all: the probe is then answered — infeasible —
-/// without an LP.
+/// a session stay warm across every probe it answers. `None` when some job
+/// has no usable (path, slice) at all: the probe is then answered —
+/// infeasible — without an LP.
 fn open_probe(inst: &Instance) -> Result<Option<SolverSession>, SolveError> {
     if inst.has_unschedulable_job() {
         return Ok(None);
@@ -176,15 +178,16 @@ fn probe_feasible(sol: &Solution) -> bool {
     sol.status == Status::Optimal && sol.objective >= 1.0 - RET_PROBE_TOL
 }
 
-/// The jobs' slice windows at trial extension `b` on an envelope `grid`
-/// (one built at `b_max`); `None` when some job's window is empty — the
-/// question is then answered without an LP solve, like an instance built
-/// directly at `b` with an unschedulable job. Slices are unit slices by
-/// global index, so a window that fits under the envelope horizon is the
-/// same range the shorter grid of the `b`-instance would produce. A trial `b`
-/// relaxes end times as measured from the scheduling instant `origin`,
-/// `E_i -> o + (1+b)(E_i - o)` — the paper's eq. 16, which schedules once at
-/// `o = 0`; inside the controller `o` is the invocation time.
+/// The jobs' slice windows at trial extension `b` on an envelope `grid` (one
+/// built at an extension of at least `b`); `None` when some job's window is
+/// empty — the question is then answered without an LP solve, like an
+/// instance built directly at `b` with an unschedulable job. Slices are
+/// unit slices by global index, so a window that fits under the envelope
+/// horizon is the same range the shorter grid of the `b`-instance would
+/// produce. A trial `b` relaxes end times as measured from the scheduling
+/// instant `origin`, `E_i -> o + (1+b)(E_i - o)` — the paper's eq. 16, which
+/// schedules once at `o = 0`; inside the controller `o` is the invocation
+/// time.
 fn windows_at(grid: &TimeGrid, jobs: &[Job], origin: f64, b: f64) -> Option<Vec<Range<usize>>> {
     let mut windows = Vec::with_capacity(jobs.len());
     for job in jobs {
@@ -199,7 +202,7 @@ fn windows_at(grid: &TimeGrid, jobs: &[Job], origin: f64, b: f64) -> Option<Vec<
 }
 
 /// What Algorithm 2 needs from an LP backend. Two implementations:
-/// [`EnvelopeBackend`] (the monolithic `b_max`-envelope LPs) and
+/// [`EnvelopeBackend`] (monolithic LPs over envelope instances) and
 /// [`CgBackend`] (one column-generation master).
 trait RetBackend {
     /// One probe of the search — the two opening ones (`b = 0`,
@@ -301,33 +304,43 @@ fn algorithm2<B: RetBackend>(
     Ok(None)
 }
 
-/// One LP built **once** on the `b_max` envelope instance — whose variable
-/// space contains every trial `b`'s, since windows only grow with `b` — and
-/// re-aimed per trial by column bounds alone. The restricted LP asks the
-/// same question as one built directly at `b`: the extra capacity rows are
-/// satisfied trivially by the zeros, and the job rows reduce to the
-/// in-window sums.
+/// One LP built **once** on an envelope instance — one built at extension
+/// `reach`, whose variable space contains that of every trial `b <= reach`,
+/// since windows only grow with `b` — and re-aimed per trial by column
+/// bounds alone. The restricted LP asks the same question as one built
+/// directly at `b`: the extra capacity rows are satisfied trivially by the
+/// zeros, and the job rows reduce to the in-window sums.
 struct EnvelopeLp {
-    /// The instance at `b_max`; every trial's windows nest inside its own.
+    /// The instance at `reach`; every trial's windows up to `reach` nest
+    /// inside its own.
     inst: Instance,
+    /// The largest trial `b` the envelope holds.
+    reach: f64,
     session: SolverSession,
     /// Per-variable upper bound: the path's bottleneck wavelength count.
     upper: Vec<f64>,
 }
 
 impl EnvelopeLp {
-    /// Every variable's bottleneck bound on the envelope instance.
-    fn bounds_of(inst: &Instance) -> Vec<f64> {
-        inst.vars
+    /// Wraps `session`, an LP over `inst`, the instance built at `reach`.
+    fn new(inst: Instance, reach: f64, session: SolverSession) -> Self {
+        let upper = inst
+            .vars
             .iter()
             .map(|(_, job, path, _)| {
                 inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64
             })
-            .collect()
+            .collect();
+        EnvelopeLp {
+            inst,
+            reach,
+            session,
+            upper,
+        }
     }
 
-    /// Retightens the session to the windows at extension `b` and solves
-    /// **in place**, so the next solve warm-starts from this optimum:
+    /// Retightens the session to the windows at extension `b <= reach` and
+    /// solves **in place**, so the next solve warm-starts from this optimum:
     /// variables of out-of-window slices are fixed to `[0, 0]`, the rest
     /// restored to `[0, bottleneck]`. A solved session carries a valid basis
     /// factorization and the retightening is a bound-only edit, so the
@@ -355,20 +368,34 @@ impl EnvelopeLp {
     }
 }
 
-/// Algorithm 2's backend over the monolithic builders: a probe LP, then a
-/// Quick-Finish LP, on one `b_max` envelope built once.
+/// Algorithm 2's backend over the monolithic builders: probe LPs sized to
+/// the bisection's bracket, then a Quick-Finish LP on the `b_max` envelope.
 ///
-/// **Probing.** Warm and cold modes answer through the same
-/// [`open_probe`] LP, so the probe answers — and therefore the bisection
-/// trajectory and `b̂` — never depend on `warm_start`; cold mode rebuilds
-/// instance and LP at every `b`. In warm mode every probe solves **in
-/// place** on the one envelope session, warm from the probe before it
-/// (`b = 0` cold on the fresh session). Structural trouble degrades to a
-/// cold solve, never to a wrong answer.
+/// **Probing.** Feasibility only grows with `b` (windows only grow), so the
+/// backend keeps a monotone memo — the least `b` answered feasible and the
+/// greatest answered infeasible — and answers every probe at or beyond
+/// either end without an LP. The opening `b_max` probe is reached by a
+/// gallop up the bisection's own first midpoints `b_max · 2^-k`, from the
+/// largest one at most `1/z₀ - 1` (`z₀` the probe optimum at `b = 0`, so
+/// the extension that would complete the jobs if capacity scaled with the
+/// windows) but not below `bsearch_tol`, to the first feasible one. That
+/// point and the one below it, half of it, are midpoints the bisection asks
+/// next, and come back from the memo. The start only decides which small
+/// probes get solved, never an answer. A probe that needs an LP is
+/// answered through the [`open_probe`] LP: in warm mode one held LP built
+/// at `2b` (capped at `b_max`) for the first such probe and rebuilt at `2b`
+/// whenever a probe outgrows it, every probe within it solving **in
+/// place**, warm from the one before; cold mode builds instance and LP at
+/// every such `b`. Only a probe's yes/no leaves the backend, never its
+/// vertex, and both modes solve the same probes, so the bisection
+/// trajectory and `b̂` never depend on `warm_start` or on the size of the LP
+/// a probe solved on. Structural trouble degrades to a cold solve, never to
+/// a wrong answer.
 ///
-/// **Growth.** Consecutive δ-steps chain through one Quick-Finish session
-/// in *both* modes — the same deterministic call sequence either way — so
-/// the fractional points, and therefore the LPDAR schedules and `b_final`,
+/// **Growth.** The first δ-step builds the `b_max` envelope, and
+/// consecutive steps chain through its one Quick-Finish session in *both*
+/// modes — the same deterministic call sequence either way — so the
+/// fractional points, and therefore the LPDAR schedules and `b_final`,
 /// cannot depend on `warm_start`. Only an extension past `b_max`, possible
 /// on the final step, exceeds the envelope and drops to a one-off cold
 /// build.
@@ -380,12 +407,18 @@ struct EnvelopeBackend<'a> {
     cfg: &'a RetConfig,
     origin: f64,
     pathset: &'a mut PathSet,
-    /// The warm probe LP; `None` in cold mode, when some job is
-    /// unschedulable even at `b_max`, and once the growth LP took over its
-    /// envelope.
+    /// The least `b` answered feasible (`∞` before any).
+    feasible_from: f64,
+    /// The greatest `b` answered infeasible (`-∞` before any).
+    infeasible_to: f64,
+    /// The probe optimum at `b = 0`, once solved there.
+    z0: Option<f64>,
+    /// The warm probe LP; `None` in cold mode, before the first probe that
+    /// needs an LP, when some job is unschedulable at its envelope, and once
+    /// the search is over.
     probe_lp: Option<EnvelopeLp>,
-    /// The Quick-Finish LP, built at the first growth step on the probe
-    /// LP's envelope (cold mode builds the envelope there).
+    /// The Quick-Finish LP, built on the `b_max` envelope at the first
+    /// growth step.
     growth_lp: Option<EnvelopeLp>,
     stats: SolveStats,
 }
@@ -399,8 +432,8 @@ impl<'a> EnvelopeBackend<'a> {
         cfg: &'a RetConfig,
         origin: f64,
         pathset: &'a mut PathSet,
-    ) -> Result<Self, SolveError> {
-        let mut backend = EnvelopeBackend {
+    ) -> Self {
+        EnvelopeBackend {
             graph,
             jobs,
             demands,
@@ -408,22 +441,13 @@ impl<'a> EnvelopeBackend<'a> {
             cfg,
             origin,
             pathset,
+            feasible_from: f64::INFINITY,
+            infeasible_to: f64::NEG_INFINITY,
+            z0: None,
             probe_lp: None,
             growth_lp: None,
             stats: SolveStats::default(),
-        };
-        if cfg.warm_start {
-            let env = backend.instance_at(cfg.b_max);
-            // An unschedulable job at b_max stays unschedulable at every
-            // smaller b (windows shrink, paths don't change); the cold
-            // probes then answer without solving, so a session is useless.
-            backend.probe_lp = open_probe(&env)?.map(|session| EnvelopeLp {
-                upper: EnvelopeLp::bounds_of(&env),
-                inst: env,
-                session,
-            });
         }
-        Ok(backend)
     }
 
     /// Builds the instance with every window relaxed by `(1+b)`.
@@ -436,47 +460,112 @@ impl<'a> EnvelopeBackend<'a> {
         let demands = self.demands.to_vec();
         Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, self.pathset)
     }
+
+    /// The memo's answer at `b`, else the probe LP's, which the memo keeps.
+    fn answer(&mut self, b: f64) -> Result<bool, SolveError> {
+        if b >= self.feasible_from {
+            return Ok(true);
+        }
+        if b <= self.infeasible_to {
+            return Ok(false);
+        }
+        let feasible = self.solve_probe(b)?;
+        if feasible {
+            self.feasible_from = b;
+        } else {
+            self.infeasible_to = b;
+        }
+        Ok(feasible)
+    }
+
+    /// Runs ahead of the `b_max` probe while nothing is known feasible:
+    /// answers `b_max · 2^-k` upward from the gallop's start, up to the first
+    /// feasible point or `b_max` itself, whichever comes first.
+    fn gallop(&mut self) -> Result<(), SolveError> {
+        let b_max = self.cfg.b_max;
+        let estimate = self.z0.map_or(f64::INFINITY, |z| 1.0 / z - 1.0);
+        let mut b = b_max;
+        while b > estimate && 0.5 * b >= self.cfg.bsearch_tol {
+            b *= 0.5;
+        }
+        while b < b_max && !self.answer(b)? {
+            b *= 2.0;
+        }
+        Ok(())
+    }
+
+    /// Solves the probe LP at `b`: on the held LP in warm mode, built at
+    /// `2b` when `b` is beyond its reach; on a fresh LP at `b` in cold mode.
+    fn solve_probe(&mut self, b: f64) -> Result<bool, SolveError> {
+        let sol = if self.cfg.warm_start {
+            if self.probe_lp.as_ref().is_none_or(|lp| b > lp.reach) {
+                // The outgrown LP goes before its successor is built.
+                self.probe_lp = None;
+                let reach = (2.0 * b).min(self.cfg.b_max);
+                let inst = self.instance_at(reach);
+                self.probe_lp = open_probe(&inst)?.map(|session| {
+                    obs::counter_add("ret.probe_builds", 1);
+                    EnvelopeLp::new(inst, reach, session)
+                });
+            }
+            match &mut self.probe_lp {
+                Some(lp) => lp.solve_at(self.jobs, self.origin, b)?,
+                None => None,
+            }
+        } else {
+            let sol = self.solve_fresh(b)?;
+            if sol.is_some() {
+                obs::counter_add("ret.probe_builds", 1);
+            }
+            sol
+        };
+        let Some(sol) = sol else {
+            return Ok(false);
+        };
+        obs::counter_add("ret.probe_lps", 1);
+        self.stats.merge(&sol.stats);
+        if b == 0.0 {
+            self.z0 = Some(sol.objective);
+        }
+        Ok(probe_feasible(&sol))
+    }
+
+    /// The probe LP built at `b` and solved cold; `None` when some job is
+    /// unschedulable there.
+    fn solve_fresh(&mut self, b: f64) -> Result<Option<Solution>, SolveError> {
+        let inst = self.instance_at(b);
+        open_probe(&inst)?
+            .map(|mut session| session.solve())
+            .transpose()
+    }
+
+    /// The probe at `b` answered directly by [`Self::solve_fresh`], with no
+    /// memo, counter or statistic touched.
+    #[cfg(test)]
+    fn direct(&mut self, b: f64) -> Result<bool, SolveError> {
+        Ok(self.solve_fresh(b)?.is_some_and(|sol| probe_feasible(&sol)))
+    }
 }
 
 impl RetBackend for EnvelopeBackend<'_> {
     fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
         obs::counter_add("ret.probes", 1);
         let _span = obs::span("ret_probe");
-        let sol = match &mut self.probe_lp {
-            Some(lp) => lp.solve_at(self.jobs, self.origin, b)?,
-            None => {
-                let inst = self.instance_at(b);
-                open_probe(&inst)?
-                    .map(|mut session| session.solve())
-                    .transpose()?
-            }
-        };
-        let Some(sol) = sol else {
-            return Ok(false);
-        };
-        self.stats.merge(&sol.stats);
-        Ok(probe_feasible(&sol))
+        if self.feasible_from.is_infinite() && b >= self.cfg.b_max {
+            self.gallop()?;
+        }
+        self.answer(b)
     }
 
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
         let origin = self.origin as usize;
         if self.growth_lp.is_none() {
-            // The search is over: the probe LP's session is released
-            // and its envelope (instance and bounds) carries the
-            // Quick-Finish LP from here on.
-            let (upper, inst) = match self.probe_lp.take() {
-                Some(EnvelopeLp { inst, upper, .. }) => (upper, inst),
-                None => {
-                    let env = self.instance_at(self.cfg.b_max);
-                    (EnvelopeLp::bounds_of(&env), env)
-                }
-            };
-            let session = SolverSession::new(&build_subret(&inst, origin))?;
-            self.growth_lp = Some(EnvelopeLp {
-                inst,
-                session,
-                upper,
-            });
+            // The search is over: the probe LP goes, and the Quick-Finish LP
+            // is built on the `b_max` envelope.
+            self.probe_lp = None;
+            let env = self.instance_at(self.cfg.b_max);
+            let session = SolverSession::new(&build_subret(&env, origin))?;
+            self.growth_lp = Some(EnvelopeLp::new(env, self.cfg.b_max, session));
         }
         let inst = self.instance_at(b);
         if b > self.cfg.b_max {
@@ -628,7 +717,9 @@ pub fn solve_ret_with_demands(
         )));
     }
     let out = algorithm2(jobs, cfg, || {
-        EnvelopeBackend::new(graph, jobs, demands, inst_cfg, cfg, origin, pathset)
+        Ok(EnvelopeBackend::new(
+            graph, jobs, demands, inst_cfg, cfg, origin, pathset,
+        ))
     })?;
     Ok(out.map(|(result, _)| result))
 }
@@ -874,6 +965,130 @@ mod tests {
             max_delta_steps: 120,
             ..RetConfig::default()
         }
+    }
+
+    /// [`EnvelopeBackend`] with every probe also answered by
+    /// [`EnvelopeBackend::direct`]: logs `(b, answer, direct answer)` and
+    /// counts the LP solves the backend's own answers took.
+    struct Oracle<'a> {
+        inner: EnvelopeBackend<'a>,
+        log: Vec<(f64, bool, bool)>,
+        probe_lps: u64,
+    }
+
+    impl RetBackend for Oracle<'_> {
+        fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
+            let before = self.inner.stats.solves;
+            let answer = self.inner.probe(b)?;
+            self.probe_lps += self.inner.stats.solves - before;
+            let direct = self.inner.direct(b)?;
+            self.log.push((b, answer, direct));
+            Ok(answer)
+        }
+        fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
+            self.inner.quick_finish(b)
+        }
+        fn growth_limit(&self) -> f64 {
+            self.inner.growth_limit()
+        }
+        fn stats(&self) -> SolveStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Runs Algorithm 2 over `jobs` through the [`Oracle`] in both probe
+    /// modes. Every answer must be the direct one, and the `b` asked must be
+    /// the sequence a search answering every probe directly asks: the
+    /// opening `0` and `b_max`, then the bisection's midpoints. Returns the
+    /// probes asked and the probe LPs solved, summed over the two modes.
+    fn memo_answers_match_direct(g: &Graph, jobs: &[Job], cfg: &RetConfig) -> (u64, u64) {
+        let inst_cfg = InstanceConfig::paper(2);
+        let demands: Vec<f64> = jobs
+            .iter()
+            .map(|j| inst_cfg.demand_units(j.size_gb))
+            .collect();
+        let (mut asked, mut lps) = (0, 0);
+        for warm_start in [true, false] {
+            let ret = RetConfig {
+                warm_start,
+                ..cfg.clone()
+            };
+            let mut ps = PathSet::new(inst_cfg.paths_per_job);
+            let out = algorithm2(jobs, &ret, || {
+                Ok(Oracle {
+                    inner: EnvelopeBackend::new(g, jobs, &demands, &inst_cfg, &ret, 0.0, &mut ps),
+                    log: Vec::new(),
+                    probe_lps: 0,
+                })
+            })
+            .unwrap();
+            let (_, oracle) = out.expect("feasible within b_max");
+            let mut next = oracle.log.iter();
+            let mut ask = |b: f64| {
+                let &(asked, answer, direct) = next.next().expect("a probe the search asks");
+                assert_eq!(
+                    asked.to_bits(),
+                    b.to_bits(),
+                    "warm {warm_start}: asked {asked}, want {b}"
+                );
+                assert_eq!(answer, direct, "warm {warm_start}: answer at b = {b}");
+                direct
+            };
+            if !ask(0.0) && ask(ret.b_max) {
+                let (mut lo, mut hi) = (0.0, ret.b_max);
+                while hi - lo > ret.bsearch_tol {
+                    let mid = 0.5 * (lo + hi);
+                    if !(lo < mid && mid < hi) {
+                        break;
+                    }
+                    if ask(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+            }
+            assert!(
+                next.next().is_none(),
+                "warm {warm_start}: probes past the search"
+            );
+            asked += oracle.log.len() as u64;
+            lps += oracle.probe_lps;
+        }
+        (asked, lps)
+    }
+
+    #[test]
+    fn memo_and_gallop_answer_as_direct_solves() {
+        let (mut asked, mut lps) = (0, 0);
+        for seed in [3000, 3001, 3002] {
+            let (g, jobs) = bisecting_jobs(10, seed);
+            let (a, l) = memo_answers_match_direct(&g, &jobs, &bisecting_cfg());
+            (asked, lps) = (asked + a, lps + l);
+        }
+        // Fig. 4's own shape: its workload on a smoke-sized random network.
+        let g = wavesched_net::waxman_network(&wavesched_net::WaxmanConfig {
+            nodes: 30,
+            link_pairs: 60,
+            wavelengths: 2,
+            ..wavesched_net::WaxmanConfig::paper_default(42)
+        });
+        for seed in [3000, 3001, 3002, 3003] {
+            let jobs = WorkloadGenerator::new(WorkloadConfig {
+                num_jobs: 20,
+                seed,
+                size_gb: (100.0, 400.0),
+                window: (2.0, 4.0),
+                ..Default::default()
+            })
+            .generate(&g);
+            let (a, l) = memo_answers_match_direct(&g, &jobs, &bisecting_cfg());
+            (asked, lps) = (asked + a, lps + l);
+        }
+        assert!(
+            lps < asked,
+            "the memo answered no probe: {lps} LPs for {asked} probes"
+        );
     }
 
     #[test]

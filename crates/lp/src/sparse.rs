@@ -23,40 +23,68 @@ impl CscMatrix {
     /// Duplicate `(row, col)` pairs are summed; entries that cancel to zero
     /// are kept (they are harmless and rare).
     ///
+    /// Two passes over `triplets`: one counts the entries of each column,
+    /// the other scatters them, in input order, into the output arrays.
+    /// Each column is then sorted by row through one scratch buffer and
+    /// compacted towards the front.
+    ///
     /// # Panics
     /// Panics if any index is out of range.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        triplets: impl IntoIterator<Item = (u32, u32, f64)>,
-    ) -> Self {
-        let mut per_col: Vec<Vec<(u32, f64)>> = vec![Vec::new(); ncols];
-        for (r, c, v) in triplets {
+    pub fn from_triplets<I>(nrows: usize, ncols: usize, triplets: I) -> Self
+    where
+        I: IntoIterator<Item = (u32, u32, f64)>,
+        I::IntoIter: Clone,
+    {
+        let triplets = triplets.into_iter();
+        let mut col_ptr = vec![0usize; ncols + 1];
+        for (r, c, _) in triplets.clone() {
             assert!((r as usize) < nrows, "row index {r} out of range");
             assert!((c as usize) < ncols, "col index {c} out of range");
-            per_col[c as usize].push((r, v));
+            col_ptr[c as usize + 1] += 1;
         }
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
-        for col in &mut per_col {
+        for j in 0..ncols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut next = col_ptr[..ncols].to_vec();
+        let mut row_idx = vec![0u32; col_ptr[ncols]];
+        let mut values = vec![0.0f64; col_ptr[ncols]];
+        for (r, c, v) in triplets {
+            let slot = &mut next[c as usize];
+            row_idx[*slot] = r;
+            values[*slot] = v;
+            *slot += 1;
+        }
+        let mut col: Vec<(u32, f64)> = Vec::new();
+        let (mut lo, mut out) = (0, 0);
+        for j in 0..ncols {
+            let hi = col_ptr[j + 1];
+            col.clear();
+            col.extend(
+                row_idx[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(values[lo..hi].iter().copied()),
+            );
             col.sort_unstable_by_key(|&(r, _)| r);
             let mut i = 0;
             while i < col.len() {
                 let r = col[i].0;
                 let mut v = col[i].1;
-                let mut j = i + 1;
-                while j < col.len() && col[j].0 == r {
-                    v += col[j].1;
-                    j += 1;
+                let mut k = i + 1;
+                while k < col.len() && col[k].0 == r {
+                    v += col[k].1;
+                    k += 1;
                 }
-                row_idx.push(r);
-                values.push(v);
-                i = j;
+                row_idx[out] = r;
+                values[out] = v;
+                out += 1;
+                i = k;
             }
-            col_ptr.push(row_idx.len());
+            col_ptr[j + 1] = out;
+            lo = hi;
         }
+        row_idx.truncate(out);
+        values.truncate(out);
         CscMatrix {
             nrows,
             ncols,
@@ -444,6 +472,83 @@ mod tests {
         let d = m.to_dense();
         assert_eq!(d[2][0], 4.0);
         assert_eq!(d[1][1], -2.0);
+    }
+
+    /// The one-`Vec`-per-column builder [`CscMatrix::from_triplets`]
+    /// replaced: the oracle it must match bit for bit.
+    fn from_triplets_per_col(
+        nrows: usize,
+        ncols: usize,
+        triplets: &[(u32, u32, f64)],
+    ) -> CscMatrix {
+        let mut per_col: Vec<Vec<(u32, f64)>> = vec![Vec::new(); ncols];
+        for &(r, c, v) in triplets {
+            per_col[c as usize].push((r, v));
+        }
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        let mut row_idx = Vec::new();
+        let mut values = Vec::new();
+        col_ptr.push(0);
+        for col in &mut per_col {
+            col.sort_unstable_by_key(|&(r, _)| r);
+            let mut i = 0;
+            while i < col.len() {
+                let r = col[i].0;
+                let mut v = col[i].1;
+                let mut j = i + 1;
+                while j < col.len() && col[j].0 == r {
+                    v += col[j].1;
+                    j += 1;
+                }
+                row_idx.push(r);
+                values.push(v);
+                i = j;
+            }
+            col_ptr.push(row_idx.len());
+        }
+        CscMatrix {
+            nrows,
+            ncols,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    proptest::proptest! {
+        /// Random shapes and fill, with many duplicate cells: the counting
+        /// builder returns the per-column builder's matrix, values compared
+        /// by bits. Half the sets draw exactly representable values, whose
+        /// sums do not depend on the order duplicates are added in.
+        #[test]
+        fn from_triplets_matches_per_column_builder(seed in proptest::prelude::any::<u64>()) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let nrows = rng.random_range(1..16usize);
+            let ncols = rng.random_range(0..24usize);
+            // Up to three entries a cell: most columns carry duplicates.
+            let len = rng.random_range(0..3 * nrows * ncols + 1);
+            let dyadic = seed % 2 == 0;
+            let triplets: Vec<(u32, u32, f64)> = (0..len)
+                .map(|_| {
+                    let r = rng.random_range(0..nrows as u32);
+                    let c = rng.random_range(0..ncols as u32);
+                    let v = if dyadic {
+                        f64::from(rng.random_range(-16..17i32)) / 4.0
+                    } else {
+                        rng.random_range(-1.0..1.0)
+                    };
+                    (r, c, v)
+                })
+                .collect();
+            let want = from_triplets_per_col(nrows, ncols, &triplets);
+            let got = CscMatrix::from_triplets(nrows, ncols, triplets.iter().copied());
+            proptest::prop_assert_eq!(got.nrows, want.nrows);
+            proptest::prop_assert_eq!(&got.col_ptr, &want.col_ptr);
+            proptest::prop_assert_eq!(&got.row_idx, &want.row_idx);
+            let bits = |m: &CscMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]
