@@ -238,24 +238,28 @@ pub(crate) fn build_stage1_problem_in(inst: &Instance, arena: &mut BuildArena) -
 pub(crate) fn add_assignment_cols(p: &mut Problem, inst: &Instance, cols: &mut Vec<Col>) {
     cols.clear();
     cols.reserve(inst.vars.len());
-    for (_, job, path, _) in inst.vars.iter() {
-        let bottleneck = inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64;
-        cols.push(p.add_col(0.0, bottleneck, 0.0));
+    for (job, paths) in inst.paths.iter().enumerate() {
+        let window = inst.vars.window(job);
+        for path in paths {
+            let bottleneck = path.bottleneck_wavelengths(&inst.graph) as f64;
+            cols.extend(window.clone().map(|_| p.add_col(0.0, bottleneck, 0.0)));
+        }
     }
 }
 
 /// Adds the capacity rows (eq. 3): for every (edge, slice) pair crossed by
 /// at least one allowed path, the total assignment is at most the edge's
-/// wavelength count. Rows are added in sorted key order (`BTreeMap`
-/// iteration), keeping solves reproducible.
+/// wavelength count. Rows are added in the capacity index's order —
+/// ascending (edge, slice), each row's columns in variable order — which
+/// fixes every capacity row's index.
 pub(crate) fn add_capacity_rows(
     p: &mut Problem,
     inst: &Instance,
     cols: &[Col],
     scratch: &mut Vec<(Col, f64)>,
 ) {
-    for (key, vars) in &inst.capacity_groups {
-        let cap = inst.graph.wavelengths(wavesched_net::EdgeId(key.0)) as f64;
+    for ((e, _), vars) in inst.capacity_groups.iter() {
+        let cap = inst.graph.wavelengths(wavesched_net::EdgeId(e)) as f64;
         scratch.clear();
         scratch.extend(vars.iter().map(|&v| (cols[v as usize], 1.0)));
         p.add_row(f64::NEG_INFINITY, cap, scratch);
@@ -271,10 +275,11 @@ pub(crate) fn job_volume_coeffs(
     out: &mut Vec<(Col, f64)>,
 ) {
     out.clear();
-    out.extend(inst.vars.job_range(job).map(|var| {
-        let (_, _, slice) = inst.vars.triple(var);
-        (cols[var], inst.grid.len_of(slice))
-    }));
+    out.extend(
+        inst.vars
+            .job_vars(job)
+            .map(|(var, slice)| (cols[var], inst.grid.len_of(slice))),
+    );
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 //! so runs are byte-reproducible.
 
 use crate::builders::{expect_optimal, Form};
-use crate::instance::{Instance, InstanceConfig};
+use crate::instance::{CapacityGroups, Instance, InstanceConfig};
 use crate::timegrid::TimeGrid;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -487,22 +487,23 @@ impl CgMaster {
             coeffs.push((z, -demand));
             job_rows.push(p.add_row(0.0, 0.0, &coeffs));
         }
-        // Every `((edge, slice), pool index)` crossing. The pairs are
-        // distinct, so sorted they run in `(edge, slice)` order with each
-        // key's columns in pool order.
-        let mut crossings: Vec<((u32, u32), usize)> = Vec::new();
-        for (k, pc) in pool.cols.iter().enumerate() {
-            for &e in pool.paths[pc.job as usize][pc.path as usize].edges() {
-                crossings.push(((e.0, pc.slice), k));
-            }
-        }
-        crossings.sort_unstable();
+        // The seed columns' crossings, grouped by the instance's counting
+        // passes: `pool.cols` runs path by path over each job's window, so
+        // groups come out in `(edge, slice)` order with each key's columns
+        // in pool order.
+        let groups = CapacityGroups::from_runs(
+            grid.first_slice()..grid.num_slices(),
+            graph.num_edges(),
+            pool.paths
+                .iter()
+                .zip(&windows)
+                .flat_map(|(paths, window)| paths.iter().map(move |p| (window.clone(), p.edges()))),
+        );
         let mut cap_rows = CapRows::new(graph.num_edges());
         let mut coeffs: Vec<(Col, f64)> = Vec::new();
-        for key_crossings in crossings.chunk_by(|a, b| a.0 == b.0) {
-            let (e, slice) = key_crossings[0].0;
+        for ((e, slice), ks) in groups.iter() {
             coeffs.clear();
-            coeffs.extend(key_crossings.iter().map(|&(_, k)| (lp_cols[k], 1.0)));
+            coeffs.extend(ks.iter().map(|&k| (lp_cols[k as usize], 1.0)));
             let cap = graph.wavelengths(EdgeId(e)) as f64;
             let row = p.add_row(f64::NEG_INFINITY, cap, &coeffs);
             cap_rows.insert(EdgeId(e), slice as usize, row);

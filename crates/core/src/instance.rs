@@ -7,12 +7,11 @@
 //! exactly the variables that may be nonzero (eq. 4 zeroes everything
 //! outside the job's window), and [`Instance`] carries the data every
 //! builder needs: normalized demands, path edge lists, the time grid, and
-//! the (edge, slice) capacity groups.
+//! the (edge, slice) capacity groups ([`CapacityGroups`]).
 
 use crate::timegrid::TimeGrid;
-use std::collections::BTreeMap;
 use std::ops::Range;
-use wavesched_net::{Graph, Path, PathSet};
+use wavesched_net::{EdgeId, Graph, Path, PathSet};
 use wavesched_workload::{normalized_demand, Job, LinkRate};
 
 /// Instance-construction parameters.
@@ -147,6 +146,12 @@ impl VarMap {
         start..end
     }
 
+    /// Iterates `(var, slice)` over one job's variables, in variable
+    /// order: path by path over the job's window.
+    pub(crate) fn job_vars(&self, job: usize) -> impl Iterator<Item = (usize, usize)> {
+        self.job_range(job).zip(self.window(job).cycle())
+    }
+
     /// The allowed slice window of a job.
     pub fn window(&self, job: usize) -> Range<usize> {
         self.windows[job].clone()
@@ -172,6 +177,183 @@ impl VarMap {
     }
 }
 
+/// The capacity groups of eq. 3: for every (edge, slice) pair some item
+/// crosses — a variable of an [`Instance`], a pool column of the
+/// column-generation master — the items crossing it.
+///
+/// One flat index: group `g` is `keys[g]`, an `(edge index, slice)` pair,
+/// with members `items[ptr[g]..ptr[g + 1]]`. Keys ascend by (edge, slice)
+/// and members ascend within a group. That order is a contract: capacity
+/// rows are laid out in it, so every LP row index, pivot and pinned digest
+/// depends on it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CapacityGroups {
+    keys: Vec<(u32, u32)>,
+    /// `keys.len() + 1` offsets into `items`.
+    ptr: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl CapacityGroups {
+    /// Groups the crossings of consecutively numbered items given as runs:
+    /// a run `(window, edges)` holds one item per slice of `window`,
+    /// numbered on from the previous run's last, each crossing every edge
+    /// of `edges`. Windows lie in `slices`; edge indexes are below
+    /// `num_edges`. `runs` is walked twice.
+    ///
+    /// Two stable counting passes, taken in item order — the items by
+    /// slice, then their crossings by edge — leave the crossings sorted by
+    /// (edge, slice) with items ascending within a key. Time and memory
+    /// are O(crossings + edges + slices), in a fixed number of allocations,
+    /// whatever the slice indexes' magnitude.
+    pub(crate) fn from_runs<'a>(
+        slices: Range<usize>,
+        num_edges: usize,
+        runs: impl Iterator<Item = (Range<usize>, &'a [EdgeId])> + Clone,
+    ) -> Self {
+        let first = slices.start;
+        let mut by_slice = vec![0u32; slices.len()];
+        let mut num_runs = 0;
+        for (window, _) in runs.clone() {
+            for slice in window {
+                by_slice[slice - first] += 1;
+            }
+            num_runs += 1;
+        }
+        let num_items = into_starts(by_slice.iter_mut());
+
+        // Pass 1: the items by slice, each as its run. Each bucket's cursor
+        // ends at the next one's start, so `by_slice[s]` then ends bucket `s`.
+        let mut by_slice_runs = vec![0u32; num_items as usize];
+        let mut run_table = Vec::with_capacity(num_runs);
+        let mut item = 0u32;
+        for (run, (window, edges)) in runs.enumerate() {
+            let offset = (window.start - first) as u32;
+            run_table.push(ItemRun {
+                edges,
+                item,
+                offset,
+            });
+            for slice in window {
+                let at = &mut by_slice[slice - first];
+                by_slice_runs[*at as usize] = run as u32;
+                *at += 1;
+                item += 1;
+            }
+        }
+
+        // Crossings and keys per edge: a key per slice the edge is crossed
+        // in, the length of the union of its runs' windows, swept in
+        // ascending window start (a run's first item sits in its start
+        // slice's bucket).
+        let mut tally = vec![EdgeTally::default(); num_edges];
+        let mut lo = 0;
+        for (offset, &hi) in by_slice.iter().enumerate() {
+            let offset = offset as u32;
+            for &r in &by_slice_runs[lo as usize..hi as usize] {
+                let run = &run_table[r as usize];
+                if run.offset != offset {
+                    continue;
+                }
+                let next = run_table.get(r as usize + 1).map_or(item, |n| n.item);
+                let end = offset + (next - run.item);
+                for e in run.edges {
+                    let t = &mut tally[e.index()];
+                    t.crossings += end - offset;
+                    let from = t.reach.max(offset);
+                    if end > from {
+                        t.keys += end - from;
+                        t.reach = end;
+                    }
+                }
+            }
+            lo = hi;
+        }
+        let num_crossings = into_starts(tally.iter_mut().map(|t| &mut t.crossings));
+        let groups = into_starts(tally.iter_mut().map(|t| &mut t.keys)) as usize;
+
+        // Pass 2, by edge. Each edge reaches its slices in ascending order,
+        // so a key starts at the edge's first crossing at a slice.
+        for t in &mut tally {
+            t.reach = u32::MAX;
+        }
+        let mut keys = vec![(0u32, 0u32); groups];
+        let mut ptr = vec![0u32; groups + 1];
+        let mut items = vec![0u32; num_crossings as usize];
+        let mut lo = 0;
+        for (offset, &hi) in by_slice.iter().enumerate() {
+            let offset = offset as u32;
+            for &r in &by_slice_runs[lo as usize..hi as usize] {
+                let run = &run_table[r as usize];
+                let item = run.item + (offset - run.offset);
+                for e in run.edges {
+                    let t = &mut tally[e.index()];
+                    items[t.crossings as usize] = item;
+                    if t.reach != offset {
+                        t.reach = offset;
+                        keys[t.keys as usize] = (e.0, (first + offset as usize) as u32);
+                        ptr[t.keys as usize] = t.crossings;
+                        t.keys += 1;
+                    }
+                    t.crossings += 1;
+                }
+            }
+            lo = hi;
+        }
+        ptr[groups] = num_crossings;
+        CapacityGroups { keys, ptr, items }
+    }
+
+    /// Number of groups — of capacity rows.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True when nothing crosses any edge.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Iterates `((edge index, slice), members)` by ascending key.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ((u32, u32), &[u32])> + '_ {
+        self.keys
+            .iter()
+            .zip(self.ptr.windows(2))
+            .map(|(&key, w)| (key, &self.items[w[0] as usize..w[1] as usize]))
+    }
+}
+
+/// One edge's counters in [`CapacityGroups::from_runs`]: counts, then the
+/// second pass's cursors.
+#[derive(Clone, Copy, Default)]
+struct EdgeTally {
+    /// Crossings of the edge; then where its next crossing goes.
+    crossings: u32,
+    /// Keys of the edge; then where its next key goes.
+    keys: u32,
+    /// One past the last slice offset its runs cover so far; then the
+    /// slice offset of its last key.
+    reach: u32,
+}
+
+/// A run of items as [`CapacityGroups::from_runs`] reads it back.
+struct ItemRun<'a> {
+    edges: &'a [EdgeId],
+    /// The run's first item, and the slice offset it is at.
+    item: u32,
+    offset: u32,
+}
+
+/// Turns per-bucket counts into bucket starts, in place; returns the
+/// total.
+fn into_starts<'a>(counts: impl Iterator<Item = &'a mut u32>) -> u32 {
+    let mut start = 0;
+    for c in counts {
+        (*c, start) = (start, start + *c);
+    }
+    start
+}
+
 /// A fully-prepared scheduling instance.
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -190,8 +372,8 @@ pub struct Instance {
     /// The configuration the instance was built with.
     pub config: InstanceConfig,
     /// For every (edge, slice) touched by an allowed path: the variables
-    /// crossing it. Keys are `(edge index, slice)`.
-    pub capacity_groups: BTreeMap<(u32, u32), Vec<u32>>,
+    /// crossing it.
+    pub capacity_groups: CapacityGroups,
 }
 
 impl Instance {
@@ -245,15 +427,16 @@ impl Instance {
         let num_paths: Vec<usize> = paths.iter().map(|p| p.len()).collect();
         let vars = VarMap::build(windows, num_paths);
 
-        let mut capacity_groups: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
-        for (var, job, p, slice) in vars.iter() {
-            for &e in paths[job][p].edges() {
-                capacity_groups
-                    .entry((e.0, slice as u32))
-                    .or_default()
-                    .push(var as u32);
-            }
-        }
+        // Variables run job by job, path-major then slice: one run of
+        // consecutive variables per (job, path), over the job's window.
+        let capacity_groups = CapacityGroups::from_runs(
+            grid.first_slice()..grid.num_slices(),
+            graph.num_edges(),
+            paths.iter().enumerate().flat_map(|(job, ps)| {
+                let window = vars.window(job);
+                ps.iter().map(move |p| (window.clone(), p.edges()))
+            }),
+        );
 
         Instance {
             graph: graph.clone(),
@@ -285,98 +468,4 @@ impl Instance {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-
-    thread_local! {
-        /// Instances built on this thread, for tests that hold a caller to
-        /// one build per job set.
-        pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-    use wavesched_net::abilene14;
-    use wavesched_workload::{JobId, WorkloadConfig, WorkloadGenerator};
-
-    fn small_instance(n_jobs: usize) -> Instance {
-        let (g, _) = abilene14(4);
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: n_jobs,
-            seed: 1,
-            ..Default::default()
-        })
-        .generate(&g);
-        let cfg = InstanceConfig::paper(4);
-        let mut ps = PathSet::new(cfg.paths_per_job);
-        Instance::build(&g, &jobs, &cfg, &mut ps)
-    }
-
-    #[test]
-    fn varmap_roundtrip() {
-        let inst = small_instance(8);
-        for (var, job, p, slice) in inst.vars.iter() {
-            assert_eq!(inst.vars.var(job, p, slice), var);
-            assert_eq!(inst.vars.triple(var), (job, p, slice));
-        }
-        let count = inst.vars.iter().count();
-        assert_eq!(count, inst.vars.len());
-    }
-
-    #[test]
-    fn windows_respect_job_times() {
-        let inst = small_instance(10);
-        for (i, j) in inst.jobs.iter().enumerate() {
-            let w = inst.vars.window(i);
-            if !w.is_empty() {
-                assert!(w.start as f64 >= j.start);
-                assert!(inst.grid.end_of(w.end - 1) <= j.end);
-            }
-        }
-    }
-
-    #[test]
-    fn capacity_groups_cover_paths() {
-        let inst = small_instance(6);
-        // Every variable must appear in exactly path-length capacity groups.
-        let mut per_var = vec![0usize; inst.vars.len()];
-        for vars in inst.capacity_groups.values() {
-            for &v in vars {
-                per_var[v as usize] += 1;
-            }
-        }
-        for (var, job, p, _slice) in inst.vars.iter() {
-            assert_eq!(
-                per_var[var],
-                inst.paths[job][p].len(),
-                "var {var} appears in wrong number of capacity groups"
-            );
-        }
-    }
-
-    #[test]
-    fn demands_normalized() {
-        let inst = small_instance(5);
-        let c = &inst.config;
-        for (i, j) in inst.jobs.iter().enumerate() {
-            let expect = j.size_gb * 8.0 / ((c.link_gbps / c.wavelengths as f64) * c.slice_secs);
-            assert!((inst.demands[i] - expect).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn grid_covers_all_windows() {
-        let inst = small_instance(12);
-        let max_end = inst.jobs.iter().map(|j| j.end).fold(0.0f64, f64::max);
-        assert!(inst.grid.end_of(inst.grid.num_slices() - 1) >= max_end.floor());
-    }
-
-    #[test]
-    fn empty_window_job_is_flagged() {
-        let (g, nodes) = abilene14(4);
-        // A job whose window is too short to contain a full slice.
-        let job = Job::new(JobId(0), 0.0, nodes[0], nodes[1], 10.0, 0.3, 0.9);
-        let cfg = InstanceConfig::paper(4);
-        let mut ps = PathSet::new(cfg.paths_per_job);
-        let inst = Instance::build(&g, &[job], &cfg, &mut ps);
-        assert!(inst.has_unschedulable_job());
-        assert_eq!(inst.vars.len(), 0);
-    }
-}
+pub(crate) mod tests;

@@ -58,7 +58,7 @@ pub fn link_utilization(inst: &Instance, sched: &Schedule, top: usize) -> String
     let mut rows: Vec<((u32, u32), f64, f64)> = inst
         .capacity_groups
         .iter()
-        .map(|(&key, vars)| {
+        .map(|(key, vars)| {
             let used: f64 = vars.iter().map(|&v| sched.x[v as usize]).sum();
             let cap = inst.graph.wavelengths(wavesched_net::EdgeId(key.0)) as f64;
             (key, used, cap)

@@ -324,13 +324,14 @@ struct EnvelopeLp {
 impl EnvelopeLp {
     /// Wraps `session`, an LP over `inst`, the instance built at `reach`.
     fn new(inst: Instance, reach: f64, session: SolverSession) -> Self {
-        let upper = inst
-            .vars
-            .iter()
-            .map(|(_, job, path, _)| {
-                inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64
-            })
-            .collect();
+        let mut upper = Vec::with_capacity(inst.vars.len());
+        for (job, paths) in inst.paths.iter().enumerate() {
+            let slices = inst.vars.window(job).len();
+            for path in paths {
+                let bottleneck = path.bottleneck_wavelengths(&inst.graph) as f64;
+                upper.resize(upper.len() + slices, bottleneck);
+            }
+        }
         EnvelopeLp {
             inst,
             reach,
@@ -901,9 +902,10 @@ mod tests {
     #[test]
     fn warm_probes_cut_iterations_on_fig4_workload() {
         // The Fig. 4 RET workload (scaled to test size): warm-started probes
-        // must save at least 25% of the total simplex iterations. Probes
-        // chained in place take 705 against 951 cold (26% saved); the
-        // clone-per-probe rounds they replaced took 657 (31%).
+        // must save at least 45% of the total simplex iterations. Probes
+        // answered from the monotone memo on a probe LP sized to the
+        // bracket take 361 against 751 cold (52% saved); solving every
+        // probe on the `b_max` envelope took 705 against 951 (26%).
         let (g, _) = abilene14(2);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: 15,
@@ -933,8 +935,8 @@ mod tests {
         assert_eq!(cold.b_lp.to_bits(), warm.b_lp.to_bits());
         assert_eq!(cold.lpdar, warm.lpdar);
         assert!(
-            (warm.stats.iterations as f64) <= 0.75 * cold.stats.iterations as f64,
-            "warm {} vs cold {} iterations: less than 25% saved",
+            (warm.stats.iterations as f64) <= 0.55 * cold.stats.iterations as f64,
+            "warm {} vs cold {} iterations: less than 45% saved",
             warm.stats.iterations,
             cold.stats.iterations
         );

@@ -33,8 +33,7 @@ impl Schedule {
     /// Total data moved for `job`, in demand units: `sum_{p,j} x·LEN(j)`.
     pub fn transferred(&self, inst: &Instance, job: usize) -> f64 {
         let mut total = 0.0;
-        for var in inst.vars.job_range(job) {
-            let (_, _, slice) = inst.vars.triple(var);
+        for (var, slice) in inst.vars.job_vars(job) {
             total += self.x[var] * inst.grid.len_of(slice);
         }
         total
@@ -116,7 +115,7 @@ impl Schedule {
     /// the schedule is link-feasible.
     pub fn max_capacity_violation(&self, inst: &Instance) -> f64 {
         let mut worst: f64 = 0.0;
-        for (&(e, _slice), vars) in &inst.capacity_groups {
+        for ((e, _slice), vars) in inst.capacity_groups.iter() {
             let used: f64 = vars.iter().map(|&v| self.x[v as usize]).sum();
             let cap = inst.graph.wavelengths(wavesched_net::EdgeId(e)) as f64;
             worst = worst.max(used - cap);
@@ -179,7 +178,7 @@ impl Schedule {
             return 0.0;
         }
         let mut acc = 0.0;
-        for (&(e, _), vars) in &inst.capacity_groups {
+        for ((e, _), vars) in inst.capacity_groups.iter() {
             let used: f64 = vars.iter().map(|&v| self.x[v as usize]).sum();
             let cap = inst.graph.wavelengths(wavesched_net::EdgeId(e)) as f64;
             acc += (used / cap).min(1.0);

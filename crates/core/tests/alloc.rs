@@ -13,36 +13,47 @@
 //! overloaded closed-loop workload in an era starting at `now = 0` and an
 //! era starting at `now = 100 000`, and compares the eras invocation by
 //! invocation. The same shim holds RET to its caller's path cache: a second
-//! call over the same endpoint pairs computes no path.
+//! call over the same endpoint pairs computes no path; and it holds an
+//! instance's capacity index to O(crossings) bytes in a fixed number of
+//! allocations, whatever the horizon.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wavesched_core::controller::{Controller, ControllerConfig, OverloadPolicy};
-use wavesched_core::instance::InstanceConfig;
+use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_core::ret::{solve_ret_with_demands, RetConfig};
-use wavesched_net::{abilene14, PathSet};
+use wavesched_net::{abilene14, waxman_network, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, JobId, WorkloadConfig, WorkloadGenerator};
 
-/// System allocator with a byte counter for allocation events
-/// (deallocations are free; acquiring memory is what must stay flat).
-/// Counted per thread, inside [`counted`] only, so neither the harness nor
-/// a test running beside this one is charged to it.
+/// System allocator with counters for allocation events — bytes and
+/// calls (deallocations are free; acquiring memory is what must stay flat).
+/// Counted per thread, inside [`counted`] / [`counted_calls`] only, so
+/// neither the harness nor a test running beside this one is charged to it.
 struct CountingAlloc;
 
 thread_local! {
-    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
+    /// `(bytes, calls)` while counting is on.
+    static COUNTED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
 fn count_bytes(n: usize) {
-    let _ = COUNTED.try_with(|c| c.set(c.get().map(|bytes| bytes + n as u64)));
+    let _ =
+        COUNTED.try_with(|c| c.set(c.get().map(|(bytes, calls)| (bytes + n as u64, calls + 1))));
+}
+
+/// Runs `f` and returns what it returned with the bytes and the number of
+/// allocation calls (`alloc` and `realloc`) it made.
+fn counted_calls<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    COUNTED.with(|c| c.set(Some((0, 0))));
+    let out = f();
+    let counts = COUNTED.with(|c| c.take()).expect("counting was on");
+    (out, counts)
 }
 
 /// Runs `f` and returns what it returned with the bytes it allocated.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    COUNTED.with(|c| c.set(Some(0)));
-    let out = f();
-    let bytes = COUNTED.with(|c| c.take()).expect("counting was on");
+    let (out, (bytes, _)) = counted_calls(f);
     (out, bytes)
 }
 
@@ -210,5 +221,74 @@ fn ret_on_a_warm_path_cache_computes_no_path() {
     assert!(
         cold.saturating_sub(warm).abs_diff(yen) <= yen / 8,
         "cold cache {cold} B, warm cache {warm} B, the paths themselves {yen} B"
+    );
+}
+
+/// The capacity index is O(crossings): one job on one path whose window
+/// spans 20 000 slices of a 1 000-node Waxman network builds in bytes
+/// linear in its crossings, far below what an edges × slices counter array
+/// would take, the same at slice 100 000 as at slice 0, and in as many
+/// allocation calls for 2 000 groups a hop as for 20 000.
+#[test]
+fn capacity_index_is_linear_in_crossings() {
+    let g = waxman_network(&WaxmanConfig {
+        nodes: 1000,
+        link_pairs: 2000,
+        wavelengths: 2,
+        alpha: 0.15,
+        seed: 42,
+    });
+    let nodes: Vec<_> = g.nodes().collect();
+    let cfg = InstanceConfig {
+        paths_per_job: 1,
+        ..InstanceConfig::paper(2)
+    };
+    // Paths come from a warm cache, so only the build is counted.
+    let mut cache = PathSet::new(cfg.paths_per_job);
+    cache.warm(&g, [(nodes[0], nodes[999])]);
+    let mut build = |start: f64, slices: usize| {
+        let job = Job::new(
+            JobId(0),
+            start,
+            nodes[0],
+            nodes[999],
+            100.0,
+            start,
+            start + slices as f64,
+        );
+        counted_calls(|| Instance::build(&g, &[job], &cfg, &mut cache))
+    };
+
+    let slices = 20_000;
+    let (inst, (bytes, calls)) = build(0.0, slices);
+    let hops = inst.paths[0][0].len();
+    assert!(hops > 1, "the job must cross several edges");
+    let crossings = hops * slices;
+    // One path crosses each (edge, slice) at most once.
+    assert_eq!(inst.capacity_groups.len(), crossings);
+
+    // Here every crossing is a group of one: the index keeps 16 B a
+    // crossing and passes through 8 B a slice of the window; the rest of
+    // the build — mostly the graph's clone — is some 200 KB.
+    let bound = 24 * crossings + 512_000;
+    let dense = g.num_edges() * slices * size_of::<u32>();
+    assert!(10 * bound < dense, "the bound must sit far below {dense} B");
+    assert!(
+        bytes <= bound as u64,
+        "{crossings} crossings took {bytes} B, over {bound} B"
+    );
+
+    let (_, late) = build(100_000.0, slices);
+    assert_eq!(
+        late,
+        (bytes, calls),
+        "the build's cost moved with the clock"
+    );
+
+    let (short, (_, short_calls)) = build(0.0, slices / 10);
+    assert_eq!(short.capacity_groups.len(), crossings / 10);
+    assert_eq!(
+        short_calls, calls,
+        "allocation calls grew with the number of groups"
     );
 }

@@ -45,17 +45,13 @@ fn main() {
     print!("{}", link_utilization(&inst, &plan, 8));
 
     // Peak per-link load across slices, for the DOT rendering.
+    let mut max_used = vec![0.0f64; inst.graph.num_edges()];
+    for ((e, _), vars) in inst.capacity_groups.iter() {
+        let used: f64 = vars.iter().map(|&v| plan.x[v as usize]).sum();
+        max_used[e as usize] = max_used[e as usize].max(used);
+    }
     let peak = |e: wavesched::net::EdgeId| -> Option<f64> {
-        let cap = inst.graph.wavelengths(e) as f64;
-        let max_used = (0..inst.grid.num_slices())
-            .map(|s| {
-                inst.capacity_groups
-                    .get(&(e.0, s as u32))
-                    .map(|vars| vars.iter().map(|&v| plan.x[v as usize]).sum::<f64>())
-                    .unwrap_or(0.0)
-            })
-            .fold(0.0f64, f64::max);
-        Some(max_used / cap)
+        Some(max_used[e.index()] / inst.graph.wavelengths(e) as f64)
     };
     let dot = to_dot_with_load(&graph, peak);
     std::fs::write("esnet_load.dot", &dot).expect("write dot");

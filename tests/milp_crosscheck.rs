@@ -48,14 +48,9 @@ fn stage2_milp(inst: &Instance, fairness: Option<(f64, f64)>) -> Problem {
             );
         }
     }
-    let mut keys: Vec<_> = inst.capacity_groups.keys().collect();
-    keys.sort();
-    for key in keys {
-        let cap = inst.graph.wavelengths(wavesched::net::EdgeId(key.0)) as f64;
-        let coeffs: Vec<_> = inst.capacity_groups[key]
-            .iter()
-            .map(|&v| (cols[v as usize], 1.0))
-            .collect();
+    for ((e, _), vars) in inst.capacity_groups.iter() {
+        let cap = inst.graph.wavelengths(wavesched::net::EdgeId(e)) as f64;
+        let coeffs: Vec<_> = vars.iter().map(|&v| (cols[v as usize], 1.0)).collect();
         p.add_row(f64::NEG_INFINITY, cap, &coeffs);
     }
     p
