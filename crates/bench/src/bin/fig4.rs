@@ -19,7 +19,7 @@
 //! materializing.
 
 use wavesched_bench::{paper_random_network, par_points, secs, BenchOpts};
-use wavesched_core::colgen::{ColGenConfig, PricerChoice};
+use wavesched_core::colgen::ColGenConfig;
 use wavesched_core::instance::InstanceConfig;
 use wavesched_core::ret::{solve_ret, solve_ret_colgen, RetConfig};
 use wavesched_net::{waxman_network, PathSet, WaxmanConfig};
@@ -31,11 +31,11 @@ use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 /// one shortest path per job and prices the rest in. The
 /// `exhaustive_cols` column is a census (Yen paths x window slices at the
 /// final deadline extension) computed without building that LP, so the
-/// ratio measures exactly what the refactor avoids. The sweep prices over
-/// the Yen universe (`PricerChoice::Exhaustive`, which enters only
-/// columns that pass the exact reduced-cost test) so pool and census draw
-/// from the same path set, with a deliberately generous `--paths` budget
-/// (default 16) — the regime the monolithic build cannot afford. At sweep
+/// ratio measures exactly what the refactor avoids. The master prices over
+/// each job's Yen paths, entering only columns that pass the exact
+/// reduced-cost test, so pool and census draw from the same path set; the
+/// `--paths` budget is deliberately generous (default 16) — the regime the
+/// monolithic build cannot afford. At sweep
 /// points small enough to afford the monolithic build (`jobs <= 100`) the
 /// `b_gap` column cross-checks the CG fractional extension against
 /// [`solve_ret`]; elsewhere it is `NA` (that infeasibility is the point —
@@ -101,15 +101,13 @@ fn colgen_sweep(opts: &BenchOpts) {
             max_delta_steps: 120,
             ..RetConfig::default()
         };
-        let cg = ColGenConfig {
-            pricer: PricerChoice::Exhaustive,
-        };
         #[expect(
             clippy::disallowed_methods,
             reason = "bench wall-clock column; results columns stay deterministic"
         )]
         let t0 = std::time::Instant::now();
-        let out = solve_ret_colgen(&g, &jobs, &cfg, &ret_cfg, &cg).expect("ret colgen");
+        let out = solve_ret_colgen(&g, &jobs, &cfg, &ret_cfg, &ColGenConfig::default())
+            .expect("ret colgen");
         let solve = t0.elapsed();
         let Some((r, cg_stats)) = out else {
             let row = format!("{n},NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,{},NA", secs(solve));

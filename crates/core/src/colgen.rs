@@ -1,5 +1,5 @@
 //! Delayed column generation over paths: the restricted master problem
-//! and its pricers.
+//! and its pricing.
 //!
 //! The paper's formulations are time-expanded path-flow LPs whose column
 //! count is (jobs × paths × slices); materializing every Yen path column up
@@ -10,45 +10,33 @@
 //!
 //! 1. seed the pool with each job's hop-shortest path,
 //! 2. solve the restricted master over the pool,
-//! 3. price new paths against the optimal duals: a path column for
-//!    `(job i, slice j)` improves the master iff its reduced cost is
-//!    positive, i.e. iff its dual load `Σ_{e∈p} μ_{e,j}` is below the
-//!    budget `c_ij − λ_i·LEN(j) − tol`,
-//! 4. repeat until no pricer proposal survives verification.
+//! 3. price each job's out-of-pool Yen k-shortest paths against the
+//!    optimal duals: a path column for `(job i, slice j)` improves the
+//!    master iff its reduced cost is positive, i.e. iff its dual load
+//!    `Σ_{e∈p} μ_{e,j}` is below the budget `c_ij − λ_i·LEN(j) − tol`,
+//! 4. repeat until no job has an improving out-of-pool path.
 //!
-//! When the loop terminates, the restricted optimum is optimal for the
-//! *full* LP over the pricer's path universe: the master duals extended
-//! with zeros on the unmaterialized capacity rows are dual-feasible within
-//! tolerance for every priced-out column.
+//! The path universe is the paper's: each job's `paths_per_job` Yen paths,
+//! the same set the monolithic [`Instance`] build materializes. When the
+//! loop terminates, the master duals extended with zeros on the
+//! unmaterialized capacity rows are dual-feasible within tolerance for
+//! every Yen column, so the restricted optimum is the monolithic LP's
+//! optimum to tolerance.
 //!
-//! Two pricers, chosen by [`PricerChoice`]:
-//!
-//! * [`PricerChoice::Exhaustive`] prices over the Yen k-shortest universe:
-//!   each round it proposes the best improving out-of-pool Yen path per
-//!   job, so at convergence the whole Yen set is priced out and column
-//!   generation with this pricer must match the monolithic
-//!   [`Instance`]-based solve to tolerance — the differential oracle.
-//! * [`PricerChoice::ReducedCost`] runs Dijkstra on the clamped capacity
-//!   duals (`max(μ_{e,j}, 0)` per link) and can propose
-//!   negative-reduced-cost paths *outside* the Yen set. Clamping only
-//!   under-estimates the dual load, so every proposal is re-verified
-//!   against the exact reduced cost before columns are added.
-//!
-//! The master, its pool and the pricers are the crate's internals: callers
-//! reach them through
+//! The master and its pool are the crate's internals: callers reach them
+//! through
 //! [`max_throughput_pipeline_colgen`](crate::pipeline::max_throughput_pipeline_colgen)
-//! and [`solve_ret_colgen`](crate::ret::solve_ret_colgen), and choose the
-//! pricer with a [`ColGenConfig`].
+//! and [`solve_ret_colgen`](crate::ret::solve_ret_colgen).
 //!
 //! Everything here is serial and deterministically ordered (capacity rows
 //! created in sorted `(edge, slice)` order and looked up per edge, duals read
-//! straight from the solution, the tie-broken searches of `wavesched-net`),
-//! so runs are byte-reproducible.
+//! straight from the solution, Yen's tie-broken searches in
+//! `wavesched-net`), so runs are byte-reproducible.
 
 use crate::builders::{expect_optimal, Form};
 use crate::instance::{CapacityGroups, Instance, InstanceConfig};
 use crate::timegrid::TimeGrid;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use wavesched_lp::{
     Col, NewColumn, NewRow, Objective, Problem, Row, Solution, SolveError, SolveStats,
@@ -58,36 +46,22 @@ use wavesched_net::{dijkstra, EdgeId, Graph, Path, PathSet};
 use wavesched_obs as obs;
 use wavesched_workload::Job;
 
-/// Which pricing oracle generates candidate columns.
+/// The column-generation path universe. There is one, the Yen k-shortest
+/// paths, so nothing reads this: the type remains only because the
+/// outside-in benchmark spells `PricerChoice::Exhaustive`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PricerChoice {
-    /// Reduced-cost Dijkstra over clamped capacity duals (the default):
-    /// prices the universe of *all* simple paths, proposing improving
-    /// paths the Yen set may not contain.
+    /// Price each job's Yen k-shortest paths, the paper's path universe.
     #[default]
-    ReducedCost,
-    /// Propose every Yen k-shortest path — full materialization as a
-    /// pricer, the differential oracle for the reduced-cost path.
     Exhaustive,
 }
 
-impl PricerChoice {
-    /// Instantiates the pricer. `paths_per_job` is the Yen `k` used by the
-    /// exhaustive oracle (ignored by the reduced-cost pricer).
-    pub(crate) fn build(&self, paths_per_job: usize) -> Box<dyn Pricer> {
-        match self {
-            PricerChoice::ReducedCost => Box::new(ReducedCostPricer),
-            PricerChoice::Exhaustive => Box::new(ExhaustivePricer {
-                pathset: PathSet::new(paths_per_job),
-            }),
-        }
-    }
-}
-
-/// The column-generation knob: which pricer.
+/// The type of [`solve_ret_colgen`](crate::ret::solve_ret_colgen)'s `cg`
+/// parameter. Has no effect, like `RetConfig::threads`: it remains only
+/// because the outside-in benchmark passes it.
 #[derive(Debug, Clone, Default)]
 pub struct ColGenConfig {
-    /// Pricing oracle.
+    /// Always [`PricerChoice::Exhaustive`].
     pub pricer: PricerChoice,
 }
 
@@ -111,9 +85,9 @@ pub struct CgStats {
     pub rounds: u64,
     /// Master columns added after the seed.
     pub columns_added: u64,
-    /// Pricer invocations.
+    /// Pricing passes (one per round).
     pub pricer_calls: u64,
-    /// Wall-clock nanoseconds spent inside pricers (reporting only).
+    /// Wall-clock nanoseconds spent pricing (reporting only).
     pub pricing_ns: u64,
     /// Dual simplex pivots spent in master re-solves (bound/RHS-only
     /// re-aims that skipped the primal phase-1 repair).
@@ -239,161 +213,6 @@ impl CapRows {
     }
 }
 
-/// Everything a [`Pricer`] may consult when proposing columns.
-pub(crate) struct PricingContext<'a> {
-    /// The network.
-    graph: &'a Graph,
-    /// The jobs (RET callers pass the deadline-extended jobs).
-    jobs: &'a [Job],
-    /// The *active* slice window per job at the current trial deadline.
-    windows: &'a [Range<usize>],
-    /// The master's capacity rows, for [`mu`](Self::mu).
-    cap_rows: &'a CapRows,
-    /// The master's optimal duals, indexed by row.
-    duals: &'a [f64],
-    /// `budgets[i][j - windows[i].start]`: a new path for job `i` usable
-    /// in slice `j` improves the master iff its dual load
-    /// `Σ_{e∈p} μ_{e,j}` is strictly below this (the reduced-cost
-    /// tolerance is already subtracted).
-    budgets: &'a [Vec<f64>],
-    /// The current pool, for deduplication.
-    pool: &'a ColumnPool,
-}
-
-impl PricingContext<'_> {
-    /// The capacity dual `μ_{e,slice}`: zero where the master has no row.
-    fn mu(&self, e: EdgeId, slice: usize) -> f64 {
-        self.cap_rows.dual(self.duals, e, slice)
-    }
-}
-
-/// A column-generation pricing oracle: proposes `(job, path)` candidates
-/// whose columns may improve the restricted master. Proposals are
-/// re-verified against exact reduced costs by the master, so a pricer may
-/// over-propose, but must be deterministic: same context, same proposals,
-/// same order. Both built-in pricers propose at most one path per job per
-/// round — the best exact margin — which keeps the pool lean (textbook
-/// column-generation discipline; entering every improving column floods
-/// the restricted master back to the monolithic size).
-pub(crate) trait Pricer {
-    /// Proposes candidate paths under the given duals.
-    fn price(&mut self, ctx: &PricingContext<'_>) -> Vec<(usize, Path)>;
-}
-
-/// Yen-universe pricing: each round, scan every Yen k-shortest path not
-/// yet in the pool and propose the one with the best exact reduced-cost
-/// margin per job. At convergence no out-of-pool Yen path improves, so
-/// column generation with this pricer reaches exactly the monolithic
-/// [`Instance`]-based optimum — the differential oracle.
-struct ExhaustivePricer {
-    /// Yen's `k` is the instance's `paths_per_job`.
-    pathset: PathSet,
-}
-
-/// Exact reduced-cost margin of `path` for `job`: the maximum over the
-/// job's active slices of `budget − Σ_{e∈p} μ_{e,j}` under the raw
-/// (unclamped) duals. Positive iff some slice's column passes the
-/// master's entry verification.
-fn exact_margin(ctx: &PricingContext<'_>, job: usize, path: &Path) -> f64 {
-    let w = &ctx.windows[job];
-    let mut best = f64::NEG_INFINITY;
-    for j in w.clone() {
-        let load: f64 = path.edges().iter().map(|&e| ctx.mu(e, j)).sum();
-        let m = ctx.budgets[job][j - w.start] - load;
-        if m > best {
-            best = m;
-        }
-    }
-    best
-}
-
-impl Pricer for ExhaustivePricer {
-    fn price(&mut self, ctx: &PricingContext<'_>) -> Vec<(usize, Path)> {
-        let mut out = Vec::new();
-        for (i, job) in ctx.jobs.iter().enumerate() {
-            if ctx.windows[i].is_empty() {
-                continue;
-            }
-            // Best strictly-improving out-of-pool Yen path; ties keep the
-            // first in Yen order (deterministic).
-            let mut best: Option<(f64, &Path)> = None;
-            let paths = self.pathset.paths(ctx.graph, job.src, job.dst);
-            for p in paths {
-                if ctx.pool.contains(i, p) {
-                    continue;
-                }
-                let m = exact_margin(ctx, i, p);
-                if m > 0.0 && best.as_ref().is_none_or(|(bm, _)| m > *bm) {
-                    best = Some((m, p));
-                }
-            }
-            if let Some((_, p)) = best {
-                out.push((i, p.clone()));
-            }
-        }
-        out
-    }
-}
-
-/// Reduced-cost Dijkstra pricing: for every `(job, slice)` with a positive
-/// budget, find the minimum-dual-load path under link weights
-/// `max(μ_{e,slice}, 0)`; a path whose (under-estimated) load beats the
-/// budget is a candidate, and the candidate with the best exact margin is
-/// proposed for the job. Searches are cached per `(slice, src, dst)`
-/// within one call; candidate order is slice-major with first-wins ties —
-/// fully deterministic.
-struct ReducedCostPricer;
-
-impl Pricer for ReducedCostPricer {
-    fn price(&mut self, ctx: &PricingContext<'_>) -> Vec<(usize, Path)> {
-        let mut out = Vec::new();
-        // (slice, src, dst) -> cheapest-dual-load path this round.
-        let mut cache: BTreeMap<(u32, u32, u32), Option<(f64, Path)>> = BTreeMap::new();
-        for (i, job) in ctx.jobs.iter().enumerate() {
-            let w = ctx.windows[i].clone();
-            // Candidate paths for this job (deduplicated by edge list);
-            // the one with the best exact margin is proposed.
-            let mut seen: BTreeSet<Vec<u32>> = BTreeSet::new();
-            let mut best: Option<(f64, Path)> = None;
-            for j in w.clone() {
-                let budget = ctx.budgets[i][j - w.start];
-                // Dual loads are >= 0, so a non-positive budget can never
-                // be beaten; skip the search.
-                if budget <= 0.0 {
-                    continue;
-                }
-                let key = (j as u32, job.src.0, job.dst.0);
-                let entry = cache.entry(key).or_insert_with(|| {
-                    dijkstra::shortest_path_weighted(
-                        ctx.graph,
-                        job.src,
-                        job.dst,
-                        |e| wavesched_lp::pos_or_zero(ctx.mu(e, j)),
-                        |_| true,
-                        |_| true,
-                    )
-                });
-                let Some((dist, path)) = entry else { continue };
-                if *dist >= budget || ctx.pool.contains(i, path) {
-                    continue;
-                }
-                let edges: Vec<u32> = path.edges().iter().map(|e| e.0).collect();
-                if !seen.insert(edges) {
-                    continue;
-                }
-                let m = exact_margin(ctx, i, path);
-                if m > 0.0 && best.as_ref().is_none_or(|(bm, _)| m > *bm) {
-                    best = Some((m, path.clone()));
-                }
-            }
-            if let Some((_, p)) = best {
-                out.push((i, p));
-            }
-        }
-        out
-    }
-}
-
 /// The restricted master problem of the column-generation loop.
 ///
 /// Owns one incremental [`SolverSession`] for the whole loop — and, via
@@ -412,6 +231,9 @@ pub(crate) struct CgMaster {
     /// fixed to zero.
     active: Vec<Range<usize>>,
     config: InstanceConfig,
+    /// The Yen paths priced, `config.paths_per_job` per endpoint pair,
+    /// computed the first time a pair is priced.
+    pathset: PathSet,
     /// Price–resolve rounds allowed per form: [`MAX_ROUNDS`], lowered only
     /// by the cap's own unit test.
     max_rounds: usize,
@@ -518,6 +340,7 @@ impl CgMaster {
             active: windows.clone(),
             windows,
             config: config.clone(),
+            pathset: PathSet::new(config.paths_per_job),
             max_rounds: MAX_ROUNDS,
             session,
             z,
@@ -568,18 +391,14 @@ impl CgMaster {
         }
     }
 
-    /// Installs `form` and prices it out to optimality over the pricer's
-    /// path universe — with the exhaustive pricer, the optimum of the
-    /// monolithic LP over the same Yen paths, to tolerance. Any other
-    /// status is the breakdown it is for the instance-backed LP.
-    pub(crate) fn solve_form(
-        &mut self,
-        form: Form,
-        pricer: &mut dyn Pricer,
-    ) -> Result<Solution, SolveError> {
+    /// Installs `form` and prices it out to optimality over the Yen
+    /// paths: the optimum of the monolithic LP over the same paths, to
+    /// tolerance. Any other status is the breakdown it is for the
+    /// instance-backed LP.
+    pub(crate) fn solve_form(&mut self, form: Form) -> Result<Solution, SolveError> {
         let what = form.name();
         self.install(form);
-        expect_optimal(price_resolve(self, pricer)?, what)
+        expect_optimal(self.price_resolve()?, what)
     }
 
     /// The current form's objective coefficient of a `(job, slice)`
@@ -627,13 +446,55 @@ impl CgMaster {
         Ok(sol)
     }
 
-    /// One pricing round: extracts the duals of `sol`, calls the pricer,
-    /// verifies each proposal against exact reduced costs, and adds the
-    /// surviving paths' columns (and any newly crossed capacity rows) to
-    /// the master. Returns the number of columns added — zero means the
-    /// restricted optimum is optimal over the pricer's universe and the
-    /// loop is done.
-    fn price_and_augment(&mut self, sol: &Solution, pricer: &mut dyn Pricer) -> usize {
+    /// Runs the price–resolve loop on the master's **current** form:
+    /// solve, price, augment, repeat until pricing adds nothing (or a
+    /// non-optimal status stops the loop — RET's Quick-Finish form can
+    /// legitimately be infeasible). Returns the final restricted solution;
+    /// a loop not priced out within [`MAX_ROUNDS`] is a
+    /// [`SolveError::Numerical`], because a master cut off there was never
+    /// priced to optimality.
+    pub(crate) fn price_resolve(&mut self) -> Result<Solution, SolveError> {
+        self.price_resolve_until(|_| false)
+    }
+
+    /// [`price_resolve`](Self::price_resolve) with an early-stop predicate,
+    /// checked on each restricted optimum *before* pricing. Stopping early
+    /// is only sound when the caller needs a one-sided answer: the
+    /// restricted objective is a lower bound on the full optimum
+    /// (Maximize), so once a feasibility threshold is reached, more columns
+    /// cannot un-reach it. RET's bisection probes use this — a probe only
+    /// needs pricing to optimality to certify *in*feasibility, and stopping
+    /// at the threshold keeps the pool lean.
+    pub(crate) fn price_resolve_until(
+        &mut self,
+        stop: impl Fn(&Solution) -> bool,
+    ) -> Result<Solution, SolveError> {
+        let mut rounds = 0usize;
+        loop {
+            let sol = self.solve()?;
+            if sol.status != Status::Optimal || stop(&sol) {
+                return Ok(sol);
+            }
+            if rounds == self.max_rounds {
+                return Err(SolveError::Numerical(format!(
+                    "column generation ({}) not priced out after {rounds} rounds",
+                    self.form.name()
+                )));
+            }
+            if self.price_and_augment(&sol) == 0 {
+                return Ok(sol);
+            }
+            rounds += 1;
+        }
+    }
+
+    /// One pricing round: computes each job's budgets from the duals of
+    /// `sol`, [prices](Self::price) the Yen paths against them, and adds
+    /// the proposed paths' columns (and any newly crossed capacity rows)
+    /// to the master. Returns the number of columns added — zero means the
+    /// restricted optimum is optimal over the Yen paths and the loop is
+    /// done.
+    fn price_and_augment(&mut self, sol: &Solution) -> usize {
         debug_assert_eq!(sol.status, Status::Optimal, "pricing needs optimal duals");
         self.stats.rounds += 1;
         obs::counter_add("cg.rounds", 1);
@@ -659,18 +520,7 @@ impl CgMaster {
             reason = "cg.pricing_ns is a reporting-only counter; no scheduling decision reads it"
         )]
         let t0 = std::time::Instant::now();
-        let proposals = {
-            let ctx = PricingContext {
-                graph: &self.graph,
-                jobs: &self.jobs,
-                windows: &self.active,
-                cap_rows: &self.cap_rows,
-                duals: &sol.duals,
-                budgets: &budgets,
-                pool: &self.pool,
-            };
-            pricer.price(&ctx)
-        };
+        let proposals = self.price(&sol.duals, &budgets);
         self.stats.pricer_calls += 1;
         let spent = t0.elapsed().as_nanos() as u64;
         self.stats.pricing_ns += spent;
@@ -679,27 +529,51 @@ impl CgMaster {
         drop(_pricing);
 
         let _augment = obs::span("cg_augment");
-        // Exact reduced-cost verification with unclamped duals: a proposal
-        // must improve in at least one active slice.
-        let batch: Vec<(usize, Path)> = proposals
-            .into_iter()
-            .filter(|(job, path)| {
-                let w = self.active[*job].clone();
-                w.clone().any(|j| {
-                    let load: f64 = path
-                        .edges()
-                        .iter()
-                        .map(|&e| self.cap_rows.dual(&sol.duals, e, j))
-                        .sum();
-                    load < budgets[*job][j - w.start]
-                })
-            })
-            .collect();
-        let added = self.add_paths(batch);
+        let added = self.add_paths(proposals);
         self.stats.columns_added += added as u64;
         obs::counter_add("cg.columns_added", added as u64);
         self.budget_scratch = budgets;
         added
+    }
+
+    /// Proposes, for each job with an active window, the out-of-pool Yen
+    /// path with the best exact reduced-cost margin, if that margin is
+    /// positive; ties keep the first in Yen order. A path's margin is the
+    /// maximum over the job's active slices `j` of
+    /// `budgets[i][j − start] − Σ_{e∈p} μ_{e,j}` under the raw duals, so a
+    /// proposal improves the master in at least one slice. One path per job
+    /// per round keeps the pool lean: entering every improving column
+    /// floods the restricted master back to the monolithic size.
+    fn price(&mut self, duals: &[f64], budgets: &[Vec<f64>]) -> Vec<(usize, Path)> {
+        let mut out = Vec::new();
+        for (i, job) in self.jobs.iter().enumerate() {
+            let w = &self.active[i];
+            if w.is_empty() {
+                continue;
+            }
+            let mut best: Option<(f64, &Path)> = None;
+            for p in self.pathset.paths(&self.graph, job.src, job.dst) {
+                if self.pool.contains(i, p) {
+                    continue;
+                }
+                let mut m = f64::NEG_INFINITY;
+                for j in w.clone() {
+                    let load: f64 = p
+                        .edges()
+                        .iter()
+                        .map(|&e| self.cap_rows.dual(duals, e, j))
+                        .sum();
+                    m = m.max(budgets[i][j - w.start] - load);
+                }
+                if m > 0.0 && best.as_ref().is_none_or(|(bm, _)| m > *bm) {
+                    best = Some((m, p));
+                }
+            }
+            if let Some((_, p)) = best {
+                out.push((i, p.clone()));
+            }
+        }
+        out
     }
 
     /// Materializes each `(job, path)` of `batch` not yet in the pool over
@@ -829,59 +703,16 @@ impl CgMaster {
     }
 }
 
-/// Runs the price–resolve loop on `master`'s **current** form: solve,
-/// price, augment, repeat until the pricer prices out (or a non-optimal
-/// status stops the loop — RET's Quick-Finish form can legitimately be
-/// infeasible). Returns the final restricted solution; a loop not priced
-/// out within [`MAX_ROUNDS`] is a [`SolveError::Numerical`], because a master
-/// cut off there was never priced to optimality.
-pub(crate) fn price_resolve(
-    master: &mut CgMaster,
-    pricer: &mut dyn Pricer,
-) -> Result<Solution, SolveError> {
-    price_resolve_until(master, pricer, |_| false)
-}
-
-/// [`price_resolve`] with an early-stop predicate, checked on each
-/// restricted optimum *before* pricing. Stopping early is only sound when
-/// the caller needs a one-sided answer: the restricted objective is a
-/// lower bound on the universe optimum (Maximize), so once a feasibility
-/// threshold is reached, more columns cannot un-reach it. RET's bisection
-/// probes use this — a probe only needs pricing to optimality to certify
-/// *in*feasibility, and stopping at the threshold keeps the pool lean.
-pub(crate) fn price_resolve_until(
-    master: &mut CgMaster,
-    pricer: &mut dyn Pricer,
-    stop: impl Fn(&Solution) -> bool,
-) -> Result<Solution, SolveError> {
-    let mut rounds = 0usize;
-    loop {
-        let sol = master.solve()?;
-        if sol.status != Status::Optimal || stop(&sol) {
-            return Ok(sol);
-        }
-        if rounds == master.max_rounds {
-            return Err(SolveError::Numerical(format!(
-                "column generation ({}) not priced out after {rounds} rounds",
-                master.form.name()
-            )));
-        }
-        if master.price_and_augment(&sol, pricer) == 0 {
-            return Ok(sol);
-        }
-        rounds += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::InstanceConfig;
     use crate::stage1::solve_stage1;
+    use std::collections::BTreeMap;
 
-    /// Stage 1 priced out on `master`: `Z*` over the pricer's universe.
-    fn stage1_colgen(master: &mut CgMaster, pricer: &mut dyn Pricer) -> Result<f64, SolveError> {
-        Ok(master.solve_form(Form::Stage1, pricer)?.objective)
+    /// Stage 1 priced out on `master`: `Z*` over the Yen paths.
+    fn stage1_colgen(master: &mut CgMaster) -> Result<f64, SolveError> {
+        Ok(master.solve_form(Form::Stage1)?.objective)
     }
     use wavesched_net::abilene14;
     use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
@@ -907,8 +738,7 @@ mod tests {
         let mono = solve_stage1(&inst).unwrap();
 
         let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
-        let mut pricer = PricerChoice::Exhaustive.build(cfg.paths_per_job);
-        let z = stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        let z = stage1_colgen(&mut master).unwrap();
         assert!(
             (z - mono.z_star).abs() < 1e-6,
             "colgen z* {z} vs monolithic {}",
@@ -917,33 +747,10 @@ mod tests {
     }
 
     #[test]
-    fn reduced_cost_pricer_at_least_exhaustive() {
-        let (g, jobs, demands, cfg) = setup(12, 7);
-        let mut ps = PathSet::new(cfg.paths_per_job);
-        let inst = Instance::build(&g, &jobs, &cfg, &mut ps);
-        let mono = solve_stage1(&inst).unwrap();
-
-        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
-        let mut pricer = PricerChoice::ReducedCost.build(cfg.paths_per_job);
-        let z = stage1_colgen(&mut master, pricer.as_mut()).unwrap();
-        // The reduced-cost pricer optimizes over ALL simple paths, a
-        // superset of the Yen set: its optimum can only be >= (up to tol).
-        assert!(
-            z >= mono.z_star - 1e-6,
-            "colgen z* {z} below Yen optimum {}",
-            mono.z_star
-        );
-        let st = master.stats();
-        assert!(st.rounds >= 1);
-        assert!(st.pricer_calls >= 1);
-    }
-
-    #[test]
     fn pool_stays_restricted() {
         let (g, jobs, demands, cfg) = setup(10, 42);
         let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
-        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
-        stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        stage1_colgen(&mut master).unwrap();
         // Exhaustive column count over the same jobs.
         let mut ps = PathSet::new(cfg.paths_per_job);
         let inst = Instance::build(&g, &jobs, &cfg, &mut ps);
@@ -970,14 +777,13 @@ mod tests {
     #[test]
     fn round_cap_is_an_error_not_an_answer() {
         let (g, jobs, demands, cfg) = setup(10, 42);
-        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
         let mut free = CgMaster::build(&g, &jobs, demands.clone(), &cfg).unwrap();
-        stage1_colgen(&mut free, pricer.as_mut()).unwrap();
+        stage1_colgen(&mut free).unwrap();
         assert!(free.stats().rounds > 2, "workload must need several rounds");
 
         let mut capped = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
         capped.max_rounds = 1;
-        let out = stage1_colgen(&mut capped, pricer.as_mut());
+        let out = stage1_colgen(&mut capped);
         assert!(
             matches!(&out, Err(SolveError::Numerical(why)) if why.contains("stage 1")),
             "{out:?}"
@@ -1150,8 +956,7 @@ mod tests {
         }
         let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
         let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
-        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
-        stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        stage1_colgen(&mut master).unwrap();
         assert!(master.stats().columns_added > 0);
         let horizon = master.grid.num_slices() - master.grid.first_slice();
         assert!(horizon >= 9_750, "horizon {horizon}");
@@ -1187,8 +992,7 @@ mod tests {
     fn values_map_onto_materialized_instance() {
         let (g, jobs, demands, cfg) = setup(8, 5);
         let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
-        let mut pricer = PricerChoice::default().build(cfg.paths_per_job);
-        let z = stage1_colgen(&mut master, pricer.as_mut()).unwrap();
+        let z = stage1_colgen(&mut master).unwrap();
         let sol = master.solve().unwrap();
         let inst = master.materialize();
         let x = master.values_on(&inst, &sol.x);

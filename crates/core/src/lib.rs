@@ -25,7 +25,9 @@
 //!   every τ, carrying unfinished jobs forward, with the three overload
 //!   actions: reject (footnote 1's binary search), shrink demands, extend
 //!   deadlines.
-//! * [`colgen`] — the choice of pricer for the column-generated drivers.
+//! * [`colgen`] — the work counters of the column-generated drivers, which
+//!   answer the same LPs over the same Yen paths without materializing
+//!   every column.
 //!
 //! Eight functions run the algorithms: [`solve_stage1`], [`solve_stage2`],
 //! [`max_throughput_pipeline`], [`max_throughput_pipeline_colgen`],

@@ -8,7 +8,7 @@
 
 use crate::arena::BuildArena;
 use crate::builders::{Form, HeldLp};
-use crate::colgen::{CgMaster, CgStats, ColGenConfig};
+use crate::colgen::{CgMaster, CgStats};
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{adjust_rates, truncate, AdjustOrder};
 use crate::schedule::Schedule;
@@ -180,7 +180,8 @@ fn discretize(
 /// Runs the two-stage pipeline under delayed column generation.
 ///
 /// Instead of materializing every Yen column up front, a single restricted
-/// master is seeded with each job's shortest path, driven to
+/// master is seeded with each job's shortest path, driven over the same
+/// `icfg.paths_per_job` Yen paths [`max_throughput_pipeline`] solves over to
 /// the Stage-1 optimum by the price–resolve loop, switched to Stage-2 form
 /// in place (pool, capacity rows and basis all carry over), and priced out
 /// again. The converged pool then materializes into a standard
@@ -196,7 +197,6 @@ pub fn max_throughput_pipeline_colgen(
     jobs: &[Job],
     icfg: &InstanceConfig,
     alpha: f64,
-    cg: &ColGenConfig,
 ) -> Result<(PipelineResult, Instance, CgStats), SolveError> {
     if jobs.is_empty() {
         // Nothing to price: the monolithic pipeline's answer over no jobs.
@@ -213,11 +213,10 @@ pub fn max_throughput_pipeline_colgen(
 
     let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
     let mut master = CgMaster::build(graph, jobs, demands, icfg)?;
-    let mut pricer = cg.pricer.build(icfg.paths_per_job);
 
     let z_star = {
         let _s = obs::span("stage1");
-        master.solve_form(Form::Stage1, pricer.as_mut())?.objective
+        master.solve_form(Form::Stage1)?.objective
     };
     let stage1_time = t0.elapsed();
 
@@ -229,7 +228,7 @@ pub fn max_throughput_pipeline_colgen(
         let _s = obs::span("stage2");
         let weights = WeightPolicy::DemandProportional;
         let form = Form::stage2(master.demands(), z_star, alpha, &weights);
-        master.solve_form(form, pricer.as_mut())?
+        master.solve_form(form)?
     };
 
     let inst = master.materialize();

@@ -14,7 +14,7 @@
 
 use crate::arena::BuildArena;
 use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs, Form, HeldLp};
-use crate::colgen::{price_resolve, price_resolve_until, CgMaster, CgStats, ColGenConfig, Pricer};
+use crate::colgen::{CgMaster, CgStats, ColGenConfig};
 use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{adjust_rates_capped, truncate, AdjustOrder};
 use crate::schedule::Schedule;
@@ -613,7 +613,6 @@ impl RetBackend for EnvelopeBackend<'_> {
 /// windows cannot extend past `b_max`.
 struct CgBackend<'a> {
     master: CgMaster,
-    pricer: Box<dyn Pricer>,
     jobs: &'a [Job],
     cfg: &'a RetConfig,
     origin: f64,
@@ -637,7 +636,7 @@ impl RetBackend for CgBackend<'_> {
         // only underestimates the universe optimum, so reaching `Z >= 1`
         // already answers the probe — pricing to optimality is needed only
         // to certify infeasibility.
-        let sol = price_resolve_until(&mut self.master, self.pricer.as_mut(), probe_feasible)?;
+        let sol = self.master.price_resolve_until(probe_feasible)?;
         Ok(probe_feasible(&sol))
     }
 
@@ -647,7 +646,7 @@ impl RetBackend for CgBackend<'_> {
         };
         self.master.set_active_windows(&windows);
         self.master.install(Form::QuickFinish);
-        let sol = price_resolve(&mut self.master, self.pricer.as_mut())?;
+        let sol = self.master.price_resolve()?;
         if sol.status != Status::Optimal {
             return Ok(None);
         }
@@ -732,15 +731,17 @@ pub fn solve_ret_with_demands(
 /// Matches [`solve_ret`]'s trajectory semantics, end times measured from
 /// time 0 included, with one documented difference: growth is capped at
 /// the `b_max` envelope, where the monolithic path may take one final cold
-/// step beyond `b_max`. Returns
-/// the result together with the column-generation work counters, or
-/// `Ok(None)` when no extension within `b_max` completes all jobs.
+/// step beyond `b_max`. Each job's paths are its `inst_cfg.paths_per_job`
+/// Yen paths, the set [`solve_ret`] materializes. Returns the result
+/// together with the column-generation work counters, or `Ok(None)` when
+/// no extension within `b_max` completes all jobs. `_cg` has no effect:
+/// it remains only because the outside-in benchmark passes it.
 pub fn solve_ret_colgen(
     graph: &Graph,
     jobs: &[Job],
     inst_cfg: &InstanceConfig,
     cfg: &RetConfig,
-    cg: &ColGenConfig,
+    _cg: &ColGenConfig,
 ) -> Result<Option<(RetResult, CgStats)>, SolveError> {
     let origin = 0.0;
     let out = algorithm2(jobs, cfg, || {
@@ -754,7 +755,6 @@ pub fn solve_ret_colgen(
             .collect();
         Ok(CgBackend {
             master: CgMaster::build(graph, &env_jobs, demands, inst_cfg)?,
-            pricer: cg.pricer.build(inst_cfg.paths_per_job),
             jobs,
             cfg,
             origin,

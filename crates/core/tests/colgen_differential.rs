@@ -11,17 +11,14 @@
 //! Both sides are driven through the crate's entry points only —
 //! [`max_throughput_pipeline_colgen`] against [`solve_stage1`] /
 //! [`solve_stage2`], [`solve_ret_colgen`] against [`solve_ret`] — so the
-//! master, its pool and its pricers stay the crate's internals.
+//! master and its pool stay the crate's internals.
 //!
-//! * With [`PricerChoice::Exhaustive`] the path universes coincide, so
-//!   Stage-1 `Z*`, the Stage-2 weighted objective, and RET's `b̂` must all
-//!   match the monolithic results to tolerance, over no more columns.
-//! * With [`PricerChoice::ReducedCost`] the universe is *all* simple paths —
-//!   a superset of the Yen set — so Stage-1 `Z*` must be at least the
-//!   monolithic optimum (minus tolerance).
+//! Both sides route each job over the same Yen paths, so Stage-1 `Z*`, the
+//! Stage-2 weighted objective, and RET's `b̂` must all match the monolithic
+//! results to tolerance, over no more columns.
 
 use proptest::prelude::*;
-use wavesched_core::colgen::{ColGenConfig, PricerChoice};
+use wavesched_core::colgen::ColGenConfig;
 use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_core::pipeline::{max_throughput_pipeline_colgen, PipelineResult};
 use wavesched_core::ret::{solve_ret, solve_ret_colgen, RetConfig};
@@ -46,28 +43,21 @@ fn monolithic(g: &Graph, jobs: &[Job], cfg: &InstanceConfig) -> Instance {
     Instance::build(g, jobs, cfg, &mut ps)
 }
 
-/// The column-generated pipeline under `pricer`, with the instance its
-/// converged pool materialized into.
-fn cg_pipeline(
-    g: &Graph,
-    jobs: &[Job],
-    cfg: &InstanceConfig,
-    pricer: PricerChoice,
-) -> (PipelineResult, Instance) {
-    let (r, inst, _) = max_throughput_pipeline_colgen(g, jobs, cfg, 0.1, &ColGenConfig { pricer })
-        .expect("cg pipeline");
+/// The column-generated pipeline, with the instance its converged pool
+/// materialized into.
+fn cg_pipeline(g: &Graph, jobs: &[Job], cfg: &InstanceConfig) -> (PipelineResult, Instance) {
+    let (r, inst, _) = max_throughput_pipeline_colgen(g, jobs, cfg, 0.1).expect("cg pipeline");
     (r, inst)
 }
 
-/// Stage-1 + Stage-2 agreement on one instance: exhaustive-pricer column
-/// generation must match the monolithic objectives; reduced-cost pricing
-/// (superset universe) must be at least as good at Stage 1.
+/// Stage-1 + Stage-2 agreement on one instance: column generation must
+/// match the monolithic objectives.
 fn check_pipeline_agreement(g: &Graph, jobs: &[Job], cfg: &InstanceConfig, label: &str) {
     let inst = monolithic(g, jobs, cfg);
     let mono1 = solve_stage1(&inst).expect("monolithic stage 1");
     let mono2 = solve_stage2(&inst, mono1.z_star, 0.1).expect("monolithic stage 2");
 
-    let (cg, cg_inst) = cg_pipeline(g, jobs, cfg, PricerChoice::Exhaustive);
+    let (cg, cg_inst) = cg_pipeline(g, jobs, cfg);
     assert!(
         (cg.z_star - mono1.z_star).abs() <= TOL * (1.0 + mono1.z_star.abs()),
         "{label}: stage-1 mismatch cg={} monolithic={}",
@@ -87,14 +77,6 @@ fn check_pipeline_agreement(g: &Graph, jobs: &[Job], cfg: &InstanceConfig, label
         "{label}: pool {} exceeds monolithic {}",
         cg_inst.vars.len(),
         inst.vars.len()
-    );
-
-    let (rc, _) = cg_pipeline(g, jobs, cfg, PricerChoice::ReducedCost);
-    assert!(
-        rc.z_star >= mono1.z_star - TOL * (1.0 + mono1.z_star.abs()),
-        "{label}: reduced-cost pricer below Yen optimum: {} < {}",
-        rc.z_star,
-        mono1.z_star
     );
 }
 
@@ -148,11 +130,9 @@ proptest! {
         .generate(&g);
         let cfg = InstanceConfig::paper(2);
         let ret_cfg = RetConfig::default();
-        let cg = ColGenConfig {
-            pricer: PricerChoice::Exhaustive,
-        };
         let mono = solve_ret(&g, &jobs, &cfg, &ret_cfg).expect("monolithic ret");
-        let colgen = solve_ret_colgen(&g, &jobs, &cfg, &ret_cfg, &cg).expect("cg ret");
+        let colgen = solve_ret_colgen(&g, &jobs, &cfg, &ret_cfg, &ColGenConfig::default())
+            .expect("cg ret");
         match (&mono, &colgen) {
             (None, None) => {}
             (Some(m), Some((c, _))) => {

@@ -1,6 +1,7 @@
 //! Shortest paths: the fewest-hops search with optional edge/node
-//! exclusion, and Dijkstra under arbitrary per-link weight closures (as
-//! needed by reduced-cost pricing in delayed column generation).
+//! exclusion, and Dijkstra under arbitrary per-link weight closures (the
+//! search the textbook Yen loop runs, kept as the oracle the fast paths
+//! are tested against).
 //!
 //! ## Determinism
 //!
@@ -122,10 +123,9 @@ pub fn shortest_path_filtered(
 }
 
 /// Dijkstra under an arbitrary non-negative per-link weight closure,
-/// returning the total weight alongside the path. This is the kernel
-/// reduced-cost pricing uses: the closure evaluates the capacity-row dual
-/// of each link (clamped to zero), and the returned total is the pricer's
-/// lower estimate of the column's dual load.
+/// returning the total weight alongside the path. Under unit weights it is
+/// the search of the textbook Yen loop in `tests/yen_differential.rs` and
+/// the oracle `tests/properties.rs` holds [`shortest_path`] to.
 ///
 /// Ties are broken deterministically — see the module docs: equal-distance
 /// nodes settle lowest-id first, equal-cost predecessors resolve to the

@@ -11,7 +11,7 @@
 //! Networks: `abilene14`, `abilene20`, `esnet`, or `waxman:<nodes>:<pairs>:<seed>`.
 
 use std::process::ExitCode;
-use wavesched::core::colgen::{CgStats, ColGenConfig, PricerChoice};
+use wavesched::core::colgen::{CgStats, ColGenConfig};
 use wavesched::core::controller::OverloadPolicy;
 use wavesched::core::instance::{Instance, InstanceConfig};
 use wavesched::core::pipeline::{max_throughput_pipeline, max_throughput_pipeline_colgen};
@@ -52,9 +52,10 @@ common options:
   --paths <k>            allowed paths per job (default 4, at least 1)
   --alpha <a>            stage-2 fairness slack in [0, 1] (default 0.1)
   --colgen               solve through delayed column generation instead of
-                         materializing every Yen column (schedule, ret)
-  --pricer <reduced-cost|exhaustive>  column-generation pricing oracle
-                         (default reduced-cost)
+                         materializing every Yen column: the same LP over the
+                         same k paths per job (schedule, ret)
+
+A command rejects any option it does not take (exit 2).
 
 gen-trace options:
   --jobs <n> --seed <s>  workload size and seed
@@ -143,27 +144,51 @@ impl Args {
     }
 }
 
-/// Parses the column-generation options (`--colgen`, `--pricer`) into a
-/// config, or `None` when `--colgen` was not requested. `--pricer` is
-/// accepted only alongside `--colgen` so a typo'd invocation cannot
-/// silently run the monolithic pipeline with the pricer ignored.
-fn colgen_cfg(args: &Args) -> Result<Option<ColGenConfig>, String> {
-    if !args.flag("colgen") {
-        if args.get("pricer").is_some() {
-            return Err("--pricer requires --colgen".into());
-        }
-        return Ok(None);
-    }
-    let pricer = match args.get("pricer").unwrap_or("reduced-cost") {
-        "reduced-cost" => PricerChoice::ReducedCost,
-        "exhaustive" => PricerChoice::Exhaustive,
-        other => {
-            return Err(format!(
-                "unknown pricer {other:?}; supported: reduced-cost, exhaustive"
-            ))
-        }
+/// The options `command` takes, or `None` for a command `run` rejects on
+/// its own. Every command that builds a network reads `--network`,
+/// `--wavelengths` and `--trace`.
+fn accepted_options(command: &str) -> Option<&'static [&'static str]> {
+    let names: &[&str] = match command {
+        "gen-trace" => &["network", "wavelengths", "trace", "jobs", "seed"],
+        "schedule" => &[
+            "network",
+            "wavelengths",
+            "trace",
+            "paths",
+            "alpha",
+            "colgen",
+        ],
+        "ret" => &["network", "wavelengths", "trace", "paths", "colgen"],
+        "simulate" => &[
+            "network",
+            "wavelengths",
+            "trace",
+            "paths",
+            "alpha",
+            "policy",
+            "tau",
+        ],
+        "dot" => &["network", "wavelengths", "trace"],
+        "check-report" | "help" | "--help" => &[],
+        "check-counters" => &["require-nonzero"],
+        _ => return None,
     };
-    Ok(Some(ColGenConfig { pricer }))
+    Some(names)
+}
+
+/// The first option `args.command` does not take, as a one-line error: a
+/// misspelled knob must not run at its default.
+fn reject_unknown_options(args: &Args) -> Result<(), String> {
+    let Some(names) = accepted_options(&args.command) else {
+        return Ok(());
+    };
+    match args.opts.iter().find(|(k, _)| !names.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((k, _)) => Err(format!(
+            "unknown option --{k} for {} (see wavesched help)",
+            args.command
+        )),
+    }
 }
 
 fn print_cg_stats(stats: &CgStats) {
@@ -203,10 +228,7 @@ fn build_network(spec: &str, w: u32) -> Result<Graph, String> {
     }
 }
 
-fn run() -> Result<(), String> {
-    let Some(args) = Args::parse() else {
-        return Err(usage().to_string());
-    };
+fn run(args: &Args) -> Result<(), String> {
     if args.command == "help" || args.command == "--help" {
         println!("{}", usage());
         return Ok(());
@@ -396,22 +418,18 @@ fn run() -> Result<(), String> {
             print!("{}", write_trace(&jobs));
         }
         "schedule" => {
-            let colgen = colgen_cfg(&args)?;
             let jobs = load_trace()?;
-            let (inst, r) = match colgen {
-                Some(cg) => {
-                    let (r, inst, stats) =
-                        max_throughput_pipeline_colgen(&graph, &jobs, &inst_cfg, alpha, &cg)
-                            .map_err(|e| e.to_string())?;
-                    print_cg_stats(&stats);
-                    (inst, r)
-                }
-                None => {
-                    let mut ps = PathSet::new(inst_cfg.paths_per_job);
-                    let inst = Instance::build(&graph, &jobs, &inst_cfg, &mut ps);
-                    let r = max_throughput_pipeline(&inst, alpha).map_err(|e| e.to_string())?;
-                    (inst, r)
-                }
+            let (inst, r) = if args.flag("colgen") {
+                let (r, inst, stats) =
+                    max_throughput_pipeline_colgen(&graph, &jobs, &inst_cfg, alpha)
+                        .map_err(|e| e.to_string())?;
+                print_cg_stats(&stats);
+                (inst, r)
+            } else {
+                let mut ps = PathSet::new(inst_cfg.paths_per_job);
+                let inst = Instance::build(&graph, &jobs, &inst_cfg, &mut ps);
+                let r = max_throughput_pipeline(&inst, alpha).map_err(|e| e.to_string())?;
+                (inst, r)
             };
             let plan = r.lpdar.trim_to_demand(&inst);
             println!(
@@ -432,17 +450,17 @@ fn run() -> Result<(), String> {
             print!("{}", link_utilization(&inst, &plan, 10));
         }
         "ret" => {
-            let colgen = colgen_cfg(&args)?;
             let jobs = load_trace()?;
-            let out = match colgen {
-                Some(cg) => solve_ret_colgen(&graph, &jobs, &inst_cfg, &RetConfig::default(), &cg)
+            let ret_cfg = RetConfig::default();
+            let out = if args.flag("colgen") {
+                solve_ret_colgen(&graph, &jobs, &inst_cfg, &ret_cfg, &ColGenConfig::default())
                     .map_err(|e| e.to_string())?
                     .map(|(r, stats)| {
                         print_cg_stats(&stats);
                         r
-                    }),
-                None => solve_ret(&graph, &jobs, &inst_cfg, &RetConfig::default())
-                    .map_err(|e| e.to_string())?,
+                    })
+            } else {
+                solve_ret(&graph, &jobs, &inst_cfg, &ret_cfg).map_err(|e| e.to_string())?
             };
             match out {
                 None => println!("no end-time extension up to b_max completes all jobs"),
@@ -508,7 +526,15 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let Some(args) = Args::parse() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    if let Err(msg) = reject_unknown_options(&args) {
+        eprintln!("{msg}");
+        return ExitCode::from(2);
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

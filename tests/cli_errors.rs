@@ -1,5 +1,6 @@
 //! Bad input at the CLI boundary exits non-zero with a one-line message —
-//! never a panic with a backtrace.
+//! never a panic with a backtrace. An option the command does not take
+//! exits 2, so a misspelled knob cannot run at its default.
 
 use std::process::Command;
 
@@ -13,7 +14,7 @@ fn bad_input_is_a_one_line_error_not_a_panic() {
     std::fs::write(&one_job, format!("{header}0,0,0,1,10,0,4\n")).unwrap();
     let (empty, one_job) = (empty.to_str().unwrap(), one_job.to_str().unwrap());
 
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["ret", "--trace", empty], "at least one job"),
         (&["ret", "--trace", empty, "--colgen"], "at least one job"),
         (
@@ -37,6 +38,21 @@ fn bad_input_is_a_one_line_error_not_a_panic() {
         (&["dot", "--network", "waxman:10:5:1"], "connectivity"),
         (&["dot", "--network", "waxman:1:0:1"], "two nodes"),
         (&["dot", "--network", "waxman:10:100:1"], "45 node pairs"),
+        (
+            &["schedule", "--trace", one_job, "--wavelenghts", "2"],
+            "unknown option --wavelenghts",
+        ),
+        (
+            &[
+                "schedule",
+                "--trace",
+                one_job,
+                "--colgen",
+                "--pricer",
+                "exhaustive",
+            ],
+            "unknown option --pricer",
+        ),
     ];
     for (args, want) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_wavesched"))
@@ -48,5 +64,8 @@ fn bad_input_is_a_one_line_error_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(want), "{args:?}: {stderr}");
+        if want.starts_with("unknown option") {
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+        }
     }
 }

@@ -194,3 +194,58 @@ fn waxman_topologies_are_pinned() {
         );
     }
 }
+
+/// `schedule --colgen` answers the LP `schedule` answers: the same `Z*` and
+/// the same Stage-2 optimum, over the same Yen paths per job. LPD and LPDAR
+/// are left out: they round whichever optimal vertex the solve lands on.
+#[test]
+fn colgen_schedule_answers_the_monolithic_lp() {
+    let wavesched = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wavesched"))
+            .args(args)
+            .output()
+            .expect("run wavesched");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("e2e_colgen_trace.csv");
+    let csv = wavesched(&[
+        "gen-trace",
+        "--network",
+        "abilene14",
+        "--jobs",
+        "20",
+        "--seed",
+        "1",
+    ]);
+    std::fs::write(&trace, csv).expect("write trace");
+    let trace = trace.to_str().expect("utf-8 path");
+
+    // "... Z* = <z>" and "weighted throughput: LP <lp>, LPD ...".
+    let answer = |stdout: &str| {
+        let z = stdout
+            .lines()
+            .find_map(|l| l.split_once("Z* = "))
+            .map(|(_, z)| z);
+        let lp = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("weighted throughput: LP "))
+            .and_then(|rest| rest.split(',').next());
+        (
+            z.expect("a Z* line").to_string(),
+            lp.expect("an LP line").to_string(),
+        )
+    };
+    let schedule = [
+        "schedule",
+        "--network",
+        "abilene14",
+        "--trace",
+        trace,
+        "--wavelengths",
+        "2",
+    ];
+    let mono = answer(&wavesched(&schedule));
+    let colgen = answer(&wavesched(&[&schedule[..], &["--colgen"]].concat()));
+    assert_eq!(colgen, mono);
+}
