@@ -55,6 +55,26 @@ struct Opts {
     trace: Option<String>,
 }
 
+/// Prints `msg` as the one line of a usage error and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The argument after `flag`, parsed as a `T`: counts and seeds are
+/// integers, so `--jobs 2.5` is refused rather than truncated.
+fn value<T>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let v = args
+        .next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+    v.parse()
+        .unwrap_or_else(|e| usage_error(&format!("{flag} {v:?}: {e}")))
+}
+
 fn parse_opts() -> Opts {
     let mut o = Opts {
         jobs: 1_000_000,
@@ -70,18 +90,6 @@ fn parse_opts() -> Opts {
     };
     let mut jobs_set = false;
     let mut args = std::env::args().skip(1);
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
-    };
-    let parse = |flag: &str, v: String| -> f64 {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag}={v:?} is not a number");
-            std::process::exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => {
@@ -90,33 +98,36 @@ fn parse_opts() -> Opts {
                 }
             }
             "--jobs" => {
-                o.jobs = parse("--jobs", need(&mut args, "--jobs")) as usize;
+                o.jobs = value(&mut args, "--jobs");
                 jobs_set = true;
             }
-            "--rate" => o.rate = parse("--rate", need(&mut args, "--rate")),
-            "--tau" => o.tau = parse("--tau", need(&mut args, "--tau")) as usize,
-            "--wavelengths" => {
-                o.wavelengths = parse("--wavelengths", need(&mut args, "--wavelengths")) as u32;
-            }
-            "--paths" => o.paths = parse("--paths", need(&mut args, "--paths")) as usize,
-            "--seed" => o.seed = parse("--seed", need(&mut args, "--seed")) as u64,
-            "--report" => o.report = Some(need(&mut args, "--report")),
-            "--log" => o.log = Some(need(&mut args, "--log")),
+            "--rate" => o.rate = value(&mut args, "--rate"),
+            "--tau" => o.tau = value(&mut args, "--tau"),
+            "--wavelengths" => o.wavelengths = value(&mut args, "--wavelengths"),
+            "--paths" => o.paths = value(&mut args, "--paths"),
+            "--seed" => o.seed = value(&mut args, "--seed"),
+            "--report" => o.report = Some(value(&mut args, "--report")),
+            "--log" => o.log = Some(value(&mut args, "--log")),
             "--preload" => o.preload = true,
-            "--trace" => o.trace = Some(need(&mut args, "--trace")),
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; supported: --smoke --jobs --rate --tau \
-                     --wavelengths --paths --seed --report <path> --log <path> --preload \
-                     --trace <path>"
-                );
-                std::process::exit(2);
-            }
+            "--trace" => o.trace = Some(value(&mut args, "--trace")),
+            other => usage_error(&format!(
+                "unknown argument {other:?}; supported: --smoke --jobs --rate --tau \
+                 --wavelengths --paths --seed --report <path> --log <path> --preload \
+                 --trace <path>"
+            )),
         }
     }
     if o.tau == 0 {
-        eprintln!("--tau must be positive");
-        std::process::exit(2);
+        usage_error("--tau must be positive");
+    }
+    if o.wavelengths == 0 {
+        usage_error("--wavelengths must be at least 1");
+    }
+    if o.paths == 0 {
+        usage_error("--paths must be at least 1");
+    }
+    if !(o.rate.is_finite() && o.rate > 0.0) {
+        usage_error(&format!("--rate must be finite and positive, got {}", o.rate));
     }
     o
 }

@@ -12,7 +12,6 @@
 
 use crate::arena::BuildArena;
 use crate::instance::Instance;
-use crate::stage2::WeightPolicy;
 use wavesched_lp::{
     Basis, Col, Objective, Problem, Row, SimplexConfig, Solution, SolveError, SolveStats,
     SolverSession, Status,
@@ -26,7 +25,7 @@ use wavesched_obs as obs;
 /// | form          | `Z` cost | `Z` bounds   | job-row upper | `(job i, slice j)` column cost |
 /// |---------------|----------|--------------|---------------|--------------------------------|
 /// | `Stage1`      | 1        | `[0, ∞)`     | 0             | 0                              |
-/// | `Stage2`      | 0        | `[floor, ∞)` | ∞             | `scale[i] · LEN(j)`            |
+/// | `Stage2`      | 0        | `[floor, ∞)` | ∞             | `scale · LEN(j)`               |
 /// | `Probe`       | 1        | `[0, 1]`     | ∞             | 0                              |
 /// | `QuickFinish` | 0        | `[1, 1]`     | ∞             | `−(j + 1)`                     |
 ///
@@ -46,9 +45,9 @@ pub(crate) enum Form {
     Stage2 {
         /// `(1-alpha)·Z*`.
         floor: f64,
-        /// `scale[i] = (w_i / D_i) / Σw` (eq. 7 after substituting eq. 8;
-        /// with `w_i = D_i` the objective is total volume / total demand).
-        scale: Vec<f64>,
+        /// `1 / Σ D_i`: eq. 7 weighs job `i` by `w_i = D_i`, so after
+        /// substituting eq. 8 the objective is total volume / total demand.
+        scale: f64,
     },
     /// RET feasibility probe: maximize `Z ∈ [0, 1]` s.t. volume `>= Z·D_i`;
     /// SUB-RET at the same windows is feasible iff `Z* = 1`.
@@ -60,14 +59,12 @@ pub(crate) enum Form {
 
 impl Form {
     /// Stage 2 over jobs of normalized `demands`, given Stage 1's `z_star`.
-    pub(crate) fn stage2(demands: &[f64], z_star: f64, alpha: f64, weights: &WeightPolicy) -> Form {
+    pub(crate) fn stage2(demands: &[f64], z_star: f64, alpha: f64) -> Form {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-        let weight = |i| weights.weight_of(demands, i);
-        let total_weight: f64 = (0..demands.len()).map(weight).sum();
-        let scale = |i| weight(i) / demands[i] / total_weight;
+        let total: f64 = demands.iter().sum();
         Form::Stage2 {
             floor: (1.0 - alpha) * z_star,
-            scale: (0..demands.len()).map(scale).collect(),
+            scale: 1.0 / total,
         }
     }
 
@@ -91,12 +88,12 @@ impl Form {
         }
     }
 
-    /// The objective coefficient of a `(job, slice)` column; `len` is
-    /// `LEN(slice)`.
-    pub(crate) fn cost_of(&self, job: usize, slice: usize, len: f64) -> f64 {
+    /// The objective coefficient of a column in `slice`, whichever job
+    /// it serves; `len` is `LEN(slice)`.
+    pub(crate) fn cost_of(&self, slice: usize, len: f64) -> f64 {
         match self {
             Form::Stage1 | Form::Probe => 0.0,
-            Form::Stage2 { scale, .. } => scale[job] * len,
+            Form::Stage2 { scale, .. } => scale * len,
             Form::QuickFinish => -((slice + 1) as f64),
         }
     }
@@ -159,8 +156,8 @@ impl HeldLp {
         for job in 0..inst.num_jobs() {
             session.set_row_bounds(Row::from_index(job), 0.0, row_hi);
         }
-        for (var, job, _, slice) in inst.vars.iter() {
-            let cost = form.cost_of(job, slice, inst.grid.len_of(slice));
+        for (var, _, _, slice) in inst.vars.iter() {
+            let cost = form.cost_of(slice, inst.grid.len_of(slice));
             session.set_cost(Col::from_index(var), cost);
         }
     }
@@ -298,9 +295,10 @@ mod tests {
     use wavesched_net::{abilene14, waxman_network, Graph, PathSet, WaxmanConfig};
     use wavesched_workload::{Job, JobId, WorkloadConfig, WorkloadGenerator};
 
-    /// Stage 2 as `stage2.rs` built it before the form table.
-    fn stage2_problem(inst: &Instance, z_star: f64, alpha: f64, weights: &WeightPolicy) -> Problem {
-        let weight = |i| weights.weight_of(&inst.demands, i);
+    /// Stage 2 as `stage2.rs` built it before the form table, under the
+    /// paper's weights `w_i = D_i`.
+    fn stage2_problem(inst: &Instance, z_star: f64, alpha: f64) -> Problem {
+        let weight = |i: usize| inst.demands[i];
         let total_weight: f64 = (0..inst.num_jobs()).map(weight).sum();
         let mut p = Problem::new(Objective::Maximize);
         let (mut cols, mut coeffs) = (Vec::new(), Vec::new());
@@ -394,19 +392,10 @@ mod tests {
         assert_same_solve(&solved_stage1().1, &s1, &format!("{name}: stage 1"));
         let (z_star, s1_basis) = (s1.objective, s1.basis.as_ref());
 
-        let importance = (0..inst.num_jobs()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let stage2_cases = [
-            (WeightPolicy::DemandProportional, 0.1),
-            (WeightPolicy::Uniform, 0.1),
-            (WeightPolicy::InverseDemand, 0.1),
-            (WeightPolicy::Importance(importance), 0.1),
-            (WeightPolicy::DemandProportional, 0.0),
-            (WeightPolicy::DemandProportional, 1.0),
-        ];
-        for (weights, alpha) in &stage2_cases {
-            let what = format!("{name}: stage 2, {weights:?}, alpha {alpha}");
-            let p = stage2_problem(inst, z_star, *alpha, weights);
-            let form = Form::stage2(&inst.demands, z_star, *alpha, weights);
+        for alpha in [0.1, 0.0, 1.0] {
+            let what = format!("{name}: stage 2, alpha {alpha}");
+            let p = stage2_problem(inst, z_star, alpha);
+            let form = Form::stage2(&inst.demands, z_star, alpha);
             for start in [None, s1_basis] {
                 let oracle = one_shot(&p, &cfg, start);
                 let fresh = open().solve(inst, &form, start, "stage 2").unwrap();
@@ -513,7 +502,7 @@ mod tests {
             HeldLp::open(&inst, &SimplexConfig::default(), &mut BuildArena::new()).unwrap();
         let s1 = lp.solve(&inst, &Form::Stage1, None, "stage 1").unwrap();
         assert!(s1.objective.is_infinite() && s1.x.is_empty() && s1.basis.is_none());
-        let form = Form::stage2(&inst.demands, s1.objective, 0.1, &WeightPolicy::Uniform);
+        let form = Form::stage2(&inst.demands, s1.objective, 0.1);
         let s2 = lp.solve(&inst, &form, None, "stage 2").unwrap();
         assert_eq!((s2.objective, s2.stats), (0.0, SolveStats::default()));
         assert!(lp.into_session().is_none());

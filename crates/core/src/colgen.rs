@@ -386,7 +386,7 @@ impl CgMaster {
         }
         for k in 0..self.pool.cols.len() {
             let pc = self.pool.cols[k];
-            let c = self.cost_of(pc.job as usize, pc.slice as usize);
+            let c = self.cost_of(pc.slice as usize);
             self.session.set_cost(self.lp_cols[k], c);
         }
     }
@@ -401,10 +401,9 @@ impl CgMaster {
         expect_optimal(self.price_resolve()?, what)
     }
 
-    /// The current form's objective coefficient of a `(job, slice)`
-    /// column.
-    fn cost_of(&self, job: usize, slice: usize) -> f64 {
-        self.form.cost_of(job, slice, self.grid.len_of(slice))
+    /// The current form's objective coefficient of a column in `slice`.
+    fn cost_of(&self, slice: usize) -> f64 {
+        self.form.cost_of(slice, self.grid.len_of(slice))
     }
 
     /// Restricts each job to `windows[i]` (clipped to the envelope):
@@ -509,7 +508,7 @@ impl CgMaster {
             bi.clear();
             bi.reserve(w.len());
             for j in w {
-                let b = self.cost_of(i, j) - lambda * self.grid.len_of(j) - TOLERANCE;
+                let b = self.cost_of(j) - lambda * self.grid.len_of(j) - TOLERANCE;
                 bi.push(b);
             }
         }
@@ -650,7 +649,7 @@ impl CgMaster {
                 new_cols.push(NewColumn {
                     lower: 0.0,
                     upper,
-                    cost: self.cost_of(job, j),
+                    cost: self.cost_of(j),
                     entries,
                 });
                 self.pool.cols.push(PoolCol {

@@ -12,45 +12,44 @@
 use crate::timegrid::TimeGrid;
 use std::ops::Range;
 use wavesched_net::{EdgeId, Graph, Path, PathSet};
-use wavesched_workload::{normalized_demand, Job, LinkRate};
+use wavesched_workload::Job;
 
 /// Instance-construction parameters.
 #[derive(Debug, Clone)]
 pub struct InstanceConfig {
     /// Allowed paths per job (`k` shortest); the paper uses 4–8.
     pub paths_per_job: usize,
-    /// Aggregate link rate in Gbit/s (20 in all the paper's experiments).
-    pub link_gbps: f64,
     /// Wavelengths per link — used for demand normalization; the
-    /// per-wavelength rate is `link_gbps / wavelengths` (capacity held
-    /// constant as wavelengths vary, as in Figs. 1–2).
+    /// per-wavelength rate is [`LINK_GBPS`](Self::LINK_GBPS)` / wavelengths`
+    /// (capacity held constant as wavelengths vary, as in Figs. 1–2).
     pub wavelengths: u32,
-    /// Seconds per unit slice.
-    pub slice_secs: f64,
 }
 
 impl InstanceConfig {
-    /// The paper's setup with `w` wavelengths per 20 Gbps link, 4 paths per
-    /// job and 60-second slices.
+    /// Aggregate link rate in Gbit/s (20 in all the paper's experiments).
+    pub const LINK_GBPS: f64 = 20.0;
+    /// Seconds per unit slice.
+    pub const SLICE_SECS: f64 = 60.0;
+
+    /// The paper's setup with `w` wavelengths per 20 Gbps link and 4 paths
+    /// per job.
     pub fn paper(w: u32) -> Self {
         InstanceConfig {
             paths_per_job: 4,
-            link_gbps: 20.0,
             wavelengths: w,
-            slice_secs: 60.0,
         }
     }
 
-    /// Normalized demand units for a file of `size_gb` gigabytes.
+    /// Normalized demand units (wavelength·slices, the `D_i` of the
+    /// formulations) for a file of `size_gb` gigabytes. The paper normalizes
+    /// "by the capacity per wavelength": one unit is what one wavelength of
+    /// a [`LINK_GBPS`](Self::LINK_GBPS) link moves in one slice.
+    ///
+    /// # Panics
+    /// Panics if `wavelengths` is zero.
     pub fn demand_units(&self, size_gb: f64) -> f64 {
-        normalized_demand(
-            size_gb,
-            LinkRate {
-                total_gbps: self.link_gbps,
-                wavelengths: self.wavelengths,
-            },
-            self.slice_secs,
-        )
+        assert!(self.wavelengths > 0, "a link needs at least one wavelength");
+        size_gb / (Self::LINK_GBPS / self.wavelengths as f64 * Self::SLICE_SECS / 8.0)
     }
 }
 

@@ -4,6 +4,7 @@
 use super::*;
 use crate::report::link_utilization;
 use crate::schedule::Schedule;
+use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 thread_local! {
@@ -90,10 +91,66 @@ fn capacity_groups_cover_paths() {
 #[test]
 fn demands_normalized() {
     let inst = small_instance(5);
-    let c = &inst.config;
+    let w = inst.config.wavelengths as f64;
     for (i, j) in inst.jobs.iter().enumerate() {
-        let expect = j.size_gb * 8.0 / ((c.link_gbps / c.wavelengths as f64) * c.slice_secs);
+        let gbps = InstanceConfig::LINK_GBPS / w;
+        let expect = j.size_gb * 8.0 / (gbps * InstanceConfig::SLICE_SECS);
         assert!((inst.demands[i] - expect).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn demand_units_is_the_three_step_formula() {
+    // The conversion as it was written before it became one expression:
+    // per-wavelength rate, then gigabytes per wavelength·slice, then the
+    // quotient. Every size and wavelength count must give the same bits.
+    let three_steps = |size_gb: f64, w: u32| {
+        let per_wavelength_gbps = 20.0 / w as f64;
+        let gb_per_slice = per_wavelength_gbps * 60.0 / 8.0;
+        size_gb / gb_per_slice
+    };
+    let mut sizes = vec![1e-3, 0.1, 1.0, 3.7, 37.5, 100.0, 150.0, 600.0, 1e4, 1e300];
+    let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+    for _ in 0..200 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        sizes.push((x >> 11) as f64 / (1u64 << 53) as f64 * 10_000.0);
+    }
+    for w in 1..=64 {
+        let cfg = InstanceConfig::paper(w);
+        for &size in &sizes {
+            assert_eq!(
+                cfg.demand_units(size).to_bits(),
+                three_steps(size, w).to_bits(),
+                "{size} GB at {w} wavelengths"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "at least one wavelength")]
+fn zero_wavelengths_have_no_demand_unit() {
+    InstanceConfig::paper(0).demand_units(1.0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn demand_units_are_linear_and_double_with_the_wavelengths(
+        size in 0.001f64..10_000.0,
+        w in 1u32..64,
+    ) {
+        let d = InstanceConfig::paper(w).demand_units(size);
+        // Linear in size.
+        let d2 = InstanceConfig::paper(w).demand_units(2.0 * size);
+        prop_assert!((d2 - 2.0 * d).abs() <= 1e-9 * d2.abs().max(1.0));
+        // demand · unit == size (round trip).
+        let unit = InstanceConfig::LINK_GBPS / w as f64 * InstanceConfig::SLICE_SECS / 8.0;
+        prop_assert!((d * unit - size).abs() <= 1e-9 * size.max(1.0));
+        // More wavelengths at constant capacity => proportionally more units.
+        let dd = InstanceConfig::paper(2 * w).demand_units(size);
+        prop_assert!((dd - 2.0 * d).abs() <= 1e-6 * dd.abs().max(1.0));
     }
 }
 

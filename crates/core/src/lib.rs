@@ -66,5 +66,5 @@ pub use pipeline::{max_throughput_pipeline, max_throughput_pipeline_colgen, Pipe
 pub use ret::{solve_ret, solve_ret_colgen, solve_ret_with_demands, RetConfig, RetResult};
 pub use schedule::Schedule;
 pub use stage1::solve_stage1;
-pub use stage2::{solve_stage2, WeightPolicy};
+pub use stage2::solve_stage2;
 pub use timegrid::TimeGrid;

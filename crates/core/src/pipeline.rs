@@ -13,7 +13,7 @@ use crate::instance::{Instance, InstanceConfig};
 use crate::lpdar::{adjust_rates, truncate, AdjustOrder};
 use crate::schedule::Schedule;
 use crate::stage1::{open_stage1, Stage1Result};
-use crate::stage2::{solve_stage2_on, WeightPolicy};
+use crate::stage2::solve_stage2_on;
 use std::time::{Duration, Instant};
 use wavesched_lp::{Basis, SolveError, SolveStats};
 use wavesched_net::Graph;
@@ -117,14 +117,7 @@ pub(crate) fn pipeline_from_stage1(
         // reaches the same optimum through another vertex, and every answer
         // pin downstream is a function of the vertex. Switching rungs is
         // ROADMAP item 1 (c) and waits for that item's vertex contract.
-        solve_stage2_on(
-            lp,
-            inst,
-            s1.z_star,
-            alpha,
-            &WeightPolicy::DemandProportional,
-            s1.basis.as_ref(),
-        )?
+        solve_stage2_on(lp, inst, s1.z_star, alpha, s1.basis.as_ref())?
     };
 
     let mut stats = s1.stats;
@@ -226,9 +219,7 @@ pub fn max_throughput_pipeline_colgen(
     // attractive.
     let sol = {
         let _s = obs::span("stage2");
-        let weights = WeightPolicy::DemandProportional;
-        let form = Form::stage2(master.demands(), z_star, alpha, &weights);
-        master.solve_form(form)?
+        master.solve_form(Form::stage2(master.demands(), z_star, alpha))?
     };
 
     let inst = master.materialize();

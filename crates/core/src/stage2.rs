@@ -17,37 +17,14 @@ use wavesched_lp::{Basis, SimplexConfig, SolveError, SolveStats};
 
 /// The job weights `w_i` in the Stage-2 objective `sum_i w_i Z_i / sum_i w_i`.
 ///
-/// The paper's default weighs jobs by their (normalized) sizes, "giving
-/// preference to larger jobs"; it explicitly notes that administrators can
-/// instead weigh inversely by size (favoring many small jobs) or by
-/// user-declared importance. All three are provided.
+/// The paper weighs jobs by their (normalized) sizes, "giving preference to
+/// larger jobs" (eq. 7), and that is the only weighting solved. The type is
+/// kept for the one signature that still spells it,
+/// [`solve_stage2_weighted_with_start`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WeightPolicy {
-    /// `w_i = D_i` — the paper's default (eq. 7).
+    /// `w_i = D_i` — the paper's eq. 7.
     DemandProportional,
-    /// `w_i = 1` — every job counts equally.
-    Uniform,
-    /// `w_i = 1 / D_i` — favor finishing many small jobs.
-    InverseDemand,
-    /// Explicit per-job importance weights (must be positive, one per job).
-    Importance(Vec<f64>),
-}
-
-impl WeightPolicy {
-    /// Resolves the weight of job `i` from the jobs' normalized demands
-    /// ([`Instance::demands`], or a column-generation master's).
-    pub(crate) fn weight_of(&self, demands: &[f64], i: usize) -> f64 {
-        match self {
-            WeightPolicy::DemandProportional => demands[i],
-            WeightPolicy::Uniform => 1.0,
-            WeightPolicy::InverseDemand => 1.0 / demands[i],
-            WeightPolicy::Importance(w) => {
-                assert_eq!(w.len(), demands.len(), "one weight per job");
-                assert!(w[i] > 0.0, "weights must be positive");
-                w[i]
-            }
-        }
-    }
 }
 
 /// Result of the Stage-2 relaxation.
@@ -98,12 +75,11 @@ pub fn solve_stage2(inst: &Instance, z_star: f64, alpha: f64) -> Result<Stage2Re
     )
 }
 
-/// Solves the Stage-2 relaxation under an explicit [`WeightPolicy`],
-/// warm-starting from `start` when given.
+/// Solves the Stage-2 relaxation under `cfg`, warm-starting from `start`
+/// when given. `_weights` names the one weighting there is.
 ///
-/// With weights `w_i`, the objective is `sum_i w_i Z_i / sum_i w_i`, which
-/// after substituting eq. 8 becomes a per-variable cost of
-/// `(w_i / D_i) * LEN(j) / sum w`.
+/// With `w_i = D_i`, the objective `sum_i w_i Z_i / sum_i w_i` becomes,
+/// after substituting eq. 8, a per-variable cost of `LEN(j) / sum_i D_i`.
 ///
 /// The natural start is the Stage-1 optimum over the same instance, mapped
 /// via [`stage2_basis_from_stage1`]: Stage 2 explores the same polytope from
@@ -116,12 +92,12 @@ pub fn solve_stage2_weighted_with_start(
     inst: &Instance,
     z_star: f64,
     alpha: f64,
-    weights: &WeightPolicy,
+    _weights: &WeightPolicy,
     cfg: &SimplexConfig,
     start: Option<&Basis>,
 ) -> Result<Stage2Result, SolveError> {
     let mut lp = HeldLp::open(inst, cfg, &mut BuildArena::new())?;
-    solve_stage2_on(&mut lp, inst, z_star, alpha, weights, start)
+    solve_stage2_on(&mut lp, inst, z_star, alpha, start)
 }
 
 /// Stage 2 as a form installed on `lp`, the held LP of `inst` — freshly
@@ -131,10 +107,9 @@ pub(crate) fn solve_stage2_on(
     inst: &Instance,
     z_star: f64,
     alpha: f64,
-    weights: &WeightPolicy,
     start: Option<&Basis>,
 ) -> Result<Stage2Result, SolveError> {
-    let form = Form::stage2(&inst.demands, z_star, alpha, weights);
+    let form = Form::stage2(&inst.demands, z_star, alpha);
     let sol = lp.solve(inst, &form, start, "stage 2")?;
     Ok(Stage2Result {
         schedule: Schedule::from_values(inst, sol.x[..inst.vars.len()].to_vec()),
@@ -242,51 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_demand_weights_flip_preference() {
-        // One link, capacity 1, 2 slices; small job (1 unit) and large job
-        // (4 units). With alpha = 1 (no fairness floor) the weight policy
-        // alone decides who gets the capacity.
-        let mut g = Graph::new();
-        let ns = g.add_nodes(2);
-        g.add_link_pair(ns[0], ns[1], 1);
-        let small = Job::new(JobId(0), 0.0, ns[0], ns[1], 150.0, 0.0, 2.0);
-        let large = Job::new(JobId(1), 0.0, ns[0], ns[1], 600.0, 0.0, 2.0);
-        let inst = build(&g, &[small, large], 1);
-        let cfg = SimplexConfig::default();
-
-        let solve = |w: &WeightPolicy| {
-            solve_stage2_weighted_with_start(&inst, 0.0, 1.0, w, &cfg, None).unwrap()
-        };
-        let fav_large = solve(&WeightPolicy::DemandProportional);
-        let fav_small = solve(&WeightPolicy::InverseDemand);
-        // Under inverse weighting the small job's throughput cannot drop.
-        assert!(
-            fav_small.schedule.throughput(&inst, 0)
-                >= fav_large.schedule.throughput(&inst, 0) - 1e-9
-        );
-        // And the small job is fully served (weight 1/1 vs 1/4 per unit).
-        assert!(fav_small.schedule.throughput(&inst, 0) >= 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn importance_weights_accepted() {
-        let (g, _) = abilene14(4);
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: 4,
-            seed: 6,
-            ..Default::default()
-        })
-        .generate(&g);
-        let inst = build(&g, &jobs, 4);
-        let s1 = solve_stage1(&inst).unwrap();
-        let w = WeightPolicy::Importance(vec![1.0, 5.0, 1.0, 1.0]);
-        let r =
-            solve_stage2_weighted_with_start(&inst, s1.z_star, 0.1, &w, &Default::default(), None)
-                .unwrap();
-        assert!(r.schedule.max_capacity_violation(&inst) < 1e-6);
-    }
-
-    #[test]
     fn warm_start_from_stage1_matches_cold() {
         let (g, _) = abilene14(4);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
@@ -336,20 +266,5 @@ mod tests {
         };
         assert!(stage2_basis_from_stage1(&b, 5).is_none());
         assert!(stage2_basis_from_stage1(&b, 4).is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per job")]
-    fn importance_weights_length_checked() {
-        let (g, _) = abilene14(4);
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: 3,
-            seed: 6,
-            ..Default::default()
-        })
-        .generate(&g);
-        let inst = build(&g, &jobs, 4);
-        let w = WeightPolicy::Importance(vec![1.0]);
-        let _ = solve_stage2_weighted_with_start(&inst, 1.0, 0.1, &w, &Default::default(), None);
     }
 }

@@ -231,11 +231,16 @@ mod tests {
     fn zero_period_or_path_budget_is_a_typed_error() {
         let (g, _) = abilene14(4);
         let jobs = jobs_for(&g, 3, 1, ArrivalModel::Batch);
-        // (what the error must name, tau, paths_per_job)
-        for (what, tau, paths) in [("tau", 0, 4), ("paths_per_job", 1, 0)] {
+        // (what the error must name, tau, paths_per_job, wavelengths)
+        for (what, tau, paths, w) in [
+            ("tau", 0, 4, 4),
+            ("paths_per_job", 1, 0, 4),
+            ("wavelengths", 1, 4, 0),
+        ] {
             let mut cfg = SimConfig::paper(4);
             cfg.controller.tau = tau;
             cfg.controller.instance.paths_per_job = paths;
+            cfg.controller.instance.wavelengths = w;
             let preloaded = run_simulation(&g, &jobs, &cfg).map(|_| ());
             let streamed = crate::run_simulation_streamed(&g, jobs.clone(), &cfg, None).map(|_| ());
             for out in [preloaded, streamed] {

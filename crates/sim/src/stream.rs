@@ -191,8 +191,9 @@ pub(crate) fn run_event_loop(
 ) -> Result<StreamReport, SolveError> {
     let _span = obs::span("sim_stream");
     let tau = cfg.controller.tau;
-    // `Controller::new` and `PathSet::new` assert on these; a config is
-    // caller input, so it gets an error, not a panic.
+    // `Controller::new`, `PathSet::new` and `InstanceConfig::demand_units`
+    // assert on these; a config is caller input, so it gets an error, not a
+    // panic.
     if tau == 0 {
         return Err(SolveError::InvalidModel(
             "controller period tau must be positive".into(),
@@ -201,6 +202,11 @@ pub(crate) fn run_event_loop(
     if cfg.controller.instance.paths_per_job == 0 {
         return Err(SolveError::InvalidModel(
             "paths_per_job must be positive".into(),
+        ));
+    }
+    if cfg.controller.instance.wavelengths == 0 {
+        return Err(SolveError::InvalidModel(
+            "wavelengths must be positive".into(),
         ));
     }
     let mut controller = Controller::new(graph.clone(), cfg.controller.clone());
@@ -471,7 +477,6 @@ mod tests {
             size_gb: (300.0, 600.0),
             arrival: ArrivalModel::Poisson { rate: 1.0 },
             window: (3.0, 6.0),
-            ..Default::default()
         };
         for (policy, lines, hash) in [
             (OverloadPolicy::Reject, 308, 0x10d6_aa41_ee22_49c5_u64),

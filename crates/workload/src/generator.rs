@@ -37,8 +37,6 @@ pub struct WorkloadConfig {
     pub size_gb: (f64, f64),
     /// Arrival process.
     pub arrival: ArrivalModel,
-    /// Offset of the requested start after arrival, in slices (uniform).
-    pub start_offset: (f64, f64),
     /// Window length `E_i - S_i` in slices (uniform).
     pub window: (f64, f64),
 }
@@ -50,7 +48,6 @@ impl Default for WorkloadConfig {
             seed: 0,
             size_gb: (1.0, 100.0),
             arrival: ArrivalModel::Batch,
-            start_offset: (0.0, 0.0),
             window: (8.0, 24.0),
         }
     }
@@ -67,7 +64,6 @@ impl WorkloadGenerator {
     /// Creates a generator for the given configuration.
     pub fn new(cfg: WorkloadConfig) -> Self {
         assert!(cfg.size_gb.0 > 0.0 && cfg.size_gb.0 <= cfg.size_gb.1);
-        assert!(cfg.start_offset.0 >= 0.0 && cfg.start_offset.0 <= cfg.start_offset.1);
         assert!(cfg.window.0 > 0.0 && cfg.window.0 <= cfg.window.1);
         let rng = StdRng::seed_from_u64(cfg.seed);
         WorkloadGenerator { cfg, rng }
@@ -104,7 +100,7 @@ impl WorkloadGenerator {
     /// Draws job `i`. The per-job RNG consumption order is the sequence
     /// contract shared by [`generate`](WorkloadGenerator::generate) and
     /// [`JobStream`]: arrival uniform (Poisson only), src, dst (rejection
-    /// loop), size, start offset, window.
+    /// loop), size, window. The requested start is the arrival.
     fn gen_one(&mut self, nodes: &[NodeId], i: usize, clock: &mut f64) -> Job {
         let arrival = match self.cfg.arrival {
             ArrivalModel::Batch => 0.0,
@@ -126,9 +122,8 @@ impl WorkloadGenerator {
         let size_gb = self
             .rng
             .random_range(self.cfg.size_gb.0..=self.cfg.size_gb.1);
-        let start = arrival + self.uniform(self.cfg.start_offset);
-        let end = start + self.uniform(self.cfg.window);
-        Job::new(JobId(i as u32), arrival, src, dst, size_gb, start, end)
+        let end = arrival + self.uniform(self.cfg.window);
+        Job::new(JobId(i as u32), arrival, src, dst, size_gb, arrival, end)
     }
 
     fn uniform(&mut self, (lo, hi): (f64, f64)) -> f64 {
@@ -253,7 +248,6 @@ mod tests {
                 num_jobs: 120,
                 seed: 42,
                 arrival,
-                start_offset: (1.0, 3.0),
                 ..Default::default()
             };
             let batch = WorkloadGenerator::new(cfg.clone()).generate(&g);
@@ -274,17 +268,5 @@ mod tests {
         .stream(&g);
         assert_eq!(s.by_ref().count(), 3);
         assert!(s.next().is_none());
-    }
-
-    #[test]
-    fn start_offsets_respected() {
-        let jobs = gen_jobs(WorkloadConfig {
-            start_offset: (2.0, 5.0),
-            ..Default::default()
-        });
-        for j in &jobs {
-            let off = j.start - j.arrival;
-            assert!((2.0..=5.0).contains(&off));
-        }
     }
 }

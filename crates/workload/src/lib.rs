@@ -6,9 +6,6 @@
 //!
 //! * [`Job`] — the request tuple, with times in *slice units* (the length of
 //!   one scheduling time slice is the time unit).
-//! * [`normalize`] — conversion of gigabyte file sizes into the normalized
-//!   demand units used by the integer programs (wavelength·slices), given
-//!   the per-wavelength data rate and the slice length.
 //! * [`generator`] — seeded random workloads matching the paper's setup
 //!   (sizes uniform on [1, 100] GB, random source/destination pairs,
 //!   Poisson or batch arrivals).
@@ -21,10 +18,8 @@
 
 pub mod generator;
 pub mod job;
-pub mod normalize;
 pub mod trace;
 
 pub use generator::{ArrivalModel, JobStream, WorkloadConfig, WorkloadGenerator};
 pub use job::{Job, JobId};
-pub use normalize::{gb_per_wavelength_slice, normalized_demand, LinkRate};
 pub use trace::{parse_trace, write_trace, TraceError, TraceReader};

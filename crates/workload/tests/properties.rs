@@ -1,11 +1,8 @@
-//! Property tests for workload generation and normalization.
+//! Property tests for workload generation.
 
 use proptest::prelude::*;
 use wavesched_net::{waxman_network, WaxmanConfig};
-use wavesched_workload::{
-    gb_per_wavelength_slice, normalized_demand, ArrivalModel, LinkRate, WorkloadConfig,
-    WorkloadGenerator,
-};
+use wavesched_workload::{ArrivalModel, WorkloadConfig, WorkloadGenerator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -32,7 +29,6 @@ proptest! {
             size_gb: (lo, lo + span),
             window: (wlo, wlo + wspan),
             arrival: ArrivalModel::Batch,
-            start_offset: (0.0, 2.0),
         };
         let jobs = WorkloadGenerator::new(cfg).generate(&g);
         prop_assert_eq!(jobs.len(), n);
@@ -66,27 +62,5 @@ proptest! {
             prop_assert!(w[1].arrival >= w[0].arrival);
         }
         prop_assert!(jobs[0].arrival > 0.0);
-    }
-
-    #[test]
-    fn normalization_is_linear_and_consistent(
-        size in 0.001f64..10_000.0,
-        gbps in 0.1f64..400.0,
-        w in 1u32..64,
-        slice in 0.1f64..3600.0,
-    ) {
-        let rate = LinkRate { total_gbps: gbps, wavelengths: w };
-        let unit = gb_per_wavelength_slice(rate, slice);
-        prop_assert!(unit > 0.0);
-        let d = normalized_demand(size, rate, slice);
-        // Linear in size.
-        let d2 = normalized_demand(2.0 * size, rate, slice);
-        prop_assert!((d2 - 2.0 * d).abs() <= 1e-9 * d2.abs().max(1.0));
-        // demand * unit == size (round trip).
-        prop_assert!((d * unit - size).abs() <= 1e-9 * size.max(1.0));
-        // More wavelengths at constant capacity => proportionally more units.
-        let rate2 = LinkRate { total_gbps: gbps, wavelengths: 2 * w };
-        let dd = normalized_demand(size, rate2, slice);
-        prop_assert!((dd - 2.0 * d).abs() <= 1e-6 * dd.abs().max(1.0));
     }
 }

@@ -26,7 +26,6 @@ fn main() {
         size_gb: (300.0, 600.0),
         arrival: ArrivalModel::Poisson { rate: 3.0 },
         window: (3.0, 6.0),
-        ..Default::default()
     })
     .generate(&graph);
 

@@ -120,7 +120,6 @@ fn simulation_closes_the_loop() {
         size_gb: (10.0, 80.0),
         arrival: ArrivalModel::Poisson { rate: 1.0 },
         window: (8.0, 16.0),
-        ..Default::default()
     })
     .generate(&g);
     let cfg = SimConfig::paper(4);
