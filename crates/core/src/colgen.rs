@@ -77,8 +77,7 @@ const TOLERANCE: f64 = 1e-7;
 
 /// Column-generation work counters (also mirrored into the `cg.*` obs
 /// counters: `cg.rounds`, `cg.columns_added`, `cg.pricer_calls`,
-/// `cg.pricing_ns`, `cg.master_dual_iterations`,
-/// `cg.master_lu_reuse_hits`).
+/// `cg.pricing_ns`, `cg.master_lu_reuse_hits`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CgStats {
     /// Price–resolve rounds run.
@@ -89,9 +88,6 @@ pub struct CgStats {
     pub pricer_calls: u64,
     /// Wall-clock nanoseconds spent pricing (reporting only).
     pub pricing_ns: u64,
-    /// Dual simplex pivots spent in master re-solves (bound/RHS-only
-    /// re-aims that skipped the primal phase-1 repair).
-    pub master_dual_iterations: u64,
     /// Master re-solves that entered through the factorization-reuse path
     /// (no `Lu::factor` at solve entry; column splices and capacity-row
     /// growth kept the carried factors valid).
@@ -433,13 +429,10 @@ impl CgMaster {
         }
     }
 
-    /// Solves the restricted master (warm from the previous optimum; the
-    /// session takes the dual simplex path automatically when every edit
-    /// since the last optimum was a bound/RHS re-aim).
+    /// Solves the restricted master, warm from the previous optimum (on
+    /// its carried factors when the edits since kept them valid).
     fn solve(&mut self) -> Result<Solution, SolveError> {
         let sol = self.session.solve()?;
-        self.stats.master_dual_iterations += sol.stats.dual_iterations;
-        obs::counter_add("cg.master_dual_iterations", sol.stats.dual_iterations);
         self.stats.master_lu_reuse_hits += sol.stats.lu_reuse_hits;
         obs::counter_add("cg.master_lu_reuse_hits", sol.stats.lu_reuse_hits);
         Ok(sol)

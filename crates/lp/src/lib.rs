@@ -11,6 +11,10 @@
 //! * [`solve`] — the default solver: a sparse two-phase revised simplex with
 //!   a product-form-of-the-inverse (eta file) basis representation and
 //!   periodic sparse LU refactorization (see [`revised`]).
+//! * [`SolverSession`] — one problem held across in-place edits and
+//!   re-solves, each warm from the last optimum: on the carried factors
+//!   when they still hold, a bound-shift phase 1 for the basic values the
+//!   edits pushed out of bounds, then phase 2. There is no dual simplex.
 //! * [`certify`] — checks a [`Solution`] against its [`Problem`] by the
 //!   mathematics of its status (KKT conditions for an optimum, a Farkas
 //!   multiplier for infeasibility, an improving ray for unboundedness) in

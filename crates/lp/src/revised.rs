@@ -24,8 +24,12 @@
 //! * **Two-pass (Harris-style) ratio test**: pass one finds the best step
 //!   with a relaxed feasibility tolerance, pass two picks the numerically
 //!   largest pivot among the near-blocking rows.
+//! * **Primal re-solves only**: a [`SolverSession`] re-solve after in-place
+//!   edits continues from the carried basis with a bound-shift phase 1 and
+//!   phase 2 (`entry.rs`). There is no dual simplex: RET's bound-only
+//!   probes were its one customer, and there it lost more than it won
+//!   (DESIGN.md, "Why there is no dual simplex").
 
-mod dual;
 mod engine;
 mod entry;
 mod eta;
@@ -99,8 +103,8 @@ impl SimplexConfig {
 ///
 /// `f64::max` leaves the sign of a zero result unspecified — optimized and
 /// unoptimized builds can disagree on `(-0.0).max(0.0)` — and a `-0.0`
-/// step or ratio leaks into `total_cmp`-ordered candidate sorts, which
-/// distinguish the two zeros. Every zero-clamp on the pivot trajectory
+/// step or ratio is told apart from `+0.0` by every `total_cmp` order and
+/// every bitwise pin. Every zero-clamp on the pivot trajectory
 /// (and, by convention, every `.max(0.0)` in `lp` and `core`; no lint
 /// checks it, see DESIGN.md "Static analysis") goes through here so debug
 /// and release builds pick identical pivots. `NaN` clamps to `+0.0`, same
@@ -148,5 +152,5 @@ pub struct NewRow {
 /// [`SolverSession`].
 pub fn solve(p: &Problem) -> Result<Solution, SolveError> {
     let std = standardize(p)?;
-    engine::Engine::new(std, SimplexConfig::default()).solve(None, false)
+    engine::Engine::new(std, SimplexConfig::default()).solve(None)
 }

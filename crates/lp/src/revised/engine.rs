@@ -171,33 +171,17 @@ pub(super) struct Engine {
     /// The eligible set: every column [`Self::eligible_dir`] accepts under
     /// the maintained `d` and `state`, in no particular order. Rebuilt by
     /// `recompute_reduced`, kept current by `refresh_eligible` at every
-    /// change inside the pivot loops, meaningless outside them. Only the
-    /// primal loop prices from it; the dual loop shares the update routines
-    /// and keeps it current for the consistency check alone (`iterate`
-    /// opens with `recompute_reduced`, which rebuilds it).
+    /// change inside the pivot loop, meaningless outside it.
     pub(super) elig: Vec<u32>,
     /// Position of each column in `elig`, [`NOT_LISTED`] for the rest.
     pub(super) elig_slot: Vec<u32>,
-    /// The infeasible set: every basis position whose value lies more than
-    /// `FEAS_TOL` outside its column's bounds, in no particular order — the
-    /// dual loop's candidates for the leaving row. Built by
-    /// `rebuild_infeasible` when the dual loop starts and wherever it
-    /// recomputes `xb`, kept current by `refresh_infeasible` over every
-    /// position a dual pivot or bulk flip moves, meaningless outside it.
-    pub(super) infeas: Vec<u32>,
-    /// Slot of each basis position in `infeas`, [`NOT_LISTED`] for the rest.
-    pub(super) infeas_slot: Vec<u32>,
-    /// Primal ratio-test scratch: `(basis position, |w|, strict step)` of
-    /// every entry of `w` that can block, ascending by position.
+    /// Ratio-test scratch: `(basis position, |w|, strict step)` of every
+    /// entry of `w` that can block, ascending by position.
     pub(super) ratio_cand: Vec<(u32, f64, f64)>,
     /// The pivotal row `(column, α_j)` over its nonbasic support, ascending
-    /// by column: written by `pivotal_row`, read by the primal update and
-    /// the dual ratio test.
+    /// by column: written by `pivotal_row`, read by the reduced-cost and
+    /// weight update.
     pub(super) row_alpha: Vec<(u32, f64)>,
-    /// Dual ratio-test scratch: indices into `row_alpha` of the eligible
-    /// candidates, sorted by dual ratio; the bound-flipped ones are a
-    /// prefix.
-    pub(super) dual_order: Vec<u32>,
     /// Sanitizer sweep interval (`WS_SANITIZE`, resolved at construction);
     /// 0 disables the sanitizer entirely.
     pub(super) sanitize_every: u64,
@@ -281,11 +265,8 @@ impl Engine {
             relaxed: Vec::new(),
             elig: Vec::new(),
             elig_slot: Vec::new(),
-            infeas: Vec::new(),
-            infeas_slot: Vec::new(),
             ratio_cand: Vec::new(),
             row_alpha: Vec::new(),
-            dual_order: Vec::new(),
             sanitize_every: sanitize::sanitize_env(),
             sanitize_left: sanitize::sanitize_env(),
             lu_nnz: 0,
@@ -300,14 +281,13 @@ impl Engine {
     }
 
     /// Sizes every per-pivot list to its worst case for the current
-    /// structure, so the pivot loops never allocate, before or after
+    /// structure, so the pivot loop never allocates, before or after
     /// growth: the pivotal-row lists and the eligible set hold each column
-    /// at most once, the ratio candidates and the infeasible set each row.
-    /// Both sets come out empty; `recompute_reduced` and
-    /// `rebuild_infeasible` fill them.
+    /// at most once, the ratio candidates each row. The eligible set comes
+    /// out empty; `recompute_reduced` fills it.
     pub(super) fn size_scratch(&mut self) {
         let (m, ncols) = (self.std.nrows, self.std.ncols());
-        for list in [&mut self.touched, &mut self.dual_order, &mut self.elig] {
+        for list in [&mut self.touched, &mut self.elig] {
             list.clear();
             list.reserve_exact(ncols);
         }
@@ -317,10 +297,6 @@ impl Engine {
         self.ratio_cand.reserve_exact(m);
         self.elig_slot.clear();
         self.elig_slot.resize(ncols, NOT_LISTED);
-        self.infeas.clear();
-        self.infeas.reserve_exact(m);
-        self.infeas_slot.clear();
-        self.infeas_slot.resize(m, NOT_LISTED);
         self.col_words = sort_words(ncols);
     }
 
@@ -439,8 +415,8 @@ impl Engine {
                     self.apply_pivot(q, dir, pos, step, &w);
                     self.ftran_w = w;
                     #[cfg(debug_assertions)]
-                    self.debug_invariants(false);
-                    self.maybe_sanitize(false);
+                    self.debug_invariants();
+                    self.maybe_sanitize();
                     if step <= FEAS_TOL * 1e-2 {
                         self.stats.degenerate_pivots += 1;
                         self.degen_run += 1;
@@ -558,7 +534,7 @@ impl Engine {
         clippy::float_cmp,
         reason = "bound identity: a fixed column's two bounds are copies of one stored value, so exact equality is what marks it fixed"
     )]
-    pub(super) fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
+    fn apply_pivot(&mut self, q: usize, dir: f64, pos: usize, step: f64, w: &WorkVec) {
         self.exact = Exact::Nothing;
         let leaving = self.basis[pos];
         let xb = &mut self.xb;
@@ -612,12 +588,11 @@ impl Engine {
         });
     }
 
-    /// Debug-build invariant sweep, run after every basis change (`dual`:
-    /// by the dual loop, where the infeasible set is live). Release
+    /// Debug-build invariant sweep, run after every basis change. Release
     /// builds compile this to nothing; this keeps the basis invariants
     /// *checked* where they mutate.
     #[cfg(debug_assertions)]
-    pub(super) fn debug_invariants(&self, dual: bool) {
+    fn debug_invariants(&self) {
         // Basis column-count consistency: exactly one column per row, each
         // marked Basic at its own position.
         debug_assert_eq!(
@@ -659,22 +634,16 @@ impl Engine {
             self.eligible_set_consistent(),
             "eligible set disagrees with a from-scratch eligibility scan"
         );
-        // The dual loop picks its leaving row from the infeasible set.
-        debug_assert!(
-            !dual || self.infeasible_set_consistent(),
-            "infeasible set disagrees with a from-scratch scan of the basic values"
-        );
     }
 
-    /// In-loop refactorization cadence shared by the primal and dual
-    /// iteration loops: the fixed interval is the hard cap, and below it
-    /// the cost model cuts the eta file once its entry count stops paying
-    /// for itself against the live factor's. Both triggers count entries —
+    /// In-loop refactorization cadence: the fixed interval is the hard
+    /// cap, and below it the cost model cuts the eta file once its entry
+    /// count stops paying for itself against the live factor's. Both triggers count entries —
     /// never wall-clock — so the trajectory is deterministic. A disabled
     /// interval (`usize::MAX`, the kernel probes) disables the cost model
     /// with it: probed windows measure steady-state eta chains.
     #[inline]
-    pub(super) fn cadence_refactor_due(&self) -> Option<RefactorReason> {
+    fn cadence_refactor_due(&self) -> Option<RefactorReason> {
         if self.etas.len() >= self.cfg.refactor_interval {
             return Some(RefactorReason::Interval);
         }

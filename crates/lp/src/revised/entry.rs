@@ -1,29 +1,27 @@
 //! Solve entry: the one ladder every solve climbs, and the two-phase
-//! bookkeeping between entry and the pivot loops.
+//! bookkeeping between entry and the pivot loop.
 //!
-//! A solve that was offered a basis tries up to three *warm rungs*, each a
+//! A solve that was offered a basis tries up to two *warm rungs*, each a
 //! call of [`Engine::warm_entry`] — **install** the nonbasic point (and,
 //! from a snapshot, the basis), **factor** it (a fresh `Lu::refactor`, or the
 //! residual spot-check on the factors the previous solve left), then
-//! **continue** (dual simplex, or the primal bound-shift phase 1 + phase
-//! 2) — in a fixed order:
+//! **continue** (bound-shift phase 1, then phase 2) — in a fixed order:
 //!
 //! 1. **carried** — the engine's own live state and factors, when the last
 //!    solve ended optimal and only in-place edits happened since;
-//! 2. **own-basis dual** — the session's own last optimal basis,
-//!    reinstalled and refactored, dual simplex only;
-//! 3. **basis primal** — any offered basis, primal continuation;
+//! 2. **basis primal** — the offered basis, installed and refactored;
 //!
 //! and then, like a solve that was offered nothing, runs **cold** (crash
 //! basis, artificial phase 1 — the only infeasibility proof). A rung that
 //! gives up returns `Err(())`, never an answer, so a warm start can change
-//! the work counters but not the result.
+//! the work counters but not the result. The pivots of a rung that gave up
+//! are reported as `abandoned_iterations`, apart from the answering rung's.
 
 use super::engine::{Engine, Exact, PhaseOutcome, RefactorReason, VarState};
 use super::pos_or_zero;
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
 use crate::stdform::ColKind;
-use crate::{FEAS_TOL, OPT_TOL};
+use crate::FEAS_TOL;
 use wavesched_obs as obs;
 
 /// A phase-1 bound relaxation: column `col` temporarily has one bound opened
@@ -33,18 +31,6 @@ pub(super) struct Relaxed {
     col: usize,
     lo: f64,
     up: f64,
-}
-
-/// How a warm rung may continue once its basis is installed and factored.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Continue {
-    /// Dual simplex or nothing: the rung gives up when the basis does not
-    /// price dual feasible.
-    Dual,
-    /// Dual simplex when the basis prices dual feasible, else primal.
-    DualElsePrimal,
-    /// Bound-shift phase 1, then phase 2.
-    Primal,
 }
 
 /// Folds a finished solve's counters into the process-wide observability
@@ -77,15 +63,8 @@ fn publish_stats(s: &SolveStats, nrows: usize) {
 impl Engine {
     /// Solves the held standardized form, warm-starting from `start` when
     /// supplied and usable, with a silent cold fallback otherwise: the rung
-    /// order carried → own-basis dual → basis primal → cold. `own_basis`
-    /// certifies that `start` is this engine's own last optimal basis and
-    /// nothing but bounds/RHS changed since — the precondition for a dual
-    /// simplex re-solve, which degrades to the primal rungs on any doubt.
-    pub(super) fn solve(
-        &mut self,
-        start: Option<&Basis>,
-        own_basis: bool,
-    ) -> Result<Solution, SolveError> {
+    /// order carried → basis primal → cold.
+    pub(super) fn solve(&mut self, start: Option<&Basis>) -> Result<Solution, SolveError> {
         let _span = obs::span("lp_solve");
         // Taken up front: any exit that does not re-arm it below leaves the
         // carried rung off for the next solve.
@@ -93,35 +72,27 @@ impl Engine {
         // Whatever was edited since the last solve, it was not the basis
         // matrix or its factors.
         self.inexact(Exact::Factors);
-        let mut rejected = 0;
+        // A rung that gives up leaves only its pivots behind, as
+        // `abandoned_iterations`; the answering rung reports its own work.
+        let (mut rejected, mut abandoned) = (0, 0);
         let warm = 'rungs: {
             let Some(basis) = start else {
                 break 'rungs None;
             };
             if carried {
                 self.fresh_stats();
-                let how = if own_basis {
-                    Continue::DualElsePrimal
-                } else {
-                    Continue::Primal
-                };
-                if let Ok(sol) = self.warm_entry(None, how) {
+                if let Ok(sol) = self.warm_entry(None) {
                     break 'rungs Some(sol);
                 }
                 rejected = 1;
+                abandoned += self.stats.iterations;
                 self.undo_relaxed();
             }
-            // A rejected carried rung's work is discarded; an abandoned
-            // dual rung's stays on the counters of the rung that answers.
             self.fresh_stats();
-            if own_basis {
-                if let Ok(sol) = self.warm_entry(Some(basis), Continue::Dual) {
-                    break 'rungs Some(sol);
-                }
-            }
-            if let Ok(sol) = self.warm_entry(Some(basis), Continue::Primal) {
+            if let Ok(sol) = self.warm_entry(Some(basis)) {
                 break 'rungs Some(sol);
             }
+            abandoned += self.stats.iterations;
             self.undo_relaxed();
             None
         };
@@ -131,6 +102,8 @@ impl Engine {
         };
         sol.stats.refactor_reuse_rejected += rejected;
         self.stats.refactor_reuse_rejected += rejected;
+        sol.stats.abandoned_iterations += abandoned;
+        self.stats.abandoned_iterations += abandoned;
         publish_stats(&sol.stats, self.std.nrows);
         // Every Optimal exit ends on factors fresh for the live basis and
         // an empty eta file, however it got there (iterate() refuses to
@@ -141,8 +114,9 @@ impl Engine {
         Ok(sol)
     }
 
-    /// Cold start: crash basis, phase 1 if needed, phase 2. All work burned
-    /// on warm rungs is discarded; `offered` records that there were any.
+    /// Cold start: crash basis, phase 1 if needed, phase 2. The counters of
+    /// warm rungs that gave up are discarded (the caller keeps their
+    /// pivots as abandoned); `offered` records that there were any.
     fn run_cold(&mut self, offered: bool) -> Result<Solution, SolveError> {
         self.fresh_stats();
         self.stats.warm_start_fallbacks = u64::from(offered);
@@ -163,12 +137,12 @@ impl Engine {
     /// snapshot to install, or `None` to continue from the engine's own
     /// live basis, states and factors (the caller checked `reuse_ready`).
     /// `Err(())` means the rung gave up — shape mismatch, numerical
-    /// trouble, a dual ray, a bound-shift phase 1 that could not clear the
-    /// violations — and never that the problem itself is bad: the bound
-    /// shift clamps each relaxed variable at the bound it violated, while
-    /// true feasibility may need it strictly inside its range, so only the
-    /// cold artificial phase 1 decides infeasibility.
-    fn warm_entry(&mut self, from: Option<&Basis>, how: Continue) -> Result<Solution, ()> {
+    /// trouble, a bound-shift phase 1 that could not clear the violations —
+    /// and never that the problem itself is bad: the bound shift clamps
+    /// each relaxed variable at the bound it violated, while true
+    /// feasibility may need it strictly inside its range, so only the cold
+    /// artificial phase 1 decides infeasibility.
+    fn warm_entry(&mut self, from: Option<&Basis>) -> Result<Solution, ()> {
         // Install. Nonbasics go where the snapshot — or, carried, their
         // live state — says, as far as the *current* bounds allow (edits
         // may have moved or removed the side a column was resting on).
@@ -194,13 +168,10 @@ impl Engine {
             }
         }
         if from.is_some() {
-            // An own optimal basis has exactly m basic columns. Any other
-            // snapshot is repaired: demote extras, pad a deficit with
-            // artificials (their columns are independent; a redundant
-            // choice is caught and repaired during factorization).
-            if how == Continue::Dual && self.basis.len() != m {
-                return Err(());
-            }
+            // A snapshot with other than m basic columns is repaired:
+            // demote extras, pad a deficit with artificials (their columns
+            // are independent; a redundant choice is caught and repaired
+            // during factorization).
             while self.basis.len() > m {
                 let Some(j) = self.basis.pop() else { break };
                 self.park_nonbasic(j, BasisStatus::AtLower);
@@ -228,43 +199,10 @@ impl Engine {
         }
         self.stats.warm_starts_accepted = 1;
 
-        // Continue, dual: bound/RHS-only edits keep the reduced-cost signs,
-        // so the dual loop drives out the primal violations in a handful
-        // of pivots — unless a re-park flipped a sign, or an artificial
-        // (kept by a degenerate optimum, or swapped in by factorization
-        // repair) sits in the basis and breaks the dual argument.
-        let artificial_basic = self
-            .basis
-            .iter()
-            .any(|&j| self.std.kind[j] == ColKind::Artificial);
-        if how != Continue::Primal && !artificial_basic {
-            self.install_phase2_costs();
-            self.recompute_reduced();
-            if self.dual_feasible() {
-                self.dual_loop()?;
-                // Exact finish: the dual loop restored primal feasibility
-                // under *maintained* reduced costs; the primal loop
-                // verifies the optimum against exactly recomputed ones
-                // (it prices, refactorizes, re-prices — and cleans up any
-                // eligible column the drift hid). A dual loop that found
-                // nothing to do moved nothing: the iterate is still the
-                // exact one computed above and the finish is one pricing
-                // call.
-                return match self.iterate(false).map_err(|_| ())? {
-                    PhaseOutcome::Optimal => Ok(self.extract(Status::Optimal)),
-                    PhaseOutcome::Unbounded { .. } | PhaseOutcome::IterationLimit => Err(()),
-                };
-            }
-            // Back to phase-1 costs for a primal continuation.
-            self.inexact(Exact::Basics);
-            self.cost.fill(0.0);
-        }
-        if how == Continue::Dual {
-            return Err(());
-        }
-
-        // Continue, primal: bound-shift every basic value outside its
-        // bounds, clear the violations in phase 1, finish in phase 2.
+        // Continue: bound-shift every basic value outside its bounds, clear
+        // the violations in phase 1, finish in phase 2. With nothing to
+        // clear and nothing eligible, the iterate is still the exact one
+        // computed above and the finish is one pricing call.
         let tol = FEAS_TOL;
         for pos in 0..m {
             let j = self.basis[pos];
@@ -297,18 +235,6 @@ impl Engine {
         self.finish_phase2().map_err(|_| ())
     }
 
-    /// True when every nonbasic reduced cost has the sign its resting side
-    /// requires — the basis is dual feasible and the dual loop may run.
-    fn dual_feasible(&self) -> bool {
-        let dtol = OPT_TOL;
-        (0..self.std.ncols()).all(|j| match self.state[j] {
-            VarState::Basic(_) | VarState::Fixed => true,
-            VarState::AtLower => self.d[j] >= -dtol,
-            VarState::AtUpper => self.d[j] <= dtol,
-            VarState::Free => self.d[j].abs() <= dtol,
-        })
-    }
-
     /// Parks column `j` nonbasic in the state `status` suggests, degrading
     /// to wherever its current bounds rest a fresh nonbasic variable.
     fn park_nonbasic(&mut self, j: usize, status: BasisStatus) {
@@ -328,8 +254,7 @@ impl Engine {
         self.xval[j] = x;
     }
 
-    /// Zeroes the work counters for a solve whose burned work (if any) is
-    /// to be discarded.
+    /// Zeroes the work counters for the next rung.
     fn fresh_stats(&mut self) {
         self.stats = SolveStats {
             solves: 1,
@@ -531,6 +456,11 @@ impl Engine {
     /// parked at its temporary finite bound is sitting exactly on the
     /// original bound it used to violate.
     fn restore_relaxed(&mut self) {
+        // Nothing relaxed, nothing re-parked: the iterate stays as exact as
+        // it was, so an entry that needed no phase 1 skips its verification.
+        if self.relaxed.is_empty() {
+            return;
+        }
         // Re-parking can move a nonbasic value `xb` was computed from.
         self.inexact(Exact::Factors);
         for k in 0..self.relaxed.len() {

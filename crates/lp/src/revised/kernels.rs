@@ -1,6 +1,6 @@
 //! The engine's linear-algebra kernels: FTRAN and BTRAN through the LU
-//! factors and the eta file, exact reduced-cost recomputation, and the one
-//! pivotal-row pass both simplex loops share.
+//! factors and the eta file, exact reduced-cost recomputation, and the
+//! pivotal-row pass.
 
 use super::engine::{Engine, Exact, VarState};
 use super::eta::ETA_NONE;
@@ -154,14 +154,11 @@ impl Engine {
         self.rho = c;
     }
 
-    /// The pivotal-row pass, run once per basis-changing pivot by the
-    /// primal update and the dual ratio test alike: `ρ = B⁻ᵀ e_pos`, then
-    /// `(j, α_j = ρ·a_j)` into `row_alpha` for every nonbasic, non-fixed
-    /// column `j ≠ skip` with an entry in one of ρ's nonzero rows,
-    /// ascending in `j`. The primal passes its entering column as `skip`;
-    /// the dual, which picks the entering column *from* this row, passes
-    /// `usize::MAX`.
-    pub(super) fn pivotal_row(&mut self, pos: usize, skip: usize) {
+    /// The pivotal-row pass, run once per basis-changing pivot: `ρ = B⁻ᵀ
+    /// e_pos`, then `(j, α_j = ρ·a_j)` into `row_alpha` for every nonbasic,
+    /// non-fixed column `j` other than the entering `q` with an entry in
+    /// one of ρ's nonzero rows, ascending in `j`.
+    pub(super) fn pivotal_row(&mut self, pos: usize, q: usize) {
         self.btran_pos_sparse(pos);
         let rho = std::mem::take(&mut self.rho);
         self.stats.btran_ops += 1;
@@ -182,7 +179,7 @@ impl Engine {
                 if rv.abs() <= 1e-12 {
                     continue;
                 }
-                self.push_row_cols(r, skip, &mut touched, &mut words);
+                self.push_row_cols(r, q, &mut touched, &mut words);
             }
         } else {
             for &r in &rho.pattern {
@@ -190,7 +187,7 @@ impl Engine {
                 if rho.values[r].abs() <= 1e-12 {
                     continue;
                 }
-                self.push_row_cols(r, skip, &mut touched, &mut words);
+                self.push_row_cols(r, q, &mut touched, &mut words);
             }
         }
         sort_dedup(&mut touched, &mut words);
@@ -242,10 +239,10 @@ impl Engine {
     }
 
     /// Recomputes every reduced cost exactly from the current basis, and
-    /// with them the eligible set pricing reads. Every phase start,
-    /// refactorization and dual entry comes through here, so whatever moved
-    /// states or bounds outside the pivot loops is picked up before the
-    /// next pricing call.
+    /// with them the eligible set pricing reads. Every phase start and
+    /// refactorization comes through here, so whatever moved states or
+    /// bounds outside the pivot loop is picked up before the next pricing
+    /// call.
     pub(super) fn recompute_reduced(&mut self) {
         self.compute_duals();
         self.elig.clear();
@@ -279,16 +276,6 @@ impl Engine {
         let mut rhs = std::mem::take(&mut self.ftran_rhs);
         let (rows, vals) = self.std.a.col(q);
         rhs.load(rows, vals);
-        self.ftran_loaded(rhs);
-    }
-
-    /// Shared FTRAN tail: solves `B w = rhs` for an already-loaded
-    /// row-indexed `rhs` (LU pass, then the eta file), leaving the
-    /// basis-position-indexed result in `ftran_w` and handing `rhs` back to
-    /// its arena. The order of `rhs`'s pattern is immaterial: it only seeds
-    /// the LU sweep's marks. Used by the entering-column FTRAN above and by
-    /// the dual ratio test's accumulated bound-flip column.
-    pub(super) fn ftran_loaded(&mut self, mut rhs: WorkVec) {
         let mut w = std::mem::take(&mut self.ftran_w);
         let mut s = std::mem::take(&mut self.lu_scratch);
         #[expect(

@@ -5,48 +5,8 @@
 use super::engine::{Engine, VarState};
 use crate::OPT_TOL;
 
-/// The slot of an index outside a maintained set ([`Engine::elig_slot`],
-/// [`Engine::infeas_slot`]).
+/// The slot of a column outside the eligible set ([`Engine::elig_slot`]).
 pub(super) const NOT_LISTED: u32 = u32::MAX;
-
-/// Makes `i` a member of the unordered set `list` or takes it out, keeping
-/// `slot` — each index's place in `list`, [`NOT_LISTED`] outside it — its
-/// inverse. Constant time: a removal moves the last member into the gap.
-#[inline]
-pub(super) fn set_member(list: &mut Vec<u32>, slot: &mut [u32], i: usize, member: bool) {
-    let at = slot[i];
-    if member == (at != NOT_LISTED) {
-        return;
-    }
-    if member {
-        slot[i] = list.len() as u32;
-        list.push(i as u32);
-    } else {
-        list.swap_remove(at as usize);
-        if let Some(&moved) = list.get(at as usize) {
-            slot[moved as usize] = at;
-        }
-        slot[i] = NOT_LISTED;
-    }
-}
-
-/// True when `list` holds exactly the indices below `slot.len()` that
-/// `member` accepts and `slot` inverts it. Allocation-free.
-pub(super) fn set_consistent(list: &[u32], slot: &[u32], member: impl Fn(usize) -> bool) -> bool {
-    let mut members = 0;
-    for (i, &at) in slot.iter().enumerate() {
-        if member(i) != (at != NOT_LISTED) {
-            return false;
-        }
-        if at != NOT_LISTED {
-            if list.get(at as usize) != Some(&(i as u32)) {
-                return false;
-            }
-            members += 1;
-        }
-    }
-    members == list.len()
-}
 
 impl Engine {
     /// Entering-direction eligibility of nonbasic column `j` under the
@@ -72,12 +32,26 @@ impl Engine {
     }
 
     /// Re-evaluates column `j`'s membership of the eligible set; called
-    /// wherever `d[j]` or `state[j]` changes inside the pivot loops, so
+    /// wherever `d[j]` or `state[j]` changes inside the pivot loop, so
     /// pricing reads the set instead of scanning every column for it.
+    /// Constant time: a removal moves the last member into the gap.
     #[inline]
     pub(super) fn refresh_eligible(&mut self, j: usize) {
-        let eligible = self.eligible_dir(j).is_some();
-        set_member(&mut self.elig, &mut self.elig_slot, j, eligible);
+        let member = self.eligible_dir(j).is_some();
+        let at = self.elig_slot[j];
+        if member == (at != NOT_LISTED) {
+            return;
+        }
+        if member {
+            self.elig_slot[j] = self.elig.len() as u32;
+            self.elig.push(j as u32);
+        } else {
+            self.elig.swap_remove(at as usize);
+            if let Some(&moved) = self.elig.get(at as usize) {
+                self.elig_slot[moved as usize] = at;
+            }
+            self.elig_slot[j] = NOT_LISTED;
+        }
     }
 
     /// True when the eligible set is exactly the columns a from-scratch
@@ -85,9 +59,19 @@ impl Engine {
     /// list. Allocation-free; the debug invariants and the sanitizer sweep
     /// hold the maintained set to it.
     pub(super) fn eligible_set_consistent(&self) -> bool {
-        set_consistent(&self.elig, &self.elig_slot, |j| {
-            self.eligible_dir(j).is_some()
-        })
+        let mut members = 0;
+        for (j, &at) in self.elig_slot.iter().enumerate() {
+            if self.eligible_dir(j).is_some() != (at != NOT_LISTED) {
+                return false;
+            }
+            if at != NOT_LISTED {
+                if self.elig.get(at as usize) != Some(&(j as u32)) {
+                    return false;
+                }
+                members += 1;
+            }
+        }
+        members == self.elig.len()
     }
 
     /// Devex pricing over the eligible set: best score, ties to the lower
@@ -126,8 +110,7 @@ impl Engine {
         let row_alpha = std::mem::take(&mut self.row_alpha);
         for &(jc, alpha_j) in &row_alpha {
             let j = jc as usize;
-            // The dual's row was gathered before `q` was known.
-            if j == q || alpha_j.abs() <= 1e-12 {
+            if alpha_j.abs() <= 1e-12 {
                 continue;
             }
             self.d[j] -= ratio * alpha_j;

@@ -65,7 +65,7 @@ impl PivotProbe {
             clippy::expect_used,
             reason = "bench-only probe constructor: warmup failure means the benchmark fixture is broken and should abort loudly"
         )]
-        let sol = engine.solve(None, false).expect("probe warmup failed");
+        let sol = engine.solve(None).expect("probe warmup failed");
         assert_eq!(
             sol.status,
             Status::IterationLimit,

@@ -1,16 +1,13 @@
 //! Runtime numerics sanitizer for the simplex hot path.
 //!
-//! Every `sanitize_every` basis-changing pivots (primal or dual; counted
-//! from the last solve entry that rebuilt that state — cold or from a basis
-//! snapshot — and on through entries on carried factors) the
-//! engine cross-checks its incrementally maintained state against a
-//! from-scratch recomputation: the basic solution must satisfy the
+//! Every `sanitize_every` basis-changing pivots (counted from the last
+//! solve entry that rebuilt that state — cold or from a basis snapshot —
+//! and on through entries on carried factors) the engine cross-checks its
+//! incrementally maintained state against a from-scratch recomputation: the basic solution must satisfy the
 //! standardized system `B x_B + N x_N = 0`, Devex weights must stay
 //! finite and strictly positive, the eta file must agree with the basis
-//! bookkeeping, the eligible set pricing reads must be the set a full
-//! eligibility scan would find, and — in the dual loop — the infeasible
-//! set the leaving row is picked from the one a scan of the basic values
-//! would find. Violations are never fatal — they are
+//! bookkeeping, and the eligible set pricing reads must be the set a full
+//! eligibility scan would find. Violations are never fatal — they are
 //! folded into [`SolveStats::sanitizer_violations`](crate::SolveStats)
 //! (and from there the `lp.sanitizer_*` obs counters) so smoke runs and CI
 //! gate on "checks ran, none failed" without perturbing the solve.
@@ -68,17 +65,17 @@ pub(super) fn sanitize_env() -> u64 {
 
 impl Engine {
     /// Per-pivot sanitizer gate: decrements the countdown and runs a sweep
-    /// when it expires (`dual`: from the dual loop). One branch and no
-    /// memory traffic when disabled (`sanitize_left` stays 0 forever).
+    /// when it expires. One branch and no memory traffic when disabled
+    /// (`sanitize_left` stays 0 forever).
     #[inline]
-    pub(super) fn maybe_sanitize(&mut self, dual: bool) {
+    pub(super) fn maybe_sanitize(&mut self) {
         if self.sanitize_left == 0 {
             return;
         }
         self.sanitize_left -= 1;
         if self.sanitize_left == 0 {
             self.sanitize_left = self.sanitize_every;
-            self.sanitize_sweep(dual);
+            self.sanitize_sweep();
         }
     }
 
@@ -118,12 +115,11 @@ impl Engine {
         worst <= RESIDUAL_TOL * scale
     }
 
-    /// One full sanitizer sweep; `dual` says the dual loop is running, the
-    /// only place the infeasible set is live. Kept out of line so the hot
-    /// path carries only the countdown branch.
+    /// One full sanitizer sweep. Kept out of line so the hot path carries
+    /// only the countdown branch.
     #[cold]
     #[inline(never)]
-    pub(super) fn sanitize_sweep(&mut self, dual: bool) {
+    pub(super) fn sanitize_sweep(&mut self) {
         self.stats.sanitizer_checks += 1;
         let mut violations = 0u64;
         let m = self.std.nrows;
@@ -173,14 +169,6 @@ impl Engine {
         // at the slot the index names. A column missing from it is never
         // priced; a stale member is priced on a reduced cost it lost.
         if !self.eligible_set_consistent() {
-            violations += 1;
-        }
-
-        // (6) The infeasible set, the same way: exactly the basis positions
-        // whose value lies outside its bounds by more than the feasibility
-        // tolerance. A position missing from it is never chosen to leave,
-        // and the dual loop stops on a point that is not primal feasible.
-        if dual && !self.infeasible_set_consistent() {
             violations += 1;
         }
 

@@ -53,16 +53,6 @@ pub struct SolverSession {
     engine: Engine,
     warm: Option<Basis>,
     agg: SolveStats,
-    /// True when `warm` is this session's *own* last optimal basis for the
-    /// current problem structure (not user-supplied, no columns/rows added
-    /// since). Together with `!cost_dirty` this is the precondition for the
-    /// dual simplex re-solve path: the basis is then dual feasible up to
-    /// the bound/RHS edits made since.
-    warm_is_own: bool,
-    /// True when an objective coefficient actually changed since the last
-    /// optimal solve. Cost edits invalidate dual feasibility, so they
-    /// force the next re-solve back onto the primal warm path.
-    cost_dirty: bool,
 }
 
 impl SolverSession {
@@ -81,8 +71,6 @@ impl SolverSession {
             engine: Engine::new(std, cfg.clone()),
             warm: None,
             agg: SolveStats::default(),
-            warm_is_own: false,
-            cost_dirty: false,
         })
     }
 
@@ -131,15 +119,7 @@ impl SolverSession {
         let j = col.index();
         assert!(j < self.engine.std.nstruct, "col out of range");
         assert!(cost.is_finite(), "non-finite cost");
-        let signed = self.engine.std.obj_sign * cost;
-        #[expect(
-            clippy::float_cmp,
-            reason = "exact no-op detection: re-setting the identical coefficient (the common install-everything pattern) must not disqualify the dual re-solve path, and an exact compare can never misclassify a real change"
-        )]
-        if signed != self.engine.std.cost[j] {
-            self.engine.std.cost[j] = signed;
-            self.cost_dirty = true;
-        }
+        self.engine.std.cost[j] = self.engine.std.obj_sign * cost;
     }
 
     /// Appends structural columns to the held problem in place, returning
@@ -160,7 +140,6 @@ impl SolverSession {
     /// out-of-range rows, or duplicate row entries within one column.
     pub fn add_columns(&mut self, cols: &[NewColumn]) -> Vec<Col> {
         let base = self.engine.std.nstruct;
-        self.warm_is_own = false; // structure change: not a bounds/RHS-only edit
         self.engine.append_columns(cols);
         if let Some(w) = &mut self.warm {
             let std = &self.engine.std;
@@ -187,7 +166,6 @@ impl SolverSession {
     /// out-of-range columns.
     pub fn add_rows(&mut self, rows: &[NewRow]) -> Vec<Row> {
         let base = self.engine.std.nrows;
-        self.warm_is_own = false; // structure change: not a bounds/RHS-only edit
         self.engine.append_rows(rows);
         if let Some(w) = &mut self.warm {
             w.rows.resize(w.rows.len() + rows.len(), BasisStatus::Basic);
@@ -208,9 +186,8 @@ impl SolverSession {
     /// cold, so the basis can change the work, never the answer.
     pub fn warm_start_from(&mut self, basis: Basis) {
         self.warm = Some(basis);
-        self.warm_is_own = false; // foreign provenance: primal rung only
-                                  // The carried factors factor the engine's *live* basis, not the
-                                  // one about to be installed.
+        // The carried factors factor the engine's *live* basis, not the one
+        // about to be installed.
         self.engine.reuse_ready = false;
     }
 
@@ -235,18 +212,11 @@ impl SolverSession {
     /// warm-starting from the last optimal basis it saw. Use
     /// [`warm_start_from`](SolverSession::warm_start_from) to override.
     pub fn solve(&mut self) -> Result<Solution, SolveError> {
-        // The dual re-solve path needs dual feasibility of the carried
-        // basis, which only the session can certify: its own last optimal
-        // basis for this exact structure, with every edit since confined
-        // to bounds/RHS. Anything else continues primal. (Whether the
-        // factors themselves carry over is the engine's own bookkeeping:
-        // `reuse_ready`, maintained across every in-place edit.)
-        let own_basis = self.warm_is_own && !self.cost_dirty;
-        let sol = self.engine.solve(self.warm.as_ref(), own_basis)?;
+        // Whether the factors themselves carry over is the engine's own
+        // bookkeeping: `reuse_ready`, maintained across every in-place edit.
+        let sol = self.engine.solve(self.warm.as_ref())?;
         if sol.status == Status::Optimal {
             self.warm.clone_from(&sol.basis);
-            self.warm_is_own = sol.basis.is_some();
-            self.cost_dirty = false;
         }
         self.agg.merge(&sol.stats);
         Ok(sol)

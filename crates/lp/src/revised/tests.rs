@@ -404,7 +404,7 @@ fn duals_satisfy_weak_pricing() {
 fn pivot_scratch_fits_after_growth() {
     // Every per-pivot list is sized to the structure — each column once,
     // each row once, never an entry per nonzero; a master that grows must
-    // re-fit all of them, or the next pivot allocates inside the hot loops.
+    // re-fit all of them, or the next pivot allocates inside the hot loop.
     let mut p = Problem::new(Objective::Maximize);
     let x = p.add_col(0.0, 1.0, 1.0);
     let rows: Vec<Row> = (0..4)
@@ -426,7 +426,7 @@ fn pivot_scratch_fits_after_growth() {
         nnz > 3 * ncols,
         "the old nnz-sized reserve would pass unnoticed"
     );
-    for list in [&e.touched, &e.dual_order, &e.elig] {
+    for list in [&e.touched, &e.elig] {
         assert!((ncols..nnz).contains(&list.capacity()));
     }
     assert!((ncols..nnz).contains(&e.row_alpha.capacity()));
@@ -446,9 +446,9 @@ fn sanitizer_holds_the_eligible_set_to_the_mathematics() {
         p.add_row(f64::NEG_INFINITY, 5.0 + i as f64, &row);
     }
     let mut e = engine::Engine::new(standardize(&p).unwrap(), SimplexConfig::default());
-    assert_eq!(e.solve(None, false).unwrap().status, Status::Optimal);
+    assert_eq!(e.solve(None).unwrap().status, Status::Optimal);
     e.stats.sanitizer_violations = 0;
-    e.sanitize_sweep(false);
+    e.sanitize_sweep();
     assert_eq!(e.stats.sanitizer_violations, 0, "a healthy endpoint");
     // A reduced cost written behind the engine's back: the column is
     // eligible by the mathematics and missing from the set.
@@ -456,160 +456,8 @@ fn sanitizer_holds_the_eligible_set_to_the_mathematics() {
         .find(|&j| e.state[j] == engine::VarState::AtLower)
         .unwrap();
     e.d[j] = -1.0;
-    e.sanitize_sweep(false);
+    e.sanitize_sweep();
     assert_eq!(e.stats.sanitizer_violations, 1);
-}
-
-#[test]
-fn sanitizer_holds_the_infeasible_set_to_the_mathematics() {
-    // Two basic values pushed out of bounds behind the engine's back, as a
-    // bound edit leaves them: the rebuilt set lists exactly those.
-    let mut p = Problem::new(Objective::Maximize);
-    let x: Vec<Col> = (0..6)
-        .map(|j| p.add_col(0.0, 4.0, 1.0 + j as f64))
-        .collect();
-    for i in 0..5 {
-        let row: Vec<(Col, f64)> = x.iter().map(|&c| (c, 1.0 + (i % 2) as f64)).collect();
-        p.add_row(f64::NEG_INFINITY, 5.0 + i as f64, &row);
-    }
-    let mut e = engine::Engine::new(standardize(&p).unwrap(), SimplexConfig::default());
-    assert_eq!(e.solve(None, false).unwrap().status, Status::Optimal);
-    let m = e.std.nrows;
-    let over = (0..m)
-        .find(|&p| e.std.upper[e.basis[p]].is_finite())
-        .unwrap();
-    let under = (0..m)
-        .find(|&p| p != over && e.std.lower[e.basis[p]].is_finite())
-        .unwrap();
-    e.xb[over] = e.std.upper[e.basis[over]] + 1.0;
-    e.xb[under] = e.std.lower[e.basis[under]] - 2.0;
-    e.rebuild_infeasible();
-    let mut listed = e.infeas.clone();
-    listed.sort_unstable();
-    assert_eq!(listed, [over.min(under) as u32, over.max(under) as u32]);
-    assert_eq!(e.leaving_row(), Some((under, 2.0)));
-    assert_eq!(e.leaving_row(), e.leaving_row_by_scan());
-    // The tampered values fail the residual check on every sweep; what
-    // counts is what a sweep from the dual loop finds beyond that.
-    let sweep = |e: &mut engine::Engine, dual: bool| {
-        let before = e.stats.sanitizer_violations;
-        e.sanitize_sweep(dual);
-        e.stats.sanitizer_violations - before
-    };
-    let outside = sweep(&mut e, false);
-    assert_eq!(sweep(&mut e, true), outside, "a consistent set");
-    // One slot desynchronised: the position still listed, its slot gone.
-    let slot = std::mem::replace(&mut e.infeas_slot[under], pricing::NOT_LISTED);
-    assert_eq!(
-        sweep(&mut e, false),
-        outside,
-        "not live outside the dual loop"
-    );
-    assert_eq!(sweep(&mut e, true), outside + 1);
-    // And a basic value moved without a refresh: a member that is none.
-    e.infeas_slot[under] = slot;
-    assert_eq!(sweep(&mut e, true), outside);
-    e.xb[over] = e.std.upper[e.basis[over]];
-    assert_eq!(sweep(&mut e, true), outside + 1);
-}
-
-/// `n` boxed columns under `m` packing rows from a seed: the shape whose
-/// dual re-solves flip boxed columns in bulk.
-fn boxed_packing(seed: u64, n: usize, m: usize) -> (Problem, Vec<Col>, Vec<Row>) {
-    use rand::{RngExt, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut p = Problem::new(Objective::Maximize);
-    let x: Vec<Col> = (0..n)
-        .map(|_| p.add_col(0.0, 1.0, rng.random_range(1i32..=7) as f64))
-        .collect();
-    let r = (0..m)
-        .map(|_| {
-            let mut row: Vec<(Col, f64)> = Vec::new();
-            for &c in &x {
-                if rng.random_range(0..100) < 35 {
-                    row.push((c, rng.random_range(1i32..=3) as f64));
-                }
-            }
-            p.add_row(f64::NEG_INFINITY, rng.random_range(6i32..=12) as f64, &row)
-        })
-        .collect();
-    (p, x, r)
-}
-
-/// The dual loop asserts, under `cfg(test)`, that the maintained set names
-/// the leaving row the ascending scan of every basic value names
-/// ([`engine::Engine::leaving_row_by_scan`], the routine it replaced) — at
-/// every dual pivot of every solve in this binary. This test is the
-/// population that makes the assertion bite: generated bound-edit
-/// sequences under the default settings, under a cadence that
-/// refactorizes inside the dual loop, and under kernels that hand every
-/// `w` — the bulk flips' accumulated column included — back flagged dense.
-#[test]
-fn infeasible_set_names_the_scanned_leaving_row_at_every_dual_pivot() {
-    use rand::{RngExt, SeedableRng};
-    let configs = [
-        SimplexConfig::default(),
-        SimplexConfig {
-            refactor_interval: 2,
-            ..SimplexConfig::default()
-        },
-        SimplexConfig {
-            kernel_density_threshold: 0.0,
-            ..SimplexConfig::default()
-        },
-    ];
-    // Per config: dual pivots, bulk flips, refactorizations on the cadence
-    // inside solves that pivoted in the dual loop alone, dense `w`s.
-    let mut seen = [[0u64; 4]; 3];
-    for seed in 0..40u64 {
-        let (p, x, r) = boxed_packing(seed, 24, 14);
-        for (k, cfg) in configs.iter().enumerate() {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD0A1);
-            let mut q = p.clone();
-            let mut s = SolverSession::with_config(&p, cfg).unwrap();
-            assert_eq!(s.solve().unwrap().status, Status::Optimal);
-            for step in 0..4 {
-                // Tighten most rows hard (many basic values leave their
-                // bounds at once), then move a few column boxes.
-                for &row in &r {
-                    if rng.random_range(0..4) > 0 {
-                        let cap = rng.random_range(1i32..=5) as f64;
-                        q.set_row_bounds(row, f64::NEG_INFINITY, cap);
-                        s.set_row_bounds(row, f64::NEG_INFINITY, cap);
-                    }
-                }
-                for _ in 0..3 {
-                    let c = x[rng.random_range(0..x.len())];
-                    let up = [0.5, 1.0, 2.0][rng.random_range(0..3)];
-                    q.set_col_bounds(c, 0.0, up);
-                    s.set_col_bounds(c, 0.0, up);
-                }
-                let warm = s.solve().unwrap();
-                let cold = solve(&q).unwrap();
-                assert_eq!(warm.status, cold.status, "seed {seed} cfg {k} step {step}");
-                assert!(
-                    (warm.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs())
-                );
-                let st = warm.stats;
-                seen[k][0] += st.dual_iterations;
-                seen[k][1] += st.dual_bound_flips;
-                if st.dual_iterations > 0 && st.iterations == st.dual_iterations {
-                    seen[k][2] += st.refactor_interval + st.refactor_cost_model;
-                }
-                if st.dual_bound_flips > 0 {
-                    seen[k][3] += st.ftran_dense_fallbacks;
-                }
-            }
-        }
-    }
-    for (k, row) in seen.iter().enumerate() {
-        assert!(row[0] > 100 && row[1] > 20, "cfg {k}: {row:?}");
-    }
-    assert!(
-        seen[1][2] > 20,
-        "no cadence refactorization inside the dual loop: {seen:?}"
-    );
-    assert!(seen[2][3] > 20, "no bulk flip through a dense w: {seen:?}");
 }
 
 impl engine::Engine {

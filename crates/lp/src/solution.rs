@@ -115,10 +115,16 @@ macro_rules! solve_counters {
 }
 
 solve_counters! {
-    /// Total simplex iterations (phase 1 + phase 2).
+    /// Total simplex iterations (phase 1 + phase 2) of the entry that
+    /// answered.
     iterations => Some("lp.iterations"),
     /// Iterations spent in phase 1 (attaining feasibility).
     phase1_iterations => Some("lp.phase1_iterations"),
+    /// Iterations of warm entries that gave up before the one that
+    /// answered (a carried-factors or basis continuation whose phase 1
+    /// could not clear the violations, or that hit numerical trouble).
+    /// Not included in `iterations`.
+    abandoned_iterations => Some("lp.abandoned_iterations"),
     /// Number of basis refactorizations performed (sum of the per-reason
     /// counters below).
     refactorizations => Some("lp.refactorizations"),
@@ -181,8 +187,8 @@ solve_counters! {
     /// the result nonzeros exceeded the density threshold (every run,
     /// under a threshold of `0.0`).
     ftran_dense_fallbacks => Some("lp.ftran_dense_fallbacks"),
-    /// Pivotal-row BTRAN kernel runs: one per basis-changing pivot, primal
-    /// or dual (`iterations - bound_flips`).
+    /// Pivotal-row BTRAN kernel runs: one per basis-changing pivot
+    /// (`iterations - bound_flips`).
     btran_ops => None,
     /// Summed nonzero count of pivotal-row BTRAN results (the density of
     /// ρ = B⁻ᵀ e_r).
@@ -193,13 +199,7 @@ solve_counters! {
     /// Summed count of nonbasic columns touched by the pivotal-row pass
     /// (the support of α_r = ρᵀA net of basic/fixed columns).
     pivot_row_nnz => None,
-    /// Dual simplex pivots (bound/RHS re-solves from a still-dual-feasible
-    /// basis). Also included in `iterations`.
-    dual_iterations => Some("lp.dual_iterations"),
-    /// Nonbasic boxed variables flipped between their bounds by the dual
-    /// ratio test (no basis change). Primal flips are in `bound_flips`.
-    dual_bound_flips => Some("lp.dual_bound_flips"),
-    /// Eligible columns the primal pricing scans examined (Bland's rule
+    /// Eligible columns the pricing scans examined (Bland's rule
     /// charges one per scan).
     pricing_candidates_scanned => Some("lp.pricing_candidates_scanned"),
     /// Runtime-sanitizer sweeps performed (`WS_SANITIZE`; each sweep

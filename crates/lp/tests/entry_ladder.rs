@@ -1,15 +1,13 @@
 //! The solve-entry ladder, rung by rung.
 //!
 //! Every solve enters through one routine tried in a fixed rung order:
-//! carried factors → own-basis dual → basis primal → cold. Each test below
-//! scripts one session onto one rung and pins status, `x`, objective and
-//! the whole [`SolveStats`] to the values the pre-refactor engine (three
-//! separate entry routines, commit 190e221) produced for the same script,
-//! with one stated difference: a dual pivot now runs a single pivotal-row
-//! pass, so `btran_ops`, `btran_nnz`, `btran_dense_fallbacks` and
-//! `pivot_row_nnz` no longer include the second pass the old update
-//! repeated. Hence the identity asserted on every solve in this file:
-//! `btran_ops == iterations − bound_flips`.
+//! carried factors → basis primal → cold. Each test below scripts one
+//! session onto one rung and pins status, `x`, objective and the whole
+//! [`SolveStats`] to the values the pre-refactor engine (three separate
+//! entry routines, commit 190e221) produced for the same script. Every
+//! basis-changing pivot runs one pivotal-row pass, hence the identity
+//! asserted on every solve in this file: `btran_ops == iterations −
+//! bound_flips`.
 //!
 //! Four fields count how a kernel result was *represented*, not which
 //! pivot was taken, and may move with the kernels while every other
@@ -26,6 +24,14 @@
 //! `refactorizations` / `refactor_forced_fallback` fall by exactly that
 //! count. Every pin that was here before passed unedited — each of those
 //! scripts pivots, and a solve that pivoted still ends on a verification.
+//!
+//! Deleting the dual simplex left every answer in this file as it was. The
+//! four scripts a dual loop used to answer — on the carried factors, on the
+//! session's own basis after a refused carried rung, after an infeasible
+//! solve — are answered by the primal continuation and were re-recorded;
+//! the rung that used to refactor for an abandoned dual attempt lost that
+//! factorization; and the two scripts that end on the cold proof report
+//! the pivots of the warm rungs that gave up as `abandoned_iterations`.
 
 use wavesched_lp::{
     Basis, Col, Objective, Problem, Row, SimplexConfig, Solution, SolveError, SolverSession, Status,
@@ -107,7 +113,7 @@ fn check(got: &Solution, answer: &str, work: &str) {
     assert_eq!(
         got.stats.btran_ops,
         got.stats.iterations - got.stats.bound_flips,
-        "one pivotal-row BTRAN per basis-changing pivot, primal or dual"
+        "one pivotal-row BTRAN per basis-changing pivot"
     );
 }
 
@@ -122,7 +128,10 @@ fn no_basis_offered_runs_cold_without_counting_a_fallback() {
 }
 
 #[test]
-fn carried_factors_dual_continuation() {
+fn carried_factors_primal_continuation() {
+    // Seven row edits push basic values out of their bounds: the bound
+    // shift clears them in phase 1 and phase 2 finishes, all on the
+    // carried factors.
     let (mut s, _, _, r) = solved();
     for i in [0, 1, 2, 3, 5, 6] {
         s.set_row_bounds(r[i], NINF, 4.0);
@@ -131,15 +140,15 @@ fn carried_factors_dual_continuation() {
     check(
         &s.solve().unwrap(),
         "Optimal 69.66666666666666 [0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 7.0, 0.0, 1.3333333333333333, 0.0, 1.3333333333333333, 0.0, 4.0, 0.0, 3.0, 0.0, 4.0]",
-        "iterations: 4, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, warm_starts_accepted: 1, ftran_ops: 4, ftran_nnz: 37, ftran_dense_fallbacks: 2, btran_ops: 4, btran_nnz: 18, btran_dense_fallbacks: 1, pivot_row_nnz: 42, dual_iterations: 4",
+        "iterations: 9, phase1_iterations: 5, refactorizations: 2, refactor_forced_fallback: 2, lu_reuse_hits: 1, warm_starts_accepted: 1, ftran_ops: 9, ftran_nnz: 102, ftran_dense_fallbacks: 7, btran_ops: 9, btran_nnz: 69, btran_dense_fallbacks: 5, pivot_row_nnz: 98, pricing_candidates_scanned: 37",
     );
 }
 
 #[test]
-fn carried_factors_primal_continuation_when_the_dual_screen_fails() {
+fn carried_factors_primal_continuation_after_an_opened_bound() {
     // Opening x13's upper bound re-parks it at its lower bound, where its
-    // reduced cost has the wrong sign: no dual pivot, phase 1 on the row
-    // edit, phase 2 — all on the carried factors.
+    // reduced cost makes it eligible: phase 1 on the row edit, phase 2
+    // prices it in — all on the carried factors.
     let (mut s, _, x, r) = solved();
     s.set_col_bounds(x[13], 0.0, INF);
     s.set_row_bounds(r[1], NINF, 3.0);
@@ -151,7 +160,7 @@ fn carried_factors_primal_continuation_when_the_dual_screen_fails() {
 }
 
 #[test]
-fn cost_edit_skips_the_dual_attempt() {
+fn carried_factors_after_a_cost_edit() {
     let (mut s, _, x, _) = solved();
     s.set_cost(x[0], 30.0);
     s.set_cost(x[4], 25.0);
@@ -166,15 +175,15 @@ fn cost_edit_skips_the_dual_attempt() {
 #[test]
 fn corrupted_carried_factors_fail_the_residual_check() {
     // x0 resting at a nonzero bound makes the damaged pivot visible in
-    // the recomputed basic values; the rejected rung's work is discarded
-    // and the own-basis dual rung answers from a fresh factor.
+    // the recomputed basic values; the rejected rung took no pivot, and
+    // the basis primal rung answers from a fresh factor.
     let (mut s, _, x, _) = solved();
     s.debug_corrupt_factorization();
     s.set_col_bounds(x[0], 1.0, 3.0);
     check(
         &s.solve().unwrap(),
         "Optimal 79.0 [1.0, 0.0, 2.5, 0.0, 0.0, 2.0, 0.0, 7.0, 0.0, 0.3333333333333333, 0.0, 2.6666666666666665, 0.0, 4.0, 0.0, 2.0, 0.0, 3.5]",
-        "iterations: 2, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, warm_starts_accepted: 1, ftran_ops: 2, ftran_nnz: 24, ftran_dense_fallbacks: 2, btran_ops: 2, btran_nnz: 4, pivot_row_nnz: 17, dual_iterations: 2",
+        "iterations: 4, phase1_iterations: 3, refactorizations: 3, refactor_forced_fallback: 3, refactor_reuse_rejected: 1, degenerate_pivots: 1, warm_starts_accepted: 1, ftran_ops: 4, ftran_nnz: 44, ftran_dense_fallbacks: 3, btran_ops: 4, btran_nnz: 29, btran_dense_fallbacks: 2, pivot_row_nnz: 39, pricing_candidates_scanned: 7",
     );
 }
 
@@ -188,7 +197,7 @@ const NOTHING_TO_DO_DUALS: &str =
 #[test]
 fn carried_factors_nothing_to_do() {
     // Lifting x4's lower bound moves the basic values and leaves every one
-    // inside its bounds: no dual pivot, no eligible column. The parent
+    // inside its bounds: nothing to relax, no eligible column. The parent
     // reported `refactorizations: 1, refactor_forced_fallback: 1` here.
     let (mut s, _, x, _) = solved();
     s.set_col_bounds(x[4], 0.25, 6.0);
@@ -205,7 +214,7 @@ fn carried_factors_nothing_to_do() {
 fn corrupted_carried_factors_with_nothing_to_do_still_fail_the_residual_check() {
     // The same edit on damaged factors: the residual gate still stands in
     // front of everything the exactness bookkeeping spares, so the rung is
-    // refused and the own-basis dual rung answers from a fresh factor —
+    // refused and the basis primal rung answers from a fresh factor —
     // which is then the only factorization (the parent reported
     // `refactorizations: 2, refactor_forced_fallback: 2`).
     let (mut s, _, x, _) = solved();
@@ -222,15 +231,15 @@ fn corrupted_carried_factors_with_nothing_to_do_still_fail_the_residual_check() 
 
 #[test]
 fn infeasible_edit_walks_every_rung_to_the_cold_proof() {
-    // Carried factors: dual ray. Own-basis dual: dual ray again. Basis
-    // primal: the bound-shift phase 1 cannot clear the violation. Only
-    // the cold phase 1 is a proof, and only its work is reported.
+    // Carried factors, then basis primal: each bound-shift phase 1 pivots
+    // and cannot clear the violation. Only the cold phase 1 is a proof;
+    // the warm rungs' pivots are reported as abandoned.
     let (mut s, _, _, r) = solved();
     s.set_row_bounds(r[9], 40.0, 50.0);
     check(
         &s.solve().unwrap(),
         "Infeasible 30.0 [0.0, 0.0, 2.2, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.6, 0.0, 0.3333333333333333, 0.4444444444444445, 0.0, 0.0, 0.0, 0.0]",
-        "iterations: 6, phase1_iterations: 6, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
+        "iterations: 6, phase1_iterations: 6, abandoned_iterations: 16, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
     );
 }
 
@@ -241,34 +250,37 @@ fn infeasible_again_without_carried_factors() {
     check(
         &s.solve().unwrap(),
         "Infeasible 30.0 [0.0, 0.0, 2.2, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.6, 0.0, 0.3333333333333333, 0.4444444444444445, 0.0, 0.0, 0.0, 0.0]",
-        "iterations: 6, phase1_iterations: 6, refactorizations: 2, refactor_forced_fallback: 2, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
+        "iterations: 6, phase1_iterations: 6, abandoned_iterations: 7, refactorizations: 2, refactor_forced_fallback: 2, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
     );
 }
 
 #[test]
-fn own_basis_dual_after_a_non_optimal_solve() {
+fn basis_primal_after_a_non_optimal_solve() {
+    // No carried factors after the infeasible solve: the last optimal
+    // basis is installed and refactored, one phase-1 pivot clears the
+    // edits.
     let (mut s, _, r) = solved_then_infeasible();
     s.set_row_bounds(r[9], 5.0, 8.0);
     s.set_row_bounds(r[0], NINF, 4.0);
     check(
         &s.solve().unwrap(),
         "Optimal 89.33333333333333 [0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 7.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0, 3.0, 0.0, 5.0]",
-        "iterations: 1, refactorizations: 2, refactor_forced_fallback: 2, warm_starts_accepted: 1, ftran_ops: 1, ftran_nnz: 12, ftran_dense_fallbacks: 1, btran_ops: 1, btran_nnz: 1, pivot_row_nnz: 6, dual_iterations: 1",
+        "iterations: 1, phase1_iterations: 1, refactorizations: 3, refactor_forced_fallback: 3, warm_starts_accepted: 1, ftran_ops: 1, ftran_nnz: 12, ftran_dense_fallbacks: 1, btran_ops: 1, btran_nnz: 1, pivot_row_nnz: 5, pricing_candidates_scanned: 1",
     );
 }
 
 #[test]
-fn own_basis_dual_abandoned_then_basis_primal() {
-    // No carried factors, and the re-parked x13 fails the dual screen:
-    // the dual rung's factor stays on the counters, the primal rung
-    // installs the same basis again and finishes.
+fn basis_primal_with_a_reparked_column() {
+    // No carried factors, and the opened x13 is re-parked at its lower
+    // bound: the basis primal rung installs the last optimal basis once
+    // and finishes.
     let (mut s, x, r) = solved_then_infeasible();
     s.set_row_bounds(r[9], 5.0, 8.0);
     s.set_col_bounds(x[13], 0.0, INF);
     check(
         &s.solve().unwrap(),
         "Optimal 91.33333333333333 [0.0, 0.0, 0.0, 0.0, 0.0, 2.6666666666666665, 0.0, 7.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.666666666666667, 0.0, 3.0, 0.0, 5.0]",
-        "iterations: 5, phase1_iterations: 2, refactorizations: 4, refactor_forced_fallback: 4, degenerate_pivots: 1, bound_flips: 1, warm_starts_accepted: 1, ftran_ops: 5, ftran_nnz: 57, ftran_dense_fallbacks: 4, btran_ops: 4, btran_nnz: 5, pivot_row_nnz: 25, pricing_candidates_scanned: 15",
+        "iterations: 5, phase1_iterations: 2, refactorizations: 3, refactor_forced_fallback: 3, degenerate_pivots: 1, bound_flips: 1, warm_starts_accepted: 1, ftran_ops: 5, ftran_nnz: 57, ftran_dense_fallbacks: 4, btran_ops: 4, btran_nnz: 5, pivot_row_nnz: 25, pricing_candidates_scanned: 15",
     );
 }
 

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wavesched_lp::{solve, Col, NewColumn, NewRow, Objective, Problem, Row, SolverSession, Status};
 
-/// Random LP from integer-ish data (mirrors `tests/dual_differential.rs`),
+/// Random LP from integer-ish data (mirrors `tests/resolve_differential.rs`),
 /// so borderline feasibility at tolerance level is avoided.
 fn random_problem(rng: &mut StdRng, nmax: usize, mmax: usize) -> Problem {
     let maximize = rng.random_range(0..2) == 0;

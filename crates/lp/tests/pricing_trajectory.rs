@@ -13,7 +13,8 @@
 //! PR 18 sets that flag from the result's nonzero count instead of a
 //! symbolic over-estimate of it and re-recorded `btran_nnz` /
 //! `btran_dense_fallbacks` in three pins (Bland 30 → 20 / 1 → 0, added
-//! columns 54 → 35 / 4 → 2, bulk flips 50 → 40 / 3 → 2).
+//! columns 54 → 35 / 4 → 2, and a dual re-solve pin deleted since with
+//! the dual simplex).
 
 use wavesched_lp::{
     solve, Col, NewColumn, Objective, Problem, Row, SimplexConfig, Solution, SolverSession, Status,
@@ -125,25 +126,6 @@ fn primal_bound_flips() {
         "Optimal 69.0952380952381 [0.0, 1.0, 0.6666666666666666, 1.0, 0.3333333333333333, 1.0, 0.0, 1.0, 1.0, 0.6190476190476191, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.9047619047619049]",
         "iterations: 22, refactorizations: 2, refactor_forced_fallback: 2, degenerate_pivots: 2, bound_flips: 15, ftran_ops: 22, ftran_nnz: 156, ftran_dense_fallbacks: 9, btran_ops: 7, btran_nnz: 17, pivot_row_nnz: 79, pricing_candidates_scanned: 252",
     );
-}
-
-#[test]
-fn dual_resolve_with_bulk_flips() {
-    // Tightening every row of a solved session sends it through the dual
-    // loop, whose ratio test flips boxed columns in bulk on the way.
-    let (p, _, r) = packing(
-        24,
-        14,
-        |j| (1 + j * 5 % 7) as f64,
-        |_| 1.0,
-        |i| (9 + i * 3 % 5) as f64,
-    );
-    let mut s = SolverSession::new(&p).unwrap();
-    assert_eq!(s.solve().unwrap().status, Status::Optimal);
-    for &row in &r {
-        s.set_row_bounds(row, NINF, 2.0);
-    }
-    check(&s.solve().unwrap(), "Optimal 25.095238095238095 [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.28571428571428575, 0.0, 0.6666666666666666, 0.0, 0.6666666666666666, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5714285714285714]", "iterations: 8, refactorizations: 1, refactor_forced_fallback: 1, lu_reuse_hits: 1, warm_starts_accepted: 1, ftran_ops: 11, ftran_nnz: 139, ftran_dense_fallbacks: 6, btran_ops: 8, btran_nnz: 40, btran_dense_fallbacks: 2, pivot_row_nnz: 109, dual_iterations: 8, dual_bound_flips: 5");
 }
 
 #[test]

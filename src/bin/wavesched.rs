@@ -41,7 +41,7 @@ commands:
               as improvements — refresh <expected> when they stick.
               --require-nonzero (repeatable) additionally fails when the
               named counter is missing or zero in <actual> — a liveness
-              gate for paths (e.g. dual simplex) that must have run.
+              gate for paths (e.g. LU reuse) that must have run.
 
 common options:
   --network <abilene14|abilene20|esnet|waxman:<nodes>:<pairs>:<seed>>
@@ -259,12 +259,11 @@ fn run(args: &Args) -> Result<(), String> {
         // priced anything records every cg.* counter in one code path,
         // so a partial family means the report schema drifted.
         if counter_names.iter().any(|n| n.starts_with("cg.")) {
-            const CG_FAMILY: [&str; 6] = [
+            const CG_FAMILY: [&str; 5] = [
                 "cg.rounds",
                 "cg.columns_added",
                 "cg.pricer_calls",
                 "cg.pricing_ns",
-                "cg.master_dual_iterations",
                 "cg.master_lu_reuse_hits",
             ];
             let missing: Vec<&str> = CG_FAMILY
@@ -317,7 +316,7 @@ fn run(args: &Args) -> Result<(), String> {
         // arena reuse) has no row there. `--require-nonzero <name>`
         // (repeatable) gates those instead: the named counter must be
         // present AND strictly positive in <actual>, so a code path that
-        // silently stops running (e.g. the dual simplex never engaging)
+        // silently stops running (e.g. re-solves never reusing factors)
         // fails rather than reading as an "improvement".
         let required: Vec<&str> = args
             .opts
