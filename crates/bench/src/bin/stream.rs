@@ -127,7 +127,10 @@ fn parse_opts() -> Opts {
         usage_error("--paths must be at least 1");
     }
     if !(o.rate.is_finite() && o.rate > 0.0) {
-        usage_error(&format!("--rate must be finite and positive, got {}", o.rate));
+        usage_error(&format!(
+            "--rate must be finite and positive, got {}",
+            o.rate
+        ));
     }
     o
 }

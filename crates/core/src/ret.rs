@@ -904,7 +904,7 @@ mod tests {
         // The Fig. 4 RET workload (scaled to test size): warm-started probes
         // must save at least 45% of the total simplex iterations. Probes
         // answered from the monotone memo on a probe LP sized to the
-        // bracket take 361 against 751 cold (52% saved); solving every
+        // bracket take 364 against 751 cold (52% saved); solving every
         // probe on the `b_max` envelope took 705 against 951 (26%).
         let (g, _) = abilene14(2);
         let jobs = WorkloadGenerator::new(WorkloadConfig {

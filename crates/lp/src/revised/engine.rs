@@ -8,7 +8,7 @@ use super::lu::{Lu, LuScratch};
 use super::pricing::NOT_LISTED;
 use super::{pos_or_zero, sanitize, SimplexConfig};
 use crate::solution::{Basis, BasisStatus, Solution, SolveError, SolveStats, Status};
-use crate::sparse::{sort_words, WorkVec};
+use crate::sparse::{bit_words, WorkVec};
 use crate::stdform::{ColKind, StdForm};
 use crate::{FEAS_TOL, PIVOT_TOL};
 use wavesched_obs as obs;
@@ -147,18 +147,14 @@ pub(super) struct Engine {
     /// Dense BTRAN scratch for full dual recomputation (row-indexed).
     pub(super) dual: Vec<f64>,
     /// Pivotal-row scratch: the nonbasic columns with an entry in one of
-    /// ρ's rows, each once. This and every other per-pivot list below is
-    /// sized by [`Self::size_scratch`], so steady-state pivots never grow
-    /// them.
+    /// ρ's rows, each once, in no particular order. This and every other
+    /// per-pivot list below is sized by [`Self::size_scratch`], so
+    /// steady-state pivots never grow them.
     pub(super) touched: Vec<u32>,
-    /// One zeroed bit per column: `touched`'s marks while it is gathered,
-    /// then the words it is sorted with.
+    /// One zeroed bit per column: `touched`'s marks while it is gathered.
     pub(super) col_words: Vec<u64>,
     /// Step-space accumulator and marks of the sparse LU triangular solves.
     pub(super) lu_scratch: LuScratch,
-    /// Per-eta activation flags for the pruned BTRAN eta pass (scratch,
-    /// rebuilt from the rhs pattern on every sparse BTRAN).
-    pub(super) eta_active: Vec<bool>,
     /// Nonzero count above which a sparse kernel's result is flagged dense
     /// (`kernel_density_threshold` × rows, precomputed); 0 runs the dense
     /// kernels.
@@ -178,9 +174,9 @@ pub(super) struct Engine {
     /// Ratio-test scratch: `(basis position, |w|, strict step)` of every
     /// entry of `w` that can block, ascending by position.
     pub(super) ratio_cand: Vec<(u32, f64, f64)>,
-    /// The pivotal row `(column, α_j)` over its nonbasic support, ascending
-    /// by column: written by `pivotal_row`, read by the reduced-cost and
-    /// weight update.
+    /// The pivotal row `(column, α_j)` over its nonbasic support, in
+    /// `touched`'s order: written by `pivotal_row`, read by the reduced-cost
+    /// and weight update.
     pub(super) row_alpha: Vec<(u32, f64)>,
     /// Sanitizer sweep interval (`WS_SANITIZE`, resolved at construction);
     /// 0 disables the sanitizer entirely.
@@ -234,7 +230,7 @@ impl Engine {
         let (csr_ptr, csr_cols) = build_row_mirror(&std.a);
         // Intentional truncation of a density fraction to a scratch-arena size.
         let kernel_cap = (pos_or_zero(cfg.kernel_density_threshold) * m as f64) as usize;
-        let mut etas = EtaFile::default();
+        let mut etas = EtaFile::new(cfg.refactor_interval);
         etas.ensure_rows(m);
         let mut engine = Engine {
             cost: vec![0.0; ncols],
@@ -260,7 +256,6 @@ impl Engine {
             touched: Vec::new(),
             col_words: Vec::new(),
             lu_scratch: LuScratch::new(m),
-            eta_active: Vec::new(),
             kernel_cap,
             relaxed: Vec::new(),
             elig: Vec::new(),
@@ -297,7 +292,7 @@ impl Engine {
         self.ratio_cand.reserve_exact(m);
         self.elig_slot.clear();
         self.elig_slot.resize(ncols, NOT_LISTED);
-        self.col_words = sort_words(ncols);
+        self.col_words = bit_words(ncols);
     }
 
     /// Rests nonbasic column `j` where [`StdForm::resting`] puts it under
@@ -575,17 +570,9 @@ impl Engine {
         self.refresh_eligible(q);
         self.refresh_eligible(leaving);
 
-        // Record the eta for B_new = B_old E, entries ascending by basis
-        // position (sorted pattern / dense scan order — the BTRAN gather
-        // relies on it). Entries below the drop tolerance are omitted; the
-        // drift is flushed at refactorization.
-        self.etas.begin(pos as u32, w.values[pos]);
-        let etas = &mut self.etas;
-        for_each_entry(w, |p, wp| {
-            if wp.abs() > 1e-12 || p == pos {
-                etas.push_entry(p as u32, wp);
-            }
-        });
+        // Record the eta for B_new = B_old E. Entries below the drop
+        // tolerance are omitted; the drift is flushed at refactorization.
+        self.etas.push(pos as u32, w);
     }
 
     /// Debug-build invariant sweep, run after every basis change. Release
@@ -649,7 +636,7 @@ impl Engine {
         }
         if self.cfg.refactor_interval != usize::MAX
             && self.etas.len() >= COST_MODEL_MIN_ETAS
-            && self.etas.entries.len() > COST_MODEL_ETA_FACTOR * self.lu_nnz
+            && self.etas.nnz() > COST_MODEL_ETA_FACTOR * self.lu_nnz
         {
             return Some(RefactorReason::CostModel);
         }

@@ -3,9 +3,8 @@
 //! pivotal-row pass.
 
 use super::engine::{Engine, Exact, VarState};
-use super::eta::ETA_NONE;
 use super::pricing::NOT_LISTED;
-use crate::sparse::{sort_dedup, CscMatrix, WorkVec};
+use crate::sparse::{CscMatrix, WorkVec};
 
 /// Builds the flat CSR row mirror (column indices per row) of `a`. Filling
 /// in ascending column order keeps each row's list sorted, so the
@@ -55,18 +54,7 @@ impl Engine {
     /// Solves `B' y = c` for a basis-position-indexed dense `c`, leaving
     /// the row-indexed result in place.
     pub(super) fn btran_pos_dense(&mut self, c: &mut [f64]) {
-        // Apply eta inverses in reverse order: c' E^{-1} touches one entry.
-        for k in (0..self.etas.len()).rev() {
-            let head = self.etas.head(k);
-            let r = head.pos as usize;
-            let mut acc = c[r];
-            for &(i, wi) in self.etas.entries_of(k) {
-                if i != head.pos {
-                    acc -= c[i as usize] * wi;
-                }
-            }
-            c[r] = acc / head.pivot;
-        }
+        self.etas.btran(c);
         #[expect(
             clippy::expect_used,
             reason = "invariant: solve() refactorizes before any pricing pass, so an LU is always installed here"
@@ -85,61 +73,14 @@ impl Engine {
         let mut c = std::mem::take(&mut self.rho);
         c.clear();
         c.set(pos as u32, 1.0);
-        // Eta inverses in reverse order. Each is a *gather* over the eta's
-        // full entry list, so unlike the FTRAN scatters a zero result still
-        // costs a full scan — the dominant per-pivot cost on large models.
-        // With a sparse input the row-wise eta index prunes the loop to the
-        // etas that can see a nonzero: an eta none of whose referenced
-        // positions (entries or pivotal head) is marked gathers only exact
-        // zeros, lands on `t == ±0`, and — its head being unmarked — the
-        // full loop would write nothing at all, so skipping it is
-        // bit-exact, zero signs included. Activation cascades: applying an
-        // eta that marks a new position wakes the earlier etas referencing
-        // it. Forced-dense oracle mode (`kernel_cap == 0`) keeps the full
-        // scan so the oracle shares none of the pruning logic.
-        let prune = self.kernel_cap > 0 && !c.is_dense() && !self.etas.is_empty();
-        if prune {
-            self.eta_active.clear();
-            self.eta_active.resize(self.etas.len(), false);
-            for &i in &c.pattern {
-                let mut e = self.etas.pos_head[i as usize];
-                while e != ETA_NONE {
-                    self.eta_active[self.etas.eta_of[e as usize] as usize] = true;
-                    e = self.etas.link[e as usize];
-                }
-            }
-        }
-        for k in (0..self.etas.len()).rev() {
-            if prune && !self.eta_active[k] {
-                continue;
-            }
-            let head = self.etas.head(k);
-            let r = head.pos;
-            let mut acc = c.values[r as usize];
-            for &(i, wi) in self.etas.entries_of(k) {
-                if i != r {
-                    acc -= c.values[i as usize] * wi;
-                }
-            }
-            let t = acc / head.pivot;
-            if t != 0.0 {
-                let newly = !c.is_dense() && !c.marked(r);
-                c.set(r, t);
-                if prune && newly {
-                    // A freshly nonzero position wakes the earlier etas
-                    // referencing it (later ones already ran).
-                    let mut e = self.etas.pos_head[r as usize];
-                    while e != ETA_NONE {
-                        let k2 = self.etas.eta_of[e as usize] as usize;
-                        if k2 < k {
-                            self.eta_active[k2] = true;
-                        }
-                        e = self.etas.link[e as usize];
-                    }
-                }
-            } else if c.marked(r) || c.is_dense() {
-                c.values[r as usize] = t;
-            }
+        // The eta pass reads only the pivotal positions. Forced-dense
+        // oracle mode (`kernel_cap == 0`) runs the full gather instead, so
+        // the oracle shares none of that; its dense LU pass below reads
+        // every value and drops the pattern.
+        if self.kernel_cap > 0 {
+            self.etas.btran_unit(&mut c);
+        } else {
+            self.etas.btran(&mut c.values);
         }
         let mut s = std::mem::take(&mut self.lu_scratch);
         #[expect(
@@ -157,7 +98,7 @@ impl Engine {
     /// The pivotal-row pass, run once per basis-changing pivot: `ρ = B⁻ᵀ
     /// e_pos`, then `(j, α_j = ρ·a_j)` into `row_alpha` for every nonbasic,
     /// non-fixed column `j` other than the entering `q` with an entry in
-    /// one of ρ's nonzero rows, ascending in `j`.
+    /// one of ρ's nonzero rows, in no particular order.
     pub(super) fn pivotal_row(&mut self, pos: usize, q: usize) {
         self.btran_pos_sparse(pos);
         let rho = std::mem::take(&mut self.rho);
@@ -169,8 +110,9 @@ impl Engine {
 
         // Touch only columns that intersect rho's nonzero rows. A column
         // met in several such rows is listed once (its bit in `col_words`
-        // marks it); the list is then put in the ascending order a dense
-        // row scan would produce.
+        // marks it). Every consumer of the list is order-free: the
+        // reduced-cost and weight updates are per column, and pricing
+        // breaks ties by column index.
         let mut touched = std::mem::take(&mut self.touched);
         let mut words = std::mem::take(&mut self.col_words);
         touched.clear();
@@ -190,7 +132,10 @@ impl Engine {
                 self.push_row_cols(r, q, &mut touched, &mut words);
             }
         }
-        sort_dedup(&mut touched, &mut words);
+        // Every set bit is a listed column's: zero their words.
+        for &jc in &touched {
+            words[jc as usize >> 6] = 0;
+        }
         self.col_words = words;
         self.stats.pivot_row_nnz += touched.len() as u64;
 
@@ -209,7 +154,7 @@ impl Engine {
     /// Appends to `out` the nonbasic, non-`q` columns with an entry in row
     /// `r` (one pivotal-row pricing probe, via the CSR mirror) that an
     /// earlier row has not already put there: a listed column's bit is set
-    /// in `words`, which [`sort_dedup`] clears again.
+    /// in `words`, which the caller clears again.
     #[inline]
     pub(super) fn push_row_cols(&self, r: usize, q: usize, out: &mut Vec<u32>, words: &mut [u64]) {
         for &jc in &self.csr_cols[self.csr_ptr[r]..self.csr_ptr[r + 1]] {
@@ -286,27 +231,7 @@ impl Engine {
             .as_ref()
             .expect("invariant: LU installed before ftran")
             .ftran_sparse(&mut rhs, &mut w, &mut s, self.kernel_cap);
-        // Eta passes: each is a scatter from the pivotal position, applied
-        // whether or not the pattern is still tracked.
-        for k in 0..self.etas.len() {
-            let head = self.etas.head(k);
-            let r = head.pos;
-            let t = w.values[r as usize] / head.pivot;
-            if t != 0.0 {
-                for &(i, wi) in self.etas.entries_of(k) {
-                    if i != r {
-                        // `a += -(b)` is bitwise `a -= b`.
-                        w.add(i, -(wi * t));
-                    }
-                }
-                w.set(r, t);
-            } else if w.marked(r) || w.is_dense() {
-                w.values[r as usize] = t;
-            }
-        }
-        if !w.is_dense() {
-            w.sort_pattern();
-        }
+        self.etas.ftran(&mut w);
         self.stats.ftran_ops += 1;
         self.stats.ftran_nnz += w.nnz() as u64;
         if w.is_dense() {

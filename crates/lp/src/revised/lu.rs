@@ -8,7 +8,7 @@
 //! overwrites in place, so a steady-state refactorization allocates nothing
 //! and a clone copies a fixed handful of vectors.
 
-use crate::sparse::{sort_words, CscMatrix, WorkVec};
+use crate::sparse::{bit_words, CscMatrix, WorkVec};
 
 const NONE: u32 = u32::MAX;
 
@@ -117,7 +117,7 @@ impl LuScratch {
     pub fn new(m: usize) -> Self {
         LuScratch {
             vals: vec![0.0; m],
-            words: sort_words(m),
+            words: bit_words(m),
         }
     }
 }

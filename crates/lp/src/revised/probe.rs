@@ -10,7 +10,8 @@ use crate::stdform::standardize;
 /// Test-and-bench harness that drives the engine one pivot batch at a time.
 ///
 /// Hidden from the public API: the supported consumers are the crate's
-/// allocation test and the per-pivot kernel benchmark, which need to put
+/// allocation test, its kernel differential (which reads single kernel
+/// results) and the per-pivot kernel benchmark, which need to put
 /// the engine into a steady state (factorized basis, warmed scratch
 /// arenas) and then run an exact number of pivots under observation.
 ///
@@ -78,14 +79,12 @@ impl PivotProbe {
         PivotProbe { engine }
     }
 
-    /// Pre-grows the eta arena for `n` further pivots, and the factor
-    /// arenas by as many entries, so the measured window appends etas and
-    /// refactorizes without allocating.
+    /// Pre-grows the eta arena and its pivotal table for `n` further
+    /// pivots, and the factor arenas by as many entries, so the measured
+    /// window appends etas and refactorizes without allocating.
     pub fn reserve(&mut self, n: usize) {
         let m = self.engine.std.nrows;
         self.engine.etas.reserve(n + 1, (n + 1) * (m + 1));
-        let total = self.engine.etas.len() + n + 1;
-        self.engine.eta_active.reserve(total);
         if let Some(lu) = self.engine.lu.as_mut() {
             lu.reserve((n + 1) * (m + 1));
         }
@@ -134,6 +133,26 @@ impl PivotProbe {
             std::hint::black_box(&self.engine.rho.values);
         }
         m as u64
+    }
+
+    /// `B⁻ᵀ e_pos` at the parked basis, row-indexed: one run of the kernel
+    /// [`Self::btran_sweep`] times, for the kernel differential to read.
+    pub fn btran_row(&mut self, pos: usize) -> &[f64] {
+        self.engine.btran_pos_sparse(pos);
+        &self.engine.rho.values
+    }
+
+    /// `B⁻¹ a_q` at the parked basis, by basis position: one run of the
+    /// kernel [`Self::ftran_sweep`] times, for the kernel differential.
+    pub fn ftran_column(&mut self, q: usize) -> &[f64] {
+        self.engine.ftran_entering(q);
+        &self.engine.ftran_w.values
+    }
+
+    /// The eta file's length and how many distinct basis positions its
+    /// etas pivot on.
+    pub fn eta_shape(&self) -> (usize, usize) {
+        (self.engine.etas.len(), self.engine.etas.pivotal_len())
     }
 
     /// Work counters accumulated so far (warmup included).

@@ -289,37 +289,8 @@ impl CscMatrix {
     }
 }
 
-/// Sorts `list` ascending and removes duplicates, in place, without a
-/// comparison sort: one bit per entry into `words` (bit `i & 63` of word
-/// `i >> 6`), then a sweep of the word range between the smallest and the
-/// largest entry that pops the bits back out lowest first.
-///
-/// `words` needs a bit for every possible entry. On entry it may hold set
-/// bits only for entries of `list` (a caller de-duplicating at insertion
-/// uses them as its marks); on exit it is all zero.
-pub(crate) fn sort_dedup(list: &mut Vec<u32>, words: &mut [u64]) {
-    let Some(&first) = list.first() else {
-        return;
-    };
-    let (mut wlo, mut whi) = (first >> 6, first >> 6);
-    for &i in list.iter() {
-        let wi = i >> 6;
-        wlo = wlo.min(wi);
-        whi = whi.max(wi);
-        words[wi as usize] |= 1u64 << (i & 63);
-    }
-    list.clear();
-    for wi in wlo..=whi {
-        let mut bits = std::mem::take(&mut words[wi as usize]);
-        while bits != 0 {
-            list.push((wi << 6) | bits.trailing_zeros());
-            bits &= bits - 1;
-        }
-    }
-}
-
-/// Zeroed bit words for [`sort_dedup`] over entries `0..n`.
-pub(crate) fn sort_words(n: usize) -> Vec<u64> {
+/// Zeroed bit words, one bit for each of the entries `0..n`.
+pub(crate) fn bit_words(n: usize) -> Vec<u64> {
     vec![0; n.div_ceil(64)]
 }
 
@@ -343,8 +314,9 @@ pub struct WorkVec {
     pub pattern: Vec<u32>,
     /// Scratch flags marking membership of `pattern`.
     marked: Vec<bool>,
-    /// Zeroed bit words for [`sort_pattern`](Self::sort_pattern).
-    sort_words: Vec<u64>,
+    /// Zeroed bit words, one bit an index: what a [`MarkedScatter`] holds
+    /// while it runs.
+    scatter_bits: Vec<u64>,
     /// When set, `pattern` is not maintained; any entry of `values` may be
     /// nonzero.
     dense: bool,
@@ -358,7 +330,7 @@ impl WorkVec {
             values: vec![0.0; n],
             pattern: Vec::with_capacity(n),
             marked: vec![false; n],
-            sort_words: sort_words(n),
+            scatter_bits: bit_words(n),
             dense: false,
         }
     }
@@ -401,16 +373,6 @@ impl WorkVec {
         }
     }
 
-    /// Adds `v` at index `i`, tracking the pattern.
-    #[inline]
-    pub fn add(&mut self, i: u32, v: f64) {
-        if !self.dense && !self.marked[i as usize] {
-            self.marked[i as usize] = true;
-            self.pattern.push(i);
-        }
-        self.values[i as usize] += v;
-    }
-
     /// Sets index `i` to `v`, tracking the pattern.
     #[inline]
     pub fn set(&mut self, i: u32, v: f64) {
@@ -427,10 +389,17 @@ impl WorkVec {
         self.marked[i as usize]
     }
 
-    /// Sorts the pattern ascending, so pattern iteration visits entries in
-    /// the same order a dense `0..n` scan would.
-    pub fn sort_pattern(&mut self) {
-        sort_dedup(&mut self.pattern, &mut self.sort_words);
+    /// Opens a [`MarkedScatter`] into this tracked vector: the bit of
+    /// every pattern index is set in the scatter bits.
+    pub(crate) fn marked_scatter(&mut self) -> MarkedScatter<'_> {
+        debug_assert!(!self.dense, "a marked scatter needs a tracked pattern");
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &i in &self.pattern {
+            let wi = i as usize >> 6;
+            self.scatter_bits[wi] |= 1u64 << (i & 63);
+            (lo, hi) = (lo.min(wi), hi.max(wi));
+        }
+        MarkedScatter { v: self, lo, hi }
     }
 
     /// Number of tracked nonzeros — the full dimension after a dense
@@ -448,6 +417,72 @@ impl WorkVec {
         self.clear();
         for (&r, &v) in rows.iter().zip(vals) {
             self.set(r, v);
+        }
+    }
+}
+
+/// A run of writes into a tracked [`WorkVec`] that records membership by
+/// one bit an index in the vector's scatter bits — no membership test and no
+/// push a write. Dropping it sweeps the bits back out: the pattern becomes
+/// every index it held or was written, each once, ascending (the order a
+/// dense `0..n` scan visits them in), and the words are zero again.
+pub(crate) struct MarkedScatter<'a> {
+    v: &'a mut WorkVec,
+    /// The word span `lo..=hi` the bits may cover (`lo > hi`: none).
+    lo: usize,
+    hi: usize,
+}
+
+impl MarkedScatter<'_> {
+    #[inline]
+    pub(crate) fn value(&self, i: u32) -> f64 {
+        self.v.values[i as usize]
+    }
+
+    /// True when index `i` is held: in the pattern or written since.
+    #[inline]
+    pub(crate) fn holds(&self, i: u32) -> bool {
+        self.v.scatter_bits[i as usize >> 6] & (1u64 << (i & 63)) != 0
+    }
+
+    /// Sets index `i` to `x`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: u32, x: f64) {
+        let wi = i as usize >> 6;
+        self.v.values[i as usize] = x;
+        self.v.scatter_bits[wi] |= 1u64 << (i & 63);
+        (self.lo, self.hi) = (self.lo.min(wi), self.hi.max(wi));
+    }
+
+    /// `values[i] -= x * t` for every index `i` of `at`, which ascend,
+    /// and `x` the value beside it in `val`.
+    #[inline]
+    pub(crate) fn sub_scaled(&mut self, at: &[u32], val: &[f64], t: f64) {
+        let (Some(&first), Some(&last)) = (at.first(), at.last()) else {
+            return;
+        };
+        self.lo = self.lo.min(first as usize >> 6);
+        self.hi = self.hi.max(last as usize >> 6);
+        let (values, words) = (&mut self.v.values, &mut self.v.scatter_bits);
+        for (&i, &x) in at.iter().zip(val) {
+            values[i as usize] -= x * t;
+            words[i as usize >> 6] |= 1u64 << (i & 63);
+        }
+    }
+}
+
+impl Drop for MarkedScatter<'_> {
+    fn drop(&mut self) {
+        let v = &mut *self.v;
+        v.pattern.clear();
+        for wi in self.lo..=self.hi {
+            let mut bits = std::mem::take(&mut v.scatter_bits[wi]);
+            while bits != 0 {
+                let i = (wi << 6) | bits.trailing_zeros() as usize;
+                v.marked[i] = true;
+                v.pattern.push(i as u32);
+                bits &= bits - 1;
+            }
         }
     }
 }
@@ -641,8 +676,8 @@ mod tests {
     #[test]
     fn workvec_tracks_pattern() {
         let mut w = WorkVec::new(5);
-        w.add(3, 1.5);
-        w.add(3, 0.5);
+        w.set(3, 1.5);
+        w.set(3, 2.0);
         w.set(1, -1.0);
         assert_eq!(w.values[3], 2.0);
         assert_eq!(w.pattern.len(), 2);
@@ -665,7 +700,7 @@ mod tests {
         // maintenance.
         assert_eq!(w.values[1], 2.0);
         w.set(0, 5.0);
-        w.add(3, 1.0);
+        w.set(3, 1.0);
         assert!(w.pattern.is_empty());
         // clear() recovers full sparse tracking.
         w.clear();
@@ -675,60 +710,64 @@ mod tests {
         assert_eq!(w.pattern, vec![3]);
     }
 
-    #[test]
-    fn workvec_sort_pattern() {
-        let mut w = WorkVec::new(5);
-        w.set(4, 1.0);
-        w.set(0, 2.0);
-        w.set(2, 3.0);
-        w.sort_pattern();
-        assert_eq!(w.pattern, vec![0, 2, 4]);
-    }
-
     proptest::proptest! {
-        /// Whatever the shape of the list, the result is `sort_unstable` +
-        /// `dedup` and the words come back zero — also when the caller
-        /// marked entries at insertion and their bits arrive set.
+        /// A marked scatter over any held pattern leaves the values a
+        /// tracked `values[i] -= x * t` / `set` sequence leaves, bit for
+        /// bit, and as pattern every index held or written, each once and
+        /// ascending, with the marks to match and the words zero again —
+        /// across word boundaries and at both ends of the range.
         #[test]
-        fn sort_dedup_matches_sort_unstable_dedup(seed in proptest::prelude::any::<u64>()) {
+        fn marked_scatter_matches_tracked_writes(seed in proptest::prelude::any::<u64>()) {
             use rand::{RngExt, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let n = rng.random_range(65..4000u32);
-            let len = match seed % 5 {
-                0 => 0,
-                1 => 1,
-                // Short against the range it spans, then long against it.
-                2 | 3 => rng.random_range(2..3 + n as usize / 300),
-                _ => rng.random_range(n as usize / 8..2 * n as usize),
-            };
-            let mut list: Vec<u32> = (0..len).map(|_| rng.random_range(0..n)).collect();
-            if seed % 5 == 2 {
-                let all = rng.random_range(0..n);
-                list.fill(all);
+            let n = rng.random_range(65..2000u32);
+            let mut w = WorkVec::new(n as usize);
+            let mut want = vec![0.0f64; n as usize];
+            let mut held = vec![false; n as usize];
+            for _ in 0..rng.random_range(0..n as usize / 4 + 1) {
+                let i = rng.random_range(0..n);
+                let x = rng.random_range(-1.0..1.0);
+                w.set(i, x);
+                (want[i as usize], held[i as usize]) = (x, true);
             }
-            if seed % 5 == 4 {
-                // The word-boundary entries and both ends of the range.
-                list.extend([0, 63, 64, n - 1]);
-            }
-            let mut words = sort_words(n as usize);
-            if rng.random_range(0..2) == 0 {
-                for &i in &list {
-                    words[(i >> 6) as usize] |= 1u64 << (i & 63);
+            {
+                let mut s = w.marked_scatter();
+                for _ in 0..rng.random_range(0..12) {
+                    if rng.random_range(0..3) == 0 {
+                        let i = [0, 63, 64, n - 1, rng.random_range(0..n)][rng.random_range(0..5)];
+                        proptest::prop_assert_eq!(s.holds(i), held[i as usize]);
+                        let x = rng.random_range(-1.0..1.0);
+                        s.set(i, x);
+                        (want[i as usize], held[i as usize]) = (x, true);
+                        continue;
+                    }
+                    let mut idx: Vec<u32> = (0..rng.random_range(1..40))
+                        .map(|_| rng.random_range(0..n))
+                        .collect();
+                    idx.sort_unstable();
+                    idx.dedup();
+                    let val: Vec<f64> = idx.iter().map(|_| rng.random_range(-2.0..2.0)).collect();
+                    let t = rng.random_range(-3.0..3.0);
+                    s.sub_scaled(&idx, &val, t);
+                    for (&i, &x) in idx.iter().zip(&val) {
+                        want[i as usize] -= x * t;
+                        held[i as usize] = true;
+                    }
                 }
             }
-            let mut want = list.clone();
-            want.sort_unstable();
-            want.dedup();
-            sort_dedup(&mut list, &mut words);
-            proptest::prop_assert_eq!(list, want);
-            proptest::prop_assert!(words.iter().all(|&w| w == 0));
+            let pattern: Vec<u32> = (0..n).filter(|&i| held[i as usize]).collect();
+            proptest::prop_assert_eq!(&w.pattern, &pattern);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&w.values), bits(&want));
+            proptest::prop_assert_eq!(&w.marked, &held);
+            proptest::prop_assert!(w.scatter_bits.iter().all(|&b| b == 0));
         }
     }
 
     #[test]
     fn workvec_load() {
         let mut w = WorkVec::new(4);
-        w.add(0, 9.0);
+        w.set(0, 9.0);
         w.load(&[1, 3], &[2.0, 4.0]);
         assert_eq!(w.values[0], 0.0);
         assert_eq!(w.values[1], 2.0);

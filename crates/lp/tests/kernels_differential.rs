@@ -20,7 +20,9 @@ use common::time_expanded_lp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use wavesched_lp::{Objective, Problem, SimplexConfig, Solution, SolverSession, Status};
+use wavesched_lp::{
+    Objective, PivotProbe, Problem, SimplexConfig, Solution, SolverSession, Status,
+};
 
 /// A random LP with controlled column density so the sparse kernels see a
 /// realistic mix of hypersparse and near-dense FTRAN/BTRAN results.
@@ -78,10 +80,11 @@ fn sparse_cfg() -> SimplexConfig {
     SimplexConfig::default()
 }
 
-fn dense_oracle_cfg() -> SimplexConfig {
+/// `base` with every kernel forced down the dense path.
+fn oracle_of(base: &SimplexConfig) -> SimplexConfig {
     SimplexConfig {
         kernel_density_threshold: 0.0,
-        ..SimplexConfig::default()
+        ..base.clone()
     }
 }
 
@@ -95,8 +98,13 @@ fn solve_under(p: &Problem, cfg: &SimplexConfig) -> Solution {
 /// path and land on the *same bits* — each an answer that proves its
 /// status.
 fn check_bit_identity(p: &Problem, label: &str) {
-    let s = solve_under(p, &sparse_cfg());
-    let d = solve_under(p, &dense_oracle_cfg());
+    check_bit_identity_under(p, label, &sparse_cfg());
+}
+
+/// [`check_bit_identity`] under `base`'s settings on both sides.
+fn check_bit_identity_under(p: &Problem, label: &str, base: &SimplexConfig) {
+    let s = solve_under(p, base);
+    let d = solve_under(p, &oracle_of(base));
     assert_certified(p, &s, label);
     assert_certified(p, &d, label);
     assert_eq!(s.status, d.status, "{label}: status diverged");
@@ -256,4 +264,99 @@ proptest! {
         let p = random_sparse_problem(&mut rng, 9, 9);
         check_certified(&p, &format!("certified seed {seed}"));
     }
+}
+
+/// Eta files of up to 300 etas (the cost model still cuts them where it
+/// pays; these solves reach 171 etas on 157 pivotal positions): the unit
+/// BTRAN's pivotal-position table grows past one and two bit words of
+/// columns inside a solve, and every pivot stays the oracle's.
+#[test]
+fn long_eta_files_are_bit_identical() {
+    let long = SimplexConfig {
+        refactor_interval: 300,
+        ..SimplexConfig::default()
+    };
+    for seed in 0..4 {
+        let p = time_expanded_lp(0x51AB_0100 + seed);
+        check_bit_identity_under(&p, &format!("long files, seed {seed}"), &long);
+    }
+    let p = packing_lp(0x51AB_0101, 300, 450);
+    check_bit_identity_under(&p, "long files, packing", &long);
+}
+
+/// A random packing LP over nonnegative columns: `≤` rows with positive
+/// right-hand sides, so the crash basis is feasible, and every column in
+/// two to five rows with positive coefficients, so it is bounded — the
+/// shape a [`PivotProbe`] parks on, big enough to keep pivoting.
+fn packing_lp(seed: u64, m: usize, n: usize) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = Problem::new(Objective::Maximize);
+    let mut rows: Vec<Vec<(wavesched_lp::Col, f64)>> = vec![Vec::new(); m];
+    for _ in 0..n {
+        let c = p.add_col(0.0, f64::INFINITY, rng.random_range(1.0..10.0));
+        for _ in 0..rng.random_range(2..=5) {
+            let r = rng.random_range(0..m);
+            if rows[r].iter().all(|&(rc, _)| rc != c) {
+                rows[r].push((c, rng.random_range(0.5..4.0)));
+            }
+        }
+    }
+    for entries in &rows {
+        p.add_row(f64::NEG_INFINITY, rng.random_range(50.0..200.0), entries);
+    }
+    p
+}
+
+/// Equal as numbers: a cancelled zero's sign may differ, nothing else.
+fn assert_same_values(got: &[f64], want: &[f64], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        assert!(
+            a == b || (a.is_nan() && b.is_nan()),
+            "{label}: entry {i} is {a}, the oracle's {b}"
+        );
+    }
+}
+
+/// The kernels at a parked basis, against a probe parked by the dense
+/// kernels on the same pivots: every BTRAN of a unit vector — at a
+/// position some eta pivots on and at one none does — and every FTRAN,
+/// on one unbounded eta file as it passes 64 and then 128 distinct
+/// pivotal positions, with positions pivoted on more than once.
+#[test]
+fn parked_probe_kernels_match_the_oracle_on_long_eta_files() {
+    let (m, n) = (400, 600);
+    let p = packing_lp(0x51AB_0007, m, n);
+    let unbounded = SimplexConfig {
+        refactor_interval: usize::MAX,
+        ..SimplexConfig::default()
+    };
+    let mut fast = PivotProbe::new_with(&p, 20, &unbounded);
+    let mut oracle = PivotProbe::new_with(&p, 20, &oracle_of(&unbounded));
+    for floor in [64, 128] {
+        while fast.eta_shape().1 <= floor {
+            assert_eq!(fast.pivots(10), 10, "the LP ran out of pivots");
+            assert_eq!(oracle.pivots(10), 10);
+        }
+        let (etas, pivotal) = fast.eta_shape();
+        assert_eq!(oracle.eta_shape(), (etas, pivotal));
+        assert_eq!(
+            fast.stats().refactorizations,
+            oracle.stats().refactorizations
+        );
+        assert!(pivotal < m, "every position is pivotal");
+        let label = format!("{etas} etas on {pivotal} positions");
+        assert_eq!(fast.btran_sweep(), oracle.btran_sweep(), "{label}");
+        assert_eq!(fast.ftran_sweep(), oracle.ftran_sweep(), "{label}");
+        for pos in 0..m {
+            let want = oracle.btran_row(pos).to_vec();
+            assert_same_values(fast.btran_row(pos), &want, &format!("{label}, BTRAN {pos}"));
+        }
+        for q in 0..n {
+            let want = oracle.ftran_column(q).to_vec();
+            assert_same_values(fast.ftran_column(q), &want, &format!("{label}, FTRAN {q}"));
+        }
+    }
+    let (etas, pivotal) = fast.eta_shape();
+    assert!(etas > pivotal, "no position was pivoted on twice");
 }
