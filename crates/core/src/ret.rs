@@ -41,14 +41,6 @@ pub struct RetConfig {
     pub bsearch_tol: f64,
     /// Safety cap on δ-growth iterations.
     pub max_delta_steps: usize,
-    /// Solve the bisection's feasibility probes that need an LP in place on
-    /// one held [`SolverSession`], built at twice the probe's `b` and rebuilt
-    /// when a probe outgrows it, each probe warm-starting from the optimum
-    /// of the one before. Disable to build and cold-solve a fresh LP per such
-    /// probe. Both modes answer the same probes from the same memo and
-    /// gallop, so the search trajectory and the returned schedules are
-    /// identical either way — only the work counters differ.
-    pub warm_start: bool,
     /// Has no effect: every probe runs serially on the calling thread. The
     /// field remains only because the outside-in benchmark sets it, and goes
     /// with that benchmark's `par.ret_scale_t2` row.
@@ -61,7 +53,6 @@ impl Default for RetConfig {
             b_max: 4.0,
             bsearch_tol: 0.01,
             max_delta_steps: 60,
-            warm_start: true,
             threads: 1,
         }
     }
@@ -383,23 +374,20 @@ impl EnvelopeLp {
 /// point and the one below it, half of it, are midpoints the bisection asks
 /// next, and come back from the memo. The start only decides which small
 /// probes get solved, never an answer. A probe that needs an LP is
-/// answered through the [`open_probe`] LP: in warm mode one held LP built
-/// at `2b` (capped at `b_max`) for the first such probe and rebuilt at `2b`
+/// answered through the [`open_probe`] LP: one held LP built at `2b`
+/// (capped at `b_max`) for the first such probe and rebuilt at `2b`
 /// whenever a probe outgrows it, every probe within it solving **in
-/// place**, warm from the one before; cold mode builds instance and LP at
-/// every such `b`. Only a probe's yes/no leaves the backend, never its
-/// vertex, and both modes solve the same probes, so the bisection
-/// trajectory and `b̂` never depend on `warm_start` or on the size of the LP
-/// a probe solved on. Structural trouble degrades to a cold solve, never to
-/// a wrong answer.
+/// place**, warm from the one before. Only a probe's yes/no leaves the
+/// backend, never its vertex, so the bisection trajectory and `b̂` never
+/// depend on the size of the LP a probe solved on, nor on how warm it
+/// started: the tests hold every answer to a fresh LP at `b` solved cold.
+/// Structural trouble degrades to a cold solve, never to a wrong answer.
 ///
 /// **Growth.** The first δ-step builds the `b_max` envelope, and
-/// consecutive steps chain through its one Quick-Finish session in *both*
-/// modes — the same deterministic call sequence either way — so the
-/// fractional points, and therefore the LPDAR schedules and `b_final`,
-/// cannot depend on `warm_start`. Only an extension past `b_max`, possible
-/// on the final step, exceeds the envelope and drops to a one-off cold
-/// build.
+/// consecutive steps chain through its one Quick-Finish session, so the
+/// fractional points, and therefore the LPDAR schedules and `b_final`, are
+/// a function of `b̂` alone. Only an extension past `b_max`, possible on the
+/// final step, exceeds the envelope and drops to a one-off cold build.
 struct EnvelopeBackend<'a> {
     graph: &'a Graph,
     jobs: &'a [Job],
@@ -414,14 +402,18 @@ struct EnvelopeBackend<'a> {
     infeasible_to: f64,
     /// The probe optimum at `b = 0`, once solved there.
     z0: Option<f64>,
-    /// The warm probe LP; `None` in cold mode, before the first probe that
-    /// needs an LP, when some job is unschedulable at its envelope, and once
-    /// the search is over.
+    /// The held probe LP; `None` before the first probe that needs an LP,
+    /// when some job is unschedulable at its envelope, and once the search
+    /// is over.
     probe_lp: Option<EnvelopeLp>,
     /// The Quick-Finish LP, built on the `b_max` envelope at the first
     /// growth step.
     growth_lp: Option<EnvelopeLp>,
     stats: SolveStats,
+    /// Every `b` a probe LP was solved at since the tests' oracle last took
+    /// them, in order: it solves each again, cold.
+    #[cfg(test)]
+    solved_at: Vec<f64>,
 }
 
 impl<'a> EnvelopeBackend<'a> {
@@ -448,6 +440,8 @@ impl<'a> EnvelopeBackend<'a> {
             probe_lp: None,
             growth_lp: None,
             stats: SolveStats::default(),
+            #[cfg(test)]
+            solved_at: Vec::new(),
         }
     }
 
@@ -495,56 +489,43 @@ impl<'a> EnvelopeBackend<'a> {
         Ok(())
     }
 
-    /// Solves the probe LP at `b`: on the held LP in warm mode, built at
-    /// `2b` when `b` is beyond its reach; on a fresh LP at `b` in cold mode.
+    /// Solves the probe LP at `b` on the held LP, built at `2b` when `b` is
+    /// beyond its reach.
     fn solve_probe(&mut self, b: f64) -> Result<bool, SolveError> {
-        let sol = if self.cfg.warm_start {
-            if self.probe_lp.as_ref().is_none_or(|lp| b > lp.reach) {
-                // The outgrown LP goes before its successor is built.
-                self.probe_lp = None;
-                let reach = (2.0 * b).min(self.cfg.b_max);
-                let inst = self.instance_at(reach);
-                self.probe_lp = open_probe(&inst)?.map(|session| {
-                    obs::counter_add("ret.probe_builds", 1);
-                    EnvelopeLp::new(inst, reach, session)
-                });
-            }
-            match &mut self.probe_lp {
-                Some(lp) => lp.solve_at(self.jobs, self.origin, b)?,
-                None => None,
-            }
-        } else {
-            let sol = self.solve_fresh(b)?;
-            if sol.is_some() {
+        if self.probe_lp.as_ref().is_none_or(|lp| b > lp.reach) {
+            // The outgrown LP goes before its successor is built.
+            self.probe_lp = None;
+            let reach = (2.0 * b).min(self.cfg.b_max);
+            let inst = self.instance_at(reach);
+            self.probe_lp = open_probe(&inst)?.map(|session| {
                 obs::counter_add("ret.probe_builds", 1);
-            }
-            sol
+                EnvelopeLp::new(inst, reach, session)
+            });
+        }
+        let Some(lp) = &mut self.probe_lp else {
+            return Ok(false);
         };
-        let Some(sol) = sol else {
+        let Some(sol) = lp.solve_at(self.jobs, self.origin, b)? else {
             return Ok(false);
         };
         obs::counter_add("ret.probe_lps", 1);
         self.stats.merge(&sol.stats);
+        #[cfg(test)]
+        self.solved_at.push(b);
         if b == 0.0 {
             self.z0 = Some(sol.objective);
         }
         Ok(probe_feasible(&sol))
     }
 
-    /// The probe LP built at `b` and solved cold; `None` when some job is
-    /// unschedulable there.
+    /// The probe LP built at `b` and solved cold, the tests' oracle; `None`
+    /// when some job is unschedulable there.
+    #[cfg(test)]
     fn solve_fresh(&mut self, b: f64) -> Result<Option<Solution>, SolveError> {
         let inst = self.instance_at(b);
         open_probe(&inst)?
             .map(|mut session| session.solve())
             .transpose()
-    }
-
-    /// The probe at `b` answered directly by [`Self::solve_fresh`], with no
-    /// memo, counter or statistic touched.
-    #[cfg(test)]
-    fn direct(&mut self, b: f64) -> Result<bool, SolveError> {
-        Ok(self.solve_fresh(b)?.is_some_and(|sol| probe_feasible(&sol)))
     }
 }
 
@@ -692,7 +673,9 @@ pub fn solve_ret(
 /// complete the *remaining* demand of in-flight jobs. End times extend as
 /// distances from `origin` and Quick-Finish weighs
 /// slice `j` by `j - origin + 1`, so the answer does not depend on the
-/// clock; no job may start before `origin`. Paths come from the caller's
+/// clock; no job may start before `origin`, and every demand must be
+/// finite and at least 0 (a NaN, infinite or negative one is a
+/// [`SolveError::InvalidModel`]). Paths come from the caller's
 /// `pathset` (`inst_cfg.paths_per_job` per endpoint pair), so a controller
 /// pays Yen once per pair, not once per overloaded period.
 pub fn solve_ret_with_demands(
@@ -709,6 +692,11 @@ pub fn solve_ret_with_demands(
             "RET got {} jobs but {} demands",
             jobs.len(),
             demands.len()
+        )));
+    }
+    if let Some(d) = demands.iter().find(|d| !(d.is_finite() && **d >= 0.0)) {
+        return Err(SolveError::InvalidModel(format!(
+            "RET demands must be finite and at least 0, got {d}"
         )));
     }
     if !(origin >= 0.0 && jobs.iter().all(|j| j.start >= origin)) {
@@ -857,44 +845,135 @@ mod tests {
         assert!(r.is_none());
     }
 
+    /// What the [`Oracle`] saw over one run of Algorithm 2.
+    #[derive(Default)]
+    struct Audit {
+        /// `(b, backend's answer, oracle's answer)` per probe asked.
+        log: Vec<(f64, bool, bool)>,
+        /// LP solves and pivots the backend's answers took, the gallop's
+        /// included.
+        probe_lps: u64,
+        probe_iterations: u64,
+        /// The oracle's cold solves at every `b` the backend solved an LP at.
+        cold: SolveStats,
+    }
+
+    /// [`EnvelopeBackend`] with every probe also answered by the oracle,
+    /// [`EnvelopeBackend::solve_fresh`] — a fresh LP at `b` solved cold —
+    /// whose answer drives the search.
+    struct Oracle<'a> {
+        inner: EnvelopeBackend<'a>,
+        audit: Audit,
+    }
+
+    impl RetBackend for Oracle<'_> {
+        fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
+            let iterations = self.inner.stats.iterations;
+            let answer = self.inner.probe(b)?;
+            self.audit.probe_iterations += self.inner.stats.iterations - iterations;
+            for at in std::mem::take(&mut self.inner.solved_at) {
+                self.audit.probe_lps += 1;
+                if let Some(sol) = self.inner.solve_fresh(at)? {
+                    self.audit.cold.merge(&sol.stats);
+                }
+            }
+            let direct = self
+                .inner
+                .solve_fresh(b)?
+                .is_some_and(|sol| probe_feasible(&sol));
+            self.audit.log.push((b, answer, direct));
+            Ok(direct)
+        }
+        fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
+            self.inner.quick_finish(b)
+        }
+        fn growth_limit(&self) -> f64 {
+            self.inner.growth_limit()
+        }
+        fn stats(&self) -> SolveStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Runs Algorithm 2 over `jobs` through the [`Oracle`]. Every answer
+    /// must be the oracle's, and the `b` asked must be the sequence a search
+    /// answering every probe by the oracle asks: the opening `0` and
+    /// `b_max`, then the bisection's midpoints.
+    fn against_the_oracle(g: &Graph, jobs: &[Job], cfg: &RetConfig) -> (RetResult, Audit) {
+        let inst_cfg = InstanceConfig::paper(2);
+        let demands: Vec<f64> = jobs
+            .iter()
+            .map(|j| inst_cfg.demand_units(j.size_gb))
+            .collect();
+        let mut ps = PathSet::new(inst_cfg.paths_per_job);
+        let out = algorithm2(jobs, cfg, || {
+            Ok(Oracle {
+                inner: EnvelopeBackend::new(g, jobs, &demands, &inst_cfg, cfg, 0.0, &mut ps),
+                audit: Audit::default(),
+            })
+        })
+        .unwrap();
+        let (result, oracle) = out.expect("feasible within b_max");
+        let audit = oracle.audit;
+        let mut next = audit.log.iter();
+        let mut ask = |b: f64| {
+            let &(asked, answer, direct) = next.next().expect("a probe the search asks");
+            assert_eq!(asked.to_bits(), b.to_bits(), "asked {asked}, want {b}");
+            assert_eq!(answer, direct, "answer at b = {b}");
+            direct
+        };
+        if !ask(0.0) && ask(cfg.b_max) {
+            let (mut lo, mut hi) = (0.0, cfg.b_max);
+            while hi - lo > cfg.bsearch_tol {
+                let mid = 0.5 * (lo + hi);
+                if !(lo < mid && mid < hi) {
+                    break;
+                }
+                if ask(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+        }
+        assert!(next.next().is_none(), "probes past the search");
+        (result, audit)
+    }
+
+    /// The pivots of an [`against_the_oracle`] run had the oracle's cold
+    /// solves answered its probes: the δ-growth's own, plus the oracle's.
+    fn all_cold_iterations(result: &RetResult, audit: &Audit) -> u64 {
+        result.stats.iterations - audit.probe_iterations + audit.cold.iterations
+    }
+
     #[test]
     fn warm_probes_match_cold_bitwise() {
-        // Same b̂, same final b, and the exact same schedules — the session
+        // Same b̂, same final b, and the exact same schedules as a search
+        // whose every answer is the oracle's cold solve — the held probe LP
         // only changes how fast probes are answered, never the answers.
         for seed in [2, 4, 7] {
             let (g, jobs) = overloaded_jobs(10, seed);
             let cfg = InstanceConfig::paper(2);
-            let cold_cfg = RetConfig {
-                warm_start: false,
-                ..RetConfig::default()
-            };
-            let cold = solve_ret(&g, &jobs, &cfg, &cold_cfg)
-                .unwrap()
-                .expect("cold feasible");
             let warm = solve_ret(&g, &jobs, &cfg, &RetConfig::default())
                 .unwrap()
                 .expect("warm feasible");
-            assert_eq!(cold.b_lp.to_bits(), warm.b_lp.to_bits(), "seed {seed}");
+            let (oracle, audit) = against_the_oracle(&g, &jobs, &RetConfig::default());
+            assert_eq!(oracle.b_lp.to_bits(), warm.b_lp.to_bits(), "seed {seed}");
             assert_eq!(
-                cold.b_final.to_bits(),
+                oracle.b_final.to_bits(),
                 warm.b_final.to_bits(),
                 "seed {seed}"
             );
-            assert_eq!(cold.lp, warm.lp, "seed {seed}");
-            assert_eq!(cold.lpd, warm.lpd, "seed {seed}");
-            assert_eq!(cold.lpdar, warm.lpdar, "seed {seed}");
-            assert_eq!(cold.lp_solves(), warm.lp_solves(), "seed {seed}");
-            // Cold mode still chains the δ-growth session (shared by both
-            // modes); the warm mode adds the probe session on top.
+            assert_eq!(oracle.lp, warm.lp, "seed {seed}");
+            assert_eq!(oracle.lpd, warm.lpd, "seed {seed}");
+            assert_eq!(oracle.lpdar, warm.lpdar, "seed {seed}");
+            // The same probes take an LP either way.
+            assert_eq!(audit.cold.solves, audit.probe_lps, "seed {seed}");
+            let all_cold = all_cold_iterations(&oracle, &audit);
             assert!(
-                warm.stats.warm_starts_accepted >= cold.stats.warm_starts_accepted,
-                "seed {seed}"
-            );
-            assert!(
-                warm.stats.iterations <= cold.stats.iterations,
-                "seed {seed}: warm {} > cold {}",
+                warm.stats.iterations <= all_cold,
+                "seed {seed}: warm {} > cold {all_cold}",
                 warm.stats.iterations,
-                cold.stats.iterations
             );
         }
     }
@@ -902,10 +981,11 @@ mod tests {
     #[test]
     fn warm_probes_cut_iterations_on_fig4_workload() {
         // The Fig. 4 RET workload (scaled to test size): warm-started probes
-        // must save at least 45% of the total simplex iterations. Probes
-        // answered from the monotone memo on a probe LP sized to the
-        // bracket take 364 against 751 cold (52% saved); solving every
-        // probe on the `b_max` envelope took 705 against 951 (26%).
+        // must save at least 45% of the total simplex iterations against the
+        // same run with every probe LP solved cold. Probes answered from the
+        // monotone memo on a probe LP sized to the bracket take 364 against
+        // 751 cold (52% saved); solving every probe on the `b_max` envelope
+        // took 705 against 951 (26%).
         let (g, _) = abilene14(2);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: 15,
@@ -922,23 +1002,17 @@ mod tests {
             max_delta_steps: 120,
             ..RetConfig::default()
         };
-        let cold_cfg = RetConfig {
-            warm_start: false,
-            ..base.clone()
-        };
-        let cold = solve_ret(&g, &jobs, &cfg, &cold_cfg)
-            .unwrap()
-            .expect("cold feasible");
         let warm = solve_ret(&g, &jobs, &cfg, &base)
             .unwrap()
             .expect("warm feasible");
-        assert_eq!(cold.b_lp.to_bits(), warm.b_lp.to_bits());
-        assert_eq!(cold.lpdar, warm.lpdar);
+        let (oracle, audit) = against_the_oracle(&g, &jobs, &base);
+        assert_eq!(oracle.b_lp.to_bits(), warm.b_lp.to_bits());
+        assert_eq!(oracle.lpdar, warm.lpdar);
+        let all_cold = all_cold_iterations(&oracle, &audit);
         assert!(
-            (warm.stats.iterations as f64) <= 0.55 * cold.stats.iterations as f64,
-            "warm {} vs cold {} iterations: less than 45% saved",
+            (warm.stats.iterations as f64) <= 0.55 * all_cold as f64,
+            "warm {} vs cold {all_cold} iterations: less than 45% saved",
             warm.stats.iterations,
-            cold.stats.iterations
         );
     }
 
@@ -969,104 +1043,17 @@ mod tests {
         }
     }
 
-    /// [`EnvelopeBackend`] with every probe also answered by
-    /// [`EnvelopeBackend::direct`]: logs `(b, answer, direct answer)` and
-    /// counts the LP solves the backend's own answers took.
-    struct Oracle<'a> {
-        inner: EnvelopeBackend<'a>,
-        log: Vec<(f64, bool, bool)>,
-        probe_lps: u64,
-    }
-
-    impl RetBackend for Oracle<'_> {
-        fn probe(&mut self, b: f64) -> Result<bool, SolveError> {
-            let before = self.inner.stats.solves;
-            let answer = self.inner.probe(b)?;
-            self.probe_lps += self.inner.stats.solves - before;
-            let direct = self.inner.direct(b)?;
-            self.log.push((b, answer, direct));
-            Ok(answer)
-        }
-        fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
-            self.inner.quick_finish(b)
-        }
-        fn growth_limit(&self) -> f64 {
-            self.inner.growth_limit()
-        }
-        fn stats(&self) -> SolveStats {
-            self.inner.stats()
-        }
-    }
-
-    /// Runs Algorithm 2 over `jobs` through the [`Oracle`] in both probe
-    /// modes. Every answer must be the direct one, and the `b` asked must be
-    /// the sequence a search answering every probe directly asks: the
-    /// opening `0` and `b_max`, then the bisection's midpoints. Returns the
-    /// probes asked and the probe LPs solved, summed over the two modes.
-    fn memo_answers_match_direct(g: &Graph, jobs: &[Job], cfg: &RetConfig) -> (u64, u64) {
-        let inst_cfg = InstanceConfig::paper(2);
-        let demands: Vec<f64> = jobs
-            .iter()
-            .map(|j| inst_cfg.demand_units(j.size_gb))
-            .collect();
-        let (mut asked, mut lps) = (0, 0);
-        for warm_start in [true, false] {
-            let ret = RetConfig {
-                warm_start,
-                ..cfg.clone()
-            };
-            let mut ps = PathSet::new(inst_cfg.paths_per_job);
-            let out = algorithm2(jobs, &ret, || {
-                Ok(Oracle {
-                    inner: EnvelopeBackend::new(g, jobs, &demands, &inst_cfg, &ret, 0.0, &mut ps),
-                    log: Vec::new(),
-                    probe_lps: 0,
-                })
-            })
-            .unwrap();
-            let (_, oracle) = out.expect("feasible within b_max");
-            let mut next = oracle.log.iter();
-            let mut ask = |b: f64| {
-                let &(asked, answer, direct) = next.next().expect("a probe the search asks");
-                assert_eq!(
-                    asked.to_bits(),
-                    b.to_bits(),
-                    "warm {warm_start}: asked {asked}, want {b}"
-                );
-                assert_eq!(answer, direct, "warm {warm_start}: answer at b = {b}");
-                direct
-            };
-            if !ask(0.0) && ask(ret.b_max) {
-                let (mut lo, mut hi) = (0.0, ret.b_max);
-                while hi - lo > ret.bsearch_tol {
-                    let mid = 0.5 * (lo + hi);
-                    if !(lo < mid && mid < hi) {
-                        break;
-                    }
-                    if ask(mid) {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-            }
-            assert!(
-                next.next().is_none(),
-                "warm {warm_start}: probes past the search"
-            );
-            asked += oracle.log.len() as u64;
-            lps += oracle.probe_lps;
-        }
-        (asked, lps)
-    }
-
     #[test]
     fn memo_and_gallop_answer_as_direct_solves() {
         let (mut asked, mut lps) = (0, 0);
+        let mut tally = |g: &Graph, jobs: &[Job]| {
+            let (_, audit) = against_the_oracle(g, jobs, &bisecting_cfg());
+            asked += audit.log.len() as u64;
+            lps += audit.probe_lps;
+        };
         for seed in [3000, 3001, 3002] {
             let (g, jobs) = bisecting_jobs(10, seed);
-            let (a, l) = memo_answers_match_direct(&g, &jobs, &bisecting_cfg());
-            (asked, lps) = (asked + a, lps + l);
+            tally(&g, &jobs);
         }
         // Fig. 4's own shape: its workload on a smoke-sized random network.
         let g = wavesched_net::waxman_network(&wavesched_net::WaxmanConfig {
@@ -1084,8 +1071,7 @@ mod tests {
                 ..Default::default()
             })
             .generate(&g);
-            let (a, l) = memo_answers_match_direct(&g, &jobs, &bisecting_cfg());
-            (asked, lps) = (asked + a, lps + l);
+            tally(&g, &jobs);
         }
         assert!(
             lps < asked,
@@ -1149,6 +1135,20 @@ mod tests {
                 "no jobs, colgen",
                 solve_ret_colgen(&g, &[], &cfg, &ret, &cg).map(drop),
             ),
+            (
+                "NaN demand",
+                solve_ret_with_demands(&g, &jobs, &[1.0, f64::NAN], &cfg, &ret, 0.0, &mut ps)
+                    .map(drop),
+            ),
+            (
+                "infinite demand",
+                solve_ret_with_demands(&g, &jobs, &[f64::INFINITY, 1.0], &cfg, &ret, 0.0, &mut ps)
+                    .map(drop),
+            ),
+            (
+                "negative demand",
+                solve_ret_with_demands(&g, &jobs, &[1.0, -1.0], &cfg, &ret, 0.0, &mut ps).map(drop),
+            ),
         ];
         for (name, out) in cases {
             assert!(
@@ -1187,6 +1187,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn zero_demand_is_accepted() {
+        // A job with nothing left to move is still a job: it is scheduled
+        // alongside the others and counts as complete.
+        let (g, jobs) = overloaded_jobs(2, 2);
+        let cfg = InstanceConfig::paper(2);
+        let mut ps = PathSet::new(cfg.paths_per_job);
+        let r = solve_ret_with_demands(
+            &g,
+            &jobs,
+            &[0.0, 1.0],
+            &cfg,
+            &RetConfig::default(),
+            0.0,
+            &mut ps,
+        )
+        .unwrap()
+        .expect("feasible");
+        assert_eq!(r.instance.demands, [0.0, 1.0]);
+        assert_eq!(r.lpdar_fraction_finished(), 1.0);
     }
 
     #[test]

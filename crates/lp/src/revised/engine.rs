@@ -32,7 +32,8 @@ const COST_MODEL_MIN_ETAS: usize = 16;
 /// per-reason [`SolveStats`] counter so smoke fixtures can tell cadence
 /// refactorizations from forced ones. (`refactor_forced_singular` is
 /// counted separately per `repair_basis` call, and `refactor_reuse_rejected`
-/// at the carried-factors rung; neither is a `refactorize` entry reason.)
+/// when carried factors do not answer; neither is a `refactorize` entry
+/// reason.)
 #[derive(Debug, Clone, Copy)]
 pub(super) enum RefactorReason {
     /// The eta file reached the fixed `refactor_interval` cadence.

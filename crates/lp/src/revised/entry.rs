@@ -1,21 +1,21 @@
 //! Solve entry: the one ladder every solve climbs, and the two-phase
 //! bookkeeping between entry and the pivot loop.
 //!
-//! A solve that was offered a basis tries up to two *warm rungs*, each a
-//! call of [`Engine::warm_entry`] — **install** the nonbasic point (and,
-//! from a snapshot, the basis), **factor** it (a fresh `Lu::refactor`, or the
-//! residual spot-check on the factors the previous solve left), then
-//! **continue** (bound-shift phase 1, then phase 2) — in a fixed order:
-//!
-//! 1. **carried** — the engine's own live state and factors, when the last
-//!    solve ended optimal and only in-place edits happened since;
-//! 2. **basis primal** — the offered basis, installed and refactored;
-//!
-//! and then, like a solve that was offered nothing, runs **cold** (crash
-//! basis, artificial phase 1 — the only infeasibility proof). A rung that
-//! gives up returns `Err(())`, never an answer, so a warm start can change
-//! the work counters but not the result. The pivots of a rung that gave up
-//! are reported as `abandoned_iterations`, apart from the answering rung's.
+//! The ladder has two rungs. A solve that was offered a basis first tries
+//! the **warm** rung, [`Engine::warm_entry`]: it enters on the factors the
+//! previous solve left when that solve ended optimal, only in-place edits
+//! happened since, and the factors pass the residual spot-check; otherwise
+//! it installs the offered basis and factors it afresh. Either way it then
+//! **continues** (bound-shift phase 1, then phase 2). If the warm rung gives
+//! up, the solve runs **cold** (crash basis, artificial phase 1 — the only
+//! infeasibility proof), as a solve that was offered nothing does. No solve
+//! tries a second warm entry on the basis that just gave up: in a session
+//! the offered basis is the carried one whenever the factors carry over,
+//! so a second attempt could differ from the first only by the rounding of
+//! a fresh LU. A rung that gives up returns `Err(())`, never an answer, so
+//! a warm start can change the work counters but not the result. The pivots
+//! of a warm rung that gave up are reported as `abandoned_iterations`,
+//! apart from the cold rung's.
 
 use super::engine::{Engine, Exact, PhaseOutcome, RefactorReason, VarState};
 use super::pos_or_zero;
@@ -63,47 +63,33 @@ fn publish_stats(s: &SolveStats, nrows: usize) {
 impl Engine {
     /// Solves the held standardized form, warm-starting from `start` when
     /// supplied and usable, with a silent cold fallback otherwise: the rung
-    /// order carried → basis primal → cold.
+    /// order warm → cold.
     pub(super) fn solve(&mut self, start: Option<&Basis>) -> Result<Solution, SolveError> {
         let _span = obs::span("lp_solve");
         // Taken up front: any exit that does not re-arm it below leaves the
-        // carried rung off for the next solve.
+        // carried factors unused by the next solve.
         let carried = std::mem::take(&mut self.reuse_ready);
         // Whatever was edited since the last solve, it was not the basis
         // matrix or its factors.
         self.inexact(Exact::Factors);
-        // A rung that gives up leaves only its pivots behind, as
-        // `abandoned_iterations`; the answering rung reports its own work.
-        let (mut rejected, mut abandoned) = (0, 0);
-        let warm = 'rungs: {
-            let Some(basis) = start else {
-                break 'rungs None;
-            };
-            if carried {
-                self.fresh_stats();
-                if let Ok(sol) = self.warm_entry(None) {
-                    break 'rungs Some(sol);
-                }
-                rejected = 1;
-                abandoned += self.stats.iterations;
+        let sol = match start.map(|basis| self.warm_entry(basis, carried)) {
+            Some(Ok(sol)) => sol,
+            Some(Err(())) => {
+                // The warm rung leaves only its pivots behind, as
+                // `abandoned_iterations`, and carried factors it entered on
+                // (or refused) as one rejected reuse; the cold rung reports
+                // its own work.
+                let abandoned = self.stats.iterations;
                 self.undo_relaxed();
+                let mut sol = self.run_cold(true)?;
+                for stats in [&mut sol.stats, &mut self.stats] {
+                    stats.abandoned_iterations += abandoned;
+                    stats.refactor_reuse_rejected += u64::from(carried);
+                }
+                sol
             }
-            self.fresh_stats();
-            if let Ok(sol) = self.warm_entry(Some(basis)) {
-                break 'rungs Some(sol);
-            }
-            abandoned += self.stats.iterations;
-            self.undo_relaxed();
-            None
+            None => self.run_cold(false)?,
         };
-        let mut sol = match warm {
-            Some(sol) => sol,
-            None => self.run_cold(start.is_some())?,
-        };
-        sol.stats.refactor_reuse_rejected += rejected;
-        self.stats.refactor_reuse_rejected += rejected;
-        sol.stats.abandoned_iterations += abandoned;
-        self.stats.abandoned_iterations += abandoned;
         publish_stats(&sol.stats, self.std.nrows);
         // Every Optimal exit ends on factors fresh for the live basis and
         // an empty eta file, however it got there (iterate() refuses to
@@ -115,8 +101,8 @@ impl Engine {
     }
 
     /// Cold start: crash basis, phase 1 if needed, phase 2. The counters of
-    /// warm rungs that gave up are discarded (the caller keeps their
-    /// pivots as abandoned); `offered` records that there were any.
+    /// a warm rung that gave up are discarded (the caller keeps its pivots
+    /// as abandoned); `offered` records that there was one.
     fn run_cold(&mut self, offered: bool) -> Result<Solution, SolveError> {
         self.fresh_stats();
         self.stats.warm_start_fallbacks = u64::from(offered);
@@ -133,71 +119,29 @@ impl Engine {
         self.finish_phase2()
     }
 
-    /// One warm rung: install → factor → continue. `from` is the basis
-    /// snapshot to install, or `None` to continue from the engine's own
-    /// live basis, states and factors (the caller checked `reuse_ready`).
-    /// `Err(())` means the rung gave up — shape mismatch, numerical
-    /// trouble, a bound-shift phase 1 that could not clear the violations —
-    /// and never that the problem itself is bad: the bound shift clamps
-    /// each relaxed variable at the bound it violated, while true
-    /// feasibility may need it strictly inside its range, so only the cold
-    /// artificial phase 1 decides infeasibility.
-    fn warm_entry(&mut self, from: Option<&Basis>) -> Result<Solution, ()> {
-        // Install. Nonbasics go where the snapshot — or, carried, their
-        // live state — says, as far as the *current* bounds allow (edits
-        // may have moved or removed the side a column was resting on).
-        let (n, m) = (self.std.nstruct, self.std.nrows);
-        if from.is_some_and(|b| b.cols.len() != n || b.rows.len() != m) {
-            return Err(());
-        }
-        self.scrub(from.is_none());
-        if from.is_some() {
-            // The snapshot's basic columns, straight into the basis.
-            self.basis.clear();
-        }
-        for j in 0..n + m {
-            let status = match from {
-                Some(b) if j < n => b.cols[j],
-                Some(b) => b.rows[j - n],
-                None => self.state[j].status(),
-            };
-            if status != BasisStatus::Basic {
-                self.park_nonbasic(j, status);
-            } else if from.is_some() {
-                self.basis.push(j);
-            }
-        }
-        if from.is_some() {
-            // A snapshot with other than m basic columns is repaired:
-            // demote extras, pad a deficit with artificials (their columns
-            // are independent; a redundant choice is caught and repaired
-            // during factorization).
-            while self.basis.len() > m {
-                let Some(j) = self.basis.pop() else { break };
-                self.park_nonbasic(j, BasisStatus::AtLower);
-            }
-            for row in 0..m - self.basis.len() {
-                self.basis.push(self.std.artificial_col(row));
-            }
-            for (pos, &j) in self.basis.iter().enumerate() {
-                self.state[j] = VarState::Basic(pos as u32);
-            }
-        }
-
-        // Factor: from scratch (with singularity repair) for a snapshot;
-        // for the carried factors only the basic values they imply, gated
-        // by the sanitizer's residual spot-check — stale or drifted factors
-        // show up as a nonzero `A x` residual before any pivot acts on them.
-        if from.is_some() {
-            self.refactorize(RefactorReason::Forced).map_err(|_| ())?;
-        } else {
-            self.compute_xb();
-            if !self.residual_ok() {
-                return Err(());
-            }
+    /// The warm rung: enter → continue. With `carried` (the caller checked
+    /// `reuse_ready`) it enters on the engine's own live basis, states and
+    /// factors, gated by the sanitizer's residual spot-check — stale or
+    /// drifted factors show up as a nonzero `A x` residual before any pivot
+    /// acts on them. Otherwise, or when the check refuses them, it installs
+    /// `basis` and factors it from scratch. `Err(())` means the rung gave up
+    /// — shape mismatch, numerical trouble, a bound-shift phase 1 that could
+    /// not clear the violations — and never that the problem itself is bad:
+    /// the bound shift clamps each relaxed variable at the bound it
+    /// violated, while true feasibility may need it strictly inside its
+    /// range, so only the cold artificial phase 1 decides infeasibility.
+    fn warm_entry(&mut self, basis: &Basis, carried: bool) -> Result<Solution, ()> {
+        self.fresh_stats();
+        if carried && self.enter_carried() {
             self.stats.lu_reuse_hits = 1;
+        } else {
+            // No carried factors, or refused ones (before any pivot): the
+            // offered basis enters instead.
+            self.stats.refactor_reuse_rejected = u64::from(carried);
+            self.install(basis)?;
         }
         self.stats.warm_starts_accepted = 1;
+        let m = self.std.nrows;
 
         // Continue: bound-shift every basic value outside its bounds, clear
         // the violations in phase 1, finish in phase 2. With nothing to
@@ -233,6 +177,57 @@ impl Engine {
             }
         }
         self.finish_phase2().map_err(|_| ())
+    }
+
+    /// Re-parks every nonbasic where its live state says, as far as the
+    /// *current* bounds allow (edits may have moved or removed the side a
+    /// column was resting on), and computes the basic values the carried
+    /// factors imply. Whether they pass the residual spot-check.
+    fn enter_carried(&mut self) -> bool {
+        self.scrub(true);
+        for j in 0..self.std.nstruct + self.std.nrows {
+            let status = self.state[j].status();
+            if status != BasisStatus::Basic {
+                self.park_nonbasic(j, status);
+            }
+        }
+        self.compute_xb();
+        self.residual_ok()
+    }
+
+    /// Installs the snapshot `basis` — its basic columns straight into the
+    /// basis, its nonbasics parked as on the carried entry — and factors it
+    /// from scratch, with singularity repair. `Err(())` on a shape mismatch
+    /// or a repair that failed.
+    fn install(&mut self, basis: &Basis) -> Result<(), ()> {
+        let (n, m) = (self.std.nstruct, self.std.nrows);
+        if basis.cols.len() != n || basis.rows.len() != m {
+            return Err(());
+        }
+        self.scrub(false);
+        self.basis.clear();
+        for (j, &status) in basis.cols.iter().chain(&basis.rows).enumerate() {
+            if status == BasisStatus::Basic {
+                self.basis.push(j);
+            } else {
+                self.park_nonbasic(j, status);
+            }
+        }
+        // A snapshot with other than m basic columns is repaired: demote
+        // extras, pad a deficit with artificials (their columns are
+        // independent; a redundant choice is caught and repaired during
+        // factorization).
+        while self.basis.len() > m {
+            let Some(j) = self.basis.pop() else { break };
+            self.park_nonbasic(j, BasisStatus::AtLower);
+        }
+        for row in 0..m - self.basis.len() {
+            self.basis.push(self.std.artificial_col(row));
+        }
+        for (pos, &j) in self.basis.iter().enumerate() {
+            self.state[j] = VarState::Basic(pos as u32);
+        }
+        self.refactorize(RefactorReason::Forced).map_err(drop)
     }
 
     /// Parks column `j` nonbasic in the state `status` suggests, degrading

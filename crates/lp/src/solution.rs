@@ -115,15 +115,15 @@ macro_rules! solve_counters {
 }
 
 solve_counters! {
-    /// Total simplex iterations (phase 1 + phase 2) of the entry that
+    /// Total simplex iterations (phase 1 + phase 2) of the rung that
     /// answered.
     iterations => Some("lp.iterations"),
     /// Iterations spent in phase 1 (attaining feasibility).
     phase1_iterations => Some("lp.phase1_iterations"),
-    /// Iterations of warm entries that gave up before the one that
-    /// answered (a carried-factors or basis continuation whose phase 1
-    /// could not clear the violations, or that hit numerical trouble).
-    /// Not included in `iterations`.
+    /// Iterations of the warm rung when it gave up and the cold rung
+    /// answered (its bound-shift phase 1 could not clear the violations, or
+    /// it hit numerical trouble). At most one warm attempt per solve. Not
+    /// included in `iterations`.
     abandoned_iterations => Some("lp.abandoned_iterations"),
     /// Number of basis refactorizations performed (sum of the per-reason
     /// counters below).
@@ -156,8 +156,9 @@ solve_counters! {
     /// Solve entries that reused the previous solve's factorization (and
     /// live basis state) instead of refactorizing.
     lu_reuse_hits => Some("lp.lu_reuse_hits"),
-    /// Reuse attempts rejected — by the residual spot-check or by a failed
-    /// warm continuation — and restarted through the install ladder.
+    /// Solves whose carried factors did not answer: refused by the residual
+    /// spot-check (the offered basis is then installed and refactored), or
+    /// entered and given up on (the solve then goes cold).
     refactor_reuse_rejected => Some("lp.refactor_reuse_rejected"),
     /// Number of degenerate pivots (zero step length).
     degenerate_pivots => Some("lp.degenerate_pivots"),
@@ -171,8 +172,10 @@ solve_counters! {
     solves => Some("lp.solves"),
     /// Solves that started from a supplied basis and kept it.
     warm_starts_accepted => Some("lp.warm_starts_accepted"),
-    /// Solves that were offered a basis but fell back to a cold start
-    /// (shape mismatch or numerical failure during installation).
+    /// Solves that were offered a basis but answered cold: the warm rung
+    /// gave up on a shape mismatch, a failed factorization, or a bound-shift
+    /// phase 1 that could not clear the violations (every infeasible
+    /// problem offered a basis ends so).
     warm_start_fallbacks => Some("lp.warm_start_fallbacks"),
     /// FTRAN kernel runs (one per simplex iteration that reached the ratio
     /// test).

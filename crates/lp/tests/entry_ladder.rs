@@ -1,7 +1,8 @@
 //! The solve-entry ladder, rung by rung.
 //!
 //! Every solve enters through one routine tried in a fixed rung order:
-//! carried factors → basis primal → cold. Each test below scripts one
+//! warm (the carried factors, or the offered basis installed and
+//! refactored) → cold. Each test below scripts one
 //! session onto one rung and pins status, `x`, objective and the whole
 //! [`SolveStats`] to the values the pre-refactor engine (three separate
 //! entry routines, commit 190e221) produced for the same script. Every
@@ -32,6 +33,13 @@
 //! the rung that used to refactor for an abandoned dual attempt lost that
 //! factorization; and the two scripts that end on the cold proof report
 //! the pivots of the warm rungs that gave up as `abandoned_iterations`.
+//!
+//! The ladder then lost its second warm rung, which reinstalled the basis
+//! the carried rung had just given up on and ran the same bound-shift
+//! phase 1 again. One pin moved, and only in `abandoned_iterations`: the
+//! infeasible edit on carried factors gives up warm once (16 → 8). A
+//! feasible edit the bound shift cannot clear now pins the same: one warm
+//! attempt, then the cold answer.
 
 use wavesched_lp::{
     Basis, Col, Objective, Problem, Row, SimplexConfig, Solution, SolveError, SolverSession, Status,
@@ -175,8 +183,9 @@ fn carried_factors_after_a_cost_edit() {
 #[test]
 fn corrupted_carried_factors_fail_the_residual_check() {
     // x0 resting at a nonzero bound makes the damaged pivot visible in
-    // the recomputed basic values; the rejected rung took no pivot, and
-    // the basis primal rung answers from a fresh factor.
+    // the recomputed basic values; the refused factors cost no pivot, and
+    // the warm rung installs the offered basis and answers from a fresh
+    // factor.
     let (mut s, _, x, _) = solved();
     s.debug_corrupt_factorization();
     s.set_col_bounds(x[0], 1.0, 3.0);
@@ -213,8 +222,8 @@ fn carried_factors_nothing_to_do() {
 #[test]
 fn corrupted_carried_factors_with_nothing_to_do_still_fail_the_residual_check() {
     // The same edit on damaged factors: the residual gate still stands in
-    // front of everything the exactness bookkeeping spares, so the rung is
-    // refused and the basis primal rung answers from a fresh factor —
+    // front of everything the exactness bookkeeping spares, so the factors
+    // are refused and the installed basis answers from a fresh factor —
     // which is then the only factorization (the parent reported
     // `refactorizations: 2, refactor_forced_fallback: 2`).
     let (mut s, _, x, _) = solved();
@@ -230,17 +239,45 @@ fn corrupted_carried_factors_with_nothing_to_do_still_fail_the_residual_check() 
 }
 
 #[test]
-fn infeasible_edit_walks_every_rung_to_the_cold_proof() {
-    // Carried factors, then basis primal: each bound-shift phase 1 pivots
-    // and cannot clear the violation. Only the cold phase 1 is a proof;
-    // the warm rungs' pivots are reported as abandoned.
+fn infeasible_edit_gives_up_warm_once_then_proves_cold() {
+    // The carried factors' bound-shift phase 1 pivots and cannot clear the
+    // violation; the solve goes cold without installing the same basis
+    // again. Only the cold phase 1 is a proof; the warm rung's pivots are
+    // reported as abandoned (16 when a second warm rung repeated them).
     let (mut s, _, _, r) = solved();
     s.set_row_bounds(r[9], 40.0, 50.0);
     check(
         &s.solve().unwrap(),
         "Infeasible 30.0 [0.0, 0.0, 2.2, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.6, 0.0, 0.3333333333333333, 0.4444444444444445, 0.0, 0.0, 0.0, 0.0]",
-        "iterations: 6, phase1_iterations: 6, abandoned_iterations: 16, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
+        "iterations: 6, phase1_iterations: 6, abandoned_iterations: 8, refactorizations: 2, refactor_forced_fallback: 2, refactor_reuse_rejected: 1, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 6, ftran_nnz: 58, ftran_dense_fallbacks: 4, btran_ops: 5, btran_nnz: 8, pivot_row_nnz: 31, pricing_candidates_scanned: 27",
     );
+}
+
+#[test]
+fn feasible_edit_the_bound_shift_cannot_clear_goes_cold_once() {
+    // Row 10 lifted above its old cap and row 3 tightened: feasible, but
+    // the carried rung's bound shift clamps the violated values at their
+    // bounds, and its phase 1 ends after 4 pivots with violations left.
+    // The cold rung answers, equal to a fresh solve; a second warm rung on
+    // the same basis abandoned 4 more.
+    let edit = |s: &mut SolverSession, r: &[Row]| {
+        s.set_row_bounds(r[10], 8.0, INF);
+        s.set_row_bounds(r[3], NINF, 2.0);
+    };
+    let (mut s, _, _, r) = solved();
+    edit(&mut s, &r);
+    let got = s.solve().unwrap();
+    check(
+        &got,
+        "Optimal 83.94444444444444 [0.0, 0.0, 0.0, 0.0, 1.3333333333333333, 2.8333333333333335, 0.0, 7.0, 0.0, 2.0, 0.0, 2.111111111111111, 0.0, 3.3333333333333335, 0.0, 2.0, 0.0, 4.333333333333333]",
+        "iterations: 12, phase1_iterations: 4, abandoned_iterations: 4, refactorizations: 3, refactor_forced_fallback: 3, refactor_reuse_rejected: 1, bound_flips: 1, warm_start_fallbacks: 1, ftran_ops: 12, ftran_nnz: 44, ftran_dense_fallbacks: 2, btran_ops: 11, btran_nnz: 32, btran_dense_fallbacks: 1, pivot_row_nnz: 99, pricing_candidates_scanned: 70",
+    );
+    let (p, _, r) = base();
+    let mut fresh = SolverSession::new(&p).unwrap();
+    edit(&mut fresh, &r);
+    let cold = fresh.solve().unwrap();
+    assert_eq!(format!("{:?}", cold.x), format!("{:?}", got.x));
+    assert_eq!(cold.objective.to_bits(), got.objective.to_bits());
 }
 
 #[test]

@@ -418,10 +418,11 @@ fn add_columns_matches_fresh_session_on_merged_problem() {
 
         sess.add_columns(&news);
         // The point of this test is the *pivot-for-pivot* stats equality
-        // below, so both sides enter on the same rung: handing the spliced
+        // below, so both sides enter the same way: handing the spliced
         // session its own extended basis back switches its carried factors
         // off, as the fresh session (foreign basis) has none. Answer-level
-        // coverage of the carried rung lives in `tests/lu_persistence.rs`.
+        // coverage of entries on carried factors lives in
+        // `tests/lu_persistence.rs`.
         let mut ext = basis.clone();
         ext.cols.extend(news.iter().map(parked));
         sess.warm_start_from(ext.clone());
