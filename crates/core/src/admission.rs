@@ -54,7 +54,8 @@ pub(crate) fn instance_over(
 /// normalized demands. If even the mandatory set alone is infeasible the
 /// prefix is 0 and `z_star` reports the mandatory-only value. Paths come
 /// from the caller's `pathset` (`cfg.paths_per_job` per endpoint pair), so
-/// a controller pays Yen once per pair, not once per invocation.
+/// a controller pays Yen once per pair, not once per invocation, and every
+/// trial's LP is built through the caller's `arena`.
 pub(crate) fn admit_by_priority(
     graph: &Graph,
     mandatory: &[Job],
@@ -62,6 +63,7 @@ pub(crate) fn admit_by_priority(
     candidates: &[Job],
     cfg: &InstanceConfig,
     pathset: &mut PathSet,
+    arena: &mut BuildArena,
 ) -> Result<AdmissionOutcome, SolveError> {
     assert_eq!(mandatory.len(), mandatory_demands.len());
 
@@ -69,7 +71,7 @@ pub(crate) fn admit_by_priority(
     let mut try_prefix = |prefix: usize| -> Result<AdmissionOutcome, SolveError> {
         let admitted = &candidates[..prefix];
         let instance = instance_over(graph, mandatory, mandatory_demands, admitted, cfg, pathset);
-        let (lp, stage1) = open_stage1(&instance, None, &mut BuildArena::new())?;
+        let (lp, stage1) = open_stage1(&instance, arena)?;
         Ok(AdmissionOutcome {
             admitted_prefix: prefix,
             z_star: stage1.z_star,
@@ -115,7 +117,7 @@ mod tests {
         (g, ns)
     }
 
-    /// [`admit_by_priority`] over a fresh path cache.
+    /// [`admit_by_priority`] over a fresh path cache and arena.
     fn admit(
         g: &Graph,
         mandatory: &[Job],
@@ -124,7 +126,16 @@ mod tests {
         cfg: &InstanceConfig,
     ) -> AdmissionOutcome {
         let mut pathset = PathSet::new(cfg.paths_per_job);
-        admit_by_priority(g, mandatory, m_demand, candidates, cfg, &mut pathset).unwrap()
+        admit_by_priority(
+            g,
+            mandatory,
+            m_demand,
+            candidates,
+            cfg,
+            &mut pathset,
+            &mut BuildArena::new(),
+        )
+        .unwrap()
     }
 
     #[test]

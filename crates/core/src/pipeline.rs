@@ -15,7 +15,7 @@ use crate::schedule::Schedule;
 use crate::stage1::{open_stage1, Stage1Result};
 use crate::stage2::solve_stage2_on;
 use std::time::{Duration, Instant};
-use wavesched_lp::{Basis, SolveError, SolveStats};
+use wavesched_lp::{SolveError, SolveStats};
 use wavesched_net::Graph;
 use wavesched_obs as obs;
 use wavesched_workload::Job;
@@ -45,9 +45,6 @@ pub struct PipelineResult {
     pub lpd_time: Duration,
     /// Cumulative time to produce LPDAR (LPD + Algorithm 1).
     pub lpdar_time: Duration,
-    /// Stage-1 optimal basis, for warm-starting the next structurally
-    /// identical pipeline run (e.g. the following controller period).
-    pub stage1_basis: Option<Basis>,
     /// Aggregated solver work counters across both stages.
     pub stats: SolveStats,
 }
@@ -93,7 +90,7 @@ pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineRe
         reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them"
     )]
     let t0 = Instant::now();
-    let (mut lp, s1) = open_stage1(inst, None, &mut BuildArena::new())?;
+    let (mut lp, s1) = open_stage1(inst, &mut BuildArena::new())?;
     pipeline_from_stage1(inst, &mut lp, s1, alpha, t0)
 }
 
@@ -122,15 +119,13 @@ pub(crate) fn pipeline_from_stage1(
 
     let mut stats = s1.stats;
     stats.merge(&s2.stats);
-    let mut r = discretize(inst, t0, s1.z_star, stage1_time, s2.schedule, stats);
-    r.stage1_basis = s1.basis;
+    let r = discretize(inst, t0, s1.z_star, stage1_time, s2.schedule, stats);
     Ok(r)
 }
 
 /// The tail both pipelines share: discretizes the fractional `lp` (LPD,
 /// then LPDAR in the paper's visit order) and assembles the result with the
-/// cumulative timings off `t0`. `stage1_basis` is left `None` for the
-/// caller to fill.
+/// cumulative timings off `t0`.
 fn discretize(
     inst: &Instance,
     t0: Instant,
@@ -165,7 +160,6 @@ fn discretize(
         lp_time,
         lpd_time,
         lpdar_time,
-        stage1_basis: None,
         stats,
     }
 }
@@ -183,8 +177,6 @@ fn discretize(
 ///
 /// Returns the pipeline result, the materialized instance (callers need it
 /// for schedule metrics), and the column-generation work counters.
-/// `stage1_basis` is `None`: the basis lives inside the master's solver
-/// session, which this function consumes.
 pub fn max_throughput_pipeline_colgen(
     graph: &Graph,
     jobs: &[Job],
@@ -294,33 +286,6 @@ mod tests {
         assert_eq!(r.lp_throughput, 0.0);
         assert_eq!(r.lpd_normalized(), 1.0);
         assert_eq!(r.lpdar_normalized(), 1.0);
-    }
-
-    #[test]
-    fn warmed_pipeline_matches_cold_and_saves_work() {
-        // Re-running the pipeline on the same instance, warm-started from
-        // the previous run's Stage-1 basis, must reproduce the same optima
-        // with both warm starts accepted.
-        let inst = abilene_instance(12, 2, 21);
-        let mut arena = BuildArena::new();
-        // The controller's sequence: Stage 1 from the carried basis on a
-        // freshly opened LP, then the rest of the pipeline on that LP.
-        let mut run = |start: Option<&Basis>| {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the stage timings need a start; the test asserts on optima and counters, never on a timing"
-            )]
-            let t0 = Instant::now();
-            let (mut lp, s1) = open_stage1(&inst, start, &mut arena).unwrap();
-            pipeline_from_stage1(&inst, &mut lp, s1, 0.1, t0).unwrap()
-        };
-        let cold = run(None);
-        let warm = run(cold.stage1_basis.as_ref());
-        assert!((warm.z_star - cold.z_star).abs() < 1e-9);
-        assert!((warm.lp_throughput - cold.lp_throughput).abs() < 1e-9);
-        // Stage 1 re-solve and Stage 2 both start from optimal bases.
-        assert_eq!(warm.stats.warm_starts_accepted, 2);
-        assert!(warm.stats.iterations <= cold.stats.iterations);
     }
 
     #[test]

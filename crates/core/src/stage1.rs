@@ -19,10 +19,10 @@ pub struct Stage1Result {
     pub z_star: f64,
     /// The fractional assignment achieving `Z*`.
     pub schedule: Schedule,
-    /// The optimal simplex basis, for warm-starting related solves: Stage 2
-    /// over the same instance (see
-    /// [`stage2_basis_from_stage1`](crate::stage2::stage2_basis_from_stage1))
-    /// or the next controller round's Stage 1. `None` for empty instances.
+    /// The optimal simplex basis, from which Stage 2 over the same instance
+    /// enters (see
+    /// [`stage2_basis_from_stage1`](crate::stage2::stage2_basis_from_stage1)).
+    /// `None` for empty instances.
     pub basis: Option<Basis>,
     /// Solver work counters.
     pub stats: SolveStats,
@@ -30,7 +30,7 @@ pub struct Stage1Result {
 
 /// Solves the Stage-1 MCF.
 pub fn solve_stage1(inst: &Instance) -> Result<Stage1Result, SolveError> {
-    open_stage1(inst, None, &mut BuildArena::new()).map(|(_, s1)| s1)
+    open_stage1(inst, &mut BuildArena::new()).map(|(_, s1)| s1)
 }
 
 /// Builds the Stage-1 LP without solving it. Exposed for the kernel
@@ -41,18 +41,15 @@ pub fn build_stage1_problem(inst: &Instance) -> Problem {
 }
 
 /// Opens the held LP of `inst` (built through `arena`) and solves Stage 1
-/// on it, warm from `start` when given — typically the preceding controller
-/// period's [`Stage1Result::basis`]; one of the wrong shape degrades to a
-/// cold solve, and only [`SolveStats`] differ. The LP comes back with the
-/// result: Stage 2 is a form installed on it, not a second build.
+/// on it cold. The LP comes back with the result: Stage 2 is a form
+/// installed on it, not a second build.
 pub(crate) fn open_stage1(
     inst: &Instance,
-    start: Option<&Basis>,
     arena: &mut BuildArena,
 ) -> Result<(HeldLp, Stage1Result), SolveError> {
     let _span = obs::span("stage1");
     let mut lp = HeldLp::open(inst, &SimplexConfig::default(), arena)?;
-    let sol = lp.solve(inst, &Form::Stage1, start, "stage 1")?;
+    let sol = lp.solve(inst, &Form::Stage1, None, "stage 1")?;
     let s1 = Stage1Result {
         z_star: sol.objective,
         schedule: Schedule::from_values(inst, sol.x[..inst.vars.len()].to_vec()),

@@ -259,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn stage1_basis_shape_mismatch_is_none() {
+    fn mismatched_stage1_shape_gives_no_stage2_basis() {
         let b = Basis {
             cols: vec![wavesched_lp::BasisStatus::AtLower; 5],
             rows: vec![],
