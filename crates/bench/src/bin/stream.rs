@@ -14,7 +14,7 @@
 //! real byte counts. The quantity under test is flatness: the mean bytes
 //! allocated per controller invocation over an early window must match the
 //! mean over the last window, no matter how long the replay ran — that is
-//! the clock-free time grid and the build arenas paying off. Stdout is a
+//! the clock-free time grid paying off. Stdout is a
 //! small `key,value` CSV so CI can diff it; `--log` captures the decision
 //! log whose bytes must not depend on `--preload`.
 //!

@@ -7,11 +7,10 @@
 //! (it adds demand under the same capacities), so the predicate is monotone
 //! in the prefix length and binary search is exact.
 
-use crate::arena::BuildArena;
 use crate::builders::HeldLp;
 use crate::instance::{Instance, InstanceConfig};
 use crate::stage1::{open_stage1, Stage1Result};
-use wavesched_lp::SolveError;
+use wavesched_lp::{SolveError, SolveStats};
 use wavesched_net::{Graph, PathSet};
 use wavesched_workload::Job;
 
@@ -28,6 +27,8 @@ pub(crate) struct AdmissionOutcome {
     pub(crate) instance: Instance,
     pub(crate) lp: HeldLp,
     pub(crate) stage1: Stage1Result,
+    /// Solver work of every trial the search tried and did not keep.
+    pub(crate) discarded: SolveStats,
 }
 
 /// The instance over `mandatory` (at their remaining `mandatory_demands`)
@@ -54,8 +55,7 @@ pub(crate) fn instance_over(
 /// normalized demands. If even the mandatory set alone is infeasible the
 /// prefix is 0 and `z_star` reports the mandatory-only value. Paths come
 /// from the caller's `pathset` (`cfg.paths_per_job` per endpoint pair), so
-/// a controller pays Yen once per pair, not once per invocation, and every
-/// trial's LP is built through the caller's `arena`.
+/// a controller pays Yen once per pair, not once per invocation.
 pub(crate) fn admit_by_priority(
     graph: &Graph,
     mandatory: &[Job],
@@ -63,7 +63,6 @@ pub(crate) fn admit_by_priority(
     candidates: &[Job],
     cfg: &InstanceConfig,
     pathset: &mut PathSet,
-    arena: &mut BuildArena,
 ) -> Result<AdmissionOutcome, SolveError> {
     assert_eq!(mandatory.len(), mandatory_demands.len());
 
@@ -71,13 +70,14 @@ pub(crate) fn admit_by_priority(
     let mut try_prefix = |prefix: usize| -> Result<AdmissionOutcome, SolveError> {
         let admitted = &candidates[..prefix];
         let instance = instance_over(graph, mandatory, mandatory_demands, admitted, cfg, pathset);
-        let (lp, stage1) = open_stage1(&instance, arena)?;
+        let (lp, stage1) = open_stage1(&instance)?;
         Ok(AdmissionOutcome {
             admitted_prefix: prefix,
             z_star: stage1.z_star,
             instance,
             lp,
             stage1,
+            discarded: SolveStats::default(),
         })
     };
 
@@ -86,9 +86,10 @@ pub(crate) fn admit_by_priority(
     if all.z_star >= 1.0 {
         return Ok(all);
     }
+    let mut discarded = all.stage1.stats;
     let mut best = try_prefix(0)?;
     if best.z_star < 1.0 {
-        return Ok(best);
+        return Ok(AdmissionOutcome { discarded, ..best });
     }
 
     // Binary search the boundary: `best` admissible, `hi` not.
@@ -96,12 +97,14 @@ pub(crate) fn admit_by_priority(
     while hi - best.admitted_prefix > 1 {
         let trial = try_prefix((best.admitted_prefix + hi) / 2)?;
         if trial.z_star >= 1.0 {
+            discarded.merge(&best.stage1.stats);
             best = trial;
         } else {
+            discarded.merge(&trial.stage1.stats);
             hi = trial.admitted_prefix;
         }
     }
-    Ok(best)
+    Ok(AdmissionOutcome { discarded, ..best })
 }
 
 #[cfg(test)]
@@ -117,7 +120,7 @@ mod tests {
         (g, ns)
     }
 
-    /// [`admit_by_priority`] over a fresh path cache and arena.
+    /// [`admit_by_priority`] over a fresh path cache.
     fn admit(
         g: &Graph,
         mandatory: &[Job],
@@ -126,16 +129,7 @@ mod tests {
         cfg: &InstanceConfig,
     ) -> AdmissionOutcome {
         let mut pathset = PathSet::new(cfg.paths_per_job);
-        admit_by_priority(
-            g,
-            mandatory,
-            m_demand,
-            candidates,
-            cfg,
-            &mut pathset,
-            &mut BuildArena::new(),
-        )
-        .unwrap()
+        admit_by_priority(g, mandatory, m_demand, candidates, cfg, &mut pathset).unwrap()
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! Stage 1, Stage 2 and the RET feasibility probe are the same LP — one
 //! column per assignment variable plus a trailing `Z`, a row
 //! `volume_i − D_i·Z` per job, then the capacity rows — under different
-//! costs and bounds. [`build_stage1_problem_in`] lays that skeleton out
+//! costs and bounds. [`build_stage1_problem`] lays that skeleton out
 //! once per [`Instance`], [`HeldLp`] keeps it in a [`SolverSession`], and a
 //! [`Form`] installed on it is the formulation solved next. The
 //! column-generated master ([`CgMaster`](crate::colgen::CgMaster)) has the
 //! same shape over its pool columns and reads the same table.
 
-use crate::arena::BuildArena;
 use crate::instance::Instance;
 use wavesched_lp::{
     Basis, Col, Objective, Problem, Row, SimplexConfig, Solution, SolveError, SolveStats,
@@ -116,7 +115,7 @@ pub(crate) fn expect_optimal(sol: Solution, what: &str) -> Result<Solution, Solv
 /// solved over it — Stage 1, then Stage 2, or the RET probe — so an
 /// instance pays for one `Problem`, one standardization and one engine.
 ///
-/// Layout, by [`build_stage1_problem_in`]: column `v` is assignment variable
+/// Layout, by [`build_stage1_problem`]: column `v` is assignment variable
 /// `v` of `inst.vars`, column `inst.vars.len()` is `Z`, row `i` is job `i`'s
 /// volume row. Every method takes the instance the LP was opened over.
 pub(crate) struct HeldLp {
@@ -126,18 +125,13 @@ pub(crate) struct HeldLp {
 }
 
 impl HeldLp {
-    /// Builds the LP of `inst` (in Stage-1 form) through `arena` and opens a
-    /// session on it.
-    pub(crate) fn open(
-        inst: &Instance,
-        cfg: &SimplexConfig,
-        arena: &mut BuildArena,
-    ) -> Result<Self, SolveError> {
+    /// Builds the LP of `inst` (in Stage-1 form) and opens a session on it.
+    pub(crate) fn open(inst: &Instance, cfg: &SimplexConfig) -> Result<Self, SolveError> {
         if inst.num_jobs() == 0 {
             return Ok(HeldLp { session: None });
         }
         let build_span = obs::span("build");
-        let p = build_stage1_problem_in(inst, arena);
+        let p = build_stage1_problem(inst);
         drop(build_span);
         let session = Some(SolverSession::with_config(&p, cfg)?);
         Ok(HeldLp { session })
@@ -210,21 +204,21 @@ impl HeldLp {
 }
 
 /// Lays out the LP of `inst` in Stage-1 form (the only code that does).
-/// It and its helpers write into `arena`'s scratch, so repeated builds — one
-/// per controller period — reuse one allocation instead of one per row.
-pub(crate) fn build_stage1_problem_in(inst: &Instance, arena: &mut BuildArena) -> Problem {
+/// Every row is written through one coefficient buffer, so a build
+/// allocates two scratch vectors, not one per row.
+pub fn build_stage1_problem(inst: &Instance) -> Problem {
     let mut p = Problem::new(Objective::Maximize);
-    let (cols, coeffs) = arena.scratch();
-    add_assignment_cols(&mut p, inst, cols);
+    let (mut cols, mut coeffs) = (Vec::new(), Vec::new());
+    add_assignment_cols(&mut p, inst, &mut cols);
     let z = p.add_col(0.0, f64::INFINITY, 1.0); // maximize Z
 
     // Eq. 2: sum_{p,j} x·LEN = Z · D_i for every job.
     for i in 0..inst.num_jobs() {
-        job_volume_coeffs(inst, cols, i, coeffs);
+        job_volume_coeffs(inst, &cols, i, &mut coeffs);
         coeffs.push((z, -inst.demands[i]));
-        p.add_row(0.0, 0.0, coeffs);
+        p.add_row(0.0, 0.0, &coeffs);
     }
-    add_capacity_rows(&mut p, inst, cols, coeffs);
+    add_capacity_rows(&mut p, inst, &cols, &mut coeffs);
     p
 }
 
@@ -376,7 +370,7 @@ mod tests {
     /// Runs the whole matrix over one instance.
     fn check_forms(inst: &Instance, name: &str) {
         let cfg = SimplexConfig::default();
-        let open = || HeldLp::open(inst, &cfg, &mut BuildArena::new()).unwrap();
+        let open = || HeldLp::open(inst, &cfg).unwrap();
         let solved_stage1 = || {
             let mut lp = open();
             let sol = lp.solve(inst, &Form::Stage1, None, "stage 1").unwrap();
@@ -384,11 +378,7 @@ mod tests {
         };
 
         // Stage 1 itself: the LP as built, and the basis every start below is.
-        let s1 = one_shot(
-            &build_stage1_problem_in(inst, &mut BuildArena::new()),
-            &cfg,
-            None,
-        );
+        let s1 = one_shot(&build_stage1_problem(inst), &cfg, None);
         assert_same_solve(&solved_stage1().1, &s1, &format!("{name}: stage 1"));
         let (z_star, s1_basis) = (s1.objective, s1.basis.as_ref());
 
@@ -498,8 +488,7 @@ mod tests {
     fn no_jobs_no_lp() {
         let (g, _) = abilene14(2);
         let inst = instance(&g, &[], 2);
-        let mut lp =
-            HeldLp::open(&inst, &SimplexConfig::default(), &mut BuildArena::new()).unwrap();
+        let mut lp = HeldLp::open(&inst, &SimplexConfig::default()).unwrap();
         let s1 = lp.solve(&inst, &Form::Stage1, None, "stage 1").unwrap();
         assert!(s1.objective.is_infinite() && s1.x.is_empty() && s1.basis.is_none());
         let form = Form::stage2(&inst.demands, s1.objective, 0.1);

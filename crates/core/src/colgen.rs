@@ -243,9 +243,6 @@ pub(crate) struct CgMaster {
     /// The formulation the master currently encodes; see [`Form`].
     form: Form,
     stats: CgStats,
-    /// Per-round pricing scratch (reduced-cost budgets per job), recycled
-    /// across rounds so steady-state pricing stops allocating.
-    budget_scratch: Vec<Vec<f64>>,
 }
 
 impl CgMaster {
@@ -346,7 +343,6 @@ impl CgMaster {
             lp_cols,
             form: Form::Stage1,
             stats: CgStats::default(),
-            budget_scratch: Vec::new(),
         })
     }
 
@@ -491,20 +487,15 @@ impl CgMaster {
         self.stats.rounds += 1;
         obs::counter_add("cg.rounds", 1);
 
-        // Budgets live in recycled scratch: taken out of the master for the
-        // round (so `cost_of` can still borrow `self`), restored on exit.
-        let mut budgets = std::mem::take(&mut self.budget_scratch);
-        budgets.resize_with(self.jobs.len(), Vec::new);
-        for (i, bi) in budgets.iter_mut().enumerate() {
-            let lambda = sol.duals[self.job_rows[i].index()];
-            let w = self.active[i].clone();
-            bi.clear();
-            bi.reserve(w.len());
-            for j in w {
-                let b = self.cost_of(j) - lambda * self.grid.len_of(j) - TOLERANCE;
-                bi.push(b);
-            }
-        }
+        let budgets: Vec<Vec<f64>> = (0..self.jobs.len())
+            .map(|i| {
+                let lambda = sol.duals[self.job_rows[i].index()];
+                self.active[i]
+                    .clone()
+                    .map(|j| self.cost_of(j) - lambda * self.grid.len_of(j) - TOLERANCE)
+                    .collect()
+            })
+            .collect();
 
         let _pricing = obs::span("cg_pricing");
         #[expect(
@@ -524,7 +515,6 @@ impl CgMaster {
         let added = self.add_paths(proposals);
         self.stats.columns_added += added as u64;
         obs::counter_add("cg.columns_added", added as u64);
-        self.budget_scratch = budgets;
         added
     }
 

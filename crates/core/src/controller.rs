@@ -15,7 +15,6 @@
 //! else.
 
 use crate::admission::{admit_by_priority, instance_over};
-use crate::arena::BuildArena;
 use crate::instance::{Instance, InstanceConfig};
 use crate::pipeline::pipeline_from_stage1;
 use crate::ret::{solve_ret_with_demands, RetConfig};
@@ -134,8 +133,6 @@ pub struct Controller {
     graph: Graph,
     pathset: PathSet,
     active: Vec<ActiveJob>,
-    /// LP-construction scratch recycled across invocations.
-    arena: BuildArena,
     stats: SolveStats,
 }
 
@@ -149,7 +146,6 @@ impl Controller {
             graph,
             pathset,
             active: Vec::new(),
-            arena: BuildArena::new(),
             stats: SolveStats::default(),
         }
     }
@@ -238,14 +234,15 @@ impl Controller {
         // scheduling pipeline's first stage: one instance over the admitted
         // set, its LP held open, Stage 1 solved on it cold. Only `Reject`
         // turns requests away (one trial per prefix it tries; the admitted
-        // set's comes back); the other two admit everything. Nothing carries
-        // over from the previous period but the path cache and the arena.
+        // set's comes back, and the others' solver work is counted in
+        // `stats`); the other two admit everything. Nothing carries over
+        // from the previous period but the path cache and the active jobs.
         #[expect(
             clippy::disallowed_methods,
             reason = "start of the pipeline run's reporting-only stage timings; no scheduling decision reads them"
         )]
         let t0 = Instant::now();
-        let (admitted_prefix, inst, mut lp, s1) = match self.cfg.policy {
+        let (admitted_prefix, inst, mut lp, s1, mut stats) = match self.cfg.policy {
             OverloadPolicy::Reject => {
                 let a = admit_by_priority(
                     &self.graph,
@@ -254,9 +251,8 @@ impl Controller {
                     &candidates,
                     &self.cfg.instance,
                     &mut self.pathset,
-                    &mut self.arena,
                 )?;
-                (a.admitted_prefix, a.instance, a.lp, a.stage1)
+                (a.admitted_prefix, a.instance, a.lp, a.stage1, a.discarded)
             }
             OverloadPolicy::ShrinkDemands | OverloadPolicy::ExtendDeadlines => {
                 let inst = instance_over(
@@ -267,8 +263,8 @@ impl Controller {
                     &self.cfg.instance,
                     &mut self.pathset,
                 );
-                let (lp, s1) = open_stage1(&inst, &mut self.arena)?;
-                (candidates.len(), inst, lp, s1)
+                let (lp, s1) = open_stage1(&inst)?;
+                (candidates.len(), inst, lp, s1, SolveStats::default())
             }
         };
         let (accepted, refused) = candidates.split_at(admitted_prefix);
@@ -291,9 +287,9 @@ impl Controller {
                 now,
                 &mut self.pathset,
             )? {
-                let mut inv_stats = s1.stats;
-                inv_stats.merge(&ret.stats);
-                self.stats.merge(&inv_stats);
+                stats.merge(&s1.stats);
+                stats.merge(&ret.stats);
+                self.stats.merge(&stats);
                 // Commit the ends RET scheduled against: its instance
                 // holds the jobs as relaxed at `b_final`.
                 self.commit(&ret.instance, new_requests);
@@ -306,7 +302,7 @@ impl Controller {
                     finished,
                     expired,
                     extension: ret.b_final,
-                    stats: inv_stats,
+                    stats,
                 });
             }
         }
@@ -319,7 +315,8 @@ impl Controller {
         };
 
         self.commit(&inst, new_requests);
-        self.stats.merge(&pipe.stats);
+        stats.merge(&pipe.stats);
+        self.stats.merge(&stats);
 
         Ok(InvocationResult {
             z_star: pipe.z_star,
@@ -330,7 +327,7 @@ impl Controller {
             finished,
             expired,
             extension: 0.0,
-            stats: pipe.stats,
+            stats,
         })
     }
 
@@ -451,7 +448,9 @@ mod tests {
 
     #[test]
     fn reject_policy_rejects_under_overload() {
-        // Tight network: 2 nodes, 1 wavelength.
+        // Tight network: 2 nodes, 1 wavelength. Five 2-unit jobs on a
+        // window that carries 4: the search tries the prefixes 5, 0, 2 and
+        // 3 and keeps 2.
         let mut g = Graph::new();
         let ns = g.add_nodes(2);
         g.add_link_pair(ns[0], ns[1], 1);
@@ -464,11 +463,17 @@ mod tests {
         let reqs: Vec<Job> = (0..5)
             .map(|i| Job::new(JobId(i), 0.0, ns[0], ns[1], 300.0, 0.0, 4.0))
             .collect();
+        let built = crate::instance::tests::BUILDS.with(|n| n.get());
         let r = c.invoke(0.0, &reqs).unwrap();
-        assert_eq!(r.admitted.len() + r.rejected.len(), 5);
-        assert!(!r.rejected.is_empty(), "overload must reject something");
+        let built = crate::instance::tests::BUILDS.with(|n| n.get()) - built;
+        assert_eq!((built, r.admitted.len(), r.rejected.len()), (4, 2, 3));
         assert!(r.z_star >= 1.0, "admitted set must be feasible");
         assert_eq!(c.active().len(), r.admitted.len());
+        // The empty prefix has no LP, so the invocation's work is three
+        // Stage-1 trials plus Stage 2: the trials it did not keep count as
+        // much as the one it did.
+        assert_eq!(r.stats.solves, 4, "{:?}", r.stats);
+        assert_eq!(c.stats().solves, 4);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! [`max_throughput_pipeline`], [`max_throughput_pipeline_colgen`],
 //! [`solve_ret`], [`solve_ret_with_demands`], [`solve_ret_colgen`] and
 //! [`Controller::invoke`]. The restricted master behind the two `_colgen`
-//! drivers, the admission search behind [`OverloadPolicy::Reject`] and the
-//! LP build scratch are the crate's internals.
+//! drivers and the admission search behind [`OverloadPolicy::Reject`] are
+//! the crate's internals.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -44,7 +44,6 @@
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub(crate) mod admission;
-pub(crate) mod arena;
 pub(crate) mod builders;
 pub mod colgen;
 pub mod controller;

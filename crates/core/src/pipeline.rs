@@ -6,7 +6,6 @@
 //! timing convention is followed: the reported LPD time includes the LP
 //! solve it discretizes, and the LPDAR time includes both.
 
-use crate::arena::BuildArena;
 use crate::builders::{Form, HeldLp};
 use crate::colgen::{CgMaster, CgStats};
 use crate::instance::{Instance, InstanceConfig};
@@ -90,7 +89,7 @@ pub fn max_throughput_pipeline(inst: &Instance, alpha: f64) -> Result<PipelineRe
         reason = "stage timings are reporting-only fields of PipelineResult; no scheduling decision reads them"
     )]
     let t0 = Instant::now();
-    let (mut lp, s1) = open_stage1(inst, &mut BuildArena::new())?;
+    let (mut lp, s1) = open_stage1(inst)?;
     pipeline_from_stage1(inst, &mut lp, s1, alpha, t0)
 }
 

@@ -12,7 +12,6 @@
 //!    relaxation feasible, apply LPDAR to the fractional solution, and grow
 //!    `b` by `delta` until the integral schedule also completes every job.
 
-use crate::arena::BuildArena;
 use crate::builders::{add_assignment_cols, add_capacity_rows, job_volume_coeffs, Form, HeldLp};
 use crate::colgen::{CgMaster, CgStats, ColGenConfig};
 use crate::instance::{Instance, InstanceConfig};
@@ -159,7 +158,7 @@ fn open_probe(inst: &Instance) -> Result<Option<SolverSession>, SolveError> {
     if inst.has_unschedulable_job() {
         return Ok(None);
     }
-    let mut lp = HeldLp::open(inst, &SimplexConfig::default(), &mut BuildArena::new())?;
+    let mut lp = HeldLp::open(inst, &SimplexConfig::default())?;
     lp.install(inst, &Form::Probe);
     Ok(lp.into_session())
 }

@@ -5,11 +5,10 @@
 //! capacities. `Z* < 1` means the network is overloaded; `Z* >= 1` means
 //! every deadline can be met (and demands could even be scaled up by `Z*`).
 
-use crate::arena::BuildArena;
-use crate::builders::{build_stage1_problem_in, Form, HeldLp};
+use crate::builders::{Form, HeldLp};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
-use wavesched_lp::{Basis, Problem, SimplexConfig, SolveError, SolveStats};
+use wavesched_lp::{Basis, SimplexConfig, SolveError, SolveStats};
 use wavesched_obs as obs;
 
 /// Result of the Stage-1 solve.
@@ -30,25 +29,20 @@ pub struct Stage1Result {
 
 /// Solves the Stage-1 MCF.
 pub fn solve_stage1(inst: &Instance) -> Result<Stage1Result, SolveError> {
-    open_stage1(inst, &mut BuildArena::new()).map(|(_, s1)| s1)
+    open_stage1(inst).map(|(_, s1)| s1)
 }
 
 /// Builds the Stage-1 LP without solving it. Exposed for the kernel
 /// benchmarks, which probe the raw pivot loop on the paper-scale model.
 #[doc(hidden)]
-pub fn build_stage1_problem(inst: &Instance) -> Problem {
-    build_stage1_problem_in(inst, &mut BuildArena::new())
-}
+pub use crate::builders::build_stage1_problem;
 
-/// Opens the held LP of `inst` (built through `arena`) and solves Stage 1
-/// on it cold. The LP comes back with the result: Stage 2 is a form
-/// installed on it, not a second build.
-pub(crate) fn open_stage1(
-    inst: &Instance,
-    arena: &mut BuildArena,
-) -> Result<(HeldLp, Stage1Result), SolveError> {
+/// Opens the held LP of `inst` and solves Stage 1 on it cold. The LP comes
+/// back with the result: Stage 2 is a form installed on it, not a second
+/// build.
+pub(crate) fn open_stage1(inst: &Instance) -> Result<(HeldLp, Stage1Result), SolveError> {
     let _span = obs::span("stage1");
-    let mut lp = HeldLp::open(inst, &SimplexConfig::default(), arena)?;
+    let mut lp = HeldLp::open(inst, &SimplexConfig::default())?;
     let sol = lp.solve(inst, &Form::Stage1, None, "stage 1")?;
     let s1 = Stage1Result {
         z_star: sol.objective,

@@ -9,7 +9,6 @@
 //! transferred volume over total demand, and the fairness constraint a
 //! per-job lower bound on transferred volume.
 
-use crate::arena::BuildArena;
 use crate::builders::{Form, HeldLp};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
@@ -96,7 +95,7 @@ pub fn solve_stage2_weighted_with_start(
     cfg: &SimplexConfig,
     start: Option<&Basis>,
 ) -> Result<Stage2Result, SolveError> {
-    let mut lp = HeldLp::open(inst, cfg, &mut BuildArena::new())?;
+    let mut lp = HeldLp::open(inst, cfg)?;
     solve_stage2_on(&mut lp, inst, z_star, alpha, start)
 }
 

@@ -119,7 +119,7 @@ fn most_fractional(x: &[f64], int_cols: &[usize]) -> Option<usize> {
 }
 
 /// Solves `p`, honoring the integrality marks set with
-/// [`Problem::add_int_col`] / [`Problem::set_integer`].
+/// [`Problem::add_int_col`].
 pub fn solve_milp(p: &Problem, cfg: &MilpConfig) -> Result<MilpSolution, SolveError> {
     let _span = obs::span("milp");
     let int_cols: Vec<usize> = (0..p.num_cols()).filter(|&j| p.cols[j].integer).collect();

@@ -214,11 +214,6 @@ impl Problem {
         (r.lower, r.upper)
     }
 
-    /// Marks `col` as integer (for the MILP solver) or continuous.
-    pub fn set_integer(&mut self, col: Col, integer: bool) {
-        self.cols[col.index()].integer = integer;
-    }
-
     /// True if `col` is marked integer.
     pub fn is_integer(&self, col: Col) -> bool {
         self.cols[col.index()].integer

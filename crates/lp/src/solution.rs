@@ -214,13 +214,6 @@ solve_counters! {
     sanitizer_violations => Some("lp.sanitizer_violations"),
 }
 
-impl SolveStats {
-    /// Iterations spent in phase 2 (optimizing after feasibility).
-    pub fn phase2_iterations(&self) -> u64 {
-        self.iterations - self.phase1_iterations
-    }
-}
-
 /// The result of an LP solve.
 ///
 /// Each status carries the evidence [`certify`](crate::certify) checks:
@@ -303,9 +296,6 @@ mod tests {
         for (k, (name, v)) in a.fields_mut().into_iter().enumerate() {
             assert_eq!(*v, 10 + k as u64 + 1000 * (k as u64 + 1), "{name}");
         }
-        a.iterations = 15;
-        a.phase1_iterations = 4;
-        assert_eq!(a.phase2_iterations(), 11);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use wavesched_workload::{Job, JobId};
 ///
 /// Per-invocation allocated-byte deltas are averaged over the first and
 /// last [`MemProfile::WINDOW`] invocations (after a one-window warmup the
-/// two means should agree for a memory-lean controller — the grid, arenas
-/// and scratch no longer grow with the simulated clock).
+/// two means should agree for a memory-lean controller — the grid and the
+/// path cache no longer grow with the simulated clock).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemProfile {
     /// Number of invocation deltas sampled.
@@ -352,7 +352,7 @@ pub(crate) fn run_event_loop(
             sum as f64 / n as f64
         }
     }
-    // Skip the first window as warmup (arena growth, first-time pool
+    // Skip the first window as warmup (path-cache and first-time pool
     // fills); compare the window after it against the rolling last one.
     if early.len() > window {
         report.mem.early_mean_alloc_bytes = mean(early[window..].iter().copied());

@@ -49,34 +49,13 @@ fn write_row(out: &mut impl std::fmt::Write, j: &Job) {
     );
 }
 
-/// A byte-counting `fmt::Write` sink for the sizing pass of
-/// [`write_trace`].
-struct CountingWriter(usize);
-
-impl std::fmt::Write for CountingWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 += s.len();
-        Ok(())
-    }
-}
-
 /// Serializes jobs to the CSV trace format.
-///
-/// Two passes: a formatting dry-run measures the exact output length, then
-/// the string is built in a buffer of exactly that capacity — the write
-/// path never reallocates, regardless of how wide the ids and times print.
 pub fn write_trace(jobs: &[Job]) -> String {
-    let mut measure = CountingWriter(HEADER.len() + 1);
-    for j in jobs {
-        write_row(&mut measure, j);
-    }
-    let mut out = String::with_capacity(measure.0);
-    out.push_str(HEADER);
+    let mut out = String::from(HEADER);
     out.push('\n');
     for j in jobs {
         write_row(&mut out, j);
     }
-    debug_assert_eq!(out.len(), measure.0, "sizing pass disagrees with write");
     out
 }
 
@@ -249,17 +228,9 @@ impl<R: BufRead> Iterator for TraceReader<R> {
 /// Parses a CSV trace, validating node indices against `g` and the job
 /// invariants (`A <= S <= E`, positive size, distinct endpoints).
 ///
-/// A collect-wrapper around [`TraceReader`]; the output vector is
-/// pre-sized from the text's line count so the parse path performs one
-/// jobs allocation.
+/// A collect-wrapper around [`TraceReader`].
 pub fn parse_trace(text: &str, g: &Graph) -> Result<Vec<Job>, TraceError> {
-    // One job per line at most; the header accounts for the -1.
-    let lines = text.as_bytes().iter().filter(|&&b| b == b'\n').count() + 1;
-    let mut jobs = Vec::with_capacity(lines.saturating_sub(1));
-    for rec in TraceReader::new(text.as_bytes(), g) {
-        jobs.push(rec?);
-    }
-    Ok(jobs)
+    TraceReader::new(text.as_bytes(), g).collect()
 }
 
 #[cfg(test)]
@@ -280,24 +251,6 @@ mod tests {
         let text = write_trace(&jobs);
         let back = parse_trace(&text, &g).unwrap();
         assert_eq!(jobs, back);
-    }
-
-    #[test]
-    fn write_path_never_reallocates() {
-        // The sizing pass must be exact: the output fills its initial
-        // capacity to the byte (a reallocation would leave the usual
-        // doubling headroom behind).
-        let (g, _) = abilene14(4);
-        let jobs = WorkloadGenerator::new(WorkloadConfig {
-            num_jobs: 200,
-            seed: 11,
-            ..Default::default()
-        })
-        .generate(&g);
-        let text = write_trace(&jobs);
-        assert_eq!(text.len(), text.capacity());
-        // And it still round-trips.
-        assert_eq!(parse_trace(&text, &g).unwrap(), jobs);
     }
 
     #[test]

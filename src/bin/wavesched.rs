@@ -281,9 +281,8 @@ fn run(args: &Args) -> Result<(), String> {
         // Same all-or-nothing rule for the allocation-tracking family: the
         // streamed replay emits both byte counters from one code path
         // (crates/sim stream engine), so a lone byte counter means the
-        // schema drifted. Keyed on the `mem.bytes_` prefix specifically —
-        // `mem.arena_reuse_hits` is recorded by instance builds on its own
-        // and legitimately appears without the replay counters.
+        // schema drifted. Keyed on the `mem.bytes_` prefix specifically, so
+        // another `mem.*` counter may appear without the replay counters.
         if counter_names.iter().any(|n| n.starts_with("mem.bytes_")) {
             const MEM_FAMILY: [&str; 2] = ["mem.bytes_allocated", "mem.bytes_freed"];
             let missing: Vec<&str> = MEM_FAMILY
@@ -312,9 +311,9 @@ fn run(args: &Args) -> Result<(), String> {
         };
         // Every expected counter is an upper bound, so an expectation file
         // lists only counters where less is better; a counter where more is
-        // better (LU reuse, accepted warm starts, skipped verifications,
-        // arena reuse) has no row there. `--require-nonzero <name>`
-        // (repeatable) gates those instead: the named counter must be
+        // better (LU reuse, accepted warm starts, skipped verifications)
+        // has no row there. `--require-nonzero <name>` (repeatable) gates
+        // those instead: the named counter must be
         // present AND strictly positive in <actual>, so a code path that
         // silently stops running (e.g. re-solves never reusing factors)
         // fails rather than reading as an "improvement".
