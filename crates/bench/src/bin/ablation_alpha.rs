@@ -13,7 +13,7 @@ use wavesched_net::{abilene20, PathSet};
 use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --jobs --report");
     let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 20 } else { 120 });
     let w = 2;
     let (g, _) = abilene20(w);
@@ -32,7 +32,7 @@ fn main() {
     println!("# Ablation A2: fairness slack alpha (Abilene-20, W={w}, jobs={jobs_n})");
     println!("alpha,z_star,lp_throughput,lpdar_norm,lp_min_job_z,lpdar_min_job_z");
     // Alpha sweep points share the (read-only) instance and run across the
-    // WS_THREADS pool; rows print afterwards in sweep order.
+    // sweep pool; rows print afterwards in sweep order.
     let alphas = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
     let rows = par_points(&alphas, |&alpha| {
         let r = max_throughput_pipeline(&inst, alpha).expect("pipeline");

@@ -55,14 +55,14 @@ fn stage2_milp(inst: &Instance, fairness: Option<(f64, f64)>) -> Problem {
 }
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--seeds --report");
     let trials = opts.seeds.unwrap_or(5);
     println!("# Ablation A4: LPDAR vs exact ILP (tiny ring networks, W=2)");
     println!(
         "trial,jobs,lp_obj,ilp_obj,ilp_fair_obj,lpdar_obj,lpdar_over_ilp,nodes_explored,\
          ilp_fair_status,ilp_fair_nodes"
     );
-    // Trials run across the WS_THREADS pool; each branch-and-bound is serial.
+    // Trials run across the sweep pool; each branch-and-bound is serial.
     let trial_ids: Vec<u64> = (0..trials as u64).collect();
     let rows = par_seeds(&trial_ids, |trial| {
         // A 6-node ring with 2 wavelengths per link; 6 jobs, tiny windows.

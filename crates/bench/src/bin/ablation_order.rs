@@ -12,7 +12,7 @@ use wavesched_core::stage1::solve_stage1;
 use wavesched_core::stage2::solve_stage2;
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --jobs --report");
     let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 30 } else { 150 });
     let w = 2;
     let g = paper_random_network(w, 42, opts.smoke);
@@ -28,7 +28,7 @@ fn main() {
     println!("# lp_throughput={lp_thru:.3}");
     println!("order,lpdar_norm,min_job_throughput");
     // Each visit order re-adjusts the same truncated schedule; the five
-    // variants are independent, so they run across the WS_THREADS pool.
+    // variants are independent, so they run across the sweep pool.
     let orders = [
         ("paper", AdjustOrder::Paper),
         ("largest_first", AdjustOrder::LargestJobFirst),

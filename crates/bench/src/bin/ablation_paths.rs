@@ -6,11 +6,11 @@
 //! ```
 
 use std::time::Instant;
-use wavesched_bench::{build_instance, fig_workload, paper_random_network, par_points, secs};
+use wavesched_bench::{build_instance, fig_workload, paper_random_network, secs};
 use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --jobs --report");
     let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 25 } else { 100 });
     let w = 4;
     let g = paper_random_network(w, 42, opts.smoke);
@@ -18,10 +18,9 @@ fn main() {
 
     println!("# Ablation A3: paths per job (random network, W={w}, jobs={jobs_n})");
     println!("paths_per_job,z_star,lp_throughput,lpdar_norm,lp_time_s");
-    // Path-budget sweep points run across the WS_THREADS pool; the timing
-    // column shares cores at WS_THREADS>1 (use 1 for clean absolute times).
-    let ks = [1usize, 2, 4, 8];
-    let rows = par_points(&ks, |&k| {
+    // The lp_time_s column is wall-clock: the path-budget points run one
+    // after another on this thread, so no point shares the cores.
+    for k in [1usize, 2, 4, 8] {
         let inst = build_instance(&g, &jobs, w, k);
         #[expect(
             clippy::disallowed_methods,
@@ -29,16 +28,13 @@ fn main() {
         )]
         let t = Instant::now();
         let r = max_throughput_pipeline(&inst, 0.1).expect("pipeline");
-        format!(
+        println!(
             "{k},{:.3},{:.3},{:.4},{}",
             r.z_star,
             r.lp_throughput,
             r.lpdar_normalized(),
             secs(t.elapsed())
-        )
-    });
-    for row in rows {
-        println!("{row}");
+        );
     }
 
     wavesched_bench::write_report(&opts);

@@ -13,7 +13,7 @@ use wavesched_bench::{build_instance, fig_workload, mean, paper_random_network, 
 use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --jobs --seeds --report");
     let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 40 } else { 250 });
     let seeds = opts.seeds.unwrap_or(if opts.smoke { 1 } else { 2 });
     let wavelengths: &[u32] = if opts.smoke {
@@ -26,7 +26,7 @@ fn main() {
     println!("# jobs={jobs_n} seeds={seeds} alpha=0.1 paths/job=4");
     println!("wavelengths,lp_norm,lpd_norm,lpdar_norm,z_star,lp_throughput");
     // Every (wavelength, seed) cell is independent: flatten the grid across
-    // the WS_THREADS pool, then fold per wavelength in input order — means
+    // the sweep pool, then fold per wavelength in input order — means
     // and rows are bit-identical to the serial double loop.
     let grid: Vec<(u32, u64)> = wavelengths
         .iter()

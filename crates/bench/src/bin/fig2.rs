@@ -16,7 +16,7 @@ use wavesched_net::{abilene20, PathSet};
 use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --jobs --seeds --report");
     let jobs_n = opts.jobs.unwrap_or(if opts.smoke { 20 } else { 150 });
     let seeds = opts.seeds.unwrap_or(if opts.smoke { 1 } else { 3 });
     let wavelengths: &[u32] = if opts.smoke {
@@ -28,7 +28,7 @@ fn main() {
     println!("# Fig. 2: throughput vs wavelengths per link (Abilene, 11 nodes / 20 link pairs)");
     println!("# jobs={jobs_n} seeds={seeds} alpha=0.1 paths/job=4");
     println!("wavelengths,lp_norm,lpd_norm,lpdar_norm,z_star,lp_throughput");
-    // Flatten the (wavelength, seed) grid across the WS_THREADS pool and
+    // Flatten the (wavelength, seed) grid across the sweep pool and
     // fold per wavelength in input order (same pattern as fig1) — every
     // mean and CSV row is bit-identical to the serial double loop.
     let grid: Vec<(u32, u64)> = wavelengths

@@ -10,11 +10,11 @@
 //! cargo run --release -p wavesched-bench --bin fig3
 //! ```
 
-use wavesched_bench::{build_instance, fig_workload, paper_random_network, par_points, secs};
+use wavesched_bench::{build_instance, fig_workload, paper_random_network, secs};
 use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --jobs --report");
     let job_counts: Vec<usize> = if opts.smoke {
         vec![20, 40]
     } else {
@@ -28,15 +28,14 @@ fn main() {
     println!("# solver-work columns: simplex iterations (phase 1 of those) and warm starts");
     println!("# accepted across the two stages (Stage 2 warm-starts from Stage 1's basis)");
     println!("jobs,stage1_s,lp_s,lpd_s,lpdar_s,lpd_extra_s,lpdar_extra_s,iters,phase1_iters,warm_accepted");
-    // Sweep points run across the WS_THREADS pool; solver-work columns are
-    // deterministic, but the wall-clock columns share cores, so run with
-    // WS_THREADS=1 when the absolute times matter.
-    let rows = par_points(&job_counts, |&n| {
+    // The time columns are the figure: the sweep points run one after
+    // another on this thread, so no point shares the cores.
+    for n in job_counts {
         let g = paper_random_network(w, 42, opts.smoke);
         let jobs = fig_workload(&g, n, 1000);
         let inst = build_instance(&g, &jobs, w, 4);
         let r = max_throughput_pipeline(&inst, 0.1).expect("pipeline");
-        format!(
+        println!(
             "{n},{},{},{},{},{},{},{},{},{}",
             secs(r.stage1_time),
             secs(r.lp_time),
@@ -47,10 +46,7 @@ fn main() {
             r.stats.iterations,
             r.stats.phase1_iterations,
             r.stats.warm_starts_accepted,
-        )
-    });
-    for row in rows {
-        println!("{row}");
+        );
     }
 
     wavesched_bench::write_report(&opts);

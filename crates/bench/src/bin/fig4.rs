@@ -63,7 +63,7 @@ fn colgen_sweep(opts: &BenchOpts) {
         "jobs,b_lp,b_final,lp_avg_end,lpdar_avg_end,pool_cols,exhaustive_cols,col_ratio,\
          cg_rounds,cg_cols_added,cg_pricer_calls,b_gap,solve_secs,census_secs"
     );
-    let rows = par_points(&job_counts, |&n| {
+    let point = |n: usize| {
         let g = waxman_network(&WaxmanConfig {
             nodes,
             link_pairs: pairs,
@@ -110,9 +110,7 @@ fn colgen_sweep(opts: &BenchOpts) {
             .expect("ret colgen");
         let solve = t0.elapsed();
         let Some((r, cg_stats)) = out else {
-            let row = format!("{n},NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,{},NA", secs(solve));
-            eprintln!("# done {row}");
-            return row;
+            return format!("{n},NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,{},NA", secs(solve));
         };
         // The census the restricted master never paid for: every Yen path
         // times every window slice at the final extension.
@@ -137,7 +135,7 @@ fn colgen_sweep(opts: &BenchOpts) {
         } else {
             "NA".to_string()
         };
-        let row = format!(
+        format!(
             "{n},{:.3},{:.3},{:.3},{:.3},{pool},{exhaustive},{:.4},{},{},{},{b_gap},{},{}",
             r.b_lp,
             r.b_final,
@@ -149,25 +147,26 @@ fn colgen_sweep(opts: &BenchOpts) {
             cg_stats.pricer_calls,
             secs(solve),
             secs(census),
-        );
-        // Sweep points at full scale run for minutes; stream each finished
-        // row to stderr so long runs are observable (stdout stays the
-        // ordered CSV the determinism tests pin).
-        eprintln!("# done {row}");
-        row
-    });
-    for row in rows {
-        println!("{row}");
+        )
+    };
+    // solve_secs and census_secs are wall-clock: the points run one after
+    // another on this thread, each row printing as its point finishes.
+    for n in job_counts {
+        println!("{}", point(n));
     }
 
     wavesched_bench::write_report(opts);
 }
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --colgen --jobs --paths --size-gb --report");
     if opts.colgen {
         colgen_sweep(&opts);
         return;
+    }
+    if opts.paths.is_some() || opts.size_gb.is_some() {
+        eprintln!("--paths and --size-gb are options of fig4 --colgen only");
+        std::process::exit(2);
     }
     let job_counts: Vec<usize> = if opts.smoke {
         vec![10, 20]
@@ -183,10 +182,9 @@ fn main() {
     println!("# solver-work columns: total LP solves, simplex iterations (phase 1 of those),");
     println!("# warm starts accepted, and cold fallbacks across the bisection and delta growth");
     println!("jobs,b_lp,b_final,lp_avg_end,lpdar_avg_end,lpd_frac_finished,lp_solves,iters,phase1_iters,warm_accepted,cold_fallbacks");
-    // Job-count sweep points run across the WS_THREADS pool; each point's
-    // RET search is one serial chain of probes. Every column — including the
-    // solver-work counters — is bit-identical at any thread count (see
-    // tests/determinism.rs).
+    // Job-count sweep points run across the sweep pool; each point's RET
+    // search is one serial chain of probes. Every column — including the
+    // solver-work counters — is bit-identical to the serial loop.
     let rows = par_points(&job_counts, |&n| {
         let g = paper_random_network(w, 42, opts.smoke);
         let jobs = WorkloadGenerator::new(WorkloadConfig {

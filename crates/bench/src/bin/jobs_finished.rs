@@ -18,7 +18,7 @@ use wavesched_net::abilene20;
 use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
-    let opts = wavesched_bench::bench_opts();
+    let opts = wavesched_bench::bench_opts("--smoke --seeds --report");
     let seeds = opts.seeds.unwrap_or(if opts.smoke { 1 } else { 3 });
     println!("# §III-B.1: fraction of jobs finished at the final RET extension");
     println!("network,seed,jobs,b_lp,b_final,lp_frac,lpd_frac,lpdar_frac");
@@ -28,7 +28,7 @@ fn main() {
         ..RetConfig::default()
     };
 
-    // Seed replications run across the WS_THREADS pool; each seed returns
+    // Seed replications run across the sweep pool; each seed returns
     // its two scenario rows as strings, printed afterwards in seed order.
     let seed_list: Vec<u64> = (0..seeds as u64).collect();
     let row_fmt =

@@ -6,7 +6,8 @@
 //! paper-vs-measured values.
 //!
 //! Every figure binary takes its scale knobs as CLI flags, parsed once by
-//! [`parse_bench_args`] (the `stream` binary documents its own):
+//! [`bench_opts`] against the binary's own list of the flags it reads (the
+//! `stream` binary documents its own); any other flag exits 2:
 //!
 //! * `--smoke` — shrink everything for a fast smoke run
 //! * `--jobs <n>` — override the job count (or the sweep's largest)
@@ -18,13 +19,16 @@
 //!   JSON-lines metrics snapshot (span durations, solver counters,
 //!   histograms) to `path` on exit
 //!
-//! The one environment variable is `WS_THREADS` — the width of the sweep
-//! pool that runs seed replications and sweep points ([`par_seeds`] /
-//! [`par_points`]; default: available cores, `1` = exact serial). The pool
-//! lives here, not under the algorithms, which read no thread knob.
-//! Results come back in input order, so every mean and CSV row is folded on
-//! the calling thread and is bit-identical at any width — only wall-clock
-//! columns vary (see `tests/determinism.rs`).
+//! Nothing that measures runs on a worker thread. The sweeps that print
+//! wall-clock columns (`fig3`, `ablation_paths`, `fig4 --colgen`) map their
+//! points on the calling thread. The answer-only sweeps map theirs with
+//! [`par_points`] / [`par_seeds`] across a pool as wide as the machine's
+//! available parallelism — except while the calling thread's obs layer is
+//! recording (`--report`), when every point runs on the calling thread, the
+//! one whose registry the report reads. Results come back in input order,
+//! so every mean and CSV row is folded on the calling thread and is
+//! bit-identical to the serial loop at any width. The pool lives here, not
+//! under the algorithms, which spawn no thread.
 
 #![cfg_attr(
     not(test),
@@ -37,36 +41,15 @@ use wavesched_core::instance::{Instance, InstanceConfig};
 use wavesched_net::{waxman_network, Graph, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, WorkloadConfig, WorkloadGenerator};
 
-/// Parses a `WS_THREADS` setting. `None` (unset) resolves to `default`;
-/// garbage and `0` are errors — a width knob that silently fell back would
-/// make every "parallel" measurement a lie.
-fn parse_threads(value: Option<&str>, default: usize) -> Result<usize, String> {
-    match value {
-        None => Ok(default),
-        Some(s) => match s.parse::<usize>() {
-            Ok(0) => Err(format!(
-                "WS_THREADS={s:?}: thread count must be >= 1 (use 1 for the serial path)"
-            )),
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!("WS_THREADS={s:?} is not a valid thread count")),
-        },
+/// The sweep-pool width: the machine's available parallelism, or 1 (every
+/// point on the calling thread) while the calling thread's obs layer is
+/// recording — a worker's recordings would never reach its registry.
+fn width() -> usize {
+    if wavesched_obs::enabled() {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
-}
-
-/// The sweep-pool width: `WS_THREADS` when set, otherwise the machine's
-/// available parallelism. Exits with status 2 on a zero or unparseable
-/// `WS_THREADS`, the way [`bench_opts`] rejects an unknown flag.
-fn threads() -> usize {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the one WS_THREADS reader: a misread exits loudly instead of running at a width nobody asked for"
-    )]
-    let var = std::env::var("WS_THREADS").ok();
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    parse_threads(var.as_deref(), available).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    })
 }
 
 /// Maps `f` over `items` on at most `width` scoped workers, returning
@@ -116,10 +99,10 @@ where
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs `f` once per seed across the `WS_THREADS` sweep pool, returning
-/// results in seed order — replications are independent by construction,
-/// and the order-preserving pool keeps every downstream mean/CSV row
-/// bit-identical to the serial loop.
+/// Runs `f` once per seed across the sweep pool, returning results in seed
+/// order — replications are independent by construction, and the
+/// order-preserving pool keeps every downstream mean/CSV row bit-identical
+/// to the serial loop.
 pub fn par_seeds<R, F>(seeds: &[u64], f: F) -> Vec<R>
 where
     R: Send,
@@ -129,14 +112,14 @@ where
 }
 
 /// Maps independent sweep points (job counts, alphas, orders, …) across
-/// the `WS_THREADS` sweep pool, preserving input order. See [`par_seeds`].
+/// the sweep pool, preserving input order. See [`par_seeds`].
 pub fn par_points<T, R, F>(points: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    pool_map(threads(), points, f)
+    pool_map(width(), points, f)
 }
 
 /// CLI options shared by every figure binary. A `None` knob means "the
@@ -162,13 +145,19 @@ pub struct BenchOpts {
     pub size_gb: Option<usize>,
 }
 
-/// Parses the figure-binary CLI. `Err` carries the usage message: an
-/// unknown flag, a missing value or an unparseable number — a knob that
-/// silently fell back to its default would run the wrong experiment and
+/// Parses the figure-binary CLI, taking only the flags listed, space
+/// separated, in `accepted` (the ones the calling binary reads). `Err`
+/// carries the usage message: a flag the binary does not read, a missing
+/// value or an unparseable number — a knob that silently fell back to its
+/// default, or was silently ignored, would run the wrong experiment and
 /// label the output with the right one.
-pub fn parse_bench_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
+pub fn parse_bench_args(
+    args: impl IntoIterator<Item = String>,
+    accepted: &str,
+) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
     let mut args = args.into_iter();
+    let unknown = |flag: &str| format!("unknown argument {flag:?}; this binary takes: {accepted}");
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         let count = |v: String| {
@@ -177,6 +166,7 @@ pub fn parse_bench_args(args: impl IntoIterator<Item = String>) -> Result<BenchO
                 .map_err(|_| format!("{flag}={v:?} is not a valid unsigned integer"))
         };
         match flag.as_str() {
+            f if !accepted.split_whitespace().any(|a| a == f) => return Err(unknown(f)),
             "--smoke" => opts.smoke = true,
             "--colgen" => opts.colgen = true,
             "--report" => opts.report = Some(value()?),
@@ -184,12 +174,7 @@ pub fn parse_bench_args(args: impl IntoIterator<Item = String>) -> Result<BenchO
             "--seeds" => opts.seeds = count(value()?)?,
             "--paths" => opts.paths = count(value()?)?,
             "--size-gb" => opts.size_gb = count(value()?)?,
-            _ => {
-                return Err(format!(
-                    "unknown argument {flag:?}; supported: --smoke, --colgen, --report <path>, \
-                     --jobs <n>, --seeds <n>, --paths <k>, --size-gb <g>"
-                ))
-            }
+            f => return Err(unknown(f)),
         }
     }
     Ok(opts)
@@ -197,10 +182,10 @@ pub fn parse_bench_args(args: impl IntoIterator<Item = String>) -> Result<BenchO
 
 /// [`parse_bench_args`] over the process arguments, turning on the
 /// observability layer when a report is requested. Exits with the usage
-/// message (status 2) on a bad argument, so typos fail loudly instead of
-/// silently running the full-scale experiment.
-pub fn bench_opts() -> BenchOpts {
-    let opts = parse_bench_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+/// message (status 2) on a bad argument, so typos and flags the binary
+/// does not read fail loudly instead of running the wrong experiment.
+pub fn bench_opts(accepted: &str) -> BenchOpts {
+    let opts = parse_bench_args(std::env::args().skip(1), accepted).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2);
     });
@@ -304,7 +289,8 @@ mod tests {
 
     #[test]
     fn bench_args_parse_or_fail_loudly() {
-        let parse = |line: &str| parse_bench_args(line.split_whitespace().map(String::from));
+        let all = "--smoke --colgen --report --jobs --seeds --paths --size-gb";
+        let parse = |line: &str| parse_bench_args(line.split_whitespace().map(String::from), all);
         assert_eq!(parse(""), Ok(BenchOpts::default()));
         assert_eq!(
             parse("--smoke --colgen --report r.jsonl --jobs 40 --seeds 2 --paths 8 --size-gb 50"),
@@ -331,6 +317,15 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+        // A flag the binary does not read is refused by name, with the
+        // flags it does read.
+        assert_eq!(
+            parse_bench_args(
+                ["--smoke".into(), "--colgen".into()],
+                "--smoke --jobs --report"
+            ),
+            Err("unknown argument \"--colgen\"; this binary takes: --smoke --jobs --report".into())
+        );
     }
 
     #[test]
@@ -416,12 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn thread_knob_parses_counts_and_rejects_the_rest() {
-        assert_eq!(parse_threads(None, 7), Ok(7));
-        assert_eq!(parse_threads(Some("1"), 7), Ok(1));
-        assert_eq!(parse_threads(Some("16"), 7), Ok(16));
-        for bad in ["0", "-2", "1.5", "abc", ""] {
-            assert!(parse_threads(Some(bad), 4).is_err(), "WS_THREADS={bad:?}");
-        }
+    fn par_points_stays_on_the_calling_thread_while_obs_records() {
+        let caller = std::thread::current().id();
+        wavesched_obs::set_enabled(true);
+        let ids = par_points(&[0; 16], |_| {
+            wavesched_obs::counter_add("bench.points", 1);
+            std::thread::current().id()
+        });
+        let seeds = par_seeds(&[1, 2, 3], |_| std::thread::current().id());
+        let snap = wavesched_obs::snapshot();
+        wavesched_obs::set_enabled(false);
+        wavesched_obs::reset();
+        assert!(ids.iter().chain(&seeds).all(|&id| id == caller));
+        assert!(snap.contains(&wavesched_obs::Metric::Counter {
+            name: "bench.points".into(),
+            value: 16
+        }));
     }
 }

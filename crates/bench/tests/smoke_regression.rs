@@ -1,17 +1,20 @@
-//! Default-config smoke CSV regression: the fig3/fig4 binaries' `--smoke`
-//! output is pinned byte-for-byte against recorded fixtures in
-//! `results/`, so structural refactors (like the column-generation
-//! restructure of the solve layers) cannot silently change the default
-//! pipeline's results. Wall-clock columns are masked before comparison —
-//! they are the only columns allowed to differ run to run. fig4's answer
-//! columns and its solver-work columns are compared apart, so a change
-//! that moves only the work re-pins only the work.
+//! Default-config smoke CSV regression: the fig3, fig4 and jobs_finished
+//! binaries' `--smoke` output is pinned byte-for-byte against recorded
+//! fixtures in `results/`, so structural refactors (like the
+//! column-generation restructure of the solve layers) cannot silently
+//! change the default pipeline's results. The binaries run as they run by
+//! default — fig4 and jobs_finished across the sweep pool at the machine's
+//! width — so the fixtures also pin that the pool changes no answer.
+//! Wall-clock columns are masked before comparison — they are the only
+//! columns allowed to differ run to run. fig4's answer columns and its
+//! solver-work columns are compared apart, so a change that moves only the
+//! work re-pins only the work.
 //!
 //! Refresh a fixture after an *intentional* result change with:
 //!
 //! ```text
-//! WS_THREADS=1 cargo run --release -p wavesched-bench --bin fig3 -- --smoke \
-//!   > results/fig3_smoke.csv     # likewise fig4
+//! cargo run --release -p wavesched-bench --bin fig3 -- --smoke \
+//!   > results/fig3_smoke.csv     # likewise fig4, jobs_finished
 //! ```
 
 use std::process::Command;
@@ -21,13 +24,11 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read fixture {path}: {e}"))
 }
 
-/// Runs a bench binary with `--smoke` (plus extras) at `WS_THREADS=1` —
-/// the canonical serial configuration the fixtures were recorded under.
+/// Runs a bench binary with `--smoke` (plus extras).
 fn run_smoke(bin: &str, extra_args: &[&str]) -> String {
     let out = Command::new(bin)
         .arg("--smoke")
         .args(extra_args)
-        .env("WS_THREADS", "1")
         .output()
         .expect("bench binary runs");
     assert!(
@@ -97,5 +98,16 @@ fn fig3_smoke_deterministic_columns_match_recorded_fixture() {
         actual, expected,
         "fig3 --smoke solver-work columns drifted from results/fig3_smoke.csv; \
          if the change is intentional, refresh the fixture"
+    );
+}
+
+#[test]
+fn jobs_finished_smoke_csv_matches_recorded_fixture() {
+    // Every column is an answer (b̂, b_final and the three finished
+    // shares), so the whole CSV is pinned.
+    assert_eq!(
+        run_smoke(env!("CARGO_BIN_EXE_jobs_finished"), &[]),
+        fixture("jobs_finished_smoke.csv"),
+        "jobs_finished --smoke drifted from results/jobs_finished_smoke.csv"
     );
 }

@@ -2,15 +2,17 @@
 //!
 //! Zero-dependency instrumentation for the wavesched workspace: RAII
 //! [spans](span) on the monotonic clock with nesting-aware paths, monotone
-//! [counters](counter_add), and log₂-bucketed [histograms](record), all
-//! collected into one process-wide registry.
+//! [counters](counter_add), and log₂-bucketed [histograms](record).
 //!
-//! The layer is **disabled by default**. Every recording call first reads a
-//! single relaxed [`AtomicBool`], so the disabled path costs one predictable
-//! branch and touches no locks and no clocks — instrumentation can stay in
-//! hot code permanently. Enable it with [`set_enabled`]; the diagnostic
-//! [`recordings`] counter tells tests exactly how many instrumentation
-//! branches were actually taken.
+//! Everything but [`mem`] is **per thread**, with no lock: a thread enables,
+//! records into and reads back only its own registry, so whatever is
+//! measured runs on that thread ([`Span`] is `!Send`).
+//!
+//! The layer is **disabled by default**. Every recording call first reads
+//! the thread's flag, so the disabled path costs one predictable branch and
+//! touches no clock — instrumentation can stay in hot code permanently.
+//! The diagnostic [`recordings`] counter tells tests exactly how many
+//! instrumentation branches were actually taken.
 //!
 //! Snapshots ([`snapshot`]) serialize to JSON lines ([`to_json_lines`]) and
 //! parse back ([`parse_json_lines`]) without any external JSON crate, giving
@@ -28,10 +30,9 @@ pub mod mem;
 
 pub use json::{parse_json_lines, to_json_lines};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// Number of histogram buckets: bucket `i` counts values of bit length `i`
@@ -39,30 +40,35 @@ use std::time::Instant;
 /// 2–3, …, bucket 64 holds values ≥ 2⁶³).
 pub const HIST_BUCKETS: usize = 65;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDINGS: AtomicU64 = AtomicU64::new(0);
-static REGISTRY: OnceLock<Mutex<Inner>> = OnceLock::new();
-
 thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static RECORDINGS: Cell<u64> = const { Cell::new(0) };
+    static REGISTRY: RefCell<Inner> = RefCell::default();
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Turns the whole layer on or off. Off (the default) makes every
-/// instrumentation call a single-branch no-op.
+/// Turns the layer on or off for this thread. Off (the default) makes
+/// every instrumentation call a single-branch no-op.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
+    ENABLED.set(on);
 }
 
-/// True when the layer is recording.
+/// True when the layer is recording on this thread.
 pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
+    ENABLED.get()
 }
 
-/// Total number of instrumentation recordings taken by this process, ever
+/// Total number of instrumentation recordings taken by this thread, ever
 /// (not cleared by [`reset`]). With the layer disabled this value does not
 /// move — the overhead-guard tests assert exactly that.
 pub fn recordings() -> u64 {
-    RECORDINGS.load(Relaxed)
+    RECORDINGS.get()
+}
+
+/// Counts one recording and applies `f` to the calling thread's registry.
+fn with_registry(f: impl FnOnce(&mut Inner)) {
+    RECORDINGS.set(RECORDINGS.get() + 1);
+    REGISTRY.with_borrow_mut(f);
 }
 
 #[derive(Clone, Copy)]
@@ -101,13 +107,6 @@ struct Inner {
     spans: BTreeMap<String, SpanStat>,
 }
 
-fn lock() -> MutexGuard<'static, Inner> {
-    REGISTRY
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Bucket index of `v`: its bit length.
 fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
@@ -115,38 +114,43 @@ fn bucket_of(v: u64) -> usize {
 
 /// Adds `delta` to the monotone counter `name` (creating it at zero).
 pub fn counter_add(name: &str, delta: u64) {
-    if !ENABLED.load(Relaxed) {
+    if !enabled() {
         return;
     }
-    RECORDINGS.fetch_add(1, Relaxed);
-    *lock().counters.entry(name.to_string()).or_insert(0) += delta;
+    with_registry(|inner| *inner.counters.entry(name.to_string()).or_insert(0) += delta);
 }
 
 /// Records one observation of `value` into the histogram `name`.
 pub fn record(name: &str, value: u64) {
-    if !ENABLED.load(Relaxed) {
+    if !enabled() {
         return;
     }
-    RECORDINGS.fetch_add(1, Relaxed);
-    let mut inner = lock();
-    let h = inner.hists.entry(name.to_string()).or_default();
-    h.count += 1;
-    h.sum = h.sum.saturating_add(value);
-    h.min = if h.count == 1 {
-        value
-    } else {
-        h.min.min(value)
-    };
-    h.max = h.max.max(value);
-    h.buckets[bucket_of(value)] += 1;
+    with_registry(|inner| {
+        let h = inner.hists.entry(name.to_string()).or_default();
+        h.count += 1;
+        h.sum = h.sum.saturating_add(value);
+        h.min = if h.count == 1 {
+            value
+        } else {
+            h.min.min(value)
+        };
+        h.max = h.max.max(value);
+        h.buckets[bucket_of(value)] += 1;
+    });
 }
 
 /// A scoped timer. Created by [`span`]; records its wall-clock duration
-/// (monotonic clock) into the registry when dropped, under the `/`-joined
-/// path of all spans live on this thread at creation time.
+/// (monotonic clock) into this thread's registry when dropped, under the
+/// `/`-joined path of all spans live on this thread at creation time. It
+/// is `!Send`: it must close on the thread whose span stack it joined.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(wavesched_obs::span("moved"));
+/// ```
 #[must_use = "a span records on drop; bind it with `let _span = ...`"]
 pub struct Span {
-    armed: Option<(String, Instant)>,
+    armed: Option<(String, Instant, PhantomData<*const ()>)>,
 }
 
 /// Opens a span named `name` nested under the spans currently live on this
@@ -154,7 +158,7 @@ pub struct Span {
 /// layer is disabled this is a single branch: no clock is read and nothing is
 /// allocated.
 pub fn span(name: &'static str) -> Span {
-    if !ENABLED.load(Relaxed) {
+    if !enabled() {
         return Span { armed: None };
     }
     let path = SPAN_STACK.with(|s| {
@@ -175,24 +179,24 @@ pub fn span(name: &'static str) -> Span {
             clippy::disallowed_methods,
             reason = "a span's duration is what the obs layer records; no scheduling decision reads it"
         )]
-        armed: Some((path, Instant::now())),
+        armed: Some((path, Instant::now(), PhantomData)),
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((path, start)) = self.armed.take() {
+        if let Some((path, start, _)) = self.armed.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             SPAN_STACK.with(|s| {
                 s.borrow_mut().pop();
             });
-            RECORDINGS.fetch_add(1, Relaxed);
-            let mut inner = lock();
-            let st = inner.spans.entry(path).or_default();
-            st.count += 1;
-            st.total_ns += ns;
-            st.min_ns = if st.count == 1 { ns } else { st.min_ns.min(ns) };
-            st.max_ns = st.max_ns.max(ns);
+            with_registry(|inner| {
+                let st = inner.spans.entry(path).or_default();
+                st.count += 1;
+                st.total_ns += ns;
+                st.min_ns = if st.count == 1 { ns } else { st.min_ns.min(ns) };
+                st.max_ns = st.max_ns.max(ns);
+            });
         }
     }
 }
@@ -239,53 +243,55 @@ pub enum Metric {
     },
 }
 
-/// Copies the registry out: counters, then histograms, then spans, each
-/// sorted by name/path.
+/// Copies this thread's registry out: counters, then histograms, then
+/// spans, each sorted by name/path.
 pub fn snapshot() -> Vec<Metric> {
-    let inner = lock();
-    let mut out = Vec::new();
-    for (name, &value) in &inner.counters {
-        out.push(Metric::Counter {
-            name: name.clone(),
-            value,
-        });
-    }
-    for (name, h) in &inner.hists {
-        let buckets = h
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect();
-        out.push(Metric::Histogram {
-            name: name.clone(),
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-            buckets,
-        });
-    }
-    for (path, s) in &inner.spans {
-        out.push(Metric::Span {
-            path: path.clone(),
-            count: s.count,
-            total_ns: s.total_ns,
-            min_ns: s.min_ns,
-            max_ns: s.max_ns,
-        });
-    }
-    out
+    REGISTRY.with_borrow(|inner| {
+        let mut out = Vec::new();
+        for (name, &value) in &inner.counters {
+            out.push(Metric::Counter {
+                name: name.clone(),
+                value,
+            });
+        }
+        for (name, h) in &inner.hists {
+            let buckets = h
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (i as u32, c))
+                .collect();
+            out.push(Metric::Histogram {
+                name: name.clone(),
+                count: h.count,
+                sum: h.sum,
+                min: h.min,
+                max: h.max,
+                buckets,
+            });
+        }
+        for (path, s) in &inner.spans {
+            out.push(Metric::Span {
+                path: path.clone(),
+                count: s.count,
+                total_ns: s.total_ns,
+                min_ns: s.min_ns,
+                max_ns: s.max_ns,
+            });
+        }
+        out
+    })
 }
 
-/// Clears every counter, histogram and span aggregate (the [`recordings`]
-/// diagnostic is monotone and survives).
+/// Clears this thread's counters, histograms and span aggregates (the
+/// [`recordings`] diagnostic is monotone and survives).
 pub fn reset() {
-    let mut inner = lock();
-    inner.counters.clear();
-    inner.hists.clear();
-    inner.spans.clear();
+    REGISTRY.with_borrow_mut(|inner| {
+        inner.counters.clear();
+        inner.hists.clear();
+        inner.spans.clear();
+    });
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -300,45 +306,42 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders the aggregated span hierarchy as an indented text tree
+/// Renders this thread's aggregated span hierarchy as an indented text tree
 /// (`count`, total and mean duration per path), for the CLI `--trace` flag.
 pub fn render_span_tree() -> String {
-    let inner = lock();
-    let mut out = String::new();
-    if inner.spans.is_empty() {
-        out.push_str("(no spans recorded)\n");
-        return out;
-    }
-    out.push_str("span tree (count  total  mean):\n");
-    // BTreeMap order puts every parent path immediately before its
-    // children ('/' sorts below all path characters we use).
-    for (path, s) in &inner.spans {
-        let depth = path.matches('/').count();
-        let name = path.rsplit('/').next().unwrap_or(path);
-        let mean = s.total_ns / s.count.max(1);
-        let indent = "  ".repeat(depth);
-        out.push_str(&format!(
-            "{indent}{name:<w$} {:>6}  {:>9}  {:>9}\n",
-            s.count,
-            fmt_ns(s.total_ns),
-            fmt_ns(mean),
-            w = 28usize.saturating_sub(indent.len()),
-        ));
-    }
-    out
+    REGISTRY.with_borrow(|inner| {
+        let mut out = String::new();
+        if inner.spans.is_empty() {
+            out.push_str("(no spans recorded)\n");
+            return out;
+        }
+        out.push_str("span tree (count  total  mean):\n");
+        // BTreeMap order puts every parent path immediately before its
+        // children ('/' sorts below all path characters we use).
+        for (path, s) in &inner.spans {
+            let depth = path.matches('/').count();
+            let name = path.rsplit('/').next().unwrap_or(path);
+            let mean = s.total_ns / s.count.max(1);
+            let indent = "  ".repeat(depth);
+            out.push_str(&format!(
+                "{indent}{name:<w$} {:>6}  {:>9}  {:>9}\n",
+                s.count,
+                fmt_ns(s.total_ns),
+                fmt_ns(mean),
+                w = 28usize.saturating_sub(indent.len()),
+            ));
+        }
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The registry is process-global; serialize tests that flip the enable
-    // bit so they cannot observe each other's state.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
+    // The registry is the test thread's own: no lock, and the closing reset
+    // leaves it empty for whatever runs next on this thread.
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        reset();
         set_enabled(true);
         let r = f();
         set_enabled(false);
@@ -355,8 +358,6 @@ mod tests {
 
     #[test]
     fn disabled_is_a_no_op_and_takes_no_recording_branch() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        set_enabled(false);
         let before = recordings();
         counter_add("x", 3);
         record("h", 9);

@@ -466,7 +466,10 @@ mod tests {
     /// lines and hash as the event loop wrote it while it still kept its
     /// own per-job ledger beside the controller's (recorded at 97bd353):
     /// rejections, expiries, late completions under RET extensions, and
-    /// jobs done in the first slice of a two-slice period.
+    /// jobs done in the first slice of a two-slice period. Beside each hash,
+    /// the replay's LP solves and admission counts, read from this test
+    /// thread's own obs registry: a change to `Reject`'s admission trials
+    /// shows as a named counter, not only as a moved hash.
     #[test]
     fn overloaded_decision_log_is_pinned_under_each_policy() {
         use wavesched_core::controller::OverloadPolicy;
@@ -478,17 +481,52 @@ mod tests {
             arrival: ArrivalModel::Poisson { rate: 1.0 },
             window: (3.0, 6.0),
         };
-        for (policy, lines, hash) in [
-            (OverloadPolicy::Reject, 308, 0x10d6_aa41_ee22_49c5_u64),
-            (OverloadPolicy::ShrinkDemands, 309, 0x62ce_37d5_472e_2303),
-            (OverloadPolicy::ExtendDeadlines, 310, 0xd668_4d8e_234b_a542),
+        let counter = |snap: &[obs::Metric], want: &str| {
+            snap.iter()
+                .find_map(|m| match m {
+                    obs::Metric::Counter { name, value } if name == want => Some(*value),
+                    _ => None,
+                })
+                .unwrap_or(0)
+        };
+        // (policy, log lines, log hash, [lp.solves, controller.admitted,
+        // controller.rejected])
+        for (policy, lines, hash, counts) in [
+            (
+                OverloadPolicy::Reject,
+                308,
+                0x10d6_aa41_ee22_49c5_u64,
+                [236, 114, 86],
+            ),
+            (
+                OverloadPolicy::ShrinkDemands,
+                309,
+                0x62ce_37d5_472e_2303,
+                [192, 200, 0],
+            ),
+            (
+                OverloadPolicy::ExtendDeadlines,
+                310,
+                0xd668_4d8e_234b_a542,
+                [794, 200, 0],
+            ),
         ] {
             let mut cfg = SimConfig::paper(2);
             cfg.controller.tau = 2;
             cfg.controller.policy = policy;
             let mut log = Vec::new();
             let jobs = WorkloadGenerator::new(wl.clone()).stream(&g);
+            obs::set_enabled(true);
             let r = run_simulation_streamed(&g, jobs, &cfg, Some(&mut log)).unwrap();
+            obs::set_enabled(false);
+            let snap = obs::snapshot();
+            obs::reset();
+            let got_counts = ["lp.solves", "controller.admitted", "controller.rejected"]
+                .map(|name| counter(&snap, name));
+            assert_eq!(
+                got_counts, counts,
+                "{policy:?}: [lp.solves, controller.admitted, controller.rejected] moved"
+            );
             assert_eq!(r.jobs_seen, 200);
             assert!(r.expired > 0 && r.unfinished == 0, "{policy:?}: {r:?}");
             let got = (log.iter().filter(|&&b| b == b'\n').count(), fnv1a(&log));

@@ -1,18 +1,14 @@
 //! Observability-layer integration tests.
 //!
-//! These live in their own integration-test binary on purpose: they toggle
-//! the process-wide `wavesched::obs` registry, and a dedicated binary is a
-//! dedicated process, so no other test can race the enabled flag.
+//! The `wavesched::obs` enable flag and registry are per thread, and each
+//! test runs on its own thread, so neither test can see the other's
+//! recordings.
 
 use wavesched::core::instance::{Instance, InstanceConfig};
 use wavesched::core::pipeline::max_throughput_pipeline;
 use wavesched::net::{waxman_network, PathSet, WaxmanConfig};
 use wavesched::obs;
 use wavesched::workload::{WorkloadConfig, WorkloadGenerator};
-
-/// The obs registry is process-wide, so the two tests below must not
-/// interleave even though the harness runs tests on parallel threads.
-static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn run_small_pipeline() {
     let w = 2;
@@ -42,7 +38,6 @@ fn run_small_pipeline() {
 /// so a zero delta proves the disabled path never crossed the branch.
 #[test]
 fn instrumentation_is_inert_when_disabled() {
-    let _guard = OBS_LOCK.lock().unwrap();
     assert!(!obs::enabled(), "obs must start disabled");
     let before = obs::recordings();
     run_small_pipeline();
@@ -61,9 +56,6 @@ fn instrumentation_is_inert_when_disabled() {
 /// JSON-lines writer/parser.
 #[test]
 fn report_schema_round_trips_from_live_run() {
-    // Either order works under OBS_LOCK: this test resets the registry on
-    // exit, and the disabled-path test asserts on a recordings() *delta*.
-    let _guard = OBS_LOCK.lock().unwrap();
     obs::set_enabled(true);
     run_small_pipeline();
     obs::set_enabled(false);
