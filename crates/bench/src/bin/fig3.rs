@@ -15,12 +15,13 @@ use wavesched_core::pipeline::max_throughput_pipeline;
 
 fn main() {
     let opts = wavesched_bench::bench_opts("--smoke --jobs --report");
-    let job_counts: Vec<usize> = if opts.smoke {
-        vec![20, 40]
-    } else {
-        let max = opts.jobs.unwrap_or(250);
-        (1..=5).map(|k| k * max / 5).collect()
-    };
+    // `--jobs` is the sweep's largest point, at either scale.
+    let (max, points) = if opts.smoke { (40, 2) } else { (250, 5) };
+    let max = opts.jobs.unwrap_or(max);
+    let job_counts: Vec<usize> = (1..=points)
+        .map(|k| k * max / points)
+        .filter(|&n| n > 0)
+        .collect();
     let w = 4;
 
     println!("# Fig. 3: computation time vs number of jobs (random network, W={w})");

@@ -42,12 +42,14 @@ use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 /// the differential suite covers objective agreement at paper scale).
 fn colgen_sweep(opts: &BenchOpts) {
     let (nodes, pairs) = if opts.smoke { (100, 200) } else { (1000, 2000) };
+    // `--jobs` is the sweep's largest point, at either scale.
+    let max = opts.jobs.unwrap_or(if opts.smoke { 50 } else { 10_000 });
     let job_counts: Vec<usize> = if opts.smoke {
-        vec![20, 50]
+        vec![2 * max / 5, max]
     } else {
-        let max = opts.jobs.unwrap_or(10_000);
         (1..=4).map(|k| k * max / 4).collect()
     };
+    let job_counts: Vec<usize> = job_counts.into_iter().filter(|&n| n > 0).collect();
     let paths_per_job = opts.paths.unwrap_or(16);
     let size_hi = opts.size_gb.unwrap_or(100) as f64;
     let w = 2;
@@ -168,12 +170,13 @@ fn main() {
         eprintln!("--paths and --size-gb are options of fig4 --colgen only");
         std::process::exit(2);
     }
-    let job_counts: Vec<usize> = if opts.smoke {
-        vec![10, 20]
-    } else {
-        let max = opts.jobs.unwrap_or(100);
-        (1..=4).map(|k| k * max / 4).collect()
-    };
+    // `--jobs` is the sweep's largest point, at either scale.
+    let (max, points) = if opts.smoke { (20, 2) } else { (100, 4) };
+    let max = opts.jobs.unwrap_or(max);
+    let job_counts: Vec<usize> = (1..=points)
+        .map(|k| k * max / points)
+        .filter(|&n| n > 0)
+        .collect();
     let w = 2;
 
     println!(

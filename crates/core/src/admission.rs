@@ -10,6 +10,7 @@
 use crate::builders::HeldLp;
 use crate::instance::{Instance, InstanceConfig};
 use crate::stage1::{open_stage1, Stage1Result};
+use std::sync::Arc;
 use wavesched_lp::{SolveError, SolveStats};
 use wavesched_net::{Graph, PathSet};
 use wavesched_workload::Job;
@@ -34,7 +35,7 @@ pub(crate) struct AdmissionOutcome {
 /// The instance over `mandatory` (at their remaining `mandatory_demands`)
 /// followed by `admitted` (at their full demands).
 pub(crate) fn instance_over(
-    graph: &Graph,
+    graph: &Arc<Graph>,
     mandatory: &[Job],
     mandatory_demands: &[f64],
     admitted: &[Job],
@@ -44,7 +45,7 @@ pub(crate) fn instance_over(
     let jobs = [mandatory, admitted].concat();
     let mut demands = mandatory_demands.to_vec();
     demands.extend(admitted.iter().map(|j| cfg.demand_units(j.size_gb)));
-    Instance::build_with_demands(graph, &jobs, demands, cfg, pathset)
+    Instance::assemble(graph, &jobs, demands, pathset, None)
 }
 
 /// Admits the longest prefix of `candidates` (in priority order) such that
@@ -57,7 +58,7 @@ pub(crate) fn instance_over(
 /// from the caller's `pathset` (`cfg.paths_per_job` per endpoint pair), so
 /// a controller pays Yen once per pair, not once per invocation.
 pub(crate) fn admit_by_priority(
-    graph: &Graph,
+    graph: &Arc<Graph>,
     mandatory: &[Job],
     mandatory_demands: &[f64],
     candidates: &[Job],
@@ -128,8 +129,8 @@ mod tests {
         candidates: &[Job],
         cfg: &InstanceConfig,
     ) -> AdmissionOutcome {
-        let mut pathset = PathSet::new(cfg.paths_per_job);
-        admit_by_priority(g, mandatory, m_demand, candidates, cfg, &mut pathset).unwrap()
+        let (g, mut pathset) = (Arc::new(g.clone()), PathSet::new(cfg.paths_per_job));
+        admit_by_priority(&g, mandatory, m_demand, candidates, cfg, &mut pathset).unwrap()
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ("Routing and Scheduling of Network Flows with Deadlines and Discrete
 //! Capacity Allocation"), this module keeps only an *active* column pool:
 //!
-//! 1. seed the pool with each job's hop-shortest path,
+//! 1. seed the pool with each job's hop-shortest path, its Yen rank 0,
 //! 2. solve the restricted master over the pool,
 //! 3. price each job's out-of-pool Yen k-shortest paths against the
 //!    optimal duals: a path column for `(job i, slice j)` improves the
@@ -17,11 +17,11 @@
 //! 4. repeat until no job has an improving out-of-pool path.
 //!
 //! The path universe is the paper's: each job's `paths_per_job` Yen paths,
-//! the same set the monolithic [`Instance`] build materializes. When the
-//! loop terminates, the master duals extended with zeros on the
-//! unmaterialized capacity rows are dual-feasible within tolerance for
-//! every Yen column, so the restricted optimum is the monolithic LP's
-//! optimum to tolerance.
+//! the same set the monolithic [`Instance`] build materializes; the pool
+//! names a path by its rank there. When the loop terminates, the master
+//! duals extended with zeros on the unmaterialized capacity rows are
+//! dual-feasible within tolerance for every Yen column, so the restricted
+//! optimum is the monolithic LP's optimum to tolerance.
 //!
 //! The master and its pool are the crate's internals: callers reach them
 //! through
@@ -38,11 +38,12 @@ use crate::instance::{CapacityGroups, Instance, InstanceConfig};
 use crate::timegrid::TimeGrid;
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::Arc;
 use wavesched_lp::{
     Col, NewColumn, NewRow, Objective, Problem, Row, Solution, SolveError, SolveStats,
     SolverSession, Status,
 };
-use wavesched_net::{dijkstra, EdgeId, Graph, Path, PathSet};
+use wavesched_net::{EdgeId, Graph, Path, PathSet};
 use wavesched_obs as obs;
 use wavesched_workload::Job;
 
@@ -98,7 +99,7 @@ pub struct CgStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PoolCol {
     job: u32,
-    /// Index into the job's [`ColumnPool::paths`].
+    /// Index into the job's [`ColumnPool::ranks`].
     path: u32,
     slice: u32,
 }
@@ -112,24 +113,10 @@ struct PoolCol {
 /// controller warm starts working under column generation.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnPool {
-    /// The active paths of each job, in pool order.
-    paths: Vec<Vec<Path>>,
+    /// The Yen ranks of each job's active paths, in pool order.
+    ranks: Vec<Vec<u32>>,
     /// The pool columns in master order.
     cols: Vec<PoolCol>,
-}
-
-impl ColumnPool {
-    fn new(num_jobs: usize) -> Self {
-        ColumnPool {
-            paths: vec![Vec::new(); num_jobs],
-            cols: Vec::new(),
-        }
-    }
-
-    /// True when `path` is already in `job`'s pool.
-    fn contains(&self, job: usize, path: &Path) -> bool {
-        self.paths[job].iter().any(|p| p == path)
-    }
 }
 
 /// The master's capacity rows, looked up by edge and then by slice: each
@@ -216,7 +203,7 @@ impl CapRows {
 /// RET bisection + δ-growth — so the simplex basis is reused across every
 /// resolve, augmentation, and bound change.
 pub(crate) struct CgMaster {
-    graph: Graph,
+    graph: Arc<Graph>,
     jobs: Vec<Job>,
     demands: Vec<f64>,
     grid: TimeGrid,
@@ -226,9 +213,8 @@ pub(crate) struct CgMaster {
     /// Currently active window per job (`⊆` envelope); columns outside are
     /// fixed to zero.
     active: Vec<Range<usize>>,
-    config: InstanceConfig,
-    /// The Yen paths priced, `config.paths_per_job` per endpoint pair,
-    /// computed the first time a pair is priced.
+    /// The Yen paths priced, `paths_per_job` per endpoint pair: the pool's
+    /// ranks index them.
     pathset: PathSet,
     /// Price–resolve rounds allowed per form: [`MAX_ROUNDS`], lowered only
     /// by the cap's own unit test.
@@ -246,11 +232,11 @@ pub(crate) struct CgMaster {
 }
 
 impl CgMaster {
-    /// Builds the restricted master seeded with each job's hop-shortest
-    /// path, in Stage-1 form. `demands` are normalized demand units (use
-    /// [`InstanceConfig::demand_units`]); jobs with no route simply get an
-    /// empty pool (their job row then forces `Z = 0`, exactly like the
-    /// monolithic build).
+    /// Builds the restricted master seeded with each job's Yen rank 0, its
+    /// hop-shortest path, in Stage-1 form. `demands` are normalized demand
+    /// units (use [`InstanceConfig::demand_units`]); jobs with no route
+    /// simply get an empty pool (their job row then forces `Z = 0`, exactly
+    /// like the monolithic build).
     pub(crate) fn build(
         graph: &Graph,
         jobs: &[Job],
@@ -264,10 +250,17 @@ impl CgMaster {
             .map(|j| grid.window_slices(j.start, j.end))
             .collect();
 
-        let mut pool = ColumnPool::new(jobs.len());
+        let mut pathset = PathSet::new(config.paths_per_job);
+        let mut pool = ColumnPool {
+            ranks: vec![Vec::new(); jobs.len()],
+            cols: Vec::new(),
+        };
+        // (job, path) of each seed, in job order.
+        let mut seeds = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
-            if let Some(p) = dijkstra::shortest_path(graph, job.src, job.dst) {
-                pool.paths[i].push(p);
+            if let Some(p) = pathset.paths(graph, job.src, job.dst).first() {
+                pool.ranks[i].push(0);
+                seeds.push((i, p.clone()));
             }
         }
 
@@ -277,17 +270,14 @@ impl CgMaster {
         let mut p = Problem::new(Objective::Maximize);
         let z = p.add_col(0.0, f64::INFINITY, 1.0);
         let mut lp_cols = Vec::new();
-        for (i, paths) in pool.paths.iter().enumerate() {
-            for (pi, _) in paths.iter().enumerate() {
-                for slice in windows[i].clone() {
-                    let col = p.add_col(0.0, f64::INFINITY, 0.0);
-                    lp_cols.push(col);
-                    pool.cols.push(PoolCol {
-                        job: i as u32,
-                        path: pi as u32,
-                        slice: slice as u32,
-                    });
-                }
+        for &(i, _) in &seeds {
+            for slice in windows[i].clone() {
+                lp_cols.push(p.add_col(0.0, f64::INFINITY, 0.0));
+                pool.cols.push(PoolCol {
+                    job: i as u32,
+                    path: 0,
+                    slice: slice as u32,
+                });
             }
         }
         // `pool.cols` is grouped by job in job order, so one cursor walks it.
@@ -309,10 +299,7 @@ impl CgMaster {
         let groups = CapacityGroups::from_runs(
             grid.first_slice()..grid.num_slices(),
             graph.num_edges(),
-            pool.paths
-                .iter()
-                .zip(&windows)
-                .flat_map(|(paths, window)| paths.iter().map(move |p| (window.clone(), p.edges()))),
+            seeds.iter().map(|(i, p)| (windows[*i].clone(), p.edges())),
         );
         let mut cap_rows = CapRows::new(graph.num_edges());
         let mut coeffs: Vec<(Col, f64)> = Vec::new();
@@ -326,14 +313,13 @@ impl CgMaster {
 
         let session = SolverSession::new(&p)?;
         Ok(CgMaster {
-            graph: graph.clone(),
+            graph: Arc::new(graph.clone()),
             jobs: jobs.to_vec(),
             demands,
             grid,
             active: windows.clone(),
             windows,
-            config: config.clone(),
-            pathset: PathSet::new(config.paths_per_job),
+            pathset,
             max_rounds: MAX_ROUNDS,
             session,
             z,
@@ -344,11 +330,6 @@ impl CgMaster {
             form: Form::Stage1,
             stats: CgStats::default(),
         })
-    }
-
-    /// The normalized demands the master was built with.
-    pub(crate) fn demands(&self) -> &[f64] {
-        &self.demands
     }
 
     /// The master's time grid.
@@ -526,16 +507,16 @@ impl CgMaster {
     /// proposal improves the master in at least one slice. One path per job
     /// per round keeps the pool lean: entering every improving column
     /// floods the restricted master back to the monolithic size.
-    fn price(&mut self, duals: &[f64], budgets: &[Vec<f64>]) -> Vec<(usize, Path)> {
+    fn price(&mut self, duals: &[f64], budgets: &[Vec<f64>]) -> Vec<(usize, u32)> {
         let mut out = Vec::new();
         for (i, job) in self.jobs.iter().enumerate() {
             let w = &self.active[i];
             if w.is_empty() {
                 continue;
             }
-            let mut best: Option<(f64, &Path)> = None;
-            for p in self.pathset.paths(&self.graph, job.src, job.dst) {
-                if self.pool.contains(i, p) {
+            let mut best: Option<(f64, u32)> = None;
+            for (rank, p) in (0..).zip(self.pathset.paths(&self.graph, job.src, job.dst)) {
+                if self.pool.ranks[i].contains(&rank) {
                     continue;
                 }
                 let mut m = f64::NEG_INFINITY;
@@ -547,18 +528,18 @@ impl CgMaster {
                         .sum();
                     m = m.max(budgets[i][j - w.start] - load);
                 }
-                if m > 0.0 && best.as_ref().is_none_or(|(bm, _)| m > *bm) {
-                    best = Some((m, p));
+                if m > 0.0 && best.is_none_or(|(bm, _)| m > bm) {
+                    best = Some((m, rank));
                 }
             }
-            if let Some((_, p)) = best {
-                out.push((i, p.clone()));
+            if let Some((_, rank)) = best {
+                out.push((i, rank));
             }
         }
         out
     }
 
-    /// Materializes each `(job, path)` of `batch` not yet in the pool over
+    /// Materializes each `(job, Yen rank)` of `batch` not yet in the pool over
     /// the job's full envelope window, with one row splice and one column
     /// splice for the whole batch: missing capacity rows first (empty — by
     /// the coverage invariant no existing column crosses an unmaterialized
@@ -566,17 +547,19 @@ impl CgMaster {
     /// columns in path order, bounded by the active window. Handles come
     /// out exactly as if every path had been spliced on its own. Returns
     /// the number of columns added.
-    fn add_paths(&mut self, batch: Vec<(usize, Path)>) -> usize {
-        // (job, index in the job's pool) of every path admitted.
-        let mut admitted: Vec<(usize, usize)> = Vec::new();
+    fn add_paths(&mut self, batch: Vec<(usize, u32)>) -> usize {
+        // (job, index in the job's pool, path) of every path admitted.
+        let mut admitted: Vec<(usize, usize, Path)> = Vec::new();
         // Rows to create, in handle order, and the same keys for lookup.
         let mut missing: Vec<(u32, u32)> = Vec::new();
         let mut pending: BTreeSet<(u32, u32)> = BTreeSet::new();
         let mut keys: Vec<(u32, u32)> = Vec::new();
-        for (job, path) in batch {
-            if self.pool.contains(job, &path) {
+        for (job, rank) in batch {
+            if self.pool.ranks[job].contains(&rank) {
                 continue;
             }
+            let (src, dst) = (self.jobs[job].src, self.jobs[job].dst);
+            let path = self.pathset.paths(&self.graph, src, dst)[rank as usize].clone();
             keys.clear();
             for &e in path.edges() {
                 for j in self.windows[job].clone() {
@@ -590,8 +573,8 @@ impl CgMaster {
                     missing.push(key);
                 }
             }
-            admitted.push((job, self.pool.paths[job].len()));
-            self.pool.paths[job].push(path);
+            admitted.push((job, self.pool.ranks[job].len(), path));
+            self.pool.ranks[job].push(rank);
         }
         if admitted.is_empty() {
             return 0;
@@ -612,8 +595,7 @@ impl CgMaster {
         }
 
         let mut new_cols = Vec::new();
-        for &(job, path_idx) in &admitted {
-            let path = &self.pool.paths[job][path_idx];
+        for (job, path_idx, path) in admitted {
             for j in self.windows[job].clone() {
                 let mut entries: Vec<(Row, f64)> = vec![(self.job_rows[job], self.grid.len_of(j))];
                 for &e in path.edges() {
@@ -647,32 +629,23 @@ impl CgMaster {
         new_cols.len()
     }
 
-    /// Materializes the converged pool as a standard [`Instance`] (the
-    /// pool paths become the allowed paths), so schedules, LPD/LPDAR and
-    /// all metrics work downstream exactly as after a monolithic build.
-    pub(crate) fn materialize(&self) -> Instance {
-        self.materialize_for(&self.jobs)
-    }
-
-    /// Like [`materialize`](Self::materialize) but over substitute jobs
-    /// (same count, sources and destinations — RET passes the jobs
-    /// extended to the current trial deadline).
-    pub(crate) fn materialize_for(&self, jobs: &[Job]) -> Instance {
+    /// Materializes the converged pool as a standard [`Instance`] over
+    /// `jobs` — the master's, or substitutes with the same count, sources
+    /// and destinations (RET passes the jobs extended to the current trial
+    /// deadline). The pool paths become the allowed paths, in pool order
+    /// with their Yen ranks, so schedules, LPD/LPDAR and all metrics work
+    /// downstream exactly as after a monolithic build.
+    pub(crate) fn materialize(&mut self, jobs: &[Job]) -> Instance {
         assert_eq!(jobs.len(), self.jobs.len());
-        Instance::build_with_paths(
-            &self.graph,
-            jobs,
-            self.demands.clone(),
-            &self.config,
-            self.pool.paths.clone(),
-        )
+        let (demands, ranks) = (self.demands.clone(), Some(self.pool.ranks.as_slice()));
+        Instance::assemble(&self.graph, jobs, demands, &mut self.pathset, ranks)
     }
 
     /// Maps a master solution's column values onto `inst`'s variable
-    /// space (an instance from [`materialize`](Self::materialize) /
-    /// [`materialize_for`](Self::materialize_for)). Pool columns whose
-    /// slice falls outside the instance window are dropped — they are
-    /// bound to zero whenever the active windows match the instance.
+    /// space (an instance from [`materialize`](Self::materialize)). Pool
+    /// columns whose slice falls outside the instance window are dropped —
+    /// they are bound to zero whenever the active windows match the
+    /// instance.
     pub(crate) fn values_on(&self, inst: &Instance, x: &[f64]) -> Vec<f64> {
         let mut v = vec![0.0; inst.vars.len()];
         for (k, pc) in self.pool.cols.iter().enumerate() {
@@ -699,7 +672,7 @@ mod tests {
     use wavesched_net::abilene14;
     use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
-    fn setup(n_jobs: usize, seed: u64) -> (Graph, Vec<Job>, Vec<f64>, InstanceConfig) {
+    fn setup(n_jobs: usize, seed: u64) -> (Arc<Graph>, Vec<Job>, Vec<f64>, InstanceConfig) {
         let (g, _) = abilene14(4);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: n_jobs,
@@ -709,7 +682,7 @@ mod tests {
         .generate(&g);
         let cfg = InstanceConfig::paper(4);
         let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
-        (g, jobs, demands, cfg)
+        (Arc::new(g), jobs, demands, cfg)
     }
 
     #[test]
@@ -744,13 +717,22 @@ mod tests {
         );
     }
 
+    /// The seed is each job's Yen rank 0, which is the path
+    /// `dijkstra::shortest_path` returns; the materialized instance allows
+    /// it first, under its rank.
     #[test]
     fn seed_paths_are_shortest() {
         let (g, jobs, demands, cfg) = setup(5, 3);
-        let master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
+        let inst = master.materialize(&jobs);
+        let mut yen = PathSet::new(cfg.paths_per_job);
         for (i, job) in jobs.iter().enumerate() {
-            let want = dijkstra::shortest_path(&g, job.src, job.dst).unwrap();
-            assert_eq!(master.pool.paths[i][0], want);
+            let want = wavesched_net::dijkstra::shortest_path(&g, job.src, job.dst).unwrap();
+            assert_eq!(master.pool.ranks[i], [0]);
+            assert_eq!(yen.paths(&g, job.src, job.dst)[0], want);
+            assert_eq!(inst.paths[i], [want]);
+            let var = inst.vars.job_range(i).start;
+            assert_eq!(inst.vars.key(var), (job.id, 0, inst.vars.window(i).start));
         }
     }
 
@@ -785,14 +767,13 @@ mod tests {
 
         // Round 1: every job's second Yen path, the first of them proposed
         // twice. Round 2: all the remaining Yen paths.
-        let mut rounds: Vec<Vec<(usize, Path)>> = vec![Vec::new(), Vec::new()];
+        let mut rounds: Vec<Vec<(usize, u32)>> = vec![Vec::new(), Vec::new()];
         for (i, job) in jobs.iter().enumerate() {
-            let paths = yen.paths(&g, job.src, job.dst);
-            for (rank, p) in paths.iter().enumerate().skip(1) {
-                rounds[(rank > 1) as usize].push((i, p.clone()));
+            for rank in 1..yen.paths(&g, job.src, job.dst).len() as u32 {
+                rounds[(rank > 1) as usize].push((i, rank));
             }
         }
-        let repeated = rounds[0][0].clone();
+        let repeated = rounds[0][0];
         rounds[0].push(repeated);
 
         for batch in rounds {
@@ -802,16 +783,17 @@ mod tests {
 
             // The batch must hold what the batching has to get right: two
             // paths crossing the same not-yet-materialized capacity row.
-            let mut distinct: Vec<&(usize, Path)> = Vec::new();
-            for proposal in &batch {
+            let mut distinct: Vec<(usize, u32)> = Vec::new();
+            for &proposal in &batch {
                 if !distinct.contains(&proposal) {
                     distinct.push(proposal);
                 }
             }
             let mut crossings: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-            for (job, path) in distinct {
-                for &e in path.edges() {
-                    for j in batched.windows[*job].clone() {
+            for (job, rank) in distinct {
+                let (src, dst) = (jobs[job].src, jobs[job].dst);
+                for &e in yen.paths(&g, src, dst)[rank as usize].edges() {
+                    for j in batched.windows[job].clone() {
                         *crossings.entry((e.0, j as u32)).or_default() += 1;
                     }
                 }
@@ -825,8 +807,8 @@ mod tests {
             );
 
             let mut one_by_one = 0;
-            for proposal in &batch {
-                one_by_one += twin.add_paths(vec![proposal.clone()]);
+            for &proposal in &batch {
+                one_by_one += twin.add_paths(vec![proposal]);
             }
             assert_eq!(batched.add_paths(batch), one_by_one);
             assert!(one_by_one > 0);
@@ -834,7 +816,7 @@ mod tests {
             assert_eq!(batched.cap_rows, twin.cap_rows);
             assert_eq!(batched.lp_cols, twin.lp_cols);
             assert_eq!(batched.pool.cols, twin.pool.cols);
-            assert_eq!(batched.pool.paths, twin.pool.paths);
+            assert_eq!(batched.pool.ranks, twin.pool.ranks);
 
             let (a, b) = (batched.solve().unwrap(), twin.solve().unwrap());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -910,12 +892,16 @@ mod tests {
             assert_eq!(row.index(), jobs.len() + i, "row of ({e}, {j})");
             assert_eq!(master.cap_rows.get(EdgeId(e as u32), j), Some(row));
         }
+        let mut yen = PathSet::new(cfg.paths_per_job);
+        let seeds: Vec<Vec<EdgeId>> = jobs
+            .iter()
+            .map(|j| yen.paths(&g, j.src, j.dst)[0].edges().to_vec())
+            .collect();
         let crossed = |e: usize, j: usize| {
             master.pool.cols.iter().any(|pc| {
                 pc.slice as usize == j
-                    && master.pool.paths[pc.job as usize][pc.path as usize]
-                        .edges()
-                        .contains(&EdgeId(e as u32))
+                    && master.pool.ranks[pc.job as usize][pc.path as usize] == 0
+                    && seeds[pc.job as usize].contains(&EdgeId(e as u32))
             })
         };
         for e in 0..g.num_edges() {
@@ -976,7 +962,7 @@ mod tests {
         let mut master = CgMaster::build(&g, &jobs, demands, &cfg).unwrap();
         let z = stage1_colgen(&mut master).unwrap();
         let sol = master.solve().unwrap();
-        let inst = master.materialize();
+        let inst = master.materialize(&jobs);
         let x = master.values_on(&inst, &sol.x);
         let sched = crate::schedule::Schedule::from_values(&inst, x);
         assert!(sched.max_capacity_violation(&inst) < 1e-6);

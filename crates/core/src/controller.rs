@@ -20,6 +20,7 @@ use crate::pipeline::pipeline_from_stage1;
 use crate::ret::{solve_ret_with_demands, RetConfig};
 use crate::schedule::Schedule;
 use crate::stage1::open_stage1;
+use std::sync::Arc;
 use std::time::Instant;
 use wavesched_lp::{SolveError, SolveStats};
 use wavesched_net::{Graph, PathSet};
@@ -130,7 +131,7 @@ pub struct InvocationResult {
 #[derive(Debug)]
 pub struct Controller {
     cfg: ControllerConfig,
-    graph: Graph,
+    graph: Arc<Graph>,
     pathset: PathSet,
     active: Vec<ActiveJob>,
     stats: SolveStats,
@@ -143,7 +144,7 @@ impl Controller {
         let pathset = PathSet::new(cfg.instance.paths_per_job);
         Controller {
             cfg,
-            graph,
+            graph: Arc::new(graph),
             pathset,
             active: Vec::new(),
             stats: SolveStats::default(),
@@ -282,7 +283,6 @@ impl Controller {
                 &self.graph,
                 &inst.jobs,
                 &inst.demands,
-                &self.cfg.instance,
                 &self.cfg.ret,
                 now,
                 &mut self.pathset,

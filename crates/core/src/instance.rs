@@ -6,13 +6,19 @@
 //! to job `i` on allowed path `p` during slice `j`. [`VarMap`] enumerates
 //! exactly the variables that may be nonzero (eq. 4 zeroes everything
 //! outside the job's window), and [`Instance`] carries the data every
-//! builder needs: normalized demands, path edge lists, the time grid, and
-//! the (edge, slice) capacity groups ([`CapacityGroups`]).
+//! formulation needs: normalized demands, the allowed paths, the time
+//! grid, and the (edge, slice) capacity groups ([`CapacityGroups`]).
+//!
+//! Instances share, not copy, the network (one `Arc<Graph>` per controller,
+//! RET search or column-generation master) and the [`PathSet`]'s paths;
+//! [`VarMap::key`] names a column in all.
 
 use crate::timegrid::TimeGrid;
 use std::ops::Range;
+use std::sync::Arc;
+use wavesched_lp::SolveError;
 use wavesched_net::{EdgeId, Graph, Path, PathSet};
-use wavesched_workload::Job;
+use wavesched_workload::{Job, JobId};
 
 /// Instance-construction parameters.
 #[derive(Debug, Clone)]
@@ -51,6 +57,20 @@ impl InstanceConfig {
         assert!(self.wavelengths > 0, "a link needs at least one wavelength");
         size_gb / (Self::LINK_GBPS / self.wavelengths as f64 * Self::SLICE_SECS / 8.0)
     }
+
+    /// An entry point's answer to no paths or no wavelengths, where
+    /// [`PathSet::new`] and [`demand_units`](Self::demand_units) panic: a
+    /// [`SolveError::InvalidModel`] naming the field that is zero.
+    pub fn check(&self) -> Result<(), SolveError> {
+        let zero = if self.paths_per_job == 0 {
+            "paths_per_job"
+        } else if self.wavelengths == 0 {
+            "wavelengths"
+        } else {
+            return Ok(());
+        };
+        Err(SolveError::InvalidModel(format!("{zero} must be positive")))
+    }
 }
 
 /// Enumeration of the `(job, path, slice)` decision variables.
@@ -61,24 +81,27 @@ impl InstanceConfig {
 pub struct VarMap {
     /// Per job: index of its first variable.
     job_offsets: Vec<usize>,
-    /// Per job: number of allowed paths.
-    num_paths: Vec<usize>,
+    /// Per job: its id.
+    ids: Vec<JobId>,
+    /// Per job: the Yen rank of each allowed path, in path order.
+    ranks: Vec<Vec<u32>>,
     /// Per job: allowed slice window.
     windows: Vec<Range<usize>>,
     total: usize,
 }
 
 impl VarMap {
-    fn build(windows: Vec<Range<usize>>, num_paths: Vec<usize>) -> Self {
+    fn build(ids: Vec<JobId>, windows: Vec<Range<usize>>, ranks: Vec<Vec<u32>>) -> Self {
         let mut job_offsets = Vec::with_capacity(windows.len());
         let mut total = 0usize;
-        for (w, &np) in windows.iter().zip(&num_paths) {
+        for (w, r) in windows.iter().zip(&ranks) {
             job_offsets.push(total);
-            total += w.len() * np;
+            total += w.len() * r.len();
         }
         VarMap {
             job_offsets,
-            num_paths,
+            ids,
+            ranks,
             windows,
             total,
         }
@@ -106,7 +129,7 @@ impl VarMap {
     /// out of range.
     pub fn var(&self, job: usize, path: usize, slice: usize) -> usize {
         let w = &self.windows[job];
-        assert!(path < self.num_paths[job], "path index out of range");
+        assert!(path < self.paths_of(job), "path index out of range");
         assert!(w.contains(&slice), "slice {slice} outside window {w:?}");
         self.job_offsets[job] + path * w.len() + (slice - w.start)
     }
@@ -120,7 +143,7 @@ impl VarMap {
                 // Offsets of empty jobs collide; take the last job starting here
                 // that has variables.
                 let mut j = j;
-                while self.windows[j].is_empty() || self.num_paths[j] == 0 {
+                while self.windows[j].is_empty() || self.paths_of(j) == 0 {
                     j += 1;
                 }
                 j
@@ -132,6 +155,15 @@ impl VarMap {
         let path = rel / w.len();
         let slice = w.start + rel % w.len();
         (job, path, slice)
+    }
+
+    /// The identity of a variable that holds across instances: its job's
+    /// id, the Yen rank of its path among the job's endpoint pair's paths,
+    /// and its absolute slice. Two instances over the same jobs and path
+    /// cache give a column the same key wherever both have it.
+    pub fn key(&self, var: usize) -> (JobId, usize, usize) {
+        let (job, path, slice) = self.triple(var);
+        (self.ids[job], self.ranks[job][path] as usize, slice)
     }
 
     /// Variable index range of one job.
@@ -158,7 +190,7 @@ impl VarMap {
 
     /// Number of allowed paths of a job.
     pub fn paths_of(&self, job: usize) -> usize {
-        self.num_paths[job]
+        self.ranks[job].len()
     }
 
     /// Iterates `(var, job, path, slice)` over all variables.
@@ -167,7 +199,7 @@ impl VarMap {
             let w = self.windows[job].clone();
             let base = self.job_offsets[job];
             let wl = w.len();
-            (0..self.num_paths[job]).flat_map(move |p| {
+            (0..self.paths_of(job)).flat_map(move |p| {
                 let w = w.clone();
                 w.enumerate()
                     .map(move |(off, slice)| (base + p * wl + off, job, p, slice))
@@ -356,20 +388,19 @@ fn into_starts<'a>(counts: impl Iterator<Item = &'a mut u32>) -> u32 {
 /// A fully-prepared scheduling instance.
 #[derive(Debug, Clone)]
 pub struct Instance {
-    /// The network (owned snapshot).
-    pub graph: Graph,
+    /// The network, shared with every instance built from the same handle.
+    pub graph: Arc<Graph>,
     /// The jobs being scheduled.
     pub jobs: Vec<Job>,
     /// Normalized demand `D_i` per job (wavelength·slices).
     pub demands: Vec<f64>,
-    /// Allowed paths per job.
+    /// Allowed paths per job, the path cache's own; [`VarMap::key`] names
+    /// each by its Yen rank.
     pub paths: Vec<Vec<Path>>,
     /// The time grid covering all windows.
     pub grid: TimeGrid,
     /// Decision-variable enumeration.
     pub vars: VarMap,
-    /// The configuration the instance was built with.
-    pub config: InstanceConfig,
     /// For every (edge, slice) touched by an allowed path: the variables
     /// crossing it.
     pub capacity_groups: CapacityGroups,
@@ -377,54 +408,46 @@ pub struct Instance {
 
 impl Instance {
     /// Builds an instance from a network and jobs. Demands are normalized
-    /// from job sizes with `cfg`; paths come from `pathset`.
+    /// from job sizes with `cfg`; paths come from `pathset`. The network is
+    /// copied once, into the handle the instance shares.
+    ///
+    /// # Panics
+    /// Panics if `cfg.wavelengths` is zero ([`InstanceConfig::demand_units`]).
     pub fn build(graph: &Graph, jobs: &[Job], cfg: &InstanceConfig, pathset: &mut PathSet) -> Self {
         let demands: Vec<f64> = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
-        Self::build_with_demands(graph, jobs, demands, cfg, pathset)
+        Self::assemble(&Arc::new(graph.clone()), jobs, demands, pathset, None)
     }
 
-    /// Builds an instance with explicit normalized demands (used by the
-    /// periodic controller to schedule *remaining* demand of in-flight
-    /// jobs).
-    pub(crate) fn build_with_demands(
-        graph: &Graph,
+    /// Builds an instance on a shared network with explicit normalized
+    /// demands (the controller schedules what in-flight jobs have left).
+    /// Job `i` is allowed the Yen ranks `ranks[i]` of `pathset`'s paths, in
+    /// that order — a column-generation pool's — or, with `None`, all.
+    pub(crate) fn assemble(
+        graph: &Arc<Graph>,
         jobs: &[Job],
         demands: Vec<f64>,
-        cfg: &InstanceConfig,
         pathset: &mut PathSet,
-    ) -> Self {
-        let paths: Vec<Vec<Path>> = jobs
-            .iter()
-            .map(|j| pathset.paths(graph, j.src, j.dst).to_vec())
-            .collect();
-        Self::build_with_paths(graph, jobs, demands, cfg, paths)
-    }
-
-    /// Builds an instance with explicit per-job path lists instead of the
-    /// Yen `PathSet` policy. This is how a converged column-generation
-    /// pool materializes into a standard instance: the restricted master's
-    /// active paths become the allowed paths, and every downstream
-    /// consumer (schedules, LPD/LPDAR discretization, metrics) works
-    /// unchanged.
-    pub(crate) fn build_with_paths(
-        graph: &Graph,
-        jobs: &[Job],
-        demands: Vec<f64>,
-        cfg: &InstanceConfig,
-        paths: Vec<Vec<Path>>,
+        ranks: Option<&[Vec<u32>]>,
     ) -> Self {
         assert_eq!(jobs.len(), demands.len());
-        assert_eq!(jobs.len(), paths.len());
         #[cfg(test)]
         tests::BUILDS.with(|n| n.set(n.get() + 1));
         let grid = TimeGrid::covering(jobs);
 
-        let windows: Vec<Range<usize>> = jobs
+        let mut paths: Vec<Vec<Path>> = Vec::with_capacity(jobs.len());
+        let mut job_ranks = Vec::with_capacity(jobs.len());
+        for (i, j) in jobs.iter().enumerate() {
+            let yen = pathset.paths(graph, j.src, j.dst);
+            let r = ranks.map_or_else(|| (0..yen.len() as u32).collect(), |r| r[i].clone());
+            paths.push(r.iter().map(|&k| yen[k as usize].clone()).collect());
+            job_ranks.push(r);
+        }
+        let ids = jobs.iter().map(|j| j.id).collect();
+        let windows = jobs
             .iter()
             .map(|j| grid.window_slices(j.start, j.end))
             .collect();
-        let num_paths: Vec<usize> = paths.iter().map(|p| p.len()).collect();
-        let vars = VarMap::build(windows, num_paths);
+        let vars = VarMap::build(ids, windows, job_ranks);
 
         // Variables run job by job, path-major then slice: one run of
         // consecutive variables per (job, path), over the job's window.
@@ -438,13 +461,12 @@ impl Instance {
         );
 
         Instance {
-            graph: graph.clone(),
+            graph: Arc::clone(graph),
             jobs: jobs.to_vec(),
             demands,
             paths,
             grid,
             vars,
-            config: cfg.clone(),
             capacity_groups,
         }
     }

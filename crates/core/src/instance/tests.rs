@@ -91,7 +91,7 @@ fn capacity_groups_cover_paths() {
 #[test]
 fn demands_normalized() {
     let inst = small_instance(5);
-    let w = inst.config.wavelengths as f64;
+    let w = 4.0;
     for (i, j) in inst.jobs.iter().enumerate() {
         let gbps = InstanceConfig::LINK_GBPS / w;
         let expect = j.size_gb * 8.0 / (gbps * InstanceConfig::SLICE_SECS);
@@ -176,7 +176,7 @@ fn empty_window_job_is_flagged() {
 /// An `(edge index, slice)` pair.
 type Key = (u32, u32);
 
-/// The capacity groups as `build_with_paths` folded them before the flat
+/// The capacity groups as the instance build folded them before the flat
 /// index: one ordered-map entry per (edge, slice), variables pushed in
 /// variable order.
 fn ordered_map_groups(inst: &Instance) -> BTreeMap<Key, Vec<u32>> {
@@ -311,13 +311,15 @@ fn oracle_cases() -> Vec<(&'static str, Instance)> {
 
     // One job of three has no allowed path.
     let jobs = generate(&abilene, 3, 2);
-    let mut paths: Vec<Vec<Path>> = jobs
-        .iter()
-        .map(|j| PathSet::new(2).paths(&abilene, j.src, j.dst).to_vec())
-        .collect();
-    paths[1].clear();
+    let ranks = [vec![0, 1], Vec::new(), vec![0, 1]];
     let demands = jobs.iter().map(|j| cfg.demand_units(j.size_gb)).collect();
-    let no_path = Instance::build_with_paths(&abilene, &jobs, demands, &cfg, paths);
+    let no_path = Instance::assemble(
+        &Arc::new(abilene.clone()),
+        &jobs,
+        demands,
+        &mut PathSet::new(2),
+        Some(&ranks),
+    );
     assert!(no_path.has_unschedulable_job());
 
     // One job of four has a window too short to hold a slice.

@@ -15,7 +15,7 @@ use crate::stage1::{open_stage1, Stage1Result};
 use crate::stage2::solve_stage2_on;
 use std::time::{Duration, Instant};
 use wavesched_lp::{SolveError, SolveStats};
-use wavesched_net::Graph;
+use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
 use wavesched_workload::Job;
 
@@ -175,16 +175,18 @@ fn discretize(
 /// count — on which LPD/LPDAR run unchanged.
 ///
 /// Returns the pipeline result, the materialized instance (callers need it
-/// for schedule metrics), and the column-generation work counters.
+/// for schedule metrics), and the column-generation work counters. No paths
+/// or no wavelengths in `icfg` is an [`SolveError::InvalidModel`].
 pub fn max_throughput_pipeline_colgen(
     graph: &Graph,
     jobs: &[Job],
     icfg: &InstanceConfig,
     alpha: f64,
 ) -> Result<(PipelineResult, Instance, CgStats), SolveError> {
+    icfg.check()?;
     if jobs.is_empty() {
         // Nothing to price: the monolithic pipeline's answer over no jobs.
-        let inst = Instance::build_with_paths(graph, &[], Vec::new(), icfg, Vec::new());
+        let inst = Instance::build(graph, &[], icfg, &mut PathSet::new(icfg.paths_per_job));
         let r = max_throughput_pipeline(&inst, alpha)?;
         return Ok((r, inst, CgStats::default()));
     }
@@ -196,7 +198,7 @@ pub fn max_throughput_pipeline_colgen(
     let t0 = Instant::now();
 
     let demands: Vec<f64> = jobs.iter().map(|j| icfg.demand_units(j.size_gb)).collect();
-    let mut master = CgMaster::build(graph, jobs, demands, icfg)?;
+    let mut master = CgMaster::build(graph, jobs, demands.clone(), icfg)?;
 
     let z_star = {
         let _s = obs::span("stage1");
@@ -210,10 +212,10 @@ pub fn max_throughput_pipeline_colgen(
     // attractive.
     let sol = {
         let _s = obs::span("stage2");
-        master.solve_form(Form::stage2(master.demands(), z_star, alpha))?
+        master.solve_form(Form::stage2(&demands, z_star, alpha))?
     };
 
-    let inst = master.materialize();
+    let inst = master.materialize(jobs);
     let lp = Schedule::from_values(&inst, master.values_on(&inst, &sol.x));
     let r = discretize(&inst, t0, z_star, stage1_time, lp, master.session_stats());
     Ok((r, inst, master.stats()))
@@ -223,7 +225,7 @@ pub fn max_throughput_pipeline_colgen(
 mod tests {
     use super::*;
     use crate::instance::InstanceConfig;
-    use wavesched_net::{abilene14, PathSet};
+    use wavesched_net::abilene14;
     use wavesched_workload::{WorkloadConfig, WorkloadGenerator};
 
     fn abilene_instance(n_jobs: usize, w: u32, seed: u64) -> Instance {
@@ -285,6 +287,34 @@ mod tests {
         assert_eq!(r.lp_throughput, 0.0);
         assert_eq!(r.lpd_normalized(), 1.0);
         assert_eq!(r.lpdar_normalized(), 1.0);
+    }
+
+    /// No paths or no wavelengths is an error from the column-generated
+    /// pipeline, with jobs or without, never the panic of the path cache
+    /// or of the demand normalization.
+    #[test]
+    fn colgen_pipeline_refuses_a_config_without_paths_or_wavelengths() {
+        let (g, _) = abilene14(2);
+        let jobs = WorkloadGenerator::new(WorkloadConfig {
+            num_jobs: 3,
+            seed: 21,
+            ..Default::default()
+        })
+        .generate(&g);
+        let no_paths = InstanceConfig {
+            paths_per_job: 0,
+            ..InstanceConfig::paper(2)
+        };
+        for cfg in [no_paths, InstanceConfig::paper(0)] {
+            for jobs in [&jobs[..], &[]] {
+                let out = max_throughput_pipeline_colgen(&g, jobs, &cfg, 0.1).map(drop);
+                assert!(
+                    matches!(out, Err(SolveError::InvalidModel(_))),
+                    "{cfg:?}, {} jobs: {out:?}",
+                    jobs.len()
+                );
+            }
+        }
     }
 
     #[test]

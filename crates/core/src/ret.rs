@@ -19,6 +19,7 @@ use crate::lpdar::{adjust_rates_capped, truncate, AdjustOrder};
 use crate::schedule::Schedule;
 use crate::timegrid::TimeGrid;
 use std::ops::Range;
+use std::sync::Arc;
 use wavesched_lp::{
     solve, Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats, SolverSession,
     Status,
@@ -388,10 +389,9 @@ impl EnvelopeLp {
 /// a function of `b̂` alone. Only an extension past `b_max`, possible on the
 /// final step, exceeds the envelope and drops to a one-off cold build.
 struct EnvelopeBackend<'a> {
-    graph: &'a Graph,
+    graph: &'a Arc<Graph>,
     jobs: &'a [Job],
     demands: &'a [f64],
-    inst_cfg: &'a InstanceConfig,
     cfg: &'a RetConfig,
     origin: f64,
     pathset: &'a mut PathSet,
@@ -417,10 +417,9 @@ struct EnvelopeBackend<'a> {
 
 impl<'a> EnvelopeBackend<'a> {
     fn new(
-        graph: &'a Graph,
+        graph: &'a Arc<Graph>,
         jobs: &'a [Job],
         demands: &'a [f64],
-        inst_cfg: &'a InstanceConfig,
         cfg: &'a RetConfig,
         origin: f64,
         pathset: &'a mut PathSet,
@@ -429,7 +428,6 @@ impl<'a> EnvelopeBackend<'a> {
             graph,
             jobs,
             demands,
-            inst_cfg,
             cfg,
             origin,
             pathset,
@@ -452,7 +450,7 @@ impl<'a> EnvelopeBackend<'a> {
             .map(|j| j.with_extended_end(b, self.origin))
             .collect();
         let demands = self.demands.to_vec();
-        Instance::build_with_demands(self.graph, &ext, demands, self.inst_cfg, self.pathset)
+        Instance::assemble(self.graph, &ext, demands, self.pathset, None)
     }
 
     /// The memo's answer at `b`, else the probe LP's, which the memo keeps.
@@ -635,7 +633,7 @@ impl RetBackend for CgBackend<'_> {
             .iter()
             .map(|j| j.with_extended_end(b, self.origin))
             .collect();
-        let inst = self.master.materialize_for(&ext);
+        let inst = self.master.materialize(&ext);
         let x = self.master.values_on(&inst, &sol.x);
         Ok(Some((inst, x)))
     }
@@ -651,20 +649,22 @@ impl RetBackend for CgBackend<'_> {
 
 /// Solves the RET problem with Algorithm 2.
 ///
-/// Returns `Ok(None)` when even `b_max` cannot complete all jobs (e.g. a
-/// job with no usable path), `Err` on an empty job set or solver breakdown.
+/// Returns `Ok(None)` when even `b_max` cannot complete all jobs (e.g. a job
+/// with no usable path), `Err` on malformed input or solver breakdown.
 pub fn solve_ret(
     graph: &Graph,
     jobs: &[Job],
     inst_cfg: &InstanceConfig,
     cfg: &RetConfig,
 ) -> Result<Option<RetResult>, SolveError> {
+    inst_cfg.check()?;
     let demands: Vec<f64> = jobs
         .iter()
         .map(|j| inst_cfg.demand_units(j.size_gb))
         .collect();
     let mut pathset = PathSet::new(inst_cfg.paths_per_job);
-    solve_ret_with_demands(graph, jobs, &demands, inst_cfg, cfg, 0.0, &mut pathset)
+    let graph = Arc::new(graph.clone());
+    solve_ret_with_demands(&graph, jobs, &demands, cfg, 0.0, &mut pathset)
 }
 
 /// [`solve_ret`] with explicit normalized demands, measured from the
@@ -675,13 +675,12 @@ pub fn solve_ret(
 /// clock; no job may start before `origin`, and every demand must be
 /// finite and at least 0 (a NaN, infinite or negative one is a
 /// [`SolveError::InvalidModel`]). Paths come from the caller's
-/// `pathset` (`inst_cfg.paths_per_job` per endpoint pair), so a controller
-/// pays Yen once per pair, not once per overloaded period.
+/// `pathset`, so a controller pays Yen once per pair, not once per
+/// overloaded period.
 pub fn solve_ret_with_demands(
-    graph: &Graph,
+    graph: &Arc<Graph>,
     jobs: &[Job],
     demands: &[f64],
-    inst_cfg: &InstanceConfig,
     cfg: &RetConfig,
     origin: f64,
     pathset: &mut PathSet,
@@ -705,7 +704,7 @@ pub fn solve_ret_with_demands(
     }
     let out = algorithm2(jobs, cfg, || {
         Ok(EnvelopeBackend::new(
-            graph, jobs, demands, inst_cfg, cfg, origin, pathset,
+            graph, jobs, demands, cfg, origin, pathset,
         ))
     })?;
     Ok(out.map(|(result, _)| result))
@@ -730,6 +729,7 @@ pub fn solve_ret_colgen(
     cfg: &RetConfig,
     _cg: &ColGenConfig,
 ) -> Result<Option<(RetResult, CgStats)>, SolveError> {
+    inst_cfg.check()?;
     let origin = 0.0;
     let out = algorithm2(jobs, cfg, || {
         let demands = jobs
@@ -756,7 +756,7 @@ mod tests {
     use wavesched_net::abilene14;
     use wavesched_workload::{JobId, WorkloadConfig, WorkloadGenerator};
 
-    fn overloaded_jobs(n: usize, seed: u64) -> (Graph, Vec<Job>) {
+    fn overloaded_jobs(n: usize, seed: u64) -> (Arc<Graph>, Vec<Job>) {
         let (g, _) = abilene14(2);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: n,
@@ -766,7 +766,7 @@ mod tests {
             ..Default::default()
         })
         .generate(&g);
-        (g, jobs)
+        (Arc::new(g), jobs)
     }
 
     #[test]
@@ -904,10 +904,10 @@ mod tests {
             .iter()
             .map(|j| inst_cfg.demand_units(j.size_gb))
             .collect();
-        let mut ps = PathSet::new(inst_cfg.paths_per_job);
+        let (g, mut ps) = (Arc::new(g.clone()), PathSet::new(inst_cfg.paths_per_job));
         let out = algorithm2(jobs, cfg, || {
             Ok(Oracle {
-                inner: EnvelopeBackend::new(g, jobs, &demands, &inst_cfg, cfg, 0.0, &mut ps),
+                inner: EnvelopeBackend::new(&g, jobs, &demands, cfg, 0.0, &mut ps),
                 audit: Audit::default(),
             })
         })
@@ -1019,7 +1019,7 @@ mod tests {
     /// fractional SUB-RET is infeasible at `b = 0` and the bisection
     /// actually runs (the lighter `overloaded_jobs` workloads are already
     /// LP-feasible unextended).
-    fn bisecting_jobs(n: usize, seed: u64) -> (Graph, Vec<Job>) {
+    fn bisecting_jobs(n: usize, seed: u64) -> (Arc<Graph>, Vec<Job>) {
         let (g, _) = abilene14(2);
         let jobs = WorkloadGenerator::new(WorkloadConfig {
             num_jobs: n,
@@ -1029,7 +1029,7 @@ mod tests {
             ..Default::default()
         })
         .generate(&g);
-        (g, jobs)
+        (Arc::new(g), jobs)
     }
 
     /// The RET knobs the Fig. 4 bench uses for that workload shape.
@@ -1091,7 +1091,7 @@ mod tests {
 
         let mut ps = PathSet::new(cfg.paths_per_job);
         let mut solve = || {
-            solve_ret_with_demands(&g, &jobs, &demands, &cfg, &bisecting_cfg(), 0.0, &mut ps)
+            solve_ret_with_demands(&g, &jobs, &demands, &bisecting_cfg(), 0.0, &mut ps)
                 .unwrap()
                 .expect("feasible")
         };
@@ -1111,24 +1111,41 @@ mod tests {
             ColGenConfig::default(),
         );
         let mut ps = PathSet::new(cfg.paths_per_job);
+        let no_paths = InstanceConfig {
+            paths_per_job: 0,
+            ..cfg.clone()
+        };
+        let no_wavelengths = InstanceConfig::paper(0);
         let cases = [
             ("no jobs", solve_ret(&g, &[], &cfg, &ret).map(drop)),
+            ("no paths", solve_ret(&g, &jobs, &no_paths, &ret).map(drop)),
+            (
+                "no wavelengths",
+                solve_ret(&g, &jobs, &no_wavelengths, &ret).map(drop),
+            ),
+            (
+                "no paths, colgen",
+                solve_ret_colgen(&g, &jobs, &no_paths, &ret, &cg).map(drop),
+            ),
+            (
+                "no wavelengths, colgen",
+                solve_ret_colgen(&g, &jobs, &no_wavelengths, &ret, &cg).map(drop),
+            ),
             (
                 "no jobs, explicit demands",
-                solve_ret_with_demands(&g, &[], &[], &cfg, &ret, 0.0, &mut ps).map(drop),
+                solve_ret_with_demands(&g, &[], &[], &ret, 0.0, &mut ps).map(drop),
             ),
             (
                 "2 jobs but 1 demand",
-                solve_ret_with_demands(&g, &jobs, &[1.0], &cfg, &ret, 0.0, &mut ps).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0], &ret, 0.0, &mut ps).map(drop),
             ),
             (
                 "origin after a job's start",
-                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, 1e9, &mut ps).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &ret, 1e9, &mut ps).map(drop),
             ),
             (
                 "NaN origin",
-                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &cfg, &ret, f64::NAN, &mut ps)
-                    .map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0, 1.0], &ret, f64::NAN, &mut ps).map(drop),
             ),
             (
                 "no jobs, colgen",
@@ -1136,17 +1153,16 @@ mod tests {
             ),
             (
                 "NaN demand",
-                solve_ret_with_demands(&g, &jobs, &[1.0, f64::NAN], &cfg, &ret, 0.0, &mut ps)
-                    .map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0, f64::NAN], &ret, 0.0, &mut ps).map(drop),
             ),
             (
                 "infinite demand",
-                solve_ret_with_demands(&g, &jobs, &[f64::INFINITY, 1.0], &cfg, &ret, 0.0, &mut ps)
+                solve_ret_with_demands(&g, &jobs, &[f64::INFINITY, 1.0], &ret, 0.0, &mut ps)
                     .map(drop),
             ),
             (
                 "negative demand",
-                solve_ret_with_demands(&g, &jobs, &[1.0, -1.0], &cfg, &ret, 0.0, &mut ps).map(drop),
+                solve_ret_with_demands(&g, &jobs, &[1.0, -1.0], &ret, 0.0, &mut ps).map(drop),
             ),
         ];
         for (name, out) in cases {
@@ -1195,17 +1211,9 @@ mod tests {
         let (g, jobs) = overloaded_jobs(2, 2);
         let cfg = InstanceConfig::paper(2);
         let mut ps = PathSet::new(cfg.paths_per_job);
-        let r = solve_ret_with_demands(
-            &g,
-            &jobs,
-            &[0.0, 1.0],
-            &cfg,
-            &RetConfig::default(),
-            0.0,
-            &mut ps,
-        )
-        .unwrap()
-        .expect("feasible");
+        let r = solve_ret_with_demands(&g, &jobs, &[0.0, 1.0], &RetConfig::default(), 0.0, &mut ps)
+            .unwrap()
+            .expect("feasible");
         assert_eq!(r.instance.demands, [0.0, 1.0]);
         assert_eq!(r.lpdar_fraction_finished(), 1.0);
     }

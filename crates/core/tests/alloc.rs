@@ -13,15 +13,18 @@
 //! overloaded closed-loop workload in an era starting at `now = 0` and an
 //! era starting at `now = 100 000`, and compares the eras invocation by
 //! invocation. The same shim holds RET to its caller's path cache: a second
-//! call over the same endpoint pairs computes no path; and it holds an
+//! call over the same endpoint pairs computes no path; it holds an
 //! instance's capacity index to O(crossings) bytes in a fixed number of
-//! allocations, whatever the horizon.
+//! allocations, whatever the horizon; and it holds a controller period
+//! below the bytes of one copy of the network its instance is built on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use wavesched_core::controller::{Controller, ControllerConfig, OverloadPolicy};
 use wavesched_core::instance::{Instance, InstanceConfig};
+use wavesched_core::pipeline::max_throughput_pipeline;
 use wavesched_core::ret::{solve_ret_with_demands, RetConfig};
 use wavesched_net::{abilene14, waxman_network, PathSet, WaxmanConfig};
 use wavesched_workload::{Job, JobId, WorkloadConfig, WorkloadGenerator};
@@ -184,7 +187,7 @@ fn invocation_is_independent_of_clock_under_every_policy() {
 /// test's 64 KB: Yen over a dozen Abilene pairs is some 5 KB.)
 #[test]
 fn ret_on_a_warm_path_cache_computes_no_path() {
-    let (g, _) = abilene14(2);
+    let g = Arc::new(abilene14(2).0);
     let jobs = WorkloadGenerator::new(WorkloadConfig {
         num_jobs: 12,
         seed: 3000,
@@ -206,7 +209,7 @@ fn ret_on_a_warm_path_cache_computes_no_path() {
     let mut cache = PathSet::new(icfg.paths_per_job);
     let mut run = || {
         let (res, bytes) =
-            counted(|| solve_ret_with_demands(&g, &jobs, &demands, &icfg, &cfg, 0.0, &mut cache));
+            counted(|| solve_ret_with_demands(&g, &jobs, &demands, &cfg, 0.0, &mut cache));
         let b_final = res.expect("RET must solve").expect("feasible").b_final;
         (b_final, bytes)
     };
@@ -290,5 +293,57 @@ fn capacity_index_is_linear_in_crossings() {
     assert_eq!(
         short_calls, calls,
         "allocation calls grew with the number of groups"
+    );
+}
+
+/// A controller period builds its instance on the controller's network,
+/// not on a copy. On the 1 000-node Waxman network, one invocation over two
+/// carried jobs is an instance build over warm paths plus the pipeline on
+/// it (Stage 1, Stage 2, LPD, LPDAR); the same pipeline run on its own, on
+/// an instance built outside the controller, counts the second part. What
+/// the period allocates beyond it — the build and the controller's
+/// bookkeeping — stays below one clone of the network. A build that copied
+/// the network would be over by itself.
+#[test]
+fn a_controller_period_does_not_copy_the_network() {
+    let g = waxman_network(&WaxmanConfig {
+        nodes: 1000,
+        link_pairs: 2000,
+        wavelengths: 2,
+        alpha: 0.15,
+        seed: 42,
+    });
+    let nodes: Vec<_> = g.nodes().collect();
+    let (copy, network) = counted(|| g.clone());
+    let cfg = ControllerConfig::paper(2);
+    let mut c = Controller::new(g, cfg.clone());
+    let jobs: Vec<Job> = (0..2)
+        .map(|i| {
+            Job::new(
+                JobId(i),
+                0.0,
+                nodes[i as usize],
+                nodes[999],
+                300.0,
+                0.0,
+                3.0,
+            )
+        })
+        .collect();
+    // The first period computes the two pairs' paths.
+    c.invoke(0.0, &jobs).expect("invocation must solve");
+    let (res, period) = counted(|| c.invoke(1.0, &[]));
+    let res = res.expect("invocation must solve");
+    assert_eq!(res.instance.num_jobs(), 2, "both jobs carry over");
+
+    let mut paths = PathSet::new(cfg.instance.paths_per_job);
+    let inst = Instance::build(&copy, &res.instance.jobs, &cfg.instance, &mut paths);
+    let (alone, pipeline) = counted(|| max_throughput_pipeline(&inst, cfg.alpha));
+    assert_eq!(alone.expect("pipeline must solve").lpdar, res.schedule);
+    let rest = period - pipeline;
+    assert!(
+        rest < network,
+        "a period allocated {rest} B beyond its {pipeline} B pipeline; \
+         one copy of the network is {network} B"
     );
 }

@@ -119,7 +119,7 @@ pub fn shortest_path_filtered(
         cur = g.src(e);
     }
     edges.reverse();
-    Some(Path::from_edges_unchecked(edges))
+    Some(Path::from_edges_unchecked(&edges))
 }
 
 /// Dijkstra under an arbitrary non-negative per-link weight closure,
@@ -194,7 +194,7 @@ pub fn shortest_path_weighted(
         cur = g.src(e);
     }
     edges.reverse();
-    Some((dist[dst.index()], Path::from_edges_unchecked(edges)))
+    Some((dist[dst.index()], Path::from_edges_unchecked(&edges)))
 }
 
 #[cfg(test)]

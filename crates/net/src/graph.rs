@@ -1,6 +1,7 @@
 //! Directed graphs with wavelength-capacitated links, and simple paths.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to a node of a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -192,10 +193,11 @@ impl Graph {
     }
 }
 
-/// A simple (loop-free) directed path through a [`Graph`].
+/// A simple (loop-free) directed path through a [`Graph`]. Clones share
+/// one edge list: an instance allowing a path holds its path search's own.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
-    edges: Vec<EdgeId>,
+    edges: Arc<[EdgeId]>,
 }
 
 impl Path {
@@ -219,12 +221,13 @@ impl Path {
             assert!(!seen_nodes.contains(&d), "path revisits node {d}");
             seen_nodes.push(d);
         }
-        Path { edges }
+        Self::from_edges_unchecked(&edges)
     }
 
     /// Builds a path without validation (for internal use by search
     /// algorithms that guarantee the invariants).
-    pub(crate) fn from_edges_unchecked(edges: Vec<EdgeId>) -> Self {
+    pub(crate) fn from_edges_unchecked(edges: &[EdgeId]) -> Self {
+        let edges = edges.into();
         Path { edges }
     }
 
@@ -264,7 +267,7 @@ impl Path {
     pub fn nodes(&self, g: &Graph) -> Vec<NodeId> {
         let mut v = Vec::with_capacity(self.edges.len() + 1);
         v.push(self.source(g));
-        for &e in &self.edges {
+        for &e in self.edges() {
             v.push(g.dst(e));
         }
         v

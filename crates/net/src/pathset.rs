@@ -36,11 +36,6 @@ impl PathSet {
         }
     }
 
-    /// The configured number of paths per pair.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Returns the allowed paths for `(src, dst)`, computing and caching
     /// them on first use. Empty when `dst` is unreachable from `src`.
     pub fn paths(&mut self, g: &Graph, src: NodeId, dst: NodeId) -> &[Path] {

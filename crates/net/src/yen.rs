@@ -314,7 +314,7 @@ pub(crate) fn k_shortest_paths_in(
     if ws.rdist[src.index()] == UNREACHED || !ws.spur(g, src, dst) {
         return Vec::new();
     }
-    let mut accepted = vec![Path::from_edges_unchecked(ws.edges.clone())];
+    let mut accepted = vec![Path::from_edges_unchecked(&ws.edges)];
     // Candidate pool; together with `accepted` it holds every path
     // generated so far, which is what deduplicates new ones.
     let mut candidates: Vec<Candidate> = Vec::new();
@@ -352,7 +352,7 @@ pub(crate) fn k_shortest_paths_in(
                 if !known {
                     candidates.push(Candidate {
                         dev: i,
-                        path: Path::from_edges_unchecked(ws.edges.clone()),
+                        path: Path::from_edges_unchecked(&ws.edges),
                     });
                 }
             }

@@ -199,16 +199,7 @@ pub(crate) fn run_event_loop(
             "controller period tau must be positive".into(),
         ));
     }
-    if cfg.controller.instance.paths_per_job == 0 {
-        return Err(SolveError::InvalidModel(
-            "paths_per_job must be positive".into(),
-        ));
-    }
-    if cfg.controller.instance.wavelengths == 0 {
-        return Err(SolveError::InvalidModel(
-            "wavelengths must be positive".into(),
-        ));
-    }
+    cfg.controller.instance.check()?;
     let mut controller = Controller::new(graph.clone(), cfg.controller.clone());
     let mut it = jobs.into_iter().peekable();
 
