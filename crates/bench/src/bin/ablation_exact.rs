@@ -24,21 +24,14 @@ fn stage2_milp(inst: &Instance, fairness: Option<(f64, f64)>) -> Problem {
     let total = inst.total_demand();
     let mut p = Problem::new(Objective::Maximize);
     let mut cols = Vec::new();
-    for (_, job, path, slice) in inst.vars.iter() {
+    for (_, job, path, _) in inst.vars.iter() {
         let bn = inst.paths[job][path].bottleneck_wavelengths(&inst.graph) as f64;
-        let c = p.add_int_col(0.0, bn, inst.grid.len_of(slice) / total);
+        let c = p.add_int_col(0.0, bn, 1.0 / total);
         cols.push(c);
     }
     if let Some((z_star, alpha)) = fairness {
         for i in 0..inst.num_jobs() {
-            let coeffs: Vec<_> = inst
-                .vars
-                .job_range(i)
-                .map(|v| {
-                    let (_, _, s) = inst.vars.triple(v);
-                    (cols[v], inst.grid.len_of(s))
-                })
-                .collect();
+            let coeffs: Vec<_> = inst.vars.job_range(i).map(|v| (cols[v], 1.0)).collect();
             p.add_row(
                 (1.0 - alpha) * z_star * inst.demands[i],
                 f64::INFINITY,

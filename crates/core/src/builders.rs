@@ -24,7 +24,7 @@ use wavesched_obs as obs;
 /// | form          | `Z` cost | `Z` bounds   | job-row upper | `(job i, slice j)` column cost |
 /// |---------------|----------|--------------|---------------|--------------------------------|
 /// | `Stage1`      | 1        | `[0, ∞)`     | 0             | 0                              |
-/// | `Stage2`      | 0        | `[floor, ∞)` | ∞             | `scale · LEN(j)`               |
+/// | `Stage2`      | 0        | `[floor, ∞)` | ∞             | `scale`                        |
 /// | `Probe`       | 1        | `[0, 1]`     | ∞             | 0                              |
 /// | `QuickFinish` | 0        | `[1, 1]`     | ∞             | `−(j + 1)`                     |
 ///
@@ -88,11 +88,11 @@ impl Form {
     }
 
     /// The objective coefficient of a column in `slice`, whichever job
-    /// it serves; `len` is `LEN(slice)`.
-    pub(crate) fn cost_of(&self, slice: usize, len: f64) -> f64 {
+    /// it serves.
+    pub(crate) fn cost_of(&self, slice: usize) -> f64 {
         match self {
             Form::Stage1 | Form::Probe => 0.0,
-            Form::Stage2 { scale, .. } => scale * len,
+            Form::Stage2 { scale, .. } => *scale,
             Form::QuickFinish => -((slice + 1) as f64),
         }
     }
@@ -151,8 +151,7 @@ impl HeldLp {
             session.set_row_bounds(Row::from_index(job), 0.0, row_hi);
         }
         for (var, _, _, slice) in inst.vars.iter() {
-            let cost = form.cost_of(slice, inst.grid.len_of(slice));
-            session.set_cost(Col::from_index(var), cost);
+            session.set_cost(Col::from_index(var), form.cost_of(slice));
         }
     }
 
@@ -212,7 +211,7 @@ pub fn build_stage1_problem(inst: &Instance) -> Problem {
     add_assignment_cols(&mut p, inst, &mut cols);
     let z = p.add_col(0.0, f64::INFINITY, 1.0); // maximize Z
 
-    // Eq. 2: sum_{p,j} x·LEN = Z · D_i for every job.
+    // Eq. 2: sum_{p,j} x·LEN(j) = Z · D_i for every job, with LEN(j) = 1.
     for i in 0..inst.num_jobs() {
         job_volume_coeffs(inst, &cols, i, &mut coeffs);
         coeffs.push((z, -inst.demands[i]));
@@ -258,7 +257,7 @@ pub(crate) fn add_capacity_rows(
 }
 
 /// Fills `out` (cleared first) with the coefficients of
-/// `sum_{p,j} x_i(p,j) * LEN(j)` for one job.
+/// `sum_{p,j} x_i(p,j)` for one job: the volume, every slice being a unit.
 pub(crate) fn job_volume_coeffs(
     inst: &Instance,
     cols: &[Col],
@@ -266,11 +265,7 @@ pub(crate) fn job_volume_coeffs(
     out: &mut Vec<(Col, f64)>,
 ) {
     out.clear();
-    out.extend(
-        inst.vars
-            .job_vars(job)
-            .map(|(var, slice)| (cols[var], inst.grid.len_of(slice))),
-    );
+    out.extend(inst.vars.job_vars(job).map(|(var, _)| (cols[var], 1.0)));
 }
 
 #[cfg(test)]
@@ -298,9 +293,9 @@ mod tests {
         let (mut cols, mut coeffs) = (Vec::new(), Vec::new());
         add_assignment_cols(&mut p, inst, &mut cols);
         let z = p.add_col((1.0 - alpha) * z_star, f64::INFINITY, 0.0);
-        for (var, job, _, slice) in inst.vars.iter() {
+        for (var, job, _, _) in inst.vars.iter() {
             let scale = weight(job) / inst.demands[job];
-            p.set_cost(cols[var], scale * inst.grid.len_of(slice) / total_weight);
+            p.set_cost(cols[var], scale / total_weight);
         }
         for i in 0..inst.num_jobs() {
             job_volume_coeffs(inst, &cols, i, &mut coeffs);

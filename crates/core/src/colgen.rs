@@ -13,7 +13,8 @@
 //! 3. price each job's out-of-pool Yen k-shortest paths against the
 //!    optimal duals: a path column for `(job i, slice j)` improves the
 //!    master iff its reduced cost is positive, i.e. iff its dual load
-//!    `Σ_{e∈p} μ_{e,j}` is below the budget `c_ij − λ_i·LEN(j) − tol`,
+//!    `Σ_{e∈p} μ_{e,j}` is below the budget `c_ij − λ_i − tol` (a column's
+//!    job-row coefficient is `LEN(j) = 1`),
 //! 4. repeat until no job has an improving out-of-pool path.
 //!
 //! The path universe is the paper's: each job's `paths_per_job` Yen paths,
@@ -107,10 +108,11 @@ struct PoolCol {
 /// The restricted master's active `(job, path, slice)` columns.
 ///
 /// Paths are append-only per job and columns are append-only globally, so
-/// variable indices are **stable across rounds**: a basis extracted after
-/// round `r` still addresses the same columns in round `r + 1` (with new
-/// columns appended at the end), which is what keeps Stage-2 / RET /
-/// controller warm starts working under column generation.
+/// variable indices are **stable across rounds**: the master session's
+/// basis after round `r` still addresses the same columns in round `r + 1`
+/// (with new columns appended at the end), which is what lets every
+/// pricing round, and every form the master is re-aimed at (Stage 2, RET's
+/// probes and Quick-Finish), re-solve warm on the one session.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnPool {
     /// The Yen ranks of each job's active paths, in pool order.
@@ -286,7 +288,7 @@ impl CgMaster {
         for (i, demand) in demands.iter().enumerate() {
             let mut coeffs: Vec<(Col, f64)> = Vec::new();
             while k < pool.cols.len() && pool.cols[k].job as usize == i {
-                coeffs.push((lp_cols[k], grid.len_of(pool.cols[k].slice as usize)));
+                coeffs.push((lp_cols[k], 1.0));
                 k += 1;
             }
             coeffs.push((z, -demand));
@@ -376,7 +378,7 @@ impl CgMaster {
 
     /// The current form's objective coefficient of a column in `slice`.
     fn cost_of(&self, slice: usize) -> f64 {
-        self.form.cost_of(slice, self.grid.len_of(slice))
+        self.form.cost_of(slice)
     }
 
     /// Restricts each job to `windows[i]` (clipped to the envelope):
@@ -473,7 +475,7 @@ impl CgMaster {
                 let lambda = sol.duals[self.job_rows[i].index()];
                 self.active[i]
                     .clone()
-                    .map(|j| self.cost_of(j) - lambda * self.grid.len_of(j) - TOLERANCE)
+                    .map(|j| self.cost_of(j) - lambda - TOLERANCE)
                     .collect()
             })
             .collect();
@@ -597,7 +599,7 @@ impl CgMaster {
         let mut new_cols = Vec::new();
         for (job, path_idx, path) in admitted {
             for j in self.windows[job].clone() {
-                let mut entries: Vec<(Row, f64)> = vec![(self.job_rows[job], self.grid.len_of(j))];
+                let mut entries: Vec<(Row, f64)> = vec![(self.job_rows[job], 1.0)];
                 for &e in path.edges() {
                     #[expect(
                         clippy::expect_used,

@@ -183,6 +183,13 @@ impl Controller {
     /// Runs one AC/scheduling invocation at time `now` (a slice boundary,
     /// multiple of τ), with the requests that arrived since the previous
     /// invocation.
+    ///
+    /// Job ids must be unique among the jobs the controller holds at once —
+    /// those still active after this invocation retires the finished and
+    /// expired ones, and `new_requests` — because
+    /// [`record_transfer`](Self::record_transfer) finds a job by its id. A
+    /// request that repeats such an id is a [`SolveError::InvalidModel`]
+    /// naming it.
     pub fn invoke(
         &mut self,
         now: f64,
@@ -190,15 +197,28 @@ impl Controller {
     ) -> Result<InvocationResult, SolveError> {
         let _span = obs::span("invoke");
         obs::counter_add("controller.invocations", 1);
-        // Retire completed jobs; expire jobs with less than a full slice of
-        // window left (they can receive nothing more).
+        // A job with less than a full slice of window left can receive
+        // nothing more. Ids are checked before anything is retired, so the
+        // error leaves the controller as it was.
+        let expires = |a: &ActiveJob| a.job.end < now + 1.0;
+        let survivors = self.active.iter().filter(|a| !a.is_done() && !expires(a));
+        let mut held: Vec<JobId> = survivors.map(|a| a.job.id).collect();
+        held.extend(new_requests.iter().map(|j| j.id));
+        held.sort_unstable();
+        if let Some(dup) = held.windows(2).find(|w| w[0] == w[1]) {
+            return Err(SolveError::InvalidModel(format!(
+                "job id {} is held twice: ids must be unique among active jobs and requests",
+                dup[0].0
+            )));
+        }
+        // Retire completed jobs and expire the rest of the elapsed ones.
         let (mut finished, mut expired) = (Vec::new(), Vec::new());
         self.active.retain(|a| {
             if a.is_done() {
                 finished.push(a.job.id);
                 return false;
             }
-            if a.job.end < now + 1.0 {
+            if expires(a) {
                 expired.push(a.job.id);
                 return false;
             }
@@ -429,6 +449,29 @@ mod tests {
         // The other job's ledger is untouched.
         let full = c.cfg.instance.demand_units(js[1].size_gb);
         assert_eq!(c.active()[1].remaining, full);
+    }
+
+    #[test]
+    fn an_id_held_twice_is_an_invalid_model_and_a_retired_id_is_free() {
+        let mut g = Graph::new();
+        let ns = g.add_nodes(2);
+        g.add_link_pair(ns[0], ns[1], 1);
+        let mut c = Controller::new(g, ControllerConfig::paper(1));
+        let job = |id| Job::new(JobId(id), 0.0, ns[0], ns[1], 300.0, 0.0, 2.0);
+        let twice = |r: Result<InvocationResult, SolveError>| match r {
+            Err(SolveError::InvalidModel(m)) => m.contains("id 7"),
+            _ => false,
+        };
+        assert!(twice(c.invoke(0.0, &[job(7), job(7)])));
+        c.invoke(0.0, &[job(7)]).unwrap();
+        // Held across a period, the id is still taken.
+        assert!(twice(c.invoke(1.0, &[job(7)])));
+        // A refused batch retires nothing, not even the job it would expire.
+        assert!(c.invoke(2.0, &[job(8), job(8)]).is_err());
+        assert_eq!(c.active().len(), 1);
+        // Expired at 2.0, its id is free again.
+        let r = c.invoke(2.0, &[job(7)]).unwrap();
+        assert_eq!((r.expired, r.admitted), (vec![JobId(7)], vec![JobId(7)]));
     }
 
     #[test]

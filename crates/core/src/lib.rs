@@ -4,7 +4,7 @@
 //! Ranka, Xia — "Slotted Wavelength Scheduling for Bulk Transfers in
 //! Research Networks"* (ICPP 2009):
 //!
-//! * [`timegrid`] — time slices, the slice-index map `I(·)` and `LEN(j)`.
+//! * [`timegrid`] — unit time slices and the slice-index map `I(·)`.
 //! * [`instance`] — a scheduling instance: network + jobs + allowed paths +
 //!   normalized demands, with the `(job, path, slice)` variable enumeration
 //!   shared by every formulation.

@@ -107,7 +107,6 @@ fn adjust_impl(inst: &Instance, base: &Schedule, order: AdjustOrder, capped: boo
         debug_assert!(rb.iter().all(|&v| v >= 0), "over-capacity input schedule");
 
         // Greedy fill in the configured order (paper eqs. 11–13).
-        let len = inst.grid.len_of(slice);
         for &job in &job_order {
             if capped && deficit[job] <= 1e-9 {
                 continue;
@@ -124,11 +123,11 @@ fn adjust_impl(inst: &Instance, base: &Schedule, order: AdjustOrder, capped: boo
                     .min()
                     .unwrap_or(0);
                 if capped {
-                    take = take.min((deficit[job] / len).ceil() as i64);
+                    take = take.min(deficit[job].ceil() as i64);
                 }
                 if take > 0 {
                     sched.x[inst.vars.var(job, path, slice)] += take as f64;
-                    deficit[job] -= take as f64 * len;
+                    deficit[job] -= take as f64;
                     for &e in inst.paths[job][path].edges() {
                         rb[e.index()] -= take;
                     }

@@ -30,11 +30,12 @@ impl Schedule {
         Schedule { x }
     }
 
-    /// Total data moved for `job`, in demand units: `sum_{p,j} x·LEN(j)`.
+    /// Total data moved for `job`, in demand units: `sum_{p,j} x`, every
+    /// slice being a unit.
     pub fn transferred(&self, inst: &Instance, job: usize) -> f64 {
         let mut total = 0.0;
-        for (var, slice) in inst.vars.job_vars(job) {
-            total += self.x[var] * inst.grid.len_of(slice);
+        for (var, _) in inst.vars.job_vars(job) {
+            total += self.x[var];
         }
         total
     }
@@ -86,9 +87,8 @@ impl Schedule {
         let need = inst.demands[job] - tol;
         let mut acc = 0.0;
         for slice in w.clone() {
-            let len = inst.grid.len_of(slice);
             for p in 0..inst.vars.paths_of(job) {
-                acc += self.x[inst.vars.var(job, p, slice)] * len;
+                acc += self.x[inst.vars.var(job, p, slice)];
             }
             if acc >= need {
                 return Some(inst.grid.end_of(slice));
@@ -143,27 +143,19 @@ impl Schedule {
             }
             let w = inst.vars.window(i);
             'outer: for slice in w.clone().rev() {
-                let len = inst.grid.len_of(slice);
                 for p in 0..inst.vars.paths_of(i) {
-                    let var = inst.vars.var(i, p, slice);
-                    let x = out.x[var];
-                    if x <= 0.0 {
-                        continue;
+                    // Less than one wavelength-slice left: nothing whole to
+                    // release.
+                    if excess < 1.0 {
+                        break 'outer;
                     }
+                    let var = inst.vars.var(i, p, slice);
                     // Whole wavelengths releasable without going below the
                     // demand.
-                    let release = (excess / len).floor().min(x);
+                    let release = excess.floor().min(out.x[var]);
                     if release > 0.0 {
                         out.x[var] -= release;
-                        excess -= release * len;
-                    }
-                    if excess < len {
-                        // Can't release another whole wavelength-slice here;
-                        // later (earlier) slices may have shorter lengths,
-                        // but on uniform grids we are done.
-                        if excess <= 0.0 {
-                            break 'outer;
-                        }
+                        excess -= release;
                     }
                 }
             }

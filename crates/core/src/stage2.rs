@@ -78,7 +78,7 @@ pub fn solve_stage2(inst: &Instance, z_star: f64, alpha: f64) -> Result<Stage2Re
 /// when given. `_weights` names the one weighting there is.
 ///
 /// With `w_i = D_i`, the objective `sum_i w_i Z_i / sum_i w_i` becomes,
-/// after substituting eq. 8, a per-variable cost of `LEN(j) / sum_i D_i`.
+/// after substituting eq. 8, a per-variable cost of `1 / sum_i D_i` (every slice is a unit).
 ///
 /// The natural start is the Stage-1 optimum over the same instance, mapped
 /// via [`stage2_basis_from_stage1`]: Stage 2 explores the same polytope from

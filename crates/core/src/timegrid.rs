@@ -1,15 +1,11 @@
-//! Time slices: the paper's `LEN(j)` and the slice window of a request.
+//! Time slices and the slice window of a request.
 //!
 //! The controller divides time into slices; wavelength assignments are
-//! constant within a slice. Unit slices are the only kind: every
-//! formulation the paper states, and every experiment here, uses them, so
-//! global slice `j` covers `[j, j + 1)` and a grid is just the range of
-//! slice indices it addresses — two integers, no storage, the same cost at
-//! slice 100 000 as at slice 0. The formulations still read slice geometry
-//! through [`TimeGrid::len_of`], [`TimeGrid::end_of`] and
-//! [`TimeGrid::window_slices`] only, so `LEN(j)` stands where the paper
-//! writes it and a grid of another shape (the event-period grid of
-//! Ahani–Wiatr–Yuan) would replace this module, not its callers.
+//! constant within a slice. Every slice is a unit: global slice `j` covers
+//! `[j, j + 1)`, so the paper's `LEN(j)` is 1 everywhere and every
+//! formulation writes a column's volume as its wavelength count. A grid is
+//! just the range of slice indices it addresses — two integers, no
+//! storage, the same cost at slice 100 000 as at slice 0.
 //!
 //! **Window convention.** The paper zeroes `x_i(p, j)` for `j <= I(S_i)` or
 //! `j > I(E_i)`. When requested times fall on slice boundaries that equals
@@ -56,11 +52,6 @@ impl TimeGrid {
         self.first
     }
 
-    /// `LEN(j)`: length of slice `j`.
-    pub fn len_of(&self, _j: usize) -> f64 {
-        1.0
-    }
-
     /// End time of slice `j`.
     pub fn end_of(&self, j: usize) -> f64 {
         (j + 1) as f64
@@ -96,7 +87,6 @@ mod tests {
         let g = grid(12, 20);
         assert_eq!(g.first_slice(), 12);
         assert_eq!(g.num_slices(), 20);
-        assert_eq!(g.len_of(15), 1.0);
         assert_eq!(g.end_of(15), 16.0);
     }
 

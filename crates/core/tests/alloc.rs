@@ -129,7 +129,7 @@ fn era(policy: OverloadPolicy, base: f64) -> Vec<(Step, u64)> {
                     let moved: f64 = (0..inst.vars.paths_of(i))
                         .map(|p| res.schedule.x[inst.vars.var(i, p, slice)])
                         .sum();
-                    c.record_transfer(job.id, moved * inst.grid.len_of(slice));
+                    c.record_transfer(job.id, moved);
                 }
             }
         }

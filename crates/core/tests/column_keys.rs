@@ -97,7 +97,7 @@ fn stage1_basis_maps_onto_the_next_period_by_key() {
                     let moved: f64 = (0..inst.vars.paths_of(i))
                         .map(|p| res.schedule.x[inst.vars.var(i, p, slice)])
                         .sum();
-                    c.record_transfer(job.id, moved * inst.grid.len_of(slice));
+                    c.record_transfer(job.id, moved);
                 }
             }
         }

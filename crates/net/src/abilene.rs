@@ -5,7 +5,7 @@
 //! pairs of links" without listing the 6 extra links; [`abilene20`] extends
 //! the canonical topology with 6 deterministic augmenting chords so the
 //! evaluation can run at the paper's stated size (see DESIGN.md,
-//! substitutions).
+//! "Substitutions").
 
 use crate::graph::{Graph, NodeId};
 

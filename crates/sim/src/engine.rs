@@ -133,6 +133,22 @@ mod tests {
         }
     }
 
+    /// Two jobs under one id would replay as one: the controller finds a job
+    /// by its id, so every transfer would go to the first, and both would
+    /// come out as that one job's outcome.
+    #[test]
+    fn duplicate_job_ids_are_an_invalid_model() {
+        let mut g = Graph::new();
+        let ns = g.add_nodes(2);
+        g.add_link_pair(ns[0], ns[1], 4);
+        let twin = Job::new(JobId(7), 0.0, ns[0], ns[1], 75.0, 0.0, 4.0);
+        let jobs = [twin.clone(), twin];
+        match run_simulation(&g, &jobs, &SimConfig::paper(4)) {
+            Err(SolveError::InvalidModel(m)) => assert!(m.contains("id 7"), "{m}"),
+            other => panic!("expected InvalidModel, got {other:?}"),
+        }
+    }
+
     #[test]
     fn extend_policy_finishes_late_but_fully() {
         let mut g = Graph::new();

@@ -138,8 +138,7 @@ pub(crate) enum Event {
 /// written: invocation summaries and per-job retirement events. The log
 /// contains scheduling outcomes only — no timings, no allocation data —
 /// so two replays of the same trace are byte-identical whenever their
-/// schedules are, regardless of thread count or whether the input was
-/// streamed or preloaded.
+/// schedules are, whether the input was streamed or preloaded.
 pub fn run_simulation_streamed(
     graph: &Graph,
     jobs: impl IntoIterator<Item = Job>,
@@ -285,7 +284,6 @@ pub(crate) fn run_event_loop(
             if slice < *until {
                 let (inst, sched) = (&res.instance, &res.schedule);
                 executed_slices += 1;
-                let len = inst.grid.len_of(slice);
                 for (idx, job) in inst.jobs.iter().enumerate() {
                     let w = inst.vars.window(idx);
                     if !w.contains(&slice) {
@@ -295,7 +293,7 @@ pub(crate) fn run_event_loop(
                     for p in 0..inst.vars.paths_of(idx) {
                         let x = sched.x[inst.vars.var(idx, p, slice)];
                         if x > 0.0 {
-                            moved += x * len;
+                            moved += x;
                             reserved += x * inst.paths[idx][p].edges().len() as f64;
                         }
                     }

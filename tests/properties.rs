@@ -92,15 +92,12 @@ proptest! {
             let got = capped.transferred(&inst, i);
             let base = lpd.transferred(&inst, i);
             prop_assert!(got >= base - 1e-9);
-            // Overshoot is bounded by one slice-length: the final grant
-            // takes at most ceil(deficit / LEN) wavelengths, so it exceeds
-            // the deficit by less than LEN (unless the base already
-            // overshot, hence the max with `base`).
+            // Overshoot is bounded by one unit slice: the final grant takes
+            // at most ceil(deficit) wavelengths, so it exceeds the deficit
+            // by less than one (unless the base already overshot, hence
+            // the max with `base`).
             let over = got - inst.demands[i].max(base);
-            let max_len = (0..inst.grid.num_slices())
-                .map(|j| inst.grid.len_of(j))
-                .fold(0.0f64, f64::max);
-            prop_assert!(over <= max_len + 1e-9, "job {i} overshot by {over}");
+            prop_assert!(over <= 1.0 + 1e-9, "job {i} overshot by {over}");
         }
     }
 
