@@ -118,5 +118,5 @@ fn main() {
         println!("{row}");
     }
 
-    wavesched_bench::write_report(&opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }

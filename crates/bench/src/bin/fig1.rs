@@ -56,5 +56,5 @@ fn main() {
         );
     }
 
-    wavesched_bench::write_report(&opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }

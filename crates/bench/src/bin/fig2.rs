@@ -68,5 +68,5 @@ fn main() {
         );
     }
 
-    wavesched_bench::write_report(&opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }

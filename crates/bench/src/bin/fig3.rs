@@ -50,5 +50,5 @@ fn main() {
         );
     }
 
-    wavesched_bench::write_report(&opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }

@@ -157,7 +157,7 @@ fn colgen_sweep(opts: &BenchOpts) {
         println!("{}", point(n));
     }
 
-    wavesched_bench::write_report(opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }
 
 fn main() {
@@ -226,5 +226,5 @@ fn main() {
         println!("{row}");
     }
 
-    wavesched_bench::write_report(&opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }

@@ -79,5 +79,5 @@ fn main() {
         println!("{abilene_row}");
     }
 
-    wavesched_bench::write_report(&opts);
+    wavesched_bench::write_report(opts.report.as_deref());
 }

@@ -237,12 +237,5 @@ fn main() {
     );
     println!("mem_peak_live_bytes,{}", r.mem.peak_live_bytes);
 
-    if let Some(path) = &o.report {
-        let text = obs::to_json_lines(&obs::snapshot());
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("failed to write report {path:?}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {} metric lines to {path}", text.lines().count());
-    }
+    wavesched_bench::write_report(o.report.as_deref());
 }

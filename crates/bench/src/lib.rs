@@ -197,8 +197,8 @@ pub fn bench_opts(accepted: &str) -> BenchOpts {
 
 /// Writes the JSON-lines metrics snapshot to the `--report` path, if one
 /// was given. Call at the end of `main`.
-pub fn write_report(opts: &BenchOpts) {
-    let Some(path) = &opts.report else {
+pub fn write_report(path: Option<&str>) {
+    let Some(path) = path else {
         return;
     };
     let text = wavesched_obs::to_json_lines(&wavesched_obs::snapshot());

@@ -21,8 +21,7 @@ use crate::timegrid::TimeGrid;
 use std::ops::Range;
 use std::sync::Arc;
 use wavesched_lp::{
-    solve, Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats, SolverSession,
-    Status,
+    Col, Objective, Problem, SimplexConfig, Solution, SolveError, SolveStats, SolverSession, Status,
 };
 use wavesched_net::{Graph, PathSet};
 use wavesched_obs as obs;
@@ -201,13 +200,10 @@ trait RetBackend {
     /// feasible at extension `b`?
     fn probe(&mut self, b: f64) -> Result<bool, SolveError>;
 
-    /// Solves the Quick-Finish SUB-RET at extension `b`. Returns the
-    /// instance at `b` with the fractional values over its variables, or
-    /// `None` when the LP is not optimal there.
+    /// Solves the Quick-Finish SUB-RET at extension `b <= b_max`. Returns
+    /// the instance at `b` with the fractional values over its variables,
+    /// or `None` when the LP is not optimal there.
     fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError>;
-
-    /// δ-growth stops once `b` exceeds this.
-    fn growth_limit(&self) -> f64;
 
     /// Solver work over every LP solve so far.
     fn stats(&self) -> SolveStats;
@@ -215,7 +211,8 @@ trait RetBackend {
 
 /// Algorithm 2, once: binary search for the smallest `b` at which the
 /// fractional SUB-RET is feasible, then Quick-Finish + LPDAR at `b`,
-/// growing `b` by δ until the integral schedule completes every job.
+/// growing `b` by δ until the integral schedule completes every job or `b`
+/// passes `b_max`.
 /// `make` builds the backend after the input check; it is handed back with
 /// the result so callers can read backend-specific counters.
 fn algorithm2<B: RetBackend>(
@@ -288,7 +285,7 @@ fn algorithm2<B: RetBackend>(
             }
         }
         b += RET_DELTA;
-        if b > backend.growth_limit() {
+        if b > cfg.b_max {
             break;
         }
     }
@@ -386,8 +383,8 @@ impl EnvelopeLp {
 /// **Growth.** The first δ-step builds the `b_max` envelope, and
 /// consecutive steps chain through its one Quick-Finish session, so the
 /// fractional points, and therefore the LPDAR schedules and `b_final`, are
-/// a function of `b̂` alone. Only an extension past `b_max`, possible on the
-/// final step, exceeds the envelope and drops to a one-off cold build.
+/// a function of `b̂` alone. Growth stops at `b_max`, so no step exceeds
+/// the envelope.
 struct EnvelopeBackend<'a> {
     graph: &'a Arc<Graph>,
     jobs: &'a [Job],
@@ -547,12 +544,6 @@ impl RetBackend for EnvelopeBackend<'_> {
             self.growth_lp = Some(EnvelopeLp::new(env, self.cfg.b_max, session));
         }
         let inst = self.instance_at(b);
-        if b > self.cfg.b_max {
-            let sol = solve(&build_subret(&inst, origin))?;
-            self.stats.merge(&sol.stats);
-            let x = (sol.status == Status::Optimal).then(|| sol.x[..inst.vars.len()].to_vec());
-            return Ok(x.map(|x| (inst, x)));
-        }
         #[expect(clippy::expect_used, reason = "invariant: populated just above")]
         let growth = self.growth_lp.as_mut().expect("invariant: growth LP built");
         let Some(sol) = growth.solve_at(self.jobs, self.origin, b)? else {
@@ -573,10 +564,6 @@ impl RetBackend for EnvelopeBackend<'_> {
         Ok(Some((inst, x)))
     }
 
-    fn growth_limit(&self) -> f64 {
-        self.cfg.b_max + RET_DELTA
-    }
-
     fn stats(&self) -> SolveStats {
         self.stats
     }
@@ -587,12 +574,10 @@ impl RetBackend for EnvelopeBackend<'_> {
 /// active windows tighten or reopen, the form switches (probe /
 /// Quick-Finish), and the price–resolve loop re-prices — columns
 /// accumulate monotonically across the whole search and the simplex basis
-/// chains warm throughout. Growth is capped at the envelope: the pool's
-/// windows cannot extend past `b_max`.
+/// chains warm throughout.
 struct CgBackend<'a> {
     master: CgMaster,
     jobs: &'a [Job],
-    cfg: &'a RetConfig,
     origin: f64,
 }
 
@@ -636,10 +621,6 @@ impl RetBackend for CgBackend<'_> {
         let inst = self.master.materialize(&ext);
         let x = self.master.values_on(&inst, &sol.x);
         Ok(Some((inst, x)))
-    }
-
-    fn growth_limit(&self) -> f64 {
-        self.cfg.b_max
     }
 
     fn stats(&self) -> SolveStats {
@@ -715,12 +696,10 @@ pub fn solve_ret_with_demands(
 /// shortest paths, answers every bisection probe and δ-growth step.
 ///
 /// Matches [`solve_ret`]'s trajectory semantics, end times measured from
-/// time 0 included, with one documented difference: growth is capped at
-/// the `b_max` envelope, where the monolithic path may take one final cold
-/// step beyond `b_max`. Each job's paths are its `inst_cfg.paths_per_job`
-/// Yen paths, the set [`solve_ret`] materializes. Returns the result
-/// together with the column-generation work counters, or `Ok(None)` when
-/// no extension within `b_max` completes all jobs. `_cg` has no effect:
+/// time 0 and growth stopping at `b_max` included. Each job's paths are its
+/// `inst_cfg.paths_per_job` Yen paths, the set [`solve_ret`] materializes.
+/// Returns the result together with the column-generation work counters,
+/// or `Ok(None)` when no extension within `b_max` completes all jobs. `_cg` has no effect:
 /// it remains only because the outside-in benchmark passes it.
 pub fn solve_ret_colgen(
     graph: &Graph,
@@ -743,7 +722,6 @@ pub fn solve_ret_colgen(
         Ok(CgBackend {
             master: CgMaster::build(graph, &env_jobs, demands, inst_cfg)?,
             jobs,
-            cfg,
             origin,
         })
     })?;
@@ -885,9 +863,6 @@ mod tests {
         }
         fn quick_finish(&mut self, b: f64) -> Result<Option<(Instance, Vec<f64>)>, SolveError> {
             self.inner.quick_finish(b)
-        }
-        fn growth_limit(&self) -> f64 {
-            self.inner.growth_limit()
         }
         fn stats(&self) -> SolveStats {
             self.inner.stats()
@@ -1040,6 +1015,25 @@ mod tests {
             max_delta_steps: 120,
             ..RetConfig::default()
         }
+    }
+
+    #[test]
+    fn growth_stops_at_b_max_in_both_backends() {
+        // LP-feasible unextended, yet LPDAR first completes every job at
+        // `b = 2δ`: under a `b_max` between δ and 2δ no step completes.
+        let (g, jobs) = bisecting_jobs(3, 3002);
+        let inst_cfg = InstanceConfig::paper(2);
+        let r = solve_ret(&g, &jobs, &inst_cfg, &bisecting_cfg())
+            .unwrap()
+            .expect("feasible within b_max 10");
+        assert_eq!((r.b_lp, r.b_final), (0.0, 2.0 * RET_DELTA));
+        let cfg = RetConfig {
+            b_max: 1.5 * RET_DELTA,
+            ..bisecting_cfg()
+        };
+        assert!(solve_ret(&g, &jobs, &inst_cfg, &cfg).unwrap().is_none());
+        let cg = solve_ret_colgen(&g, &jobs, &inst_cfg, &cfg, &ColGenConfig::default());
+        assert!(cg.unwrap().is_none());
     }
 
     #[test]

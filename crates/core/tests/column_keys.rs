@@ -25,7 +25,7 @@ use wavesched_workload::{ArrivalModel, Job, WorkloadConfig, WorkloadGenerator};
 const PERIODS: usize = 15;
 
 #[test]
-fn stage1_basis_maps_onto_the_next_period_by_key() {
+fn stage1_optimum_maps_onto_the_next_period_by_key() {
     let (g, _) = abilene14(4);
     let mut cfg = ControllerConfig::paper(4);
     cfg.tau = 4;

@@ -1,5 +1,6 @@
-//! JSON-lines serialization of [`Metric`] snapshots, plus the matching
-//! parser — both hand-rolled so the crate stays dependency-free.
+//! JSON-lines serialization of [`Metric`] snapshots, and a reader of
+//! exactly that layout — both hand-rolled so the crate stays
+//! dependency-free.
 //!
 //! Schema: one JSON object per line, discriminated by `"type"`:
 //!
@@ -9,8 +10,10 @@
 //! {"type":"span","path":"pipeline/stage1","count":3,"total_ns":812345,"min_ns":1021,"max_ns":700111}
 //! ```
 //!
-//! All numbers are unsigned 64-bit integers; `buckets` is a sparse array of
-//! `[bucket_index, count]` pairs. Blank lines are ignored on input.
+//! Keys come in this order, with no whitespace. All numbers are unsigned
+//! 64-bit integers; `buckets` is a sparse array of `[bucket_index, count]`
+//! pairs. Strings escape `"`, `\\` and control characters (`\u00xx`) only.
+//! Blank lines are ignored on input.
 
 use crate::Metric;
 use std::fmt::Write as _;
@@ -83,256 +86,100 @@ pub fn to_json_lines(metrics: &[Metric]) -> String {
     out
 }
 
-/// A parsed JSON value — only the subset the report schema uses.
-#[derive(Debug, PartialEq)]
-enum JVal {
-    Str(String),
-    Num(u64),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
+/// A cursor over one report line.
+struct Reader<'a>(&'a str);
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => self.string().map(JVal::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number().map(JVal::Num),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
+impl Reader<'_> {
+    fn lit(&mut self, want: &str) -> Result<(), String> {
+        let Some(rest) = self.0.strip_prefix(want) else {
+            let found: String = self.0.chars().take(want.len().max(12)).collect();
+            return Err(format!("expected {want:?} at {found:?}"));
+        };
+        self.0 = rest;
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut s = String::new();
+        self.lit("\"")?;
+        let mut out = String::new();
+        let mut chars = self.0.chars();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            s.push('"');
-                            self.pos += 1;
+            match chars.next().ok_or("unterminated string")? {
+                '"' => break,
+                '\\' => {
+                    let c = match chars.next() {
+                        Some('u') => {
+                            let hex: String = chars.by_ref().take(4).collect();
+                            u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32)
                         }
-                        Some(b'\\') => {
-                            s.push('\\');
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            s.push(char::from_u32(cp).ok_or("non-scalar \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape {other:?}")),
-                    }
+                        c => c.filter(|c| matches!(c, '"' | '\\')),
+                    };
+                    out.push(c.ok_or("an escape the writer never writes")?);
                 }
-                Some(_) => {
-                    // Advance one UTF-8 character (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|e| e.to_string())?
-                        .chars()
-                        .next()
-                        .ok_or("empty continuation")?;
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                c => out.push(c),
             }
         }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected digits at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("bad integer: {e}"))
-    }
-
-    fn array(&mut self) -> Result<JVal, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, String> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}' got {other:?}")),
-            }
-        }
+        self.0 = chars.as_str();
+        Ok(out)
     }
 }
 
-fn field<'v>(obj: &'v [(String, JVal)], key: &str) -> Result<&'v JVal, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn str_field(obj: &[(String, JVal)], key: &str) -> Result<String, String> {
-    match field(obj, key)? {
-        JVal::Str(s) => Ok(s.clone()),
-        _ => Err(format!("field {key:?} is not a string")),
-    }
-}
-
-fn num_field(obj: &[(String, JVal)], key: &str) -> Result<u64, String> {
-    match field(obj, key)? {
-        JVal::Num(n) => Ok(*n),
-        _ => Err(format!("field {key:?} is not an integer")),
-    }
-}
-
+/// Reads one line as [`to_json_lines`] writes it: the type, the name, then
+/// every integer after the name in order. The line is accepted only if the
+/// writer writes that metric back byte for byte, which holds its keys, their
+/// order, its brackets and escapes, and the absence of whitespace, signs,
+/// leading zeros and trailing bytes to the writer's.
 fn metric_of_line(line: &str) -> Result<Metric, String> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let JVal::Obj(obj) = v else {
-        return Err("line is not a JSON object".into());
-    };
-    match str_field(&obj, "type")?.as_str() {
-        "counter" => Ok(Metric::Counter {
-            name: str_field(&obj, "name")?,
-            value: num_field(&obj, "value")?,
-        }),
-        "histogram" => {
-            let JVal::Arr(raw) = field(&obj, "buckets")? else {
-                return Err("field \"buckets\" is not an array".into());
-            };
-            let mut buckets = Vec::with_capacity(raw.len());
-            for item in raw {
-                match item {
-                    JVal::Arr(pair) => match pair.as_slice() {
-                        [JVal::Num(b), JVal::Num(c)] => {
-                            let b = u32::try_from(*b).map_err(|_| "bucket index overflow")?;
-                            if b as usize >= crate::HIST_BUCKETS {
-                                return Err(format!("bucket index {b} out of range"));
-                            }
-                            buckets.push((b, *c));
-                        }
-                        _ => return Err("bucket entry is not [index, count]".into()),
-                    },
-                    _ => return Err("bucket entry is not an array".into()),
-                }
-            }
-            Ok(Metric::Histogram {
-                name: str_field(&obj, "name")?,
-                count: num_field(&obj, "count")?,
-                sum: num_field(&obj, "sum")?,
-                min: num_field(&obj, "min")?,
-                max: num_field(&obj, "max")?,
-                buckets,
-            })
+    let mut r = Reader(line);
+    r.lit("{\"type\":")?;
+    let kind = r.string()?;
+    let key = if kind == "span" { "path" } else { "name" };
+    r.lit(&format!(",\"{key}\":"))?;
+    let name = r.string()?;
+    let nums =
+        r.0.split(|c: char| !c.is_ascii_digit())
+            .filter(|d| !d.is_empty())
+            .map(|d| d.parse().map_err(|e| format!("integer {d}: {e}")))
+            .collect::<Result<Vec<u64>, _>>()?;
+    let metric = match (kind.as_str(), nums.as_slice()) {
+        ("counter", &[value]) => Metric::Counter { name, value },
+        ("histogram", &[count, sum, min, max, ref pairs @ ..]) => Metric::Histogram {
+            name,
+            count,
+            sum,
+            min,
+            max,
+            buckets: pairs
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [b, c] if b < crate::HIST_BUCKETS as u64 => Ok((b as u32, c)),
+                    _ => Err(format!("bucket {pair:?} is not [index, count] in range")),
+                })
+                .collect::<Result<_, _>>()?,
+        },
+        ("span", &[count, total_ns, min_ns, max_ns]) => Metric::Span {
+            path: name,
+            count,
+            total_ns,
+            min_ns,
+            max_ns,
+        },
+        ("counter" | "histogram" | "span", _) => {
+            return Err(format!("a {kind} with {} integers", nums.len()))
         }
-        "span" => Ok(Metric::Span {
-            path: str_field(&obj, "path")?,
-            count: num_field(&obj, "count")?,
-            total_ns: num_field(&obj, "total_ns")?,
-            min_ns: num_field(&obj, "min_ns")?,
-            max_ns: num_field(&obj, "max_ns")?,
-        }),
-        other => Err(format!("unknown metric type {other:?}")),
+        _ => return Err(format!("unknown metric type {kind:?}")),
+    };
+    let written = to_json_lines(std::slice::from_ref(&metric));
+    if written.strip_suffix('\n') != Some(line) {
+        return Err(format!("not as the writer writes it: {written:?}"));
     }
+    Ok(metric)
 }
 
-/// Parses a JSON-lines report back into metrics, validating the schema.
-/// Blank lines are skipped; the error names the offending line.
+/// Parses a report written by [`to_json_lines`] back into its metrics.
+/// Blank lines are skipped; any other line the writer could not have
+/// written (other whitespace, another key order, an unknown type, trailing
+/// bytes) is an error that names its line number.
 pub fn parse_json_lines(text: &str) -> Result<Vec<Metric>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -355,7 +202,7 @@ mod tests {
                 value: 123,
             },
             Metric::Counter {
-                name: "odd \"name\"\\with\nescapes".into(),
+                name: "odd \"name\"\\with\nescapes\u{1f} and é".into(),
                 value: 0,
             },
             Metric::Histogram {
@@ -392,16 +239,33 @@ mod tests {
     }
 
     #[test]
-    fn malformed_lines_are_rejected_with_line_numbers() {
+    fn lines_the_writer_could_not_write_are_rejected_with_line_numbers() {
         for (bad, what) in [
             ("{\"type\":\"counter\",\"name\":\"x\"}", "missing value"),
             ("{\"type\":\"rocket\",\"name\":\"x\",\"value\":1}", "bad type"),
             ("{\"type\":\"counter\",\"name\":\"x\",\"value\":-1}", "negative"),
+            ("{\"type\":\"counter\",\"name\":\"x\",\"value\":1.5}", "fraction"),
+            ("{\"type\":\"counter\",\"name\":\"x\",\"value\":01}", "leading zero"),
+            ("{\"type\":\"counter\",\"name\":\"x\",\"value\":99999999999999999999}", "overflow"),
             ("[1,2,3]", "not an object"),
             ("{\"type\":\"counter\",\"name\":\"x\",\"value\":1} junk", "trailing"),
+            ("{\"type\":\"counter\",\"name\":\"x\",\"value\":1}}", "trailing brace"),
+            ("{\"type\":\"counter\", \"name\":\"x\",\"value\":1}", "inner space"),
+            (" {\"type\":\"counter\",\"name\":\"x\",\"value\":1}", "leading space"),
+            ("{\"type\":\"counter\",\"value\":1,\"name\":\"x\"}", "key order"),
+            ("{\"name\":\"x\",\"type\":\"counter\",\"value\":1}", "type not first"),
+            ("{\"type\":\"counter\",\"name\":\"\\u001F\",\"value\":1}", "uppercase hex"),
+            ("{\"type\":\"counter\",\"name\":\"\\u0041\",\"value\":1}", "escaped letter"),
+            ("{\"type\":\"counter\",\"name\":\"\\n\",\"value\":1}", "short escape"),
+            ("{\"type\":\"counter\",\"name\":\"a\tb\",\"value\":1}", "raw tab"),
+            ("{\"type\":\"counter\",\"name\":\"x", "unterminated"),
             (
                 "{\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[99,1]]}",
                 "bucket range",
+            ),
+            (
+                "{\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[1,1],]}",
+                "trailing comma",
             ),
         ] {
             let text = format!("{}{bad}\n", to_json_lines(&sample()));

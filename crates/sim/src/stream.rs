@@ -455,7 +455,9 @@ mod tests {
     /// lines and hash as the event loop wrote it while it still kept its
     /// own per-job ledger beside the controller's (recorded at 97bd353):
     /// rejections, expiries, late completions under RET extensions, and
-    /// jobs done in the first slice of a two-slice period. Beside each hash,
+    /// jobs done in the first slice of a two-slice period; the
+    /// `ExtendDeadlines` row since RET's growth stops at `b_max`, so no job
+    /// is extended past it. Beside each hash,
     /// the replay's LP solves and admission counts, read from this test
     /// thread's own obs registry: a change to `Reject`'s admission trials
     /// shows as a named counter, not only as a moved hash.
@@ -496,8 +498,8 @@ mod tests {
             (
                 OverloadPolicy::ExtendDeadlines,
                 310,
-                0xd668_4d8e_234b_a542,
-                [794, 200, 0],
+                0x54fc_66e6_8b46_db6b,
+                [792, 200, 0],
             ),
         ] {
             let mut cfg = SimConfig::paper(2);

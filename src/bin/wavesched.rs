@@ -33,15 +33,14 @@ commands:
   ret         run the Relaxing-End-Times algorithm on a trace
   simulate    run the periodic controller simulation on a trace
   dot         print the network as Graphviz DOT
-  check-report <file>    validate a JSON-lines metrics report (--report output)
-  check-counters <actual> <expected> [--require-nonzero <name>]...
-              compare counters in two metrics reports; fails when any
-              counter listed in <expected> grew (a solver-work regression)
-              or disappeared. Counters below the expectation are reported
-              as improvements — refresh <expected> when they stick.
-              --require-nonzero (repeatable) additionally fails when the
-              named counter is missing or zero in <actual> — a liveness
-              gate for paths (e.g. LU reuse) that must have run.
+  check-report <report> [<expected>] [--require-nonzero <name>]...
+              validate a JSON-lines metrics report (--report output); with
+              <expected>, fail when any counter listed there grew (a
+              solver-work regression) or is missing. Counters below the
+              expectation are reported as improvements — refresh <expected>
+              when they stick. --require-nonzero (repeatable) fails when the
+              named counter is missing or zero — a liveness gate for paths
+              (e.g. LU reuse) that must have run.
 
 common options:
   --network <abilene14|abilene20|esnet|waxman:<nodes>:<pairs>:<seed>>
@@ -169,8 +168,8 @@ fn accepted_options(command: &str) -> Option<&'static [&'static str]> {
             "tau",
         ],
         "dot" => &["network", "wavelengths", "trace"],
-        "check-report" | "help" | "--help" => &[],
-        "check-counters" => &["require-nonzero"],
+        "check-report" => &["require-nonzero"],
+        "help" | "--help" => &[],
         _ => return None,
     };
     Some(names)
@@ -228,6 +227,105 @@ fn build_network(spec: &str, w: u32) -> Result<Graph, String> {
     }
 }
 
+/// Counter families a run records all or nothing: one code path records
+/// each, so a partial family means the report schema drifted. Keyed on a
+/// prefix, so another counter may share the family's first segment.
+const FAMILIES: [(&str, &[&str]); 2] = [
+    (
+        "cg.",
+        &[
+            "cg.rounds",
+            "cg.columns_added",
+            "cg.pricer_calls",
+            "cg.pricing_ns",
+            "cg.master_lu_reuse_hits",
+        ],
+    ),
+    ("mem.bytes_", &["mem.bytes_allocated", "mem.bytes_freed"]),
+];
+
+/// `check-report <report> [<expected>] [--require-nonzero <name>]...`: reads
+/// the report once, validates it, holds every counter of `<expected>` as an
+/// upper bound on the report's, and requires each named counter to be
+/// present and positive. Every failure is listed, each naming its counter.
+fn check_report(args: &Args) -> Result<(), String> {
+    let read = |path: &str| -> Result<Vec<obs::Metric>, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
+        obs::parse_json_lines(&text).map_err(|e| format!("{path}: invalid report: {e}"))
+    };
+    let counters = |metrics: &[obs::Metric]| -> Vec<(String, u64)> {
+        let counter = |m: &obs::Metric| match m {
+            obs::Metric::Counter { name, value } => Some((name.clone(), *value)),
+            _ => None,
+        };
+        metrics.iter().filter_map(counter).collect()
+    };
+    let (path, expected_path) = match args.positional.as_slice() {
+        [report] => (report, None),
+        [report, expected] => (report, Some(expected)),
+        _ => return Err("check-report needs <report> [<expected>]".to_string()),
+    };
+    let metrics = read(path)?;
+    let actual = counters(&metrics);
+    let value = |name: &str| actual.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    let mut failures = Vec::new();
+    for (prefix, family) in FAMILIES {
+        if actual.iter().any(|(n, _)| n.starts_with(prefix)) {
+            for name in family.iter().filter(|name| value(name).is_none()) {
+                failures.push(format!("{name}: missing from a partial {prefix}* family"));
+            }
+        }
+    }
+    let expected = match expected_path {
+        Some(e) => counters(&read(e)?),
+        None => Vec::new(),
+    };
+    // Every expected counter is an upper bound, so an expectation file lists
+    // only counters where less is better; one where more is better (LU
+    // reuse, accepted warm starts) is gated by `--require-nonzero` instead,
+    // so a path that silently stops running fails rather than improving.
+    let mut improved = 0usize;
+    for (name, want) in &expected {
+        match value(name) {
+            None => failures.push(format!("{name}: missing (expected {want})")),
+            Some(got) if got > *want => failures.push(format!("{name}: {got} > expected {want}")),
+            Some(got) if got < *want => {
+                println!("{name}: improved ({got} < expected {want})");
+                improved += 1;
+            }
+            Some(_) => {}
+        }
+    }
+    let required: Vec<&str> = args
+        .opts
+        .iter()
+        .filter(|(k, v)| k == "require-nonzero" && !v.is_empty())
+        .map(|(_, v)| v.as_str())
+        .collect();
+    for name in &required {
+        match value(name) {
+            None => failures.push(format!("{name}: required nonzero but missing")),
+            Some(0) => failures.push(format!("{name}: required nonzero but is 0")),
+            Some(_) => {}
+        }
+    }
+    if !failures.is_empty() {
+        return Err(format!(
+            "{path}: {} failure(s):\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        ));
+    }
+    println!(
+        "{path}: valid report of {} metrics; {} expected counters within bound \
+         ({improved} improved); {} required counters nonzero",
+        metrics.len(),
+        expected.len(),
+        required.len()
+    );
+    Ok(())
+}
+
 fn run(args: &Args) -> Result<(), String> {
     if args.command == "help" || args.command == "--help" {
         println!("{}", usage());
@@ -235,143 +333,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     if args.command == "check-report" {
-        let path = args
-            .positional
-            .first()
-            .map(String::as_str)
-            .ok_or_else(|| "check-report needs a file path".to_string())?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-        let metrics =
-            obs::parse_json_lines(&text).map_err(|e| format!("{path}: invalid report: {e}"))?;
-        let (mut counters, mut hists, mut spans) = (0usize, 0usize, 0usize);
-        let mut counter_names = Vec::new();
-        for m in &metrics {
-            match m {
-                obs::Metric::Counter { name, .. } => {
-                    counters += 1;
-                    counter_names.push(name.as_str());
-                }
-                obs::Metric::Histogram { .. } => hists += 1,
-                obs::Metric::Span { .. } => spans += 1,
-            }
-        }
-        // Column generation reports as a counter *family*: a run that
-        // priced anything records every cg.* counter in one code path,
-        // so a partial family means the report schema drifted.
-        if counter_names.iter().any(|n| n.starts_with("cg.")) {
-            const CG_FAMILY: [&str; 5] = [
-                "cg.rounds",
-                "cg.columns_added",
-                "cg.pricer_calls",
-                "cg.pricing_ns",
-                "cg.master_lu_reuse_hits",
-            ];
-            let missing: Vec<&str> = CG_FAMILY
-                .iter()
-                .filter(|want| !counter_names.contains(want))
-                .copied()
-                .collect();
-            if !missing.is_empty() {
-                return Err(format!(
-                    "{path}: cg.* counters present but incomplete — missing {missing:?} \
-                     (a column-generation run always records the full family {CG_FAMILY:?})"
-                ));
-            }
-        }
-        // Same all-or-nothing rule for the allocation-tracking family: the
-        // streamed replay emits both byte counters from one code path
-        // (crates/sim stream engine), so a lone byte counter means the
-        // schema drifted. Keyed on the `mem.bytes_` prefix specifically, so
-        // another `mem.*` counter may appear without the replay counters.
-        if counter_names.iter().any(|n| n.starts_with("mem.bytes_")) {
-            const MEM_FAMILY: [&str; 2] = ["mem.bytes_allocated", "mem.bytes_freed"];
-            let missing: Vec<&str> = MEM_FAMILY
-                .iter()
-                .filter(|want| !counter_names.contains(want))
-                .copied()
-                .collect();
-            if !missing.is_empty() {
-                return Err(format!(
-                    "{path}: mem.* counters present but incomplete — missing {missing:?} \
-                     (a tracked replay always records the full family {MEM_FAMILY:?})"
-                ));
-            }
-        }
-        println!(
-            "{path}: valid report, {} metrics ({counters} counters, {hists} histograms, {spans} spans)",
-            metrics.len()
-        );
-        return Ok(());
-    }
-
-    if args.command == "check-counters" {
-        let (actual_path, expected_path) = match args.positional.as_slice() {
-            [a, e] => (a.as_str(), e.as_str()),
-            _ => return Err("check-counters needs <actual> <expected> file paths".to_string()),
-        };
-        // Every expected counter is an upper bound, so an expectation file
-        // lists only counters where less is better; a counter where more is
-        // better (LU reuse, accepted warm starts, skipped verifications)
-        // has no row there. `--require-nonzero <name>` (repeatable) gates
-        // those instead: the named counter must be
-        // present AND strictly positive in <actual>, so a code path that
-        // silently stops running (e.g. re-solves never reusing factors)
-        // fails rather than reading as an "improvement".
-        let required: Vec<&str> = args
-            .opts
-            .iter()
-            .filter(|(k, v)| k == "require-nonzero" && !v.is_empty())
-            .map(|(_, v)| v.as_str())
-            .collect();
-        let counters_of = |path: &str| -> Result<Vec<(String, u64)>, String> {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-            let metrics =
-                obs::parse_json_lines(&text).map_err(|e| format!("{path}: invalid report: {e}"))?;
-            Ok(metrics
-                .into_iter()
-                .filter_map(|m| match m {
-                    obs::Metric::Counter { name, value } => Some((name, value)),
-                    _ => None,
-                })
-                .collect())
-        };
-        let actual = counters_of(actual_path)?;
-        let expected = counters_of(expected_path)?;
-        let mut regressions = Vec::new();
-        let mut improvements = 0usize;
-        for (name, want) in &expected {
-            match actual.iter().find(|(n, _)| n == name) {
-                None => regressions.push(format!("{name}: missing (expected {want})")),
-                Some((_, got)) if got > want => {
-                    regressions.push(format!("{name}: {got} > expected {want}"));
-                }
-                Some((_, got)) if got < want => {
-                    println!("{name}: improved ({got} < expected {want})");
-                    improvements += 1;
-                }
-                Some(_) => {}
-            }
-        }
-        for name in &required {
-            match actual.iter().find(|(n, _)| n == name) {
-                None => regressions.push(format!("{name}: required nonzero but missing")),
-                Some((_, 0)) => regressions.push(format!("{name}: required nonzero but is 0")),
-                Some(_) => {}
-            }
-        }
-        if !regressions.is_empty() {
-            return Err(format!(
-                "{actual_path}: {} counter regression(s) vs {expected_path}:\n  {}",
-                regressions.len(),
-                regressions.join("\n  ")
-            ));
-        }
-        println!(
-            "{actual_path}: {} counters within expectations ({improvements} improved, {} required nonzero)",
-            expected.len(),
-            required.len()
-        );
-        return Ok(());
+        return check_report(args);
     }
 
     // Bare `--trace` (no value) turns on the observability layer and prints

@@ -9,7 +9,10 @@
 //!   named in it as `<crate>/<path under src>`;
 //! * every DESIGN.md section cited by name (`DESIGN.md "Section"` or
 //!   `"Section" in DESIGN.md`) from `crates/`, `src/`, `examples/`,
-//!   `clippy.toml`, `README.md` or `EXPERIMENTS.md` is a DESIGN.md heading.
+//!   `clippy.toml`, `README.md` or `EXPERIMENTS.md` is a DESIGN.md heading;
+//! * every EXPERIMENTS.md section cited by name (`EXPERIMENTS.md "X"`, or a
+//!   list `EXPERIMENTS.md "A", "B" and "C"`) from DESIGN.md, README.md,
+//!   `crates/` or `src/` is an EXPERIMENTS.md heading `X` or `X (…)`.
 //!
 //! Each checker returns its violations, so the unit cases below can hold it
 //! to synthetic text.
@@ -133,19 +136,23 @@ fn design_violations(text: &str, modules: &[String]) -> Vec<String> {
     out
 }
 
-/// The DESIGN.md section names `text` cites in quotes: `DESIGN.md "X"`
-/// (up to a few characters such as `, (` between) and `"X" in DESIGN.md`
-/// or `the "X" section of DESIGN.md`. Comment markers and line breaks are
-/// read as spaces, so a citation may wrap.
-fn cited_sections(text: &str) -> Vec<String> {
-    let flat: String = text
-        .lines()
+/// `text` on one line: comment markers and line breaks read as spaces, so
+/// a citation may wrap.
+fn flatten(text: &str) -> String {
+    text.lines()
         .map(|l| {
             let l = l.trim_start();
             l.trim_start_matches(['/', '!', '#']).trim()
         })
         .collect::<Vec<_>>()
-        .join(" ");
+        .join(" ")
+}
+
+/// The DESIGN.md section names `text` cites in quotes: `DESIGN.md "X"`
+/// (up to a few characters such as `, (` between) and `"X" in DESIGN.md`
+/// or `the "X" section of DESIGN.md`.
+fn cited_sections(text: &str) -> Vec<String> {
+    let flat = flatten(text);
     let mut out = Vec::new();
     for (at, _) in flat.match_indices("DESIGN.md") {
         // Forward: `DESIGN.md "X"`, `DESIGN.md, "X"`, `DESIGN.md ("X")`.
@@ -173,6 +180,36 @@ fn cited_sections(text: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// The EXPERIMENTS.md section names `text` cites: `EXPERIMENTS.md "X"`,
+/// and every further name of a list it heads, `"A", "B" and "C"`.
+fn cited_experiments(text: &str) -> Vec<String> {
+    let flat = flatten(text);
+    let mut out = Vec::new();
+    for (at, _) in flat.match_indices("EXPERIMENTS.md") {
+        let mut rest = flat[at + "EXPERIMENTS.md".len()..].trim_start();
+        while let Some((name, after)) = rest.strip_prefix('"').and_then(|q| q.split_once('"')) {
+            out.push(name.to_string());
+            rest = after
+                .strip_prefix(", ")
+                .or_else(|| after.strip_prefix(" and "))
+                .unwrap_or("");
+        }
+    }
+    out
+}
+
+/// The names in `cited` that are no heading `X` or `X (…)` of `heads`.
+fn missing_experiments(cited: &[String], heads: &[&str]) -> Vec<String> {
+    let is_head = |name: &str| {
+        heads.iter().any(|h| {
+            *h == name
+                || h.strip_prefix(name)
+                    .is_some_and(|r| r.starts_with(" (") && r.ends_with(')'))
+        })
+    };
+    cited.iter().filter(|n| !is_head(n)).cloned().collect()
 }
 
 /// The text of every Markdown heading in `text`.
@@ -223,6 +260,70 @@ fn every_cited_design_section_is_a_heading() {
         bad.is_empty(),
         "not a DESIGN.md heading:\n{}",
         bad.join("\n")
+    );
+}
+
+#[test]
+fn every_cited_experiments_section_is_a_heading() {
+    let experiments = read("EXPERIMENTS.md");
+    let heads = headings(&experiments);
+    let mut files: Vec<PathBuf> = ["crates", "src"]
+        .iter()
+        .flat_map(|d| rust_files(&root().join(d)))
+        .collect();
+    files.extend(["DESIGN.md", "README.md"].map(|f| root().join(f)));
+    let mut cited = Vec::new();
+    let mut bad = Vec::new();
+    for file in &files {
+        let text = fs::read_to_string(file).expect("readable source");
+        let names = cited_experiments(&text);
+        for name in missing_experiments(&names, &heads) {
+            bad.push(format!("{}: \"{name}\"", file.display()));
+        }
+        cited.extend(names);
+    }
+    for name in [
+        "One warm rung",
+        "Fig. 4 at full scale: wall time",
+        "Verdicts by benchmark row",
+        "Where a pivot's time goes",
+        "Where FTRAN and BTRAN time went",
+        "The eta passes read what a pivot reads",
+        "Run log by PR",
+    ] {
+        assert!(cited.iter().any(|c| c == name), "{name:?} not found");
+    }
+    assert!(
+        bad.is_empty(),
+        "not an EXPERIMENTS.md heading:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn experiments_citations_wrap_head_lists_and_fail_by_name() {
+    let text = "see (EXPERIMENTS.md\n\"Run log by PR\"); EXPERIMENTS.md \"Where\n\
+                a pivot's time goes\", \"Old name\" and \"One warm rung\". EXPERIMENTS.md has more.";
+    let cited = cited_experiments(text);
+    assert_eq!(
+        cited,
+        [
+            "Run log by PR",
+            "Where a pivot's time goes",
+            "Old name",
+            "One warm rung"
+        ]
+    );
+    let heads = [
+        "Run log by PR",
+        "Where a pivot's time goes (2026-10-01)",
+        "New name (second run)",
+        "One warm rung (measured)",
+    ];
+    assert_eq!(missing_experiments(&cited, &heads), ["Old name"]);
+    assert_eq!(
+        missing_experiments(&["One warm".to_string()], &heads),
+        ["One warm"]
     );
 }
 
