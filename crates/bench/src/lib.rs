@@ -1,34 +1,17 @@
 //! # wavesched-bench — experiment harness
 //!
-//! One binary per figure/table of the paper's evaluation (Section III),
-//! plus ablations. Every binary prints a CSV table to stdout whose rows
-//! correspond to the series in the paper; EXPERIMENTS.md records
-//! paper-vs-measured values.
+//! The shared harness of the `claims` binary, which reproduces the paper's
+//! evaluation one figure a run (see its docs), and of `stream`, which
+//! replays a long trace through the periodic controller.
 //!
-//! Every figure binary takes its scale knobs as CLI flags, parsed once by
-//! [`bench_opts`] against the binary's own list of the flags it reads (the
-//! `stream` binary documents its own); any other flag exits 2:
-//!
-//! * `--smoke` — shrink everything for a fast smoke run
-//! * `--jobs <n>` — override the job count (or the sweep's largest)
-//! * `--seeds <n>` — number of workload seeds to average over
-//! * `--paths <k>`, `--size-gb <g>` — `fig4 --colgen` paths per job and
-//!   largest job size
-//! * `--colgen` — solve through the column-generation pipeline
-//! * `--report <path>` — enable the `wavesched-obs` layer and dump a
-//!   JSON-lines metrics snapshot (span durations, solver counters,
-//!   histograms) to `path` on exit
-//!
-//! Nothing that measures runs on a worker thread. The sweeps that print
-//! wall-clock columns (`fig3`, `ablation_paths`, `fig4 --colgen`) map their
-//! points on the calling thread. The answer-only sweeps map theirs with
-//! [`par_points`] / [`par_seeds`] across a pool as wide as the machine's
-//! available parallelism — except while the calling thread's obs layer is
-//! recording (`--report`), when every point runs on the calling thread, the
-//! one whose registry the report reads. Results come back in input order,
-//! so every mean and CSV row is folded on the calling thread and is
-//! bit-identical to the serial loop at any width. The pool lives here, not
-//! under the algorithms, which spawn no thread.
+//! Nothing that measures runs on a worker thread. The answer-only sweeps
+//! map their points with [`par_points`] across a pool as wide as the
+//! machine's available parallelism — except while the calling thread's obs
+//! layer is recording (`--report`), when every point runs on the calling
+//! thread, the one whose registry the report reads. Results come back in
+//! input order, so every mean and CSV row is folded on the calling thread
+//! and is bit-identical to the serial loop at any width. The pool lives
+//! here, not under the algorithms, which spawn no thread.
 
 #![cfg_attr(
     not(test),
@@ -99,20 +82,10 @@ where
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs `f` once per seed across the sweep pool, returning results in seed
-/// order — replications are independent by construction, and the
-/// order-preserving pool keeps every downstream mean/CSV row bit-identical
-/// to the serial loop.
-pub fn par_seeds<R, F>(seeds: &[u64], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    par_points(seeds, |&s| f(s))
-}
-
-/// Maps independent sweep points (job counts, alphas, orders, …) across
-/// the sweep pool, preserving input order. See [`par_seeds`].
+/// Maps independent sweep points (job counts, seeds, alphas, orders, …)
+/// across the sweep pool, preserving input order: replications are
+/// independent by construction, so every downstream mean and CSV row is
+/// bit-identical to the serial loop.
 pub fn par_points<T, R, F>(points: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -122,8 +95,8 @@ where
     pool_map(width(), points, f)
 }
 
-/// CLI options shared by every figure binary. A `None` knob means "the
-/// binary's own default for its scale".
+/// The CLI options of a figure. A `None` knob means "the figure's own
+/// default for its scale".
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct BenchOpts {
     /// Smoke scale: small networks, few jobs, one seed.
@@ -131,9 +104,7 @@ pub struct BenchOpts {
     /// Where to write the JSON-lines metrics report, if requested.
     pub report: Option<String>,
     /// Solve through the delayed column-generation pipeline instead of the
-    /// monolithic builds (binaries that support it document what changes;
-    /// the default-config outputs stay byte-identical because the flag is
-    /// strictly opt-in).
+    /// monolithic builds (`fig4` only).
     pub colgen: bool,
     /// Job count (for a sweep, its largest point).
     pub jobs: Option<usize>,
@@ -145,19 +116,20 @@ pub struct BenchOpts {
     pub size_gb: Option<usize>,
 }
 
-/// Parses the figure-binary CLI, taking only the flags listed, space
-/// separated, in `accepted` (the ones the calling binary reads). `Err`
-/// carries the usage message: a flag the binary does not read, a missing
-/// value or an unparseable number — a knob that silently fell back to its
-/// default, or was silently ignored, would run the wrong experiment and
-/// label the output with the right one.
+/// Parses a figure's flags (`--smoke`, `--colgen`, `--report <path>`,
+/// `--jobs`, `--seeds`, `--paths`, `--size-gb <n>`), taking only the ones
+/// listed, space separated, in `accepted` (the ones the figure reads).
+/// `Err` carries the usage message: a flag the figure does not read, a
+/// missing value or an unparseable number — a knob that silently fell back
+/// to its default, or was silently ignored, would run the wrong experiment
+/// and label the output with the right one.
 pub fn parse_bench_args(
     args: impl IntoIterator<Item = String>,
     accepted: &str,
 ) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
     let mut args = args.into_iter();
-    let unknown = |flag: &str| format!("unknown argument {flag:?}; this binary takes: {accepted}");
+    let unknown = |flag: &str| format!("unknown argument {flag:?}; this figure takes: {accepted}");
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         let count = |v: String| {
@@ -178,21 +150,6 @@ pub fn parse_bench_args(
         }
     }
     Ok(opts)
-}
-
-/// [`parse_bench_args`] over the process arguments, turning on the
-/// observability layer when a report is requested. Exits with the usage
-/// message (status 2) on a bad argument, so typos and flags the binary
-/// does not read fail loudly instead of running the wrong experiment.
-pub fn bench_opts(accepted: &str) -> BenchOpts {
-    let opts = parse_bench_args(std::env::args().skip(1), accepted).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    });
-    if opts.report.is_some() {
-        wavesched_obs::set_enabled(true);
-    }
-    opts
 }
 
 /// Writes the JSON-lines metrics snapshot to the `--report` path, if one
@@ -222,22 +179,27 @@ pub fn paper_random_network(w: u32, seed: u64, smoke: bool) -> Graph {
     waxman_network(&cfg)
 }
 
-/// The batch workload used by the figure experiments: `n` jobs, sizes
-/// uniform [1, 100] GB, windows uniform [4, 10] slices (chosen so the
-/// 100-node instances sit at/near overload — see EXPERIMENTS.md).
-pub fn fig_workload(g: &Graph, n: usize, seed: u64) -> Vec<Job> {
+/// A batch of `n` jobs on `g`: sizes uniform in `size_gb` GB, windows
+/// uniform in `window` slices.
+pub fn workload(
+    g: &Graph,
+    n: usize,
+    seed: u64,
+    size_gb: (f64, f64),
+    window: (f64, f64),
+) -> Vec<Job> {
     WorkloadGenerator::new(WorkloadConfig {
         num_jobs: n,
         seed,
-        size_gb: (1.0, 100.0),
-        window: (4.0, 10.0),
+        size_gb,
+        window,
         ..Default::default()
     })
     .generate(g)
 }
 
 /// Builds the instance for `w` wavelengths per link (capacity constant at
-/// 20 Gbps, paper Figs. 1–2).
+/// 20 Gbps) and `paths_per_job` Yen paths a job.
 pub fn build_instance(g: &Graph, jobs: &[Job], w: u32, paths_per_job: usize) -> Instance {
     let cfg = InstanceConfig {
         paths_per_job,
@@ -250,15 +212,6 @@ pub fn build_instance(g: &Graph, jobs: &[Job], w: u32, paths_per_job: usize) -> 
 /// Seconds as a fixed-point string for CSV output.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
-}
-
-/// Mean of a slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -276,15 +229,9 @@ mod tests {
     #[test]
     fn workload_helper() {
         let g = paper_random_network(4, 1, true);
-        let jobs = fig_workload(&g, 20, 5);
+        let jobs = workload(&g, 20, 5, (1.0, 100.0), (4.0, 10.0));
         assert_eq!(jobs.len(), 20);
         assert!(jobs.iter().all(|j| j.size_gb <= 100.0));
-    }
-
-    #[test]
-    fn mean_of_slice() {
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert!(mean(&[]).is_nan());
     }
 
     #[test]
@@ -324,15 +271,12 @@ mod tests {
                 ["--smoke".into(), "--colgen".into()],
                 "--smoke --jobs --report"
             ),
-            Err("unknown argument \"--colgen\"; this binary takes: --smoke --jobs --report".into())
+            Err("unknown argument \"--colgen\"; this figure takes: --smoke --jobs --report".into())
         );
     }
 
     #[test]
-    fn par_helpers_preserve_order() {
-        let seeds: Vec<u64> = (100..140).collect();
-        let out = par_seeds(&seeds, |s| s * 7);
-        assert_eq!(out, seeds.iter().map(|s| s * 7).collect::<Vec<_>>());
+    fn par_points_preserves_order() {
         let points = [5usize, 1, 9, 2];
         let out = par_points(&points, |&p| p + 1);
         assert_eq!(out, vec![6, 2, 10, 3]);
@@ -418,11 +362,10 @@ mod tests {
             wavesched_obs::counter_add("bench.points", 1);
             std::thread::current().id()
         });
-        let seeds = par_seeds(&[1, 2, 3], |_| std::thread::current().id());
         let snap = wavesched_obs::snapshot();
         wavesched_obs::set_enabled(false);
         wavesched_obs::reset();
-        assert!(ids.iter().chain(&seeds).all(|&id| id == caller));
+        assert!(ids.iter().all(|&id| id == caller));
         assert!(snap.contains(&wavesched_obs::Metric::Counter {
             name: "bench.points".into(),
             value: 16

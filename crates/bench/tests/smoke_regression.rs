@@ -1,8 +1,8 @@
-//! Default-config smoke CSV regression: the fig3, fig4 and jobs_finished
-//! binaries' `--smoke` output is pinned byte-for-byte against recorded
-//! fixtures in `results/`, so structural refactors (like the
+//! Default-config smoke CSV regression: `claims fig3`, `fig4` and
+//! `jobs_finished` `--smoke` output is pinned byte-for-byte against
+//! recorded fixtures in `results/`, so structural refactors (like the
 //! column-generation restructure of the solve layers) cannot silently
-//! change the default pipeline's results. The binaries run as they run by
+//! change the default pipeline's results. The figures run as they run by
 //! default — fig4 and jobs_finished across the sweep pool at the machine's
 //! width — so the fixtures also pin that the pool changes no answer.
 //! Wall-clock columns are masked before comparison — they are the only
@@ -13,7 +13,7 @@
 //! Refresh a fixture after an *intentional* result change with:
 //!
 //! ```text
-//! cargo run --release -p wavesched-bench --bin fig3 -- --smoke \
+//! cargo run --release -p wavesched-bench --bin claims -- fig3 --smoke \
 //!   > results/fig3_smoke.csv     # likewise fig4, jobs_finished
 //! ```
 
@@ -24,16 +24,15 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read fixture {path}: {e}"))
 }
 
-/// Runs a bench binary with `--smoke` (plus extras).
-fn run_smoke(bin: &str, extra_args: &[&str]) -> String {
-    let out = Command::new(bin)
-        .arg("--smoke")
-        .args(extra_args)
+/// Runs `claims <figure> --smoke`.
+fn run_smoke(figure: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_claims"))
+        .args([figure, "--smoke"])
         .output()
-        .expect("bench binary runs");
+        .expect("claims runs");
     assert!(
         out.status.success(),
-        "{bin} failed: {}",
+        "claims {figure} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf8 csv")
@@ -68,10 +67,7 @@ fn fig4_smoke_csv_matches_recorded_fixture() {
     // starts, fallbacks) count that work, and are re-pinned when it moves.
     const ANSWERS: &[usize] = &[0, 1, 2, 3, 4, 5];
     const COUNTERS: &[usize] = &[0, 6, 7, 8, 9, 10];
-    let (actual, expected) = (
-        run_smoke(env!("CARGO_BIN_EXE_fig4"), &[]),
-        fixture("fig4_smoke.csv"),
-    );
+    let (actual, expected) = (run_smoke("fig4"), fixture("fig4_smoke.csv"));
     assert_eq!(
         project_columns(&actual, ANSWERS),
         project_columns(&expected, ANSWERS),
@@ -92,7 +88,7 @@ fn fig3_smoke_deterministic_columns_match_recorded_fixture() {
     // and the solver-work counters (iters, phase1_iters, warm_accepted)
     // are pinned.
     const KEEP: &[usize] = &[0, 7, 8, 9];
-    let actual = project_columns(&run_smoke(env!("CARGO_BIN_EXE_fig3"), &[]), KEEP);
+    let actual = project_columns(&run_smoke("fig3"), KEEP);
     let expected = project_columns(&fixture("fig3_smoke.csv"), KEEP);
     assert_eq!(
         actual, expected,
@@ -106,7 +102,7 @@ fn jobs_finished_smoke_csv_matches_recorded_fixture() {
     // Every column is an answer (b̂, b_final and the three finished
     // shares), so the whole CSV is pinned.
     assert_eq!(
-        run_smoke(env!("CARGO_BIN_EXE_jobs_finished"), &[]),
+        run_smoke("jobs_finished"),
         fixture("jobs_finished_smoke.csv"),
         "jobs_finished --smoke drifted from results/jobs_finished_smoke.csv"
     );

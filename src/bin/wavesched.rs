@@ -10,6 +10,7 @@
 //!
 //! Networks: `abilene14`, `abilene20`, `esnet`, or `waxman:<nodes>:<pairs>:<seed>`.
 
+use std::io::Write;
 use std::process::ExitCode;
 use wavesched::core::colgen::{CgStats, ColGenConfig};
 use wavesched::core::controller::OverloadPolicy;
@@ -190,11 +191,11 @@ fn reject_unknown_options(args: &Args) -> Result<(), String> {
     }
 }
 
-fn print_cg_stats(stats: &CgStats) {
-    println!(
-        "column generation: {} rounds, {} columns entered, {} pricer calls",
+fn cg_stats_line(stats: &CgStats) -> String {
+    format!(
+        "column generation: {} rounds, {} columns entered, {} pricer calls\n",
         stats.rounds, stats.columns_added, stats.pricer_calls
-    );
+    )
 }
 
 fn build_network(spec: &str, w: u32) -> Result<Graph, String> {
@@ -248,7 +249,8 @@ const FAMILIES: [(&str, &[&str]); 2] = [
 /// the report once, validates it, holds every counter of `<expected>` as an
 /// upper bound on the report's, and requires each named counter to be
 /// present and positive. Every failure is listed, each naming its counter.
-fn check_report(args: &Args) -> Result<(), String> {
+/// Returns the text for stdout.
+fn check_report(args: &Args) -> Result<String, String> {
     let read = |path: &str| -> Result<Vec<obs::Metric>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
         obs::parse_json_lines(&text).map_err(|e| format!("{path}: invalid report: {e}"))
@@ -284,13 +286,14 @@ fn check_report(args: &Args) -> Result<(), String> {
     // only counters where less is better; one where more is better (LU
     // reuse, accepted warm starts) is gated by `--require-nonzero` instead,
     // so a path that silently stops running fails rather than improving.
+    let mut out = String::new();
     let mut improved = 0usize;
     for (name, want) in &expected {
         match value(name) {
             None => failures.push(format!("{name}: missing (expected {want})")),
             Some(got) if got > *want => failures.push(format!("{name}: {got} > expected {want}")),
             Some(got) if got < *want => {
-                println!("{name}: improved ({got} < expected {want})");
+                out += &format!("{name}: improved ({got} < expected {want})\n");
                 improved += 1;
             }
             Some(_) => {}
@@ -311,25 +314,25 @@ fn check_report(args: &Args) -> Result<(), String> {
     }
     if !failures.is_empty() {
         return Err(format!(
-            "{path}: {} failure(s):\n  {}",
+            "{out}{path}: {} failure(s):\n  {}",
             failures.len(),
             failures.join("\n  ")
         ));
     }
-    println!(
+    out += &format!(
         "{path}: valid report of {} metrics; {} expected counters within bound \
-         ({improved} improved); {} required counters nonzero",
+         ({improved} improved); {} required counters nonzero\n",
         metrics.len(),
         expected.len(),
         required.len()
     );
-    Ok(())
+    Ok(out)
 }
 
-fn run(args: &Args) -> Result<(), String> {
+/// Runs the command and returns what it prints on stdout.
+fn run(args: &Args) -> Result<String, String> {
     if args.command == "help" || args.command == "--help" {
-        println!("{}", usage());
-        return Ok(());
+        return Ok(format!("{}\n", usage()));
     }
 
     if args.command == "check-report" {
@@ -365,7 +368,7 @@ fn run(args: &Args) -> Result<(), String> {
         parse_trace(&text, &graph).map_err(|e| e.to_string())
     };
 
-    match args.command.as_str() {
+    let out = match args.command.as_str() {
         "gen-trace" => {
             let jobs_n: usize = args.num("jobs", 20)?;
             let seed: u64 = args.num("seed", 0)?;
@@ -375,15 +378,16 @@ fn run(args: &Args) -> Result<(), String> {
                 ..Default::default()
             })
             .generate(&graph);
-            print!("{}", write_trace(&jobs));
+            write_trace(&jobs)
         }
         "schedule" => {
             let jobs = load_trace()?;
+            let mut out = String::new();
             let (inst, r) = if args.flag("colgen") {
                 let (r, inst, stats) =
                     max_throughput_pipeline_colgen(&graph, &jobs, &inst_cfg, alpha)
                         .map_err(|e| e.to_string())?;
-                print_cg_stats(&stats);
+                out += &cg_stats_line(&stats);
                 (inst, r)
             } else {
                 let mut ps = PathSet::new(inst_cfg.paths_per_job);
@@ -392,53 +396,54 @@ fn run(args: &Args) -> Result<(), String> {
                 (inst, r)
             };
             let plan = r.lpdar.trim_to_demand(&inst);
-            println!(
-                "network {net_spec}, {} jobs, Z* = {:.3}",
+            out += &format!(
+                "network {net_spec}, {} jobs, Z* = {:.3}\n",
                 jobs.len(),
                 r.z_star
             );
             if r.z_star < 1.0 {
-                println!("OVERLOADED: demands shrink to each job's Z_i");
+                out += "OVERLOADED: demands shrink to each job's Z_i\n";
             }
-            println!(
-                "weighted throughput: LP {:.3}, LPD {:.3}, LPDAR {:.3}",
+            out += &format!(
+                "weighted throughput: LP {:.3}, LPD {:.3}, LPDAR {:.3}\n\n",
                 r.lp_throughput, r.lpd_throughput, r.lpdar_throughput
             );
-            println!();
-            print!("{}", job_timeline(&inst, &plan));
-            println!();
-            print!("{}", link_utilization(&inst, &plan, 10));
+            out += &job_timeline(&inst, &plan);
+            out += "\n";
+            out += &link_utilization(&inst, &plan, 10);
+            out
         }
         "ret" => {
             let jobs = load_trace()?;
             let ret_cfg = RetConfig::default();
-            let out = if args.flag("colgen") {
+            let mut out = String::new();
+            let answer = if args.flag("colgen") {
                 solve_ret_colgen(&graph, &jobs, &inst_cfg, &ret_cfg, &ColGenConfig::default())
                     .map_err(|e| e.to_string())?
                     .map(|(r, stats)| {
-                        print_cg_stats(&stats);
+                        out += &cg_stats_line(&stats);
                         r
                     })
             } else {
                 solve_ret(&graph, &jobs, &inst_cfg, &ret_cfg).map_err(|e| e.to_string())?
             };
-            match out {
-                None => println!("no end-time extension up to b_max completes all jobs"),
+            match answer {
+                None => out += "no end-time extension up to b_max completes all jobs\n",
                 Some(r) => {
-                    println!(
-                        "minimal fractional extension b = {:.3}; integral completion at b = {:.3}",
+                    out += &format!(
+                        "minimal fractional extension b = {:.3}; integral completion at b = {:.3}\n",
                         r.b_lp, r.b_final
                     );
-                    println!(
-                        "average end time: LP {:.2}, LPDAR {:.2} slices; LPD finishes {:.0}%",
+                    out += &format!(
+                        "average end time: LP {:.2}, LPDAR {:.2} slices; LPD finishes {:.0}%\n\n",
                         r.lp_avg_end_time().unwrap_or(f64::NAN),
                         r.lpdar_avg_end_time().unwrap_or(f64::NAN),
                         100.0 * r.lpd_fraction_finished()
                     );
-                    println!();
-                    print!("{}", job_timeline(&r.instance, &r.lpdar));
+                    out += &job_timeline(&r.instance, &r.lpdar);
                 }
             }
+            out
         }
         "simulate" => {
             let tau: usize = args.at_least_one("tau", 1)?;
@@ -454,35 +459,31 @@ fn run(args: &Args) -> Result<(), String> {
                 other => return Err(format!("unknown policy {other:?}")),
             };
             let rep = run_simulation(&graph, &jobs, &cfg).map_err(|e| e.to_string())?;
-            println!(
-                "{} slices, {} invocations | completed {:.0}% (on time {:.0}%), rejected {:.0}%, expired {:.0}%",
+            format!(
+                "{} slices, {} invocations | completed {:.0}% (on time {:.0}%), rejected {:.0}%, expired {:.0}%\n\
+                 goodput {:.0}%, mean utilization {:.1}%{}\n",
                 rep.totals.slices,
                 rep.totals.invocations,
                 100.0 * rep.completion_rate(),
                 100.0 * rep.on_time_rate(),
                 100.0 * rep.rejection_rate(),
-                100.0 * rep.expiry_rate()
-            );
-            println!(
-                "goodput {:.0}%, mean utilization {:.1}%{}",
+                100.0 * rep.expiry_rate(),
                 100.0 * rep.totals.goodput(),
                 100.0 * rep.totals.mean_utilization,
                 rep.average_end_time()
                     .map(|t| format!(", avg end time {t:.1} slices"))
                     .unwrap_or_default()
-            );
+            )
         }
-        "dot" => {
-            print!("{}", to_dot(&graph));
-        }
+        "dot" => to_dot(&graph),
         other => {
             return Err(format!("unknown command {other:?}\n\n{}", usage()));
         }
-    }
+    };
     if trace_spans {
         eprint!("{}", obs::render_span_tree());
     }
-    Ok(())
+    Ok(out)
 }
 
 fn main() -> ExitCode {
@@ -495,7 +496,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+        // The one place stdout is written. A reader that went away
+        // (`wavesched gen-trace ... | head -1`) ends the run quietly.
+        Ok(out) => match std::io::stdout().lock().write_all(out.as_bytes()) {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                eprintln!("failed to write stdout: {e}");
+                ExitCode::FAILURE
+            }
+            _ => ExitCode::SUCCESS,
+        },
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE

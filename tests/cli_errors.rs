@@ -69,3 +69,19 @@ fn bad_input_is_a_one_line_error_not_a_panic() {
         }
     }
 }
+
+#[test]
+fn a_reader_that_goes_away_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wavesched"))
+        .args(["gen-trace", "--network", "abilene14", "--jobs", "5000"])
+        .args(["--seed", "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run wavesched");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for wavesched");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
