@@ -120,9 +120,9 @@ pub struct BenchOpts {
 /// `--jobs`, `--seeds`, `--paths`, `--size-gb <n>`), taking only the ones
 /// listed, space separated, in `accepted` (the ones the figure reads).
 /// `Err` carries the usage message: a flag the figure does not read, a
-/// missing value or an unparseable number — a knob that silently fell back
-/// to its default, or was silently ignored, would run the wrong experiment
-/// and label the output with the right one.
+/// missing value, an unparseable number or a zero count — a knob that
+/// silently fell back to its default, or was silently ignored, would run
+/// the wrong experiment and label the output with the right one.
 pub fn parse_bench_args(
     args: impl IntoIterator<Item = String>,
     accepted: &str,
@@ -132,10 +132,12 @@ pub fn parse_bench_args(
     let unknown = |flag: &str| format!("unknown argument {flag:?}; this figure takes: {accepted}");
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
-        let count = |v: String| {
-            v.parse::<usize>()
-                .map(Some)
-                .map_err(|_| format!("{flag}={v:?} is not a valid unsigned integer"))
+        // Zero jobs, seeds, paths or gigabytes is no experiment: it would
+        // print an empty or NaN table, or stop in a solver's assertion.
+        let count = |v: String| match v.parse::<usize>() {
+            Ok(0) => Err(format!("{flag}={v:?} must be at least 1")),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("{flag}={v:?} is not a valid unsigned integer")),
         };
         match flag.as_str() {
             f if !accepted.split_whitespace().any(|a| a == f) => return Err(unknown(f)),
@@ -251,9 +253,13 @@ mod tests {
                 size_gb: Some(50),
             })
         );
-        // A typo, a missing value and a garbage number are all errors,
-        // never a silent default.
+        // A typo, a missing value, a garbage number and a zero count are
+        // all errors, never a silent default.
         for bad in [
+            "--jobs 0",
+            "--seeds 0",
+            "--paths 0",
+            "--size-gb 0",
             "--smok",
             "--report",
             "--jobs",

@@ -68,6 +68,24 @@ fn flags_a_figure_does_not_read_are_one_line_usage_errors() {
 }
 
 #[test]
+fn zero_counts_are_one_line_usage_errors() {
+    // Each once ran: a panic in the solver (`--paths 0`, `--size-gb 0`), a
+    // table of NaN rows (`--seeds 0`) or an empty table (`--jobs 0`).
+    let cases: [(&[&str], &str); 4] = [
+        (&["fig4", "--smoke", "--colgen", "--paths", "0"], "--paths"),
+        (
+            &["fig4", "--smoke", "--colgen", "--size-gb", "0"],
+            "--size-gb",
+        ),
+        (&["fig1", "--smoke", "--seeds", "0"], "--seeds"),
+        (&["fig3", "--smoke", "--jobs", "0"], "--jobs"),
+    ];
+    for (args, want) in cases {
+        assert_usage_error(args, want);
+    }
+}
+
+#[test]
 fn an_unknown_or_missing_figure_is_a_one_line_usage_error() {
     assert_usage_error(&["fig9", "--smoke"], "unknown figure \"fig9\"");
     assert_usage_error(&[], "usage: claims <figure>");

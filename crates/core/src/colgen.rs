@@ -17,6 +17,11 @@
 //!    job-row coefficient is `LEN(j) = 1`),
 //! 4. repeat until no job has an improving out-of-pool path.
 //!
+//! Yen ranks are computed on demand, in rank order, and only while a
+//! later rank could still win: when no capacity dual is negative, a path's
+//! load is at least zero, so no path beats the job's best budget (see
+//! `CgMaster::price`).
+//!
 //! The path universe is the paper's: each job's `paths_per_job` Yen paths,
 //! the same set the monolithic [`Instance`] build materializes; the pool
 //! names a path by its rank there. When the loop terminates, the master
@@ -79,7 +84,7 @@ const TOLERANCE: f64 = 1e-7;
 
 /// Column-generation work counters (also mirrored into the `cg.*` obs
 /// counters: `cg.rounds`, `cg.columns_added`, `cg.pricer_calls`,
-/// `cg.pricing_ns`, `cg.master_lu_reuse_hits`).
+/// `cg.pricing_ns`, `cg.master_lu_reuse_hits`, `cg.yen_paths`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CgStats {
     /// Price–resolve rounds run.
@@ -94,6 +99,9 @@ pub struct CgStats {
     /// (no `Lu::factor` at solve entry; column splices and capacity-row
     /// growth kept the carried factors valid).
     pub master_lu_reuse_hits: u64,
+    /// Yen paths the master's path search computed: the ranks pricing
+    /// asked for, at most `paths_per_job` a job's endpoint pair.
+    pub yen_paths: u64,
 }
 
 /// One pool column: `(job, path index within the job's pool, slice)`.
@@ -215,8 +223,8 @@ pub(crate) struct CgMaster {
     /// Currently active window per job (`⊆` envelope); columns outside are
     /// fixed to zero.
     active: Vec<Range<usize>>,
-    /// The Yen paths priced, `paths_per_job` per endpoint pair: the pool's
-    /// ranks index them.
+    /// The Yen paths priced, up to `paths_per_job` per endpoint pair,
+    /// computed as pricing asks for them: the pool's ranks index them.
     pathset: PathSet,
     /// Price–resolve rounds allowed per form: [`MAX_ROUNDS`], lowered only
     /// by the cap's own unit test.
@@ -231,6 +239,10 @@ pub(crate) struct CgMaster {
     /// The formulation the master currently encodes; see [`Form`].
     form: Form,
     stats: CgStats,
+    /// Every path of every pair, for the full-scan pricer test builds
+    /// check each round against.
+    #[cfg(test)]
+    full_scan: PathSet,
 }
 
 impl CgMaster {
@@ -260,7 +272,7 @@ impl CgMaster {
         // (job, path) of each seed, in job order.
         let mut seeds = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
-            if let Some(p) = pathset.paths(graph, job.src, job.dst).first() {
+            if let Some(p) = pathset.paths_upto(graph, job.src, job.dst, 1).first() {
                 pool.ranks[i].push(0);
                 seeds.push((i, p.clone()));
             }
@@ -314,7 +326,7 @@ impl CgMaster {
         }
 
         let session = SolverSession::new(&p)?;
-        Ok(CgMaster {
+        let mut master = CgMaster {
             graph: Arc::new(graph.clone()),
             jobs: jobs.to_vec(),
             demands,
@@ -331,7 +343,19 @@ impl CgMaster {
             lp_cols,
             form: Form::Stage1,
             stats: CgStats::default(),
-        })
+            #[cfg(test)]
+            full_scan: PathSet::new(config.paths_per_job),
+        };
+        master.count_yen_paths();
+        Ok(master)
+    }
+
+    /// Brings [`CgStats::yen_paths`] and `cg.yen_paths` up to the paths
+    /// the master's path search has computed.
+    fn count_yen_paths(&mut self) {
+        let found = self.pathset.paths_found() as u64;
+        obs::counter_add("cg.yen_paths", found - self.stats.yen_paths);
+        self.stats.yen_paths = found;
     }
 
     /// The master's time grid.
@@ -487,6 +511,9 @@ impl CgMaster {
         )]
         let t0 = std::time::Instant::now();
         let proposals = self.price(&sol.duals, &budgets);
+        #[cfg(test)]
+        self.check_against_full_scan(&sol.duals, &budgets, &proposals);
+        self.count_yen_paths();
         self.stats.pricer_calls += 1;
         let spent = t0.elapsed().as_nanos() as u64;
         self.stats.pricing_ns += spent;
@@ -509,30 +536,50 @@ impl CgMaster {
     /// proposal improves the master in at least one slice. One path per job
     /// per round keeps the pool lean: entering every improving column
     /// floods the restricted master back to the monolithic size.
+    ///
+    /// Ranks are asked of the path search in order, and only while a later
+    /// one could still be proposed. When no capacity dual is negative or
+    /// NaN, every load is at least zero, so no margin exceeds the job's
+    /// bound, its best budget over the active slices: a job whose bound is
+    /// not positive is skipped without a path, and a scan ends once its
+    /// best margin reaches the bound, since a later rank would have to beat
+    /// it strictly. A round with a negative or NaN capacity dual scans
+    /// every rank.
     fn price(&mut self, duals: &[f64], budgets: &[Vec<f64>]) -> Vec<(usize, u32)> {
+        // Every row after the job rows is a capacity row.
+        let loads_nonnegative = duals[self.job_rows.len()..].iter().all(|&mu| mu >= 0.0);
         let mut out = Vec::new();
         for (i, job) in self.jobs.iter().enumerate() {
             let w = &self.active[i];
             if w.is_empty() {
                 continue;
             }
+            // Folded as the margins are, so a NaN budget drops out of both.
+            let bound = if loads_nonnegative {
+                budgets[i].iter().fold(f64::NEG_INFINITY, |b, &x| b.max(x))
+            } else {
+                f64::INFINITY
+            };
             let mut best: Option<(f64, u32)> = None;
-            for (rank, p) in (0..).zip(self.pathset.paths(&self.graph, job.src, job.dst)) {
-                if self.pool.ranks[i].contains(&rank) {
-                    continue;
-                }
-                let mut m = f64::NEG_INFINITY;
-                for j in w.clone() {
-                    let load: f64 = p
-                        .edges()
-                        .iter()
-                        .map(|&e| self.cap_rows.dual(duals, e, j))
-                        .sum();
-                    m = m.max(budgets[i][j - w.start] - load);
-                }
-                if m > 0.0 && best.is_none_or(|(bm, _)| m > bm) {
-                    best = Some((m, rank));
-                }
+            if bound > 0.0 {
+                let (pool, cap_rows) = (&self.pool.ranks[i], &self.cap_rows);
+                let (src, dst) = (job.src, job.dst);
+                self.pathset.visit_while(&self.graph, src, dst, |rank, p| {
+                    let rank = rank as u32;
+                    if !pool.contains(&rank) {
+                        let mut m = f64::NEG_INFINITY;
+                        for j in w.clone() {
+                            let load: f64 =
+                                p.edges().iter().map(|&e| cap_rows.dual(duals, e, j)).sum();
+                            m = m.max(budgets[i][j - w.start] - load);
+                        }
+                        if m > 0.0 && best.is_none_or(|(bm, _)| m > bm) {
+                            best = Some((m, rank));
+                        }
+                    }
+                    // A later rank must beat the best margin strictly.
+                    best.is_none_or(|(bm, _)| bm < bound)
+                });
             }
             if let Some((_, rank)) = best {
                 out.push((i, rank));
@@ -560,8 +607,8 @@ impl CgMaster {
             if self.pool.ranks[job].contains(&rank) {
                 continue;
             }
-            let (src, dst) = (self.jobs[job].src, self.jobs[job].dst);
-            let path = self.pathset.paths(&self.graph, src, dst)[rank as usize].clone();
+            let (src, dst, n) = (self.jobs[job].src, self.jobs[job].dst, rank as usize + 1);
+            let path = self.pathset.paths_upto(&self.graph, src, dst, n)[n - 1].clone();
             keys.clear();
             for &e in path.edges() {
                 for j in self.windows[job].clone() {
@@ -664,8 +711,68 @@ impl CgMaster {
 mod tests {
     use super::*;
     use crate::instance::InstanceConfig;
+    use crate::ret::{solve_ret_colgen, RetConfig};
     use crate::stage1::solve_stage1;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Pricing rounds checked against the full scan on this thread,
+        /// and the proposals they made.
+        static CHECKED: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// The pricer as it ran before ranks were computed on demand, kept as
+    /// its oracle: every rank of every job with an active window, no bound.
+    impl CgMaster {
+        fn price_full_scan(&mut self, duals: &[f64], budgets: &[Vec<f64>]) -> Vec<(usize, u32)> {
+            let mut out = Vec::new();
+            for (i, job) in self.jobs.iter().enumerate() {
+                let w = &self.active[i];
+                if w.is_empty() {
+                    continue;
+                }
+                let mut best: Option<(f64, u32)> = None;
+                for (rank, p) in (0..).zip(self.full_scan.paths(&self.graph, job.src, job.dst)) {
+                    if self.pool.ranks[i].contains(&rank) {
+                        continue;
+                    }
+                    let mut m = f64::NEG_INFINITY;
+                    for j in w.clone() {
+                        let load: f64 = p
+                            .edges()
+                            .iter()
+                            .map(|&e| self.cap_rows.dual(duals, e, j))
+                            .sum();
+                        m = m.max(budgets[i][j - w.start] - load);
+                    }
+                    if m > 0.0 && best.is_none_or(|(bm, _)| m > bm) {
+                        best = Some((m, rank));
+                    }
+                }
+                if let Some((_, rank)) = best {
+                    out.push((i, rank));
+                }
+            }
+            out
+        }
+
+        /// Asserts that [`price`](CgMaster::price) proposed what the full
+        /// scan proposes, and counts the round.
+        pub(super) fn check_against_full_scan(
+            &mut self,
+            duals: &[f64],
+            budgets: &[Vec<f64>],
+            got: &[(usize, u32)],
+        ) {
+            let want = self.price_full_scan(duals, budgets);
+            assert_eq!(got, want, "bounded pricing vs the full scan");
+            CHECKED.with(|c| {
+                let [rounds, proposals] = c.get();
+                c.set([rounds + 1, proposals + got.len()]);
+            });
+        }
+    }
 
     /// Stage 1 priced out on `master`: `Z*` over the Yen paths.
     fn stage1_colgen(master: &mut CgMaster) -> Result<f64, SolveError> {
@@ -956,6 +1063,110 @@ mod tests {
             "{bytes} bytes for {rows} rows"
         );
         assert!(10 * bytes < g.num_edges() * horizon * size_of::<Row>());
+    }
+
+    /// Every pricing round of a `claims fig4 --smoke --colgen` RET run
+    /// (100-node Waxman, W = 2, k = 16, 20 and 50 jobs) is checked against
+    /// the full scan inside `price_and_augment`; this holds the run to
+    /// rounds that propose paths, and to the bound having spared ranks.
+    #[test]
+    fn bounded_pricing_proposes_what_the_full_scan_proposes() {
+        let g = wavesched_net::waxman_network(&wavesched_net::WaxmanConfig {
+            nodes: 100,
+            link_pairs: 200,
+            wavelengths: 2,
+            alpha: 0.15,
+            seed: 42,
+        });
+        let cfg = InstanceConfig {
+            paths_per_job: 16,
+            ..InstanceConfig::paper(2)
+        };
+        let ret = RetConfig {
+            bsearch_tol: 0.05,
+            b_max: 10.0,
+            max_delta_steps: 120,
+            ..RetConfig::default()
+        };
+        let [rounds0, proposals0] = CHECKED.with(Cell::get);
+        let (mut calls, mut yen) = (0, 0);
+        for n in [20, 50] {
+            let jobs = WorkloadGenerator::new(WorkloadConfig {
+                num_jobs: n,
+                seed: 3000,
+                size_gb: (1.0, 100.0),
+                window: (4.0, 10.0),
+                ..Default::default()
+            })
+            .generate(&g);
+            let colgen = solve_ret_colgen(&g, &jobs, &cfg, &ret, &ColGenConfig::default());
+            let (_, cg) = colgen.unwrap().expect("RET answers");
+            assert!(cg.yen_paths < (n * cfg.paths_per_job) as u64 / 4, "{cg:?}");
+            calls += cg.pricer_calls as usize;
+            yen += cg.yen_paths;
+        }
+        let [rounds, proposals] = CHECKED.with(Cell::get);
+        assert_eq!(rounds - rounds0, calls);
+        assert!(
+            calls >= 3 && proposals - proposals0 > 0,
+            "{calls} rounds, {yen} paths"
+        );
+    }
+
+    /// A scan may end only where no later rank can win. A rank whose
+    /// margin is positive but below the bound does not end it; one whose
+    /// margin reaches the bound does, unless a negative capacity dual lets
+    /// a later path's load fall below zero and its margin past the bound.
+    #[test]
+    fn pricing_stops_only_where_no_later_rank_can_win() {
+        let (g, jobs, _, cfg) = setup(1, 42);
+        let mut yen = PathSet::new(cfg.paths_per_job);
+        // A pair whose ranks 1 and 2 each cross an edge of rank 0 (so the
+        // seed gives it a capacity row) that the other does not.
+        let nodes: Vec<_> = (0..g.num_nodes() as u32)
+            .map(wavesched_net::NodeId)
+            .collect();
+        let (src, dst, only1, only2) = nodes
+            .iter()
+            .flat_map(|&s| nodes.iter().map(move |&d| (s, d)))
+            .find_map(|(s, d)| {
+                let ps = yen.paths(&g, s, d);
+                let p2 = ps.get(2)?.edges();
+                let (p0, p1) = (ps[0].edges(), ps[1].edges());
+                let only = |a: &[EdgeId], b: &[EdgeId]| {
+                    a.iter().copied().find(|e| p0.contains(e) && !b.contains(e))
+                };
+                Some((s, d, only(p1, p2)?, only(p2, p1)?))
+            })
+            .expect("abilene has such a pair");
+        let job = Job {
+            src,
+            dst,
+            ..jobs[0].clone()
+        };
+        let demands = vec![cfg.demand_units(job.size_gb)];
+        let mut master = CgMaster::build(&g, &[job], demands, &cfg).unwrap();
+        let w = master.active[0].clone();
+        let budgets = vec![vec![1.0; w.len()]];
+        let row = |e, j| master.cap_rows.get(e, j).expect("the seed crosses e");
+        let rows1: Vec<Row> = w.clone().map(|j| row(only1, j)).collect();
+        let row2 = row(only2, w.start);
+        let mut duals = vec![0.0; master.session.num_rows()];
+        // Rank 1 has zero load: margin 1, the bound itself.
+        assert_eq!(master.price(&duals, &budgets), [(0, 1)]);
+        // Rank 1 loaded in every slice, margin 0.5; rank 2 unloaded,
+        // margin 1.
+        for r in &rows1 {
+            duals[r.index()] = 0.5;
+        }
+        assert_eq!(master.price(&duals, &budgets), [(0, 2)]);
+        // Rank 1 back at the bound, and rank 2 crossing a row priced below
+        // zero: margin 2.
+        for r in &rows1 {
+            duals[r.index()] = 0.0;
+        }
+        duals[row2.index()] = -1.0;
+        assert_eq!(master.price(&duals, &budgets), [(0, 2)]);
     }
 
     #[test]

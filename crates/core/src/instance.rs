@@ -437,7 +437,14 @@ impl Instance {
         let mut paths: Vec<Vec<Path>> = Vec::with_capacity(jobs.len());
         let mut job_ranks = Vec::with_capacity(jobs.len());
         for (i, j) in jobs.iter().enumerate() {
-            let yen = pathset.paths(graph, j.src, j.dst);
+            // Explicit ranks need the search only up to the highest of them.
+            let yen = match ranks {
+                Some(r) => {
+                    let upto = r[i].iter().max().map_or(0, |&k| k as usize + 1);
+                    pathset.paths_upto(graph, j.src, j.dst, upto)
+                }
+                None => pathset.paths(graph, j.src, j.dst),
+            };
             let r = ranks.map_or_else(|| (0..yen.len() as u32).collect(), |r| r[i].clone());
             paths.push(r.iter().map(|&k| yen[k as usize].clone()).collect());
             job_ranks.push(r);

@@ -130,13 +130,18 @@ pub(super) struct Engine {
     pub(super) weights: Vec<f64>,
     /// Row-wise mirror of the constraint matrix in CSR form (column
     /// indices only; values are re-gathered column-wise). Built at
-    /// construction and rebuilt wholesale whenever the structure grows
-    /// (`append_columns` / `append_rows`); between growth events the
-    /// matrix structure is immutable, only bounds and costs change. It
-    /// lets the pivotal-row pass touch only columns intersecting the
-    /// (sparse) BTRAN result.
+    /// construction and rebuilt wholesale at the first solve entry after
+    /// the structure grew (`append_columns` / `append_rows`, see
+    /// [`Self::structure_stale`]); between growth events the matrix
+    /// structure is immutable, only bounds and costs change. It lets the
+    /// pivotal-row pass touch only columns intersecting the (sparse) BTRAN
+    /// result.
     pub(super) csr_ptr: Vec<usize>,
     pub(super) csr_cols: Vec<u32>,
+    /// True when the structure grew since the row mirror was built and
+    /// the pivot scratch sized: `fit_structure` redoes both, once, at the
+    /// next solve entry.
+    pub(super) structure_stale: bool,
     /// Sparse FTRAN scratch: the entering column (row-indexed RHS).
     pub(super) ftran_rhs: WorkVec,
     /// Sparse FTRAN result `w = B^{-1} a_q` (basis-position indexed),
@@ -250,6 +255,7 @@ impl Engine {
             weights: vec![1.0; ncols],
             csr_ptr,
             csr_cols,
+            structure_stale: false,
             ftran_rhs: WorkVec::new(m),
             ftran_w: WorkVec::new(m),
             rho: WorkVec::new(m),

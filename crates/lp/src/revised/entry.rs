@@ -66,6 +66,7 @@ impl Engine {
     /// order warm → cold.
     pub(super) fn solve(&mut self, start: Option<&Basis>) -> Result<Solution, SolveError> {
         let _span = obs::span("lp_solve");
+        self.fit_structure();
         // Taken up front: any exit that does not re-arm it below leaves the
         // carried factors unused by the next solve.
         let carried = std::mem::take(&mut self.reuse_ready);

@@ -22,19 +22,18 @@ pub(super) fn checked_bounds(lower: f64, upper: f64) -> (f64, f64) {
 }
 
 impl Engine {
-    /// Rebuilds every structure-derived piece of engine state after the
-    /// standardized form grew columns and/or rows: the CSR row mirror, the
-    /// row-dimensioned scratch buffers, the pivot scratch, the kernel
-    /// density cap, and the auto-derived iteration budget. The carried
-    /// factorization and eta file are deliberately left alone — the callers
-    /// (`append_columns`, `append_rows`) decide between preserving the
-    /// factorization across the splice and dropping it via
-    /// `invalidate_factorization`.
+    /// Refits the structure-derived engine state that is cheap to refit
+    /// after the standardized form grew columns and/or rows: the
+    /// row-dimensioned scratch buffers, the kernel density cap and the
+    /// auto-derived iteration budget. The CSR row mirror and the pivot
+    /// scratch are only marked stale: [`Engine::fit_structure`] rebuilds
+    /// them once at the next solve's entry, however many splices came
+    /// before it. The carried factorization and eta file are deliberately
+    /// left alone — the callers (`append_columns`, `append_rows`) decide
+    /// between preserving the factorization across the splice and dropping
+    /// it via `invalidate_factorization`.
     fn after_structure_change(&mut self) {
         let m = self.std.nrows;
-        let (csr_ptr, csr_cols) = build_row_mirror(&self.std.a);
-        self.csr_ptr = csr_ptr;
-        self.csr_cols = csr_cols;
         if self.xb.len() != m {
             self.xb.resize(m, 0.0);
             self.work_pos.resize(m, 0.0);
@@ -48,8 +47,20 @@ impl Engine {
         }
         // Intentional truncation of a density fraction to a scratch-arena size.
         self.kernel_cap = (pos_or_zero(self.cfg.kernel_density_threshold) * m as f64) as usize;
-        self.size_scratch();
         self.max_iterations = iteration_cap(&self.std);
+        self.structure_stale = true;
+    }
+
+    /// Rebuilds the CSR row mirror and re-sizes the pivot scratch if the
+    /// structure grew since they were last built. Called at every solve
+    /// entry, before anything reads either.
+    pub(super) fn fit_structure(&mut self) {
+        if std::mem::take(&mut self.structure_stale) {
+            let (csr_ptr, csr_cols) = build_row_mirror(&self.std.a);
+            self.csr_ptr = csr_ptr;
+            self.csr_cols = csr_cols;
+            self.size_scratch();
+        }
     }
 
     /// Drops the carried factorization and the cross-solve flag that rides

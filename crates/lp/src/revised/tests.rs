@@ -404,7 +404,9 @@ fn duals_satisfy_weak_pricing() {
 fn pivot_scratch_fits_after_growth() {
     // Every per-pivot list is sized to the structure — each column once,
     // each row once, never an entry per nonzero; a master that grows must
-    // re-fit all of them, or the next pivot allocates inside the hot loop.
+    // re-fit all of them before its next pivot, or that pivot allocates
+    // inside the hot loop. Growth only marks them stale; the next solve's
+    // entry refits them.
     let mut p = Problem::new(Objective::Maximize);
     let x = p.add_col(0.0, 1.0, 1.0);
     let rows: Vec<Row> = (0..4)
@@ -421,6 +423,9 @@ fn pivot_scratch_fits_after_growth() {
         40
     ];
     e.append_columns(&cols);
+    assert!(e.structure_stale);
+    assert_eq!(e.solve(None).unwrap().status, Status::Optimal);
+    assert!(!e.structure_stale);
     let (nnz, ncols, m) = (e.std.a.nnz(), e.std.ncols(), e.std.nrows);
     assert!(
         nnz > 3 * ncols,

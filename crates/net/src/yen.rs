@@ -18,6 +18,11 @@
 //! textbook loop over the unit-weight Dijkstra as the oracle; DESIGN.md
 //! ("Path generation") has the argument for why neither shortcut can change
 //! a path.
+//!
+//! The loop is a `Search` that can pause after any accepted path and
+//! resume later, so [`PathSet`](crate::PathSet) computes a pair's ranks
+//! only as far as they are asked for; [`k_shortest_paths`] runs one
+//! search to `k` in one step.
 
 use crate::graph::{EdgeId, Graph, NodeId, Path};
 
@@ -27,9 +32,9 @@ const UNREACHED: u32 = u32::MAX;
 /// End of a bucket's stack in the A\* queue.
 const NO_ENTRY: u32 = u32::MAX;
 
-/// Reusable search state for [`k_shortest_paths`], owned by
-/// [`PathSet`](crate::PathSet) so a warm cache fill allocates per emitted
-/// path only.
+/// Reusable search state for every [`Search`], owned by
+/// [`PathSet`](crate::PathSet) so a cache fill allocates per emitted path
+/// only.
 ///
 /// Membership in the visited set and in the two ban sets is a stamp
 /// comparison: a fresh set is a fresh stamp, never a clear. Stamps only
@@ -286,58 +291,124 @@ impl Workspace {
 
 /// A generated path waiting in the pool, with the spur index that produced
 /// it (Lawler's deviation index).
+#[derive(Debug, Clone)]
 struct Candidate {
     dev: usize,
     path: Path,
 }
 
-/// Computes up to `k` shortest simple paths from `src` to `dst`, ordered by
-/// increasing hop count (ties broken deterministically). Returns fewer than
-/// `k` when the graph does not contain that many simple paths.
-pub fn k_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    k_shortest_paths_in(&mut Workspace::default(), g, src, dst, k)
+/// One endpoint pair's Yen loop, paused between accepted paths. The
+/// loop's whole state is the accepted list, the candidate pool and `dev`;
+/// everything else lives in the [`Workspace`], which
+/// [`advance`](Self::advance) re-aims at this pair's destination before it
+/// spurs. So a search extended to `n` paths in any number of steps holds
+/// the list one uninterrupted run to `n` returns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Search {
+    /// The paths found so far, in rank order.
+    accepted: Vec<Path>,
+    /// Candidate pool; together with `accepted` it holds every path
+    /// generated so far, which is what deduplicates new ones. Freed once
+    /// the search is done.
+    candidates: Vec<Candidate>,
+    /// Deviation index of the last accepted path. Spurring it below that
+    /// index would rerun a search whose root and bans are unchanged since
+    /// it last ran, and regenerate a path already generated.
+    dev: usize,
+    /// No further path will be asked for: the search holds its `k` paths,
+    /// or the pair has no more simple paths.
+    done: bool,
 }
 
-/// [`k_shortest_paths`] on a caller-held workspace.
-pub(crate) fn k_shortest_paths_in(
-    ws: &mut Workspace,
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-) -> Vec<Path> {
-    if k == 0 || src == dst {
-        return Vec::new();
+impl Search {
+    /// The paths found so far, in rank order.
+    pub(crate) fn paths(&self) -> &[Path] {
+        &self.accepted
     }
-    ws.begin(g, dst);
-    ws.edges.clear();
-    if ws.rdist[src.index()] == UNREACHED || !ws.spur(g, src, dst) {
-        return Vec::new();
-    }
-    let mut accepted = vec![Path::from_edges_unchecked(&ws.edges)];
-    // Candidate pool; together with `accepted` it holds every path
-    // generated so far, which is what deduplicates new ones.
-    let mut candidates: Vec<Candidate> = Vec::new();
-    // Deviation index of the last accepted path. Spurring it below that
-    // index would rerun a search whose root and bans are unchanged since
-    // it last ran, and regenerate a path already generated.
-    let mut dev = 0;
 
-    while accepted.len() < k {
+    /// Runs the loop from `src` to `dst` until it holds `min(n, k)` paths
+    /// or the pair has no more.
+    pub(crate) fn extend(
+        &mut self,
+        ws: &mut Workspace,
+        g: &Graph,
+        pair: (NodeId, NodeId),
+        n: usize,
+        k: usize,
+    ) {
+        let mut begun = false;
+        while self.accepted.len() < n.min(k) && self.advance(ws, g, pair, k, &mut begun) {}
+    }
+
+    /// Accepts the pair's next path; false when there is none to accept.
+    /// A search that holds `k` paths or has run out is done and frees its
+    /// pool. `begun` says whether `ws` already holds this pair's `rdist`:
+    /// the first call of a run sets it, so one caller's consecutive calls
+    /// on one pair pay one reverse BFS.
+    pub(crate) fn advance(
+        &mut self,
+        ws: &mut Workspace,
+        g: &Graph,
+        (src, dst): (NodeId, NodeId),
+        k: usize,
+        begun: &mut bool,
+    ) -> bool {
+        if self.done {
+            return false;
+        }
+        if src == dst {
+            self.finish();
+            return false;
+        }
+        if !std::mem::replace(begun, true) {
+            ws.begin(g, dst);
+        }
+        let found = if self.accepted.is_empty() {
+            ws.edges.clear();
+            let found = ws.rdist[src.index()] != UNREACHED && ws.spur(g, src, dst);
+            if found {
+                self.accepted.push(Path::from_edges_unchecked(&ws.edges));
+            }
+            found
+        } else {
+            self.step(ws, g, dst)
+        };
+        if !found || self.accepted.len() == k {
+            self.finish();
+        }
+        found
+    }
+
+    /// Marks the search done and frees its pool.
+    fn finish(&mut self) {
+        self.done = true;
+        self.candidates = Vec::new();
+    }
+
+    /// One round of the loop: spurs the last accepted path from its
+    /// deviation index on, then accepts the shortest candidate (ties
+    /// broken on edges). False when the pool is exhausted.
+    fn step(&mut self, ws: &mut Workspace, g: &Graph, dst: NodeId) -> bool {
+        let Search {
+            accepted,
+            candidates,
+            dev,
+            ..
+        } = self;
         let prev = &accepted[accepted.len() - 1];
         // Nodes banned: everything on the root before the spur node
         // (keeps the total path simple).
         ws.node_ban = ws.next_stamp();
-        for &e in &prev.edges()[..dev] {
+        for &e in &prev.edges()[..*dev] {
             ws.banned_node[g.src(e).index()] = ws.node_ban;
         }
-        for i in dev..prev.len() {
+        for i in *dev..prev.len() {
             let root = &prev.edges()[..i];
             let spur_node = g.src(prev.edges()[i]);
             // Edges banned: the (i+1)-th edge of any accepted path sharing
             // the same root.
             ws.edge_ban = ws.next_stamp();
-            for p in &accepted {
+            for p in accepted.iter() {
                 if p.len() > i && p.edges()[..i] == *root {
                     ws.banned_edge[p.edges()[i].index()] = ws.edge_ban;
                 }
@@ -370,13 +441,34 @@ pub(crate) fn k_shortest_paths_in(
             })
             .map(|(i, _)| i)
         else {
-            break;
+            return false;
         };
         let next = candidates.swap_remove(best);
-        dev = next.dev;
+        *dev = next.dev;
         accepted.push(next.path);
+        true
     }
-    accepted
+}
+
+/// Computes up to `k` shortest simple paths from `src` to `dst`, ordered by
+/// increasing hop count (ties broken deterministically). Returns fewer than
+/// `k` when the graph does not contain that many simple paths.
+pub fn k_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+    k_shortest_paths_in(&mut Workspace::default(), g, src, dst, k)
+}
+
+/// [`k_shortest_paths`] on a caller-held workspace: one [`Search`] run to
+/// `k` paths in one step.
+pub(crate) fn k_shortest_paths_in(
+    ws: &mut Workspace,
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+) -> Vec<Path> {
+    let mut search = Search::default();
+    search.extend(ws, g, (src, dst), k, k);
+    search.accepted
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
 use wavesched_net::dijkstra::shortest_path_weighted;
 use wavesched_net::{
-    k_shortest_paths, waxman_network, EdgeId, Graph, NodeId, Path, PathSet, WaxmanConfig,
+    abilene14, k_shortest_paths, waxman_network, EdgeId, Graph, NodeId, Path, PathSet, WaxmanConfig,
 };
 
 /// Fewest hops by Dijkstra under unit weights, through the given filters.
@@ -191,6 +191,127 @@ fn random_digraphs_match_reference() {
             assert_matches_reference(&format!("case {case}"), &g, &pairs, k);
         }
     }
+}
+
+/// A `PathSet` extended rank by rank, one asked for all `k` and then for
+/// one, and one visited in two scans that stop at different ranks, hold the
+/// oracle's list at `k`, edge for edge: resuming a paused search cannot
+/// change a path. Each pair is asked on every set before the next pair, so
+/// every resumption follows searches of other pairs on the shared
+/// workspace.
+fn assert_resumption_matches_reference(
+    what: &str,
+    g: &Graph,
+    pairs: &[(NodeId, NodeId)],
+    k: usize,
+) {
+    let (mut stepped, mut whole, mut scanned) = (PathSet::new(k), PathSet::new(k), PathSet::new(k));
+    for (at, &(s, d)) in pairs.iter().enumerate() {
+        let want = reference_yen(g, s, d, k);
+        // The first scan stops after rank `stop`, the second after the last.
+        let stop = at % k;
+        for upto in [stop, k - 1] {
+            let mut seen = Vec::new();
+            scanned.visit_while(g, s, d, |rank, p| {
+                assert_eq!(rank, seen.len());
+                seen.push(p.edges().to_vec());
+                rank < upto
+            });
+            let n = (upto + 1).min(want.len());
+            assert_eq!(
+                seen.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                edge_lists(&want[..n]),
+                "{what}: visit_while({s}, {d}) to rank {upto} of k={k}"
+            );
+        }
+        for n in 1..=k {
+            assert_eq!(
+                edge_lists(stepped.paths_upto(g, s, d, n)),
+                edge_lists(&want[..n.min(want.len())]),
+                "{what}: paths_upto({s}, {d}, {n}) of k={k}, asked rank by rank"
+            );
+        }
+        assert_eq!(
+            edge_lists(whole.paths_upto(g, s, d, k)),
+            edge_lists(&want),
+            "{what}: paths_upto({s}, {d}, {k})"
+        );
+        assert_eq!(
+            edge_lists(whole.paths_upto(g, s, d, 1)),
+            edge_lists(&want[..want.len().min(1)]),
+            "{what}: paths_upto({s}, {d}, 1) after k={k}"
+        );
+        assert_eq!(edge_lists(stepped.paths(g, s, d)), edge_lists(&want));
+    }
+    // Every search ran to the end of the oracle's list and no further.
+    let distinct: BTreeSet<(NodeId, NodeId)> = pairs.iter().copied().collect();
+    let total: usize = distinct
+        .iter()
+        .map(|&(s, d)| reference_yen(g, s, d, k).len())
+        .sum();
+    assert_eq!(stepped.paths_found(), total, "{what}");
+    assert_eq!(whole.paths_found(), total, "{what}");
+    assert_eq!(scanned.paths_found(), total, "{what}");
+}
+
+#[test]
+fn resumed_searches_match_reference_on_waxman_and_abilene() {
+    let waxman100 = waxman_network(&WaxmanConfig::paper_default(42));
+    assert_resumption_matches_reference(
+        "waxman100",
+        &waxman100,
+        &random_pairs(&waxman100, 100, 4),
+        16,
+    );
+    let waxman1000 = waxman_network(&WaxmanConfig {
+        nodes: 1000,
+        link_pairs: 2000,
+        wavelengths: 2,
+        alpha: 0.15,
+        seed: 42,
+    });
+    assert_resumption_matches_reference(
+        "waxman1000",
+        &waxman1000,
+        &random_pairs(&waxman1000, 40, 5),
+        16,
+    );
+    let (abilene, nodes) = abilene14(4);
+    let all: Vec<(NodeId, NodeId)> = nodes
+        .iter()
+        .flat_map(|&s| nodes.iter().map(move |&d| (s, d)))
+        .collect();
+    assert_resumption_matches_reference("abilene", &abilene, &all, 16);
+}
+
+/// The same on small random digraphs, which hold unreachable pairs,
+/// `src == dst` and pairs with fewer than `k` simple paths.
+#[test]
+fn resumed_searches_match_reference_on_random_digraphs() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let (mut short, mut unreachable) = (0, 0);
+    for case in 0..200u64 {
+        let n = rng.random_range(2..12usize);
+        let m = rng.random_range(1..40usize);
+        let g = random_graph(1000 + case, n, m);
+        let mut pairs = vec![(NodeId(0), NodeId((n - 1) as u32)), (NodeId(0), NodeId(0))];
+        pairs.push((
+            NodeId(rng.random_range(0..n) as u32),
+            NodeId(rng.random_range(0..n) as u32),
+        ));
+        for &(s, d) in &pairs {
+            match reference_yen(&g, s, d, 6).len() {
+                0 => unreachable += 1,
+                1..6 => short += 1,
+                _ => {}
+            }
+        }
+        assert_resumption_matches_reference(&format!("case {case}"), &g, &pairs, 6);
+    }
+    assert!(
+        short > 50 && unreachable > 200,
+        "{short} short, {unreachable} unreachable"
+    );
 }
 
 /// One `PathSet` carried from a small graph to a large one and back must

@@ -240,6 +240,7 @@ const FAMILIES: [(&str, &[&str]); 2] = [
             "cg.pricer_calls",
             "cg.pricing_ns",
             "cg.master_lu_reuse_hits",
+            "cg.yen_paths",
         ],
     ),
     ("mem.bytes_", &["mem.bytes_allocated", "mem.bytes_freed"]),

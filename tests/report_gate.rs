@@ -138,6 +138,7 @@ fn a_partial_counter_family_fails_by_name() {
             "cg.columns_added",
             "cg.pricer_calls",
             "cg.pricing_ns",
+            "cg.yen_paths",
         ]
         .map(|n| counter(n, 1)),
     );
